@@ -291,18 +291,22 @@ def cmd_hmap(args, report):
 
 
 def cmd_pushout_product(args, report):
-    raw_f, raw_g = _load(args.inputs[0]), _load(args.inputs[1])
-    f_src = jsonio.simpset_from_json(raw_f["source"])
-    f_dst = jsonio.simpset_from_json(raw_f["target"])
-    f = jsonio.simpmap_from_json(raw_f["map"], f_src, f_dst)
-    g_src = jsonio.simpset_from_json(raw_g["source"])
-    g_dst = jsonio.simpset_from_json(raw_g["target"])
-    g = jsonio.simpmap_from_json(raw_g["map"], g_src, g_dst)
+    f = jsonio.arrow_from_json(_load(args.inputs[0]))
+    g = jsonio.arrow_from_json(_load(args.inputs[1]))
     pp = pushout_product(f, g)
     report.output("source", jsonio.simpset_to_json(pp.source))
     report.output("target", jsonio.simpset_to_json(pp.target))
     report.output("map", jsonio.simpmap_to_json(pp))
-    report.add("pushout-product", Verdict(HOLDS, f"mono={pp.is_mono()}"))
+    clash = pp.collision()
+    if clash is None:
+        report.add("pushout-product", Verdict(HOLDS, "mono=True"))
+        return
+    n, first, second = clash
+    report.add("pushout-product", Verdict(FAILS, "mono=False", witness={
+        "dim": n,
+        "simplices": [jsonio.ref_to_json(first), jsonio.ref_to_json(second)],
+        "image": jsonio.ref_to_json(pp(first, n)),
+    }))
 
 
 def cmd_check_suite(args, report):

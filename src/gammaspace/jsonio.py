@@ -28,6 +28,7 @@ def ref_to_json(ref: SimplexRef):
 def ref_from_json(data) -> SimplexRef:
     if isinstance(data, str):
         return SimplexRef(data)
+    _expect_object(data, "a simplex ref (or a cell id string)")
     return SimplexRef(data["base"], tuple(data["deg"]))
 
 
@@ -50,6 +51,7 @@ def simpset_to_json(x: FinSimpSet) -> dict:
 
 
 def simpset_from_json(data) -> FinSimpSet:
+    _expect_object(data, "a simplicial set")
     cells = {}
     for n_str, items in data.get("cells", {}).items():
         n = int(n_str)
@@ -73,11 +75,21 @@ def simpmap_to_json(m: SimpMap) -> dict:
 
 
 def simpmap_from_json(data, source: FinSimpSet, target: FinSimpSet) -> SimpMap:
+    _expect_object(data, "a simplicial map")
     assignment = {}
     for n_str, table in data["assignment"].items():
         for name, ref in table.items():
             assignment[(int(n_str), name)] = ref_from_json(ref)
     return SimpMap(source, target, assignment).validate(check_pointed=False)
+
+
+def arrow_from_json(data) -> SimpMap:
+    """A map together with its ends: {"source": set, "target": set,
+    "map": assignment}."""
+    _expect_object(data, "a map with its source and target")
+    source = simpset_from_json(data["source"])
+    target = simpset_from_json(data["target"])
+    return simpmap_from_json(data["map"], source, target)
 
 
 def marked_to_json(x: MarkedSimpSet) -> dict:
@@ -102,6 +114,7 @@ def category_to_json(c: FinCat) -> dict:
 
 
 def category_from_json(data) -> FinCat:
+    _expect_object(data, "a finite category")
     return FinCat(
         data["objects"],
         {a["id"]: (a["src"], a["dst"]) for a in data["arrows"]},
@@ -115,6 +128,7 @@ def gamma_morphism_to_json(f: GammaMorphism) -> dict:
 
 
 def gamma_morphism_from_json(data) -> GammaMorphism:
+    _expect_object(data, "a based map")
     return GammaMorphism(data["src"], data["dst"], tuple(data["map"]))
 
 
@@ -140,6 +154,7 @@ def tabulated_to_json(x: TabulatedGammaSpace, generators=None) -> dict:
 def tabulated_from_json(data) -> TabulatedGammaSpace:
     """Loads values and completes the action from the generators by
     composition closure; errors if some based map is not covered."""
+    _expect_object(data, "a tabulated level family")
     bound = data["level_bound"]
     values = {int(n): simpset_from_json(v) for n, v in data["values"].items()}
     action = {}
@@ -196,6 +211,7 @@ def presented_to_json(p: PresentedGammaSpace) -> dict:
 
 
 def presented_from_json(data) -> PresentedGammaSpace:
+    _expect_object(data, "a presented level family")
     cells = [
         GammaCell(c["level"], simpset_from_json(c["shape"])) for c in data["cells"]
     ]
@@ -214,6 +230,7 @@ def presented_from_json(data) -> PresentedGammaSpace:
 
 
 def relative_input_from_json(data) -> RelativeNerveInput:
+    _expect_object(data, "a relative nerve input")
     base = category_from_json(data["base"])
     values = {
         obj: simpset_from_json(v) for obj, v in data["diagram"]["values"].items()
@@ -239,6 +256,12 @@ def over_object_from_json(data) -> OverObject:
     base = simpset_from_json(data["base_nerve"])
     proj = simpmap_from_json(data["proj"], marked.underlying, base)
     return OverObject(marked, proj).validate()
+
+
+def _expect_object(data, what):
+    """Malformed input (a ValueError) unless data is a JSON object."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected {what} as a JSON object, got {type(data).__name__}")
 
 
 def canonical_dumps(data) -> str:

@@ -6,11 +6,15 @@ Eilenberg-Zilber normal form.  A set carries a dimension bound and is read
 coskeletally above it: a map into it in higher dimension is determined by
 its truncation, so enumeration never needs cells beyond the bound.
 
-All values are immutable after construction; operations are pure.
+All values are immutable after construction; operations are pure.  The
+caches below (the word-arithmetic memos, and each FinSimpSet's face index
+and `act` memo) only ever store what a pure function returns for its key,
+so a racing fill writes the same value twice.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -28,7 +32,11 @@ from .verdicts import (
 #
 # A monotone map [m] -> [n] is a tuple of length m+1 with nondecreasing
 # entries in 0..n.  Degeneracy words correspond to monotone surjections,
-# faces to monotone injections.
+# faces to monotone injections.  The word arithmetic is memoized: the same
+# few words and operators recur millions of times in a search, and each
+# memo is bounded so no long-lived process grows without limit.
+
+WORD_MEMO_SIZE = 1 << 14
 
 
 def mcompose(outer, inner):
@@ -36,6 +44,7 @@ def mcompose(outer, inner):
     return tuple(outer[v] for v in inner)
 
 
+@functools.lru_cache(maxsize=WORD_MEMO_SIZE)
 def word_to_surj(word, m):
     """Degeneracy word (strictly decreasing) acting on dimension m-|word|,
     as the monotone surjection [m] ->> [m - len(word)]."""
@@ -49,6 +58,7 @@ def word_to_surj(word, m):
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=WORD_MEMO_SIZE)
 def surj_to_word(surj):
     """Inverse of word_to_surj: positions where the surjection repeats."""
     word = [j for j in range(len(surj) - 1) if surj[j] == surj[j + 1]]
@@ -56,6 +66,7 @@ def surj_to_word(surj):
     return tuple(word)
 
 
+@functools.lru_cache(maxsize=WORD_MEMO_SIZE)
 def factor_monotone(alpha):
     """Factor a monotone map as injection o surjection; returns (inj, surj)."""
     image = sorted(set(alpha))
@@ -113,6 +124,7 @@ class Simplex:
     faces: tuple  # of SimplexRef, length dim+1 (empty for dim 0)
 
 
+@functools.lru_cache(maxsize=WORD_MEMO_SIZE)
 def apply_word(ref: SimplexRef, word, ref_dim: int) -> SimplexRef:
     """Apply a degeneracy word (operator for dimension ref_dim upward) to a
     ref of dimension ref_dim; pure word arithmetic, no face data needed."""
@@ -120,7 +132,6 @@ def apply_word(ref: SimplexRef, word, ref_dim: int) -> SimplexRef:
         return ref
     m = ref_dim + len(word)
     outer = word_to_surj(word, m)
-    base_dim = ref_dim - len(ref.degs)
     inner = word_to_surj(ref.degs, ref_dim)
     return SimplexRef(ref.base, surj_to_word(mcompose(inner, outer)))
 
@@ -145,7 +156,10 @@ class FinSimpSet:
         # complete: no nondegenerate simplices exist above dim_bound, so the
         # stored complex is the whole object and bounds may be raised freely.
         self.complete = complete
+        # caches of pure functions of the (never mutated) cells
         self._ref_cache = {}
+        self._face_index = {}
+        self._act_memo = {}
         if pointed is not None and pointed not in self._cells[0]:
             raise ValueError(f"basepoint {pointed!r} is not a vertex")
 
@@ -188,18 +202,37 @@ class FinSimpSet:
         self._ref_cache[n] = out
         return out
 
+    def face_index(self, n):
+        """Every n-ref (n >= 1) bucketed by its face tuple, in refs(n)
+        order, so the n-simplices with a prescribed boundary are one
+        dictionary lookup."""
+        if n not in self._face_index:
+            table = {}
+            for ref in self.refs(n):
+                key = tuple(self.face(ref, n, i) for i in range(n + 1))
+                table.setdefault(key, []).append(ref)
+            self._face_index[n] = {k: tuple(v) for k, v in table.items()}
+        return self._face_index[n]
+
     # -- the simplicial action ----------------------------------------------
 
     def act(self, ref: SimplexRef, ref_dim: int, alpha) -> SimplexRef:
-        """Apply the monotone operator alpha: [m] -> [ref_dim] to ref."""
-        base_dim = self.base_dim(ref, ref_dim)
-        sigma = word_to_surj(ref.degs, ref_dim)
-        beta = mcompose(sigma, alpha)
-        inj, surj = factor_monotone(beta)
-        dropped = self._apply_injection(ref.base, base_dim, inj)
-        dropped_dim = len(inj) - 1
-        tau = word_to_surj(dropped.degs, dropped_dim)
-        return SimplexRef(dropped.base, surj_to_word(mcompose(tau, surj)))
+        """Apply the monotone operator alpha (a tuple): [m] -> [ref_dim] to
+        ref.  Memoized per set, keyed by the ref's fields, ref_dim and
+        alpha."""
+        key = (ref.base, ref.degs, ref_dim, alpha)
+        out = self._act_memo.get(key)
+        if out is None:
+            base_dim = self.base_dim(ref, ref_dim)
+            sigma = word_to_surj(ref.degs, ref_dim)
+            beta = mcompose(sigma, alpha)
+            inj, surj = factor_monotone(beta)
+            dropped = self._apply_injection(ref.base, base_dim, inj)
+            dropped_dim = len(inj) - 1
+            tau = word_to_surj(dropped.degs, dropped_dim)
+            out = SimplexRef(dropped.base, surj_to_word(mcompose(tau, surj)))
+            self._act_memo[key] = out
+        return out
 
     def _apply_injection(self, name, dim, inj) -> SimplexRef:
         if len(inj) == dim + 1:
@@ -407,16 +440,20 @@ class SimpMap:
     def __hash__(self):
         return hash(self.key())
 
-    def is_mono(self, dim_cap=None):
+    def collision(self, dim_cap=None):
+        """The first two source simplices of one dimension with the same
+        image, as (dim, first, second); None when the map is mono."""
         cap = self.cap if dim_cap is None else min(dim_cap, self.cap)
         for n in range(cap + 1):
-            seen = set()
+            seen = {}
             for ref in self.source.refs(n):
-                img = self(ref, n)
-                if img in seen:
-                    return False
-                seen.add(img)
-        return True
+                first = seen.setdefault(self(ref, n), ref)
+                if first is not ref:
+                    return n, first, ref
+        return None
+
+    def is_mono(self, dim_cap=None):
+        return self.collision(dim_cap) is None
 
     def is_iso(self):
         if self.source.complete and self.target.complete:
@@ -832,19 +869,6 @@ def hom_set(a: FinSimpSet, x: FinSimpSet, budget=None, fixed=None,
         img = assignment[(base_dim, ref.base)]
         return apply_word(img, ref.degs, base_dim)
 
-    face_index = {}
-
-    def index_for(n):
-        # bucket every target n-ref by its face tuple, so candidates with
-        # prescribed boundary are a dictionary lookup rather than a scan
-        if n not in face_index:
-            table = {}
-            for ref in x.refs(n):
-                key = tuple(x.face(ref, n, i) for i in range(n + 1))
-                table.setdefault(key, []).append(ref)
-            face_index[n] = table
-        return face_index[n]
-
     def candidates(n, name):
         want = None
         if n > 0:
@@ -854,7 +878,7 @@ def hom_set(a: FinSimpSet, x: FinSimpSet, budget=None, fixed=None,
         elif n == 0:
             cand = x.refs(0)
         else:
-            cand = index_for(n).get(want, ())
+            cand = x.face_index(n).get(want, ())
         out = []
         for ref in cand:
             budget.spend()

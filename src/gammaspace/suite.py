@@ -361,7 +361,13 @@ SUITE = [
 
 
 def run_suite(only=None):
-    """Run the named checks; returns a list of (tag, Verdict)."""
+    """Run the named checks; returns a list of (tag, Verdict).  An unknown
+    tag in `only` raises ValueError before any check runs."""
+    known = [tag for tag, _ in SUITE]
+    unknown = sorted(set(only or ()) - set(known))
+    if unknown:
+        raise ValueError(f"unknown law tag(s) {', '.join(unknown)}; "
+                         f"known tags: {', '.join(known)}")
     out = []
     for tag, fn in SUITE:
         if only and tag not in only:

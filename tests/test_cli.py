@@ -2,12 +2,16 @@
 
 import json
 
+import pytest
+
 from gammaspace import jsonio
 from gammaspace.cli import main
 from gammaspace.corpus import z2_monoid_space
 from gammaspace.gspace import gamma_rep
 from gammaspace.nerve import nerve
 from gammaspace.catcore import walking_iso_category
+from gammaspace.shapes import boundary, standard_point, standard_simplex
+from gammaspace.simplicial import constant_map, inclusion_map
 
 
 def run_cli(capsys, *argv):
@@ -92,3 +96,62 @@ def test_check_suite_filtered(capsys):
     assert code == 0
     tags = {v["tag"] for v in report["verdicts"]}
     assert tags == {"factorization-unique", "segal-condition"}
+
+
+def test_check_suite_unknown_tag_exits_three(capsys):
+    code, report = run_cli(capsys, "check-suite", "--only",
+                           "factorization-unique,yonda")
+    assert code == 3
+    # refused before any law ran: the only verdict is the input error
+    assert [v["tag"] for v in report["verdicts"]] == ["input"]
+    witness = report["verdicts"][0]["witness"]
+    assert "yonda" in witness and "yoneda" in witness
+
+
+def _arrow_file(tmp_path, name, m):
+    p = tmp_path / name
+    p.write_text(jsonio.canonical_dumps({
+        "source": jsonio.simpset_to_json(m.source),
+        "target": jsonio.simpset_to_json(m.target),
+        "map": jsonio.simpmap_to_json(m),
+    }))
+    return str(p)
+
+
+def test_pushout_product_of_non_mono_fails_with_witness(tmp_path, capsys):
+    d1 = standard_simplex(1)
+    collapse = _arrow_file(tmp_path, "f.json", constant_map(d1, standard_point(), "0"))
+    edge = _arrow_file(tmp_path, "g.json", inclusion_map(boundary(1), d1))
+    code, report = run_cli(capsys, "pushout-product", collapse, edge)
+    assert code == 1
+    verdict = report["verdicts"][0]
+    assert verdict["status"] == "fails" and verdict["checked"] == "mono=False"
+    # the witness is two distinct simplices of one dimension with one image
+    w = verdict["witness"]
+    n, (a, b) = w["dim"], [jsonio.ref_from_json(r) for r in w["simplices"]]
+    assert a != b
+    src = jsonio.simpset_from_json(report["outputs"]["source"])
+    dst = jsonio.simpset_from_json(report["outputs"]["target"])
+    pp = jsonio.simpmap_from_json(report["outputs"]["map"], src, dst)
+    assert pp(a, n) == pp(b, n) == jsonio.ref_from_json(w["image"])
+
+
+# every command that reads JSON files, with the options it requires
+FILE_COMMANDS = [
+    ["convolve", "A", "A"], ["map-space", "A", "A"], ["internal-hom", "A", "A"],
+    ["segal-check", "A", "--k", "1", "--l", "1"], ["normalize", "A"],
+    ["semiadd-probe", "A"], ["ho-cat", "A"], ["mark", "A"], ["hom-marked", "A", "A"],
+    ["relative-nerve", "A"], ["cocart-edges", "A"], ["sm-check", "A", "--k", "1", "--l", "1"],
+    ["hom-over-base", "A", "A"], ["r-plus", "A", "--k", "0"], ["tau1", "A"], ["j", "A"],
+    ["rexp", "A", "A"], ["hmap", "A", "A"], ["pushout-product", "A", "A"],
+]
+
+
+@pytest.mark.parametrize("argv", FILE_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("blob", ["[1, 2]", "null"])
+def test_non_object_input_exits_three(tmp_path, capsys, argv, blob):
+    p = tmp_path / "bad.json"
+    p.write_text(blob)
+    code, report = run_cli(capsys, *[str(p) if a == "A" else a for a in argv])
+    assert code == 3
+    assert report["verdicts"][0]["tag"] == "input"

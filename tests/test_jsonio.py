@@ -84,3 +84,16 @@ def test_tabulated_generator_completion_needs_folds():
     blob2 = jsonio.tabulated_to_json(x, generators=gens2)
     back = jsonio.tabulated_from_json(blob2)
     assert back.action(GammaMorphism(2, 1, (1, 1))) == x.action(GammaMorphism(2, 1, (1, 1)))
+
+
+@pytest.mark.parametrize("load", [
+    jsonio.simpset_from_json, jsonio.marked_from_json, jsonio.category_from_json,
+    jsonio.gamma_morphism_from_json, jsonio.tabulated_from_json,
+    jsonio.presented_from_json, jsonio.relative_input_from_json,
+    jsonio.over_object_from_json, jsonio.arrow_from_json, jsonio.ref_from_json,
+    lambda data: jsonio.simpmap_from_json(data, standard_simplex(0), standard_simplex(0)),
+], ids=lambda f: getattr(f, "__name__", "simpmap_from_json"))
+def test_loaders_refuse_non_objects(load):
+    for data in ([1, 2], 3, None):
+        with pytest.raises(ValueError, match="JSON object"):
+            load(data)

@@ -217,24 +217,32 @@ def test_apply_word_normal_form():
     assert apply_word(SimplexRef("x", (0,)), (0,), 1) == SimplexRef("x", (1, 0))
 
 
+def glued_simplices(n, collapse):
+    """Delta[2] and Delta[n] glued through points at the vertex pairs
+    picked by `collapse`, as the Colimit."""
+    x = standard_simplex(2)
+    y = standard_simplex(n)
+    pt = standard_point()
+    arrows = []
+    objects = [x, y]
+    for i, v in enumerate(sorted(collapse)):
+        vx = x.cell_ids(0)[v % x.cell_count(0)]
+        vy = y.cell_ids(0)[v % y.cell_count(0)]
+        objects.append(pt)
+        arrows.append((2 + i, 0, SimpMap(pt, x, {(0, "0"): SimplexRef(vx)})))
+        arrows.append((2 + i, 1, SimpMap(pt, y, {(0, "0"): SimplexRef(vy)})))
+    return Colimit(objects, arrows)
+
+
 @given(st.integers(0, 2), st.sets(st.integers(0, 5), max_size=4),
        st.sets(st.integers(0, 5), max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_random_quotients_stay_simplicial(n, collapse_a, collapse_b):
     # glue random vertex pairs of two standard simplices through points and
     # check the quotient still validates, with working coprojections
-    x = standard_simplex(2)
-    y = standard_simplex(n)
-    pt = standard_point()
-    arrows = []
-    objects = [x, y]
-    for i, v in enumerate(sorted(collapse_a)):
-        vx = x.cell_ids(0)[v % x.cell_count(0)]
-        vy = y.cell_ids(0)[v % y.cell_count(0)]
-        objects.append(pt)
-        arrows.append((2 + i, 0, SimpMap(pt, x, {(0, "0"): SimplexRef(vx)})))
-        arrows.append((2 + i, 1, SimpMap(pt, y, {(0, "0"): SimplexRef(vy)})))
-    col = Colimit(objects, arrows)
+    x, y = standard_simplex(2), standard_simplex(n)
+    col = glued_simplices(n, collapse_a)
+    objects = col.objects
     col.space.validate()
     for i in range(len(objects)):
         col.coprojection(i).validate()
@@ -256,3 +264,70 @@ def test_product_projections_jointly_mono(a, b):
             key = (p1.assignment[(m, name)], p2.assignment[(m, name)])
             assert key not in seen
             seen.add(key)
+
+
+# -- the kernel caches against the computations they replace -----------------
+
+quotients = st.builds(lambda n, collapse: glued_simplices(n, collapse).space,
+                      st.integers(0, 2), st.sets(st.integers(0, 5), max_size=4))
+
+
+class _Forgetful(dict):
+    """An act memo that stores nothing, so every call (and every recursive
+    call it makes) is computed afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _fresh_copy(x):
+    return x.rebound(x.dim_bound)
+
+
+@given(quotients)
+@settings(max_examples=25, deadline=None)
+def test_memoized_act_matches_uncached(x):
+    uncached = _fresh_copy(x)
+    uncached._act_memo = _Forgetful()
+    for rounds in range(2):  # the second round reads a warm memo
+        for m in range(x.dim_bound + 2):
+            for r in x.refs(m):
+                for mp in range(3):
+                    for alpha in monotone_maps(mp, m):
+                        assert x.act(r, m, alpha) == uncached.act(r, m, alpha)
+    assert not uncached._act_memo and x._act_memo
+
+
+@given(quotients)
+@settings(max_examples=25, deadline=None)
+def test_face_index_matches_linear_scan(x):
+    for n in range(1, x.dim_bound + 2):
+        index = x.face_index(n)
+        assert x.face_index(n) is index
+        flat = [r for bucket in index.values() for r in bucket]
+        assert sorted(flat, key=SimplexRef.key) == sorted(x.refs(n), key=SimplexRef.key)
+        for faces, bucket in index.items():
+            scan = [r for r in x.refs(n)
+                    if all(x.face(r, n, i) == faces[i] for i in range(n + 1))]
+            assert list(bucket) == scan
+
+
+@given(quotients, st.sampled_from([standard_simplex(1), boundary(2), standard_simplex(2)]))
+@settings(max_examples=25, deadline=None)
+def test_hom_set_repeatable_on_one_target(x, a):
+    first = [m.key() for m in hom_set(a, x)]
+    assert [m.key() for m in hom_set(a, x)] == first
+    # and the same as on a copy whose caches start empty
+    assert [m.key() for m in hom_set(a, _fresh_copy(x))] == first
+
+
+@given(words, st.integers(0, 3))
+def test_word_memos_match_their_functions(word, extra):
+    m = (max(word) + 1 if word else 0) + extra + len(word)
+    surj = word_to_surj(word, m)
+    assert surj == word_to_surj.__wrapped__(word, m)
+    assert surj_to_word(surj) == surj_to_word.__wrapped__(surj)
+    for alpha in monotone_maps(min(m, 3), 2):
+        assert factor_monotone(alpha) == factor_monotone.__wrapped__(alpha)
+    ref = SimplexRef("x", word)
+    assert apply_word(ref, (0,), m) == apply_word.__wrapped__(ref, (0,), m)
