@@ -11,7 +11,7 @@ from .gammaop import GammaMorphism, delta_projection, enumerate_homs, gamma_iden
 from .gspace import TabulatedGammaSpace, segal_check
 from .marked import MarkedSimpSet, mark
 from .nerve import nerve, nerve_functor_map
-from .shapes import horn, standard_simplex
+from .shapes import MapComplex, horn, standard_simplex
 from .simplicial import (
     FinSimpSet,
     SimplexRef,
@@ -247,13 +247,7 @@ class RelativeNerve:
         def degen(n, key, i):
             return transport(n, key, sigma_tuple(i, n), n + 1)
 
-        self.total, self._ref_of = from_elements(dim_cap, levels, face, degen)
-        self._key_of = {}
-        for n in range(dim_cap + 1):
-            for key in levels[n]:
-                ref = self._ref_of(n, key)
-                if not ref.degs:
-                    self._key_of[ref.base] = (n, key)
+        self.total, _, self._key_of = from_elements(dim_cap, levels, face, degen)
 
         self.base_nerve = nerve(base, bound=dim_cap)
         proj_assignment = {}
@@ -594,10 +588,9 @@ def cotensor_over_base(x: OverObject, a: FinSimpSet, dim_cap=None, budget=None):
     cap = x.marked.underlying.dim_bound if dim_cap is None else dim_cap
     simplices = [standard_simplex(d) for d in range(cap + 2)]
     prods = [product(simplices[d], a) for d in range(cap + 1)]
-    levels = []
     tables = []
     for d in range(cap + 1):
-        prod, p1, p2, _ = prods[d]
+        prod, p1, _, _ = prods[d]
         table = {}
         for m in hom_set(prod, x.marked.underlying, budget=budget):
             shadow = m.then(x.proj)
@@ -605,65 +598,29 @@ def cotensor_over_base(x: OverObject, a: FinSimpSet, dim_cap=None, budget=None):
                 if p1.then(beta) == shadow:
                     table[(m.key(), beta.key())] = (m, beta)
         tables.append(table)
-        levels.append(sorted(table.keys()))
-
-    from .shapes import _simplex_map_between
-    from .simplicial import delta_tuple, sigma_tuple
-
-    def move(d_from, d_to, alpha, key):
-        m, beta = tables[d_from][key]
-        op = _simplex_map_between(simplices[d_to], simplices[d_from], alpha)
-        carry = product_map_local(op, a, prods[d_to], prods[d_from])
-        return (carry.then(m).key(), op.then(beta).key())
-
-    def product_map_local(op, a_obj, src_data, dst_data):
-        from .simplicial import product_map as pm
-
-        return pm(op, identity_map(a_obj), src_data, dst_data)
-
-    def face(d, key, t):
-        return move(d, d - 1, delta_tuple(t, d), key)
-
-    def degen(d, key, t):
-        return move(d, d + 1, sigma_tuple(t, d), key)
-
-    space, ref_of = from_elements(cap, levels, face, degen)
-    key_of = {}
-    for d in range(cap + 1):
-        for key in levels[d]:
-            ref = ref_of(d, key)
-            if not ref.degs:
-                key_of[ref.base] = (d, key)
+    mc = MapComplex(cap, simplices, [prods, simplices], tables)
+    space = mc.space
 
     proj_assignment = {}
     for d in range(cap + 1):
+        top = SimplexRef("".join(str(t) for t in range(d + 1)))
         for name in space.cell_ids(d):
-            if name not in key_of:
-                continue
-            _, beta = tables[d][key_of[name][1]]
-            top = SimplexRef("".join(str(t) for t in range(d + 1)))
+            _, beta = mc.element_of(name)
             proj_assignment[(d, name)] = beta(top, d)
     marked_edges = [
         e for e in space.cell_ids(1)
-        if _cotensor_edge_sharpens(x, a, tables, key_of, prods, e)
+        if _cotensor_edge_sharpens(x, mc.element_of(e)[0], prods[1])
     ]
     obj = OverObject(MarkedSimpSet(space, marked_edges),
                      SimpMap(space, base_nerve, proj_assignment)).validate()
-
-    def element_of(name):
-        d, key = key_of[name]
-        return tables[d][key]
-
-    return obj, element_of
+    return obj, mc.element_of
 
 
-def _cotensor_edge_sharpens(x, a, tables, key_of, prods, name):
-    """Marked when the map also respects the sharpened simplex coordinate:
+def _cotensor_edge_sharpens(x, m, prod_data):
+    """Marked when the map m also respects the sharpened simplex coordinate:
     product edges pairing the nondegenerate interval edge with a marked
     (degenerate) a-edge must land on marked edges."""
-    d, key = key_of[name]
-    m, _ = tables[1][key]
-    prod, p1, p2, _ = prods[1]
+    prod, p1, p2, _ = prod_data
     for e in prod.cell_ids(1):
         delta_part = p1.assignment[(1, e)]
         a_part = p2.assignment[(1, e)]

@@ -17,7 +17,14 @@ from .gammaop import (
     zero_map,
 )
 from .nerve import tau1, tau1_functor
-from .shapes import has_rlp, inclusion_map, boundary, standard_simplex, standard_point
+from .shapes import (
+    MapComplex,
+    has_rlp,
+    inclusion_map,
+    boundary,
+    standard_simplex,
+    standard_point,
+)
 from .simplicial import (
     Colimit,
     FinSimpSet,
@@ -469,7 +476,7 @@ def day_coend_oracle(x: TabulatedGammaSpace, y: TabulatedGammaSpace,
 # mapping spaces
 
 
-class GammaMappingSpace:
+class GammaMappingSpace(MapComplex):
     """The simplicial set of maps out of a presented space into a tabulated
     one: a d-simplex is a compatible family, one map S_i x Delta[d] ->
     Y(level_i) per cell, agreeing along the presentation arrows."""
@@ -480,92 +487,35 @@ class GammaMappingSpace:
         budget = budget or Budget()
         if dim_cap is None:
             dim_cap = min(y.value(c.level).dim_bound for c in p.cells) if p.cells else 0
-        self.cap = dim_cap
-        self.simplices = [standard_simplex(d) for d in range(dim_cap + 2)]
+        simplices = [standard_simplex(d) for d in range(dim_cap + 2)]
         self.products = [
-            [product(c.shape, self.simplices[d]) for d in range(dim_cap + 1)]
+            [product(c.shape, simplices[d]) for d in range(dim_cap + 1)]
             for c in p.cells
         ]
-        self._families = []
+        tables = []
         for d in range(dim_cap + 1):
             per_cell = [
                 hom_set(self.products[i][d][0], y.value(c.level), budget=budget)
                 for i, c in enumerate(p.cells)
             ]
-            fams = {}
-            for combo in itertools.product(*per_cell) if per_cell else [()]:
-                if self._compatible(combo, d):
-                    fams[tuple(m.key() for m in combo)] = combo
-            self._families.append(fams)
-
-        face_ops = {}
-        degen_ops = {}
-        from .simplicial import delta_tuple, sigma_tuple
-        from .shapes import _simplex_map_between
-        for d in range(1, dim_cap + 1):
-            for t in range(d + 1):
-                face_ops[(d, t)] = [
-                    product_map(
-                        identity_map(c.shape),
-                        _simplex_map_between(self.simplices[d - 1],
-                                             self.simplices[d], delta_tuple(t, d)),
-                        self.products[i][d - 1], self.products[i][d],
-                    )
-                    for i, c in enumerate(p.cells)
-                ]
-        for d in range(dim_cap):
-            for t in range(d + 1):
-                degen_ops[(d, t)] = [
-                    product_map(
-                        identity_map(c.shape),
-                        _simplex_map_between(self.simplices[d + 1],
-                                             self.simplices[d], sigma_tuple(t, d)),
-                        self.products[i][d + 1], self.products[i][d],
-                    )
-                    for i, c in enumerate(p.cells)
-                ]
-
-        levels = [sorted(self._families[d].keys()) for d in range(dim_cap + 1)]
-
-        def face(d, key, t):
-            fam = self._families[d][key]
-            return tuple(
-                face_ops[(d, t)][i].then(fam[i]).key() for i in range(len(fam))
-            )
-
-        def degen(d, key, t):
-            fam = self._families[d][key]
-            return tuple(
-                degen_ops[(d, t)][i].then(fam[i]).key() for i in range(len(fam))
-            )
-
-        from .simplicial import from_elements
-        self.space, self._ref_of = from_elements(dim_cap, levels, face, degen)
-        self._key_of = {}
-        for d in range(dim_cap + 1):
-            for key in levels[d]:
-                ref = self._ref_of(d, key)
-                if not ref.degs:
-                    self._key_of[ref.base] = (d, key)
-
-    def _compatible(self, combo, d):
-        for a in self.p.arrows:
-            lhs = combo[a.src]
-            carry = product_map(
-                a.simp, identity_map(self.simplices[d]),
-                self.products[a.src][d], self.products[a.dst][d],
-            )
-            rhs = carry.then(combo[a.dst]).then(self.y.action(a.gamma))
-            if lhs != rhs:
-                return False
-        return True
-
-    def element_of(self, name):
-        d, key = self._key_of[name]
-        return self._families[d][key]
+            # each arrow's carry S_src x Delta[d] -> S_dst x Delta[d] and
+            # action, built once per dimension
+            arrows = [
+                (a.src, a.dst, y.action(a.gamma), product_map(
+                    a.simp, identity_map(simplices[d]),
+                    self.products[a.src][d], self.products[a.dst][d]))
+                for a in p.arrows
+            ]
+            tables.append({
+                tuple(m.key() for m in combo): combo
+                for combo in itertools.product(*per_cell)
+                if all(combo[src] == carry.then(combo[dst]).then(act)
+                       for src, dst, act, carry in arrows)
+            })
+        super().__init__(dim_cap, simplices, self.products, tables)
 
     def ref_of_family(self, fam, d):
-        return self._ref_of(d, tuple(m.key() for m in fam))
+        return self.ref_of(fam, d)
 
     def vertex_maps(self):
         """The underlying set of maps of spaces (the vertices)."""
@@ -1139,11 +1089,10 @@ def mapping_space_tabulated(x: TabulatedGammaSpace, y: TabulatedGammaSpace,
     """
     budget = budget or Budget()
     simplices = [standard_simplex(d) for d in range(dim_cap + 2)]
-    prods = {
-        (n, d): product(x.value(n), simplices[d])
+    prods = [
+        [product(x.value(n), simplices[d]) for d in range(dim_cap + 1)]
         for n in range(level_cap + 1)
-        for d in range(dim_cap + 1)
-    }
+    ]
     morphisms = all_morphisms_upto(level_cap)
 
     def collapses(m, n, d):
@@ -1154,66 +1103,35 @@ def mapping_space_tabulated(x: TabulatedGammaSpace, y: TabulatedGammaSpace,
         for dd in range(simplices[d].dim_bound + 1):
             for cname in simplices[d].cell_ids(dd):
                 base_word = apply_word(base, tuple(range(dd - 1, -1, -1)), 0)
-                pref = prods[(n, d)][3](base_word, SimplexRef(cname), dd)
+                pref = prods[n][d][3](base_word, SimplexRef(cname), dd)
                 img = m(pref, dd)
                 want = apply_word(wordy, tuple(range(dd - 1, -1, -1)), 0)
                 if img != want:
                     return False
         return True
 
-    families = []
+    tables = []
     for d in range(dim_cap + 1):
         per_level = []
         for n in range(level_cap + 1):
-            cands = hom_set(prods[(n, d)][0], y.value(n), budget=budget)
+            cands = hom_set(prods[n][d][0], y.value(n), budget=budget)
             if pointed:
                 cands = [m for m in cands if collapses(m, n, d)]
             per_level.append(cands)
-        fams = {}
-        for combo in itertools.product(*per_level):
-            ok = True
-            for f in morphisms:
-                carry = product_map(x.action(f), identity_map(simplices[d]),
-                                    prods[(f.src, d)], prods[(f.dst, d)])
-                if carry.then(combo[f.dst]) != combo[f.src].then(y.action(f)):
-                    ok = False
-                    break
-            if ok:
-                fams[tuple(m.key() for m in combo)] = combo
-        families.append(fams)
+        # each morphism's carry X(f) x Delta[d] and action Y(f), built once
+        # per dimension
+        squares = [
+            (f.src, f.dst, y.action(f), product_map(
+                x.action(f), identity_map(simplices[d]),
+                prods[f.src][d], prods[f.dst][d]))
+            for f in morphisms
+        ]
+        tables.append({
+            tuple(m.key() for m in combo): combo
+            for combo in itertools.product(*per_level)
+            if all(carry.then(combo[dst]) == combo[src].then(act)
+                   for src, dst, act, carry in squares)
+        })
+    mc = MapComplex(dim_cap, simplices, prods, tables)
+    return mc.space, mc.element_of
 
-    from .shapes import _simplex_map_between
-    from .simplicial import delta_tuple, from_elements, sigma_tuple
-
-    def move(d_from, d_to, alpha, fam):
-        out = []
-        for n in range(level_cap + 1):
-            carry = product_map(
-                identity_map(x.value(n)),
-                _simplex_map_between(simplices[d_to], simplices[d_from], alpha),
-                prods[(n, d_to)], prods[(n, d_from)],
-            )
-            out.append(carry.then(fam[n]))
-        return tuple(m.key() for m in out)
-
-    levels = [sorted(families[d].keys()) for d in range(dim_cap + 1)]
-
-    def face(d, key, t):
-        return move(d, d - 1, delta_tuple(t, d), families[d][key])
-
-    def degen(d, key, t):
-        return move(d, d + 1, sigma_tuple(t, d), families[d][key])
-
-    space, ref_of = from_elements(dim_cap, levels, face, degen)
-    key_of = {}
-    for d in range(dim_cap + 1):
-        for key in levels[d]:
-            ref = ref_of(d, key)
-            if not ref.degs:
-                key_of[ref.base] = (d, key)
-
-    def element_of(name):
-        d, key = key_of[name]
-        return families[d][key]
-
-    return space, element_of

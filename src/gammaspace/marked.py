@@ -5,19 +5,14 @@ from __future__ import annotations
 
 from .gammaop import GammaMorphism
 from .gspace import TabulatedGammaSpace, all_morphisms_upto
-from .shapes import standard_simplex, _simplex_map_between
+from .shapes import MapComplex, standard_simplex
 from .simplicial import (
     FinSimpSet,
     SimplexRef,
     SimpMap,
-    from_elements,
     full_sub_on_edges,
     hom_set,
-    identity_map,
     product,
-    product_map,
-    delta_tuple,
-    sigma_tuple,
 )
 from .verdicts import Budget
 
@@ -81,7 +76,7 @@ def marked_hom_set(a: MarkedSimpSet, x: MarkedSimpSet, budget=None):
     ]
 
 
-class MarkedMappingObject:
+class MarkedMappingObject(MapComplex):
     """The internal mapping object of marked sets restricted to a simplex
     frame: dimension n holds the marked maps flat(Delta[n]) x X -> Y.
 
@@ -94,14 +89,13 @@ class MarkedMappingObject:
                  budget=None, over=None):
         budget = budget or Budget()
         cap = y.underlying.dim_bound if dim_cap is None else dim_cap
-        self.x, self.y, self.cap = x, y, cap
+        self.x, self.y = x, y
         self.over = over
-        self.simplices = [standard_simplex(d) for d in range(cap + 2)]
-        self.products = []
-        for d in range(cap + 1):
-            flat_d = mark(self.simplices[d], "flat")
-            self.products.append(marked_product(flat_d, x))
-        self._maps = []
+        simplices = [standard_simplex(d) for d in range(cap + 2)]
+        self.products = [
+            marked_product(mark(simplices[d], "flat"), x) for d in range(cap + 1)
+        ]
+        tables = []
         for d in range(cap + 1):
             ms, p1, p2, _ = self.products[d]
             want = None
@@ -121,48 +115,20 @@ class MarkedMappingObject:
 
             candidates = hom_set(ms.underlying, y.underlying, budget=budget,
                                  constraint=constraint)
-            self._maps.append({m.key(): m for m in candidates})
-
-        levels = [sorted(self._maps[d].keys()) for d in range(cap + 1)]
-
-        def op(d_from, d_to, alpha, key):
-            carry = product_map(
-                _simplex_map_between(self.simplices[d_to], self.simplices[d_from],
-                                     alpha),
-                identity_map(x.underlying),
-                self._prod_data(d_to),
-                self._prod_data(d_from),
-            )
-            return carry.then(self._maps[d_from][key]).key()
-
-        def face(d, key, t):
-            return op(d, d - 1, delta_tuple(t, d), key)
-
-        def degen(d, key, t):
-            return op(d, d + 1, sigma_tuple(t, d), key)
-
-        self.flat, self._ref_of = from_elements(cap, levels, face, degen)
-        self._key_of = {}
-        for d in range(cap + 1):
-            for key in levels[d]:
-                ref = self._ref_of(d, key)
-                if not ref.degs:
-                    self._key_of[ref.base] = (d, key)
+            tables.append({(m.key(),): (m,) for m in candidates})
+        frames = [(ms.underlying, p1, p2, pair_ref)
+                  for ms, p1, p2, pair_ref in self.products]
+        super().__init__(cap, simplices, [frames], tables)
+        self.flat = self.space
         marked_edges = [
             e for e in self.flat.cell_ids(1) if self._edge_sharpens(e)
         ]
         self.plus = MarkedSimpSet(self.flat, marked_edges)
         self.sharp = full_sub_on_edges(self.flat, self.plus.is_marked)
 
-    def _prod_data(self, d):
-        ms, p1, p2, pair_ref = self.products[d]
-        return (ms.underlying, p1, p2, pair_ref)
-
     def _edge_sharpens(self, name) -> bool:
         """Marked when the map also respects the sharp Delta[1] marking."""
-        d, key = self._key_of[name]
-        assert d == 1
-        m = self._maps[1][key]
+        m = self.element_of(name)
         ms, p1, p2, _ = self.products[1]
         for e in ms.underlying.cell_ids(1):
             if not self.x.is_marked(p2.assignment[(1, e)]):
@@ -172,8 +138,7 @@ class MarkedMappingObject:
         return True
 
     def element_of(self, name) -> SimpMap:
-        d, key = self._key_of[name]
-        return self._maps[d][key]
+        return super().element_of(name)[0]
 
 
 def hom_marked(x: MarkedSimpSet, y: MarkedSimpSet, dim_cap=None, budget=None):

@@ -202,10 +202,67 @@ def smash(x: FinSimpSet, y: FinSimpSet):
 
 
 # ---------------------------------------------------------------------------
-# exponentials
+# complexes of maps out of frames over Delta[d], and exponentials
 
 
-class Exponential:
+class MapComplex:
+    """The simplicial set whose d-simplices are families of maps, one out of
+    each factor's frame over Delta[d], with faces and degeneracies by
+    precomposition with the Delta-operators.
+
+    simplices[d] is the Delta[d] the frames are built on.  factors[i][d] is
+    factor i's frame: Delta[d] itself, or the product data (P, p1, p2,
+    pair_ref) of Delta[d] with a fixed object, on either side.  tables[d]
+    sends each qualifying d-simplex's key, the tuple of its maps' keys, to
+    the tuple of maps.  from_elements names the nondegenerate cells in
+    sorted key order, so the names depend on how keys sort; a 1-tuple key
+    sorts like its one entry.
+    """
+
+    def __init__(self, cap, simplices, factors, tables):
+        self.cap, self.simplices, self.tables = cap, simplices, tables
+
+        def carries(d_from, d_to, alpha):
+            op = _simplex_map_between(simplices[d_to], simplices[d_from], alpha)
+            return [_carry(op, frames[d_to], frames[d_from]) for frames in factors]
+
+        faces = {(d, t): carries(d, d - 1, delta_tuple(t, d))
+                 for d in range(1, cap + 1) for t in range(d + 1)}
+        degens = {(d, t): carries(d, d + 1, sigma_tuple(t, d))
+                  for d in range(cap) for t in range(d + 1)}
+
+        def face(d, key, t):
+            return _precompose(faces[(d, t)], tables[d][key])
+
+        def degen(d, key, t):
+            return _precompose(degens[(d, t)], tables[d][key])
+
+        self.space, self._ref_of, self._key_of = from_elements(cap, tables, face, degen)
+
+    def element_of(self, name):
+        d, key = self._key_of[name]
+        return self.tables[d][key]
+
+    def ref_of(self, maps, d) -> SimplexRef:
+        """Normal-form ref of the d-simplex given by its tuple of maps."""
+        return self._ref_of(d, tuple(m.key() for m in maps))
+
+
+def _carry(op, src, dst):
+    """The Delta-operator op: Delta[m] -> Delta[n] carried from the frame
+    src over Delta[m] to the frame dst over Delta[n]."""
+    if isinstance(dst, FinSimpSet):
+        return op
+    if dst[1].target is op.target:
+        return product_map(op, identity_map(dst[2].target), src, dst)
+    return product_map(identity_map(dst[1].target), op, src, dst)
+
+
+def _precompose(carries, maps):
+    return tuple(c.then(m).key() for c, m in zip(carries, maps))
+
+
+class Exponential(MapComplex):
     """The function complex x^a: n-simplices are maps Delta[n] x a -> x,
     with faces and degeneracies by precomposition on the simplex factor.
 
@@ -217,52 +274,21 @@ class Exponential:
     def __init__(self, x: FinSimpSet, a: FinSimpSet, dim_cap=None, budget=None):
         cap = x.dim_bound if dim_cap is None else dim_cap
         budget = budget or Budget()
-        self.x, self.a, self.cap = x, a, cap
-        self.simplices = [standard_simplex(n) for n in range(cap + 2)]
-        self.products = [product(self.simplices[n], a) for n in range(cap + 1)]
-        self._maps = [
-            {m.key(): m for m in hom_set(self.products[n][0], x, budget=budget)}
+        self.x, self.a = x, a
+        simplices = [standard_simplex(n) for n in range(cap + 2)]
+        self.products = [product(simplices[n], a) for n in range(cap + 1)]
+        tables = [
+            {(m.key(),): (m,) for m in hom_set(self.products[n][0], x, budget=budget)}
             for n in range(cap + 1)
         ]
-        face_ops, degen_ops = {}, {}
-        for n in range(1, cap + 1):
-            for i in range(n + 1):
-                inc = self._operator(delta_tuple(i, n), n - 1, n)
-                face_ops[(n, i)] = inc
-        for n in range(cap):
-            for i in range(n + 1):
-                degen_ops[(n, i)] = self._operator(sigma_tuple(i, n), n + 1, n)
-
-        levels = [sorted(self._maps[n].keys()) for n in range(cap + 1)]
-
-        def face(n, key, i):
-            return face_ops[(n, i)].then(self._maps[n][key]).key()
-
-        def degen(n, key, i):
-            return degen_ops[(n, i)].then(self._maps[n][key]).key()
-
-        self.space, self._ref_of = from_elements(cap, levels, face, degen)
-        self._key_of = {}
-        for n in range(cap + 1):
-            for key in levels[n]:
-                ref = self._ref_of(n, key)
-                if not ref.degs:
-                    self._key_of[ref.base] = (n, key)
-
-    def _operator(self, alpha, n_src, n_dst):
-        """Delta[n_src] x a -> Delta[n_dst] x a over the vertex map alpha."""
-        src = self.products[n_src]
-        dst = self.products[n_dst]
-        op = _simplex_map_between(self.simplices[n_src], self.simplices[n_dst], alpha)
-        return product_map(op, identity_map(self.a), src, dst)
+        super().__init__(cap, simplices, [self.products], tables)
 
     def element_of(self, name) -> SimpMap:
-        n, key = self._key_of[name]
-        return self._maps[n][key]
+        return super().element_of(name)[0]
 
     def ref_of_map(self, m: SimpMap, n) -> SimplexRef:
         """Normal-form ref of the element given by a map Delta[n] x a -> x."""
-        return self._ref_of(n, m.key())
+        return self.ref_of((m,), n)
 
 
 def exponential(x: FinSimpSet, a: FinSimpSet, dim_cap=None, budget=None):

@@ -512,13 +512,14 @@ def constant_map(x: FinSimpSet, y: FinSimpSet, vertex: str) -> SimpMap:
 # building a set from an abstract dimension-wise presentation
 
 
-def from_elements(bound, levels, face, degen, namer=None, pointed_key=None,
-                  cosk=None, complete=False):
+def from_elements(bound, levels, face, degen, pointed_key=None, complete=False):
     """Build a FinSimpSet from per-dimension element tables.
 
     levels[n] lists hashable, sortable keys for ALL n-simplices (degenerate
     included); face(n, key, i) and degen(n, key, i) give the structure maps.
-    Returns (set, ref_of) where ref_of maps (n, key) to the normal-form ref.
+    The nondegenerate n-simplices are named c{n}_{idx} in sorted key order.
+    Returns (set, ref_of, key_of): ref_of maps (n, key) to the normal-form
+    ref, key_of maps each cell name back to its (n, key).
     """
     levels = [sorted(set(lv)) for lv in levels]
     degenerate = [set() for _ in range(bound + 1)]
@@ -531,7 +532,7 @@ def from_elements(bound, levels, face, degen, namer=None, pointed_key=None,
         idx = 0
         for key in levels[n]:
             if key not in degenerate[n]:
-                names[(n, key)] = namer(n, key, idx) if namer else f"c{n}_{idx}"
+                names[(n, key)] = f"c{n}_{idx}"
                 idx += 1
 
     def normal_form(n, key):
@@ -556,13 +557,8 @@ def from_elements(bound, levels, face, degen, namer=None, pointed_key=None,
                 faces = tuple(normal_form(n - 1, face(n, key, i)) for i in range(n + 1)) if n else ()
                 cells[n][names[(n, key)]] = faces
     pointed = names[(0, pointed_key)] if pointed_key is not None else None
-    out = FinSimpSet(bound, cells, pointed=pointed, cosk=cosk,
-                     complete=complete).validate()
-
-    def ref_of(n, key):
-        return normal_form(n, key)
-
-    return out, ref_of
+    out = FinSimpSet(bound, cells, pointed=pointed, complete=complete).validate()
+    return out, normal_form, {name: nk for nk, name in names.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +602,7 @@ def product(x: FinSimpSet, y: FinSimpSet, bound=None):
     pointed_key = None
     if x.pointed is not None and y.pointed is not None:
         pointed_key = ((x.pointed, ()), (y.pointed, ()))
-    prod, ref_of = from_elements(
+    prod, ref_of, key_of = from_elements(
         b, levels, face, degen, pointed_key=pointed_key,
         complete=x.complete and y.complete and b >= x.top_dim() + y.top_dim(),
     )
@@ -633,12 +629,9 @@ def product(x: FinSimpSet, y: FinSimpSet, bound=None):
         return apply_word(base, common, n - len(common))
 
     assign1, assign2 = {}, {}
-    for n in range(b + 1):
-        for key in levels[n]:
-            ref = ref_of(n, key)
-            if not ref.degs:
-                assign1[(n, ref.base)] = SimplexRef(*key[0])
-                assign2[(n, ref.base)] = SimplexRef(*key[1])
+    for name, (n, key) in key_of.items():
+        assign1[(n, name)] = SimplexRef(*key[0])
+        assign2[(n, name)] = SimplexRef(*key[1])
     proj1 = SimpMap(prod, x, assign1)
     proj2 = SimpMap(prod, y, assign2)
     return prod, proj1, proj2, pair_ref
