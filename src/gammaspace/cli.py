@@ -56,8 +56,11 @@ EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_INPUT = 0, 1, 2, 3
 def _digest(paths, inline=()):
     h = hashlib.sha256()
     for p in paths:
-        with open(p, "rb") as fh:
-            h.update(fh.read())
+        try:
+            with open(p, "rb") as fh:
+                h.update(fh.read())
+        except FileNotFoundError:
+            pass  # the command itself reports the missing file
     for chunk in inline:
         h.update(str(chunk).encode())
     return h.hexdigest()[:16]
@@ -66,6 +69,15 @@ def _digest(paths, inline=()):
 def _load(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _inputs(args, *loaders):
+    """One input file per loader, each parsed and read by its loader; a
+    different number of files is malformed input (a ValueError)."""
+    if len(args.inputs) != len(loaders):
+        raise ValueError(f"{args.command} takes {len(loaders)} input file(s),"
+                         f" got {len(args.inputs)}")
+    return [load(_load(path)) for load, path in zip(loaders, args.inputs)]
 
 
 class Report:
@@ -120,8 +132,7 @@ def cmd_factorize(args, report):
 
 
 def cmd_convolve(args, report):
-    p = jsonio.presented_from_json(_load(args.inputs[0]))
-    q = jsonio.presented_from_json(_load(args.inputs[1]))
+    p, q = _inputs(args, jsonio.presented_from_json, jsonio.presented_from_json)
     conv = day_convolve(p, q)
     levels = {}
     for n in range(args.level_bound + 1):
@@ -131,8 +142,7 @@ def cmd_convolve(args, report):
 
 
 def cmd_map_space(args, report):
-    p = jsonio.presented_from_json(_load(args.inputs[0]))
-    y = jsonio.tabulated_from_json(_load(args.inputs[1]))
+    p, y = _inputs(args, jsonio.presented_from_json, jsonio.tabulated_from_json)
     ms = GammaMappingSpace(p, y, dim_cap=args.dim_bound,
                            budget=Budget(args.budget))
     report.output("space", jsonio.simpset_to_json(ms.space))
@@ -140,8 +150,7 @@ def cmd_map_space(args, report):
 
 
 def cmd_internal_hom(args, report):
-    p = jsonio.presented_from_json(_load(args.inputs[0]))
-    y = jsonio.tabulated_from_json(_load(args.inputs[1]))
+    p, y = _inputs(args, jsonio.presented_from_json, jsonio.tabulated_from_json)
     hom = internal_hom(p, y, level_bound=args.level_bound,
                        dim_cap=args.dim_bound, budget=Budget(args.budget))
     report.output("hom", jsonio.tabulated_to_json(hom))
@@ -149,13 +158,13 @@ def cmd_internal_hom(args, report):
 
 
 def cmd_segal_check(args, report):
-    x = jsonio.tabulated_from_json(_load(args.inputs[0]))
+    x, = _inputs(args, jsonio.tabulated_from_json)
     v = segal_check(x, args.k, args.l, tier=args.tier)
     report.add("segal-condition", v)
 
 
 def cmd_normalize(args, report):
-    x = jsonio.tabulated_from_json(_load(args.inputs[0]))
+    x, = _inputs(args, jsonio.tabulated_from_json)
     nor, eta = normalize(x)
     report.output("normalized", jsonio.tabulated_to_json(nor))
     ok = nor.is_normalized() and eta.is_levelwise_mono(level_cap=0) is not None
@@ -164,7 +173,7 @@ def cmd_normalize(args, report):
 
 
 def cmd_semiadd_probe(args, report):
-    p = jsonio.presented_from_json(_load(args.inputs[0]))
+    p, = _inputs(args, jsonio.presented_from_json)
     rep = semiadditivity_probe(p, args.level_bound)
     report.output("report", {
         "levels": {str(k): v for k, v in rep["levels"].items()},
@@ -176,22 +185,21 @@ def cmd_semiadd_probe(args, report):
 
 
 def cmd_ho_cat(args, report):
-    x = jsonio.tabulated_from_json(_load(args.inputs[0]))
+    x, = _inputs(args, jsonio.tabulated_from_json)
     cat = homotopy_category(x)
     report.output("category", jsonio.category_to_json(cat))
     report.add("homotopy-category", Verdict(HOLDS, "fundamental category built"))
 
 
 def cmd_mark(args, report):
-    x = jsonio.simpset_from_json(_load(args.inputs[0]))
+    x, = _inputs(args, jsonio.simpset_from_json)
     m = mark(x, args.kind)
     report.output("marked", jsonio.marked_to_json(m))
     report.add("marking", Verdict(HOLDS, args.kind))
 
 
 def cmd_hom_marked(args, report):
-    x = jsonio.marked_from_json(_load(args.inputs[0]))
-    y = jsonio.marked_from_json(_load(args.inputs[1]))
+    x, y = _inputs(args, jsonio.marked_from_json, jsonio.marked_from_json)
     plus, flat, sharp = hom_marked(x, y, dim_cap=args.dim_bound,
                                    budget=Budget(args.budget))
     report.output("plus", jsonio.marked_to_json(plus))
@@ -201,7 +209,7 @@ def cmd_hom_marked(args, report):
 
 
 def cmd_relative_nerve(args, report):
-    inp = jsonio.relative_input_from_json(_load(args.inputs[0]))
+    inp, = _inputs(args, jsonio.relative_input_from_json)
     rn = relative_nerve(inp, args.dim_bound)
     report.output("total", jsonio.simpset_to_json(rn.total))
     report.output("proj", jsonio.simpmap_to_json(rn.proj))
@@ -211,7 +219,7 @@ def cmd_relative_nerve(args, report):
 
 
 def cmd_cocart_edges(args, report):
-    inp = jsonio.relative_input_from_json(_load(args.inputs[0]))
+    inp, = _inputs(args, jsonio.relative_input_from_json)
     rn = relative_nerve(inp, args.dim_bound)
     edges, verdict, marking = cocartesian_edges(
         rn.total, rn.proj, args.dim_bound, budget=Budget(args.budget)
@@ -222,7 +230,7 @@ def cmd_cocart_edges(args, report):
 
 
 def cmd_sm_check(args, report):
-    inp = jsonio.relative_input_from_json(_load(args.inputs[0]))
+    inp, = _inputs(args, jsonio.relative_input_from_json)
     v = sm_qcat_check(inp, args.k, args.l, tier=args.tier)
     report.add("sm-qcat-verdict", v)
 
@@ -245,8 +253,7 @@ def cmd_upsilon(args, report):
 
 
 def cmd_hom_over_base(args, report):
-    x = jsonio.over_object_from_json(_load(args.inputs[0]))
-    y = jsonio.over_object_from_json(_load(args.inputs[1]))
+    x, y = _inputs(args, jsonio.over_object_from_json, jsonio.over_object_from_json)
     space, _ = hom_over_base(x, y, variant=args.variant,
                              dim_cap=args.dim_bound, budget=Budget(args.budget))
     report.output("space", jsonio.simpset_to_json(space))
@@ -254,7 +261,7 @@ def cmd_hom_over_base(args, report):
 
 
 def cmd_r_plus(args, report):
-    x = jsonio.over_object_from_json(_load(args.inputs[0]))
+    x, = _inputs(args, jsonio.over_object_from_json)
     r = r_plus_level(x, args.k, args.level_bound, dim_cap=args.dim_bound,
                      budget=Budget(args.budget))
     report.output("level", jsonio.marked_to_json(r))
@@ -262,37 +269,34 @@ def cmd_r_plus(args, report):
 
 
 def cmd_tau1(args, report):
-    x = jsonio.simpset_from_json(_load(args.inputs[0]))
+    x, = _inputs(args, jsonio.simpset_from_json)
     cat, _ = tau1(x)
     report.output("category", jsonio.category_to_json(cat))
     report.add("fundamental-category", Verdict(HOLDS, "congruence closure certified"))
 
 
 def cmd_j(args, report):
-    x = jsonio.simpset_from_json(_load(args.inputs[0]))
+    x, = _inputs(args, jsonio.simpset_from_json)
     report.output("space", jsonio.simpset_to_json(j_qcat(x)))
     report.add("largest-sub-kan", Verdict(HOLDS, ""))
 
 
 def cmd_rexp(args, report):
-    x = jsonio.simpset_from_json(_load(args.inputs[0]))
-    a = jsonio.simpset_from_json(_load(args.inputs[1]))
+    x, a = _inputs(args, jsonio.simpset_from_json, jsonio.simpset_from_json)
     space, _ = restricted_exp(x, a, dim_cap=args.dim_bound, budget=Budget(args.budget))
     report.output("space", jsonio.simpset_to_json(space))
     report.add("restricted-exponential", Verdict(HOLDS, f"dims<={args.dim_bound}"))
 
 
 def cmd_hmap(args, report):
-    a = jsonio.simpset_from_json(_load(args.inputs[0]))
-    x = jsonio.simpset_from_json(_load(args.inputs[1]))
+    a, x = _inputs(args, jsonio.simpset_from_json, jsonio.simpset_from_json)
     space = h_map_space(a, x, dim_cap=args.dim_bound, budget=Budget(args.budget))
     report.output("space", jsonio.simpset_to_json(space))
     report.add("homotopy-mapping-space", Verdict(HOLDS, f"dims<={args.dim_bound}"))
 
 
 def cmd_pushout_product(args, report):
-    f = jsonio.arrow_from_json(_load(args.inputs[0]))
-    g = jsonio.arrow_from_json(_load(args.inputs[1]))
+    f, g = _inputs(args, jsonio.arrow_from_json, jsonio.arrow_from_json)
     pp = pushout_product(f, g)
     report.output("source", jsonio.simpset_to_json(pp.source))
     report.output("target", jsonio.simpset_to_json(pp.target))

@@ -29,7 +29,13 @@ def ref_from_json(data) -> SimplexRef:
     if isinstance(data, str):
         return SimplexRef(data)
     _expect_object(data, "a simplex ref (or a cell id string)")
-    return SimplexRef(data["base"], tuple(data["deg"]))
+    base, deg = data.get("base"), data.get("deg")
+    if not (isinstance(base, str) and isinstance(deg, list)
+            and all(isinstance(j, int) for j in deg)):
+        raise ValueError(
+            f"expected a simplex ref with a string base and a list of integer"
+            f" degeneracies, got {data!r}")
+    return SimplexRef(base, tuple(deg))
 
 
 def simpset_to_json(x: FinSimpSet) -> dict:
@@ -52,13 +58,23 @@ def simpset_to_json(x: FinSimpSet) -> dict:
 
 def simpset_from_json(data) -> FinSimpSet:
     _expect_object(data, "a simplicial set")
+    if not isinstance(data.get("dim_bound"), int):
+        raise ValueError(f"expected an integer dim_bound, got {data.get('dim_bound')!r}")
+    table = data.get("cells", {})
+    _expect_object(table, "the cells of a simplicial set")
     cells = {}
-    for n_str, items in data.get("cells", {}).items():
+    for n_str, items in table.items():
         n = int(n_str)
-        cells[n] = {
-            item["id"]: tuple(ref_from_json(r) for r in item.get("faces", []))
-            for item in items
-        }
+        if not isinstance(items, list):
+            raise ValueError(f"expected a list of cells in dimension {n_str}, got {items!r}")
+        cells[n] = {}
+        for item in items:
+            if not (isinstance(item, dict) and isinstance(item.get("id"), str)
+                    and isinstance(item.get("faces", []), list)):
+                raise ValueError(
+                    f"expected a cell in dimension {n_str} as an object with a"
+                    f" string id and a list of faces, got {item!r}")
+            cells[n][item["id"]] = tuple(ref_from_json(r) for r in item.get("faces", []))
     return FinSimpSet(
         data["dim_bound"],
         cells,

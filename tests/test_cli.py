@@ -155,3 +155,32 @@ def test_non_object_input_exits_three(tmp_path, capsys, argv, blob):
     code, report = run_cli(capsys, *[str(p) if a == "A" else a for a in argv])
     assert code == 3
     assert report["verdicts"][0]["tag"] == "input"
+
+
+@pytest.mark.parametrize("argv", FILE_COMMANDS, ids=lambda argv: argv[0])
+def test_missing_input_file_exits_three(capsys, argv):
+    code, report = run_cli(capsys, *[a for a in argv if a != "A"])
+    assert code == 3
+    verdict = report["verdicts"][0]
+    assert verdict["tag"] == "input"
+    assert f"{argv[0]} takes {argv.count('A')} input file" in verdict["witness"]
+
+
+def test_absent_input_path_exits_three(tmp_path, capsys):
+    code, report = run_cli(capsys, "tau1", str(tmp_path / "absent.json"))
+    assert code == 3
+    assert report["verdicts"][0]["tag"] == "input"
+
+
+# commands whose loaders read a simplicial set first
+SIMPSET_COMMANDS = [["tau1", "A"], ["j", "A"], ["mark", "A"], ["rexp", "A", "A"],
+                    ["hmap", "A", "A"], ["hom-marked", "A", "A"]]
+
+
+@pytest.mark.parametrize("argv", SIMPSET_COMMANDS, ids=lambda argv: argv[0])
+def test_nested_malformed_input_exits_three(tmp_path, capsys, argv):
+    p = tmp_path / "bad.json"
+    p.write_text('{"dim_bound": 1, "cells": {"0": [5]}}')
+    code, report = run_cli(capsys, *[str(p) if a == "A" else a for a in argv])
+    assert code == 3
+    assert report["verdicts"][0]["tag"] == "input"

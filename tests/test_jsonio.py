@@ -97,3 +97,26 @@ def test_loaders_refuse_non_objects(load):
     for data in ([1, 2], 3, None):
         with pytest.raises(ValueError, match="JSON object"):
             load(data)
+
+
+# shapes that pass the top-level object check but are malformed inside
+NESTED_MALFORMED = {
+    "cell-is-number": {"dim_bound": 1, "cells": {"0": [5]}},
+    "id-not-string": {"dim_bound": 1, "cells": {"0": [{"id": 5}]}},
+    "faces-not-list": {"dim_bound": 1, "cells": {"0": [{"id": "a", "faces": 7}]}},
+    "cells-of-dim-not-list": {"dim_bound": 1, "cells": {"0": "ab"}},
+    "cells-not-object": {"dim_bound": 1, "cells": [1]},
+    "bound-not-int": {"dim_bound": "1", "cells": {}},
+    "deg-not-list": {"dim_bound": 1, "cells": {
+        "0": [{"id": "a", "faces": []}],
+        "1": [{"id": "e", "faces": [{"base": "a", "deg": 3}, "a"]}]}},
+    "base-not-string": {"dim_bound": 1, "cells": {
+        "0": [{"id": "a", "faces": []}],
+        "1": [{"id": "e", "faces": [{"base": 1, "deg": []}, "a"]}]}},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_MALFORMED))
+def test_simpset_loader_refuses_nested_malformed(shape):
+    with pytest.raises(ValueError, match="expected"):
+        jsonio.simpset_from_json(NESTED_MALFORMED[shape])
