@@ -66,7 +66,8 @@ def simpset_from_json(data) -> FinSimpSet:
     for n_str, items in table.items():
         n = int(n_str)
         if not isinstance(items, list):
-            raise ValueError(f"expected a list of cells in dimension {n_str}, got {items!r}")
+            raise ValueError(
+                f"expected a list of cells in dimension {n_str}, got {items!r}")
         cells[n] = {}
         for item in items:
             if not (isinstance(item, dict) and isinstance(item.get("id"), str)
