@@ -3,9 +3,7 @@ checking, subgroupoids, and (co)slices."""
 
 from __future__ import annotations
 
-import itertools
-
-from .verdicts import Budget, BudgetExceededError, Verdict, FAILS, HOLDS, INCONCLUSIVE
+from .verdicts import Budget, BudgetExceededError, Verdict, FAILS, HOLDS, INCONCLUSIVE, backtrack
 
 
 class FinCat:
@@ -287,60 +285,58 @@ def full_subcategory(c: FinCat, keep_objects) -> FinCat:
     ).validate()
 
 
+def _functor_cells(c: FinCat):
+    """Search order for functors out of c: objects, then non-identity arrows."""
+    return ([("obj", a) for a in c.objects]
+            + [("arr", f) for f in c.arrow_ids() if not c.is_identity(f)])
+
+
+def _functor(c: FinCat, d: FinCat, chosen):
+    """The functor c -> d an assignment of `_functor_cells(c)` names, or
+    None when it is not one."""
+    on_objects = {a: chosen[("obj", a)] for a in c.objects}
+    on_arrows = {c.identities[a]: d.identities[on_objects[a]] for a in c.objects}
+    on_arrows.update((f, img) for (kind, f), img in chosen.items() if kind == "arr")
+    try:
+        return CatFunctor(c, d, on_objects, on_arrows).validate()
+    except ValueError:
+        return None
+
+
 def all_functors(c: FinCat, d: FinCat, budget=None):
     """Every functor c -> d, by backtracking over object then arrow maps."""
     budget = budget or Budget()
-    results = []
-    non_id = [f for f in c.arrow_ids() if not c.is_identity(f)]
 
-    def arrows_extend(on_objects, idx, on_arrows):
-        if idx == len(non_id):
-            fun = CatFunctor(c, d, on_objects, dict(on_arrows))
-            try:
-                fun.validate()
-            except ValueError:
-                return
-            results.append(fun)
-            return
-        f = non_id[idx]
-        a, b = c.arrows[f]
-        for img in d.hom(on_objects[a], on_objects[b]):
+    def candidates(cell, chosen):
+        kind, x = cell
+        if kind == "obj":
+            pool = d.objects
+        else:
+            a, b = c.arrows[x]
+            pool = d.hom(chosen[("obj", a)], chosen[("obj", b)])
+        for img in pool:
             budget.spend()
-            on_arrows[f] = img
-            arrows_extend(on_objects, idx + 1, on_arrows)
-            del on_arrows[f]
+            yield img
 
-    for combo in itertools.product(d.objects, repeat=len(c.objects)):
-        budget.spend()
-        on_objects = dict(zip(c.objects, combo))
-        on_arrows = {c.identities[a]: d.identities[on_objects[a]] for a in c.objects}
-        arrows_extend(on_objects, 0, on_arrows)
-    return results
+    found = (_functor(c, d, chosen) for chosen in backtrack(_functor_cells(c), candidates))
+    return [fun for fun in found if fun is not None]
 
 
 def natural_transformations(f: CatFunctor, g: CatFunctor):
     """All natural transformations f => g between parallel functors."""
     c, d = f.source, f.target
-    objs = list(c.objects)
-    results = []
 
-    def extend(idx, comp):
-        if idx == len(objs):
-            results.append(dict(comp))
-            return
-        a = objs[idx]
+    def candidates(a, comp):
         for t in d.hom(f.obj(a), g.obj(a)):
-            comp[a] = t
+            pick = {**comp, a: t}
             if all(
-                d.compose(comp[c.dst(h)], f.arr(h)) == d.compose(g.arr(h), comp[c.src(h)])
+                d.compose(pick[c.dst(h)], f.arr(h)) == d.compose(g.arr(h), pick[c.src(h)])
                 for h in c.arrow_ids()
-                if c.src(h) in comp and c.dst(h) in comp
+                if c.src(h) in pick and c.dst(h) in pick
             ):
-                extend(idx + 1, comp)
-            del comp[a]
+                yield t
 
-    extend(0, {})
-    return results
+    return list(backtrack(c.objects, candidates))
 
 
 def functor_category(d: FinCat, c: FinCat) -> tuple[FinCat, dict, dict]:
@@ -499,45 +495,29 @@ def cat_iso_search(c: FinCat, d: FinCat, budget=None):
     budget = budget or Budget()
     if len(c.objects) != len(d.objects) or len(c.arrows) != len(d.arrows):
         return None
-    for perm in itertools.permutations(d.objects):
-        budget.spend()
-        on_objects = dict(zip(c.objects, perm))
-        if any(
-            len(c.hom(a, b)) != len(d.hom(on_objects[a], on_objects[b]))
-            for a in c.objects
-            for b in c.objects
-        ):
-            continue
-        non_id = [f for f in c.arrow_ids() if not c.is_identity(f)]
 
-        def extend(idx, on_arrows, used):
-            if idx == len(non_id):
-                fun = CatFunctor(c, d, on_objects, dict(on_arrows))
-                try:
-                    fun.validate()
-                except ValueError:
-                    return None
-                return fun
-            f = non_id[idx]
-            a, b = c.arrows[f]
-            for img in d.hom(on_objects[a], on_objects[b]):
-                budget.spend()
-                if img in used or d.is_identity(img):
+    def candidates(cell, chosen):
+        kind, x = cell
+        used = {img for (k, _), img in chosen.items() if k == kind}
+        if kind == "obj":
+            pick = {b: img for (k, b), img in chosen.items() if k == "obj"}
+            for o in d.objects:
+                if o in used:
                     continue
-                on_arrows[f] = img
-                used.add(img)
-                got = extend(idx + 1, on_arrows, used)
-                if got is not None:
-                    return got
-                used.remove(img)
-                del on_arrows[f]
-            return None
+                budget.spend()
+                pick[x] = o
+                if all(len(c.hom(a, b)) == len(d.hom(pick[a], pick[b]))
+                       for a in pick for b in pick if x in (a, b)):
+                    yield o
+            return
+        a, b = c.arrows[x]
+        for img in d.hom(chosen[("obj", a)], chosen[("obj", b)]):
+            budget.spend()
+            if img not in used and not d.is_identity(img):
+                yield img
 
-        start = {c.identities[a]: d.identities[on_objects[a]] for a in c.objects}
-        got = extend(0, start, set())
-        if got is not None:
-            return got
-    return None
+    found = (_functor(c, d, chosen) for chosen in backtrack(_functor_cells(c), candidates))
+    return next((fun for fun in found if fun is not None), None)
 
 
 def equivalence_check(c: FinCat, d: FinCat, budget=None) -> Verdict:

@@ -20,6 +20,7 @@ from .simplicial import (
     from_elements,
     hom_set,
     identity_map,
+    maps,
     product,
 )
 from .verdicts import Budget, BudgetExceededError, Verdict, FAILS, HOLDS, INCONCLUSIVE
@@ -323,8 +324,7 @@ def _relative_lift(total, proj, base_nerve, n, fixed_u, v, budget):
     def constraint(m, name, ref):
         return proj(ref, m) == v(SimplexRef(name), m)
 
-    lifts = hom_set(full, total, budget=budget, fixed=fixed_u, constraint=constraint)
-    return lifts[0] if lifts else None
+    return next(maps(full, total, budget=budget, fixed=fixed_u, constraint=constraint), None)
 
 
 def _squares_over(total, proj, base_nerve, sub, n, fixed, budget):
@@ -591,10 +591,12 @@ def cotensor_over_base(x: OverObject, a: FinSimpSet, dim_cap=None, budget=None):
     tables = []
     for d in range(cap + 1):
         prod, p1, _, _ = prods[d]
+        ms = hom_set(prod, x.marked.underlying, budget=budget)
+        betas = hom_set(simplices[d], base_nerve, budget=budget) if ms else []
         table = {}
-        for m in hom_set(prod, x.marked.underlying, budget=budget):
+        for m in ms:
             shadow = m.then(x.proj)
-            for beta in hom_set(simplices[d], base_nerve, budget=budget):
+            for beta in betas:
                 if p1.then(beta) == shadow:
                     table[(m.key(), beta.key())] = (m, beta)
         tables.append(table)

@@ -48,6 +48,7 @@ from .verdicts import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
+    backtrack,
 )
 
 
@@ -506,12 +507,8 @@ class GammaMappingSpace(MapComplex):
                     self.products[a.src][d], self.products[a.dst][d]))
                 for a in p.arrows
             ]
-            tables.append({
-                tuple(m.key() for m in combo): combo
-                for combo in itertools.product(*per_cell)
-                if all(combo[src] == carry.then(combo[dst]).then(act)
-                       for src, dst, act, carry in arrows)
-            })
+            tables.append(_families(per_cell, arrows, lambda ms, md, act, carry:
+                                    ms == carry.then(md).then(act)))
         super().__init__(dim_cap, simplices, self.products, tables)
 
     def ref_of_family(self, fam, d):
@@ -520,6 +517,29 @@ class GammaMappingSpace(MapComplex):
     def vertex_maps(self):
         """The underlying set of maps of spaces (the vertices)."""
         return [self.element_of(v) for v in self.space.cell_ids(0)]
+
+
+def _families(per_slot, links, commutes):
+    """The MapComplex table of the families, one map per slot drawn from
+    per_slot, with commutes(family[src], family[dst], act, carry) for each
+    link (src, dst, act, carry).  A link is checked as soon as both its
+    slots are chosen; families come in lexicographic order of the slots."""
+    due = [[] for _ in per_slot]
+    for link in links:
+        due[max(link[:2])].append(link)
+
+    def candidates(k, chosen):
+        for m in per_slot[k]:
+            pick = {**chosen, k: m}
+            if all(commutes(pick[src], pick[dst], act, carry)
+                   for src, dst, act, carry in due[k]):
+                yield m
+
+    table = {}
+    for chosen in backtrack(range(len(per_slot)), candidates):
+        family = tuple(chosen[k] for k in range(len(per_slot)))
+        table[tuple(m.key() for m in family)] = family
+    return table
 
 
 def mapping_space(p: PresentedGammaSpace, y: TabulatedGammaSpace,
@@ -947,10 +967,6 @@ def _mapping_space_induced(p: GammaSpaceMap, n, budget) -> SimpMap:
 # canonical structure isomorphisms of the convolution
 
 
-def _fresh_proj(a_shape, b_shape):
-    return product(a_shape, b_shape)
-
-
 def day_unit_comparison(p: PresentedGammaSpace, levels) -> Verdict:
     """rep_1 * p -> p, cell-wise canonical, checked level-wise iso."""
     conv = day_convolve(gamma_rep(1), p)
@@ -1126,12 +1142,8 @@ def mapping_space_tabulated(x: TabulatedGammaSpace, y: TabulatedGammaSpace,
                 prods[f.src][d], prods[f.dst][d]))
             for f in morphisms
         ]
-        tables.append({
-            tuple(m.key() for m in combo): combo
-            for combo in itertools.product(*per_level)
-            if all(carry.then(combo[dst]) == combo[src].then(act)
-                   for src, dst, act, carry in squares)
-        })
+        tables.append(_families(per_level, squares, lambda ms, md, act, carry:
+                                carry.then(md) == ms.then(act)))
     mc = MapComplex(dim_cap, simplices, prods, tables)
     return mc.space, mc.element_of
 

@@ -28,14 +28,9 @@ def ref_to_json(ref: SimplexRef):
 def ref_from_json(data) -> SimplexRef:
     if isinstance(data, str):
         return SimplexRef(data)
-    _expect_object(data, "a simplex ref (or a cell id string)")
-    base, deg = data.get("base"), data.get("deg")
-    if not (isinstance(base, str) and isinstance(deg, list)
-            and all(isinstance(j, int) for j in deg)):
-        raise ValueError(
-            f"expected a simplex ref with a string base and a list of integer"
-            f" degeneracies, got {data!r}")
-    return SimplexRef(base, tuple(deg))
+    _expect(data, dict, "a simplex ref (or a cell id string)")
+    return SimplexRef(_expect(data.get("base"), str, "a ref's base"),
+                      tuple(_expect_list(data.get("deg"), "a ref's degeneracies", int)))
 
 
 def simpset_to_json(x: FinSimpSet) -> dict:
@@ -57,31 +52,21 @@ def simpset_to_json(x: FinSimpSet) -> dict:
 
 
 def simpset_from_json(data) -> FinSimpSet:
-    _expect_object(data, "a simplicial set")
-    if not isinstance(data.get("dim_bound"), int):
-        raise ValueError(f"expected an integer dim_bound, got {data.get('dim_bound')!r}")
-    table = data.get("cells", {})
-    _expect_object(table, "the cells of a simplicial set")
+    _expect(data, dict, "a simplicial set")
+    bound = _expect(data.get("dim_bound"), int, "dim_bound")
+    table = _expect(data.get("cells", {}), dict, "the cells of a simplicial set")
     cells = {}
     for n_str, items in table.items():
-        n = int(n_str)
-        if not isinstance(items, list):
-            raise ValueError(
-                f"expected a list of cells in dimension {n_str}, got {items!r}")
-        cells[n] = {}
-        for item in items:
-            if not (isinstance(item, dict) and isinstance(item.get("id"), str)
-                    and isinstance(item.get("faces", []), list)):
-                raise ValueError(
-                    f"expected a cell in dimension {n_str} as an object with a"
-                    f" string id and a list of faces, got {item!r}")
-            cells[n][item["id"]] = tuple(ref_from_json(r) for r in item.get("faces", []))
-    return FinSimpSet(
-        data["dim_bound"],
-        cells,
-        pointed=data.get("pointed"),
-        complete=not data.get("truncated", False),
-    ).validate()
+        cells[int(n_str)] = {
+            _expect(item.get("id"), str, "a cell id"): tuple(
+                map(ref_from_json, _expect(item.get("faces", []), list, "a cell's faces")))
+            for item in _expect_list(items, f"the cells of dimension {n_str}", dict)
+        }
+    pointed = data.get("pointed")
+    if pointed is not None and not (isinstance(pointed, str) and pointed in cells.get(0, {})):
+        raise ValueError(f"expected pointed to name a vertex, got {pointed!r}")
+    truncated = _expect(data.get("truncated", False), bool, "truncated")
+    return FinSimpSet(bound, cells, pointed=pointed, complete=not truncated).validate()
 
 
 def simpmap_to_json(m: SimpMap) -> dict:
@@ -92,10 +77,10 @@ def simpmap_to_json(m: SimpMap) -> dict:
 
 
 def simpmap_from_json(data, source: FinSimpSet, target: FinSimpSet) -> SimpMap:
-    _expect_object(data, "a simplicial map")
+    _expect(data, dict, "a simplicial map")
     assignment = {}
-    for n_str, table in data["assignment"].items():
-        for name, ref in table.items():
+    for n_str, table in _expect(data.get("assignment"), dict, "a map's assignment").items():
+        for name, ref in _expect(table, dict, f"the assignment in dim {n_str}").items():
             assignment[(int(n_str), name)] = ref_from_json(ref)
     return SimpMap(source, target, assignment).validate(check_pointed=False)
 
@@ -103,7 +88,7 @@ def simpmap_from_json(data, source: FinSimpSet, target: FinSimpSet) -> SimpMap:
 def arrow_from_json(data) -> SimpMap:
     """A map together with its ends: {"source": set, "target": set,
     "map": assignment}."""
-    _expect_object(data, "a map with its source and target")
+    _expect(data, dict, "a map with its source and target")
     source = simpset_from_json(data["source"])
     target = simpset_from_json(data["target"])
     return simpmap_from_json(data["map"], source, target)
@@ -116,7 +101,8 @@ def marked_to_json(x: MarkedSimpSet) -> dict:
 
 
 def marked_from_json(data) -> MarkedSimpSet:
-    return MarkedSimpSet(simpset_from_json(data), data.get("marked", ()))
+    x = simpset_from_json(data)
+    return MarkedSimpSet(x, _expect_list(data.get("marked", []), "the marked edges", str))
 
 
 def category_to_json(c: FinCat) -> dict:
@@ -131,13 +117,21 @@ def category_to_json(c: FinCat) -> dict:
 
 
 def category_from_json(data) -> FinCat:
-    _expect_object(data, "a finite category")
-    return FinCat(
-        data["objects"],
-        {a["id"]: (a["src"], a["dst"]) for a in data["arrows"]},
-        data["identities"],
-        {(g, f): h for g, f, h in data["compose"]},
-    ).validate()
+    _expect(data, dict, "a finite category")
+    arrows = {}
+    for a in _expect_list(data.get("arrows"), "the arrows of a category", dict):
+        f, src, dst = (_expect(a.get(k), str, f"an arrow's {k}")
+                       for k in ("id", "src", "dst"))
+        arrows[f] = (src, dst)
+    identities = _expect(data.get("identities"), dict, "the identities of a category")
+    _expect_list(list(identities.values()), "the identity arrows", str)
+    compose = {}
+    for entry in _expect_list(data.get("compose"), "the composition table", list):
+        if len(_expect_list(entry, "a composite [g, f, g o f]", str)) != 3:
+            raise ValueError(f"expected a composite [g, f, g o f], got {entry!r}")
+        compose[(entry[0], entry[1])] = entry[2]
+    objects = _expect_list(data.get("objects"), "the objects of a category", str)
+    return FinCat(objects, arrows, identities, compose).validate()
 
 
 def gamma_morphism_to_json(f: GammaMorphism) -> dict:
@@ -145,8 +139,12 @@ def gamma_morphism_to_json(f: GammaMorphism) -> dict:
 
 
 def gamma_morphism_from_json(data) -> GammaMorphism:
-    _expect_object(data, "a based map")
-    return GammaMorphism(data["src"], data["dst"], tuple(data["map"]))
+    _expect(data, dict, "a based map")
+    return GammaMorphism(
+        _expect(data.get("src"), int, "a based map's src"),
+        _expect(data.get("dst"), int, "a based map's dst"),
+        tuple(_expect_list(data.get("map"), "a based map's table", int)),
+    )
 
 
 def tabulated_to_json(x: TabulatedGammaSpace, generators=None) -> dict:
@@ -171,14 +169,17 @@ def tabulated_to_json(x: TabulatedGammaSpace, generators=None) -> dict:
 def tabulated_from_json(data) -> TabulatedGammaSpace:
     """Loads values and completes the action from the generators by
     composition closure; errors if some based map is not covered."""
-    _expect_object(data, "a tabulated level family")
-    bound = data["level_bound"]
-    values = {int(n): simpset_from_json(v) for n, v in data["values"].items()}
+    _expect(data, dict, "a tabulated level family")
+    bound = _expect(data.get("level_bound"), int, "level_bound")
+    values = {
+        int(n): simpset_from_json(v)
+        for n, v in _expect(data.get("values"), dict, "the values of a family").items()
+    }
     action = {}
-    for entry in data["action"]:
-        f = gamma_morphism_from_json(entry["map"])
+    for entry in _expect_list(data.get("action"), "the action of a family", dict):
+        f = gamma_morphism_from_json(entry.get("map"))
         action[f.key()] = simpmap_from_json(
-            entry["simp_map"], values[f.src], values[f.dst]
+            entry.get("simp_map"), values[f.src], values[f.dst]
         )
     for n in range(bound + 1):
         ident = gamma_identity(n)
@@ -228,37 +229,40 @@ def presented_to_json(p: PresentedGammaSpace) -> dict:
 
 
 def presented_from_json(data) -> PresentedGammaSpace:
-    _expect_object(data, "a presented level family")
+    _expect(data, dict, "a presented level family")
     cells = [
-        GammaCell(c["level"], simpset_from_json(c["shape"])) for c in data["cells"]
+        GammaCell(_expect(c.get("level"), int, "a cell's level"),
+                  simpset_from_json(c.get("shape")))
+        for c in _expect_list(data.get("cells"), "the cells of a presentation", dict)
     ]
-    arrows = [
-        CellArrow(
-            a["src"],
-            a["dst"],
-            gamma_morphism_from_json(a["gamma"]),
-            simpmap_from_json(
-                a["simp_map"], cells[a["src"]].shape, cells[a["dst"]].shape
-            ),
-        )
-        for a in data.get("glue", [])
-    ]
+    arrows = []
+    for a in _expect_list(data.get("glue", []), "the gluing arrows", dict):
+        src, dst = (_expect(a.get(k), int, f"a gluing arrow's {k}") for k in ("src", "dst"))
+        if not (0 <= src < len(cells) and 0 <= dst < len(cells)):
+            raise ValueError(f"gluing arrow {src} -> {dst} names a missing cell")
+        arrows.append(CellArrow(
+            src, dst, gamma_morphism_from_json(a.get("gamma")),
+            simpmap_from_json(a.get("simp_map"), cells[src].shape, cells[dst].shape),
+        ))
     return PresentedGammaSpace(cells, arrows)
 
 
 def relative_input_from_json(data) -> RelativeNerveInput:
-    _expect_object(data, "a relative nerve input")
-    base = category_from_json(data["base"])
+    _expect(data, dict, "a relative nerve input")
+    base = category_from_json(data.get("base"))
+    diagram = _expect(data.get("diagram"), dict, "the diagram")
     values = {
-        obj: simpset_from_json(v) for obj, v in data["diagram"]["values"].items()
+        obj: simpset_from_json(v)
+        for obj, v in _expect(diagram.get("values"), dict, "the diagram's values").items()
     }
     arrows = {
         f: simpmap_from_json(m, values[base.src(f)], values[base.dst(f)])
-        for f, m in data["diagram"]["arrows"].items()
+        for f, m in _expect(diagram.get("arrows"), dict, "the diagram's arrows").items()
     }
-    return RelativeNerveInput(
-        base, values, arrows, gamma_levels=data.get("gamma_levels")
-    ).validate()
+    levels = data.get("gamma_levels")
+    if levels is not None:
+        _expect(levels, int, "gamma_levels")
+    return RelativeNerveInput(base, values, arrows, gamma_levels=levels).validate()
 
 
 def over_object_to_json(x: OverObject) -> dict:
@@ -275,10 +279,24 @@ def over_object_from_json(data) -> OverObject:
     return OverObject(marked, proj).validate()
 
 
-def _expect_object(data, what):
-    """Malformed input (a ValueError) unless data is a JSON object."""
-    if not isinstance(data, dict):
-        raise ValueError(f"expected {what} as a JSON object, got {type(data).__name__}")
+_JSON_TYPES = {dict: "a JSON object", list: "a JSON array", str: "a string",
+               int: "an integer", bool: "a boolean"}
+
+
+def _expect(data, kind, what):
+    """data, unless it is not of JSON type `kind`: then malformed input (a
+    ValueError)."""
+    if not isinstance(data, kind) or (kind is int and isinstance(data, bool)):
+        raise ValueError(
+            f"expected {what} as {_JSON_TYPES[kind]}, got {type(data).__name__}")
+    return data
+
+
+def _expect_list(data, what, kind):
+    """data, unless it is not a JSON array of `kind` items."""
+    for item in _expect(data, list, what):
+        _expect(item, kind, f"each item of {what}")
+    return data
 
 
 def canonical_dumps(data) -> str:

@@ -32,9 +32,6 @@ class MarkedSimpSet:
     def is_marked(self, ref: SimplexRef) -> bool:
         return bool(ref.degs) or ref.base in self.marked
 
-    def marking_closure_ok(self):
-        return True  # degenerate edges are marked by representation
-
     def __repr__(self):
         return f"MarkedSimpSet({self.underlying!r}, marked={sorted(self.marked)})"
 

@@ -66,7 +66,7 @@ def nerve(c: FinCat, bound=4) -> FinSimpSet:
         for ch in chains.get(bound, [])
         for g in non_id
     ) if bound >= 1 else bool(non_id)
-    return FinSimpSet(bound, cells, cosk=2, complete=not longer).validate()
+    return FinSimpSet(bound, cells, complete=not longer).validate()
 
 
 def nerve_functor_map(fun: CatFunctor, nc: FinSimpSet, nd: FinSimpSet) -> SimpMap:

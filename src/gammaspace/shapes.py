@@ -14,6 +14,7 @@ from .simplicial import (
     hom_set,
     identity_map,
     inclusion_map,
+    maps,
     pairing,
     product,
     product_map,
@@ -40,7 +41,7 @@ def standard_simplex(n, bound=None) -> FinSimpSet:
                 for i in range(m + 1)
             ) if m else ()
             cells[m][name] = faces
-    return FinSimpSet(bound, cells, cosk=2).validate()
+    return FinSimpSet(bound, cells).validate()
 
 
 def standard_point(bound=0) -> FinSimpSet:
@@ -112,7 +113,7 @@ def interval_groupoid_nerve(bound=2) -> FinSimpSet:
             verts = chain(start, m)
             faces = tuple(ref_for(verts[:i] + verts[i + 1 :]) for i in range(m + 1))
             cells[m]["j" + _tuple_name(verts)] = faces
-    return FinSimpSet(bound, cells, cosk=2, complete=False).validate()
+    return FinSimpSet(bound, cells, complete=False).validate()
 
 
 def build_standard(kind, n=0, bound=None, k=None) -> FinSimpSet:
@@ -336,12 +337,9 @@ def exponential_map(u: SimpMap, exp_src: Exponential, exp_dst: Exponential) -> S
 
 def _commuting_squares(i: SimpMap, p: SimpMap, budget):
     """All (u, v) with v o i = p o u for i: A -> B, p: X -> Y."""
-    squares = []
-    for u in hom_set(i.source, p.source, budget=budget):
-        for v in hom_set(i.target, p.target, budget=budget):
-            if i.then(v) == u.then(p):
-                squares.append((u, v))
-    return squares
+    us = hom_set(i.source, p.source, budget=budget)
+    vs = hom_set(i.target, p.target, budget=budget) if us else []
+    return [(u, v) for u in us for v in vs if i.then(v) == u.then(p)]
 
 
 def _square_witness(i, p, u, v):
@@ -388,8 +386,7 @@ def _find_lift(i: SimpMap, p: SimpMap, u: SimpMap, v: SimpMap, budget, dim_cap=N
 
     cap = x.dim_bound if dim_cap is None else min(dim_cap, x.dim_bound)
     b_capped = b if b.dim_bound <= cap else b.rebound(cap)
-    lifts = hom_set(b_capped, x, budget=budget, fixed=fixed, constraint=constraint)
-    return lifts[0] if lifts else None
+    return next(maps(b_capped, x, budget=budget, fixed=fixed, constraint=constraint), None)
 
 
 def is_quasicategory_up_to(x: FinSimpSet, d, budget=None) -> Verdict:
@@ -401,9 +398,8 @@ def is_quasicategory_up_to(x: FinSimpSet, d, budget=None) -> Verdict:
             for k in range(1, n):
                 h = horn(n, k)
                 full = standard_simplex(n)
-                for u in hom_set(h, x, budget=budget):
-                    ext = hom_set(full, x, budget=budget, fixed=dict(u.assignment))
-                    if not ext:
+                for u in maps(h, x, budget=budget):
+                    if next(maps(full, x, budget=budget, fixed=u.assignment), None) is None:
                         return Verdict(
                             FAILS,
                             checked,

@@ -25,6 +25,7 @@ from .verdicts import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
+    backtrack,
 )
 
 # ---------------------------------------------------------------------------
@@ -141,18 +142,15 @@ class FinSimpSet:
 
     cells maps each dimension 0..dim_bound to {cell id: faces tuple}.
     Face entries are SimplexRefs one dimension down.  `pointed` optionally
-    names a vertex.  `cosk` records a dimension from which the object is
-    known coskeletal (purely informational; the reading above dim_bound is
-    always coskeletal).
+    names a vertex.
     """
 
-    def __init__(self, dim_bound, cells, pointed=None, cosk=None, complete=True):
+    def __init__(self, dim_bound, cells, pointed=None, complete=True):
         self.dim_bound = dim_bound
         self._cells = tuple(
             dict(sorted(cells.get(n, {}).items())) for n in range(dim_bound + 1)
         )
         self.pointed = pointed
-        self.cosk = cosk
         # complete: no nondegenerate simplices exist above dim_bound, so the
         # stored complex is the whole object and bounds may be raised freely.
         self.complete = complete
@@ -305,8 +303,7 @@ class FinSimpSet:
             for n in range(min(dim_bound, self.dim_bound) + 1)
         }
         complete = self.complete and (dim_bound >= self.top_dim())
-        return FinSimpSet(dim_bound, cells, pointed=self.pointed, cosk=self.cosk,
-                          complete=complete)
+        return FinSimpSet(dim_bound, cells, pointed=self.pointed, complete=complete)
 
     def is_discrete(self):
         return all(self.cell_count(n) == 0 for n in range(1, self.dim_bound + 1))
@@ -319,11 +316,11 @@ class FinSimpSet:
         return f"FinSimpSet(D={self.dim_bound}, cells={self.summary()}{p})"
 
 
-def from_simplices(dim_bound, simplices, pointed=None, cosk=None) -> FinSimpSet:
+def from_simplices(dim_bound, simplices, pointed=None) -> FinSimpSet:
     cells = {}
     for s in simplices:
         cells.setdefault(s.dim, {})[s.name] = tuple(s.faces)
-    return FinSimpSet(dim_bound, cells, pointed=pointed, cosk=cosk).validate()
+    return FinSimpSet(dim_bound, cells, pointed=pointed).validate()
 
 
 def empty_set(dim_bound=0) -> FinSimpSet:
@@ -840,42 +837,33 @@ def pushout(f: SimpMap, g: SimpMap, pointed_at=None):
 # exhaustive map enumeration
 
 
-def hom_set(a: FinSimpSet, x: FinSimpSet, budget=None, fixed=None,
-            constraint=None, require_pointed=False):
-    """All simplicial maps a -> x (x read coskeletally above its bound).
+def maps(a: FinSimpSet, x: FinSimpSet, budget=None, fixed=None,
+         constraint=None, require_pointed=False):
+    """The simplicial maps a -> x (x read coskeletally above its bound),
+    found one at a time.
 
     fixed pre-assigns cells (dim, name) -> ref; constraint(n, name, ref)
-    may veto candidates.  Raises BudgetExceededError rather than silently
-    truncating.
+    may veto candidates.  Each candidate drawn costs one unit of budget;
+    raises BudgetExceededError rather than silently truncating.
     """
     budget = budget or Budget()
     # a is read literally; x coskeletally above its bound unless complete,
     # in which case its ref enumeration is valid in every dimension
     cap = a.dim_bound if x.complete else min(a.dim_bound, x.dim_bound)
-    order = _constraint_order(a, cap)
     fixed = fixed or {}
-    results = []
-    assignment = {}
 
-    def push(ref, ref_dim):
-        base_dim = ref_dim - len(ref.degs)
-        img = assignment[(base_dim, ref.base)]
-        return apply_word(img, ref.degs, base_dim)
-
-    def candidates(n, name):
-        want = None
-        if n > 0:
-            want = tuple(push(fr, n - 1) for fr in a.faces_of(n, name))
-        if (n, name) in fixed:
-            cand = [fixed[(n, name)]]
+    def candidates(cell, assignment):
+        n, name = cell
+        want = _face_images(assignment, a, n, name)
+        if cell in fixed:
+            cand = [fixed[cell]]
         elif n == 0:
             cand = x.refs(0)
         else:
             cand = x.face_index(n).get(want, ())
-        out = []
         for ref in cand:
             budget.spend()
-            if n > 0 and (n, name) in fixed:
+            if n > 0 and cell in fixed:
                 if any(x.face(ref, n, i) != want[i] for i in range(n + 1)):
                     continue
             if require_pointed and n == 0 and name == a.pointed:
@@ -883,28 +871,27 @@ def hom_set(a: FinSimpSet, x: FinSimpSet, budget=None, fixed=None,
                     continue
             if constraint is not None and not constraint(n, name, ref):
                 continue
-            out.append(ref)
-        return out
+            yield ref
 
-    # explicit-stack backtracking: stack[d] is the iterator of candidates
-    # still to try at depth d
-    if not order:
-        return [SimpMap(a, x, {})]
-    stack = [iter(candidates(*order[0]))]
-    while stack:
-        depth = len(stack) - 1
-        cell = order[depth]
-        ref = next(stack[-1], None)
-        if ref is None:
-            stack.pop()
-            assignment.pop(cell, None)
-            continue
-        assignment[cell] = ref
-        if depth + 1 == len(order):
-            results.append(SimpMap(a, x, dict(assignment)))
-            continue
-        stack.append(iter(candidates(*order[depth + 1])))
-    return results
+    for assignment in backtrack(_constraint_order(a, cap), candidates):
+        yield SimpMap(a, x, assignment)
+
+
+def hom_set(a: FinSimpSet, x: FinSimpSet, budget=None, fixed=None,
+            constraint=None, require_pointed=False):
+    """All simplicial maps a -> x, as a list (see `maps`)."""
+    return list(maps(a, x, budget, fixed, constraint, require_pointed))
+
+
+def _face_images(assignment, s: FinSimpSet, n, name):
+    """The images of the faces of s's cell (n, name) under an assignment
+    of their bases; None for a vertex."""
+    if n == 0:
+        return None
+    return tuple(
+        apply_word(assignment[(n - 1 - len(f.degs), f.base)], f.degs, n - 1 - len(f.degs))
+        for f in s.faces_of(n, name)
+    )
 
 
 def _constraint_order(a: FinSimpSet, cap):
@@ -969,55 +956,28 @@ def iso_check(x: FinSimpSet, y: FinSimpSet, budget=None) -> Verdict:
         return Verdict(HOLDS, checked, witness=SimpMap(x, y, assignment))
 
     order = [(n, name) for n in range(cap + 1) for name in x.cell_ids(n)]
-    assignment = {}
-    used = [set() for _ in range(cap + 1)]
 
-    def push(ref, ref_dim):
-        base_dim = ref_dim - len(ref.degs)
-        img = assignment[(base_dim, ref.base)]
-        return apply_word(img, ref.degs, base_dim)
-
-    def candidates(n, name):
-        want = None
-        if n > 0:
-            want = tuple(push(fr, n - 1) for fr in x.faces_of(n, name))
+    def candidates(cell, assignment):
+        n, name = cell
+        used = {ref.base for (m, _), ref in assignment.items() if m == n}
+        want = _face_images(assignment, x, n, name)
         for cand in y.cell_ids(n):
-            if cand in used[n]:
+            if cand in used:
                 continue
             budget.spend()
             if n > 0 and y.faces_of(n, cand) != want:
                 continue
             if x.pointed is not None and n == 0 and (name == x.pointed) != (cand == y.pointed):
                 continue
-            yield cand
+            yield SimplexRef(cand)
 
-    witness = None
     try:
-        if not order:
-            witness = SimpMap(x, y, {})
-        else:
-            stack = [iter(candidates(*order[0]))]
-            while stack:
-                depth = len(stack) - 1
-                cell = order[depth]
-                prev = assignment.pop(cell, None)
-                if prev is not None:
-                    used[cell[0]].discard(prev.base)
-                cand = next(stack[-1], None)
-                if cand is None:
-                    stack.pop()
-                    continue
-                assignment[cell] = SimplexRef(cand)
-                used[cell[0]].add(cand)
-                if depth + 1 == len(order):
-                    witness = SimpMap(x, y, dict(assignment))
-                    break
-                stack.append(iter(candidates(*order[depth + 1])))
+        found = next(backtrack(order, candidates), None)
     except BudgetExceededError:
         return Verdict(INCONCLUSIVE, checked, witness="budget exceeded")
-    if witness is None:
+    if found is None:
         return Verdict(FAILS, checked, witness="exhausted all assignments")
-    return Verdict(HOLDS, checked, witness=witness)
+    return Verdict(HOLDS, checked, witness=SimpMap(x, y, found))
 
 
 # ---------------------------------------------------------------------------
@@ -1062,7 +1022,7 @@ def _subset_of(x: FinSimpSet, ok) -> FinSimpSet:
             cells[n][name] = faces
             kept.add((n, name))
     pointed = x.pointed if x.pointed is not None and (0, x.pointed) in kept else None
-    return FinSimpSet(x.dim_bound, cells, pointed=pointed, cosk=x.cosk).validate()
+    return FinSimpSet(x.dim_bound, cells, pointed=pointed).validate()
 
 
 def inclusion_map(sub: FinSimpSet, whole: FinSimpSet) -> SimpMap:

@@ -51,6 +51,38 @@ class Budget:
             raise BudgetExceededError(self.limit, self.context)
 
 
+_EXHAUSTED = object()
+
+
+def backtrack(order, candidates):
+    """Each assignment of a value to every cell of `order`, depth first,
+    as a new dict; a caller that wants one result stops the search there.
+
+    `candidates(cell, assignment)` is called only when the search reaches
+    `cell`.  Whenever its iterable is drawn from, `assignment` holds exactly
+    the cells before `cell`, so a lazy generator may read it (never mutate).
+    """
+    order = list(order)
+    if not order:
+        yield {}
+        return
+    assignment = {}
+    stack = [iter(candidates(order[0], assignment))]
+    while stack:
+        depth = len(stack) - 1
+        cell = order[depth]
+        assignment.pop(cell, None)
+        value = next(stack[-1], _EXHAUSTED)
+        if value is _EXHAUSTED:
+            stack.pop()
+            continue
+        assignment[cell] = value
+        if depth + 1 == len(order):
+            yield dict(assignment)
+        else:
+            stack.append(iter(candidates(order[depth + 1], assignment)))
+
+
 @dataclass
 class Verdict:
     """Outcome of a decidable-but-bounded check.

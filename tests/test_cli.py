@@ -1,17 +1,24 @@
 """The batch front-end: exit codes, determinism, report shape."""
 
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammaspace import jsonio
 from gammaspace.cli import main
 from gammaspace.corpus import z2_monoid_space
 from gammaspace.gspace import gamma_rep
+from gammaspace.marked import mark
 from gammaspace.nerve import nerve
-from gammaspace.catcore import walking_iso_category
+from gammaspace.catcore import poset_category, walking_iso_category
 from gammaspace.shapes import boundary, standard_point, standard_simplex
-from gammaspace.simplicial import constant_map, inclusion_map
+from gammaspace.simplicial import constant_map, identity_map, inclusion_map
 
 
 def run_cli(capsys, *argv):
@@ -183,4 +190,125 @@ def test_nested_malformed_input_exits_three(tmp_path, capsys, argv):
     p.write_text('{"dim_bound": 1, "cells": {"0": [5]}}')
     code, report = run_cli(capsys, *[str(p) if a == "A" else a for a in argv])
     assert code == 3
+    assert report["verdicts"][0]["tag"] == "input"
+
+
+# -- wrong-typed nested fields ------------------------------------------------
+
+
+def _arrow_blob(m):
+    return {"source": jsonio.simpset_to_json(m.source),
+            "target": jsonio.simpset_to_json(m.target),
+            "map": jsonio.simpmap_to_json(m)}
+
+
+def _relative_blob():
+    base, d1 = poset_category(1), standard_simplex(1)
+    return {
+        "base": jsonio.category_to_json(base),
+        "diagram": {
+            "values": {o: jsonio.simpset_to_json(d1) for o in base.objects},
+            "arrows": {f: jsonio.simpmap_to_json(identity_map(d1)) for f in base.arrows},
+        },
+    }
+
+
+# command options, and the valid input files it reads
+VALID_INPUTS = {
+    "relative-nerve": ([], [_relative_blob()]),
+    "hom-marked": (["--dim-bound", "1"], [
+        jsonio.marked_to_json(mark(standard_point(), "flat")),
+        jsonio.marked_to_json(mark(standard_simplex(1), "sharp"))]),
+    "pushout-product": (
+        [], [_arrow_blob(inclusion_map(boundary(1), standard_simplex(1)))] * 2),
+    "segal-check": (
+        ["--k", "1", "--l", "1"], [jsonio.tabulated_to_json(z2_monoid_space(2))]),
+    "convolve": (["--level-bound", "1"], [jsonio.presented_to_json(gamma_rep(1))] * 2),
+    "tau1": ([], [jsonio.simpset_to_json(nerve(walking_iso_category(), bound=2))]),
+}
+
+
+def _run_quiet(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, json.loads(out.getvalue())
+
+
+def _run_with(command, blobs):
+    options, _ = VALID_INPUTS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, blob in enumerate(blobs):
+            paths.append(os.path.join(tmp, f"in{k}.json"))
+            with open(paths[-1], "w") as fh:
+                fh.write(jsonio.canonical_dumps(blob))
+        return _run_quiet([command, *paths, *options])
+
+
+def _replaced(blob, path, value):
+    blob = copy.deepcopy(blob)
+    inner = blob
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return blob
+
+
+@pytest.mark.parametrize("command", sorted(VALID_INPUTS))
+def test_valid_inputs_run(command):
+    code, _ = _run_with(command, VALID_INPUTS[command][1])
+    assert code in (0, 1)
+
+
+# each of these raised a TypeError or AttributeError in its loader (exit 1)
+WRONG_SHAPES = [
+    ("relative-nerve", ("base", "objects"), 5),
+    ("relative-nerve", ("base", "arrows"), [5]),
+    ("relative-nerve", ("base", "compose"), [5]),
+    ("relative-nerve", ("diagram",), 5),
+    ("hom-marked", ("marked",), 5),
+    ("pushout-product", ("map", "assignment"), [{"0": "0"}]),
+    ("segal-check", ("values",), 5),
+    ("convolve", ("cells",), [5]),
+]
+
+
+@pytest.mark.parametrize("command,path,value", WRONG_SHAPES,
+                         ids=[f"{c}:{'.'.join(p)}" for c, p, _ in WRONG_SHAPES])
+def test_wrong_typed_nested_field_exits_three(command, path, value):
+    blobs = VALID_INPUTS[command][1]
+    code, report = _run_with(command, [_replaced(blobs[0], path, value)] + blobs[1:])
+    assert code == 3
+    assert report["verdicts"][0]["tag"] == "input"
+
+
+def _fields(blob, path=()):
+    """Every nested position of a JSON value, as a key path."""
+    items = blob.items() if isinstance(blob, dict) else (
+        enumerate(blob) if isinstance(blob, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+def _json_type(v):
+    return bool if isinstance(v, bool) else int if isinstance(v, int) else type(v)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_any_wrong_typed_field_exits_three(data):
+    command = data.draw(st.sampled_from(sorted(VALID_INPUTS)))
+    blobs = list(VALID_INPUTS[command][1])
+    k = data.draw(st.integers(0, len(blobs) - 1))
+    path = data.draw(st.sampled_from(list(_fields(blobs[k]))))
+    old = blobs[k]
+    for key in path:
+        old = old[key]
+    value = data.draw(st.sampled_from(
+        [v for v in (5, "x", [5], {"x": 5}) if _json_type(v) != _json_type(old)]))
+    blobs[k] = _replaced(blobs[k], path, value)
+    code, report = _run_with(command, blobs)
+    assert code == 3, (command, path, value)
     assert report["verdicts"][0]["tag"] == "input"

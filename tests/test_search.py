@@ -1,0 +1,157 @@
+"""The backtracking engine, and the fast paths built on it checked against
+the slow searches they replace."""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from test_simplicial import quotients
+
+from gammaspace import cocart, shapes
+from gammaspace.cocart import cotensor_over_base, nelg
+from gammaspace.gspace import _families
+from gammaspace.shapes import boundary, horn, standard_simplex
+from gammaspace.simplicial import (
+    SimplexRef,
+    constant_map,
+    hom_set,
+    inclusion_map,
+    maps,
+)
+from gammaspace.verdicts import Budget, BudgetExceededError, backtrack
+
+sources = st.sampled_from(
+    [standard_simplex(1), boundary(2), horn(2, 1), standard_simplex(2)])
+
+
+def test_backtrack_yields_one_empty_assignment_for_no_cells():
+    assert list(backtrack([], lambda cell, assignment: [1, 2])) == [{}]
+
+
+def test_backtrack_enumerates_in_order_and_yields_fresh_dicts():
+    found = list(backtrack("ab", lambda cell, assignment: range(2)))
+    assert found == [{"a": 0, "b": 0}, {"a": 0, "b": 1},
+                     {"a": 1, "b": 0}, {"a": 1, "b": 1}]
+    assert len({id(d) for d in found}) == 4
+
+
+def test_backtrack_draws_nothing_past_the_first_result():
+    drawn = []
+
+    def candidates(cell, assignment):
+        for value in range(3):
+            drawn.append((cell, value))
+            yield value
+
+    assert next(backtrack(range(4), candidates)) == {0: 0, 1: 0, 2: 0, 3: 0}
+    assert drawn == [(0, 0), (1, 0), (2, 0), (3, 0)]
+
+
+def test_candidates_see_exactly_the_earlier_cells():
+    order = list(range(4))
+
+    def candidates(cell, assignment):
+        for value in range(2):
+            # also on every resume of this generator
+            assert list(assignment) == order[:cell]
+            yield value
+
+    assert len(list(backtrack(order, candidates))) == 16
+
+
+def test_budget_error_propagates_from_a_lazy_search():
+    target = standard_simplex(2)
+    found = maps(standard_simplex(2), target, budget=Budget(3))
+    with pytest.raises(BudgetExceededError):
+        list(found)
+    with pytest.raises(BudgetExceededError):
+        next(maps(standard_simplex(2), target, budget=Budget(1)))
+
+
+@given(quotients, sources, st.integers(0, 5))
+@settings(max_examples=30, deadline=None)
+def test_first_map_agrees_with_the_full_list(x, a, pick):
+    assert _first(maps(a, x)) == _first(hom_set(a, x))
+    # a fixed vertex, as the lifting searches pass
+    v = SimplexRef(x.cell_ids(0)[pick % x.cell_count(0)])
+    fixed = {(0, a.cell_ids(0)[0]): v}
+    assert _first(maps(a, x, fixed=fixed)) == _first(hom_set(a, x, fixed=fixed))
+
+
+def _first(found):
+    m = next(iter(found), None)
+    return None if m is None else m.key()
+
+
+def _old_families(per_slot, links, commutes):
+    """The generate-and-test filter `_families` replaced."""
+    return {
+        tuple(m.key() for m in combo): combo
+        for combo in itertools.product(*per_slot)
+        if all(commutes(combo[src], combo[dst], act, carry)
+               for src, dst, act, carry in links)
+    }
+
+
+@given(quotients, st.lists(st.sampled_from([standard_simplex(0), standard_simplex(1)]),
+                           min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.booleans()), max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_pruned_families_match_the_product_filter(x, slot_shapes, raw_links):
+    per_slot = [hom_set(a, x) for a in slot_shapes]
+    top = len(per_slot) - 1
+    # a link ties the first vertex of one map to the first or last vertex
+    # of another
+    links = [(min(i, top), min(j, top), -1 if last else 0, None)
+             for i, j, last in raw_links]
+
+    def commutes(ms, md, end, _):
+        return ms(SimplexRef("0"), 0) == md(SimplexRef(md.source.cell_ids(0)[end]), 0)
+
+    new = _families(per_slot, links, commutes)
+    old = _old_families(per_slot, links, commutes)
+    assert list(new) == list(old)
+    assert new == old
+
+
+def test_families_prune_at_the_later_end_of_each_link():
+    calls = []
+
+    def never(ms, md, act, carry):
+        calls.append((ms, md))
+        return False
+
+    assert _families([[1, 2], [3, 4], [5, 6, 7]], [(0, 1, None, None)], never) == {}
+    # each pair of the first two slots once; the product filter asks 12 times
+    assert len(calls) == 4
+
+
+def _count_calls(monkeypatch, module):
+    calls = []
+    real = module.hom_set
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "hom_set", counting)
+    return calls
+
+
+def test_cotensor_searches_base_simplices_once_per_dimension(monkeypatch):
+    over, _, _ = nelg(1, 1, dim_cap=1)
+    calls = _count_calls(monkeypatch, cocart)
+    cotensor_over_base(over, standard_simplex(1), dim_cap=1)
+    # per dimension: the maps into the total space, then the base simplices
+    assert len(calls) == 4
+
+
+def test_commuting_squares_search_the_bottom_once(monkeypatch):
+    d1 = standard_simplex(1)
+    i = inclusion_map(boundary(1), d1)
+    p = constant_map(d1, standard_simplex(0), "0")
+    calls = _count_calls(monkeypatch, shapes)
+    squares = shapes._commuting_squares(i, p, Budget())
+    assert len(calls) == 2
+    assert len(squares) == len(hom_set(i.source, p.source))
