@@ -165,10 +165,6 @@ class CatFunctor:
         return hash(self.key())
 
 
-def identity_functor(c: FinCat) -> CatFunctor:
-    return CatFunctor(c, c, {a: a for a in c.objects}, {f: f for f in c.arrow_ids()})
-
-
 # ---------------------------------------------------------------------------
 # small standard categories
 
@@ -221,15 +217,6 @@ def cyclic_group_category(n) -> FinCat:
     arrows = {f"g{i}": ("*", "*") for i in range(n)}
     compose = {(f"g{i}", f"g{j}"): f"g{(i + j) % n}" for i in range(n) for j in range(n)}
     return FinCat(["*"], arrows, {"*": "g0"}, compose).validate()
-
-
-def monoid_category(elements, op, unit) -> FinCat:
-    """A finite monoid as a one-object category."""
-    arrows = {f"m{e}": ("*", "*") for e in elements}
-    compose = {
-        (f"m{a}", f"m{b}"): f"m{op(a, b)}" for a in elements for b in elements
-    }
-    return FinCat(["*"], arrows, {"*": f"m{unit}"}, compose).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +529,3 @@ def equivalence_check(c: FinCat, d: FinCat, budget=None) -> Verdict:
     if not ok:
         raise AssertionError(f"equivalence witness failed check: {why}")
     return Verdict(HOLDS, checked, witness=witness)
-
-
-def functor_is_equivalence(f: CatFunctor) -> Verdict:
-    """Is this specific functor full, faithful, and essentially surjective?"""
-    ok, why = f.is_full_faithful_ess_surjective()
-    if ok:
-        return Verdict(HOLDS, "full+faithful+ess-surjective", witness=f)
-    return Verdict(FAILS, "full+faithful+ess-surjective", witness=why)

@@ -9,21 +9,34 @@ from dataclasses import dataclass
 from .catcore import CatFunctor, FinCat, coslice_category
 from .gammaop import GammaMorphism, delta_projection, enumerate_homs, gamma_identity
 from .gspace import TabulatedGammaSpace, segal_check
-from .marked import MarkedSimpSet, mark
-from .nerve import nerve, nerve_functor_map
+from .marked import MarkedMappingObject, MarkedSimpSet, mark
+from .nerve import edge_is_invertible, nerve, nerve_functor_map, tau1
 from .shapes import MapComplex, horn, standard_simplex
 from .simplicial import (
     FinSimpSet,
     SimplexRef,
     SimpMap,
+    _subset_of,
     apply_word,
+    delta_tuple,
+    disjoint_union,
     from_elements,
     hom_set,
     identity_map,
+    iso_check,
     maps,
     product,
+    sigma_tuple,
 )
-from .verdicts import Budget, BudgetExceededError, Verdict, FAILS, HOLDS, INCONCLUSIVE
+from .verdicts import (
+    Budget,
+    BudgetExceededError,
+    ResourceError,
+    Verdict,
+    FAILS,
+    HOLDS,
+    INCONCLUSIVE,
+)
 
 
 class UnsupportedInputError(ValueError):
@@ -39,8 +52,6 @@ def gamma_subcategory(level_cap) -> FinCat:
     diagram-level checks at higher levels go through the functorial
     interface instead of this category.
     """
-    from .verdicts import ResourceError
-
     if level_cap > 3:
         raise ResourceError(
             f"dense based-set subcategory at levels <= {level_cap} is too"
@@ -240,8 +251,6 @@ class RelativeNerve:
                 (J, r.base, r.degs) for J, r in new_tau.items()
             )))
 
-        from .simplicial import delta_tuple, sigma_tuple
-
         def face(n, key, i):
             return transport(n, key, delta_tuple(i, n), n - 1)
 
@@ -280,8 +289,6 @@ class RelativeNerve:
 
     def fiber(self, obj) -> FinSimpSet:
         """The sub-simplicial set over the constant chain at an object."""
-        from .simplicial import _subset_of
-
         def ok(n, name):
             ref = self.proj.assignment[(n, name)]
             return ref == apply_word(SimplexRef(f"o{obj}"),
@@ -291,8 +298,6 @@ class RelativeNerve:
 
     def fiber_comparison(self, obj) -> Verdict:
         """The fiber is the diagram value on the nose."""
-        from .simplicial import iso_check
-
         return iso_check(self.fiber(obj), self.input.values[obj])
 
 
@@ -431,8 +436,6 @@ def cocartesian_cross_check(rn: RelativeNerve, dim_cap, budget=None) -> Verdict:
     invertible in the fundamental category of its target value.
 
     The equivalence is tested, not assumed."""
-    from .nerve import edge_is_invertible, tau1
-
     budget = budget or Budget()
     detected, verdict, _ = cocartesian_edges(rn.total, rn.proj, dim_cap, budget=budget)
     taus = {}
@@ -523,8 +526,6 @@ def upsilon(k, l, level_cap, dim_cap=2):
             on_arrows[t_name] = f"t{on_objects[fa]}_{on_objects[fb]}_{h}"
         fun = CatFunctor(cos, cos_kl, on_objects, on_arrows).validate()
         pieces.append((over, fun))
-    from .simplicial import disjoint_union
-
     du, c1, c2 = disjoint_union(pieces[0][0].marked.underlying,
                                 pieces[1][0].marked.underlying)
     marked_src = MarkedSimpSet(du, du.cell_ids(1))
@@ -554,8 +555,6 @@ def hom_over_base(x: OverObject, y: OverObject, variant="flat",
                   dim_cap=None, budget=None):
     """The over-base mapping object; flat returns the whole simplicial set,
     sharp its all-edges-marked sub-object.  Returns (space, mapping)."""
-    from .marked import MarkedMappingObject
-
     mo = MarkedMappingObject(x.marked, y.marked, dim_cap=dim_cap, budget=budget,
                              over=(x.proj, y.proj))
     if variant == "flat":

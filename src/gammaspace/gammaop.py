@@ -102,10 +102,6 @@ def factor_inert_active(f: GammaMorphism):
     return inert, active, supp
 
 
-def smash_objects(k, l):
-    return k * l
-
-
 def smash_element(i, j, l):
     """Lexicographic encoding of the nonzero pair (i, j) in (k*l)+."""
     if i == 0 or j == 0:

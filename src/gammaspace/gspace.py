@@ -14,9 +14,10 @@ from .gammaop import (
     enumerate_homs,
     gamma_identity,
     smash_gamma,
+    smash_twist,
     zero_map,
 )
-from .nerve import tau1, tau1_functor
+from .nerve import nerve, tau1, tau1_functor
 from .shapes import (
     MapComplex,
     has_rlp,
@@ -40,6 +41,7 @@ from .simplicial import (
     pairing,
     product,
     product_map,
+    word_to_surj,
 )
 from .verdicts import (
     Budget,
@@ -205,9 +207,6 @@ class PresentedGammaSpace:
             assert a.gamma.dst == self.cells[a.src].level
         self._level_data = {}
 
-    def generation_levels(self):
-        return sorted({c.level for c in self.cells})
-
     def level_data(self, n):
         """(Colimit, per-cell component data) of the evaluation at n."""
         if n in self._level_data:
@@ -249,28 +248,30 @@ class PresentedGammaSpace:
         inc = comps[cell_index]["include"](lab, ref, ref_dim)
         return col.ref_in(cell_index, inc, ref_dim)
 
-    def action_map(self, g: GammaMorphism) -> SimpMap:
-        """The induced map evaluate(g.src) -> evaluate(g.dst)."""
-        col_n, comps_n = self.level_data(g.src)
-        col_m, _ = self.level_data(g.dst)
+    def _cellwise(self, n, target: FinSimpSet, image) -> SimpMap:
+        """The map evaluate(n) -> target sending the cell of component i at
+        the hom element h and the shape cell (d, name) to image(i, h, name,
+        d).  A cell of the colimit takes the image of the first of its
+        representatives met; every cell must be met."""
+        col, comps = self.level_data(n)
         assignment = {}
-        for n_dim in range(col_n.space.dim_bound + 1):
-            for name in col_n.space.cell_ids(n_dim):
-                assignment[(n_dim, name)] = None
-        for i, comp in enumerate(comps_n):
+        for i, comp in enumerate(comps):
             shape = self.cells[i].shape
             for h in comp["homs"]:
                 lab = comp["labels"][h.key()]
-                for d in range(min(shape.dim_bound, col_n.space.dim_bound) + 1):
-                    for cname in shape.cell_ids(d):
-                        src_ref = col_n.ref_in(i, SimplexRef(f"{lab}.{cname}"), d)
-                        if src_ref.degs or assignment.get((d, src_ref.base)) is not None:
-                            continue
-                        assignment[(d, src_ref.base)] = self.component_ref(
-                            i, h.then(g), SimplexRef(cname), d, g.dst
-                        )
-        assert all(v is not None for v in assignment.values())
-        return SimpMap(col_n.space, col_m.space, assignment)
+                for d in range(min(shape.dim_bound, col.space.dim_bound) + 1):
+                    for name in shape.cell_ids(d):
+                        ref = col.ref_in(i, SimplexRef(f"{lab}.{name}"), d)
+                        if not ref.degs and (d, ref.base) not in assignment:
+                            assignment[(d, ref.base)] = image(i, h, name, d)
+        assert all((d, name) in assignment for d in range(col.space.dim_bound + 1)
+                   for name in col.space.cell_ids(d))
+        return SimpMap(col.space, target, assignment)
+
+    def action_map(self, g: GammaMorphism) -> SimpMap:
+        """The induced map evaluate(g.src) -> evaluate(g.dst)."""
+        return self._cellwise(g.src, self.evaluate(g.dst), lambda i, h, name, d:
+                             self.component_ref(i, h.then(g), SimplexRef(name), d, g.dst))
 
     def tabulate(self, level_bound) -> TabulatedGammaSpace:
         return TabulatedGammaSpace(level_bound, self.evaluate, self.action_map)
@@ -303,23 +304,11 @@ class PresentedMap:
     assignments: list  # of (target_cell_index, GammaMorphism, SimpMap)
 
     def evaluate(self, n) -> SimpMap:
-        col_s, comps_s = self.source.level_data(n)
-        assignment = {}
-        for i, comp in enumerate(comps_s):
-            shape = self.source.cells[i].shape
+        def image(i, h, name, d):
             j, gamma, simp = self.assignments[i]
-            for h in comp["homs"]:
-                lab = comp["labels"][h.key()]
-                for d in range(min(shape.dim_bound, col_s.space.dim_bound) + 1):
-                    for cname in shape.cell_ids(d):
-                        src_ref = col_s.ref_in(i, SimplexRef(f"{lab}.{cname}"), d)
-                        if src_ref.degs or (d, src_ref.base) in assignment:
-                            continue
-                        img = simp(SimplexRef(cname), d)
-                        assignment[(d, src_ref.base)] = self.target.component_ref(
-                            j, gamma.then(h), img, d, n
-                        )
-        return SimpMap(col_s.space, self.target.evaluate(n), assignment)
+            return self.target.component_ref(j, gamma.then(h), simp(SimplexRef(name), d), d, n)
+
+        return self.source._cellwise(n, self.target.evaluate(n), image)
 
 
 # ---------------------------------------------------------------------------
@@ -328,30 +317,30 @@ class PresentedMap:
 
 def day_convolve(p: PresentedGammaSpace, q: PresentedGammaSpace) -> PresentedGammaSpace:
     """Bilinear expansion of the convolution over the presentations: basic
-    cells multiply by smashing their levels and multiplying their shapes."""
-    cells = []
-    prods = {}
-    for i, a in enumerate(p.cells):
-        for j, b in enumerate(q.cells):
-            prods[(i, j)] = product(a.shape, b.shape)
-            cells.append(GammaCell(a.level * b.level, prods[(i, j)][0]))
-    index = {(i, j): k for k, (i, j) in enumerate(
-        (i, j) for i in range(len(p.cells)) for j in range(len(q.cells))
-    )}
+    cells multiply by smashing their levels and multiplying their shapes.
+    Cell (i, j) sits at index i * len(q.cells) + j, and the result keeps
+    products[k], the product data (P, p1, p2, pair_ref) of cell k's shape,
+    for the maps induced on it."""
+    nq = len(q.cells)
+    products = [product(a.shape, b.shape) for a in p.cells for b in q.cells]
+    cells = [GammaCell(a.level * b.level, products[i * nq + j][0])
+             for i, a in enumerate(p.cells) for j, b in enumerate(q.cells)]
     arrows = []
     for e in p.arrows:
         for j, b in enumerate(q.cells):
+            src, dst = e.src * nq + j, e.dst * nq + j
             gamma = smash_gamma(e.gamma, gamma_identity(b.level))
-            simp = product_map(e.simp, identity_map(b.shape),
-                               prods[(e.src, j)], prods[(e.dst, j)])
-            arrows.append(CellArrow(index[(e.src, j)], index[(e.dst, j)], gamma, simp))
+            simp = product_map(e.simp, identity_map(b.shape), products[src], products[dst])
+            arrows.append(CellArrow(src, dst, gamma, simp))
     for e in q.arrows:
         for i, a in enumerate(p.cells):
+            src, dst = i * nq + e.src, i * nq + e.dst
             gamma = smash_gamma(gamma_identity(a.level), e.gamma)
-            simp = product_map(identity_map(a.shape), e.simp,
-                               prods[(i, e.src)], prods[(i, e.dst)])
-            arrows.append(CellArrow(index[(i, e.src)], index[(i, e.dst)], gamma, simp))
-    return PresentedGammaSpace(cells, arrows)
+            simp = product_map(identity_map(a.shape), e.simp, products[src], products[dst])
+            arrows.append(CellArrow(src, dst, gamma, simp))
+    conv = PresentedGammaSpace(cells, arrows)
+    conv.products = products
+    return conv
 
 
 def convolve_with_map(p: PresentedGammaSpace, m: PresentedMap):
@@ -361,30 +350,18 @@ def convolve_with_map(p: PresentedGammaSpace, m: PresentedMap):
     """
     src = day_convolve(p, m.source)
     dst = day_convolve(p, m.target)
-    n_src = len(m.source.cells)
-    n_dst = len(m.target.cells)
+    n_src, n_dst = len(m.source.cells), len(m.target.cells)
     assignments = []
     for i, a in enumerate(p.cells):
-        for j in range(n_src):
-            jt, gamma, simp = m.assignments[j]
-            k_src = i * n_src + j
-            k_dst = i * n_dst + jt
+        for j, (jt, gamma, simp) in enumerate(m.assignments):
+            k_src, k_dst = i * n_src + j, i * n_dst + jt
             assignments.append((
                 k_dst,
                 smash_gamma(gamma_identity(a.level), gamma),
-                _product_transport(a.shape, simp, src.cells[k_src].shape,
-                                   dst.cells[k_dst].shape),
+                product_map(identity_map(a.shape), simp,
+                            src.products[k_src], dst.products[k_dst]),
             ))
     return PresentedMap(src, dst, assignments), src, dst
-
-
-def _product_transport(a_shape, simp, src_prod_space, dst_prod_space):
-    """(id_a x simp) re-expressed on already-built product spaces; product
-    cell naming is deterministic, so rebuilding from equal inputs aligns."""
-    fresh_src = product(a_shape, simp.source)
-    fresh_dst = product(a_shape, simp.target)
-    built = product_map(identity_map(a_shape), simp, fresh_src, fresh_dst)
-    return SimpMap(src_prod_space, dst_prod_space, built.assignment)
 
 
 def h_map(k, l) -> PresentedMap:
@@ -392,7 +369,6 @@ def h_map(k, l) -> PresentedMap:
     into the representable at k+l, through the two projections."""
     src = coproduct_presented(gamma_rep(k), gamma_rep(l))
     dst = gamma_rep(k + l)
-    pt = src.cells[0].shape
     assignments = [
         (0, delta_projection(k, l, "left"),
          SimpMap(src.cells[0].shape, dst.cells[0].shape, {(0, "0"): SimplexRef("0")})),
@@ -511,12 +487,20 @@ class GammaMappingSpace(MapComplex):
                                     ms == carry.then(md).then(act)))
         super().__init__(dim_cap, simplices, self.products, tables)
 
-    def ref_of_family(self, fam, d):
-        return self.ref_of(fam, d)
 
-    def vertex_maps(self):
-        """The underlying set of maps of spaces (the vertices)."""
-        return [self.element_of(v) for v in self.space.cell_ids(0)]
+def _postcompose(src: GammaMappingSpace, dst: GammaMappingSpace, posts) -> SimpMap:
+    """src -> dst sending a family (m_i) to (m_i then posts[i]).  The frames
+    of src and dst are products of equal inputs, so a frame cell has one
+    name in both; the relabelling carries are built once per (cell, d)."""
+    def relabel(i, d):
+        frame = src.products[i][d][0]
+        return SimpMap(dst.products[i][d][0], frame, identity_map(frame).assignment)
+
+    carries = [[relabel(i, d) for i in range(len(posts))]
+               for d in range(min(src.cap, dst.cap) + 1)]
+    return dst.induced(src.space, lambda d, name: tuple(
+        c.then(m).then(post)
+        for c, m, post in zip(carries[d], src.element_of(name), posts)))
 
 
 def _families(per_slot, links, commutes):
@@ -554,14 +538,7 @@ def yoneda_comparison(n, y: TabulatedGammaSpace, dim_cap=None) -> tuple:
     yn = y.value(n)
     if yn.dim_bound != ms.cap and (yn.complete or yn.dim_bound > ms.cap):
         yn = yn.rebound(ms.cap)
-    assignment = {}
-    for d in range(min(ms.cap, yn.dim_bound) + 1):
-        prod_data = ms.products[0][d]
-        for name in yn.cell_ids(d):
-            # the family sending (pt, t) in pt x Delta[d] to the d-simplex
-            m = _classifying_map(prod_data, y.value(n), SimplexRef(name), d)
-            assignment[(d, name)] = ms.ref_of_family((m,), d)
-    cmp = SimpMap(yn, ms.space, assignment)
+    cmp = _classifying(ms, yn, y.value(n))
     ok = cmp.is_iso() or (
         cmp.is_mono()
         and all(yn.cell_count(d) == ms.space.cell_count(d)
@@ -569,6 +546,13 @@ def yoneda_comparison(n, y: TabulatedGammaSpace, dim_cap=None) -> tuple:
     )
     verdict = Verdict(HOLDS if ok else FAILS, f"dims<={ms.cap}", witness=cmp)
     return cmp, verdict
+
+
+def _classifying(ms: GammaMappingSpace, source, target) -> SimpMap:
+    """source -> ms for a mapping space out of one point cell into target:
+    a d-simplex goes to the family sending (pt, t) in pt x Delta[d] to it."""
+    return ms.induced(source, lambda d, name: (
+        _classifying_map(ms.products[0][d], target, SimplexRef(name), d),))
 
 
 def _classifying_map(prod_data, target, ref, d) -> SimpMap:
@@ -584,8 +568,6 @@ def _classifying_map(prod_data, target, ref, d) -> SimpMap:
 
 def _vertex_tuple(proj2, m, name, d):
     """Monotone operator [m] -> [d] carried by the simplex coordinate."""
-    from .simplicial import word_to_surj
-
     ref = proj2.assignment[(m, name)]
     verts = tuple(int(ch) for ch in ref.base)
     sigma = word_to_surj(ref.degs, m)
@@ -615,23 +597,8 @@ def internal_hom(p: PresentedGammaSpace, y: TabulatedGammaSpace,
         return ms(n).space
 
     def action(g: GammaMorphism):
-        src, dst = ms(g.src), ms(g.dst)
-        assignment = {}
-        for d in range(min(src.cap, dst.cap) + 1):
-            for name in src.space.cell_ids(d):
-                fam = src.element_of(name)
-                moved = []
-                for i, a in enumerate(p.cells):
-                    carry = SimpMap(
-                        dst.products[i][d][0], src.products[i][d][0],
-                        identity_map(src.products[i][d][0]).assignment,
-                    )
-                    smashed = smash_gamma(gamma_identity(a.level), g)
-                    moved.append(
-                        carry.then(fam[i]).then(y.action(smashed))
-                    )
-                assignment[(d, name)] = dst.ref_of_family(tuple(moved), d)
-        return SimpMap(src.space, dst.space, assignment)
+        return _postcompose(ms(g.src), ms(g.dst), [
+            y.action(smash_gamma(gamma_identity(a.level), g)) for a in p.cells])
 
     return TabulatedGammaSpace(level_bound, value, action)
 
@@ -665,34 +632,18 @@ def _smash_precompose_verdict(x, n, pre, cap) -> Verdict:
     spaces = {k: GammaMappingSpace(reps[k], x) for k in range(cap + 1)}
     level_maps = {}
     for k in range(cap + 1):
-        msk = spaces[k]
         src = pre.value(k)
-        assignment = {}
-        for d in range(min(msk.cap, src.dim_bound) + 1):
-            for name in src.cell_ids(d):
-                m = _classifying_map(msk.products[0][d], src, SimplexRef(name), d)
-                assignment[(d, name)] = msk.ref_of_family((m,), d)
-        level_maps[k] = SimpMap(src, msk.space, assignment)
+        level_maps[k] = _classifying(spaces[k], src, src)
         if not level_maps[k].is_iso():
             return Verdict(FAILS, f"levels<={cap}",
                            witness={"level": k, "counts": [src.summary(),
-                                                           msk.space.summary()]})
+                                                           spaces[k].space.summary()]})
     # naturality over every based map between levels <= cap
     for f in all_morphisms_upto(cap):
         lhs = pre.action(f).then(level_maps[f.dst])
-        # transport on mapping spaces: precompose the single-cell family
-        msk_s, msk_d = spaces[f.src], spaces[f.dst]
-        assignment = {}
-        for d in range(min(msk_s.cap, msk_d.cap) + 1):
-            for name in msk_s.space.cell_ids(d):
-                fam = msk_s.element_of(name)
-                carry = SimpMap(msk_d.products[0][d][0], msk_s.products[0][d][0],
-                                identity_map(msk_s.products[0][d][0]).assignment)
-                moved = carry.then(fam[0]).then(
-                    x.action(smash_gamma(gamma_identity(n), f))
-                )
-                assignment[(d, name)] = msk_d.ref_of_family((moved,), d)
-        transport = SimpMap(msk_s.space, msk_d.space, assignment)
+        # transport on mapping spaces: postcompose the single-cell family
+        transport = _postcompose(spaces[f.src], spaces[f.dst],
+                                 [x.action(smash_gamma(gamma_identity(n), f))])
         rhs = level_maps[f.src].then(transport)
         if lhs != rhs:
             return Verdict(FAILS, f"levels<={cap}", witness={"morphism": repr(f)})
@@ -791,8 +742,6 @@ def segal_check(x: TabulatedGammaSpace, k, l, tier="iso") -> Verdict:
 
 
 def _is_nerve_like(s: FinSimpSet) -> bool:
-    from .nerve import nerve
-
     try:
         cat, _ = tau1(s)
     except Exception:
@@ -950,17 +899,8 @@ def trivial_fibration_check(p: GammaSpaceMap, level_cap, dim_cap,
 def _mapping_space_induced(p: GammaSpaceMap, n, budget) -> SimpMap:
     """Map(rep_n, source) -> Map(rep_n, target) by postcomposition."""
     rep = gamma_rep(n)
-    ms_x = GammaMappingSpace(rep, p.source, budget=budget)
-    ms_y = GammaMappingSpace(rep, p.target, budget=budget)
-    assignment = {}
-    for d in range(min(ms_x.cap, ms_y.cap) + 1):
-        for name in ms_x.space.cell_ids(d):
-            fam = ms_x.element_of(name)
-            carry = SimpMap(ms_y.products[0][d][0], ms_x.products[0][d][0],
-                            identity_map(ms_x.products[0][d][0]).assignment)
-            moved = (carry.then(fam[0]).then(p.levels[n]),)
-            assignment[(d, name)] = ms_y.ref_of_family(moved, d)
-    return SimpMap(ms_x.space, ms_y.space, assignment)
+    return _postcompose(GammaMappingSpace(rep, p.source, budget=budget),
+                        GammaMappingSpace(rep, p.target, budget=budget), [p.levels[n]])
 
 
 # ---------------------------------------------------------------------------
@@ -970,33 +910,22 @@ def _mapping_space_induced(p: GammaSpaceMap, n, budget) -> SimpMap:
 def day_unit_comparison(p: PresentedGammaSpace, levels) -> Verdict:
     """rep_1 * p -> p, cell-wise canonical, checked level-wise iso."""
     conv = day_convolve(gamma_rep(1), p)
-    assignments = []
-    for j, c in enumerate(p.cells):
-        fresh = product(standard_point(), c.shape)
-        simp = SimpMap(conv.cells[j].shape, c.shape, fresh[2].assignment)
-        assignments.append((j, gamma_identity(c.level), simp))
-    m = PresentedMap(conv, p, assignments)
+    m = PresentedMap(conv, p, [(j, gamma_identity(c.level), conv.products[j][2])
+                               for j, c in enumerate(p.cells)])
     return _levelwise_iso_verdict(m, levels, "unit")
 
 
 def day_symmetry_comparison(p: PresentedGammaSpace, q: PresentedGammaSpace,
                             levels) -> Verdict:
     """p * q -> q * p via the coordinate twist, checked level-wise iso."""
-    from .gammaop import smash_twist
-
-    src = day_convolve(p, q)
-    dst = day_convolve(q, p)
-    nq = len(q.cells)
-    np_ = len(p.cells)
+    src, dst = day_convolve(p, q), day_convolve(q, p)
+    nq, np_ = len(q.cells), len(p.cells)
     assignments = []
     for i, a in enumerate(p.cells):
         for j, b in enumerate(q.cells):
-            fresh_src = product(a.shape, b.shape)
-            fresh_dst = product(b.shape, a.shape)
-            swap = pairing(fresh_src[2], fresh_src[1], fresh_dst)
-            simp = SimpMap(src.cells[i * nq + j].shape,
-                           dst.cells[j * np_ + i].shape, swap.assignment)
-            assignments.append((j * np_ + i, smash_twist(b.level, a.level), simp))
+            _, pr_a, pr_b, _ = src.products[i * nq + j]
+            assignments.append((j * np_ + i, smash_twist(b.level, a.level),
+                                pairing(pr_b, pr_a, dst.products[j * np_ + i])))
     m = PresentedMap(src, dst, assignments)
     return _levelwise_iso_verdict(m, levels, "symmetry")
 
@@ -1004,28 +933,24 @@ def day_symmetry_comparison(p: PresentedGammaSpace, q: PresentedGammaSpace,
 def day_assoc_comparison(p, q, r, levels) -> Verdict:
     """(p * q) * r -> p * (q * r); the lexicographic smash encoding makes
     the level part the identity, the shape part re-brackets."""
-    src = day_convolve(day_convolve(p, q), r)
-    dst = day_convolve(p, day_convolve(q, r))
+    pq, qr = day_convolve(p, q), day_convolve(q, r)
+    src, dst = day_convolve(pq, r), day_convolve(p, qr)
     nq, nr = len(q.cells), len(r.cells)
     assignments = []
     for i, a in enumerate(p.cells):
         for j, b in enumerate(q.cells):
-            for m_, c in enumerate(r.cells):
-                src_idx = (i * nq + j) * nr + m_
-                dst_idx = i * (nq * nr) + (j * nr + m_)
-                ab = product(a.shape, b.shape)
-                bc = product(b.shape, c.shape)
-                ab_c = product(ab[0], c.shape)
-                a_bc = product(a.shape, bc[0])
+            for k, c in enumerate(r.cells):
+                # cell (i, j, k) has index (i * nq + j) * nr + k on both sides
+                idx = (i * nq + j) * nr + k
+                ab, bc = pq.products[i * nq + j], qr.products[j * nr + k]
+                ab_c = src.products[idx]
                 reassoc = pairing(
                     ab_c[1].then(ab[1]),
                     pairing(ab_c[1].then(ab[2]), ab_c[2], bc),
-                    a_bc,
+                    dst.products[idx],
                 )
-                simp = SimpMap(src.cells[src_idx].shape, dst.cells[dst_idx].shape,
-                               reassoc.assignment)
-                level = a.level * b.level * c.level
-                assignments.append((dst_idx, gamma_identity(level), simp))
+                assignments.append((idx, gamma_identity(a.level * b.level * c.level),
+                                    reassoc))
     m = PresentedMap(src, dst, assignments)
     return _levelwise_iso_verdict(m, levels, "associativity")
 
@@ -1056,13 +981,11 @@ def semiadditivity_probe(p: PresentedGammaSpace, level_cap) -> dict:
     assignments = []
     for copy in (0, 1):
         for i, c in enumerate(p.cells):
-            fresh = product(c.shape, standard_point())
-            into = pairing(identity_map(c.shape),
-                           constant_map(c.shape, standard_point(), "0"), fresh)
             tgt = i * 2 + copy
-            simp = SimpMap(two.cells[copy * len(p.cells) + i].shape,
-                           conv_src.cells[tgt].shape, into.assignment)
-            assignments.append((tgt, gamma_identity(c.level), simp))
+            prod = conv_src.products[tgt]
+            into = pairing(identity_map(c.shape),
+                           constant_map(c.shape, prod[2].target, "0"), prod)
+            assignments.append((tgt, gamma_identity(c.level), into))
     ident = PresentedMap(two, conv_src, assignments)
 
     tab = p.tabulate(level_cap)

@@ -4,7 +4,7 @@ homotopy-mapping-space model J(X^A)."""
 from __future__ import annotations
 
 from .nerve import edge_is_invertible, tau1
-from .shapes import Exponential
+from .shapes import Exponential, standard_simplex
 from .simplicial import (
     FinSimpSet,
     SimplexRef,
@@ -52,8 +52,6 @@ def _edge_in_product(exp: Exponential, n, edge_name):
 def path_space_level(x: FinSimpSet, n, budget=None):
     """Level n of the path-space tower: the restricted exponential over
     Delta[n]."""
-    from .shapes import standard_simplex
-
     space, _ = restricted_exp(x, standard_simplex(n), budget=budget)
     return space
 

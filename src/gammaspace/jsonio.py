@@ -16,7 +16,7 @@ from .gspace import (
     all_morphisms_upto,
 )
 from .marked import MarkedSimpSet
-from .simplicial import FinSimpSet, SimplexRef, SimpMap
+from .simplicial import FinSimpSet, SimplexRef, SimpMap, identity_map
 
 
 def ref_to_json(ref: SimplexRef):
@@ -53,10 +53,12 @@ def simpset_to_json(x: FinSimpSet) -> dict:
 
 def simpset_from_json(data) -> FinSimpSet:
     _expect(data, dict, "a simplicial set")
-    bound = _expect(data.get("dim_bound"), int, "dim_bound")
+    bound = _count(data.get("dim_bound"), "dim_bound")
     table = _expect(data.get("cells", {}), dict, "the cells of a simplicial set")
     cells = {}
     for n_str, items in table.items():
+        if not 0 <= int(n_str) <= bound:
+            raise ValueError(f"cells of dimension {n_str} lie outside 0..{bound}")
         cells[int(n_str)] = {
             _expect(item.get("id"), str, "a cell id"): tuple(
                 map(ref_from_json, _expect(item.get("faces", []), list, "a cell's faces")))
@@ -141,8 +143,8 @@ def gamma_morphism_to_json(f: GammaMorphism) -> dict:
 def gamma_morphism_from_json(data) -> GammaMorphism:
     _expect(data, dict, "a based map")
     return GammaMorphism(
-        _expect(data.get("src"), int, "a based map's src"),
-        _expect(data.get("dst"), int, "a based map's dst"),
+        _count(data.get("src"), "a based map's src"),
+        _count(data.get("dst"), "a based map's dst"),
         tuple(_expect_list(data.get("map"), "a based map's table", int)),
     )
 
@@ -170,7 +172,7 @@ def tabulated_from_json(data) -> TabulatedGammaSpace:
     """Loads values and completes the action from the generators by
     composition closure; errors if some based map is not covered."""
     _expect(data, dict, "a tabulated level family")
-    bound = _expect(data.get("level_bound"), int, "level_bound")
+    bound = _count(data.get("level_bound"), "level_bound")
     values = {
         int(n): simpset_from_json(v)
         for n, v in _expect(data.get("values"), dict, "the values of a family").items()
@@ -183,7 +185,7 @@ def tabulated_from_json(data) -> TabulatedGammaSpace:
         )
     for n in range(bound + 1):
         ident = gamma_identity(n)
-        action.setdefault(ident.key(), _identity_of(values[n]))
+        action.setdefault(ident.key(), identity_map(values[n]))
     changed = True
     while changed:
         changed = False
@@ -231,7 +233,7 @@ def presented_to_json(p: PresentedGammaSpace) -> dict:
 def presented_from_json(data) -> PresentedGammaSpace:
     _expect(data, dict, "a presented level family")
     cells = [
-        GammaCell(_expect(c.get("level"), int, "a cell's level"),
+        GammaCell(_count(c.get("level"), "a cell's level"),
                   simpset_from_json(c.get("shape")))
         for c in _expect_list(data.get("cells"), "the cells of a presentation", dict)
     ]
@@ -261,7 +263,7 @@ def relative_input_from_json(data) -> RelativeNerveInput:
     }
     levels = data.get("gamma_levels")
     if levels is not None:
-        _expect(levels, int, "gamma_levels")
+        _count(levels, "gamma_levels")
     return RelativeNerveInput(base, values, arrows, gamma_levels=levels).validate()
 
 
@@ -292,6 +294,13 @@ def _expect(data, kind, what):
     return data
 
 
+def _count(data, what):
+    """data, unless it is not a non-negative integer."""
+    if _expect(data, int, what) < 0:
+        raise ValueError(f"expected {what} to be non-negative, got {data}")
+    return data
+
+
 def _expect_list(data, what, kind):
     """data, unless it is not a JSON array of `kind` items."""
     for item in _expect(data, list, what):
@@ -301,9 +310,3 @@ def _expect_list(data, what, kind):
 
 def canonical_dumps(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
-
-
-def _identity_of(s: FinSimpSet) -> SimpMap:
-    from .simplicial import identity_map
-
-    return identity_map(s)

@@ -4,13 +4,14 @@ families over based finite sets."""
 from __future__ import annotations
 
 from .gammaop import GammaMorphism
-from .gspace import TabulatedGammaSpace, all_morphisms_upto
+from .gspace import GammaMappingSpace, TabulatedGammaSpace, all_morphisms_upto
 from .shapes import MapComplex, standard_simplex
 from .simplicial import (
     FinSimpSet,
     SimplexRef,
     SimpMap,
     full_sub_on_edges,
+    full_sub_on_vertices,
     hom_set,
     product,
 )
@@ -200,8 +201,6 @@ def marked_mapping_space(x: MarkedGammaSpace, y: MarkedGammaSpace,
     p is the presentation of x's underlying space; marked structure on x
     must be level-wise flat for the presentation to be meaningful.
     """
-    from .gspace import GammaMappingSpace
-
     budget = budget or Budget()
     ms = GammaMappingSpace(p, y.underlying(), dim_cap=dim_cap, budget=budget)
     keep = set()
@@ -215,6 +214,4 @@ def marked_mapping_space(x: MarkedGammaSpace, y: MarkedGammaSpace,
                 break
         if ok:
             keep.add(name)
-    from .simplicial import full_sub_on_vertices
-
     return full_sub_on_vertices(ms.space, lambda v: v in keep), ms

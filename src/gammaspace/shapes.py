@@ -9,6 +9,7 @@ from .simplicial import (
     SimplexRef,
     SimpMap,
     Colimit,
+    constant_map,
     delta_tuple,
     from_elements,
     hom_set,
@@ -139,22 +140,6 @@ def simplex_inclusion(sub: FinSimpSet, n, bound=None) -> SimpMap:
     return inclusion_map(sub, standard_simplex(n, bound=bound))
 
 
-def simplex_operator_map(alpha, n_src, n_dst, bound_src=None, bound_dst=None) -> SimpMap:
-    """The simplicial map Delta[n_src] -> Delta[n_dst] induced by a monotone
-    vertex map alpha (tuple of length n_src+1)."""
-    src = standard_simplex(n_src, bound=bound_src)
-    dst = standard_simplex(n_dst, bound=bound_dst)
-    assignment = {}
-    for m in range(src.dim_bound + 1):
-        for name in src.cell_ids(m):
-            verts = tuple(int(ch) for ch in name)
-            image = tuple(alpha[v] for v in verts)
-            uniq = tuple(sorted(set(image)))
-            word = surj_to_word(tuple(uniq.index(v) for v in image))
-            assignment[(m, name)] = SimplexRef(_tuple_name(uniq), word)
-    return SimpMap(src, dst, assignment).validate()
-
-
 # ---------------------------------------------------------------------------
 # wedge / smash of pointed sets
 
@@ -184,8 +169,6 @@ def smash(x: FinSimpSet, y: FinSimpSet):
     w = wcol.space
     prod_data = product(x, y)
     prod = prod_data[0]
-    from .simplicial import constant_map
-
     into_prod = wcol.mediating(
         [
             constant_map(standard_point(bound=w.dim_bound), prod, prod.pointed),
@@ -248,6 +231,15 @@ class MapComplex:
         """Normal-form ref of the d-simplex given by its tuple of maps."""
         return self._ref_of(d, tuple(m.key() for m in maps))
 
+    def induced(self, source: FinSimpSet, family_of) -> SimpMap:
+        """The map source -> space sending the d-cell name to the d-simplex
+        given by the tuple of maps family_of(d, name)."""
+        return SimpMap(source, self.space, {
+            (d, name): self.ref_of(family_of(d, name), d)
+            for d in range(min(self.cap, source.dim_bound) + 1)
+            for name in source.cell_ids(d)
+        })
+
 
 def _carry(op, src, dst):
     """The Delta-operator op: Delta[m] -> Delta[n] carried from the frame
@@ -268,8 +260,8 @@ class Exponential(MapComplex):
     with faces and degeneracies by precomposition on the simplex factor.
 
     Truncated at x's bound (or dim_cap); exact when x is coskeletal at its
-    bound, e.g. for nerves.  `space` is the complex; element_of and
-    ref_of_map translate between cells and the underlying maps.
+    bound, e.g. for nerves.  `space` is the complex; element_of gives the
+    map a cell stands for.
     """
 
     def __init__(self, x: FinSimpSet, a: FinSimpSet, dim_cap=None, budget=None):
@@ -286,10 +278,6 @@ class Exponential(MapComplex):
 
     def element_of(self, name) -> SimpMap:
         return super().element_of(name)[0]
-
-    def ref_of_map(self, m: SimpMap, n) -> SimplexRef:
-        """Normal-form ref of the element given by a map Delta[n] x a -> x."""
-        return self.ref_of((m,), n)
 
 
 def exponential(x: FinSimpSet, a: FinSimpSet, dim_cap=None, budget=None):
@@ -314,21 +302,14 @@ def _simplex_map_between(src: FinSimpSet, dst: FinSimpSet, alpha) -> SimpMap:
 def exponential_map(u: SimpMap, exp_src: Exponential, exp_dst: Exponential) -> SimpMap:
     """Precomposition x^B -> x^A along u: A -> B (exp_src = x^B over B =
     u.target, exp_dst = x^A over A = u.source)."""
-    xb, xa = exp_src.space, exp_dst.space
-    cap = min(exp_src.cap, exp_dst.cap)
-    assignment = {}
-    for n in range(cap + 1):
-        carry = product_map(
-            _simplex_map_between(exp_dst.simplices[n], exp_src.simplices[n],
-                                 tuple(range(n + 1))),
-            u,
-            exp_dst.products[n],
-            exp_src.products[n],
-        )
-        for name in xb.cell_ids(n):
-            composite = carry.then(exp_src.element_of(name))
-            assignment[(n, name)] = exp_dst.ref_of_map(composite, n)
-    return SimpMap(xb, xa, assignment)
+    carries = [
+        product_map(_simplex_map_between(exp_dst.simplices[n], exp_src.simplices[n],
+                                         tuple(range(n + 1))),
+                    u, exp_dst.products[n], exp_src.products[n])
+        for n in range(min(exp_src.cap, exp_dst.cap) + 1)
+    ]
+    return exp_dst.induced(exp_src.space, lambda n, name: (
+        carries[n].then(exp_src.element_of(name)),))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +323,7 @@ def _commuting_squares(i: SimpMap, p: SimpMap, budget):
     return [(u, v) for u in us for v in vs if i.then(v) == u.then(p)]
 
 
-def _square_witness(i, p, u, v):
+def _square_witness(u, v):
     return {
         "u": u.key(),
         "v": v.key(),
@@ -362,7 +343,7 @@ def has_rlp(p: SimpMap, i: SimpMap, budget=None, dim_cap=None) -> Verdict:
         squares = _commuting_squares(i, p, budget)
         for (u, v) in squares:
             if _find_lift(i, p, u, v, budget, dim_cap) is None:
-                return Verdict(FAILS, checked, witness=_square_witness(i, p, u, v))
+                return Verdict(FAILS, checked, witness=_square_witness(u, v))
     except BudgetExceededError as e:
         return Verdict(INCONCLUSIVE, checked, witness=str(e))
     return Verdict(HOLDS, checked, details={"squares": len(squares)})

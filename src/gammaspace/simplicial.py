@@ -104,9 +104,6 @@ class SimplexRef:
     base: str
     degs: tuple = ()
 
-    def is_degenerate(self) -> bool:
-        return bool(self.degs)
-
     def key(self):
         return (self.base, self.degs)
 
@@ -114,15 +111,6 @@ class SimplexRef:
         if not self.degs:
             return f"~{self.base}"
         return f"~{self.base}s{list(self.degs)}"
-
-
-@dataclass(frozen=True)
-class Simplex:
-    """Construction-time record for one nondegenerate cell."""
-
-    dim: int
-    name: str
-    faces: tuple  # of SimplexRef, length dim+1 (empty for dim 0)
 
 
 @functools.lru_cache(maxsize=WORD_MEMO_SIZE)
@@ -316,13 +304,6 @@ class FinSimpSet:
         return f"FinSimpSet(D={self.dim_bound}, cells={self.summary()}{p})"
 
 
-def from_simplices(dim_bound, simplices, pointed=None) -> FinSimpSet:
-    cells = {}
-    for s in simplices:
-        cells.setdefault(s.dim, {})[s.name] = tuple(s.faces)
-    return FinSimpSet(dim_bound, cells, pointed=pointed).validate()
-
-
 def empty_set(dim_bound=0) -> FinSimpSet:
     return FinSimpSet(dim_bound, {})
 
@@ -469,14 +450,6 @@ class SimpMap:
             if len(images) != self.source.cell_count(n) or len(images) != self.target.cell_count(n):
                 return False
         return True
-
-    def inverse(self):
-        assert self.is_iso()
-        assignment = {}
-        for n in range(self.cap + 1):
-            for name in self.source.cell_ids(n):
-                assignment[(n, self.assignment[(n, name)].base)] = SimplexRef(name)
-        return SimpMap(self.target, self.source, assignment)
 
     def __repr__(self):
         return f"SimpMap({self.source!r} -> {self.target!r})"

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 
 from . import corpus
-from .catcore import functor_category, max_subgroupoid
+from .catcore import functor_category, max_subgroupoid, poset_category
 from .cocart import (
     RelativeNerveInput,
     cocartesian_cross_check,
@@ -17,11 +17,13 @@ from .cocart import (
 from .gammaop import enumerate_homs, factor_inert_active
 from .gspace import (
     GammaMappingSpace,
+    day_assoc_comparison,
     day_coend_oracle,
     day_convolve,
     day_symmetry_comparison,
     day_unit_comparison,
     gamma_rep,
+    internal_hom,
     mapping_space_tabulated,
     normalization_counit,
     normalize,
@@ -32,18 +34,30 @@ from .gspace import (
     yoneda_comparison,
 )
 from .homotopy import j_qcat
-from .marked import gamma_flat, marked_mapping_space
+from .marked import (
+    MarkedSimpSet,
+    gamma_flat,
+    hom_marked,
+    mark,
+    marked_hom_set,
+    marked_mapping_space,
+    marked_product,
+)
 from .nerve import nerve
 from .shapes import (
     Exponential,
     boundary,
+    horn,
     inclusion_map,
+    pointed_point,
     pushout_product,
+    simplex_inclusion,
     smash,
     sphere_zero,
+    standard_point,
     standard_simplex,
 )
-from .simplicial import identity_map, iso_check
+from .simplicial import hom_set, identity_map, iso_check
 from .verdicts import FAILS, HOLDS, Verdict
 
 
@@ -81,8 +95,6 @@ def check_day_laws(level_cap=3) -> Verdict:
         v = day_symmetry_comparison(names[a], names[b], range(level_cap + 1))
         if not v.holds:
             return v
-    from .gspace import day_assoc_comparison
-
     triples = [("rep1", "rep1", "rep2"), ("rep0", "rep2", "rep1"),
                ("rep1", "rep1-interval", "rep1")]
     for a, b, c in triples:
@@ -122,8 +134,6 @@ def check_yoneda(level_cap=3) -> Verdict:
 
 
 def check_tensor_hom(level_cap=2) -> Verdict:
-    from .gspace import internal_hom
-
     y = corpus.z2_monoid_space(4)
     for name, p in corpus.presented_corpus()[:4]:
         for n in range(1, 3):
@@ -187,16 +197,12 @@ def check_normalization(level_cap=3) -> Verdict:
 
 
 def check_relative_nerve(dim_cap=2) -> Verdict:
-    from .catcore import poset_category
-    from .shapes import standard_point
-    from .simplicial import identity_map as idm
-
     base = poset_category(1)
     pt = standard_point(bound=dim_cap)
     inp = RelativeNerveInput(
         base,
         {o: pt for o in base.objects},
-        {f: idm(pt) for f in base.arrow_ids()},
+        {f: identity_map(pt) for f in base.arrow_ids()},
     ).validate()
     rn = relative_nerve(inp, dim_cap)
     if not iso_check(rn.total, rn.base_nerve).holds:
@@ -204,8 +210,8 @@ def check_relative_nerve(dim_cap=2) -> Verdict:
     nw = nerve(corpus.walking_iso_category(), bound=dim_cap)
     inp2 = RelativeNerveInput(
         base, {"0": nw, "1": nw},
-        {base.identities["0"]: idm(nw), base.identities["1"]: idm(nw),
-         "le01": idm(nw)},
+        {base.identities["0"]: identity_map(nw),
+         base.identities["1"]: identity_map(nw), "le01": identity_map(nw)},
     ).validate()
     rn2 = relative_nerve(inp2, dim_cap)
     for o in base.objects:
@@ -215,16 +221,13 @@ def check_relative_nerve(dim_cap=2) -> Verdict:
 
 
 def check_cocartesian(dim_cap=2) -> Verdict:
-    from .catcore import poset_category
-    from .simplicial import identity_map as idm
-
     base = poset_category(1)
     for name, cat in corpus.category_corpus()[:4]:
         nc = nerve(cat, bound=dim_cap)
         inp = RelativeNerveInput(
             base, {"0": nc, "1": nc},
-            {base.identities["0"]: idm(nc), base.identities["1"]: idm(nc),
-             "le01": idm(nc)},
+            {base.identities["0"]: identity_map(nc),
+             base.identities["1"]: identity_map(nc), "le01": identity_map(nc)},
         ).validate()
         rn = relative_nerve(inp, dim_cap)
         v = cocartesian_cross_check(rn, dim_cap)
@@ -252,8 +255,6 @@ def check_sm_qcat(level_cap=2) -> Verdict:
 
 def check_pushout_product_mono(cases=50, seed=7) -> Verdict:
     rng = random.Random(seed)
-    from .shapes import horn, simplex_inclusion
-
     pool = [
         inclusion_map(boundary(1), standard_simplex(1)),
         inclusion_map(boundary(2), standard_simplex(2)),
@@ -288,8 +289,6 @@ def check_appendix_corpus() -> Verdict:
         sm, _ = smash(x, sphere_zero(bound=x.dim_bound))
         if not iso_check(sm, x).holds:
             return Verdict(FAILS, f"{name} smash unit")
-        from .shapes import pointed_point
-
         smp, _ = smash(x, pointed_point(bound=x.dim_bound))
         if not (smp.cell_count(0) == 1 and all(
             smp.cell_count(n) == 0 for n in range(1, smp.dim_bound + 1)
@@ -312,9 +311,6 @@ def check_semiadditivity(level_cap=3) -> Verdict:
 
 
 def check_marked_adjunctions() -> Verdict:
-    from .marked import MarkedSimpSet, hom_marked, mark, marked_hom_set, marked_product
-    from .simplicial import hom_set
-
     jj = nerve(corpus.walking_iso_category(), bound=2)
     y = MarkedSimpSet(jj, [jj.cell_ids(1)[0]])
     plus, flat, sharp = hom_marked(mark(standard_simplex(0), "flat"), y, dim_cap=2)

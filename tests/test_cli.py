@@ -312,3 +312,39 @@ def test_any_wrong_typed_field_exits_three(data):
     code, report = _run_with(command, blobs)
     assert code == 3, (command, path, value)
     assert report["verdicts"][0]["tag"] == "input"
+
+
+# -- out-of-range fields ------------------------------------------------------
+
+
+# each of these exited 0 with a verdict instead of 3
+OUT_OF_RANGE = [
+    ("tau1", ("dim_bound",), -1),
+    ("tau1", ("cells", "3"), []),
+    ("tau1", ("cells", "-1"), []),
+    ("convolve", ("cells", 0, "level"), -2),
+    ("relative-nerve", ("gamma_levels",), -1),
+]
+
+
+@pytest.mark.parametrize("command,path,value", OUT_OF_RANGE,
+                         ids=[f"{c}:{'.'.join(map(str, p))}" for c, p, _ in OUT_OF_RANGE])
+def test_out_of_range_field_exits_three(command, path, value):
+    blobs = [_replaced(blob, path, value) for blob in VALID_INPUTS[command][1]]
+    code, report = _run_with(command, blobs)
+    assert code == 3
+    assert report["verdicts"][0]["tag"] == "input"
+
+
+@pytest.mark.parametrize("blob", [
+    # an edge above the bound used to be dropped silently
+    {"dim_bound": 0, "cells": {"0": [{"id": "a"}, {"id": "b"}],
+                               "1": [{"id": "e", "faces": ["a", "b"]}]}},
+    {"dim_bound": -1, "cells": {}},
+], ids=["cell-above-bound", "negative-bound"])
+def test_tau1_refuses_out_of_range_simplicial_set(tmp_path, capsys, blob):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(blob))
+    code, report = run_cli(capsys, "tau1", str(p))
+    assert code == 3
+    assert report["verdicts"][0]["tag"] == "input"

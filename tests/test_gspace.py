@@ -10,6 +10,7 @@ from gammaspace.corpus import (
     max_monoid_space,
 )
 from gammaspace.gspace import (
+    _mapping_space_induced,
     GammaMappingSpace,
     GammaSpaceMap,
     TabulatedGammaSpace,
@@ -45,6 +46,7 @@ from gammaspace.simplicial import (
     identity_map,
     iso_check,
 )
+from gammaspace.verdicts import Budget
 
 
 def test_representable_evaluation():
@@ -341,3 +343,38 @@ def test_product_family():
     prod = product_gamma_space(m, m)
     prod.validate(level_cap=2)
     assert prod.value(2).cell_count(0) == 16
+
+
+# -- maps induced on mapping spaces -------------------------------------------
+
+
+@pytest.mark.parametrize("p", [p for _, p in presented_corpus()[:4]],
+                         ids=[name for name, _ in presented_corpus()[:4]])
+def test_internal_hom_action_is_functorial(p):
+    # validate() checks each action map (an induced postcomposition) as a
+    # simplicial map, identities, and composition over levels <= 2
+    internal_hom(p, z2_monoid_space(4), level_bound=2, dim_cap=1).validate(level_cap=2)
+
+
+def test_postcomposition_with_identity_is_identity():
+    m = z2_monoid_space(2)
+    ident = GammaSpaceMap(m, m, {n: identity_map(m.value(n)) for n in range(3)})
+    for n in range(3):
+        induced = _mapping_space_induced(ident, n, Budget())
+        induced.validate()
+        assert induced.is_iso() and induced == identity_map(induced.source)
+
+
+def test_postcomposition_with_normalization_unit_validates():
+    _, eta = normalize(z2_monoid_space(2))
+    for n in range(3):
+        induced = _mapping_space_induced(eta, n, Budget())
+        induced.validate(check_pointed=False)
+        assert induced.source.summary() == induced.target.summary()
+
+
+def test_yoneda_comparisons_validate():
+    for _, y in tabulated_corpus(2):
+        for n in range(3):
+            cmp, _ = yoneda_comparison(n, y, dim_cap=1)
+            cmp.validate(check_pointed=False)

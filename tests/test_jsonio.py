@@ -11,7 +11,8 @@ from gammaspace.gammaop import GammaMorphism, enumerate_homs
 from gammaspace.marked import mark
 from gammaspace.nerve import nerve
 from gammaspace.shapes import boundary, sphere_zero, standard_simplex
-from gammaspace.simplicial import iso_check
+from gammaspace.gspace import gamma_rep
+from gammaspace.simplicial import identity_map, iso_check
 
 
 def test_simpset_round_trip_bit_exact():
@@ -120,3 +121,46 @@ NESTED_MALFORMED = {
 def test_simpset_loader_refuses_nested_malformed(shape):
     with pytest.raises(ValueError, match="expected"):
         jsonio.simpset_from_json(NESTED_MALFORMED[shape])
+
+
+def _relative_with_levels(levels):
+    base, d1 = poset_category(1), standard_simplex(1)
+    return {
+        "base": jsonio.category_to_json(base),
+        "diagram": {
+            "values": {o: jsonio.simpset_to_json(d1) for o in base.objects},
+            "arrows": {f: jsonio.simpmap_to_json(identity_map(d1)) for f in base.arrows},
+        },
+        "gamma_levels": levels,
+    }
+
+
+def _presented_at_level(level):
+    blob = jsonio.presented_to_json(gamma_rep(1))
+    blob["cells"][0]["level"] = level
+    return blob
+
+
+# each of these loaded without complaint
+OUT_OF_RANGE = {
+    "negative-dim-bound": (jsonio.simpset_from_json, {"dim_bound": -1, "cells": {}}),
+    "cells-above-dim-bound": (jsonio.simpset_from_json, {"dim_bound": 0, "cells": {
+        "0": [{"id": "a"}, {"id": "b"}], "1": [{"id": "e", "faces": ["a", "b"]}]}}),
+    "cells-below-dim-zero": (jsonio.simpset_from_json, {"dim_bound": 0, "cells": {
+        "0": [{"id": "a"}], "-1": []}}),
+    "negative-level-bound": (jsonio.tabulated_from_json,
+                             {"level_bound": -1, "values": {}, "action": []}),
+    "negative-cell-level": (jsonio.presented_from_json, _presented_at_level(-2)),
+    "negative-based-map-src": (jsonio.gamma_morphism_from_json,
+                               {"src": -1, "dst": 0, "map": []}),
+    "negative-based-map-dst": (jsonio.gamma_morphism_from_json,
+                               {"src": 0, "dst": -1, "map": []}),
+    "negative-gamma-levels": (jsonio.relative_input_from_json, _relative_with_levels(-1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_loaders_refuse_out_of_range(case):
+    load, data = OUT_OF_RANGE[case]
+    with pytest.raises(ValueError, match="non-negative|outside"):
+        load(data)

@@ -158,3 +158,10 @@ def test_exponential_laws():
         e1, e0,
     )
     em.validate()
+
+
+def test_induced_on_own_elements_is_identity():
+    e = Exponential(standard_simplex(2), standard_simplex(1))
+    ident = e.induced(e.space, lambda d, name: (e.element_of(name),))
+    ident.validate()
+    assert ident == identity_map(e.space)

@@ -51,7 +51,8 @@ def test_factor_monotone_recomposes(a, b, c):
     for alpha in monotone_maps(a, b):
         inj, surj = factor_monotone(alpha)
         assert mcompose(inj, surj) == alpha
-        assert len(set(surj)) == len(surj) or True
+        # a monotone surjection onto the vertices of the injection's source
+        assert list(surj) == sorted(surj) and set(surj) == set(range(len(inj)))
         assert sorted(set(inj)) == list(inj)
 
 
