@@ -11,7 +11,13 @@ from .gammaop import GammaMorphism, delta_projection, enumerate_homs, gamma_iden
 from .gspace import TabulatedGammaSpace, segal_check
 from .marked import MarkedMappingObject, MarkedSimpSet, mark
 from .nerve import edge_is_invertible, nerve, nerve_functor_map, tau1
-from .shapes import MapComplex, horn, standard_simplex
+from .shapes import (
+    MapComplex,
+    horn,
+    standard_simplex,
+    unfillable_inner_horn,
+    unliftable_square,
+)
 from .simplicial import (
     FinSimpSet,
     SimplexRef,
@@ -23,8 +29,8 @@ from .simplicial import (
     from_elements,
     hom_set,
     identity_map,
+    inclusion_map,
     iso_check,
-    maps,
     product,
     sigma_tuple,
 )
@@ -322,31 +328,6 @@ class OverObject:
         return self  # sharp base: marking preservation is automatic
 
 
-def _relative_lift(total, proj, base_nerve, n, fixed_u, v, budget):
-    """A filler Delta[n] -> total matching the horn data and lying over v."""
-    full = standard_simplex(n)
-
-    def constraint(m, name, ref):
-        return proj(ref, m) == v(SimplexRef(name), m)
-
-    return next(maps(full, total, budget=budget, fixed=fixed_u, constraint=constraint), None)
-
-
-def _squares_over(total, proj, base_nerve, sub, n, fixed, budget):
-    """All (u, v): u from the subcomplex of Delta[n] into total (with fixed
-    cells), v a base filler of proj o u."""
-    full = standard_simplex(n)
-    out = []
-    for u in hom_set(sub, total, budget=budget, fixed=fixed):
-        shadow = {
-            (m, name): proj(ref, m)
-            for (m, name), ref in u.assignment.items()
-        }
-        for v in hom_set(full, base_nerve, budget=budget, fixed=shadow):
-            out.append((u, v))
-    return out
-
-
 def cocartesian_edges(total: FinSimpSet, proj: SimpMap, dim_cap, budget=None):
     """Tests every nondegenerate edge for the initial-vertex-horn lifting
     property over the base and checks the relative inner-horn liftings.
@@ -354,65 +335,29 @@ def cocartesian_edges(total: FinSimpSet, proj: SimpMap, dim_cap, budget=None):
     Returns (edges, fibration_verdict, natural_marking)."""
     budget = budget or Budget()
     base_nerve = proj.target
-    detected = []
-    first_failure = None
+    initial_horns = [inclusion_map(horn(n, 0), standard_simplex(n))
+                     for n in range(2, dim_cap + 1)]
     try:
-        for e in total.cell_ids(1):
-            good = True
-            for n in range(2, dim_cap + 1):
-                sub = horn(n, 0)
-                fixed = {(1, "01"): SimplexRef(e)}
-                for (u, v) in _squares_over(total, proj, base_nerve, sub, n, fixed, budget):
-                    if _relative_lift(total, proj, base_nerve, n,
-                                      dict(u.assignment), v, budget) is None:
-                        good = False
-                        break
-                if not good:
-                    break
-            if good:
-                detected.append(e)
-
-        inner_ok = True
-        inner_witness = None
-        for n in range(2, dim_cap + 1):
-            for k in range(1, n):
-                sub = horn(n, k)
-                for (u, v) in _squares_over(total, proj, base_nerve, sub, n, {}, budget):
-                    if _relative_lift(total, proj, base_nerve, n,
-                                      dict(u.assignment), v, budget) is None:
-                        inner_ok = False
-                        inner_witness = {"horn": [n, k], "u": u.key()}
-                        break
-                if not inner_ok:
-                    break
-            if not inner_ok:
-                break
-
-        lifts_ok = True
-        lift_witness = None
-        for be in base_nerve.cell_ids(1):
-            src_vertex = base_nerve.faces_of(1, be)[1].base
-            for x in total.cell_ids(0):
-                if proj.assignment[(0, x)] != SimplexRef(src_vertex):
-                    continue
-                found = any(
-                    e in detected
-                    and total.faces_of(1, e)[1] == SimplexRef(x)
-                    and proj.assignment[(1, e)] == SimplexRef(be)
-                    for e in total.cell_ids(1)
-                )
-                if not found:
-                    lifts_ok = False
-                    lift_witness = {"base_edge": be, "vertex": x}
-                    break
-            if not lifts_ok:
-                break
+        detected = [
+            e for e in total.cell_ids(1)
+            if all(unliftable_square(i, proj, budget, fixed={(1, "01"): SimplexRef(e)})[1]
+                   is None for i in initial_horns)
+        ]
+        inner = unfillable_inner_horn(proj, dim_cap, budget)
+        lift_witness = next((
+            {"base_edge": be, "vertex": x}
+            for be in base_nerve.cell_ids(1)
+            for x in total.cell_ids(0)
+            if proj.assignment[(0, x)] == base_nerve.faces_of(1, be)[1]
+            and not any(total.faces_of(1, e)[1] == SimplexRef(x)
+                        and proj.assignment[(1, e)] == SimplexRef(be) for e in detected)
+        ), None)
     except BudgetExceededError as exc:
         return ([], Verdict(INCONCLUSIVE, "budget", witness=str(exc)), None)
 
-    status = HOLDS if (inner_ok and lifts_ok) else FAILS
+    inner_witness = inner and {"horn": [inner[0], inner[1]], "u": inner[2].key()}
     verdict = Verdict(
-        status,
+        HOLDS if inner is None and lift_witness is None else FAILS,
         f"inner horns and initial-vertex horns, dims<={dim_cap}",
         witness=inner_witness or lift_witness,
         details={"cocartesian_edges": len(detected)},

@@ -9,6 +9,7 @@ from .simplicial import (
     SimplexRef,
     SimpMap,
     Colimit,
+    apply_word,
     constant_map,
     delta_tuple,
     from_elements,
@@ -316,18 +317,63 @@ def exponential_map(u: SimpMap, exp_src: Exponential, exp_dst: Exponential) -> S
 # lifting properties
 
 
-def _commuting_squares(i: SimpMap, p: SimpMap, budget):
-    """All (u, v) with v o i = p o u for i: A -> B, p: X -> Y."""
-    us = hom_set(i.source, p.source, budget=budget)
-    vs = hom_set(i.target, p.target, budget=budget) if us else []
-    return [(u, v) for u in us for v in vs if i.then(v) == u.then(p)]
+def _commuting_squares(i: SimpMap, p: SimpMap, budget, fixed=None):
+    """All (u, v) with v o i = p o u for i: A -> B, p: X -> Y, with u
+    drawn under the `fixed` cells: the u's in hom_set order, each with its
+    v's in hom_set order.  The v's are searched once, not once per u."""
+    us = hom_set(i.source, p.source, budget=budget, fixed=fixed)
+    under = {}
+    for v in hom_set(i.target, p.target, budget=budget) if us else ():
+        under.setdefault(i.then(v).key(), []).append(v)
+    return [(u, v) for u in us for v in under.get(u.then(p).key(), ())]
 
 
-def _square_witness(u, v):
-    return {
-        "u": u.key(),
-        "v": v.key(),
-    }
+def _find_lift(i: SimpMap, p: SimpMap, u: SimpMap, v: SimpMap, budget, dim_cap=None):
+    """A diagonal h: B -> X with h o i = u and p o h = v, or None.
+
+    Every cell of A that the search reaches through i is checked, also one
+    that i sends to a degenerate simplex.  dim_cap truncates B; otherwise
+    X is read as `maps` reads it.
+    """
+    b = i.target
+    if dim_cap is not None and b.dim_bound > dim_cap:
+        b = b.rebound(dim_cap)
+    fixed, through = {}, {}
+    for (n, name), ref in i.assignment.items():
+        want = u.assignment.get((n, name))
+        if want is None:
+            continue
+        if ref.degs:
+            base = (n - len(ref.degs), ref.base)
+            through.setdefault(base, []).append((ref.degs, want))
+        elif fixed.setdefault((n, ref.base), want) != want:
+            return None
+
+    def constraint(n, name, ref):
+        return p(ref, n) == v(SimplexRef(name), n) and all(
+            apply_word(ref, degs, n) == want for degs, want in through.get((n, name), ()))
+
+    return next(maps(b, p.source, budget=budget, fixed=fixed, constraint=constraint), None)
+
+
+def unliftable_square(i: SimpMap, p: SimpMap, budget, fixed=None, dim_cap=None):
+    """(squares, square): the commuting squares of i against p (u drawn
+    under `fixed`) and the first of them with no diagonal filler, or None."""
+    squares = _commuting_squares(i, p, budget, fixed)
+    unliftable = (s for s in squares if _find_lift(i, p, *s, budget, dim_cap) is None)
+    return squares, next(unliftable, None)
+
+
+def unfillable_inner_horn(p: SimpMap, d, budget):
+    """The first (n, k, u), 0 < k < n <= d, where the inner horn
+    u: Lambda^k[n] -> X has a square against p with no filler; or None."""
+    for n in range(2, d + 1):
+        full = standard_simplex(n)
+        for k in range(1, n):
+            _, square = unliftable_square(inclusion_map(horn(n, k), full), p, budget)
+            if square is not None:
+                return n, k, square[0]
+    return None
 
 
 def has_rlp(p: SimpMap, i: SimpMap, budget=None, dim_cap=None) -> Verdict:
@@ -340,54 +386,27 @@ def has_rlp(p: SimpMap, i: SimpMap, budget=None, dim_cap=None) -> Verdict:
     budget = budget or Budget()
     checked = f"squares of {i.source.summary()}->{i.target.summary()} vs p"
     try:
-        squares = _commuting_squares(i, p, budget)
-        for (u, v) in squares:
-            if _find_lift(i, p, u, v, budget, dim_cap) is None:
-                return Verdict(FAILS, checked, witness=_square_witness(u, v))
+        squares, square = unliftable_square(i, p, budget, dim_cap=dim_cap)
     except BudgetExceededError as e:
         return Verdict(INCONCLUSIVE, checked, witness=str(e))
+    if square is not None:
+        u, v = square
+        return Verdict(FAILS, checked, witness={"u": u.key(), "v": v.key()})
     return Verdict(HOLDS, checked, details={"squares": len(squares)})
 
 
-def _find_lift(i: SimpMap, p: SimpMap, u: SimpMap, v: SimpMap, budget, dim_cap=None):
-    """A diagonal h: B -> X with h o i = u and p o h = v, or None."""
-    b, x = i.target, p.source
-    fixed = {}
-    for (n, name), ref in i.assignment.items():
-        if ref.degs:
-            continue
-        want = u.assignment[(n, name)]
-        prev = fixed.get((n, ref.base))
-        if prev is not None and prev != want:
-            return None
-        fixed[(n, ref.base)] = want
-
-    def constraint(n, name, ref):
-        return p(ref, n) == v(SimplexRef(name), n)
-
-    cap = x.dim_bound if dim_cap is None else min(dim_cap, x.dim_bound)
-    b_capped = b if b.dim_bound <= cap else b.rebound(cap)
-    return next(maps(b_capped, x, budget=budget, fixed=fixed, constraint=constraint), None)
-
-
 def is_quasicategory_up_to(x: FinSimpSet, d, budget=None) -> Verdict:
-    """Inner-horn filling for all Lambda^k[n], 0 < k < n <= d."""
+    """Inner-horn filling for all Lambda^k[n], 0 < k < n <= d, as lifting
+    of x -> point."""
     budget = budget or Budget()
     checked = f"inner horns n<={d}"
     try:
-        for n in range(2, d + 1):
-            for k in range(1, n):
-                h = horn(n, k)
-                full = standard_simplex(n)
-                for u in maps(h, x, budget=budget):
-                    if next(maps(full, x, budget=budget, fixed=u.assignment), None) is None:
-                        return Verdict(
-                            FAILS,
-                            checked,
-                            witness={"horn": [n, k], "map": u.key()},
-                        )
+        horn_found = unfillable_inner_horn(constant_map(x, standard_point(), "0"), d, budget)
     except BudgetExceededError as e:
         return Verdict(INCONCLUSIVE, checked, witness=str(e))
+    if horn_found is not None:
+        n, k, u = horn_found
+        return Verdict(FAILS, checked, witness={"horn": [n, k], "map": u.key()})
     return Verdict(HOLDS, checked)
 
 

@@ -27,6 +27,7 @@ from gammaspace.simplicial import (
     SimplexRef,
     SimpMap,
     constant_map,
+    discrete_set,
     empty_set,
     hom_set,
     identity_map,
@@ -119,6 +120,27 @@ def test_rlp_budget_exhaustion_is_inconclusive():
     i1 = inclusion_map(boundary(1), standard_simplex(1))
     v = has_rlp(constant_map(j, standard_point(), "0"), i1, budget=Budget(3))
     assert v.status == "inconclusive"
+
+
+def test_rlp_checks_cells_sent_to_degenerate_simplices():
+    # S^1 -> point against the collapse Delta[1] -> Delta[0]: the square
+    # whose top edge is the loop has no lift, since a lift sends the edge
+    # to a degenerate simplex
+    s1 = FinSimpSet(1, {0: {"v": ()}, 1: {"e": (SimplexRef("v"), SimplexRef("v"))}})
+    pt = standard_point()
+    v = has_rlp(constant_map(s1, pt, "0"), constant_map(standard_simplex(1), pt, "0"))
+    assert v.fails and (1, "01", "e", ()) in v.witness["u"]
+
+
+def test_rlp_reads_a_complete_target_above_its_bound():
+    # two points onto a point is no trivial fibration: a filler of the
+    # square with distinct ends is an edge of a discrete set, and there is
+    # none, even though the set is stored with bound 0
+    two = discrete_set(["a", "b"])
+    v = has_rlp(constant_map(two, standard_point(), "0"),
+                inclusion_map(boundary(1), standard_simplex(1)))
+    assert v.fails
+    assert has_rlp(identity_map(two), inclusion_map(boundary(1), standard_simplex(1))).holds
 
 
 def test_quasicategory_checks():
