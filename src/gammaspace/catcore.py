@@ -399,35 +399,6 @@ def coslice_category(c: FinCat, base_obj):
     return cat, proj, legs
 
 
-def slice_category(c: FinCat, base_obj):
-    """c / base_obj, dual to coslice_category."""
-    objects = [f for f in c.arrow_ids() if c.dst(f) == base_obj]
-    arrows = {}
-    legs = {}
-    identities = {}
-    for f in objects:
-        for g in objects:
-            for h in c.hom(c.src(f), c.src(g)):
-                if c.compose(g, h) == f:
-                    name = f"t{f}_{g}_{h}"
-                    arrows[name] = (f, g)
-                    legs[name] = h
-    for f in objects:
-        identities[f] = f"t{f}_{f}_{c.identities[c.src(f)]}"
-    compose = {}
-    index = {(fg + (legs[name],)): name for name, fg in arrows.items()}
-    for n2, (f2, g2) in arrows.items():
-        for n1, (f1, g1) in arrows.items():
-            if g1 != f2:
-                continue
-            compose[(n2, n1)] = index[(f1, g2, c.compose(legs[n2], legs[n1]))]
-    cat = FinCat(objects, arrows, identities, compose).validate()
-    proj = CatFunctor(
-        cat, c, {f: c.src(f) for f in objects}, dict(legs)
-    ).validate()
-    return cat, proj, legs
-
-
 # ---------------------------------------------------------------------------
 # equivalence checking
 

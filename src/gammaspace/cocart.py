@@ -10,7 +10,7 @@ from .catcore import CatFunctor, FinCat, coslice_category
 from .gammaop import GammaMorphism, delta_projection, enumerate_homs, gamma_identity
 from .gspace import TabulatedGammaSpace, segal_check
 from .marked import MarkedMappingObject, MarkedSimpSet, mark
-from .nerve import edge_is_invertible, nerve, nerve_functor_map, tau1
+from .nerve import chain_ref, edge_is_invertible, nerve, nerve_functor_map, tau1
 from .shapes import (
     MapComplex,
     horn,
@@ -270,25 +270,9 @@ class RelativeNerve:
         for n in range(dim_cap + 1):
             for name in self.total.cell_ids(n):
                 chain = self._key_of[name][1][0]
-                proj_assignment[(n, name)] = self._nerve_ref(chain, n)
+                proj_assignment[(n, name)] = chain_ref(
+                    base, chain[:n], self._chain_objects(chain, n)[0])
         self.proj = SimpMap(self.total, self.base_nerve, proj_assignment)
-
-    def _nerve_ref(self, chain, n):
-        base = self.input.base
-        if n == 0:
-            return SimplexRef(f"o{chain[0]}")
-        word = []
-        squeezed = []
-        for i, f in enumerate(chain):
-            if base.is_identity(f):
-                word.append(i)
-            else:
-                squeezed.append(f)
-        word.reverse()
-        if not squeezed:
-            start = self._chain_objects(chain, n)[0]
-            return SimplexRef(f"o{start}", tuple(word))
-        return SimplexRef("|".join(squeezed), tuple(word))
 
     def element_of(self, name):
         return self._key_of[name][1]

@@ -245,7 +245,7 @@ class PresentedGammaSpace:
         """Resolve (cell, hom element, shape ref) in the evaluation at n."""
         col, comps = self.level_data(n)
         lab = comps[cell_index]["labels"][h.key()]
-        inc = comps[cell_index]["include"](lab, ref, ref_dim)
+        inc = comps[cell_index]["include"](lab, ref)
         return col.ref_in(cell_index, inc, ref_dim)
 
     def _cellwise(self, n, target: FinSimpSet, image) -> SimpMap:
@@ -561,12 +561,12 @@ def _classifying_map(prod_data, target, ref, d) -> SimpMap:
     assignment = {}
     for m in range(prod.dim_bound + 1):
         for name in prod.cell_ids(m):
-            alpha = _vertex_tuple(proj2, m, name, d)
+            alpha = _vertex_tuple(proj2, m, name)
             assignment[(m, name)] = target.act(ref, d, alpha)
     return SimpMap(prod, target, assignment)
 
 
-def _vertex_tuple(proj2, m, name, d):
+def _vertex_tuple(proj2, m, name):
     """Monotone operator [m] -> [d] carried by the simplex coordinate."""
     ref = proj2.assignment[(m, name)]
     verts = tuple(int(ch) for ch in ref.base)

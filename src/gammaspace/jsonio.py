@@ -174,12 +174,16 @@ def tabulated_from_json(data) -> TabulatedGammaSpace:
     _expect(data, dict, "a tabulated level family")
     bound = _count(data.get("level_bound"), "level_bound")
     values = {
-        int(n): simpset_from_json(v)
+        _level(int(n), bound, "the values"): simpset_from_json(v)
         for n, v in _expect(data.get("values"), dict, "the values of a family").items()
     }
+    for n in range(bound + 1):
+        if n not in values:
+            raise ValueError(f"no values at level {n} of 0..{bound}")
     action = {}
     for entry in _expect_list(data.get("action"), "the action of a family", dict):
         f = gamma_morphism_from_json(entry.get("map"))
+        _level(max(f.src, f.dst), bound, "an action map")
         action[f.key()] = simpmap_from_json(
             entry.get("simp_map"), values[f.src], values[f.dst]
         )
@@ -299,6 +303,13 @@ def _count(data, what):
     if _expect(data, int, what) < 0:
         raise ValueError(f"expected {what} to be non-negative, got {data}")
     return data
+
+
+def _level(n, bound, what):
+    """n, unless it lies outside the levels 0..bound of a family."""
+    if not 0 <= n <= bound:
+        raise ValueError(f"level {n} of {what} lies outside 0..{bound}")
+    return n
 
 
 def _expect_list(data, what, kind):

@@ -199,8 +199,13 @@ def marked_mapping_space(x: MarkedGammaSpace, y: MarkedGammaSpace,
     preservation level-wise (vacuous for flat sources).
 
     p is the presentation of x's underlying space; marked structure on x
-    must be level-wise flat for the presentation to be meaningful.
+    must be level-wise flat for the presentation to be meaningful, and a
+    marked edge at the level of one of p's cells is refused.
     """
+    for c in p.cells:
+        if x.value(c.level).marked:
+            raise ValueError(f"x has marked edges at level {c.level}; only a flat"
+                             " source has a flat presentation")
     budget = budget or Budget()
     ms = GammaMappingSpace(p, y.underlying(), dim_cap=dim_cap, budget=budget)
     keep = set()

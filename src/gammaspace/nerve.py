@@ -8,8 +8,13 @@ from .simplicial import FinSimpSet, SimplexRef, SimpMap
 from .verdicts import DEFAULT_WORD_CAP, ResourceError
 
 
-def _chain_name(chain):
-    return "|".join(chain) if chain else ""
+def chain_ref(c: FinCat, chain, start) -> SimplexRef:
+    """The simplex of N(c) of a chain of composable arrows out of the
+    object start, identities allowed: its chain of non-identity arrows,
+    degenerated where the identities stood."""
+    word = tuple(i for i in reversed(range(len(chain))) if c.is_identity(chain[i]))
+    squeezed = [f for f in chain if not c.is_identity(f)]
+    return SimplexRef("|".join(squeezed) if squeezed else f"o{start}", word)
 
 
 def nerve(c: FinCat, bound=4) -> FinSimpSet:
@@ -29,20 +34,6 @@ def nerve(c: FinCat, bound=4) -> FinSimpSet:
             if c.src(g) == c.dst(ch[-1])
         ]
 
-    def chain_ref(chain, start_obj):
-        """Normal form of a chain that may contain identities."""
-        word = []
-        squeezed = []
-        for i, f in enumerate(chain):
-            if c.is_identity(f):
-                word.append(i)
-            else:
-                squeezed.append(f)
-        word.reverse()
-        if not squeezed:
-            return SimplexRef(f"o{start_obj}", tuple(word))
-        return SimplexRef(_chain_name(squeezed), tuple(word))
-
     for n in range(1, bound + 1):
         cells[n] = {}
         for ch in chains.get(n, []):
@@ -58,8 +49,8 @@ def nerve(c: FinCat, bound=4) -> FinSimpSet:
                     sub = ch[: i - 1] + (c.compose(ch[i], ch[i - 1]),) + ch[i + 1 :]
                   # composite may be an identity; chain_ref renormalizes
                     start = c.src(ch[0])
-                faces.append(chain_ref(sub, start))
-            cells[n][_chain_name(ch)] = tuple(faces)
+                faces.append(chain_ref(c, sub, start))
+            cells[n]["|".join(ch)] = tuple(faces)
 
     longer = any(
         c.src(g) == c.dst(ch[-1])
@@ -79,20 +70,8 @@ def nerve_functor_map(fun: CatFunctor, nc: FinSimpSet, nd: FinSimpSet) -> SimpMa
     for n in range(1, cap + 1):
         for name in nc.cell_ids(n):
             chain = tuple(name.split("|"))
-            image = tuple(fun.arr(f) for f in chain)
-            word = []
-            squeezed = []
-            for i, f in enumerate(image):
-                if d.is_identity(f):
-                    word.append(i)
-                else:
-                    squeezed.append(f)
-            word.reverse()
-            if squeezed:
-                assignment[(n, name)] = SimplexRef(_chain_name(squeezed), tuple(word))
-            else:
-                start = fun.obj(c.src(chain[0]))
-                assignment[(n, name)] = SimplexRef(f"o{start}", tuple(word))
+            assignment[(n, name)] = chain_ref(d, tuple(fun.arr(f) for f in chain),
+                                              fun.obj(c.src(chain[0])))
     return SimpMap(nc, nd, assignment).validate()
 
 
@@ -263,14 +242,12 @@ def tau1(x: FinSimpSet, word_cap=DEFAULT_WORD_CAP, path_budget=200000):
 
 
 def _tau1_full(x: FinSimpSet, word_cap=DEFAULT_WORD_CAP, path_budget=200000):
-    last = None
     cap = 4
     while True:
         cap = min(cap, word_cap)
         try:
             return _tau1_at_cap(x, cap, path_budget)
-        except ResourceError as e:
-            last = e
+        except ResourceError:
             if cap >= word_cap:
                 raise
             cap += 4
@@ -291,14 +268,14 @@ def edge_is_invertible(x: FinSimpSet, edge_ref, cat=None, edge_to_arrow=None):
     return cat.is_iso_arrow(edge_to_arrow[edge_ref.base])
 
 
-def tau1_functor(f: SimpMap, src_tau=None, dst_tau=None) -> CatFunctor:
+def tau1_functor(f: SimpMap) -> CatFunctor:
     """The induced functor between fundamental categories.
 
     Arrows of the source category are composites of edge classes; each maps
     to the composite of the image edge classes.
     """
-    cx, _ = src_tau if src_tau else tau1(f.source)
-    cy, ey = dst_tau if dst_tau else tau1(f.target)
+    cx, _, rep_words = _tau1_full(f.source)
+    cy, ey = tau1(f.target)
     on_objects = {v: f(SimplexRef(v), 0).base for v in f.source.cell_ids(0)}
     gen_image = {}
     for e in f.source.cell_ids(1):
@@ -308,16 +285,9 @@ def tau1_functor(f: SimpMap, src_tau=None, dst_tau=None) -> CatFunctor:
         else:
             gen_image[e] = ey[img.base]
     on_arrows = {}
-    for name, (v, word) in _tau1_rep_words(f.source).items():
+    for name, (v, word) in rep_words.items():
         img = cy.identities[on_objects[v]]
         for e in word:
             img = cy.compose(gen_image[e], img)
         on_arrows[name] = img
     return CatFunctor(cx, cy, on_objects, on_arrows).validate()
-
-
-def _tau1_rep_words(x: FinSimpSet, word_cap=DEFAULT_WORD_CAP):
-    """Arrow name -> representative (start vertex, edge word); names match
-    what tau1 produces on the same input."""
-    _, _, rep_words = _tau1_full(x, word_cap)
-    return rep_words

@@ -316,7 +316,7 @@ def discrete_set(labels, dim_bound=0, pointed=None) -> FinSimpSet:
 def labeled_copies(s: FinSimpSet, labels):
     """Disjoint union of copies of s indexed by labels.
 
-    Returns (space, include) where include(label, ref, dim) resolves a ref
+    Returns (space, include) where include(label, ref) resolves a ref
     of s inside the named copy.
     """
     labels = [str(v) for v in labels]
@@ -331,7 +331,7 @@ def labeled_copies(s: FinSimpSet, labels):
                 cells[n][f"{lab}.{name}"] = faces
     out = FinSimpSet(s.dim_bound, cells, complete=s.complete)
 
-    def include(label, ref, dim=None):
+    def include(label, ref):
         return SimplexRef(f"{label}.{ref.base}", ref.degs)
 
     return out, include

@@ -133,7 +133,7 @@ def check_yoneda(level_cap=3) -> Verdict:
     return Verdict(HOLDS, f"corpus, levels<={level_cap}")
 
 
-def check_tensor_hom(level_cap=2) -> Verdict:
+def check_tensor_hom() -> Verdict:
     y = corpus.z2_monoid_space(4)
     for name, p in corpus.presented_corpus()[:4]:
         for n in range(1, 3):

@@ -348,3 +348,22 @@ def test_tau1_refuses_out_of_range_simplicial_set(tmp_path, capsys, blob):
     code, report = run_cli(capsys, "tau1", str(p))
     assert code == 3
     assert report["verdicts"][0]["tag"] == "input"
+
+
+def _segal_values(change):
+    blob = jsonio.tabulated_to_json(z2_monoid_space(2))
+    change(blob["values"])
+    return [blob]
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda values: values.update({"7": values["1"]}), "level 7 of the values"),
+    (lambda values: values.pop("1"), "no values at level 1"),
+], ids=["extra-level", "missing-level"])
+def test_tabulated_level_out_of_range_exits_three(change, message):
+    # the extra level loaded and the check ran; the missing one exited 3
+    # with the bare witness "1"
+    code, report = _run_with("segal-check", _segal_values(change))
+    assert code == 3
+    assert report["verdicts"][0]["tag"] == "input"
+    assert message in report["verdicts"][0]["witness"]

@@ -1,7 +1,8 @@
-"""Import hygiene of the library, read off the syntax tree of each module:
-every name a module imports is used in it (or exported through `__all__`),
-and no function imports again from a module the file already imports at
-its top level (such an import breaks no cycle, it only hides a dependency).
+"""Import and parameter hygiene of the library, read off the syntax tree of
+each module: every name a module imports is used in it (or exported through
+`__all__`), no function imports again from a module the file already
+imports at its top level (such an import breaks no cycle, it only hides a
+dependency), and every parameter of a `def` is read in its body.
 """
 
 import ast
@@ -72,6 +73,24 @@ def repeated_local_imports(source: str):
     )
 
 
+def unused_parameters(source: str):
+    """(line, function, parameter) for each parameter of a `def` that its
+    body never reads.  `self`, `cls` and names starting with `_` are
+    exempt, and so are lambdas."""
+    tree = ast.parse(source)
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        params = [x.arg for x in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                  if x is not None]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        out += [(fn.lineno, fn.name, p) for p in params
+                if p not in read and p not in ("self", "cls") and not p.startswith("_")]
+    return sorted(out)
+
+
 def test_checks_catch_what_they_name():
     source = (
         "from .simplicial import SimpMap, product\n"
@@ -86,6 +105,22 @@ def test_checks_catch_what_they_name():
     assert repeated_local_imports(source) == [(5, ".simplicial")]
 
 
+def test_parameter_check_catches_what_it_names():
+    source = (
+        "class A:\n"
+        "    def f(self, x, y, _z, *args, key=None, **kw):\n"
+        "        g = lambda unused: x\n"
+        "        def inner(w):\n"
+        "            return key\n"
+        "        return g, inner, kw\n"
+        "    @classmethod\n"
+        "    def make(cls, n):\n"
+        "        return n\n"
+    )
+    assert unused_parameters(source) == [
+        (2, "f", "args"), (2, "f", "y"), (4, "inner", "w")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -94,3 +129,8 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_local_import_of_an_imported_module(path):
     assert repeated_local_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []

@@ -164,3 +164,32 @@ def test_loaders_refuse_out_of_range(case):
     load, data = OUT_OF_RANGE[case]
     with pytest.raises(ValueError, match="non-negative|outside"):
         load(data)
+
+
+def _tabulated_blob(**changes):
+    blob = jsonio.tabulated_to_json(z2_monoid_space(1))
+    blob.update(changes)
+    return blob
+
+
+def test_tabulated_loader_refuses_values_outside_the_levels():
+    # an extra level above level_bound used to load without complaint
+    blob = _tabulated_blob()
+    blob["values"]["7"] = blob["values"]["1"]
+    with pytest.raises(ValueError, match="level 7 of the values lies outside 0..1"):
+        jsonio.tabulated_from_json(blob)
+
+
+def test_tabulated_loader_names_a_missing_level():
+    # a missing level used to surface as a bare KeyError(1)
+    blob = _tabulated_blob()
+    del blob["values"]["1"]
+    with pytest.raises(ValueError, match="no values at level 1 of 0..1"):
+        jsonio.tabulated_from_json(blob)
+
+
+def test_tabulated_loader_refuses_action_outside_the_levels():
+    blob = _tabulated_blob(level_bound=0)
+    del blob["values"]["1"]
+    with pytest.raises(ValueError, match="level 1 of an action map lies outside 0..0"):
+        jsonio.tabulated_from_json(blob)

@@ -5,8 +5,9 @@ import pytest
 
 from gammaspace.catcore import walking_iso_category
 from gammaspace.corpus import z2_monoid_space
-from gammaspace.gspace import GammaMappingSpace, gamma_rep
+from gammaspace.gspace import GammaMappingSpace, constant_gamma_space, gamma_rep
 from gammaspace.marked import (
+    MarkedGammaSpace,
     MarkedSimpSet,
     gamma_flat,
     hom_marked,
@@ -96,3 +97,10 @@ def test_marked_mapping_space_forgets_on_flat():
     msp, _ = marked_mapping_space(gamma_flat(m), gamma_flat(m), gamma_rep(1), dim_cap=1)
     plain = GammaMappingSpace(gamma_rep(1), m, dim_cap=1)
     assert iso_check(msp, plain.space).holds
+
+
+def test_marked_mapping_space_refuses_a_marked_source():
+    x = constant_gamma_space(2, standard_simplex(1))
+    sharp = MarkedGammaSpace(2, lambda n: mark(x.value(n), "sharp"), x.action)
+    with pytest.raises(ValueError, match="marked edges at level 1"):
+        marked_mapping_space(sharp, gamma_flat(x), gamma_rep(1), dim_cap=1)

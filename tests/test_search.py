@@ -6,16 +6,23 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_simplicial import quotients
+from test_simplicial import glued_simplices, quotients
 
 from gammaspace import cocart, shapes
 from gammaspace.cocart import cotensor_over_base, nelg
 from gammaspace.gspace import _families
-from gammaspace.shapes import boundary, horn, standard_simplex
+from gammaspace.shapes import (
+    boundary,
+    horn,
+    standard_point,
+    standard_simplex,
+    unliftable_square,
+)
 from gammaspace.simplicial import (
     SimplexRef,
     constant_map,
     hom_set,
+    identity_map,
     inclusion_map,
     maps,
 )
@@ -155,3 +162,57 @@ def test_commuting_squares_search_the_bottom_once(monkeypatch):
     squares = shapes._commuting_squares(i, p, Budget())
     assert len(calls) == 2
     assert len(squares) == len(hom_set(i.source, p.source))
+
+
+# -- the shared lifting search against its definition -------------------------
+
+lifting_shapes = st.sampled_from([
+    inclusion_map(boundary(1), standard_simplex(1)),
+    inclusion_map(horn(2, 1), standard_simplex(2)),
+    inclusion_map(horn(2, 0), standard_simplex(2)),
+    inclusion_map(boundary(2), standard_simplex(2)),
+    identity_map(standard_simplex(1)),
+    # not injective: the edge goes to a degenerate simplex
+    constant_map(standard_simplex(1), standard_simplex(0), "0"),
+])
+
+
+@st.composite
+def projections(draw):
+    """A coprojection of a glued quotient, or the quotient onto a point."""
+    col = glued_simplices(draw(st.integers(0, 2)), draw(st.sets(st.integers(0, 5), max_size=4)))
+    k = draw(st.integers(0, 2))
+    return col.coprojection(k) if k < 2 else constant_map(col.space, standard_point(), "0")
+
+
+def _squares_by_definition(i, p, fixed=None):
+    us = hom_set(i.source, p.source, fixed=fixed)
+    vs = hom_set(i.target, p.target)
+    return [(u, v) for u in us for v in vs if i.then(v) == u.then(p)]
+
+
+def _keys(squares):
+    return [(u.key(), v.key()) for u, v in squares]
+
+
+@given(lifting_shapes, projections(), st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_commuting_squares_match_the_definition(i, p, pick):
+    assert _keys(shapes._commuting_squares(i, p, Budget())) == _keys(
+        _squares_by_definition(i, p))
+    vertex = SimplexRef(p.source.cell_ids(0)[pick % p.source.cell_count(0)])
+    fixed = {(0, "0"): vertex}
+    assert _keys(shapes._commuting_squares(i, p, Budget(), fixed)) == _keys(
+        _squares_by_definition(i, p, fixed))
+
+
+@given(lifting_shapes, projections())
+@settings(max_examples=40, deadline=None)
+def test_unliftable_square_matches_a_scan_of_all_fillers(i, p):
+    fillers = hom_set(i.target, p.source)
+    squares = _squares_by_definition(i, p)
+    first = next(((u, v) for u, v in squares
+                  if not any(i.then(h) == u and h.then(p) == v for h in fillers)), None)
+    found_squares, found = unliftable_square(i, p, Budget())
+    assert _keys(found_squares) == _keys(squares)
+    assert (found and _keys([found])) == (first and _keys([first]))

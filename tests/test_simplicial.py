@@ -193,7 +193,7 @@ def test_labeled_copies_and_constant_map():
     d1 = standard_simplex(1)
     copies, include = labeled_copies(d1, ["a", "b"])
     assert copies.summary() == [4, 2]
-    assert include("a", SimplexRef("01"), 1) == SimplexRef("a.01")
+    assert include("a", SimplexRef("01")) == SimplexRef("a.01")
     c = constant_map(d1, standard_simplex(2), "1")
     c.validate()
     assert c(SimplexRef("01"), 1) == SimplexRef("1", (0,))
