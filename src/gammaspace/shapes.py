@@ -320,24 +320,36 @@ def exponential_map(u: SimpMap, exp_src: Exponential, exp_dst: Exponential) -> S
 def _commuting_squares(i: SimpMap, p: SimpMap, budget, fixed=None):
     """All (u, v) with v o i = p o u for i: A -> B, p: X -> Y, with u
     drawn under the `fixed` cells: the u's in hom_set order, each with its
-    v's in hom_set order.  The v's are searched once, not once per u."""
+    v's in hom_set order.  The two sides are compared on the cells of A
+    where both are defined (p o u stops at x's bound when x is read
+    coskeletally above it).  The v's are searched once, not once per u,
+    with v sent on i(c) to p(fixed[c]) for each fixed cell c."""
     us = hom_set(i.source, p.source, budget=budget, fixed=fixed)
+    if not us:
+        return []
+    tops = [u.then(p) for u in us]
+    below = {}
+    for (n, name), ref in (fixed or {}).items():
+        image = i.assignment.get((n, name))
+        if (n, name) in tops[0].assignment and image is not None and not image.degs:
+            if below.setdefault((n, image.base), p(ref, n)) != p(ref, n):
+                return []
+    bottoms = [(v, i.then(v))
+               for v in hom_set(i.target, p.target, budget=budget, fixed=below)]
+    cells = sorted(tops[0].assignment.keys() & bottoms[0][1].assignment.keys()) if bottoms else []
     under = {}
-    for v in hom_set(i.target, p.target, budget=budget) if us else ():
-        under.setdefault(i.then(v).key(), []).append(v)
-    return [(u, v) for u in us for v in under.get(u.then(p).key(), ())]
+    for v, vi in bottoms:
+        under.setdefault(tuple(vi.assignment[c] for c in cells), []).append(v)
+    return [(u, v) for u, top in zip(us, tops)
+            for v in under.get(tuple(top.assignment[c] for c in cells), ())]
 
 
-def _find_lift(i: SimpMap, p: SimpMap, u: SimpMap, v: SimpMap, budget, dim_cap=None):
+def _find_lift(i: SimpMap, p: SimpMap, u: SimpMap, v: SimpMap, budget):
     """A diagonal h: B -> X with h o i = u and p o h = v, or None.
 
     Every cell of A that the search reaches through i is checked, also one
-    that i sends to a degenerate simplex.  dim_cap truncates B; otherwise
-    X is read as `maps` reads it.
+    that i sends to a degenerate simplex.  X is read as `maps` reads it.
     """
-    b = i.target
-    if dim_cap is not None and b.dim_bound > dim_cap:
-        b = b.rebound(dim_cap)
     fixed, through = {}, {}
     for (n, name), ref in i.assignment.items():
         want = u.assignment.get((n, name))
@@ -353,14 +365,15 @@ def _find_lift(i: SimpMap, p: SimpMap, u: SimpMap, v: SimpMap, budget, dim_cap=N
         return p(ref, n) == v(SimplexRef(name), n) and all(
             apply_word(ref, degs, n) == want for degs, want in through.get((n, name), ()))
 
-    return next(maps(b, p.source, budget=budget, fixed=fixed, constraint=constraint), None)
+    return next(maps(i.target, p.source, budget=budget, fixed=fixed, constraint=constraint),
+                None)
 
 
-def unliftable_square(i: SimpMap, p: SimpMap, budget, fixed=None, dim_cap=None):
+def unliftable_square(i: SimpMap, p: SimpMap, budget, fixed=None):
     """(squares, square): the commuting squares of i against p (u drawn
     under `fixed`) and the first of them with no diagonal filler, or None."""
     squares = _commuting_squares(i, p, budget, fixed)
-    unliftable = (s for s in squares if _find_lift(i, p, *s, budget, dim_cap) is None)
+    unliftable = (s for s in squares if _find_lift(i, p, *s, budget) is None)
     return squares, next(unliftable, None)
 
 
@@ -376,17 +389,16 @@ def unfillable_inner_horn(p: SimpMap, d, budget):
     return None
 
 
-def has_rlp(p: SimpMap, i: SimpMap, budget=None, dim_cap=None) -> Verdict:
+def has_rlp(p: SimpMap, i: SimpMap, budget=None) -> Verdict:
     """Does p have the right lifting property against i?
 
-    Searches every commuting square of i against p for a diagonal filler.
-    dim_cap restricts the dimensions on which fillers are required (the
-    ambient data of the square); by default the full bound of i.target.
+    Searches every commuting square of i against p for a diagonal filler,
+    on the full bound of i.target, with p.source read as `maps` reads it.
     """
     budget = budget or Budget()
     checked = f"squares of {i.source.summary()}->{i.target.summary()} vs p"
     try:
-        squares, square = unliftable_square(i, p, budget, dim_cap=dim_cap)
+        squares, square = unliftable_square(i, p, budget)
     except BudgetExceededError as e:
         return Verdict(INCONCLUSIVE, checked, witness=str(e))
     if square is not None:

@@ -19,8 +19,11 @@ from gammaspace.shapes import (
     unliftable_square,
 )
 from gammaspace.simplicial import (
+    FinSimpSet,
     SimplexRef,
+    SimpMap,
     constant_map,
+    disjoint_union,
     hom_set,
     identity_map,
     inclusion_map,
@@ -185,17 +188,33 @@ def projections(draw):
     return col.coprojection(k) if k < 2 else constant_map(col.space, standard_point(), "0")
 
 
+def _agree(f, g):
+    """f and g assign the same simplex to every cell both assign."""
+    return all(f.assignment[c] == g.assignment[c]
+               for c in f.assignment.keys() & g.assignment.keys())
+
+
 def _squares_by_definition(i, p, fixed=None):
     us = hom_set(i.source, p.source, fixed=fixed)
     vs = hom_set(i.target, p.target)
-    return [(u, v) for u in us for v in vs if i.then(v) == u.then(p)]
+    return [(u, v) for u in us for v in vs if _agree(i.then(v), u.then(p))]
 
 
 def _keys(squares):
     return [(u.key(), v.key()) for u, v in squares]
 
 
+def _points_over_an_edge():
+    """A vertex over each end of Delta[1] and no edge, stored at bound 1 and
+    read coskeletally above it, against the coprojection of Delta[2] into
+    Delta[2] + Delta[1]: p o u stops at dimension 1, v o i does not."""
+    x = FinSimpSet(1, {0: {"x0": (), "x1": ()}}, complete=False)
+    p = SimpMap(x, standard_simplex(1), {(0, "x0"): SimplexRef("0"), (0, "x1"): SimplexRef("1")})
+    return disjoint_union(standard_simplex(2), standard_simplex(1))[1], p
+
+
 @given(lifting_shapes, projections(), st.integers(0, 5))
+@example(*_points_over_an_edge(), 0)
 @settings(max_examples=40, deadline=None)
 def test_commuting_squares_match_the_definition(i, p, pick):
     assert _keys(shapes._commuting_squares(i, p, Budget())) == _keys(

@@ -28,6 +28,7 @@ from gammaspace.simplicial import (
     SimpMap,
     constant_map,
     discrete_set,
+    disjoint_union,
     empty_set,
     hom_set,
     identity_map,
@@ -141,6 +142,18 @@ def test_rlp_reads_a_complete_target_above_its_bound():
                 inclusion_map(boundary(1), standard_simplex(1)))
     assert v.fails
     assert has_rlp(identity_map(two), inclusion_map(boundary(1), standard_simplex(1))).holds
+
+
+def test_rlp_compares_squares_where_both_sides_are_defined():
+    # x: a vertex over each end of Delta[1] and no edge, stored at bound 1
+    # and read coskeletally above it; p o u stops at dimension 1 while
+    # v o i reaches dimension 2, and the square that sends the extra edge
+    # to 01 has no filler, since x has no edge
+    x = FinSimpSet(1, {0: {"x0": (), "x1": ()}}, complete=False)
+    p = SimpMap(x, standard_simplex(1), {(0, "x0"): SimplexRef("0"), (0, "x1"): SimplexRef("1")})
+    _, i, _ = disjoint_union(standard_simplex(2), standard_simplex(1))
+    v = has_rlp(p, i)
+    assert v.fails
 
 
 def test_quasicategory_checks():
