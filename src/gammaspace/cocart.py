@@ -9,23 +9,24 @@ from dataclasses import dataclass
 from .catcore import CatFunctor, FinCat, coslice_category
 from .gammaop import GammaMorphism, delta_projection, enumerate_homs, gamma_identity
 from .gspace import TabulatedGammaSpace, segal_check
-from .marked import MarkedMappingObject, MarkedSimpSet, mark
+from .marked import MarkedMappingObject, MarkedSimpSet, edge_sharpens, mark
 from .nerve import chain_ref, edge_is_invertible, nerve, nerve_functor_map, tau1
 from .shapes import (
     MapComplex,
+    _commuting_squares,
+    _find_lift,
     horn,
     standard_simplex,
     unfillable_inner_horn,
-    unliftable_square,
 )
 from .simplicial import (
     FinSimpSet,
     SimplexRef,
     SimpMap,
+    Colimit,
     _subset_of,
     apply_word,
     delta_tuple,
-    disjoint_union,
     from_elements,
     hom_set,
     identity_map,
@@ -39,6 +40,7 @@ from .verdicts import (
     BudgetExceededError,
     ResourceError,
     Verdict,
+    backtrack,
     FAILS,
     HOLDS,
     INCONCLUSIVE,
@@ -203,32 +205,18 @@ class RelativeNerve:
                        for s in itertools.combinations(range(n + 1), size)]
             for chain in chains[n]:
                 objs = chain_objects(chain, n)
-                partial = [dict()]
-                for J in subsets:
-                    new_partial = []
+
+                def candidates(J, tau, chain=chain, objs=objs):
                     space = input.values[objs[J[-1]]]
                     dim = len(J) - 1
-                    for tau in partial:
-                        want = None
-                        if dim > 0:
-                            want = []
-                            for t in range(dim + 1):
-                                I = J[:t] + J[t + 1:]
-                                carried = input.arrows[
-                                    chain_arrow(chain, n, I[-1], J[-1])
-                                ](tau[I], len(I) - 1)
-                                want.append(carried)
-                        for ref in space.refs(dim):
-                            if dim > 0 and any(
-                                space.face(ref, dim, t) != want[t]
-                                for t in range(dim + 1)
-                            ):
-                                continue
-                            ext = dict(tau)
-                            ext[J] = ref
-                            new_partial.append(ext)
-                    partial = new_partial
-                for tau in partial:
+                    if dim == 0:
+                        return space.refs(0)
+                    carried = tuple(
+                        input.arrows[chain_arrow(chain, n, I[-1], J[-1])](tau[I], dim - 1)
+                        for I in (J[:t] + J[t + 1:] for t in range(dim + 1)))
+                    return space.face_index(dim).get(carried, ())
+
+                for tau in backtrack(subsets, candidates):
                     elems.append((chain, tuple(sorted(
                         (J, r.base, r.degs) for J, r in tau.items()
                     ))))
@@ -316,17 +304,23 @@ def cocartesian_edges(total: FinSimpSet, proj: SimpMap, dim_cap, budget=None):
     """Tests every nondegenerate edge for the initial-vertex-horn lifting
     property over the base and checks the relative inner-horn liftings.
 
-    Returns (edges, fibration_verdict, natural_marking)."""
+    For each n in 2..dim_cap the squares of Lambda^0[n] in Delta[n] against
+    proj are searched once; an edge is refuted by the first square on it
+    (at u(01)) with no filler.  Returns (edges, fibration_verdict,
+    natural_marking)."""
     budget = budget or Budget()
     base_nerve = proj.target
-    initial_horns = [inclusion_map(horn(n, 0), standard_simplex(n))
-                     for n in range(2, dim_cap + 1)]
     try:
-        detected = [
-            e for e in total.cell_ids(1)
-            if all(unliftable_square(i, proj, budget, fixed={(1, "01"): SimplexRef(e)})[1]
-                   is None for i in initial_horns)
-        ]
+        refuted = set()
+        for n in range(2, dim_cap + 1):
+            i = inclusion_map(horn(n, 0), standard_simplex(n))
+            for u, v in _commuting_squares(i, proj, budget):
+                e = u.assignment[(1, "01")]
+                if e.degs or e.base in refuted:
+                    continue
+                if _find_lift(i, proj, u, v, budget) is None:
+                    refuted.add(e.base)
+        detected = [e for e in total.cell_ids(1) if e not in refuted]
         inner = unfillable_inner_horn(proj, dim_cap, budget)
         lift_witness = next((
             {"base_edge": be, "vertex": x}
@@ -439,7 +433,6 @@ def upsilon(k, l, level_cap, dim_cap=2):
     under-category nerves into the level-(k+l) one, over the base.
 
     Returns (map, source OverObject, target OverObject)."""
-    base = gamma_subcategory(level_cap)
     target, cos_kl, _ = nelg(k + l, level_cap, dim_cap)
     pieces = []
     for (level, which) in ((k, "left"), (l, "right")):
@@ -455,25 +448,12 @@ def upsilon(k, l, level_cap, dim_cap=2):
             on_arrows[t_name] = f"t{on_objects[fa]}_{on_objects[fb]}_{h}"
         fun = CatFunctor(cos, cos_kl, on_objects, on_arrows).validate()
         pieces.append((over, fun))
-    du, c1, c2 = disjoint_union(pieces[0][0].marked.underlying,
-                                pieces[1][0].marked.underlying)
-    marked_src = MarkedSimpSet(du, du.cell_ids(1))
-    # assemble the projection and the comparison from the two coprojections
-    assignment_proj = {}
-    assignment_map = {}
-    for idx, (over, fun) in enumerate(pieces):
-        coproj = c1 if idx == 0 else c2
-        total = over.marked.underlying
-        piece_map = nerve_functor_map(fun, total, target.marked.underlying)
-        for d in range(total.dim_bound + 1):
-            for name in total.cell_ids(d):
-                img = coproj.assignment[(d, name)]
-                assert not img.degs
-                assignment_proj[(d, img.base)] = over.proj.assignment[(d, name)]
-                assignment_map[(d, img.base)] = piece_map.assignment[(d, name)]
-    proj_src = SimpMap(du, pieces[0][0].proj.target, assignment_proj)
-    source = OverObject(marked_src, proj_src).validate()
-    cmp = SimpMap(du, target.marked.underlying, assignment_map)
+    col = Colimit([over.marked.underlying for over, _ in pieces], [])
+    du = col.space
+    proj_src = col.mediating([over.proj for over, _ in pieces], pieces[0][0].proj.target)
+    source = OverObject(MarkedSimpSet(du, du.cell_ids(1)), proj_src).validate()
+    cmp = col.mediating([nerve_functor_map(fun, over.marked.underlying, target.marked.underlying)
+                         for over, fun in pieces], target.marked.underlying)
     cmp.validate(check_pointed=False)
     if cmp.then(target.proj) != proj_src:
         raise AssertionError("comparison does not commute with projections")
@@ -537,27 +517,14 @@ def cotensor_over_base(x: OverObject, a: FinSimpSet, dim_cap=None, budget=None):
         for name in space.cell_ids(d):
             _, beta = mc.element_of(name)
             proj_assignment[(d, name)] = beta(top, d)
+    flat_a = mark(a, "flat")
     marked_edges = [
         e for e in space.cell_ids(1)
-        if _cotensor_edge_sharpens(x, mc.element_of(e)[0], prods[1])
+        if edge_sharpens(mc.element_of(e)[0], prods[1][2], flat_a, x.marked)
     ]
     obj = OverObject(MarkedSimpSet(space, marked_edges),
                      SimpMap(space, base_nerve, proj_assignment)).validate()
     return obj, mc.element_of
-
-
-def _cotensor_edge_sharpens(x, m, prod_data):
-    """Marked when the map m also respects the sharpened simplex coordinate:
-    product edges pairing the nondegenerate interval edge with a marked
-    (degenerate) a-edge must land on marked edges."""
-    prod, p1, p2, _ = prod_data
-    for e in prod.cell_ids(1):
-        delta_part = p1.assignment[(1, e)]
-        a_part = p2.assignment[(1, e)]
-        if not delta_part.degs and a_part.degs:
-            if not x.marked.is_marked(m(SimplexRef(e), 1)):
-                return False
-    return True
 
 
 def r_plus_level(x: OverObject, k, level_cap, dim_cap=2, budget=None) -> MarkedSimpSet:

@@ -11,7 +11,6 @@ from .simplicial import (
     SimplexRef,
     SimpMap,
     full_sub_on_edges,
-    full_sub_on_vertices,
     hom_set,
     product,
 )
@@ -53,6 +52,14 @@ def is_marked_map(m: SimpMap, src: MarkedSimpSet, dst: MarkedSimpSet) -> bool:
     return True
 
 
+def edge_sharpens(m: SimpMap, p2: SimpMap, x: MarkedSimpSet, y: MarkedSimpSet) -> bool:
+    """Whether m: Delta[1] x X -> Y, with p2 the projection of its frame
+    onto X, stays marked once the Delta[1] coordinate is sharpened: every
+    edge whose X-coordinate is marked lands on a marked edge."""
+    return all(y.is_marked(m(SimplexRef(e), 1)) for e in p2.source.cell_ids(1)
+               if x.is_marked(p2.assignment[(1, e)]))
+
+
 def marked_product(a: MarkedSimpSet, b: MarkedSimpSet, bound=None):
     """Product in marked sets: an edge is marked iff both coordinates are.
 
@@ -87,7 +94,6 @@ class MarkedMappingObject(MapComplex):
                  budget=None, over=None):
         budget = budget or Budget()
         cap = y.underlying.dim_bound if dim_cap is None else dim_cap
-        self.x, self.y = x, y
         self.over = over
         simplices = [standard_simplex(d) for d in range(cap + 2)]
         self.products = [
@@ -119,21 +125,11 @@ class MarkedMappingObject(MapComplex):
         super().__init__(cap, simplices, [frames], tables)
         self.flat = self.space
         marked_edges = [
-            e for e in self.flat.cell_ids(1) if self._edge_sharpens(e)
+            e for e in self.flat.cell_ids(1)
+            if edge_sharpens(self.element_of(e), self.products[1][2], x, y)
         ]
         self.plus = MarkedSimpSet(self.flat, marked_edges)
         self.sharp = full_sub_on_edges(self.flat, self.plus.is_marked)
-
-    def _edge_sharpens(self, name) -> bool:
-        """Marked when the map also respects the sharp Delta[1] marking."""
-        m = self.element_of(name)
-        ms, p1, p2, _ = self.products[1]
-        for e in ms.underlying.cell_ids(1):
-            if not self.x.is_marked(p2.assignment[(1, e)]):
-                continue
-            if not self.y.is_marked(m(SimplexRef(e), 1)):
-                return False
-        return True
 
     def element_of(self, name) -> SimpMap:
         return super().element_of(name)[0]
@@ -194,9 +190,9 @@ def gamma_flat(x: TabulatedGammaSpace) -> MarkedGammaSpace:
 
 def marked_mapping_space(x: MarkedGammaSpace, y: MarkedGammaSpace,
                          p, dim_cap=None, budget=None):
-    """Mapping space of marked families out of a flat presentation: the
-    same families as the unmarked mapping space, filtered by marking
-    preservation level-wise (vacuous for flat sources).
+    """Mapping space of marked families out of a flat presentation.  For
+    the flat sources it accepts, marking preservation is vacuous, so this
+    is the unmarked mapping space.
 
     p is the presentation of x's underlying space; marked structure on x
     must be level-wise flat for the presentation to be meaningful, and a
@@ -206,17 +202,5 @@ def marked_mapping_space(x: MarkedGammaSpace, y: MarkedGammaSpace,
         if x.value(c.level).marked:
             raise ValueError(f"x has marked edges at level {c.level}; only a flat"
                              " source has a flat presentation")
-    budget = budget or Budget()
     ms = GammaMappingSpace(p, y.underlying(), dim_cap=dim_cap, budget=budget)
-    keep = set()
-    for name in ms.space.cell_ids(0):
-        fam = ms.element_of(name)
-        ok = True
-        for i, c in enumerate(p.cells):
-            flat_cell = mark(ms.products[i][0][0], "flat")
-            if not is_marked_map(fam[i], flat_cell, y.value(c.level)):
-                ok = False
-                break
-        if ok:
-            keep.add(name)
-    return full_sub_on_vertices(ms.space, lambda v: v in keep), ms
+    return ms.space, ms

@@ -61,18 +61,18 @@ def nerve(c: FinCat, bound=4) -> FinSimpSet:
 
 
 def nerve_functor_map(fun: CatFunctor, nc: FinSimpSet, nd: FinSimpSet) -> SimpMap:
-    """The simplicial map N(fun): N(C) -> N(D) on given nerve truncations."""
+    """The simplicial map N(fun): N(C) -> N(D) on given nerve truncations,
+    in every dimension its cap asks for."""
     c, d = fun.source, fun.target
-    assignment = {}
-    cap = min(nc.dim_bound, nd.dim_bound)
+    m = SimpMap(nc, nd, {})
     for a in c.objects:
-        assignment[(0, f"o{a}")] = SimplexRef(f"o{fun.obj(a)}")
-    for n in range(1, cap + 1):
+        m.assignment[(0, f"o{a}")] = SimplexRef(f"o{fun.obj(a)}")
+    for n in range(1, m.cap + 1):
         for name in nc.cell_ids(n):
             chain = tuple(name.split("|"))
-            assignment[(n, name)] = chain_ref(d, tuple(fun.arr(f) for f in chain),
-                                              fun.obj(c.src(chain[0])))
-    return SimpMap(nc, nd, assignment).validate()
+            m.assignment[(n, name)] = chain_ref(d, tuple(fun.arr(f) for f in chain),
+                                                fun.obj(c.src(chain[0])))
+    return m.validate()
 
 
 # ---------------------------------------------------------------------------

@@ -317,25 +317,17 @@ def exponential_map(u: SimpMap, exp_src: Exponential, exp_dst: Exponential) -> S
 # lifting properties
 
 
-def _commuting_squares(i: SimpMap, p: SimpMap, budget, fixed=None):
-    """All (u, v) with v o i = p o u for i: A -> B, p: X -> Y, with u
-    drawn under the `fixed` cells: the u's in hom_set order, each with its
-    v's in hom_set order.  The two sides are compared on the cells of A
-    where both are defined (p o u stops at x's bound when x is read
-    coskeletally above it).  The v's are searched once, not once per u,
-    with v sent on i(c) to p(fixed[c]) for each fixed cell c."""
-    us = hom_set(i.source, p.source, budget=budget, fixed=fixed)
+def _commuting_squares(i: SimpMap, p: SimpMap, budget):
+    """All (u, v) with v o i = p o u for i: A -> B, p: X -> Y: the u's in
+    hom_set order, each with its v's in hom_set order.  The two sides are
+    compared on the cells of A where both are defined (p o u stops at x's
+    bound when x is read coskeletally above it).  The v's are searched
+    once, not once per u."""
+    us = hom_set(i.source, p.source, budget=budget)
     if not us:
         return []
     tops = [u.then(p) for u in us]
-    below = {}
-    for (n, name), ref in (fixed or {}).items():
-        image = i.assignment.get((n, name))
-        if (n, name) in tops[0].assignment and image is not None and not image.degs:
-            if below.setdefault((n, image.base), p(ref, n)) != p(ref, n):
-                return []
-    bottoms = [(v, i.then(v))
-               for v in hom_set(i.target, p.target, budget=budget, fixed=below)]
+    bottoms = [(v, i.then(v)) for v in hom_set(i.target, p.target, budget=budget)]
     cells = sorted(tops[0].assignment.keys() & bottoms[0][1].assignment.keys()) if bottoms else []
     under = {}
     for v, vi in bottoms:
@@ -369,10 +361,10 @@ def _find_lift(i: SimpMap, p: SimpMap, u: SimpMap, v: SimpMap, budget):
                 None)
 
 
-def unliftable_square(i: SimpMap, p: SimpMap, budget, fixed=None):
-    """(squares, square): the commuting squares of i against p (u drawn
-    under `fixed`) and the first of them with no diagonal filler, or None."""
-    squares = _commuting_squares(i, p, budget, fixed)
+def unliftable_square(i: SimpMap, p: SimpMap, budget):
+    """(squares, square): the commuting squares of i against p and the
+    first of them with no diagonal filler, or None."""
+    squares = _commuting_squares(i, p, budget)
     unliftable = (s for s in squares if _find_lift(i, p, *s, budget) is None)
     return squares, next(unliftable, None)
 

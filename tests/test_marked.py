@@ -94,9 +94,11 @@ def test_gamma_flat_family():
 
 def test_marked_mapping_space_forgets_on_flat():
     m = z2_monoid_space(2)
-    msp, _ = marked_mapping_space(gamma_flat(m), gamma_flat(m), gamma_rep(1), dim_cap=1)
+    msp, ms = marked_mapping_space(gamma_flat(m), gamma_flat(m), gamma_rep(1), dim_cap=1)
     plain = GammaMappingSpace(gamma_rep(1), m, dim_cap=1)
     assert iso_check(msp, plain.space).holds
+    # the mapping space itself, truncated at its cap like the plain one
+    assert msp is ms.space and not msp.complete
 
 
 def test_marked_mapping_space_refuses_a_marked_source():

@@ -83,6 +83,16 @@ def test_tau1_functor_of_collapse():
     assert fun.is_full_faithful_ess_surjective()[0]
 
 
+def test_functor_map_into_a_complete_nerve_of_lower_bound():
+    # a complete target is read in every dimension, so the 2-chains of [2]
+    # need images although the point's nerve is stored at bound 1
+    p2, t = poset_category(2), terminal_category()
+    collapse = CatFunctor(p2, t, {o: "*" for o in p2.objects},
+                          {f: "id*" for f in p2.arrow_ids()}).validate()
+    nm = nerve_functor_map(collapse, nerve(p2, bound=2), nerve(t, bound=1))
+    assert nm.assignment[(2, "le01|le12")] == SimplexRef("o*", (1, 0))
+
+
 def test_nerve_preserves_products():
     from gammaspace.catcore import product_category
     from gammaspace.simplicial import product

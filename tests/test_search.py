@@ -9,8 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from test_simplicial import glued_simplices, quotients
 
 from gammaspace import cocart, shapes
-from gammaspace.cocart import cotensor_over_base, nelg
+from gammaspace.catcore import poset_category
+from gammaspace.cocart import cocartesian_edges, cotensor_over_base, nelg
 from gammaspace.gspace import _families
+from gammaspace.nerve import nerve
 from gammaspace.shapes import (
     boundary,
     horn,
@@ -194,8 +196,8 @@ def _agree(f, g):
                for c in f.assignment.keys() & g.assignment.keys())
 
 
-def _squares_by_definition(i, p, fixed=None):
-    us = hom_set(i.source, p.source, fixed=fixed)
+def _squares_by_definition(i, p):
+    us = hom_set(i.source, p.source)
     vs = hom_set(i.target, p.target)
     return [(u, v) for u in us for v in vs if _agree(i.then(v), u.then(p))]
 
@@ -213,16 +215,12 @@ def _points_over_an_edge():
     return disjoint_union(standard_simplex(2), standard_simplex(1))[1], p
 
 
-@given(lifting_shapes, projections(), st.integers(0, 5))
-@example(*_points_over_an_edge(), 0)
+@given(lifting_shapes, projections())
+@example(*_points_over_an_edge())
 @settings(max_examples=40, deadline=None)
-def test_commuting_squares_match_the_definition(i, p, pick):
+def test_commuting_squares_match_the_definition(i, p):
     assert _keys(shapes._commuting_squares(i, p, Budget())) == _keys(
         _squares_by_definition(i, p))
-    vertex = SimplexRef(p.source.cell_ids(0)[pick % p.source.cell_count(0)])
-    fixed = {(0, "0"): vertex}
-    assert _keys(shapes._commuting_squares(i, p, Budget(), fixed)) == _keys(
-        _squares_by_definition(i, p, fixed))
 
 
 def _loop_onto_a_point():
@@ -243,3 +241,36 @@ def test_unliftable_square_matches_a_scan_of_all_fillers(i, p):
     found_squares, found = unliftable_square(i, p, Budget())
     assert _keys(found_squares) == _keys(squares)
     assert (found and _keys([found])) == (first and _keys([first]))
+
+
+@given(projections(), st.integers(2, 3))
+@settings(max_examples=30, deadline=None)
+def test_cocartesian_edges_match_a_scan_of_all_fillers(p, d):
+    # an edge is refuted by a square on it, at u(01), that no map
+    # Delta[n] -> X fills
+    refuted = set()
+    for n in range(2, d + 1):
+        i = inclusion_map(horn(n, 0), standard_simplex(n))
+        fillers = hom_set(i.target, p.source)
+        for u, v in _squares_by_definition(i, p):
+            if not any(i.then(h) == u and h.then(p) == v for h in fillers):
+                refuted.add(u.assignment[(1, "01")])
+    detected, _, _ = cocartesian_edges(p.source, p, d)
+    assert detected == [e for e in p.source.cell_ids(1) if SimplexRef(e) not in refuted]
+
+
+def test_cocartesian_edges_search_the_squares_once_per_horn(monkeypatch):
+    calls = []
+    real = shapes._commuting_squares
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(shapes, "_commuting_squares", counting)
+    monkeypatch.setattr(cocart, "_commuting_squares", counting)
+    nb = nerve(poset_category(2), bound=3)
+    cocartesian_edges(nb, identity_map(nb), 3)
+    # Lambda^0[2] and Lambda^0[3], then the inner horns Lambda^1[2],
+    # Lambda^1[3] and Lambda^2[3], which all fill
+    assert len(calls) == (3 - 1) + 3
