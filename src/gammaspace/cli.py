@@ -8,6 +8,7 @@ Exit codes: 0 all checks pass, 1 a check fails (witness included),
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -345,7 +346,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process.  parse_args reads
+    it and never changes it, so every caller may share it."""
     parser = argparse.ArgumentParser(
         prog="gammaspace",
         description="Finite checks for coherently commutative multiplicative"

@@ -129,21 +129,21 @@ def smash_twist(k, l) -> GammaMorphism:
     return GammaMorphism(k * l, l * k, tuple(table))
 
 
-def pointed_endo_generators(n):
-    """A small generating set for the based endomorphisms of n+ (verified
-    by closure in the test suite): adjacent transpositions, the fold of 1
-    and 2, and the map killing n."""
+def elementary_maps(cap):
+    """The elementary based maps between levels 0..cap: the adjacent
+    transpositions of n+, the collapse of n to the basepoint and the merge
+    of n into n-1 (both n+ -> (n-1)+), and the inclusion n+ -> (n+1)+ for
+    n < cap.  Every based map between levels <= cap is a composite of them
+    through levels <= cap (checked by closure in the test suite)."""
     gens = []
-    for i in range(1, n):
-        table = list(range(1, n + 1))
-        table[i - 1], table[i] = table[i], table[i - 1]
-        gens.append(GammaMorphism(n, n, tuple(table)))
-    if n >= 2:
-        fold = list(range(1, n + 1))
-        fold[1] = 1
-        gens.append(GammaMorphism(n, n, tuple(fold)))
-    if n >= 1:
-        kill = list(range(1, n + 1))
-        kill[n - 1] = 0
-        gens.append(GammaMorphism(n, n, tuple(kill)))
+    for n in range(cap + 1):
+        ident = tuple(range(1, n + 1))
+        for i in range(1, n):
+            gens.append(GammaMorphism(n, n, ident[:i - 1] + (i + 1, i) + ident[i + 1:]))
+        if n >= 1:
+            gens.append(GammaMorphism(n, n - 1, ident[:-1] + (0,)))
+        if n >= 2:
+            gens.append(GammaMorphism(n, n - 1, ident[:-1] + (n - 1,)))
+        if n < cap:
+            gens.append(GammaMorphism(n, n + 1, ident))
     return gens

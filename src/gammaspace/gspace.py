@@ -11,6 +11,7 @@ from .catcore import FinCat
 from .gammaop import (
     GammaMorphism,
     delta_projection,
+    elementary_maps,
     enumerate_homs,
     gamma_identity,
     smash_gamma,
@@ -95,13 +96,29 @@ class TabulatedGammaSpace:
         return self._actions[f.key()]
 
     def validate(self, level_cap=2):
+        """Checks the action on levels 0..cap: each map is simplicial,
+        identities act as identities, and the action is functorial.
+
+        Functoriality is checked as action(f.then(g)) == action(f) then
+        action(g) for every based map f, but only for g among the elementary
+        maps of `elementary_maps(cap)`.  That is exact, not weaker: every
+        based map h between levels <= cap is a word g1 ... gk in them that
+        stays inside levels <= cap, so by induction on k,
+        action(f.then(h)) == action(f) then action(g1) ... then action(gk).
+        Taking f an identity, which acts as the identity, the right-hand
+        word is action(h); hence action(f.then(h)) == action(f) then
+        action(h) for every composable pair.
+        """
         cap = min(level_cap, self.level_bound)
-        for f in all_morphisms_upto(cap):
+        every = all_morphisms_upto(cap)
+        for f in every:
             self.action(f).validate(check_pointed=False)
         for n in range(cap + 1):
-            assert self.action(gamma_identity(n)) == identity_map(self.value(n))
-        for f in all_morphisms_upto(cap):
-            for g in all_morphisms_upto(cap):
+            if self.action(gamma_identity(n)) != identity_map(self.value(n)):
+                raise ValueError(f"the identity of level {n} does not act as the identity")
+        gens = elementary_maps(cap)
+        for f in every:
+            for g in gens:
                 if g.src != f.dst:
                     continue
                 lhs = self.action(f.then(g))

@@ -146,6 +146,7 @@ class FinSimpSet:
         self._ref_cache = {}
         self._face_index = {}
         self._act_memo = {}
+        self._order_memo = {}
         if pointed is not None and pointed not in self._cells[0]:
             raise ValueError(f"basepoint {pointed!r} is not a vertex")
 
@@ -187,6 +188,13 @@ class FinSimpSet:
         out = tuple(out)
         self._ref_cache[n] = out
         return out
+
+    def constraint_order(self, cap):
+        """The backtracking order of the cells of dimension <= cap when
+        this set is a map's source (see `_constraint_order`), kept per cap."""
+        if cap not in self._order_memo:
+            self._order_memo[cap] = tuple(_constraint_order(self, cap))
+        return self._order_memo[cap]
 
     def face_index(self, n):
         """Every n-ref (n >= 1) bucketed by its face tuple, in refs(n)
@@ -846,7 +854,7 @@ def maps(a: FinSimpSet, x: FinSimpSet, budget=None, fixed=None,
                 continue
             yield ref
 
-    for assignment in backtrack(_constraint_order(a, cap), candidates):
+    for assignment in backtrack(a.constraint_order(cap), candidates):
         yield SimpMap(a, x, assignment)
 
 

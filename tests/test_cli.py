@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gammaspace import jsonio
-from gammaspace.cli import main
+from gammaspace.cli import COMMANDS, build_parser, main
 from gammaspace.corpus import z2_monoid_space
 from gammaspace.gspace import gamma_rep
 from gammaspace.marked import mark
@@ -367,3 +367,48 @@ def test_tabulated_level_out_of_range_exits_three(change, message):
     assert code == 3
     assert report["verdicts"][0]["tag"] == "input"
     assert message in report["verdicts"][0]["witness"]
+
+
+def test_segal_check_refuses_non_functorial_top_level(tmp_path, capsys):
+    # z2_monoid_space(3) with the swap (2,1,3) of 3+ acting as the identity;
+    # a check of levels <= 2 alone accepts it, and (1,2) and (2,1) hold
+    blob = jsonio.tabulated_to_json(z2_monoid_space(3))
+    by_table = {tuple(e["map"]["map"]): e for e in blob["action"]
+                if e["map"]["src"] == e["map"]["dst"] == 3}
+    by_table[(2, 1, 3)]["simp_map"] = by_table[(1, 2, 3)]["simp_map"]
+    p = tmp_path / "x.json"
+    p.write_text(jsonio.canonical_dumps(blob))
+    code, report = run_cli(capsys, "segal-check", str(p), "--k", "1", "--l", "2")
+    assert code == 3
+    assert report["verdicts"][0]["tag"] == "input"
+    assert "not functorial" in report["verdicts"][0]["witness"]
+
+
+# -- the parser is built once and shared --------------------------------------
+
+def _minimal_argv(command):
+    required = {"factorize": ["--src", "2", "--dst", "1"],
+                "nelg": ["--k", "1"], "r-plus": ["--k", "1"],
+                "segal-check": ["--k", "1", "--l", "2"],
+                "sm-check": ["--k", "1", "--l", "2"],
+                "upsilon": ["--k", "1", "--l", "2"]}
+    return [command, "in.json", *required.get(command, [])]
+
+
+@pytest.mark.parametrize("before", [
+    ["nelg", "--k", "1"],  # a command whose level_bound defaults to 2
+    ["segal-check", "in.json", "--k", "1", "--l", "1"],  # the global default
+    ["factorize"],  # a parse error: --src and --dst are missing
+], ids=["after-nelg", "after-segal-check", "after-error"])
+def test_cached_parser_parses_like_a_fresh_one(before, capsys):
+    parser = build_parser()
+    assert build_parser() is parser
+    if before == ["factorize"]:
+        with pytest.raises(SystemExit):
+            parser.parse_args(before)
+    else:
+        parser.parse_args(before)
+    for command in sorted(COMMANDS):
+        argv = _minimal_argv(command)
+        assert vars(parser.parse_args(argv)) == \
+            vars(build_parser.__wrapped__().parse_args(argv)), command

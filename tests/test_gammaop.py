@@ -8,7 +8,6 @@ from gammaspace.gammaop import (
     enumerate_homs,
     factor_inert_active,
     gamma_identity,
-    pointed_endo_generators,
     smash_element,
     smash_gamma,
     smash_twist,
@@ -130,20 +129,3 @@ def test_projection_inclusion_identities():
                 delta_projection(k, l, "right")) == gamma_identity(l)
             assert sum_inclusion(k, l, "left").then(
                 delta_projection(k, l, "right")) == zero_map(k, l)
-
-
-def test_endo_generators_generate():
-    for n in range(1, 4):
-        gens = pointed_endo_generators(n)
-        seen = {gamma_identity(n)}
-        frontier = [gamma_identity(n)]
-        while frontier:
-            new = []
-            for h in frontier:
-                for g in gens:
-                    c = h.then(g)
-                    if c not in seen:
-                        seen.add(c)
-                        new.append(c)
-            frontier = new
-        assert len(seen) == (n + 1) ** n

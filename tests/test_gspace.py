@@ -2,6 +2,9 @@
 Segal checks, normalization, the two-route fibration check, semi-additivity."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from gammaspace import jsonio
 
 from gammaspace.corpus import (
     presented_corpus,
@@ -9,8 +12,10 @@ from gammaspace.corpus import (
     z2_monoid_space,
     max_monoid_space,
 )
+from gammaspace.gammaop import GammaMorphism, elementary_maps, gamma_identity
 from gammaspace.gspace import (
     _mapping_space_induced,
+    all_morphisms_upto,
     GammaMappingSpace,
     GammaSpaceMap,
     TabulatedGammaSpace,
@@ -378,3 +383,99 @@ def test_yoneda_comparisons_validate():
         for n in range(3):
             cmp, _ = yoneda_comparison(n, y, dim_cap=1)
             cmp.validate(check_pointed=False)
+
+
+# -- functoriality against the elementary maps --------------------------------
+
+
+@pytest.mark.parametrize("cap", range(5))
+def test_elementary_maps_generate_every_based_map(cap):
+    gens = elementary_maps(cap)
+    seen = {gamma_identity(n) for n in range(cap + 1)}
+    frontier = list(seen)
+    while frontier:
+        frontier = [h.then(g) for h in frontier for g in gens if g.src == h.dst]
+        frontier = [c for c in dict.fromkeys(frontier) if c not in seen]
+        seen.update(frontier)
+    assert seen == set(all_morphisms_upto(cap))
+
+
+def _all_pairs_functorial(x, cap):
+    """The check `validate` made before: identities, then every composable
+    pair of based maps between levels <= cap."""
+    every = all_morphisms_upto(cap)
+    if any(x.action(gamma_identity(n)) != identity_map(x.value(n))
+           for n in range(cap + 1)):
+        return False
+    return all(x.action(f.then(g)) == x.action(f).then(x.action(g))
+               for f in every for g in every if g.src == f.dst)
+
+
+def _validates(x, cap):
+    try:
+        x.validate(level_cap=cap)
+    except ValueError:
+        return False
+    return True
+
+
+def _with_vertex_moved(x, f, vertex, image):
+    """x, except that f sends the vertex `vertex` to `image`."""
+    m = x.action(f)
+    bad = SimpMap(m.source, m.target, {**m.assignment, (0, vertex): SimplexRef(image)})
+    return TabulatedGammaSpace(x.level_bound, x.value,
+                               lambda g: bad if g == f else x.action(g))
+
+
+@pytest.mark.parametrize("name,x", tabulated_corpus(3),
+                         ids=[name for name, _ in tabulated_corpus(3)])
+def test_elementary_check_accepts_the_corpus(name, x):
+    assert _all_pairs_functorial(x, 3) and _validates(x, 3)
+
+
+def test_elementary_check_refuses_a_swap_acting_as_identity():
+    x = z2_monoid_space(3)
+    swap = GammaMorphism(3, 3, (2, 1, 3))
+    bad = TabulatedGammaSpace(3, x.value, lambda g: x.action(gamma_identity(3)) if g == swap
+                              else x.action(g))
+    assert _validates(bad, 2) and not _validates(bad, 3)
+    assert not _all_pairs_functorial(bad, 3)
+
+
+_MONOIDS = {"z2": z2_monoid_space(3), "max": max_monoid_space(3)}
+
+
+@given(st.sampled_from(sorted(_MONOIDS)), st.sampled_from(all_morphisms_upto(3)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_elementary_check_matches_all_pairs_on_corruptions(name, f, data):
+    x = _MONOIDS[name]
+    vertex = data.draw(st.sampled_from(x.value(f.src).cell_ids(0)))
+    image = data.draw(st.sampled_from(x.value(f.dst).cell_ids(0)))
+    bad = _with_vertex_moved(x, f, vertex, image)
+    assert _validates(bad, 3) == _all_pairs_functorial(bad, 3)
+
+
+def test_complete_level_three_load_composes_little(monkeypatch):
+    blob = jsonio.tabulated_to_json(z2_monoid_space(3))
+    calls = {"validate": 0, "elsewhere": 0}
+    phase = ["elsewhere"]
+    then, validate = GammaMorphism.then, TabulatedGammaSpace.validate
+
+    def counted_then(self, other):
+        calls[phase[0]] += 1
+        return then(self, other)
+
+    def phased_validate(self, *args, **kwargs):
+        phase[0] = "validate"
+        try:
+            return validate(self, *args, **kwargs)
+        finally:
+            phase[0] = "elsewhere"
+
+    monkeypatch.setattr(GammaMorphism, "then", counted_then)
+    monkeypatch.setattr(TabulatedGammaSpace, "validate", phased_validate)
+    jsonio.tabulated_from_json(blob)
+    # the file lists every based map, so nothing is closed; 534 is the
+    # number of pairs (f, elementary g) at level 3
+    assert calls["elsewhere"] == 0
+    assert 0 < calls["validate"] <= 534

@@ -11,7 +11,7 @@ from gammaspace.gammaop import GammaMorphism, enumerate_homs
 from gammaspace.marked import mark
 from gammaspace.nerve import nerve
 from gammaspace.shapes import boundary, sphere_zero, standard_simplex
-from gammaspace.gspace import gamma_rep
+from gammaspace.gspace import all_morphisms_upto, gamma_rep
 from gammaspace.simplicial import identity_map, iso_check
 
 
@@ -85,6 +85,32 @@ def test_tabulated_generator_completion_needs_folds():
     blob2 = jsonio.tabulated_to_json(x, generators=gens2)
     back = jsonio.tabulated_from_json(blob2)
     assert back.action(GammaMorphism(2, 1, (1, 1))) == x.action(GammaMorphism(2, 1, (1, 1)))
+
+
+def _swap_acting_as_identity():
+    """z2_monoid_space(3), but the swap (2,1,3) of 3+ acts as the identity:
+    functorial on levels <= 2, not on level 3."""
+    blob = jsonio.tabulated_to_json(z2_monoid_space(3))
+    by_table = {tuple(e["map"]["map"]): e for e in blob["action"]
+                if e["map"]["src"] == e["map"]["dst"] == 3}
+    by_table[(2, 1, 3)]["simp_map"] = by_table[(1, 2, 3)]["simp_map"]
+    return blob
+
+
+def test_non_functorial_top_level_is_refused():
+    # a check of levels <= 2 alone accepts it, and its Segal maps hold
+    with pytest.raises(ValueError, match="not functorial"):
+        jsonio.tabulated_from_json(_swap_acting_as_identity())
+
+
+def test_complete_and_generated_loads_agree():
+    x = z2_monoid_space(3)
+    complete = jsonio.tabulated_from_json(jsonio.tabulated_to_json(x))
+    gens = [f for f in all_morphisms_upto(3) if f.src == f.dst or f.dst == f.src - 1
+            or (f.dst == f.src + 1 and f.table == tuple(range(1, f.src + 1)))]
+    closed = jsonio.tabulated_from_json(jsonio.tabulated_to_json(x, generators=gens))
+    for f in all_morphisms_upto(3):
+        assert complete.action(f) == closed.action(f) == x.action(f)
 
 
 @pytest.mark.parametrize("load", [

@@ -27,6 +27,7 @@ from gammaspace.simplicial import (
     pushout,
     surj_to_word,
     word_to_surj,
+    _constraint_order,
 )
 
 
@@ -311,6 +312,15 @@ def test_face_index_matches_linear_scan(x):
             scan = [r for r in x.refs(n)
                     if all(x.face(r, n, i) == faces[i] for i in range(n + 1))]
             assert list(bucket) == scan
+
+
+@given(quotients)
+@settings(max_examples=25, deadline=None)
+def test_memoized_order_matches_its_function(x):
+    for cap in range(x.dim_bound + 1):
+        order = x.constraint_order(cap)
+        assert x.constraint_order(cap) is order
+        assert order == tuple(_constraint_order(x, cap))
 
 
 @given(quotients, st.sampled_from([standard_simplex(1), boundary(2), standard_simplex(2)]))
