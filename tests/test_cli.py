@@ -384,6 +384,20 @@ def test_segal_check_refuses_non_functorial_top_level(tmp_path, capsys):
     assert "not functorial" in report["verdicts"][0]["witness"]
 
 
+def test_segal_check_refuses_an_identity_that_moves(tmp_path, capsys):
+    # the identity of 2+ swaps the two coordinates: malformed input, so
+    # exit 3 with the reason, not an AssertionError's traceback
+    blob = jsonio.tabulated_to_json(z2_monoid_space(2))
+    by_table = {tuple(e["map"]["map"]): e for e in blob["action"]
+                if e["map"]["src"] == e["map"]["dst"] == 2}
+    by_table[(1, 2)]["simp_map"] = by_table[(2, 1)]["simp_map"]
+    p = tmp_path / "x.json"
+    p.write_text(jsonio.canonical_dumps(blob))
+    code, report = run_cli(capsys, "segal-check", str(p), "--k", "1", "--l", "1")
+    assert code == 3
+    assert "identity" in report["verdicts"][0]["witness"]
+
+
 # -- the parser is built once and shared --------------------------------------
 
 def _minimal_argv(command):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gammaspace import jsonio
-
 from gammaspace.corpus import (
     presented_corpus,
     tabulated_corpus,
@@ -401,8 +400,8 @@ def test_elementary_maps_generate_every_based_map(cap):
 
 
 def _all_pairs_functorial(x, cap):
-    """The check `validate` made before: identities, then every composable
-    pair of based maps between levels <= cap."""
+    """The all-pairs oracle: identities, then every composable pair of
+    based maps between levels <= cap."""
     every = all_morphisms_upto(cap)
     if any(x.action(gamma_identity(n)) != identity_map(x.value(n))
            for n in range(cap + 1)):
