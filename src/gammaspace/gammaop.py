@@ -134,7 +134,16 @@ def elementary_maps(cap):
     transpositions of n+, the collapse of n to the basepoint and the merge
     of n into n-1 (both n+ -> (n-1)+), and the inclusion n+ -> (n+1)+ for
     n < cap.  Every based map between levels <= cap is a composite of them
-    through levels <= cap (checked by closure in the test suite)."""
+    through levels <= cap (checked by closure in the test suite).
+
+    So a law about based maps that holds for identities and passes from f
+    and g to f.then(g) is checked exactly on these maps, by induction on
+    the word g1 ... gk of each based map.  Given functorial actions, that
+    covers naturality of a level-wise map, the squares of a natural family
+    and the preservation of a marking.  Functoriality itself,
+    action(f.then(h)) == action(f) then action(h) for every f, follows by
+    the same induction on h's word from h elementary; with f an identity,
+    which acts as the identity, the word is action(h)."""
     gens = []
     for n in range(cap + 1):
         ident = tuple(range(1, n + 1))

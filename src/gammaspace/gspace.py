@@ -101,13 +101,7 @@ class TabulatedGammaSpace:
 
         Functoriality is checked as action(f.then(g)) == action(f) then
         action(g) for every based map f, but only for g among the elementary
-        maps of `elementary_maps(cap)`.  That is exact, not weaker: every
-        based map h between levels <= cap is a word g1 ... gk in them that
-        stays inside levels <= cap, so by induction on k,
-        action(f.then(h)) == action(f) then action(g1) ... then action(gk).
-        Taking f an identity, which acts as the identity, the right-hand
-        word is action(h); hence action(f.then(h)) == action(f) then
-        action(h) for every composable pair.
+        maps of `elementary_maps(cap)`, which is exact (see there).
         """
         cap = min(level_cap, self.level_bound)
         every = all_morphisms_upto(cap)
@@ -220,8 +214,9 @@ class PresentedGammaSpace:
         self.cells = list(cells)
         self.arrows = list(arrows)
         for a in self.arrows:
-            assert a.gamma.src == self.cells[a.dst].level
-            assert a.gamma.dst == self.cells[a.src].level
+            if (a.gamma.src, a.gamma.dst) != (self.cells[a.dst].level, self.cells[a.src].level):
+                raise ValueError(f"gluing arrow {a.src} -> {a.dst} carries {a.gamma},"
+                                 " not a map between its cells' levels")
         self._level_data = {}
 
     def level_data(self, n):
@@ -543,11 +538,6 @@ def _families(per_slot, links, commutes):
     return table
 
 
-def mapping_space(p: PresentedGammaSpace, y: TabulatedGammaSpace,
-                  dim_cap=None, budget=None) -> FinSimpSet:
-    return GammaMappingSpace(p, y, dim_cap=dim_cap, budget=budget).space
-
-
 def yoneda_comparison(n, y: TabulatedGammaSpace, dim_cap=None) -> tuple:
     """The canonical map Y(n) -> Map(rep_n, Y) and its iso verdict."""
     rep = gamma_rep(n)
@@ -599,15 +589,20 @@ def internal_hom(p: PresentedGammaSpace, y: TabulatedGammaSpace,
                  level_bound=None, dim_cap=None, budget=None) -> TabulatedGammaSpace:
     """Level n is the mapping space out of p convolved with the
     representable at n; the action transports along the representables."""
+    return _internal_hom(p, y, level_bound, dim_cap, budget)[0]
+
+
+def _internal_hom(p, y, level_bound, dim_cap=None, budget=None):
+    """internal_hom's family with ms(n), the GammaMappingSpace that level n
+    is the space of."""
     if level_bound is None:
         level_bound = y.level_bound
-    reps = {n: gamma_rep(n) for n in range(level_bound + 1)}
-    convs = {n: day_convolve(p, reps[n]) for n in range(level_bound + 1)}
     spaces = {}
 
     def ms(n) -> GammaMappingSpace:
         if n not in spaces:
-            spaces[n] = GammaMappingSpace(convs[n], y, dim_cap=dim_cap, budget=budget)
+            spaces[n] = GammaMappingSpace(day_convolve(p, gamma_rep(n)), y,
+                                          dim_cap=dim_cap, budget=budget)
         return spaces[n]
 
     def value(n):
@@ -617,7 +612,7 @@ def internal_hom(p: PresentedGammaSpace, y: TabulatedGammaSpace,
         return _postcompose(ms(g.src), ms(g.dst), [
             y.action(smash_gamma(gamma_identity(a.level), g)) for a in p.cells])
 
-    return TabulatedGammaSpace(level_bound, value, action)
+    return TabulatedGammaSpace(level_bound, value, action), ms
 
 
 def precompose_smash(x: TabulatedGammaSpace, n, level_bound=None) -> TabulatedGammaSpace:
@@ -637,33 +632,22 @@ def precompose_smash(x: TabulatedGammaSpace, n, level_bound=None) -> TabulatedGa
 def smash_precompose_comparison(x: TabulatedGammaSpace, n, level_cap=None) -> Verdict:
     """The canonical level-wise isomorphism between the smash-precomposed
     space and the internal function object out of the representable at n,
-    checked level-wise and for naturality against every based map between
-    levels up to the cap."""
+    checked level-wise, and natural for every based map between levels up
+    to the cap (checked on the elementary maps)."""
     pre = precompose_smash(x, n)
     cap = pre.level_bound if level_cap is None else min(level_cap, pre.level_bound)
-    return _smash_precompose_verdict(x, n, pre, cap)
-
-
-def _smash_precompose_verdict(x, n, pre, cap) -> Verdict:
-    reps = {k: day_convolve(gamma_rep(n), gamma_rep(k)) for k in range(cap + 1)}
-    spaces = {k: GammaMappingSpace(reps[k], x) for k in range(cap + 1)}
+    hom, ms = _internal_hom(gamma_rep(n), x, cap)
     level_maps = {}
     for k in range(cap + 1):
         src = pre.value(k)
-        level_maps[k] = _classifying(spaces[k], src, src)
+        level_maps[k] = _classifying(ms(k), src, src)
         if not level_maps[k].is_iso():
             return Verdict(FAILS, f"levels<={cap}",
                            witness={"level": k, "counts": [src.summary(),
-                                                           spaces[k].space.summary()]})
-    # naturality over every based map between levels <= cap
-    for f in all_morphisms_upto(cap):
-        lhs = pre.action(f).then(level_maps[f.dst])
-        # transport on mapping spaces: postcompose the single-cell family
-        transport = _postcompose(spaces[f.src], spaces[f.dst],
-                                 [x.action(smash_gamma(gamma_identity(n), f))])
-        rhs = level_maps[f.src].then(transport)
-        if lhs != rhs:
-            return Verdict(FAILS, f"levels<={cap}", witness={"morphism": repr(f)})
+                                                           hom.value(k).summary()]})
+    f = GammaSpaceMap(pre, hom, level_maps).unnatural_at(cap)
+    if f is not None:
+        return Verdict(FAILS, f"levels<={cap}", witness={"morphism": repr(f)})
     return Verdict(HOLDS, f"levels<={cap}, all based maps",
                    details={"levels": cap})
 
@@ -683,17 +667,26 @@ class GammaSpaceMap:
     def level(self, n) -> SimpMap:
         return self.levels[n]
 
-    def validate(self, level_cap=None):
+    def _cap(self, level_cap):
         cap = min(self.source.level_bound, self.target.level_bound)
-        if level_cap is not None:
-            cap = min(cap, level_cap)
-        for n in range(cap + 1):
+        return cap if level_cap is None else min(cap, level_cap)
+
+    def unnatural_at(self, level_cap=None):
+        """The first elementary based map whose naturality square fails, or
+        None; for functorial source and target, None means natural for
+        every based map between levels <= cap (see `elementary_maps`)."""
+        for f in elementary_maps(self._cap(level_cap)):
+            if (self.levels[f.src].then(self.target.action(f))
+                    != self.source.action(f).then(self.levels[f.dst])):
+                return f
+        return None
+
+    def validate(self, level_cap=None):
+        for n in range(self._cap(level_cap) + 1):
             self.levels[n].validate(check_pointed=False)
-        for f in all_morphisms_upto(cap):
-            lhs = self.levels[f.src].then(self.target.action(f))
-            rhs = self.source.action(f).then(self.levels[f.dst])
-            if lhs != rhs:
-                raise ValueError(f"naturality fails at {f}")
+        f = self.unnatural_at(level_cap)
+        if f is not None:
+            raise ValueError(f"naturality fails at {f}")
         return self
 
     def is_levelwise_iso(self, level_cap=None):
@@ -808,41 +801,35 @@ class Normalization:
     def __init__(self, x: TabulatedGammaSpace):
         self.x = x
         self._cols = {}
-        self._points = {}
-        x0, iota = unital_part(x)
-        self.iota = iota
+        _, self.iota = unital_part(x)
         bound = x.level_bound
 
-        def col(n):
-            if n not in self._cols:
-                pt = standard_point(bound=0)
-                self._points[n] = pt
-                self._cols[n] = Colimit(
-                    [x.value(0), x.value(n), pt],
-                    [
-                        (0, 1, iota.levels[n]),
-                        (0, 2, constant_map(x.value(0), pt, "0")),
-                    ],
-                    pointed_at=(2, "0"),
-                )
-            return self._cols[n]
-
-        def value(n):
-            return col(n).space
-
         def action(f: GammaMorphism):
-            src, dst = col(f.src), col(f.dst)
+            src, dst = self.col(f.src), self.col(f.dst)
             cocone = [
                 constant_map(x.value(0), dst.space, dst.space.pointed),
                 x.action(f).then(dst.coprojection(1)),
-                constant_map(self._points[f.src], dst.space, dst.space.pointed),
+                constant_map(src.objects[2], dst.space, dst.space.pointed),
             ]
             return src.mediating(cocone, dst.space)
 
-        self.space = TabulatedGammaSpace(bound, value, action)
+        self.space = TabulatedGammaSpace(bound, lambda n: self.col(n).space, action)
         self.eta = GammaSpaceMap(
-            x, self.space, {n: col(n).coprojection(1) for n in range(bound + 1)}
+            x, self.space, {n: self.col(n).coprojection(1) for n in range(bound + 1)}
         )
+
+    def col(self, n) -> Colimit:
+        """Level n as the pushout of the point along X(0) -> X(n); its
+        objects are [X(0), X(n), point]."""
+        if n not in self._cols:
+            pt = standard_point(bound=0)
+            x0 = self.x.value(0)
+            self._cols[n] = Colimit(
+                [x0, self.x.value(n), pt],
+                [(0, 1, self.iota.levels[n]), (0, 2, constant_map(x0, pt, "0"))],
+                pointed_at=(2, "0"),
+            )
+        return self._cols[n]
 
 
 def normalize(x: TabulatedGammaSpace):
@@ -858,16 +845,14 @@ def normalization_counit(y: TabulatedGammaSpace) -> GammaSpaceMap:
         raise ValueError("counit only defined on normalized spaces")
     nz = Normalization(y)
     levels = {}
-    for n in range(y.level_bound + 1):
-        nz.space.value(n)
     base_vertex = y.value(0).cell_ids(0)[0]
     for n in range(y.level_bound + 1):
-        col = nz._cols[n]
+        col = nz.col(n)
         target_vertex = nz.iota.levels[n](SimplexRef(base_vertex), 0).base
         cocone = [
             constant_map(y.value(0), y.value(n), target_vertex),
             identity_map(y.value(n)),
-            constant_map(nz._points[n], y.value(n), target_vertex),
+            constant_map(col.objects[2], y.value(n), target_vertex),
         ]
         levels[n] = col.mediating(cocone, y.value(n))
     return GammaSpaceMap(nz.space, y, levels)
@@ -1049,7 +1034,8 @@ def mapping_space_tabulated(x: TabulatedGammaSpace, y: TabulatedGammaSpace,
         [product(x.value(n), simplices[d]) for d in range(dim_cap + 1)]
         for n in range(level_cap + 1)
     ]
-    morphisms = all_morphisms_upto(level_cap)
+    # natural along the elementary maps is natural along every based map
+    morphisms = elementary_maps(level_cap)
 
     def collapses(m, n, d):
         if x.value(n).pointed is None or y.value(n).pointed is None:

@@ -3,8 +3,8 @@ families over based finite sets."""
 
 from __future__ import annotations
 
-from .gammaop import GammaMorphism
-from .gspace import GammaMappingSpace, TabulatedGammaSpace, all_morphisms_upto
+from .gammaop import GammaMorphism, elementary_maps
+from .gspace import GammaMappingSpace, TabulatedGammaSpace
 from .shapes import MapComplex, standard_simplex
 from .simplicial import (
     FinSimpSet,
@@ -152,8 +152,9 @@ class MarkedGammaSpace:
     def __init__(self, level_bound, value_fn, action_fn):
         self.level_bound = level_bound
         self._value_fn = value_fn
-        self._action_fn = action_fn
         self._values = {}
+        self._underlying = TabulatedGammaSpace(
+            level_bound, lambda n: self.value(n).underlying, action_fn)
 
     def value(self, n) -> MarkedSimpSet:
         if n not in self._values:
@@ -161,19 +162,17 @@ class MarkedGammaSpace:
         return self._values[n]
 
     def action(self, f: GammaMorphism) -> SimpMap:
-        m = self._action_fn(f)
-        return m
+        return self._underlying.action(f)
 
     def underlying(self) -> TabulatedGammaSpace:
-        return TabulatedGammaSpace(
-            self.level_bound,
-            lambda n: self.value(n).underlying,
-            self._action_fn,
-        )
+        return self._underlying
 
     def validate(self, level_cap=2):
-        self.underlying().validate(level_cap=level_cap)
-        for f in all_morphisms_upto(min(level_cap, self.level_bound)):
+        """The underlying family validates, and every based map between
+        levels <= cap preserves the markings, checked on the elementary
+        maps (exact for a functorial action; see `elementary_maps`)."""
+        self._underlying.validate(level_cap=level_cap)
+        for f in elementary_maps(min(level_cap, self.level_bound)):
             if not is_marked_map(self.action(f), self.value(f.src), self.value(f.dst)):
                 raise ValueError(f"action at {f} does not preserve markings")
         return self

@@ -281,12 +281,6 @@ class Exponential(MapComplex):
         return super().element_of(name)[0]
 
 
-def exponential(x: FinSimpSet, a: FinSimpSet, dim_cap=None, budget=None):
-    """Function complex as (space, element_of); see Exponential."""
-    e = Exponential(x, a, dim_cap=dim_cap, budget=budget)
-    return e.space, e.element_of
-
-
 def _simplex_map_between(src: FinSimpSet, dst: FinSimpSet, alpha) -> SimpMap:
     """Simplex-to-simplex map over a monotone vertex map, on given copies."""
     assignment = {}

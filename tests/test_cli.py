@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from gammaspace import jsonio
 from gammaspace.cli import COMMANDS, build_parser, main
-from gammaspace.corpus import z2_monoid_space
+from gammaspace.corpus import glued_presentation, z2_monoid_space
 from gammaspace.gspace import gamma_rep
 from gammaspace.marked import mark
 from gammaspace.nerve import nerve
@@ -396,6 +396,20 @@ def test_segal_check_refuses_an_identity_that_moves(tmp_path, capsys):
     code, report = run_cli(capsys, "segal-check", str(p), "--k", "1", "--l", "1")
     assert code == 3
     assert "identity" in report["verdicts"][0]["witness"]
+
+
+def test_convolve_refuses_a_gluing_arrow_between_wrong_levels(tmp_path, capsys):
+    # the first arrow of the glued presentation reads 2+ -> 2+, but its
+    # target cell has level 1: this ended in an AssertionError, exit 1
+    blob = jsonio.presented_to_json(glued_presentation())
+    gamma = blob["glue"][0]["gamma"]
+    gamma["src"], gamma["map"] = 2, gamma["map"] + [2]
+    p = tmp_path / "glued.json"
+    p.write_text(jsonio.canonical_dumps(blob))
+    code, report = run_cli(capsys, "convolve", str(p), str(p), "--level-bound", "1")
+    assert code == 3
+    assert report["verdicts"][0]["tag"] == "input"
+    assert "gluing arrow 0 -> 1" in report["verdicts"][0]["witness"]
 
 
 # -- the parser is built once and shared --------------------------------------

@@ -4,7 +4,7 @@ Segal checks, normalization, the two-route fibration check, semi-additivity."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gammaspace import jsonio
+from gammaspace import gspace, jsonio
 from gammaspace.corpus import (
     presented_corpus,
     tabulated_corpus,
@@ -478,3 +478,91 @@ def test_complete_level_three_load_composes_little(monkeypatch):
     # number of pairs (f, elementary g) at level 3
     assert calls["elsewhere"] == 0
     assert 0 < calls["validate"] <= 534
+
+
+# -- naturality against the elementary maps -----------------------------------
+
+
+def _natural_on_all_maps(phi, cap):
+    """The all-maps oracle: the naturality square of every based map between
+    levels <= cap commutes."""
+    return all(phi.level(f.src).then(phi.target.action(f))
+               == phi.source.action(f).then(phi.level(f.dst))
+               for f in all_morphisms_upto(cap))
+
+
+def _structure_maps():
+    """iota, eta and the normalization counit of each corpus space."""
+    out = {}
+    for name, x in tabulated_corpus(3):
+        nor, eta = normalize(x)
+        out[f"{name}:iota"] = unital_part(x)[1]
+        out[f"{name}:eta"] = eta
+        out[f"{name}:counit"] = normalization_counit(nor)
+    return out
+
+
+_STRUCTURE_MAPS = _structure_maps()
+
+
+@pytest.mark.parametrize("key", sorted(_STRUCTURE_MAPS))
+def test_elementary_naturality_accepts_the_structure_maps(key):
+    phi = _STRUCTURE_MAPS[key]
+    assert phi.unnatural_at(3) is None and _natural_on_all_maps(phi, 3)
+
+
+@given(st.sampled_from(sorted(_STRUCTURE_MAPS)), st.integers(0, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_elementary_naturality_matches_all_maps_on_corruptions(key, n, data):
+    phi = _STRUCTURE_MAPS[key]
+    m = phi.level(n)
+    vertex = data.draw(st.sampled_from(m.source.cell_ids(0)))
+    image = data.draw(st.sampled_from(m.target.cell_ids(0)))
+    bad = GammaSpaceMap(phi.source, phi.target, {**phi.levels, n: SimpMap(
+        m.source, m.target, {**m.assignment, (0, vertex): SimplexRef(image)})})
+    assert (bad.unnatural_at(3) is None) == _natural_on_all_maps(bad, 3)
+
+
+def test_validate_names_the_unnatural_elementary_map():
+    # eta of Z/2 with the two vertices of level 1 swapped: the collapse
+    # 1+ -> 0+ still commutes, the inclusion 0+ -> 1+ does not
+    _, eta = normalize(z2_monoid_space(2))
+    m = eta.level(1)
+    swap = {(0, "t0"): m(SimplexRef("t1"), 0), (0, "t1"): m(SimplexRef("t0"), 0)}
+    bad = GammaSpaceMap(eta.source, eta.target,
+                        {**eta.levels, 1: SimpMap(m.source, m.target, swap)})
+    f = bad.unnatural_at()
+    assert f == GammaMorphism(0, 1, ())
+    with pytest.raises(ValueError, match="naturality fails"):
+        bad.validate()
+
+
+def _tabulated_complex(x, y, pointed):
+    space, element_of = mapping_space_tabulated(x, y, 2, 1, pointed=pointed)
+    return jsonio.simpset_to_json(space), {
+        name: [m.key() for m in element_of(name)]
+        for d in range(space.dim_bound + 1) for name in space.cell_ids(d)}
+
+
+_RAW = dict(tabulated_corpus(2))
+_NORMALIZED = {name: normalize(x)[0] for name, x in _RAW.items()}
+# (source, target, pointed): the normalized pairs both ways, and plain
+# pairs of unnormalized spaces with more than one natural family
+_TABULATED_PAIRS = {
+    **{f"nor-{s}-{d}-{'pointed' if pointed else 'plain'}": (_NORMALIZED[s], _NORMALIZED[d], pointed)
+       for s, d in [("monoid-z2", "monoid-max"), ("monoid-max", "monoid-z2"),
+                    ("rep1", "monoid-z2"), ("constant-interval", "rep1")]
+       for pointed in (True, False)},
+    **{f"{s}-{d}": (_RAW[s], _RAW[d], False)
+       for s, d in [("monoid-z2", "monoid-z2"), ("monoid-max", "monoid-max"),
+                    ("rep1", "monoid-max"), ("constant-interval", "constant-interval")]},
+}
+
+
+@pytest.mark.parametrize("key", sorted(_TABULATED_PAIRS))
+def test_mapping_space_tabulated_matches_all_maps_links(monkeypatch, key):
+    x, y, pointed = _TABULATED_PAIRS[key]
+    fast = _tabulated_complex(x, y, pointed)
+    monkeypatch.setattr(gspace, "elementary_maps", all_morphisms_upto)
+    assert _tabulated_complex(x, y, pointed) == fast
+    assert fast[1]

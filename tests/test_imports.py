@@ -2,16 +2,23 @@
 each module: every name a module imports is used in it (or exported through
 `__all__`), no function imports again from a module the file already
 imports at its top level (such an import breaks no cycle, it only hides a
-dependency), and every parameter of a `def` is read in its body.
+dependency), every parameter of a `def` is read in its body, and every
+top-level `def` and `class` of the library is read somewhere in `src/`,
+`tests/` or `bench/`.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gammaspace"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gammaspace"
 MODULES = sorted(SRC.glob("*.py"))
+READERS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+# "module:qualname", the form in which the benchmark's tracer names what it wraps
+_BINDING = re.compile(r"\w+:([\w.]+)")
 
 
 def _source(node: ast.stmt):
@@ -91,6 +98,37 @@ def unused_parameters(source: str):
     return sorted(out)
 
 
+def _reads(node):
+    """Names read under node: loaded names, attributes, and the parts of a
+    "module:qualname" string.  Importing a name does not read it."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            binding = _BINDING.fullmatch(n.value)
+            out.update(binding.group(1).split(".") if binding else ())
+    return out
+
+
+def dead_definitions(modules, readers):
+    """(module, name) for each top-level `def` or `class` of the sources in
+    `modules` whose name no source in `readers` reads.  Both map a module
+    name to its source; a definition's reads of its own name do not count."""
+    reads = {name: [_reads(stmt) for stmt in ast.parse(src).body]
+             for name, src in readers.items()}
+    return sorted(
+        (module, node.name)
+        for module, src in modules.items()
+        for i, node in enumerate(ast.parse(src).body)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not any(node.name in r for reader, stmts in reads.items()
+                    for k, r in enumerate(stmts) if (reader, k) != (module, i))
+    )
+
+
 def test_checks_catch_what_they_name():
     source = (
         "from .simplicial import SimpMap, product\n"
@@ -119,6 +157,35 @@ def test_parameter_check_catches_what_it_names():
     )
     assert unused_parameters(source) == [
         (2, "f", "args"), (2, "f", "y"), (4, "inner", "w")]
+
+
+def test_dead_definition_check_catches_what_it_names():
+    lib = (
+        "def used():\n"
+        "    return 1\n"
+        "def recursive():\n"
+        "    return recursive()\n"
+        "class Wrapped:\n"
+        "    pass\n"
+        "def _helper():\n"
+        "    return used()\n"
+    )
+    reader = (
+        '"""_helper is named here, in a docstring only."""\n'
+        "from lib import used, recursive\n"
+        "TIMED = ['lib:Wrapped.__init__']\n"
+        "x = used\n"
+    )
+    assert dead_definitions({"lib": lib}, {"lib": lib, "reader": reader}) == [
+        ("lib", "_helper"), ("lib", "recursive")]
+
+
+def test_no_dead_definitions():
+    sources = {p.relative_to(ROOT).as_posix(): p.read_text() for p in READERS}
+    library = {name: src for name, src in sources.items()
+               if name.startswith("src/gammaspace/")}
+    assert len(library) == len(MODULES)
+    assert dead_definitions(library, sources) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -2,15 +2,23 @@
 and marked level families."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammaspace.catcore import walking_iso_category
 from gammaspace.corpus import z2_monoid_space
-from gammaspace.gspace import GammaMappingSpace, constant_gamma_space, gamma_rep
+from gammaspace.gammaop import GammaMorphism, gamma_identity, zero_map
+from gammaspace.gspace import (
+    GammaMappingSpace,
+    all_morphisms_upto,
+    constant_gamma_space,
+    gamma_rep,
+)
 from gammaspace.marked import (
     MarkedGammaSpace,
     MarkedSimpSet,
     gamma_flat,
     hom_marked,
+    is_marked_map,
     mark,
     marked_hom_set,
     marked_mapping_space,
@@ -18,7 +26,7 @@ from gammaspace.marked import (
 )
 from gammaspace.nerve import nerve
 from gammaspace.shapes import boundary, standard_point, standard_simplex
-from gammaspace.simplicial import SimplexRef, hom_set, iso_check
+from gammaspace.simplicial import SimplexRef, hom_set, identity_map, iso_check
 
 
 def test_mark_flat_sharp():
@@ -106,3 +114,75 @@ def test_marked_mapping_space_refuses_a_marked_source():
     sharp = MarkedGammaSpace(2, lambda n: mark(x.value(n), "sharp"), x.action)
     with pytest.raises(ValueError, match="marked edges at level 1"):
         marked_mapping_space(sharp, gamma_flat(x), gamma_rep(1), dim_cap=1)
+
+
+def test_underlying_family_is_built_once():
+    s = standard_simplex(1)
+    x = MarkedGammaSpace(2, lambda n: mark(s, "flat"), lambda f: identity_map(s))
+    u = x.underlying()
+    assert x.underlying() is u and u.value(1) is x.value(1).underlying
+    f = GammaMorphism(2, 1, (1, 0))
+    assert x.action(f) is u.action(f)
+    # the action reads through the family's level bound
+    with pytest.raises(ValueError, match="beyond level bound"):
+        x.action(gamma_identity(3))
+
+
+# -- markings checked on the elementary maps -----------------------------------
+
+
+_REP_INTERVAL = gamma_rep(1, standard_simplex(1)).tabulate(3)
+
+
+def _marked_rep_interval(marks):
+    y = _REP_INTERVAL
+    return MarkedGammaSpace(3, lambda n: MarkedSimpSet(y.value(n), marks[n]), y.action)
+
+
+def _validates(x):
+    try:
+        x.validate(level_cap=3)
+    except ValueError:
+        return False
+    return True
+
+
+def _marking_kept_by_all_maps(x):
+    """The all-maps oracle: every based map between levels <= 3 sends
+    marked edges to marked edges."""
+    return all(is_marked_map(x.action(f), x.value(f.src), x.value(f.dst))
+               for f in all_morphisms_upto(3))
+
+
+def _zero_edge(n):
+    """The edge of the copy of Delta[1] at the zero map 1+ -> n+, the one
+    orbit that the based maps keep apart from the rest."""
+    e = _REP_INTERVAL.value(1).cell_ids(1)[0]
+    return _REP_INTERVAL.action(zero_map(1, n))(SimplexRef(e), 1).base
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_validate_refuses_exactly_when_a_based_map_breaks_the_marking(data):
+    # each level marks its zero edge or not and the other edges or not,
+    # then hypothesis flips a few single edges
+    marks = {}
+    for n in range(4):
+        edges = _REP_INTERVAL.value(n).cell_ids(1)
+        zero, rest = data.draw(st.booleans()), data.draw(st.booleans())
+        marked = {e for e in edges if (zero if e == _zero_edge(n) else rest)}
+        marks[n] = marked ^ data.draw(st.sets(st.sampled_from(edges), max_size=1))
+    x = _marked_rep_interval(marks)
+    assert _validates(x) == _marking_kept_by_all_maps(x)
+
+
+@pytest.mark.parametrize("zero,rest,kept", [
+    ((), (), True), ((0, 1, 2, 3), (1, 2, 3), True), ((0, 1, 2, 3), (), True),
+    ((0, 1, 2, 3), (1, 2), False), ((1, 2, 3), (1, 2, 3), False),
+])
+def test_validate_on_orbit_markings(zero, rest, kept):
+    x = _marked_rep_interval({
+        n: {e for e in _REP_INTERVAL.value(n).cell_ids(1)
+            if n in (zero if e == _zero_edge(n) else rest)}
+        for n in range(4)})
+    assert _validates(x) == _marking_kept_by_all_maps(x) == kept
