@@ -76,6 +76,7 @@ def factor_monotone(alpha):
     return tuple(image), surj
 
 
+@functools.lru_cache(maxsize=WORD_MEMO_SIZE)
 def delta_tuple(i, n):
     """The injection [n-1] -> [n] skipping i."""
     return tuple(t for t in range(n + 1) if t != i)
@@ -270,10 +271,11 @@ class FinSimpSet:
         for n in range(2, self.dim_bound + 1):
             for name in self.cell_ids(n):
                 top = SimplexRef(name, ())
+                faces = [self.face(top, n, j) for j in range(n + 1)]
                 for j in range(n + 1):
                     for i in range(j):
-                        lhs = self.face(self.face(top, n, j), n - 1, i)
-                        rhs = self.face(self.face(top, n, i), n - 1, j - 1)
+                        lhs = self.face(faces[j], n - 1, i)
+                        rhs = self.face(faces[i], n - 1, j - 1)
                         if lhs != rhs:
                             raise ValueError(
                                 f"simplicial identity fails on {name!r}: "
@@ -550,70 +552,58 @@ def product(x: FinSimpSet, y: FinSimpSet, bound=None):
     product; otherwise it stays at the joint coskeletal bound, which is the
     range on which the output is exact.
 
+    Only nondegenerate pairs are enumerated: by Eilenberg-Zilber, a pair
+    of n-refs is s_j of a pair exactly when j is in both degeneracy words.
+    They are named c{n}_{idx} in sorted key order, the set and order that
+    `from_elements` gives every pair, so the names do not move.
+
     Returns (product set, projection to x, projection to y, pair resolver)
     where the resolver sends a pair of same-dimension refs to the product
-    ref in normal form.
+    ref in normal form (ValueError if its nondegenerate part is above the
+    bound).
     """
-    if bound is None:
-        if x.complete and y.complete:
-            b = x.top_dim() + y.top_dim()
-        else:
-            b = min(
-                x.dim_bound if not x.complete else x.top_dim() + y.top_dim(),
-                y.dim_bound if not y.complete else x.top_dim() + y.top_dim(),
-            )
-    else:
-        b = bound
-    levels = [
-        [(rx.key(), ry.key()) for rx in x.refs(n) for ry in y.refs(n)]
-        for n in range(b + 1)
-    ]
-
-    def face(n, key, i):
-        rx, ry = SimplexRef(*key[0]), SimplexRef(*key[1])
-        return (x.face(rx, n, i).key(), y.face(ry, n, i).key())
-
-    def degen(n, key, i):
-        rx, ry = SimplexRef(*key[0]), SimplexRef(*key[1])
-        return (x.degen(rx, n, i).key(), y.degen(ry, n, i).key())
-
-    pointed_key = None
-    if x.pointed is not None and y.pointed is not None:
-        pointed_key = ((x.pointed, ()), (y.pointed, ()))
-    prod, ref_of, key_of = from_elements(
-        b, levels, face, degen, pointed_key=pointed_key,
-        complete=x.complete and y.complete and b >= x.top_dim() + y.top_dim(),
-    )
+    full = x.top_dim() + y.top_dim()
+    b = bound if bound is not None else min(full if x.complete else x.dim_bound,
+                                            full if y.complete else y.dim_bound)
+    names = {}
+    for n in range(b + 1):
+        ys = {}
+        for ry in y.refs(n):
+            ys.setdefault(frozenset(ry.degs), []).append(ry.key())
+        keys = sorted((rx.key(), ky) for rx in x.refs(n) for w, kys in ys.items()
+                      if w.isdisjoint(rx.degs) for ky in kys)
+        names.update(((n, key), f"c{n}_{idx}") for idx, key in enumerate(keys))
 
     def pair_ref(rx, ry, n):
-        if n <= b:
-            return ref_of(n, (rx.key(), ry.key()))
-        # above the built bound every pair is degenerate: strip the common
-        # degeneracy word, look up the base pair, and re-apply the word
-        common = tuple(sorted(set(rx.degs) & set(ry.degs), reverse=True))
-        if n - len(common) > b:
+        # strip the common degeneracy word (each index left drops by the
+        # number of stripped ones below it), look the nondegenerate pair
+        # up, and re-apply the word
+        common = tuple(j for j in rx.degs if j in ry.degs)
+        if common:
+            rx, ry = (SimplexRef(r.base, tuple(j - sum(c < j for c in common)
+                                               for j in r.degs if j not in common))
+                      for r in (rx, ry))
+        k = n - len(common)
+        name = names.get((k, (rx.key(), ry.key())))
+        if name is None:
             raise ValueError(f"pair of refs in dim {n} has no cell at bound {b}")
-        sigma_c = word_to_surj(common, n)
+        return apply_word(SimplexRef(name), common, k)
 
-        def strip(ref):
-            s = word_to_surj(ref.degs, n)
-            fiber_values = {}
-            for t in range(n + 1):
-                fiber_values[sigma_c[t]] = s[t]
-            reduced = tuple(fiber_values[t] for t in range(n - len(common) + 1))
-            return SimplexRef(ref.base, surj_to_word(reduced))
-
-        base = ref_of(n - len(common), (strip(rx).key(), strip(ry).key()))
-        return apply_word(base, common, n - len(common))
-
+    cells = {n: {} for n in range(b + 1)}
     assign1, assign2 = {}, {}
-    for name, (n, key) in key_of.items():
-        assign1[(n, name)] = SimplexRef(*key[0])
-        assign2[(n, name)] = SimplexRef(*key[1])
-    proj1 = SimpMap(prod, x, assign1)
-    proj2 = SimpMap(prod, y, assign2)
-    return prod, proj1, proj2, pair_ref
-
+    for (n, (kx, ky)), name in names.items():
+        rx, ry = SimplexRef(*kx), SimplexRef(*ky)
+        cells[n][name] = tuple(
+            pair_ref(x.face(rx, n, i), y.face(ry, n, i), n - 1) for i in range(n + 1)
+        ) if n else ()
+        assign1[(n, name)] = rx
+        assign2[(n, name)] = ry
+    pointed = None
+    if x.pointed is not None and y.pointed is not None:
+        pointed = names[(0, ((x.pointed, ()), (y.pointed, ())))]
+    prod = FinSimpSet(b, cells, pointed=pointed,
+                      complete=x.complete and y.complete and b >= full).validate()
+    return prod, SimpMap(prod, x, assign1), SimpMap(prod, y, assign2), pair_ref
 
 def pairing(f: SimpMap, g: SimpMap, prod_data) -> SimpMap:
     """The map (f, g): Z -> X x Y induced into product(f.target, g.target)."""
@@ -651,7 +641,11 @@ class Colimit:
 
     objects: list of FinSimpSets; arrows: (src index, dst index, SimpMap).
     Computed dimension-wise by set-level quotient with Eilenberg-Zilber
-    renormalization of the glued cells.
+    renormalization of the glued cells.  Only the nondegenerate cells and
+    their images under the arrows are enumerated: a degenerate s_w(c) is
+    glued where c is and resolves through c's class.  The classes of cells
+    are those of the quotient of every ref, so the names q{n}_{idx}, in
+    order of least member, do not move.
     """
 
     def __init__(self, objects, arrows, bound=None, pointed_at=None):
@@ -692,14 +686,18 @@ class Colimit:
         tagged = [[] for _ in range(b + 1)]
         for n in range(b + 1):
             for i, obj in enumerate(self.objects):
-                for ref in obj.refs(n):
-                    k = (i, ref.base, ref.degs)
+                for name in obj.cell_ids(n):
+                    k = (i, name, ())
                     parent[k] = k
                     tagged[n].append(k)
             for (si, di, m) in self.arrows:
-                for ref in self.objects[si].refs(n):
-                    img = m(ref, n)
-                    union((si, ref.base, ref.degs), (di, img.base, img.degs))
+                for name in self.objects[si].cell_ids(n):
+                    img = m(SimplexRef(name), n)
+                    k = (di, img.base, img.degs)
+                    if k not in parent:
+                        parent[k] = k
+                        tagged[n].append(k)
+                    union((si, name, ()), k)
 
         # classes per dimension, canonically ordered by minimal member
         self._nf = {}

@@ -6,7 +6,15 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gammaspace.shapes import boundary, standard_point, standard_simplex
+from gammaspace import simplicial
+from gammaspace.jsonio import canonical_dumps, simpset_to_json
+from gammaspace.shapes import (
+    boundary,
+    horn,
+    interval_groupoid_nerve,
+    standard_point,
+    standard_simplex,
+)
 from gammaspace.simplicial import (
     Colimit,
     FinSimpSet,
@@ -14,9 +22,13 @@ from gammaspace.simplicial import (
     SimpMap,
     apply_word,
     constant_map,
+    delta_tuple,
+    discrete_set,
     disjoint_union,
     factor_monotone,
+    from_elements,
     hom_set,
+    identity_map,
     inclusion_map,
     iso_check,
     labeled_copies,
@@ -24,6 +36,7 @@ from gammaspace.simplicial import (
     monotone_maps,
     pairing,
     product,
+    product_map,
     pushout,
     surj_to_word,
     word_to_surj,
@@ -342,3 +355,313 @@ def test_word_memos_match_their_functions(word, extra):
         assert factor_monotone(alpha) == factor_monotone.__wrapped__(alpha)
     ref = SimplexRef("x", word)
     assert apply_word(ref, (0,), m) == apply_word.__wrapped__(ref, (0,), m)
+    for i in range(m + 1):
+        assert delta_tuple(i, m) == delta_tuple.__wrapped__(i, m)
+
+
+def test_validate_catches_a_broken_simplicial_identity():
+    # d2 of t is the edge a -> b, but d0 of t is the edge x -> c, so
+    # d0 d2 t = b while d1 d0 t = x
+    v = SimplexRef
+    cells = {
+        0: {"a": (), "b": (), "c": (), "x": ()},
+        1: {"ab": (v("b"), v("a")), "ac": (v("c"), v("a")), "xc": (v("c"), v("x"))},
+        2: {"t": (v("xc"), v("ac"), v("ab"))},
+    }
+    with pytest.raises(ValueError, match=r"simplicial identity fails on 't': d0d2 != d1d0"):
+        FinSimpSet(2, cells).validate()
+
+
+# -- products and colimits built from nondegenerate simplices, against the ---
+# -- builders that enumerate every simplex -----------------------------------
+
+
+def _product_oracle(x, y, bound=None):
+    """`product` as built from every pair of refs by `from_elements`."""
+    if bound is None:
+        if x.complete and y.complete:
+            b = x.top_dim() + y.top_dim()
+        else:
+            b = min(
+                x.dim_bound if not x.complete else x.top_dim() + y.top_dim(),
+                y.dim_bound if not y.complete else x.top_dim() + y.top_dim(),
+            )
+    else:
+        b = bound
+    levels = [
+        [(rx.key(), ry.key()) for rx in x.refs(n) for ry in y.refs(n)]
+        for n in range(b + 1)
+    ]
+
+    def face(n, key, i):
+        rx, ry = SimplexRef(*key[0]), SimplexRef(*key[1])
+        return (x.face(rx, n, i).key(), y.face(ry, n, i).key())
+
+    def degen(n, key, i):
+        rx, ry = SimplexRef(*key[0]), SimplexRef(*key[1])
+        return (x.degen(rx, n, i).key(), y.degen(ry, n, i).key())
+
+    pointed_key = None
+    if x.pointed is not None and y.pointed is not None:
+        pointed_key = ((x.pointed, ()), (y.pointed, ()))
+    prod, ref_of, key_of = from_elements(
+        b, levels, face, degen, pointed_key=pointed_key,
+        complete=x.complete and y.complete and b >= x.top_dim() + y.top_dim(),
+    )
+
+    def pair_ref(rx, ry, n):
+        if n <= b:
+            return ref_of(n, (rx.key(), ry.key()))
+        # above the built bound every pair is degenerate: strip the common
+        # degeneracy word, look up the base pair, and re-apply the word
+        common = tuple(sorted(set(rx.degs) & set(ry.degs), reverse=True))
+        if n - len(common) > b:
+            raise ValueError(f"pair of refs in dim {n} has no cell at bound {b}")
+        sigma_c = word_to_surj(common, n)
+
+        def strip(ref):
+            s = word_to_surj(ref.degs, n)
+            fiber_values = {}
+            for t in range(n + 1):
+                fiber_values[sigma_c[t]] = s[t]
+            reduced = tuple(fiber_values[t] for t in range(n - len(common) + 1))
+            return SimplexRef(ref.base, surj_to_word(reduced))
+
+        base = ref_of(n - len(common), (strip(rx).key(), strip(ry).key()))
+        return apply_word(base, common, n - len(common))
+
+    assign1, assign2 = {}, {}
+    for name, (n, key) in key_of.items():
+        assign1[(n, name)] = SimplexRef(*key[0])
+        assign2[(n, name)] = SimplexRef(*key[1])
+    return prod, SimpMap(prod, x, assign1), SimpMap(prod, y, assign2), pair_ref
+
+
+def _canonical(x):
+    return canonical_dumps(simpset_to_json(x))
+
+
+small_spaces = st.one_of(
+    quotients,
+    st.integers(0, 2).map(standard_simplex),
+    st.integers(1, 3).map(boundary),
+    st.sampled_from([(2, 0), (2, 1), (2, 2), (3, 1)]).map(lambda nk: horn(*nk)),
+    st.just(discrete_set("abc", pointed="b")),
+    st.just(interval_groupoid_nerve(bound=1)),
+)
+
+
+def _pair_outcome(pair_ref, rx, ry, n):
+    try:
+        return pair_ref(rx, ry, n)
+    except ValueError:
+        return ValueError
+
+
+@given(small_spaces, small_spaces, st.sampled_from([None, 1, 2]))
+@settings(max_examples=40, deadline=None)
+def test_product_matches_from_elements_oracle(x, y, bound):
+    got, p1, p2, pair_ref = product(x, y, bound=bound)
+    want, q1, q2, want_pair_ref = _product_oracle(x, y, bound=bound)
+    assert _canonical(got) == _canonical(want)
+    assert (got.complete, got.pointed) == (want.complete, want.pointed)
+    assert (p1.key(), p2.key()) == (q1.key(), q2.key())
+    for n in range(got.dim_bound + 3):
+        for rx in x.refs(n):
+            for ry in y.refs(n):
+                assert (_pair_outcome(pair_ref, rx, ry, n)
+                        == _pair_outcome(want_pair_ref, rx, ry, n))
+
+
+def test_product_does_not_call_from_elements(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("product called from_elements")
+
+    monkeypatch.setattr(simplicial, "from_elements", refuse)
+    prod = product(standard_simplex(2), horn(2, 1))[0]
+    assert _canonical(prod) == _canonical(_product_oracle(standard_simplex(2), horn(2, 1))[0])
+
+
+class _AllRefsColimit(Colimit):
+    """`Colimit` with the quotient taken over every ref of every object,
+    degenerate ones included."""
+
+    def _compute(self, pointed_at):
+        b = self.bound
+        parent = {}
+
+        def find(k):
+            while parent[k] != k:
+                parent[k] = parent[parent[k]]
+                k = parent[k]
+            return k
+
+        def union(a, bb):
+            ra, rb = find(a), find(bb)
+            if ra != rb:
+                if rb < ra:
+                    ra, rb = rb, ra
+                parent[rb] = ra
+
+        tagged = [[] for _ in range(b + 1)]
+        for n in range(b + 1):
+            for i, obj in enumerate(self.objects):
+                for ref in obj.refs(n):
+                    k = (i, ref.base, ref.degs)
+                    parent[k] = k
+                    tagged[n].append(k)
+            for (si, di, m) in self.arrows:
+                for ref in self.objects[si].refs(n):
+                    img = m(ref, n)
+                    union((si, ref.base, ref.degs), (di, img.base, img.degs))
+
+        self._nf = {}
+        cells = {}
+        for n in range(b + 1):
+            classes = {}
+            for k in tagged[n]:
+                classes.setdefault(find(k), []).append(k)
+            ordered = sorted(classes.values(), key=min)
+            cells[n] = {}
+            fresh_idx = 0
+            for members in ordered:
+                members.sort()
+                root = find(members[0])
+                deg_members = [m for m in members if m[2]]
+                if deg_members:
+                    nfs = set()
+                    for (i, base, word) in deg_members:
+                        below = self._resolve(n - len(word), (i, base, ()), find)
+                        nfs.add(apply_word(below, word, n - len(word)))
+                    if len(nfs) != 1:
+                        raise AssertionError("inconsistent quotient normal forms")
+                    self._nf[(n, root)] = nfs.pop()
+                else:
+                    name = f"q{n}_{fresh_idx}"
+                    fresh_idx += 1
+                    self._nf[(n, root)] = SimplexRef(name, ())
+                    i, base, _ = members[0]
+                    faces = ()
+                    if n > 0:
+                        faces = tuple(
+                            self._resolve(n - 1, (i, fr.base, fr.degs), find)
+                            for fr in self.objects[i].faces_of(n, base)
+                        )
+                        for (i2, base2, _w) in members[1:]:
+                            alt = tuple(
+                                self._resolve(n - 1, (i2, fr.base, fr.degs), find)
+                                for fr in self.objects[i2].faces_of(n, base2)
+                            )
+                            if alt != faces:
+                                raise AssertionError("quotient faces disagree")
+                    cells[n][name] = faces
+
+        self._find = find
+        pointed = None
+        if pointed_at is not None:
+            i, vertex = pointed_at
+            pointed = self._resolve(0, (i, vertex, ()), find).base
+        self.space = FinSimpSet(self.bound, cells, pointed=pointed,
+                                complete=self.complete).validate()
+
+
+def _assert_same_colimit(objects, arrows, **kwargs):
+    got = Colimit(objects, arrows, **kwargs)
+    want = _AllRefsColimit(objects, arrows, **kwargs)
+    assert _canonical(got.space) == _canonical(want.space)
+    for i, obj in enumerate(objects):
+        for n in range(got.bound + 1):
+            for ref in obj.refs(n):
+                assert got.ref_in(i, ref, n) == want.ref_in(i, ref, n)
+        assert got.coprojection(i).key() == want.coprojection(i).key()
+    point = standard_point()
+    for cocone, target in [
+        ([want.coprojection(i) for i in range(len(objects))], want.space),
+        ([constant_map(obj, point, "0") for obj in objects], point),
+    ]:
+        assert got.mediating(cocone, target).key() == want.mediating(cocone, target).key()
+
+
+def _simplex_maps(a, b):
+    return hom_set(standard_simplex(a), standard_simplex(b))
+
+
+@given(st.integers(0, 1), st.integers(0, 2), st.integers(0, 2), st.data())
+@settings(max_examples=40, deadline=None)
+def test_pushout_matches_all_refs_oracle(a, b, c, data):
+    # every map between standard simplices: monos, and collapses such as
+    # Delta[1] -> Delta[0]
+    f = data.draw(st.sampled_from(_simplex_maps(a, b)))
+    g = data.draw(st.sampled_from(_simplex_maps(a, c)))
+    _assert_same_colimit([f.source, f.target, g.target], [(0, 1, f), (0, 2, g)])
+
+
+@given(st.integers(0, 2), st.sets(st.integers(0, 5), max_size=4), st.integers(0, 2),
+       st.data())
+@settings(max_examples=30, deadline=None)
+def test_pushout_along_coprojections_matches_oracle(n, collapse, c, data):
+    # glued simplices: points mapped in as vertices; then a pushout of a
+    # coproduct's coprojection along a map of Delta[1] into Delta[c]
+    col = glued_simplices(n, collapse)
+    _assert_same_colimit(col.objects, col.arrows)
+    du = Colimit([standard_simplex(1), standard_simplex(n)], [])
+    g = data.draw(st.sampled_from(_simplex_maps(1, c)))
+    _assert_same_colimit([du.objects[0], du.space, g.target],
+                         [(0, 1, du.coprojection(0)), (0, 2, g)])
+
+
+@given(st.lists(small_spaces, min_size=1, max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_coproduct_matches_all_refs_oracle(objects):
+    _assert_same_colimit(objects, [])
+
+
+@given(st.integers(0, 2), st.sets(st.integers(0, 5), max_size=4),
+       st.integers(0, 2), st.data())
+@settings(max_examples=30, deadline=None)
+def test_bounded_pointed_colimit_matches_oracle(n, collapse, bound, data):
+    col = glued_simplices(n, collapse)
+    i = data.draw(st.integers(0, len(col.objects) - 1))
+    vertex = data.draw(st.sampled_from(col.objects[i].cell_ids(0)))
+    _assert_same_colimit(col.objects, col.arrows, bound=bound, pointed_at=(i, vertex))
+
+
+def _pushout_product_diagram():
+    """The source diagram of the pushout-product of the boundary inclusion
+    of Delta[2] with the inner horn inclusion of Lambda^1[2]."""
+    d2 = standard_simplex(2)
+    f = inclusion_map(boundary(2), d2)
+    g = inclusion_map(horn(2, 1), d2)
+    u, v, w, x = f.source, f.target, g.source, g.target
+    vw, uw, ux = product(v, w), product(u, w), product(u, x)
+    f_w = product_map(f, identity_map(w), uw, vw)
+    u_g = product_map(identity_map(u), g, uw, ux)
+    return [uw[0], vw[0], ux[0]], [(0, 1, f_w), (0, 2, u_g)]
+
+
+def test_pushout_product_diagram_matches_oracle():
+    _assert_same_colimit(*_pushout_product_diagram())
+
+
+class _CountingMap(SimpMap):
+    """A SimpMap that records every ref it is evaluated on."""
+
+    def __init__(self, m):
+        super().__init__(m.source, m.target, m.assignment)
+        self.seen = []
+
+    def __call__(self, ref, ref_dim):
+        self.seen.append((ref_dim, ref))
+        return super().__call__(ref, ref_dim)
+
+
+@pytest.mark.parametrize("builder, degenerate", [(Colimit, False), (_AllRefsColimit, True)])
+def test_colimit_evaluates_arrows_on_nondegenerate_cells(builder, degenerate):
+    objects, arrows = _pushout_product_diagram()
+    counted = [(si, di, _CountingMap(m)) for si, di, m in arrows]
+    col = builder(objects, counted)
+    seen = [r for _, _, m in counted for r in m.seen]
+    assert any(ref.degs for _, ref in seen) == degenerate
+    assert len(seen) == sum(
+        len(objects[si].refs(n) if degenerate else objects[si].cell_ids(n))
+        for si, _, _ in arrows for n in range(col.bound + 1))
