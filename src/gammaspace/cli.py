@@ -392,6 +392,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     report = Report(args.command, args)
     try:
+        for flag in ("dim_bound", "level_bound", "budget", "k", "l"):
+            if getattr(args, flag, 0) < 0:
+                raise ValueError(f"--{flag.replace('_', '-')} must be >= 0,"
+                                 f" got {getattr(args, flag)}")
         COMMANDS[args.command](args, report)
     except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as e:
         report.add("input", Verdict(FAILS, "input validation", witness=str(e)))

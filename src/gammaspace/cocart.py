@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .catcore import CatFunctor, FinCat, coslice_category
 from .gammaop import GammaMorphism, delta_projection, enumerate_homs, gamma_identity
 from .gspace import TabulatedGammaSpace, segal_check
-from .marked import MarkedMappingObject, MarkedSimpSet, edge_sharpens, mark
+from .marked import MarkedMappingObject, MarkedSimpSet, edge_sharpens, mark, preserves_marking
 from .nerve import chain_ref, edge_is_invertible, nerve, nerve_functor_map, tau1
 from .shapes import (
     MapComplex,
@@ -32,7 +32,6 @@ from .simplicial import (
     identity_map,
     inclusion_map,
     iso_check,
-    product,
     sigma_tuple,
 )
 from .verdicts import (
@@ -476,12 +475,10 @@ def hom_over_base(x: OverObject, y: OverObject, variant="flat",
 def over_base_maps(x: OverObject, y: OverObject, budget=None):
     """The marked maps x -> y commuting with the projections; the fiber
     constraint prunes the search cell by cell."""
-    budget = budget or Budget()
+    marking = preserves_marking(x.marked, y.marked)
 
     def constraint(n, name, ref):
-        if n == 1 and x.marked.is_marked(SimplexRef(name)) and not y.marked.is_marked(ref):
-            return False
-        return y.proj(ref, n) == x.proj(SimplexRef(name), n)
+        return marking(n, name, ref) and y.proj(ref, n) == x.proj(SimplexRef(name), n)
 
     return hom_set(x.marked.underlying, y.marked.underlying, budget=budget,
                    constraint=constraint)
@@ -493,22 +490,19 @@ def cotensor_over_base(x: OverObject, a: FinSimpSet, dim_cap=None, budget=None):
     diagonal; elements in dimension d are pairs (map, base simplex)."""
     budget = budget or Budget()
     base_nerve = x.proj.target
-    cap = x.marked.underlying.dim_bound if dim_cap is None else dim_cap
-    simplices = [standard_simplex(d) for d in range(cap + 2)]
-    prods = [product(simplices[d], a) for d in range(cap + 1)]
-    tables = []
-    for d in range(cap + 1):
-        prod, p1, _, _ = prods[d]
+
+    def families(mc, d):
+        (prod, p1, _, _), simplex = mc.frame(0, d), mc.frame(1, d)
         ms = hom_set(prod, x.marked.underlying, budget=budget)
-        betas = hom_set(simplices[d], base_nerve, budget=budget) if ms else []
-        table = {}
+        betas = hom_set(simplex, base_nerve, budget=budget) if ms else []
         for m in ms:
             shadow = m.then(x.proj)
             for beta in betas:
                 if p1.then(beta) == shadow:
-                    table[(m.key(), beta.key())] = (m, beta)
-        tables.append(table)
-    mc = MapComplex(cap, simplices, [prods, simplices], tables)
+                    yield m, beta
+
+    cap = x.marked.underlying.dim_bound if dim_cap is None else dim_cap
+    mc = MapComplex(cap, [a, None], families)
     space = mc.space
 
     proj_assignment = {}
@@ -520,7 +514,7 @@ def cotensor_over_base(x: OverObject, a: FinSimpSet, dim_cap=None, budget=None):
     flat_a = mark(a, "flat")
     marked_edges = [
         e for e in space.cell_ids(1)
-        if edge_sharpens(mc.element_of(e)[0], prods[1][2], flat_a, x.marked)
+        if edge_sharpens(mc.element_of(e)[0], mc.frame(0, 1)[2], flat_a, x.marked)
     ]
     obj = OverObject(MarkedSimpSet(space, marked_edges),
                      SimpMap(space, base_nerve, proj_assignment)).validate()

@@ -472,32 +472,21 @@ class GammaMappingSpace(MapComplex):
 
     def __init__(self, p: PresentedGammaSpace, y: TabulatedGammaSpace,
                  dim_cap=None, budget=None):
-        self.p, self.y = p, y
         budget = budget or Budget()
         if dim_cap is None:
             dim_cap = min(y.value(c.level).dim_bound for c in p.cells) if p.cells else 0
-        simplices = [standard_simplex(d) for d in range(dim_cap + 2)]
-        self.products = [
-            [product(c.shape, simplices[d]) for d in range(dim_cap + 1)]
-            for c in p.cells
-        ]
-        tables = []
-        for d in range(dim_cap + 1):
-            per_cell = [
-                hom_set(self.products[i][d][0], y.value(c.level), budget=budget)
-                for i, c in enumerate(p.cells)
-            ]
+
+        def families(mc, d):
+            per_cell = [hom_set(mc.frame(i, d)[0], y.value(c.level), budget=budget)
+                        for i, c in enumerate(p.cells)]
             # each arrow's carry S_src x Delta[d] -> S_dst x Delta[d] and
             # action, built once per dimension
-            arrows = [
-                (a.src, a.dst, y.action(a.gamma), product_map(
-                    a.simp, identity_map(simplices[d]),
-                    self.products[a.src][d], self.products[a.dst][d]))
-                for a in p.arrows
-            ]
-            tables.append(_families(per_cell, arrows, lambda ms, md, act, carry:
-                                    ms == carry.then(md).then(act)))
-        super().__init__(dim_cap, simplices, self.products, tables)
+            arrows = [(a.src, a.dst, y.action(a.gamma), mc.carry(a.simp, a.src, a.dst, d))
+                      for a in p.arrows]
+            return _families(per_cell, arrows, lambda ms, md, act, carry:
+                             ms == carry.then(md).then(act))
+
+        super().__init__(dim_cap, [c.shape for c in p.cells], families, simplex_last=True)
 
 
 def _postcompose(src: GammaMappingSpace, dst: GammaMappingSpace, posts) -> SimpMap:
@@ -505,8 +494,8 @@ def _postcompose(src: GammaMappingSpace, dst: GammaMappingSpace, posts) -> SimpM
     of src and dst are products of equal inputs, so a frame cell has one
     name in both; the relabelling carries are built once per (cell, d)."""
     def relabel(i, d):
-        frame = src.products[i][d][0]
-        return SimpMap(dst.products[i][d][0], frame, identity_map(frame).assignment)
+        frame = src.frame(i, d)[0]
+        return SimpMap(dst.frame(i, d)[0], frame, identity_map(frame).assignment)
 
     carries = [[relabel(i, d) for i in range(len(posts))]
                for d in range(min(src.cap, dst.cap) + 1)]
@@ -516,10 +505,10 @@ def _postcompose(src: GammaMappingSpace, dst: GammaMappingSpace, posts) -> SimpM
 
 
 def _families(per_slot, links, commutes):
-    """The MapComplex table of the families, one map per slot drawn from
-    per_slot, with commutes(family[src], family[dst], act, carry) for each
-    link (src, dst, act, carry).  A link is checked as soon as both its
-    slots are chosen; families come in lexicographic order of the slots."""
+    """The families, one map per slot drawn from per_slot, with
+    commutes(family[src], family[dst], act, carry) for each link (src, dst,
+    act, carry).  A link is checked as soon as both its slots are chosen;
+    families come in lexicographic order of the slots."""
     due = [[] for _ in per_slot]
     for link in links:
         due[max(link[:2])].append(link)
@@ -531,11 +520,8 @@ def _families(per_slot, links, commutes):
                    for src, dst, act, carry in due[k]):
                 yield m
 
-    table = {}
     for chosen in backtrack(range(len(per_slot)), candidates):
-        family = tuple(chosen[k] for k in range(len(per_slot)))
-        table[tuple(m.key() for m in family)] = family
-    return table
+        yield tuple(chosen[k] for k in range(len(per_slot)))
 
 
 def yoneda_comparison(n, y: TabulatedGammaSpace, dim_cap=None) -> tuple:
@@ -559,7 +545,7 @@ def _classifying(ms: GammaMappingSpace, source, target) -> SimpMap:
     """source -> ms for a mapping space out of one point cell into target:
     a d-simplex goes to the family sending (pt, t) in pt x Delta[d] to it."""
     return ms.induced(source, lambda d, name: (
-        _classifying_map(ms.products[0][d], target, SimplexRef(name), d),))
+        _classifying_map(ms.frame(0, d), target, SimplexRef(name), d),))
 
 
 def _classifying_map(prod_data, target, ref, d) -> SimpMap:
@@ -1019,6 +1005,14 @@ def semiadditivity_probe(p: PresentedGammaSpace, level_cap) -> dict:
 # mapping spaces with tabulated sources (used for the normalized theory)
 
 
+def _basepoint_collapse(frame, xb, yb):
+    """The cells basepoint x c of the frame X x Delta[d], each pinned to Y's
+    basepoint yb degenerated to its dimension (xb is X's basepoint)."""
+    return {(m, name): apply_word(SimplexRef(yb), ref.degs, 0)
+            for (m, name), ref in frame[1].assignment.items()
+            if ref.base == xb and len(ref.degs) == m}
+
+
 def mapping_space_tabulated(x: TabulatedGammaSpace, y: TabulatedGammaSpace,
                             level_cap, dim_cap, pointed=False, budget=None):
     """Enumerated mapping space between tabulated spaces: a d-simplex is a
@@ -1029,47 +1023,26 @@ def mapping_space_tabulated(x: TabulatedGammaSpace, y: TabulatedGammaSpace,
     Returns (space, element_of).
     """
     budget = budget or Budget()
-    simplices = [standard_simplex(d) for d in range(dim_cap + 2)]
-    prods = [
-        [product(x.value(n), simplices[d]) for d in range(dim_cap + 1)]
-        for n in range(level_cap + 1)
-    ]
     # natural along the elementary maps is natural along every based map
     morphisms = elementary_maps(level_cap)
 
-    def collapses(m, n, d):
-        if x.value(n).pointed is None or y.value(n).pointed is None:
-            return False
-        base = SimplexRef(x.value(n).pointed)
-        wordy = SimplexRef(y.value(n).pointed)
-        for dd in range(simplices[d].dim_bound + 1):
-            for cname in simplices[d].cell_ids(dd):
-                base_word = apply_word(base, tuple(range(dd - 1, -1, -1)), 0)
-                pref = prods[n][d][3](base_word, SimplexRef(cname), dd)
-                img = m(pref, dd)
-                want = apply_word(wordy, tuple(range(dd - 1, -1, -1)), 0)
-                if img != want:
-                    return False
-        return True
+    def maps_at(mc, n, d):
+        frame, xb, yb = mc.frame(n, d), x.value(n).pointed, y.value(n).pointed
+        if not pointed:
+            return hom_set(frame[0], y.value(n), budget=budget)
+        if xb is None or yb is None:
+            return []
+        return hom_set(frame[0], y.value(n), budget=budget,
+                       fixed=_basepoint_collapse(frame, xb, yb))
 
-    tables = []
-    for d in range(dim_cap + 1):
-        per_level = []
-        for n in range(level_cap + 1):
-            cands = hom_set(prods[n][d][0], y.value(n), budget=budget)
-            if pointed:
-                cands = [m for m in cands if collapses(m, n, d)]
-            per_level.append(cands)
+    def families(mc, d):
         # each morphism's carry X(f) x Delta[d] and action Y(f), built once
         # per dimension
-        squares = [
-            (f.src, f.dst, y.action(f), product_map(
-                x.action(f), identity_map(simplices[d]),
-                prods[f.src][d], prods[f.dst][d]))
-            for f in morphisms
-        ]
-        tables.append(_families(per_level, squares, lambda ms, md, act, carry:
-                                carry.then(md) == ms.then(act)))
-    mc = MapComplex(dim_cap, simplices, prods, tables)
-    return mc.space, mc.element_of
+        squares = [(f.src, f.dst, y.action(f), mc.carry(x.action(f), f.src, f.dst, d))
+                   for f in morphisms]
+        return _families([maps_at(mc, n, d) for n in range(level_cap + 1)], squares,
+                         lambda ms, md, act, carry: carry.then(md) == ms.then(act))
 
+    mc = MapComplex(dim_cap, [x.value(n) for n in range(level_cap + 1)], families,
+                    simplex_last=True)
+    return mc.space, mc.element_of

@@ -44,7 +44,7 @@ def restricted_exp(x: FinSimpSet, a: FinSimpSet, dim_cap=None, budget=None):
 
 def _edge_in_product(exp: Exponential, n, edge_name):
     """The edge (degenerate simplex vertex, edge) of Delta[n] x a."""
-    prod, _, _, pair_ref = exp.products[n]
+    pair_ref = exp.frame(0, n)[3]
     vertex_edge = SimplexRef("0", (0,))
     return pair_ref(vertex_edge, SimplexRef(edge_name), 1)
 

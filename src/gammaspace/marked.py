@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .gammaop import GammaMorphism, elementary_maps
 from .gspace import GammaMappingSpace, TabulatedGammaSpace
-from .shapes import MapComplex, standard_simplex
+from .shapes import MapComplex
 from .simplicial import (
     FinSimpSet,
     SimplexRef,
@@ -73,12 +73,17 @@ def marked_product(a: MarkedSimpSet, b: MarkedSimpSet, bound=None):
     return MarkedSimpSet(prod, marked), p1, p2, pair_ref
 
 
+def preserves_marking(a: MarkedSimpSet, x: MarkedSimpSet):
+    """The per-cell constraint of a map search a -> x that keeps marked
+    edges marked: a marked edge of a may only go to a marked edge of x."""
+    def constraint(n, name, ref):
+        return n != 1 or name not in a.marked or x.is_marked(ref)
+    return constraint
+
+
 def marked_hom_set(a: MarkedSimpSet, x: MarkedSimpSet, budget=None):
-    budget = budget or Budget()
-    return [
-        m for m in hom_set(a.underlying, x.underlying, budget=budget)
-        if is_marked_map(m, a, x)
-    ]
+    return hom_set(a.underlying, x.underlying, budget=budget,
+                   constraint=preserves_marking(a, x))
 
 
 class MarkedMappingObject(MapComplex):
@@ -93,40 +98,32 @@ class MarkedMappingObject(MapComplex):
     def __init__(self, x: MarkedSimpSet, y: MarkedSimpSet, dim_cap=None,
                  budget=None, over=None):
         budget = budget or Budget()
-        cap = y.underlying.dim_bound if dim_cap is None else dim_cap
-        self.over = over
-        simplices = [standard_simplex(d) for d in range(cap + 2)]
-        self.products = [
-            marked_product(mark(simplices[d], "flat"), x) for d in range(cap + 1)
-        ]
-        tables = []
-        for d in range(cap + 1):
-            ms, p1, p2, _ = self.products[d]
-            want = None
+
+        def families(mc, d):
+            frame, p1, p2, _ = mc.frame(0, d)
+            # an edge of flat(Delta[d]) x X is marked when its Delta[d]
+            # coordinate is degenerate and its X coordinate is marked
+            marked = MarkedSimpSet(frame, [
+                e for e in frame.cell_ids(1)
+                if p1.assignment[(1, e)].degs and x.is_marked(p2.assignment[(1, e)])])
+            marking = preserves_marking(marked, y)
+            constraint = marking
             if over is not None:
                 proj_x, proj_y = over
-                want = SimpMap(ms.underlying, proj_x.target,
-                               p2.then(proj_x).assignment)
+                want = p2.then(proj_x)
 
-            def constraint(n, name, ref, ms=ms, want=want):
-                if n == 1 and ms.is_marked(SimplexRef(name)) and not y.is_marked(ref):
-                    return False
-                if want is not None:
-                    proj_y = self.over[1]
-                    if proj_y(ref, n) != want(SimplexRef(name), n):
-                        return False
-                return True
+                def constraint(n, name, ref):
+                    return marking(n, name, ref) and proj_y(ref, n) == want(SimplexRef(name), n)
 
-            candidates = hom_set(ms.underlying, y.underlying, budget=budget,
-                                 constraint=constraint)
-            tables.append({(m.key(),): (m,) for m in candidates})
-        frames = [(ms.underlying, p1, p2, pair_ref)
-                  for ms, p1, p2, pair_ref in self.products]
-        super().__init__(cap, simplices, [frames], tables)
+            return ((m,) for m in hom_set(frame, y.underlying, budget=budget,
+                                          constraint=constraint))
+
+        cap = y.underlying.dim_bound if dim_cap is None else dim_cap
+        super().__init__(cap, [x.underlying], families)
         self.flat = self.space
         marked_edges = [
             e for e in self.flat.cell_ids(1)
-            if edge_sharpens(self.element_of(e), self.products[1][2], x, y)
+            if edge_sharpens(self.element_of(e), self.frame(0, 1)[2], x, y)
         ]
         self.plus = MarkedSimpSet(self.flat, marked_edges)
         self.sharp = full_sub_on_edges(self.flat, self.plus.is_marked)

@@ -195,21 +195,30 @@ class MapComplex:
     each factor's frame over Delta[d], with faces and degeneracies by
     precomposition with the Delta-operators.
 
-    simplices[d] is the Delta[d] the frames are built on.  factors[i][d] is
-    factor i's frame: Delta[d] itself, or the product data (P, p1, p2,
-    pair_ref) of Delta[d] with a fixed object, on either side.  tables[d]
-    sends each qualifying d-simplex's key, the tuple of its maps' keys, to
-    the tuple of maps.  from_elements names the nondegenerate cells in
-    sorted key order, so the names depend on how keys sort; a 1-tuple key
-    sorts like its one entry.
+    fixed[i] is factor i's fixed object A_i, or None for Delta[d] itself.
+    frame(i, d) is then Delta[d], or the product data (P, p1, p2, pair_ref)
+    of Delta[d] x A_i (A_i x Delta[d] when simplex_last).  families(mc, d)
+    yields the d-simplices as tuples of maps, one out of each frame(i, d);
+    tables[d] sends each one's key, the tuple of its maps' keys, to it.
+    from_elements names the nondegenerate cells in sorted key order, so the
+    names depend on how keys sort; a 1-tuple key sorts like its one entry.
     """
 
-    def __init__(self, cap, simplices, factors, tables):
-        self.cap, self.simplices, self.tables = cap, simplices, tables
+    def __init__(self, cap, fixed, families, simplex_last=False):
+        self.cap, self.fixed, self.simplex_last = cap, fixed, simplex_last
+        self.simplices = [standard_simplex(d) for d in range(cap + 1)]
+        self._frames = [[s if a is None else product(a, s) if simplex_last else product(s, a)
+                         for s in self.simplices] for a in fixed]
+        # the face and degeneracy closures outlive __init__ (from_elements
+        # keeps them in _ref_of), so they read this list, not self: a cycle
+        # through self would leave every complex to the cyclic collector
+        self.tables = tables = [
+            {tuple(m.key() for m in family): family for family in families(self, d)}
+            for d in range(cap + 1)]
 
         def carries(d_from, d_to, alpha):
-            op = _simplex_map_between(simplices[d_to], simplices[d_from], alpha)
-            return [_carry(op, frames[d_to], frames[d_from]) for frames in factors]
+            op = _simplex_map_between(self.simplices[d_to], self.simplices[d_from], alpha)
+            return [self.carry(None, i, i, d_to, op) for i in range(len(fixed))]
 
         faces = {(d, t): carries(d, d - 1, delta_tuple(t, d))
                  for d in range(1, cap + 1) for t in range(d + 1)}
@@ -223,6 +232,23 @@ class MapComplex:
             return _precompose(degens[(d, t)], tables[d][key])
 
         self.space, self._ref_of, self._key_of = from_elements(cap, tables, face, degen)
+
+    def frame(self, i, d):
+        return self._frames[i][d]
+
+    def carry(self, f, i, j, d, op=None) -> SimpMap:
+        """f x id_Delta[d] from frame(i, d) to frame(j, d); with op a
+        Delta-operator Delta[d] -> Delta[e], f x op into frame(j, e).  f is
+        a map A_i -> A_j, or None for the identity; the Delta[d] factor
+        carries op alone."""
+        if op is None:
+            op = identity_map(self.simplices[d])
+        if self.fixed[i] is None:
+            return op
+        if f is None:
+            f = identity_map(self.fixed[i])
+        src, dst = self.frame(i, d), self.frame(j, op.target.dim_bound)
+        return product_map(f, op, src, dst) if self.simplex_last else product_map(op, f, src, dst)
 
     def element_of(self, name):
         d, key = self._key_of[name]
@@ -242,16 +268,6 @@ class MapComplex:
         })
 
 
-def _carry(op, src, dst):
-    """The Delta-operator op: Delta[m] -> Delta[n] carried from the frame
-    src over Delta[m] to the frame dst over Delta[n]."""
-    if isinstance(dst, FinSimpSet):
-        return op
-    if dst[1].target is op.target:
-        return product_map(op, identity_map(dst[2].target), src, dst)
-    return product_map(identity_map(dst[1].target), op, src, dst)
-
-
 def _precompose(carries, maps):
     return tuple(c.then(m).key() for c, m in zip(carries, maps))
 
@@ -266,16 +282,9 @@ class Exponential(MapComplex):
     """
 
     def __init__(self, x: FinSimpSet, a: FinSimpSet, dim_cap=None, budget=None):
-        cap = x.dim_bound if dim_cap is None else dim_cap
         budget = budget or Budget()
-        self.x, self.a = x, a
-        simplices = [standard_simplex(n) for n in range(cap + 2)]
-        self.products = [product(simplices[n], a) for n in range(cap + 1)]
-        tables = [
-            {(m.key(),): (m,) for m in hom_set(self.products[n][0], x, budget=budget)}
-            for n in range(cap + 1)
-        ]
-        super().__init__(cap, simplices, [self.products], tables)
+        super().__init__(x.dim_bound if dim_cap is None else dim_cap, [a], lambda mc, n: (
+            (m,) for m in hom_set(mc.frame(0, n)[0], x, budget=budget)))
 
     def element_of(self, name) -> SimpMap:
         return super().element_of(name)[0]
@@ -297,12 +306,9 @@ def _simplex_map_between(src: FinSimpSet, dst: FinSimpSet, alpha) -> SimpMap:
 def exponential_map(u: SimpMap, exp_src: Exponential, exp_dst: Exponential) -> SimpMap:
     """Precomposition x^B -> x^A along u: A -> B (exp_src = x^B over B =
     u.target, exp_dst = x^A over A = u.source)."""
-    carries = [
-        product_map(_simplex_map_between(exp_dst.simplices[n], exp_src.simplices[n],
-                                         tuple(range(n + 1))),
-                    u, exp_dst.products[n], exp_src.products[n])
-        for n in range(min(exp_src.cap, exp_dst.cap) + 1)
-    ]
+    carries = [product_map(identity_map(exp_dst.simplices[n]), u,
+                           exp_dst.frame(0, n), exp_src.frame(0, n))
+               for n in range(min(exp_src.cap, exp_dst.cap) + 1)]
     return exp_dst.induced(exp_src.space, lambda n, name: (
         carries[n].then(exp_src.element_of(name)),))
 

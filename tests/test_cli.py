@@ -350,6 +350,44 @@ def test_tau1_refuses_out_of_range_simplicial_set(tmp_path, capsys, blob):
     assert report["verdicts"][0]["tag"] == "input"
 
 
+def _blob_file(tmp_path, name, blob):
+    p = tmp_path / name
+    p.write_text(jsonio.canonical_dumps(blob))
+    return str(p)
+
+
+# (command, input blobs, a negative option): each exited 0, or 2 for the
+# budget, reporting the negative bound as if it were in force
+NEGATIVE_OPTIONS = [
+    ("map-space", ["rep", "z2"], ["--dim-bound", "-1"]),
+    ("map-space", ["rep", "z2"], ["--budget", "-5"]),
+    ("internal-hom", ["rep", "z2"], ["--level-bound", "-1"]),
+    ("convolve", ["rep", "rep"], ["--level-bound", "-1"]),
+    ("segal-check", ["z2"], ["--k", "1", "--l", "-1"]),
+    ("nelg", [], ["--k", "-1"]),
+    ("hom-marked", ["point", "edge"], ["--dim-bound", "-1"]),
+    ("rexp", ["d1", "d1"], ["--dim-bound", "-1"]),
+    ("hmap", ["d1", "d1"], ["--dim-bound", "-1"]),
+]
+
+
+@pytest.mark.parametrize("command,inputs,options", NEGATIVE_OPTIONS,
+                         ids=[f"{c}{o[-2]}" for c, _, o in NEGATIVE_OPTIONS])
+def test_negative_option_exits_three(tmp_path, capsys, command, inputs, options):
+    blobs = {
+        "rep": jsonio.presented_to_json(gamma_rep(1)),
+        "z2": jsonio.tabulated_to_json(z2_monoid_space(2)),
+        "point": jsonio.marked_to_json(mark(standard_point(), "flat")),
+        "edge": jsonio.marked_to_json(mark(standard_simplex(1), "sharp")),
+        "d1": jsonio.simpset_to_json(standard_simplex(1)),
+    }
+    paths = [_blob_file(tmp_path, f"in{k}.json", blobs[name])
+             for k, name in enumerate(inputs)]
+    code, report = run_cli(capsys, command, *paths, *options)
+    assert code == 3
+    assert [v["tag"] for v in report["verdicts"]] == ["input"]
+    assert f"{options[-2]} must be >= 0" in report["verdicts"][0]["witness"]
+
 def _segal_values(change):
     blob = jsonio.tabulated_to_json(z2_monoid_space(2))
     change(blob["values"])

@@ -11,7 +11,9 @@ from test_simplicial import glued_simplices, quotients
 from gammaspace import cocart, shapes
 from gammaspace.catcore import poset_category
 from gammaspace.cocart import cocartesian_edges, cotensor_over_base, nelg
-from gammaspace.gspace import _families
+from gammaspace.corpus import pointed_corpus
+from gammaspace.gspace import _basepoint_collapse, _families
+from gammaspace.marked import MarkedSimpSet, is_marked_map, marked_hom_set
 from gammaspace.nerve import nerve
 from gammaspace.shapes import (
     boundary,
@@ -24,12 +26,14 @@ from gammaspace.simplicial import (
     FinSimpSet,
     SimplexRef,
     SimpMap,
+    apply_word,
     constant_map,
     disjoint_union,
     hom_set,
     identity_map,
     inclusion_map,
     maps,
+    product,
 )
 from gammaspace.verdicts import Budget, BudgetExceededError, backtrack
 
@@ -98,12 +102,11 @@ def _first(found):
 
 def _old_families(per_slot, links, commutes):
     """The generate-and-test filter `_families` replaced."""
-    return {
-        tuple(m.key() for m in combo): combo
-        for combo in itertools.product(*per_slot)
+    return [
+        combo for combo in itertools.product(*per_slot)
         if all(commutes(combo[src], combo[dst], act, carry)
                for src, dst, act, carry in links)
-    }
+    ]
 
 
 @given(quotients, st.lists(st.sampled_from([standard_simplex(0), standard_simplex(1)]),
@@ -121,10 +124,8 @@ def test_pruned_families_match_the_product_filter(x, slot_shapes, raw_links):
     def commutes(ms, md, end, _):
         return ms(SimplexRef("0"), 0) == md(SimplexRef(md.source.cell_ids(0)[end]), 0)
 
-    new = _families(per_slot, links, commutes)
-    old = _old_families(per_slot, links, commutes)
-    assert list(new) == list(old)
-    assert new == old
+    new = list(_families(per_slot, links, commutes))
+    assert new == _old_families(per_slot, links, commutes)
 
 
 def test_families_prune_at_the_later_end_of_each_link():
@@ -134,10 +135,49 @@ def test_families_prune_at_the_later_end_of_each_link():
         calls.append((ms, md))
         return False
 
-    assert _families([[1, 2], [3, 4], [5, 6, 7]], [(0, 1, None, None)], never) == {}
+    assert list(_families([[1, 2], [3, 4], [5, 6, 7]], [(0, 1, None, None)], never)) == []
     # each pair of the first two slots once; the product filter asks 12 times
     assert len(calls) == 4
 
+
+
+def _collapses(m, frame, simplex, xb, yb):
+    """The post-filter the pinned basepoint replaced: basepoint x c goes
+    to Y's degenerate basepoint for every simplex c of Delta[d]."""
+    for dd in range(simplex.dim_bound + 1):
+        word = tuple(range(dd - 1, -1, -1))
+        for c in simplex.cell_ids(dd):
+            cell = frame[3](apply_word(SimplexRef(xb), word, 0), SimplexRef(c), dd)
+            if m(cell, dd) != apply_word(SimplexRef(yb), word, 0):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+@pytest.mark.parametrize("xname,x,yname,y", [
+    (xn, x, yn, y) for xn, x in pointed_corpus() for yn, y in pointed_corpus()])
+def test_pinned_basepoint_matches_the_collapse_filter(xname, x, yname, y, d):
+    simplex = standard_simplex(d)
+    frame = product(x, simplex)
+    pinned = hom_set(frame[0], y, fixed=_basepoint_collapse(frame, x.pointed, y.pointed))
+    filtered = [m for m in hom_set(frame[0], y)
+                if _collapses(m, frame, simplex, x.pointed, y.pointed)]
+    assert [m.key() for m in pinned] == [m.key() for m in filtered]
+
+
+@st.composite
+def markings(draw, spaces):
+    x = draw(spaces)
+    return MarkedSimpSet(x, draw(st.sets(st.sampled_from(x.cell_ids(1))))
+                         if x.cell_count(1) else ())
+
+
+@given(markings(sources), markings(quotients))
+@settings(max_examples=40, deadline=None)
+def test_marked_hom_set_matches_the_marking_filter(a, x):
+    found = marked_hom_set(a, x)
+    filtered = [m for m in hom_set(a.underlying, x.underlying) if is_marked_map(m, a, x)]
+    assert [m.key() for m in found] == [m.key() for m in filtered]
 
 def _count_calls(monkeypatch, module):
     calls = []

@@ -6,6 +6,7 @@ from gammaspace.catcore import poset_category, walking_iso_category
 from gammaspace.nerve import nerve
 from gammaspace.shapes import (
     Exponential,
+    MapComplex,
     boundary,
     build_standard,
     exponential_map,
@@ -35,6 +36,7 @@ from gammaspace.simplicial import (
     inclusion_map,
     iso_check,
     product,
+    product_map,
 )
 
 
@@ -200,3 +202,31 @@ def test_induced_on_own_elements_is_identity():
     ident = e.induced(e.space, lambda d, name: (e.element_of(name),))
     ident.validate()
     assert ident == identity_map(e.space)
+
+
+@pytest.mark.parametrize("simplex_last", [False, True], ids=["simplex-first", "simplex-last"])
+def test_map_complex_carry_is_an_explicit_product_map(simplex_last):
+    a, b = boundary(2), standard_simplex(2)
+    f = inclusion_map(a, b)
+    mc = MapComplex(2, [a, b, None], lambda mc, d: (), simplex_last=simplex_last)
+
+    def explicit(g, op):
+        """g x op (op x g when the simplex comes first) on fresh products."""
+        if simplex_last:
+            return product_map(g, op, product(g.source, op.source), product(g.target, op.target))
+        return product_map(op, g, product(op.source, g.source), product(op.target, g.target))
+
+    for d in range(3):
+        carry = mc.carry(f, 0, 1, d)
+        assert carry.source is mc.frame(0, d)[0] and carry.target is mc.frame(1, d)[0]
+        assert carry == explicit(f, identity_map(standard_simplex(d)))
+    # the face d0: Delta[1] -> Delta[2] and the degeneracy Delta[1] -> Delta[0]
+    d0 = SimpMap(mc.simplices[1], mc.simplices[2], {
+        (0, "0"): SimplexRef("1"), (0, "1"): SimplexRef("2"), (1, "01"): SimplexRef("12")})
+    s0 = SimpMap(mc.simplices[1], mc.simplices[0], {
+        (0, "0"): SimplexRef("0"), (0, "1"): SimplexRef("0"), (1, "01"): SimplexRef("0", (0,))})
+    for op, e in ((d0, 2), (s0, 0)):
+        carry = mc.carry(None, 0, 0, 1, op)
+        assert carry.source is mc.frame(0, 1)[0] and carry.target is mc.frame(0, e)[0]
+        assert carry == explicit(identity_map(a), op)
+        assert mc.carry(None, 2, 2, 1, op) is op
