@@ -369,7 +369,7 @@ def cocartesian_cross_check(rn: RelativeNerve, dim_cap, budget=None) -> Verdict:
         if target_obj not in taus:
             taus[target_obj] = tau1(space)
         cat, edge_to_arrow = taus[target_obj]
-        invertible = edge_is_invertible(space, h, cat, edge_to_arrow)
+        invertible = edge_is_invertible(h, cat, edge_to_arrow)
         if invertible != (e in detected):
             mismatches.append({"edge": e, "invertible": invertible,
                                "detected": e in detected})

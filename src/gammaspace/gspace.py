@@ -38,10 +38,10 @@ from .simplicial import (
     hom_set,
     identity_map,
     iso_check,
-    labeled_copies,
     pairing,
     product,
     product_map,
+    pushout,
     word_to_surj,
 )
 from .verdicts import (
@@ -220,34 +220,22 @@ class PresentedGammaSpace:
         self._level_data = {}
 
     def level_data(self, n):
-        """(Colimit, per-cell component data) of the evaluation at n."""
-        if n in self._level_data:
-            return self._level_data[n]
-        comps = []
-        for c in self.cells:
-            homs = enumerate_homs(c.level, n)
-            labels = ["f" + "_".join(str(v) for v in h.table) for h in homs]
-            space, include = labeled_copies(c.shape, labels)
-            comps.append({"homs": homs, "labels": dict(zip((h.key() for h in homs), labels)),
-                          "space": space, "include": include})
-        arrows = []
-        for a in self.arrows:
-            src_c, dst_c = comps[a.src], comps[a.dst]
-            assignment = {}
-            for h in src_c["homs"]:
-                lab = src_c["labels"][h.key()]
-                target_h = a.gamma.then(h)
-                target_lab = dst_c["labels"][target_h.key()]
-                shape = self.cells[a.src].shape
-                for d in range(shape.dim_bound + 1):
-                    for name in shape.cell_ids(d):
-                        img = a.simp(SimplexRef(name), d)
-                        assignment[(d, f"{lab}.{name}")] = SimplexRef(
-                            f"{target_lab}.{img.base}", img.degs
-                        )
-            arrows.append((a.src, a.dst, SimpMap(src_c["space"], dst_c["space"], assignment)))
-        col = Colimit([c["space"] for c in comps], arrows)
-        self._level_data[n] = (col, comps)
+        """(Colimit, slots, slot index) of the evaluation at n.
+
+        The evaluation is the colimit of the shapes: object k of the
+        Colimit is the shape of cell i at slots[k] = (i, h), one slot per
+        based map h: level_i -> n, cell-major in `enumerate_homs` order;
+        index sends (i, h.key()) to k.  A gluing arrow a enters once per h,
+        from slot (a.src, h) to slot (a.dst, a.gamma.then(h)), along a.simp
+        itself."""
+        if n not in self._level_data:
+            slots = [(i, h) for i, c in enumerate(self.cells)
+                     for h in enumerate_homs(c.level, n)]
+            index = {(i, h.key()): k for k, (i, h) in enumerate(slots)}
+            arrows = [(index[(a.src, h.key())], index[(a.dst, a.gamma.then(h).key())], a.simp)
+                      for a in self.arrows for h in enumerate_homs(self.cells[a.src].level, n)]
+            col = Colimit([self.cells[i].shape for i, _ in slots], arrows)
+            self._level_data[n] = (col, slots, index)
         return self._level_data[n]
 
     def evaluate(self, n) -> FinSimpSet:
@@ -255,27 +243,23 @@ class PresentedGammaSpace:
 
     def component_ref(self, cell_index, h: GammaMorphism, ref, ref_dim, n):
         """Resolve (cell, hom element, shape ref) in the evaluation at n."""
-        col, comps = self.level_data(n)
-        lab = comps[cell_index]["labels"][h.key()]
-        inc = comps[cell_index]["include"](lab, ref)
-        return col.ref_in(cell_index, inc, ref_dim)
+        col, _, index = self.level_data(n)
+        return col.ref_in(index[(cell_index, h.key())], ref, ref_dim)
 
     def _cellwise(self, n, target: FinSimpSet, image) -> SimpMap:
         """The map evaluate(n) -> target sending the cell of component i at
         the hom element h and the shape cell (d, name) to image(i, h, name,
         d).  A cell of the colimit takes the image of the first of its
         representatives met; every cell must be met."""
-        col, comps = self.level_data(n)
+        col, slots, _ = self.level_data(n)
         assignment = {}
-        for i, comp in enumerate(comps):
-            shape = self.cells[i].shape
-            for h in comp["homs"]:
-                lab = comp["labels"][h.key()]
-                for d in range(min(shape.dim_bound, col.space.dim_bound) + 1):
-                    for name in shape.cell_ids(d):
-                        ref = col.ref_in(i, SimplexRef(f"{lab}.{name}"), d)
-                        if not ref.degs and (d, ref.base) not in assignment:
-                            assignment[(d, ref.base)] = image(i, h, name, d)
+        for k, (i, h) in enumerate(slots):
+            shape = col.objects[k]
+            for d in range(min(shape.dim_bound, col.space.dim_bound) + 1):
+                for name in shape.cell_ids(d):
+                    ref = col.ref_in(k, SimplexRef(name), d)
+                    if not ref.degs and (d, ref.base) not in assignment:
+                        assignment[(d, ref.base)] = image(i, h, name, d)
         assert all((d, name) in assignment for d in range(col.space.dim_bound + 1)
                    for name in col.space.cell_ids(d))
         return SimpMap(col.space, target, assignment)
@@ -400,65 +384,39 @@ def day_coend_oracle(x: TabulatedGammaSpace, y: TabulatedGammaSpace,
     hom(k smash l, n) x X(k) x Y(l) over morphisms between the listed
     generation levels (exact when X and Y are generated there).
 
-    Each identification (f o (u smash v), s, t) ~ (f, X(u)s, Y(v)t) is a
-    span out of a relation object; single-sided pairs (u, id) and (id, v)
+    There is one slot per (k, l, f) with f: k smash l -> n, holding
+    X(k) x Y(l).  Each identification (f o (u smash v), s, t) ~
+    (f, X(u)s, Y(v)t) is one arrow from the slot of f o (u smash v) to the
+    slot of f along X(u) x Y(v); single-sided pairs (u, id) and (id, v)
     generate the rest by composition.  Independent of the bilinear
     expansion; used to cross-validate it.
     """
-    objects = []
-    arrows = []
-    index = {}
+    prods, slots, objects = {}, {}, []
     for k in x_levels:
         for l in y_levels:
-            homs = enumerate_homs(k * l, n)
-            prod = product(x.value(k), y.value(l), bound=dim_cap)
-            labels = ["f" + "_".join(str(v) for v in h.table) for h in homs]
-            space, _ = labeled_copies(prod[0], labels)
-            index[(k, l)] = {
-                "i": len(objects), "homs": homs, "prod": prod,
-                "labels": dict(zip((h.key() for h in homs), labels)),
-                "space": space,
-            }
-            objects.append(space)
+            prods[(k, l)] = product(x.value(k), y.value(l), bound=dim_cap)
+            for f in enumerate_homs(k * l, n):
+                slots[(k, l, f.key())] = len(objects)
+                objects.append(prods[(k, l)][0])
+    arrows = []
 
-    def add_relation(src_kl, dst_kl, u, v):
-        src = index[src_kl]
-        dst = index[dst_kl]
+    def identify(src, dst, u, v):
         uv = smash_gamma(u, v)
-        act = product_map(x.action(u), y.action(v), src["prod"], dst["prod"])
-        shape = src["prod"][0]
-        rel_labels = [dst["labels"][f.key()] for f in dst["homs"]]
-        rel_space, _ = labeled_copies(shape, rel_labels)
-        rho1, rho2 = {}, {}
-        for f in dst["homs"]:
-            lab = dst["labels"][f.key()]
-            pre_lab = src["labels"][uv.then(f).key()]
-            for d in range(min(shape.dim_bound, dim_cap) + 1):
-                for name in shape.cell_ids(d):
-                    rho1[(d, f"{lab}.{name}")] = SimplexRef(f"{pre_lab}.{name}")
-                    img = act(SimplexRef(name), d)
-                    rho2[(d, f"{lab}.{name}")] = SimplexRef(
-                        f"{lab}.{img.base}", img.degs
-                    )
-        ri = len(objects)
-        objects.append(rel_space)
-        arrows.append((ri, src["i"], SimpMap(rel_space, src["space"], rho1)))
-        arrows.append((ri, dst["i"], SimpMap(rel_space, dst["space"], rho2)))
+        act = product_map(x.action(u), y.action(v), prods[src], prods[dst])
+        for f in enumerate_homs(u.dst * v.dst, n):
+            arrows.append((slots[(*src, uv.then(f).key())], slots[(*dst, f.key())], act))
 
     for k in x_levels:
         for l in y_levels:
             for k2 in x_levels:
                 for u in enumerate_homs(k, k2):
-                    if u == gamma_identity(k):
-                        continue
-                    add_relation((k, l), (k2, l), u, gamma_identity(l))
+                    if u != gamma_identity(k):
+                        identify((k, l), (k2, l), u, gamma_identity(l))
             for l2 in y_levels:
                 for v in enumerate_homs(l, l2):
-                    if v == gamma_identity(l):
-                        continue
-                    add_relation((k, l), (k, l2), gamma_identity(k), v)
-    col = Colimit(objects, arrows, bound=dim_cap)
-    return col.space
+                    if v != gamma_identity(l):
+                        identify((k, l), (k, l2), gamma_identity(k), v)
+    return Colimit(objects, arrows, bound=dim_cap).space
 
 
 # ---------------------------------------------------------------------------
@@ -808,11 +766,9 @@ class Normalization:
         """Level n as the pushout of the point along X(0) -> X(n); its
         objects are [X(0), X(n), point]."""
         if n not in self._cols:
-            pt = standard_point(bound=0)
-            x0 = self.x.value(0)
-            self._cols[n] = Colimit(
-                [x0, self.x.value(n), pt],
-                [(0, 1, self.iota.levels[n]), (0, 2, constant_map(x0, pt, "0"))],
+            self._cols[n] = pushout(
+                self.iota.levels[n],
+                constant_map(self.x.value(0), standard_point(bound=0), "0"),
                 pointed_at=(2, "0"),
             )
         return self._cols[n]

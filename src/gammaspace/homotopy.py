@@ -18,7 +18,7 @@ def j_qcat(x: FinSimpSet) -> FinSimpSet:
     whose edges become isomorphisms in the fundamental category."""
     cat, edge_to_arrow = tau1(x)
     return full_sub_on_edges(
-        x, lambda e: edge_is_invertible(x, e, cat, edge_to_arrow)
+        x, lambda e: edge_is_invertible(e, cat, edge_to_arrow)
     )
 
 
@@ -35,7 +35,7 @@ def restricted_exp(x: FinSimpSet, a: FinSimpSet, dim_cap=None, budget=None):
         m = exp.element_of(vertex_name)
         for e in a.cell_ids(1):
             img = m(_edge_in_product(exp, 0, e), 1)
-            if not edge_is_invertible(x, img, cat, edge_to_arrow):
+            if not edge_is_invertible(img, cat, edge_to_arrow):
                 return False
         return True
 

@@ -7,6 +7,9 @@ from .catcore import CatFunctor, FinCat
 from .simplicial import FinSimpSet, SimplexRef, SimpMap
 from .verdicts import DEFAULT_WORD_CAP, ResourceError
 
+# the most edge paths tau1 enumerates at one word-length cap
+PATH_BUDGET = 200000
+
 
 def chain_ref(c: FinCat, chain, start) -> SimplexRef:
     """The simplex of N(c) of a chain of composable arrows out of the
@@ -169,10 +172,10 @@ class _Paths:
                                 changed = True
 
 
-def _tau1_at_cap(x: FinSimpSet, cap, path_budget):
+def _tau1_at_cap(x: FinSimpSet, cap):
     paths = _Paths(x, cap)
-    if len(paths.paths) > path_budget:
-        raise ResourceError(f"path enumeration exceeded {path_budget} at cap {cap}")
+    if len(paths.paths) > PATH_BUDGET:
+        raise ResourceError(f"path enumeration exceeded {PATH_BUDGET} at cap {cap}")
     relations = []
     for t in x.cell_ids(2):
         faces = x.faces_of(2, t)
@@ -226,29 +229,29 @@ def _tau1_at_cap(x: FinSimpSet, cap, path_budget):
     return cat, edge_to_arrow, rep_words
 
 
-def tau1(x: FinSimpSet, word_cap=DEFAULT_WORD_CAP, path_budget=200000):
+def tau1(x: FinSimpSet):
     """Fundamental category: objects are vertices, arrows are edge paths
     modulo the two-simplex relations.
 
     Computed by congruence closure at increasing word-length caps.  A run
     at any cap is certified exact when its representatives compose within
     the cap and the resulting dense table satisfies the category axioms;
-    if no cap up to word_cap certifies, the failure is explicit.
+    if no cap up to DEFAULT_WORD_CAP certifies, the failure is explicit.
 
     Returns (category, edge_to_arrow).
     """
-    cat, edge_to_arrow, _ = _tau1_full(x, word_cap, path_budget)
+    cat, edge_to_arrow, _ = _tau1_full(x)
     return cat, edge_to_arrow
 
 
-def _tau1_full(x: FinSimpSet, word_cap=DEFAULT_WORD_CAP, path_budget=200000):
+def _tau1_full(x: FinSimpSet):
     cap = 4
     while True:
-        cap = min(cap, word_cap)
+        cap = min(cap, DEFAULT_WORD_CAP)
         try:
-            return _tau1_at_cap(x, cap, path_budget)
+            return _tau1_at_cap(x, cap)
         except ResourceError:
-            if cap >= word_cap:
+            if cap >= DEFAULT_WORD_CAP:
                 raise
             cap += 4
 
@@ -259,12 +262,11 @@ def _edge_src(x, edge_ref):
     return x.faces_of(1, edge_ref.base)[1].base
 
 
-def edge_is_invertible(x: FinSimpSet, edge_ref, cat=None, edge_to_arrow=None):
-    """Does an edge become an isomorphism in the fundamental category?"""
+def edge_is_invertible(edge_ref, cat: FinCat, edge_to_arrow):
+    """Does an edge become an isomorphism in the fundamental category
+    (cat, edge_to_arrow) = tau1 of its simplicial set?"""
     if edge_ref.degs:
         return True
-    if cat is None:
-        cat, edge_to_arrow = tau1(x)
     return cat.is_iso_arrow(edge_to_arrow[edge_ref.base])
 
 

@@ -8,7 +8,6 @@ from .simplicial import (
     FinSimpSet,
     SimplexRef,
     SimpMap,
-    Colimit,
     apply_word,
     constant_map,
     delta_tuple,
@@ -20,6 +19,7 @@ from .simplicial import (
     pairing,
     product,
     product_map,
+    pushout,
     sigma_tuple,
     surj_to_word,
 )
@@ -151,14 +151,9 @@ def wedge(x: FinSimpSet, y: FinSimpSet):
         raise ValueError("wedge needs pointed inputs")
     b = min(x.dim_bound, y.dim_bound)
     pt = standard_point(bound=b)
-    col = Colimit(
-        [pt, x, y],
-        [
-            (0, 1, SimpMap(pt, x, {(0, "0"): SimplexRef(x.pointed)})),
-            (0, 2, SimpMap(pt, y, {(0, "0"): SimplexRef(y.pointed)})),
-        ],
-        pointed_at=(1, x.pointed),
-    )
+    col = pushout(SimpMap(pt, x, {(0, "0"): SimplexRef(x.pointed)}),
+                  SimpMap(pt, y, {(0, "0"): SimplexRef(y.pointed)}),
+                  pointed_at=(1, x.pointed))
     return col, col.coprojection(1), col.coprojection(2)
 
 
@@ -181,8 +176,7 @@ def smash(x: FinSimpSet, y: FinSimpSet):
     b = min(w.dim_bound, prod.dim_bound)
     pt = standard_point(bound=b)
     collapse = constant_map(w, pt, "0")
-    col = Colimit([w, prod, pt], [(0, 1, into_prod), (0, 2, collapse)],
-                  pointed_at=(2, "0"))
+    col = pushout(into_prod, collapse, pointed_at=(2, "0"))
     return col.space, col
 
 
@@ -428,7 +422,7 @@ def pushout_product(f: SimpMap, g: SimpMap) -> SimpMap:
     vx = product(v, x)
     f_w = product_map(f, identity_map(w), uw, vw)
     u_g = product_map(identity_map(u), g, uw, ux)
-    col = Colimit([uw[0], vw[0], ux[0]], [(0, 1, f_w), (0, 2, u_g)])
+    col = pushout(f_w, u_g)
     into = col.mediating(
         [
             product_map(f, g, uw, vx),

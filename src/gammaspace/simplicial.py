@@ -323,30 +323,6 @@ def discrete_set(labels, dim_bound=0, pointed=None) -> FinSimpSet:
     return FinSimpSet(dim_bound, {0: {str(v): () for v in labels}}, pointed=pointed)
 
 
-def labeled_copies(s: FinSimpSet, labels):
-    """Disjoint union of copies of s indexed by labels.
-
-    Returns (space, include) where include(label, ref) resolves a ref
-    of s inside the named copy.
-    """
-    labels = [str(v) for v in labels]
-    cells = {}
-    for n in range(s.dim_bound + 1):
-        cells[n] = {}
-        for lab in labels:
-            for name in s.cell_ids(n):
-                faces = tuple(
-                    SimplexRef(f"{lab}.{f.base}", f.degs) for f in s.faces_of(n, name)
-                )
-                cells[n][f"{lab}.{name}"] = faces
-    out = FinSimpSet(s.dim_bound, cells, complete=s.complete)
-
-    def include(label, ref):
-        return SimplexRef(f"{label}.{ref.base}", ref.degs)
-
-    return out, include
-
-
 # ---------------------------------------------------------------------------
 # simplicial maps
 

@@ -6,12 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from gammaspace import gspace, jsonio
 from gammaspace.corpus import (
+    glued_presentation,
     presented_corpus,
     tabulated_corpus,
     z2_monoid_space,
     max_monoid_space,
 )
-from gammaspace.gammaop import GammaMorphism, elementary_maps, gamma_identity
+from gammaspace.gammaop import (
+    GammaMorphism,
+    elementary_maps,
+    enumerate_homs,
+    gamma_identity,
+    smash_gamma,
+)
 from gammaspace.gspace import (
     _mapping_space_induced,
     all_morphisms_upto,
@@ -44,11 +51,15 @@ from gammaspace.gspace import (
 )
 from gammaspace.shapes import standard_simplex
 from gammaspace.simplicial import (
+    Colimit,
+    FinSimpSet,
     SimplexRef,
     SimpMap,
     discrete_set,
     identity_map,
     iso_check,
+    product,
+    product_map,
 )
 from gammaspace.verdicts import Budget
 
@@ -98,6 +109,194 @@ def test_coend_oracle_matches_bilinear():
         for n in range(3):
             oracle = day_coend_oracle(tp, tq, pl, ql, n)
             assert iso_check(oracle, day_convolve(p, q).evaluate(n)).holds
+
+
+# -- the evaluation as the colimit of its shapes -------------------------------
+
+
+def _labeled_copies(s, labels):
+    """The disjoint union of copies of s, cell c of the copy under label
+    lab named "lab.c"."""
+    cells = {n: {f"{lab}.{name}": tuple(SimplexRef(f"{lab}.{f.base}", f.degs)
+                                        for f in s.faces_of(n, name))
+                 for lab in labels for name in s.cell_ids(n)}
+             for n in range(s.dim_bound + 1)}
+    return FinSimpSet(s.dim_bound, cells, complete=s.complete)
+
+
+def _label(h):
+    return "f" + "_".join(str(v) for v in h.table)
+
+
+class _Labelled:
+    """The labelled-copies evaluation oracle: level n of a presented space
+    is the colimit of one object per cell, the copies of its shape labelled
+    by the based maps, glued along each arrow relabelled onto the copies."""
+
+    def __init__(self, p):
+        self.p = p
+        self._levels = {}
+
+    def level(self, n):
+        """(Colimit, the based maps of each cell) at n."""
+        if n not in self._levels:
+            p = self.p
+            homs = [enumerate_homs(c.level, n) for c in p.cells]
+            spaces = [_labeled_copies(c.shape, [_label(h) for h in hs])
+                      for c, hs in zip(p.cells, homs)]
+            arrows = []
+            for a in p.arrows:
+                shape = p.cells[a.src].shape
+                assignment = {}
+                for h in homs[a.src]:
+                    target = _label(a.gamma.then(h))
+                    for d in range(shape.dim_bound + 1):
+                        for name in shape.cell_ids(d):
+                            img = a.simp(SimplexRef(name), d)
+                            assignment[(d, f"{_label(h)}.{name}")] = SimplexRef(
+                                f"{target}.{img.base}", img.degs)
+                arrows.append((a.src, a.dst, SimpMap(spaces[a.src], spaces[a.dst], assignment)))
+            self._levels[n] = (Colimit(spaces, arrows), homs)
+        return self._levels[n]
+
+    def ref(self, i, h, ref, d, n):
+        return self.level(n)[0].ref_in(i, SimplexRef(f"{_label(h)}.{ref.base}", ref.degs), d)
+
+    def action_map(self, g):
+        col, homs = self.level(g.src)
+        assignment = {}
+        for i, hs in enumerate(homs):
+            shape = self.p.cells[i].shape
+            for h in hs:
+                for d in range(min(shape.dim_bound, col.space.dim_bound) + 1):
+                    for name in shape.cell_ids(d):
+                        ref = col.ref_in(i, SimplexRef(f"{_label(h)}.{name}"), d)
+                        if not ref.degs and (d, ref.base) not in assignment:
+                            assignment[(d, ref.base)] = self.ref(
+                                i, h.then(g), SimplexRef(name), d, g.dst)
+        return SimpMap(col.space, self.level(g.dst)[0].space, assignment)
+
+
+def _span_coend_oracle(x, y, x_levels, y_levels, n, dim_cap=2):
+    """The span-form coend oracle: one object per (k, l) holding a labelled
+    copy of X(k) x Y(l) per based map, and for each identification a
+    relation object with an identity leg and an action leg."""
+    objects, index = [], {}
+    for k in x_levels:
+        for l in y_levels:
+            homs = enumerate_homs(k * l, n)
+            prod = product(x.value(k), y.value(l), bound=dim_cap)
+            space = _labeled_copies(prod[0], [_label(h) for h in homs])
+            index[(k, l)] = {"i": len(objects), "homs": homs, "prod": prod, "space": space}
+            objects.append(space)
+    arrows = []
+
+    def add_relation(src_kl, dst_kl, u, v):
+        src, dst = index[src_kl], index[dst_kl]
+        uv = smash_gamma(u, v)
+        act = product_map(x.action(u), y.action(v), src["prod"], dst["prod"])
+        shape = src["prod"][0]
+        rel = _labeled_copies(shape, [_label(f) for f in dst["homs"]])
+        rho1, rho2 = {}, {}
+        for f in dst["homs"]:
+            for d in range(min(shape.dim_bound, dim_cap) + 1):
+                for name in shape.cell_ids(d):
+                    rho1[(d, f"{_label(f)}.{name}")] = SimplexRef(f"{_label(uv.then(f))}.{name}")
+                    img = act(SimplexRef(name), d)
+                    rho2[(d, f"{_label(f)}.{name}")] = SimplexRef(
+                        f"{_label(f)}.{img.base}", img.degs)
+        objects.append(rel)
+        arrows.append((len(objects) - 1, src["i"], SimpMap(rel, src["space"], rho1)))
+        arrows.append((len(objects) - 1, dst["i"], SimpMap(rel, dst["space"], rho2)))
+
+    for k in x_levels:
+        for l in y_levels:
+            for k2 in x_levels:
+                for u in enumerate_homs(k, k2):
+                    if u != gamma_identity(k):
+                        add_relation((k, l), (k2, l), u, gamma_identity(l))
+            for l2 in y_levels:
+                for v in enumerate_homs(l, l2):
+                    if v != gamma_identity(l):
+                        add_relation((k, l), (k, l2), gamma_identity(k), v)
+    return Colimit(objects, arrows, bound=dim_cap).space
+
+
+def _agrees_with_labelled(p, levels):
+    """The evaluation, every slot's component refs and the action of the
+    elementary maps between the given levels all equal the oracle's."""
+    old = _Labelled(p)
+    for n in levels:
+        assert (jsonio.simpset_to_json(p.evaluate(n))
+                == jsonio.simpset_to_json(old.level(n)[0].space)), n
+        _, slots, _ = p.level_data(n)
+        for i, h in slots:
+            shape = p.cells[i].shape
+            for d in range(shape.dim_bound + 1):
+                for name in shape.cell_ids(d):
+                    ref = SimplexRef(name)
+                    assert p.component_ref(i, h, ref, d, n) == old.ref(i, h, ref, d, n)
+    for g in elementary_maps(4):
+        if g.src in levels and g.dst in levels:
+            assert p.action_map(g) == old.action_map(g), g
+
+
+@pytest.mark.parametrize("name,p", presented_corpus(),
+                         ids=[name for name, _ in presented_corpus()])
+def test_evaluation_matches_labelled_copies(name, p):
+    _agrees_with_labelled(p, range(6))
+
+
+_CONVOLVED = {name: p for name, p in presented_corpus()
+              if name in ("rep0", "rep1", "rep2", "rep1-interval", "rep1+rep1",
+                          "rep1-two-points", "rep1-boundary2", "glued")}
+
+
+@pytest.mark.parametrize("a,b", [(a, b) for a in _CONVOLVED for b in _CONVOLVED])
+def test_convolution_matches_labelled_copies(a, b):
+    _agrees_with_labelled(day_convolve(_CONVOLVED[a], _CONVOLVED[b]), range(4))
+
+
+def test_slots_follow_hom_order_at_level_ten():
+    # the labelled copies ordered slots by label string, so that f10 came
+    # before f2; slots follow enumerate_homs
+    g1 = gamma_rep(1)
+    homs = enumerate_homs(1, 10)
+    for k, h in enumerate(homs):
+        assert g1.component_ref(0, h, SimplexRef("0"), 0, 10) == SimplexRef(f"q0_{k}")
+    assert _Labelled(g1).ref(0, homs[10], SimplexRef("0"), 0, 10) == SimplexRef("q0_2")
+
+
+def test_glued_evaluation_builds_no_gluing_maps(monkeypatch):
+    p = glued_presentation()
+    built = []
+    init = SimpMap.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimpMap, "__init__", counted)
+    for n in range(4):
+        p.evaluate(n)
+    assert built == []
+    # the labelled copies relabel each gluing arrow at each level
+    old = _Labelled(p)
+    for n in range(4):
+        old.level(n)
+    assert len(built) == 4 * len(p.arrows)
+
+
+def test_coend_oracle_matches_span_form():
+    for p, pl, q, ql in [(gamma_rep(1), [1], gamma_rep(1), [1]),
+                         (gamma_rep(1), [1], gamma_rep(2), [2]),
+                         (presented_corpus()[3][1], [1], gamma_rep(0), [0])]:
+        tp, tq = p.tabulate(6), q.tabulate(6)
+        for n in range(3):
+            new = day_coend_oracle(tp, tq, pl, ql, n)
+            old = _span_coend_oracle(tp, tq, pl, ql, n)
+            assert new.summary() == old.summary() and iso_check(new, old).holds
+            assert jsonio.simpset_to_json(new) == jsonio.simpset_to_json(old)
 
 
 def test_yoneda():

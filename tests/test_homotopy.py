@@ -31,7 +31,7 @@ def test_j_idempotent_and_contained():
         assert set(j.cell_ids(n)) <= set(ncx.cell_ids(n))
     cat, table = tau1(j)
     for e in j.cell_ids(1):
-        assert edge_is_invertible(j, SimplexRef(e), cat, table)
+        assert edge_is_invertible(SimplexRef(e), cat, table)
 
 
 def test_j_of_nerve_is_nerve_of_subgroupoid():
@@ -53,7 +53,7 @@ def test_path_space_vertices_are_invertible_edges():
     level1 = path_space_level(ncx, 1)
     cat, table = tau1(ncx)
     invertible_edges = [r for r in ncx.refs(1)
-                        if edge_is_invertible(ncx, r, cat, table)]
+                        if edge_is_invertible(r, cat, table)]
     assert level1.cell_count(0) == len(invertible_edges)
 
 

@@ -31,7 +31,6 @@ from gammaspace.simplicial import (
     identity_map,
     inclusion_map,
     iso_check,
-    labeled_copies,
     mcompose,
     monotone_maps,
     pairing,
@@ -203,11 +202,8 @@ def test_iso_check_witnesses():
     assert iso_check(spine, du).fails
 
 
-def test_labeled_copies_and_constant_map():
+def test_constant_map():
     d1 = standard_simplex(1)
-    copies, include = labeled_copies(d1, ["a", "b"])
-    assert copies.summary() == [4, 2]
-    assert include("a", SimplexRef("01")) == SimplexRef("a.01")
     c = constant_map(d1, standard_simplex(2), "1")
     c.validate()
     assert c(SimplexRef("01"), 1) == SimplexRef("1", (0,))
