@@ -170,7 +170,7 @@ class CatFunctor:
 
 
 def terminal_category() -> FinCat:
-    return FinCat(["*"], {"id*": ("*", "*")}, {"*": "id*"}, {("id*", "id*"): "id*"}).validate()
+    return FinCat(["*"], {"id*": ("*", "*")}, {"*": "id*"}, {("id*", "id*"): "id*"})
 
 
 def poset_category(n) -> FinCat:
@@ -189,7 +189,7 @@ def poset_category(n) -> FinCat:
         for (f, (fs, fd)) in arrows.items():
             if fd == gs:
                 compose[(g, f)] = f"le{fs}{gd}"
-    return FinCat(objects, arrows, identities, compose).validate()
+    return FinCat(objects, arrows, identities, compose)
 
 
 def walking_iso_category() -> FinCat:
@@ -203,20 +203,20 @@ def walking_iso_category() -> FinCat:
         ("v", "id1"): "v", ("id0", "v"): "v",
         ("v", "u"): "id0", ("u", "v"): "id1",
     }
-    return FinCat(["0", "1"], arrows, {"0": "id0", "1": "id1"}, compose).validate()
+    return FinCat(["0", "1"], arrows, {"0": "id0", "1": "id1"}, compose)
 
 
 def discrete_category(names) -> FinCat:
     arrows = {f"id{a}": (a, a) for a in names}
     compose = {(f"id{a}", f"id{a}"): f"id{a}" for a in names}
-    return FinCat(list(names), arrows, {a: f"id{a}" for a in names}, compose).validate()
+    return FinCat(list(names), arrows, {a: f"id{a}" for a in names}, compose)
 
 
 def cyclic_group_category(n) -> FinCat:
     """Z/n as a one-object groupoid."""
     arrows = {f"g{i}": ("*", "*") for i in range(n)}
     compose = {(f"g{i}", f"g{j}"): f"g{(i + j) % n}" for i in range(n) for j in range(n)}
-    return FinCat(["*"], arrows, {"*": "g0"}, compose).validate()
+    return FinCat(["*"], arrows, {"*": "g0"}, compose)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +232,8 @@ def max_subgroupoid(c: FinCat):
         for f in arrows
         if c.dst(f) == c.src(g)
     }
-    sub = FinCat(c.objects, arrows, dict(c.identities), compose).validate()
-    incl = CatFunctor(sub, c, {a: a for a in sub.objects}, {f: f for f in arrows})
-    return sub, incl.validate()
+    sub = FinCat(c.objects, arrows, dict(c.identities), compose)
+    return sub, CatFunctor(sub, c, {a: a for a in sub.objects}, {f: f for f in arrows})
 
 
 def product_category(c: FinCat, d: FinCat) -> FinCat:
@@ -255,7 +254,7 @@ def product_category(c: FinCat, d: FinCat) -> FinCat:
                 compose[(f"{f2},{g2}", f"{f1},{g1}")] = (
                     f"{c.compose(f2, f1)},{d.compose(g2, g1)}"
                 )
-    return FinCat(objects, arrows, identities, compose).validate()
+    return FinCat(objects, arrows, identities, compose)
 
 
 def full_subcategory(c: FinCat, keep_objects) -> FinCat:
@@ -267,9 +266,7 @@ def full_subcategory(c: FinCat, keep_objects) -> FinCat:
         for f in arrows
         if c.dst(f) == c.src(g)
     }
-    return FinCat(
-        sorted(keep), arrows, {a: c.identities[a] for a in keep}, compose
-    ).validate()
+    return FinCat(sorted(keep), arrows, {a: c.identities[a] for a in keep}, compose)
 
 
 def _functor_cells(c: FinCat):
@@ -392,11 +389,8 @@ def coslice_category(c: FinCat, base_obj):
             if g1 != f2:
                 continue
             compose[(n2, n1)] = index[(f1, g2, c.compose(legs[n2], legs[n1]))]
-    cat = FinCat(objects, arrows, identities, compose).validate()
-    proj = CatFunctor(
-        cat, c, {f: c.dst(f) for f in objects}, dict(legs)
-    ).validate()
-    return cat, proj, legs
+    cat = FinCat(objects, arrows, identities, compose)
+    return cat, CatFunctor(cat, c, {f: c.dst(f) for f in objects}, dict(legs)), legs
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +435,8 @@ def skeleton(c: FinCat):
             f: c.compose(to_rep[c.dst(f)], c.compose(f, from_rep[c.src(f)]))
             for f in c.arrow_ids()
         },
-    ).validate()
-    inclusion = CatFunctor(
-        skel, c, {a: a for a in skel.objects}, {f: f for f in skel.arrow_ids()}
-    ).validate()
+    )
+    inclusion = CatFunctor(skel, c, {a: a for a in skel.objects}, {f: f for f in skel.arrow_ids()})
     return skel, retraction, inclusion
 
 

@@ -81,7 +81,7 @@ def gamma_subcategory(level_cap) -> FinCat:
                         compose[(_gamma_arrow_name(g), _gamma_arrow_name(f))] = (
                             _gamma_arrow_name(f.then(g))
                         )
-    return FinCat(objects, arrows, identities, compose).validate()
+    return FinCat(objects, arrows, identities, compose)
 
 
 def _gamma_arrow_name(f: GammaMorphism):
@@ -424,7 +424,7 @@ def nelg(k, level_cap, dim_cap=2):
     total = nerve(cos, bound=dim_cap)
     base_nerve = nerve(base, bound=dim_cap)
     proj = nerve_functor_map(projf, total, base_nerve)
-    return OverObject(mark(total, "sharp"), proj).validate(), cos, legs
+    return OverObject(mark(total, "sharp"), proj), cos, legs
 
 
 def upsilon(k, l, level_cap, dim_cap=2):
@@ -445,17 +445,13 @@ def upsilon(k, l, level_cap, dim_cap=2):
         for t_name, (fa, fb) in cos.arrows.items():
             h = legs[t_name]
             on_arrows[t_name] = f"t{on_objects[fa]}_{on_objects[fb]}_{h}"
-        fun = CatFunctor(cos, cos_kl, on_objects, on_arrows).validate()
-        pieces.append((over, fun))
+        pieces.append((over, CatFunctor(cos, cos_kl, on_objects, on_arrows)))
     col = Colimit([over.marked.underlying for over, _ in pieces], [])
     du = col.space
     proj_src = col.mediating([over.proj for over, _ in pieces], pieces[0][0].proj.target)
-    source = OverObject(MarkedSimpSet(du, du.cell_ids(1)), proj_src).validate()
+    source = OverObject(MarkedSimpSet(du, du.cell_ids(1)), proj_src)
     cmp = col.mediating([nerve_functor_map(fun, over.marked.underlying, target.marked.underlying)
                          for over, fun in pieces], target.marked.underlying)
-    cmp.validate(check_pointed=False)
-    if cmp.then(target.proj) != proj_src:
-        raise AssertionError("comparison does not commute with projections")
     return cmp, source, target
 
 
@@ -516,9 +512,8 @@ def cotensor_over_base(x: OverObject, a: FinSimpSet, dim_cap=None, budget=None):
         e for e in space.cell_ids(1)
         if edge_sharpens(mc.element_of(e)[0], mc.frame(0, 1)[2], flat_a, x.marked)
     ]
-    obj = OverObject(MarkedSimpSet(space, marked_edges),
-                     SimpMap(space, base_nerve, proj_assignment)).validate()
-    return obj, mc.element_of
+    return (OverObject(MarkedSimpSet(space, marked_edges),
+                       SimpMap(space, base_nerve, proj_assignment)), mc.element_of)
 
 
 def r_plus_level(x: OverObject, k, level_cap, dim_cap=2, budget=None) -> MarkedSimpSet:

@@ -42,7 +42,7 @@ def iso_with_tail_category() -> FinCat:
         ("v", "wu"): "w",
     }
     return FinCat(["a", "b", "c"], arrows,
-                  {"a": "ida", "b": "idb", "c": "idc"}, compose).validate()
+                  {"a": "ida", "b": "idb", "c": "idc"}, compose)
 
 
 def category_corpus():

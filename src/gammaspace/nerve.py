@@ -3,6 +3,8 @@ simplicial set, with the unit isomorphism between them."""
 
 from __future__ import annotations
 
+import itertools
+
 from .catcore import CatFunctor, FinCat
 from .simplicial import FinSimpSet, SimplexRef, SimpMap
 from .verdicts import DEFAULT_WORD_CAP, ResourceError
@@ -60,7 +62,7 @@ def nerve(c: FinCat, bound=4) -> FinSimpSet:
         for ch in chains.get(bound, [])
         for g in non_id
     ) if bound >= 1 else bool(non_id)
-    return FinSimpSet(bound, cells, complete=not longer).validate()
+    return FinSimpSet(bound, cells, complete=not longer)
 
 
 def nerve_functor_map(fun: CatFunctor, nc: FinSimpSet, nd: FinSimpSet) -> SimpMap:
@@ -75,7 +77,7 @@ def nerve_functor_map(fun: CatFunctor, nc: FinSimpSet, nd: FinSimpSet) -> SimpMa
             chain = tuple(name.split("|"))
             m.assignment[(n, name)] = chain_ref(d, tuple(fun.arr(f) for f in chain),
                                                 fun.obj(c.src(chain[0])))
-    return m.validate()
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +85,8 @@ def nerve_functor_map(fun: CatFunctor, nc: FinSimpSet, nd: FinSimpSet) -> SimpMa
 
 
 class _Paths:
-    """Composable-edge paths of bounded length, with congruence closure."""
+    """Composable-edge paths of bounded length, with congruence closure.
+    Raises ResourceError as soon as there are more than PATH_BUDGET paths."""
 
     def __init__(self, x: FinSimpSet, cap):
         self.x = x
@@ -108,6 +111,9 @@ class _Paths:
                         if p not in self.paths:
                             self.paths.add(p)
                             nxt.append(p)
+                            if len(self.paths) > PATH_BUDGET:
+                                raise ResourceError(
+                                    f"path enumeration exceeded {PATH_BUDGET} at cap {cap}")
             frontier = nxt
         self.parent = {p: p for p in self.paths}
 
@@ -174,8 +180,6 @@ class _Paths:
 
 def _tau1_at_cap(x: FinSimpSet, cap):
     paths = _Paths(x, cap)
-    if len(paths.paths) > PATH_BUDGET:
-        raise ResourceError(f"path enumeration exceeded {PATH_BUDGET} at cap {cap}")
     relations = []
     for t in x.cell_ids(2):
         faces = x.faces_of(2, t)
@@ -190,17 +194,17 @@ def _tau1_at_cap(x: FinSimpSet, cap):
     for p in paths.paths:
         classes.setdefault(paths.find(p), []).append(p)
     reps = {root: min(ps, key=lambda p: (len(p[1]), p)) for root, ps in classes.items()}
-    too_long = [
+    too_long = list(itertools.islice((
         (reps[r1], reps[r2])
         for r1 in reps
         for r2 in reps
         if paths.endpoint(reps[r1]) == reps[r2][0]
         and len(reps[r1][1]) + len(reps[r2][1]) > cap
-    ]
+    ), 5))
     if too_long:
         raise ResourceError(
             f"representative words do not compose within cap {cap}",
-            offenders=too_long[:5],
+            offenders=too_long,
         )
 
     ordered = sorted(reps.values())

@@ -43,7 +43,7 @@ def standard_simplex(n, bound=None) -> FinSimpSet:
                 for i in range(m + 1)
             ) if m else ()
             cells[m][name] = faces
-    return FinSimpSet(bound, cells).validate()
+    return FinSimpSet(bound, cells)
 
 
 def standard_point(bound=0) -> FinSimpSet:
@@ -62,7 +62,7 @@ def boundary(n, bound=None) -> FinSimpSet:
     cells = {m: {c: full.faces_of(m, c) for c in full.cell_ids(m)} for m in range(bound + 1)}
     if n <= bound:
         del cells[n][_tuple_name(tuple(range(n + 1)))]
-    return FinSimpSet(bound, cells).validate()
+    return FinSimpSet(bound, cells)
 
 
 def horn(n, k, bound=None) -> FinSimpSet:
@@ -75,14 +75,14 @@ def horn(n, k, bound=None) -> FinSimpSet:
     missing = _tuple_name(tuple(v for v in range(n + 1) if v != k))
     if n - 1 <= bound:
         del cells[n - 1][missing]
-    return FinSimpSet(bound, cells).validate()
+    return FinSimpSet(bound, cells)
 
 
 def sphere_zero(bound=1) -> FinSimpSet:
     """S^0: two points, pointed at one of them."""
     s = boundary(1, bound=bound)
     return FinSimpSet(bound, {m: {c: s.faces_of(m, c) for c in s.cell_ids(m)}
-                              for m in range(bound + 1)}, pointed="0").validate()
+                              for m in range(bound + 1)}, pointed="0")
 
 
 def interval_groupoid_nerve(bound=2) -> FinSimpSet:
@@ -115,7 +115,7 @@ def interval_groupoid_nerve(bound=2) -> FinSimpSet:
             verts = chain(start, m)
             faces = tuple(ref_for(verts[:i] + verts[i + 1 :]) for i in range(m + 1))
             cells[m]["j" + _tuple_name(verts)] = faces
-    return FinSimpSet(bound, cells, complete=False).validate()
+    return FinSimpSet(bound, cells, complete=False)
 
 
 def build_standard(kind, n=0, bound=None, k=None) -> FinSimpSet:

@@ -10,6 +10,11 @@ All values are immutable after construction; operations are pure.  The
 caches below (the word-arithmetic memos, and each FinSimpSet's face index
 and `act` memo) only ever store what a pure function returns for its key,
 so a racing fill writes the same value twice.
+
+Checks run where data enters: `FinSimpSet.validate` is called by the
+loaders and by `from_elements`.  The constructions here (`product`,
+`Colimit`, the subobjects) trust their valid inputs and do not re-check
+their output; the tests validate every set they construct.
 """
 
 from __future__ import annotations
@@ -262,12 +267,12 @@ class FinSimpSet:
                 if len(faces) != (n + 1 if n > 0 else 0):
                     raise ValueError(f"cell {name!r} in dim {n} has {len(faces)} faces")
                 for ref in faces:
-                    bd = n - 1 - len(ref.degs)
-                    if not self.has_cell(bd, ref.base):
+                    if ref.degs != tuple(sorted(set(ref.degs) & set(range(n - 1)), reverse=True)):
+                        raise ValueError(
+                            f"face {ref!r} of {name!r} has degeneracy word {list(ref.degs)};"
+                            f" expected strictly decreasing entries in 0..{n - 2}")
+                    if not self.has_cell(n - 1 - len(ref.degs), ref.base):
                         raise ValueError(f"face {ref!r} of {name!r} does not resolve")
-                    for d in ref.degs:
-                        if d >= n - 1:
-                            raise ValueError(f"bad degeneracy word on face of {name!r}")
         for n in range(2, self.dim_bound + 1):
             for name in self.cell_ids(n):
                 top = SimplexRef(name, ())
@@ -578,7 +583,7 @@ def product(x: FinSimpSet, y: FinSimpSet, bound=None):
     if x.pointed is not None and y.pointed is not None:
         pointed = names[(0, ((x.pointed, ()), (y.pointed, ())))]
     prod = FinSimpSet(b, cells, pointed=pointed,
-                      complete=x.complete and y.complete and b >= full).validate()
+                      complete=x.complete and y.complete and b >= full)
     return prod, SimpMap(prod, x, assign1), SimpMap(prod, y, assign2), pair_ref
 
 def pairing(f: SimpMap, g: SimpMap, prod_data) -> SimpMap:
@@ -725,7 +730,7 @@ class Colimit:
             i, vertex = pointed_at
             pointed = self._resolve(0, (i, vertex, ()), find).base
         self.space = FinSimpSet(self.bound, cells, pointed=pointed,
-                                complete=self.complete).validate()
+                                complete=self.complete)
 
     def _resolve(self, n, key, find):
         i, base, word = key
@@ -977,7 +982,7 @@ def _subset_of(x: FinSimpSet, ok) -> FinSimpSet:
             cells[n][name] = faces
             kept.add((n, name))
     pointed = x.pointed if x.pointed is not None and (0, x.pointed) in kept else None
-    return FinSimpSet(x.dim_bound, cells, pointed=pointed).validate()
+    return FinSimpSet(x.dim_bound, cells, pointed=pointed)
 
 
 def inclusion_map(sub: FinSimpSet, whole: FinSimpSet) -> SimpMap:

@@ -203,7 +203,7 @@ def check_relative_nerve(dim_cap=2) -> Verdict:
         base,
         {o: pt for o in base.objects},
         {f: identity_map(pt) for f in base.arrow_ids()},
-    ).validate()
+    )
     rn = relative_nerve(inp, dim_cap)
     if not iso_check(rn.total, rn.base_nerve).holds:
         return Verdict(FAILS, "constant diagram should collapse to the base nerve")
@@ -212,7 +212,7 @@ def check_relative_nerve(dim_cap=2) -> Verdict:
         base, {"0": nw, "1": nw},
         {base.identities["0"]: identity_map(nw),
          base.identities["1"]: identity_map(nw), "le01": identity_map(nw)},
-    ).validate()
+    )
     rn2 = relative_nerve(inp2, dim_cap)
     for o in base.objects:
         if not rn2.fiber_comparison(o).holds:
@@ -228,7 +228,7 @@ def check_cocartesian(dim_cap=2) -> Verdict:
             base, {"0": nc, "1": nc},
             {base.identities["0"]: identity_map(nc),
              base.identities["1"]: identity_map(nc), "le01": identity_map(nc)},
-        ).validate()
+        )
         rn = relative_nerve(inp, dim_cap)
         v = cocartesian_cross_check(rn, dim_cap)
         if not v.holds:

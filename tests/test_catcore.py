@@ -29,6 +29,39 @@ def test_validation_catches_bad_tables():
                 ("f", "f"): "ida"}).validate()
 
 
+def test_every_category_built_in_tier_one_is_validated():
+    # tests/conftest.py validates each FinCat as it is constructed
+    with pytest.raises(ValueError, match="right unit law fails"):
+        FinCat(["a"], {"ida": ("a", "a"), "f": ("a", "a")}, {"a": "ida"},
+               {("ida", "ida"): "ida", ("f", "ida"): "ida", ("ida", "f"): "f",
+                ("f", "f"): "ida"})
+
+
+@pytest.mark.parametrize("name,c", category_corpus())
+def test_constructed_functors_are_functors(name, c):
+    # the constructions trust their input and do not check their functors
+    max_subgroupoid(c)[1].validate()
+    _, retraction, inclusion = skeleton(c)
+    retraction.validate()
+    inclusion.validate()
+    for a in c.objects:
+        coslice_category(c, a)[1].validate()
+
+
+def test_full_faithful_essentially_surjective_functors_keep_iso_classes():
+    # why segal_check's ho-necessary tier counts no iso classes: an
+    # equivalence has as many in its source as in its target
+    corpus = category_corpus()
+    equivalences = 0
+    for _, c in corpus:
+        for _, d in corpus:
+            for fun in all_functors(c, d):
+                if fun.is_full_faithful_ess_surjective()[0]:
+                    assert len(c.iso_classes()) == len(d.iso_classes())
+                    equivalences += 1
+    assert equivalences == 20
+
+
 def test_max_subgroupoid():
     jw, incl = max_subgroupoid(walking_iso_category())
     assert len(jw.arrows) == 4

@@ -341,13 +341,28 @@ def test_out_of_range_field_exits_three(command, path, value):
     {"dim_bound": 0, "cells": {"0": [{"id": "a"}, {"id": "b"}],
                                "1": [{"id": "e", "faces": ["a", "b"]}]}},
     {"dim_bound": -1, "cells": {}},
-], ids=["cell-above-bound", "negative-bound"])
+    # s0 s1 a in place of its normal form s1 s0 a
+    {"dim_bound": 3, "cells": {"0": [{"id": "a"}], "3": [
+        {"id": "t", "faces": [{"base": "a", "deg": [0, 1]}] * 4}]}},
+], ids=["cell-above-bound", "negative-bound", "face-word-out-of-normal-form"])
 def test_tau1_refuses_out_of_range_simplicial_set(tmp_path, capsys, blob):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(blob))
     code, report = run_cli(capsys, "tau1", str(p))
     assert code == 3
     assert report["verdicts"][0]["tag"] == "input"
+
+
+def test_tau1_past_its_path_bound_exits_two(tmp_path, capsys):
+    # one vertex with three loops: tau1 is free, so no word cap certifies
+    # it, and the path bound must stop the enumeration
+    p = tmp_path / "loops.json"
+    p.write_text(json.dumps({"dim_bound": 1, "cells": {
+        "0": [{"id": "v"}],
+        "1": [{"id": f"e{i}", "faces": ["v", "v"]} for i in range(3)]}}))
+    code, report = run_cli(capsys, "tau1", str(p))
+    assert code == 2
+    assert report["verdicts"][0]["tag"] == "resource"
 
 
 def _blob_file(tmp_path, name, blob):

@@ -3,7 +3,9 @@ overcategory objects."""
 
 import pytest
 
+from gammaspace import cocart
 from gammaspace.catcore import (
+    CatFunctor,
     equivalence_check,
     poset_category,
     terminal_category,
@@ -206,6 +208,32 @@ def test_upsilon():
     # vertex behaviour: each summand vertex is carried by precomposition
     # with the matching projection, and the comparison is over the base
     assert cmp.then(tgt.proj) == src.proj
+
+
+@pytest.mark.parametrize("k,l", [(0, 1), (1, 1), (1, 0)])
+def test_upsilon_is_a_map_over_the_base(monkeypatch, k, l):
+    # upsilon trusts what it builds; its functors, its comparison, its
+    # over-objects and the commuting projections are checked here
+    functors = []
+
+    def validated(*args):
+        functors.append(CatFunctor(*args).validate())
+        return functors[-1]
+
+    monkeypatch.setattr(cocart, "CatFunctor", validated)
+    cmp, src, tgt = upsilon(k, l, 2)
+    assert len(functors) == 2
+    cmp.validate(check_pointed=False)
+    src.validate()
+    tgt.validate()
+    assert cmp.then(tgt.proj) == src.proj
+
+
+def test_nelg_and_cotensor_build_over_objects():
+    for k in (0, 1, 2):
+        nelg(k, 2)[0].validate()
+    over, _, _ = nelg(1, 1, dim_cap=1)
+    cotensor_over_base(over, standard_simplex(1), dim_cap=1)[0].validate()
 
 
 def test_hom_over_base_identity_and_point_base():

@@ -4,12 +4,14 @@ each module: every name a module imports is used in it (or exported through
 imports at its top level (such an import breaks no cycle, it only hides a
 dependency), every parameter of a `def` is read in its body, and every
 top-level `def` and `class` of the library is read somewhere in `src/`,
-`tests/` or `bench/`.
+`tests/` or `bench/`, and `.validate(...)` is called only where data
+enters or where a verdict rests on the check.
 """
 
 import ast
 import pathlib
 import re
+from collections import Counter
 
 import pytest
 
@@ -129,6 +131,55 @@ def dead_definitions(modules, readers):
     )
 
 
+def validate_calls(source: str):
+    """The qualified name of the function or method around each
+    `.validate(...)` call, one entry per call, sorted; "<module>" for a call
+    outside any."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "validate"):
+                out.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sorted(out)
+
+
+# The library's `.validate(...)` calls, by (module, function): the loaders
+# check what enters; `from_elements` checks the tables it is handed; the
+# tau1 certificate, the functor filter of `all_functors` and
+# `cat_iso_search`, and the `functor_category` oracle decide by validating;
+# the validators of the diagram types check their parts; and two verdicts
+# rest on a check.  Constructions trust their valid inputs, and
+# tests/conftest.py validates every set and category tier-1 builds.
+KEPT_VALIDATE_CALLS = {
+    ("jsonio", "simpset_from_json"): 1,
+    ("jsonio", "simpmap_from_json"): 1,
+    ("jsonio", "category_from_json"): 1,
+    ("jsonio", "tabulated_from_json"): 1,
+    ("jsonio", "relative_input_from_json"): 1,
+    ("jsonio", "over_object_from_json"): 1,
+    ("simplicial", "from_elements"): 1,
+    ("nerve", "_tau1_at_cap"): 1,
+    ("nerve", "tau1_functor"): 1,
+    ("catcore", "_functor"): 1,
+    ("catcore", "functor_category"): 1,
+    ("gspace", "TabulatedGammaSpace.validate"): 1,
+    ("gspace", "GammaSpaceMap.validate"): 1,
+    ("marked", "MarkedGammaSpace.validate"): 1,
+    ("cocart", "RelativeNerveInput.validate"): 1,
+    ("cocart", "OverObject.validate"): 1,
+    ("gspace", "_levelwise_iso_verdict"): 1,
+    ("gspace", "semiadditivity_probe"): 3,
+}
+
+
 def test_checks_catch_what_they_name():
     source = (
         "from .simplicial import SimpMap, product\n"
@@ -201,3 +252,23 @@ def test_no_function_local_import_of_an_imported_module(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text()) == []
+
+
+def test_validate_call_check_catches_what_it_names():
+    source = (
+        "x = make().validate()\n"
+        "def build(a):\n"
+        "    return Set(a).validate()\n"
+        "class Diagram:\n"
+        "    def validate(self):\n"
+        "        self.part.validate(check_pointed=False)\n"
+        "        def inner():\n"
+        "            return validate(self)\n"
+        "        return inner\n"
+    )
+    assert validate_calls(source) == ["<module>", "Diagram.validate", "build"]
+
+
+def test_validate_runs_only_where_data_enters():
+    found = Counter((p.stem, name) for p in MODULES for name in validate_calls(p.read_text()))
+    assert found == Counter(KEPT_VALIDATE_CALLS)

@@ -5,6 +5,7 @@ import pytest
 
 from gammaspace.catcore import (
     CatFunctor,
+    all_functors,
     cat_iso_search,
     cyclic_group_category,
     poset_category,
@@ -13,6 +14,7 @@ from gammaspace.catcore import (
 )
 from gammaspace.corpus import category_corpus
 from gammaspace.nerve import (
+    PATH_BUDGET,
     edge_is_invertible,
     nerve,
     nerve_functor_map,
@@ -20,7 +22,8 @@ from gammaspace.nerve import (
     tau1_functor,
 )
 from gammaspace.shapes import standard_point, standard_simplex
-from gammaspace.simplicial import Colimit, SimplexRef, SimpMap, iso_check
+from gammaspace.simplicial import Colimit, FinSimpSet, SimplexRef, SimpMap, iso_check
+from gammaspace.verdicts import DEFAULT_WORD_CAP, ResourceError
 
 
 def test_nerve_basics():
@@ -46,6 +49,41 @@ def test_tau1_standard():
 def test_tau1_nerve_unit(name, cat):
     t, _ = tau1(nerve(cat, bound=3))
     assert cat_iso_search(t, cat) is not None
+
+
+def _loops(k):
+    """One vertex with k loops: tau1 is the free monoid on k letters, whose
+    words never compose within a cap."""
+    return FinSimpSet(1, {0: {"v": ()},
+                          1: {f"e{i}": (SimplexRef("v"), SimplexRef("v")) for i in range(k)}})
+
+
+@pytest.mark.parametrize("k,message", [
+    (2, f"representative words do not compose within cap {DEFAULT_WORD_CAP}"),
+    (3, f"path enumeration exceeded {PATH_BUDGET} at cap {DEFAULT_WORD_CAP}"),
+    (4, f"path enumeration exceeded {PATH_BUDGET} at cap {DEFAULT_WORD_CAP}"),
+], ids=["two", "three", "four"])
+def test_tau1_of_free_loops_stops_at_its_bounds(k, message):
+    # the path budget is read as the paths are enumerated, and only the
+    # five offenders reported are collected
+    with pytest.raises(ResourceError, match=message) as e:
+        tau1(_loops(k))
+    assert len(e.value.offenders) == (5 if k == 2 else 0)
+
+
+def test_nerve_functor_maps_are_simplicial_maps():
+    # nerve_functor_map trusts its functor; every functor between corpus
+    # categories gives a valid map, into a nerve of equal and of lower bound
+    corpus = category_corpus()
+    nerves = {name: (nerve(c, bound=3), nerve(c, bound=2)) for name, c in corpus}
+    count = 0
+    for name_c, c in corpus:
+        for name_d, d in corpus:
+            for fun in all_functors(c, d):
+                for target in nerves[name_d]:
+                    nerve_functor_map(fun, nerves[name_c][0], target).validate()
+                    count += 1
+    assert count == 2 * 186
 
 
 def test_tau1_spine_is_free():

@@ -2,6 +2,7 @@
 map enumeration.  Oracles: monotone-map models of the standard simplices."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -366,6 +367,31 @@ def test_validate_catches_a_broken_simplicial_identity():
     }
     with pytest.raises(ValueError, match=r"simplicial identity fails on 't': d0d2 != d1d0"):
         FinSimpSet(2, cells).validate()
+
+
+def _point_tetrahedron(word):
+    """A 3-cell whose four faces are the degenerate 2-simplex `word` on
+    the vertex a; in normal form that word is (1, 0)."""
+    return FinSimpSet(3, {0: {"a": ()}, 3: {"t": (SimplexRef("a", word),) * 4}})
+
+
+@pytest.mark.parametrize("word", [(0, 1), (1, 1), (2, 1), (1, -1), (-1,)])
+def test_validate_refuses_a_face_word_out_of_normal_form(word):
+    # the searches compare words, so a word out of normal form makes them
+    # miss maps: on (0, 1), iso_check(x, x) finds no isomorphism
+    with pytest.raises(ValueError, match=re.escape(f"has degeneracy word {list(word)};")):
+        _point_tetrahedron(word).validate()
+
+
+def test_a_face_word_in_normal_form_validates():
+    x = _point_tetrahedron((1, 0)).validate()
+    assert iso_check(x, x).holds
+
+
+def test_every_set_built_in_tier_one_is_validated():
+    # tests/conftest.py validates each FinSimpSet as it is constructed
+    with pytest.raises(ValueError, match="does not resolve"):
+        FinSimpSet(1, {0: {"a": ()}, 1: {"e": (SimplexRef("a"), SimplexRef("b"))}})
 
 
 # -- products and colimits built from nondegenerate simplices, against the ---
