@@ -233,7 +233,8 @@ def max_subgroupoid(c: FinCat):
         if c.dst(f) == c.src(g)
     }
     sub = FinCat(c.objects, arrows, dict(c.identities), compose)
-    return sub, CatFunctor(sub, c, {a: a for a in sub.objects}, {f: f for f in arrows})
+    incl = CatFunctor(sub, c, {a: a for a in sub.objects}, {f: f for f in arrows})
+    return sub, incl
 
 
 def product_category(c: FinCat, d: FinCat) -> FinCat:
@@ -266,7 +267,9 @@ def full_subcategory(c: FinCat, keep_objects) -> FinCat:
         for f in arrows
         if c.dst(f) == c.src(g)
     }
-    return FinCat(sorted(keep), arrows, {a: c.identities[a] for a in keep}, compose)
+    return FinCat(
+        sorted(keep), arrows, {a: c.identities[a] for a in keep}, compose
+    )
 
 
 def _functor_cells(c: FinCat):
@@ -390,7 +393,10 @@ def coslice_category(c: FinCat, base_obj):
                 continue
             compose[(n2, n1)] = index[(f1, g2, c.compose(legs[n2], legs[n1]))]
     cat = FinCat(objects, arrows, identities, compose)
-    return cat, CatFunctor(cat, c, {f: c.dst(f) for f in objects}, dict(legs)), legs
+    proj = CatFunctor(
+        cat, c, {f: c.dst(f) for f in objects}, dict(legs)
+    )
+    return cat, proj, legs
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +442,9 @@ def skeleton(c: FinCat):
             for f in c.arrow_ids()
         },
     )
-    inclusion = CatFunctor(skel, c, {a: a for a in skel.objects}, {f: f for f in skel.arrow_ids()})
+    inclusion = CatFunctor(
+        skel, c, {a: a for a in skel.objects}, {f: f for f in skel.arrow_ids()}
+    )
     return skel, retraction, inclusion
 
 

@@ -445,7 +445,8 @@ def upsilon(k, l, level_cap, dim_cap=2):
         for t_name, (fa, fb) in cos.arrows.items():
             h = legs[t_name]
             on_arrows[t_name] = f"t{on_objects[fa]}_{on_objects[fb]}_{h}"
-        pieces.append((over, CatFunctor(cos, cos_kl, on_objects, on_arrows)))
+        fun = CatFunctor(cos, cos_kl, on_objects, on_arrows)
+        pieces.append((over, fun))
     col = Colimit([over.marked.underlying for over, _ in pieces], [])
     du = col.space
     proj_src = col.mediating([over.proj for over, _ in pieces], pieces[0][0].proj.target)
@@ -512,8 +513,9 @@ def cotensor_over_base(x: OverObject, a: FinSimpSet, dim_cap=None, budget=None):
         e for e in space.cell_ids(1)
         if edge_sharpens(mc.element_of(e)[0], mc.frame(0, 1)[2], flat_a, x.marked)
     ]
-    return (OverObject(MarkedSimpSet(space, marked_edges),
-                       SimpMap(space, base_nerve, proj_assignment)), mc.element_of)
+    obj = OverObject(MarkedSimpSet(space, marked_edges),
+                     SimpMap(space, base_nerve, proj_assignment))
+    return obj, mc.element_of
 
 
 def r_plus_level(x: OverObject, k, level_cap, dim_cap=2, budget=None) -> MarkedSimpSet:
