@@ -26,6 +26,7 @@ from .simplicial import (
     Colimit,
     _subset_of,
     apply_word,
+    cellwise,
     delta_tuple,
     from_elements,
     hom_set,
@@ -253,13 +254,12 @@ class RelativeNerve:
         self.total, _, self._key_of = from_elements(dim_cap, levels, face, degen)
 
         self.base_nerve = nerve(base, bound=dim_cap)
-        proj_assignment = {}
-        for n in range(dim_cap + 1):
-            for name in self.total.cell_ids(n):
-                chain = self._key_of[name][1][0]
-                proj_assignment[(n, name)] = chain_ref(
-                    base, chain[:n], self._chain_objects(chain, n)[0])
-        self.proj = SimpMap(self.total, self.base_nerve, proj_assignment)
+
+        def over(n, name):
+            chain = self._key_of[name][1][0]
+            return chain_ref(base, chain[:n], self._chain_objects(chain, n)[0])
+
+        self.proj = cellwise(self.total, self.base_nerve, over)
 
     def element_of(self, name):
         return self._key_of[name][1]
@@ -449,10 +449,12 @@ def upsilon(k, l, level_cap, dim_cap=2):
         pieces.append((over, fun))
     col = Colimit([over.marked.underlying for over, _ in pieces], [])
     du = col.space
-    proj_src = col.mediating([over.proj for over, _ in pieces], pieces[0][0].proj.target)
+    proj_src = col.mediating(lambda k, ref, n: pieces[k][0].proj(ref, n),
+                             pieces[0][0].proj.target)
     source = OverObject(MarkedSimpSet(du, du.cell_ids(1)), proj_src)
-    cmp = col.mediating([nerve_functor_map(fun, over.marked.underlying, target.marked.underlying)
-                         for over, fun in pieces], target.marked.underlying)
+    legs = [nerve_functor_map(fun, over.marked.underlying, target.marked.underlying)
+            for over, fun in pieces]
+    cmp = col.mediating(lambda k, ref, n: legs[k](ref, n), target.marked.underlying)
     return cmp, source, target
 
 
@@ -502,19 +504,14 @@ def cotensor_over_base(x: OverObject, a: FinSimpSet, dim_cap=None, budget=None):
     mc = MapComplex(cap, [a, None], families)
     space = mc.space
 
-    proj_assignment = {}
-    for d in range(cap + 1):
-        top = SimplexRef("".join(str(t) for t in range(d + 1)))
-        for name in space.cell_ids(d):
-            _, beta = mc.element_of(name)
-            proj_assignment[(d, name)] = beta(top, d)
+    proj = cellwise(space, base_nerve, lambda d, name: mc.element_of(name)[1](
+        SimplexRef("".join(str(t) for t in range(d + 1))), d))
     flat_a = mark(a, "flat")
     marked_edges = [
         e for e in space.cell_ids(1)
         if edge_sharpens(mc.element_of(e)[0], mc.frame(0, 1)[2], flat_a, x.marked)
     ]
-    obj = OverObject(MarkedSimpSet(space, marked_edges),
-                     SimpMap(space, base_nerve, proj_assignment))
+    obj = OverObject(MarkedSimpSet(space, marked_edges), proj)
     return obj, mc.element_of
 
 

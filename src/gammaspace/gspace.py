@@ -33,6 +33,7 @@ from .simplicial import (
     SimplexRef,
     SimpMap,
     apply_word,
+    cellwise,
     constant_map,
     discrete_set,
     hom_set,
@@ -246,28 +247,12 @@ class PresentedGammaSpace:
         col, _, index = self.level_data(n)
         return col.ref_in(index[(cell_index, h.key())], ref, ref_dim)
 
-    def _cellwise(self, n, target: FinSimpSet, image) -> SimpMap:
-        """The map evaluate(n) -> target sending the cell of component i at
-        the hom element h and the shape cell (d, name) to image(i, h, name,
-        d).  A cell of the colimit takes the image of the first of its
-        representatives met; every cell must be met."""
-        col, slots, _ = self.level_data(n)
-        assignment = {}
-        for k, (i, h) in enumerate(slots):
-            shape = col.objects[k]
-            for d in range(min(shape.dim_bound, col.space.dim_bound) + 1):
-                for name in shape.cell_ids(d):
-                    ref = col.ref_in(k, SimplexRef(name), d)
-                    if not ref.degs and (d, ref.base) not in assignment:
-                        assignment[(d, ref.base)] = image(i, h, name, d)
-        assert all((d, name) in assignment for d in range(col.space.dim_bound + 1)
-                   for name in col.space.cell_ids(d))
-        return SimpMap(col.space, target, assignment)
-
     def action_map(self, g: GammaMorphism) -> SimpMap:
-        """The induced map evaluate(g.src) -> evaluate(g.dst)."""
-        return self._cellwise(g.src, self.evaluate(g.dst), lambda i, h, name, d:
-                             self.component_ref(i, h.then(g), SimplexRef(name), d, g.dst))
+        """The induced map evaluate(g.src) -> evaluate(g.dst): the shape of
+        the slot (i, h) goes to the slot (i, h then g) identically."""
+        col, slots, _ = self.level_data(g.src)
+        return col.mediating(lambda k, ref, d: self.component_ref(
+            slots[k][0], slots[k][1].then(g), ref, d, g.dst), self.evaluate(g.dst))
 
     def tabulate(self, level_bound) -> TabulatedGammaSpace:
         return TabulatedGammaSpace(level_bound, self.evaluate, self.action_map)
@@ -300,11 +285,14 @@ class PresentedMap:
     assignments: list  # of (target_cell_index, GammaMorphism, SimpMap)
 
     def evaluate(self, n) -> SimpMap:
-        def image(i, h, name, d):
-            j, gamma, simp = self.assignments[i]
-            return self.target.component_ref(j, gamma.then(h), simp(SimplexRef(name), d), d, n)
+        col, slots, _ = self.source.level_data(n)
 
-        return self.source._cellwise(n, self.target.evaluate(n), image)
+        def leg(k, ref, d):
+            i, h = slots[k]
+            j, gamma, simp = self.assignments[i]
+            return self.target.component_ref(j, gamma.then(h), simp(ref, d), d, n)
+
+        return col.mediating(leg, self.target.evaluate(n))
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +438,10 @@ class GammaMappingSpace(MapComplex):
 def _postcompose(src: GammaMappingSpace, dst: GammaMappingSpace, posts) -> SimpMap:
     """src -> dst sending a family (m_i) to (m_i then posts[i]).  The frames
     of src and dst are products of equal inputs, so a frame cell has one
-    name in both; the relabelling carries are built once per (cell, d)."""
-    def relabel(i, d):
-        frame = src.frame(i, d)[0]
-        return SimpMap(dst.frame(i, d)[0], frame, identity_map(frame).assignment)
-
-    carries = [[relabel(i, d) for i in range(len(posts))]
+    name in both and the relabelling carries are inclusions, built once per
+    (cell, d)."""
+    carries = [[inclusion_map(dst.frame(i, d)[0], src.frame(i, d)[0])
+                for i in range(len(posts))]
                for d in range(min(src.cap, dst.cap) + 1)]
     return dst.induced(src.space, lambda d, name: tuple(
         c.then(m).then(post)
@@ -509,12 +495,7 @@ def _classifying(ms: GammaMappingSpace, source, target) -> SimpMap:
 def _classifying_map(prod_data, target, ref, d) -> SimpMap:
     """pt x Delta[d] -> target classifying a d-simplex ref."""
     prod, _, proj2, _ = prod_data
-    assignment = {}
-    for m in range(prod.dim_bound + 1):
-        for name in prod.cell_ids(m):
-            alpha = _vertex_tuple(proj2, m, name)
-            assignment[(m, name)] = target.act(ref, d, alpha)
-    return SimpMap(prod, target, assignment)
+    return cellwise(prod, target, lambda m, name: target.act(ref, d, _vertex_tuple(proj2, m, name)))
 
 
 def _vertex_tuple(proj2, m, name):
@@ -693,10 +674,7 @@ def segal_check(x: TabulatedGammaSpace, k, l, tier="iso") -> Verdict:
 
 
 def _is_nerve_like(s: FinSimpSet) -> bool:
-    try:
-        cat, _ = tau1(s)
-    except Exception:
-        return False
+    cat, _ = tau1(s)
     return iso_check(s, nerve(cat, bound=s.dim_bound)).holds
 
 
@@ -742,12 +720,12 @@ class Normalization:
 
         def action(f: GammaMorphism):
             src, dst = self.col(f.src), self.col(f.dst)
-            cocone = [
+            legs = [
                 constant_map(x.value(0), dst.space, dst.space.pointed),
                 x.action(f).then(dst.coprojection(1)),
                 constant_map(src.objects[2], dst.space, dst.space.pointed),
             ]
-            return src.mediating(cocone, dst.space)
+            return src.mediating(lambda k, ref, n: legs[k](ref, n), dst.space)
 
         self.space = TabulatedGammaSpace(bound, lambda n: self.col(n).space, action)
         self.eta = GammaSpaceMap(
@@ -783,12 +761,12 @@ def normalization_counit(y: TabulatedGammaSpace) -> GammaSpaceMap:
     for n in range(y.level_bound + 1):
         col = nz.col(n)
         target_vertex = nz.iota.levels[n](SimplexRef(base_vertex), 0).base
-        cocone = [
+        legs = [
             constant_map(y.value(0), y.value(n), target_vertex),
             identity_map(y.value(n)),
             constant_map(col.objects[2], y.value(n), target_vertex),
         ]
-        levels[n] = col.mediating(cocone, y.value(n))
+        levels[n] = col.mediating(lambda k, ref, d: legs[k](ref, d), y.value(n))
     return GammaSpaceMap(nz.space, y, levels)
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 
 from .catcore import CatFunctor, FinCat
-from .simplicial import FinSimpSet, SimplexRef, SimpMap
+from .simplicial import FinSimpSet, SimplexRef, SimpMap, cellwise
 from .verdicts import DEFAULT_WORD_CAP, ResourceError
 
 # the most edge paths tau1 enumerates at one word-length cap
@@ -69,15 +69,15 @@ def nerve_functor_map(fun: CatFunctor, nc: FinSimpSet, nd: FinSimpSet) -> SimpMa
     """The simplicial map N(fun): N(C) -> N(D) on given nerve truncations,
     in every dimension its cap asks for."""
     c, d = fun.source, fun.target
-    m = SimpMap(nc, nd, {})
-    for a in c.objects:
-        m.assignment[(0, f"o{a}")] = SimplexRef(f"o{fun.obj(a)}")
-    for n in range(1, m.cap + 1):
-        for name in nc.cell_ids(n):
-            chain = tuple(name.split("|"))
-            m.assignment[(n, name)] = chain_ref(d, tuple(fun.arr(f) for f in chain),
-                                                fun.obj(c.src(chain[0])))
-    return m
+    objects = {f"o{a}": a for a in c.objects}
+
+    def image(n, name):
+        if n == 0:
+            return SimplexRef(f"o{fun.obj(objects[name])}")
+        chain = tuple(name.split("|"))
+        return chain_ref(d, tuple(fun.arr(f) for f in chain), fun.obj(c.src(chain[0])))
+
+    return cellwise(nc, nd, image)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from .simplicial import (
     SimplexRef,
     SimpMap,
     apply_word,
+    cellwise,
     constant_map,
     delta_tuple,
     from_elements,
@@ -165,14 +166,12 @@ def smash(x: FinSimpSet, y: FinSimpSet):
     w = wcol.space
     prod_data = product(x, y)
     prod = prod_data[0]
-    into_prod = wcol.mediating(
-        [
-            constant_map(standard_point(bound=w.dim_bound), prod, prod.pointed),
-            pairing(identity_map(x), constant_map(x, y, y.pointed), prod_data),
-            pairing(constant_map(y, x, x.pointed), identity_map(y), prod_data),
-        ],
-        prod,
-    )
+    legs = [
+        constant_map(standard_point(bound=w.dim_bound), prod, prod.pointed),
+        pairing(identity_map(x), constant_map(x, y, y.pointed), prod_data),
+        pairing(constant_map(y, x, x.pointed), identity_map(y), prod_data),
+    ]
+    into_prod = wcol.mediating(lambda k, ref, n: legs[k](ref, n), prod)
     b = min(w.dim_bound, prod.dim_bound)
     pt = standard_point(bound=b)
     collapse = constant_map(w, pt, "0")
@@ -255,11 +254,7 @@ class MapComplex:
     def induced(self, source: FinSimpSet, family_of) -> SimpMap:
         """The map source -> space sending the d-cell name to the d-simplex
         given by the tuple of maps family_of(d, name)."""
-        return SimpMap(source, self.space, {
-            (d, name): self.ref_of(family_of(d, name), d)
-            for d in range(min(self.cap, source.dim_bound) + 1)
-            for name in source.cell_ids(d)
-        })
+        return cellwise(source, self.space, lambda d, name: self.ref_of(family_of(d, name), d))
 
 
 def _precompose(carries, maps):
@@ -286,15 +281,12 @@ class Exponential(MapComplex):
 
 def _simplex_map_between(src: FinSimpSet, dst: FinSimpSet, alpha) -> SimpMap:
     """Simplex-to-simplex map over a monotone vertex map, on given copies."""
-    assignment = {}
-    for m in range(src.dim_bound + 1):
-        for name in src.cell_ids(m):
-            verts = tuple(int(ch) for ch in name)
-            image = tuple(alpha[v] for v in verts)
-            uniq = tuple(sorted(set(image)))
-            word = surj_to_word(tuple(uniq.index(v) for v in image))
-            assignment[(m, name)] = SimplexRef(_tuple_name(uniq), word)
-    return SimpMap(src, dst, assignment)
+    def image(_dim, name):
+        verts = tuple(alpha[int(ch)] for ch in name)
+        uniq = tuple(sorted(set(verts)))
+        return SimplexRef(_tuple_name(uniq), surj_to_word(tuple(uniq.index(v) for v in verts)))
+
+    return cellwise(src, dst, image)
 
 
 def exponential_map(u: SimpMap, exp_src: Exponential, exp_dst: Exponential) -> SimpMap:
@@ -423,12 +415,9 @@ def pushout_product(f: SimpMap, g: SimpMap) -> SimpMap:
     f_w = product_map(f, identity_map(w), uw, vw)
     u_g = product_map(identity_map(u), g, uw, ux)
     col = pushout(f_w, u_g)
-    into = col.mediating(
-        [
-            product_map(f, g, uw, vx),
-            product_map(identity_map(v), g, vw, vx),
-            product_map(f, identity_map(x), ux, vx),
-        ],
-        vx[0],
-    )
-    return into
+    legs = [
+        product_map(f, g, uw, vx),
+        product_map(identity_map(v), g, vw, vx),
+        product_map(f, identity_map(x), ux, vx),
+    ]
+    return col.mediating(lambda k, ref, n: legs[k](ref, n), vx[0])

@@ -11,10 +11,18 @@ caches below (the word-arithmetic memos, and each FinSimpSet's face index
 and `act` memo) only ever store what a pure function returns for its key,
 so a racing fill writes the same value twice.
 
+Maps are built in two ways.  `cellwise` assigns a given image to every
+nondegenerate source cell, and every map given cell by cell (identities,
+constants, inclusions, pairings, products of maps, coprojections) goes
+through it.  `Colimit.mediating` builds the one map out of a colimit that a
+cocone of legs fixes.  Both assign the dimensions `map_cap` gives, the one
+statement of how far a map into a truncated target is defined.
+
 Checks run where data enters: `FinSimpSet.validate` is called by the
 loaders and by `from_elements`.  The constructions here (`product`,
-`Colimit`, the subobjects) trust their valid inputs and do not re-check
-their output; the tests validate every set they construct.
+`Colimit`, the subobjects, the maps) trust their valid inputs and do not
+re-check their output; the tests validate every set they construct and
+check every cocone given to `Colimit.mediating`.
 """
 
 from __future__ import annotations
@@ -336,8 +344,8 @@ class SimpMap:
     """Map of truncated simplicial sets.
 
     assignment sends each nondegenerate source cell of dimension
-    <= min(source bound, target bound) to a target ref of the same
-    dimension; degenerate simplices follow by word arithmetic.
+    <= `map_cap(source, target)` to a target ref of the same dimension;
+    degenerate simplices follow by word arithmetic.
     """
 
     def __init__(self, source: FinSimpSet, target: FinSimpSet, assignment):
@@ -347,11 +355,7 @@ class SimpMap:
 
     @property
     def cap(self):
-        # complete targets admit assignments in every source dimension;
-        # truncated ones only up to their own bound
-        if self.target.complete:
-            return self.source.dim_bound
-        return min(self.source.dim_bound, self.target.dim_bound)
+        return map_cap(self.source, self.target)
 
     def __call__(self, ref: SimplexRef, ref_dim: int) -> SimplexRef:
         base_dim = ref_dim - len(ref.degs)
@@ -446,27 +450,32 @@ class SimpMap:
         return f"SimpMap({self.source!r} -> {self.target!r})"
 
 
+def map_cap(source: FinSimpSet, target: FinSimpSet) -> int:
+    """The top dimension in which a map source -> target is assigned: a
+    complete target admits assignments in every source dimension, a
+    truncated one only up to its own bound."""
+    if target.complete:
+        return source.dim_bound
+    return min(source.dim_bound, target.dim_bound)
+
+
+def cellwise(source: FinSimpSet, target: FinSimpSet, image) -> SimpMap:
+    """The map source -> target sending each nondegenerate n-cell `name` of
+    source to image(n, name), for every n up to `map_cap`."""
+    return SimpMap(source, target, {
+        (n, name): image(n, name)
+        for n in range(map_cap(source, target) + 1)
+        for name in source.cell_ids(n)
+    })
+
+
 def identity_map(x: FinSimpSet) -> SimpMap:
-    return SimpMap(
-        x,
-        x,
-        {
-            (n, name): SimplexRef(name)
-            for n in range(x.dim_bound + 1)
-            for name in x.cell_ids(n)
-        },
-    )
+    return cellwise(x, x, lambda n, name: SimplexRef(name))
 
 
 def constant_map(x: FinSimpSet, y: FinSimpSet, vertex: str) -> SimpMap:
     """The map collapsing x to the named vertex of y."""
-    assignment = {}
-    cap = x.dim_bound if y.complete else min(x.dim_bound, y.dim_bound)
-    for n in range(cap + 1):
-        word = tuple(range(n - 1, -1, -1))
-        for name in x.cell_ids(n):
-            assignment[(n, name)] = SimplexRef(vertex, word)
-    return SimpMap(x, y, assignment)
+    return cellwise(x, y, lambda n, name: SimplexRef(vertex, tuple(range(n - 1, -1, -1))))
 
 
 # ---------------------------------------------------------------------------
@@ -590,27 +599,16 @@ def pairing(f: SimpMap, g: SimpMap, prod_data) -> SimpMap:
     """The map (f, g): Z -> X x Y induced into product(f.target, g.target)."""
     prod, _, _, pair_ref = prod_data
     assert f.source is g.source
-    z = f.source
-    cap = z.dim_bound if prod.complete else min(z.dim_bound, prod.dim_bound)
-    assignment = {}
-    for n in range(cap + 1):
-        for name in z.cell_ids(n):
-            assignment[(n, name)] = pair_ref(f(SimplexRef(name), n), g(SimplexRef(name), n), n)
-    return SimpMap(z, prod, assignment)
+    return cellwise(f.source, prod, lambda n, name: pair_ref(
+        f(SimplexRef(name), n), g(SimplexRef(name), n), n))
 
 
 def product_map(f: SimpMap, g: SimpMap, src_data, dst_data) -> SimpMap:
     """f x g between already-computed products."""
     src, sp1, sp2, _ = src_data
     dst, _, _, pair_ref = dst_data
-    assignment = {}
-    cap = src.dim_bound if dst.complete else min(src.dim_bound, dst.dim_bound)
-    for n in range(cap + 1):
-        for name in src.cell_ids(n):
-            rx = f(sp1.assignment[(n, name)], n)
-            ry = g(sp2.assignment[(n, name)], n)
-            assignment[(n, name)] = pair_ref(rx, ry, n)
-    return SimpMap(src, dst, assignment)
+    return cellwise(src, dst, lambda n, name: pair_ref(
+        f(sp1.assignment[(n, name)], n), g(sp2.assignment[(n, name)], n), n))
 
 
 # ---------------------------------------------------------------------------
@@ -743,39 +741,26 @@ class Colimit:
         return self._resolve(ref_dim, (obj_index, ref.base, ref.degs), self._find)
 
     def coprojection(self, obj_index) -> SimpMap:
-        obj = self.objects[obj_index]
-        cap = min(obj.dim_bound, self.bound)
-        assignment = {
-            (n, name): self.ref_in(obj_index, SimplexRef(name), n)
-            for n in range(cap + 1)
-            for name in obj.cell_ids(n)
-        }
-        return SimpMap(obj, self.space, assignment)
+        return cellwise(self.objects[obj_index], self.space,
+                        lambda n, name: self.ref_in(obj_index, SimplexRef(name), n))
 
-    def mediating(self, cocone, target: FinSimpSet) -> SimpMap:
-        """Unique map out of the colimit extending the cocone; raises if the
-        cocone does not commute with the gluing."""
-        for (si, di, m) in self.arrows:
-            if m.then(cocone[di]) != cocone[si]:
-                raise ValueError("cocone does not commute with diagram arrow")
-        cap = self.bound if target.complete else min(self.bound, target.dim_bound)
+    def mediating(self, leg, target: FinSimpSet) -> SimpMap:
+        """The map out of the colimit whose composite with the coprojection
+        of object k is leg(k, ref, n) on the n-simplex ref of object k.
+
+        The legs must form a cocone: leg(di, m(ref), n) == leg(si, ref, n)
+        for every arrow (si, di, m).  Then every representative of a cell
+        has the same image, and the cell takes that of the first one met,
+        walking the objects in order.  The legs are not checked here; the
+        tests check every cocone they build."""
+        cap = map_cap(self.space, target)
         assignment = {}
-        for n in range(cap + 1):
-            for name in self.space.cell_ids(n):
-                assignment[(n, name)] = None
-        for n in range(cap + 1):
-            for i, obj in enumerate(self.objects):
-                for cname in obj.cell_ids(n):
-                    img = self.ref_in(i, SimplexRef(cname), n)
-                    if img.degs:
-                        continue
-                    val = cocone[i](SimplexRef(cname), n)
-                    prev = assignment.get((n, img.base))
-                    if prev is not None and prev != val:
-                        raise ValueError("cocone is not constant on a glued class")
-                    assignment[(n, img.base)] = val
-        if any(v is None for v in assignment.values()):
-            raise AssertionError("colimit cell not covered by any coprojection")
+        for k, obj in enumerate(self.objects):
+            for n in range(cap + 1):
+                for name in obj.cell_ids(n):
+                    ref = self.ref_in(k, SimplexRef(name), n)
+                    if not ref.degs and (n, ref.base) not in assignment:
+                        assignment[(n, ref.base)] = leg(k, SimplexRef(name), n)
         return SimpMap(self.space, target, assignment)
 
 
@@ -807,9 +792,6 @@ def maps(a: FinSimpSet, x: FinSimpSet, budget=None, fixed=None,
     raises BudgetExceededError rather than silently truncating.
     """
     budget = budget or Budget()
-    # a is read literally; x coskeletally above its bound unless complete,
-    # in which case its ref enumeration is valid in every dimension
-    cap = a.dim_bound if x.complete else min(a.dim_bound, x.dim_bound)
     fixed = fixed or {}
 
     def candidates(cell, assignment):
@@ -833,7 +815,7 @@ def maps(a: FinSimpSet, x: FinSimpSet, budget=None, fixed=None,
                 continue
             yield ref
 
-    for assignment in backtrack(a.constraint_order(cap), candidates):
+    for assignment in backtrack(a.constraint_order(map_cap(a, x)), candidates):
         yield SimpMap(a, x, assignment)
 
 
@@ -986,9 +968,4 @@ def _subset_of(x: FinSimpSet, ok) -> FinSimpSet:
 
 
 def inclusion_map(sub: FinSimpSet, whole: FinSimpSet) -> SimpMap:
-    assignment = {
-        (n, name): SimplexRef(name)
-        for n in range(min(sub.dim_bound, whole.dim_bound) + 1)
-        for name in sub.cell_ids(n)
-    }
-    return SimpMap(sub, whole, assignment)
+    return cellwise(sub, whole, lambda n, name: SimplexRef(name))

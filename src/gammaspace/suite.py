@@ -3,7 +3,7 @@ on the default corpus and returns a verdict carrying its law tag."""
 
 from __future__ import annotations
 
-import random
+import itertools
 
 from . import corpus
 from .catcore import functor_category, max_subgroupoid, poset_category
@@ -61,8 +61,9 @@ from .simplicial import hom_set, identity_map, iso_check
 from .verdicts import FAILS, HOLDS, Verdict
 
 
-def check_factorization(level_cap=3) -> Verdict:
+def check_factorization() -> Verdict:
     """Unique inert/active factorization, exhaustively."""
+    level_cap = 3
     count = 0
     for n in range(level_cap + 1):
         for m in range(level_cap + 1):
@@ -83,7 +84,8 @@ def check_factorization(level_cap=3) -> Verdict:
     return Verdict(HOLDS, f"levels<={level_cap}", details={"maps": count})
 
 
-def check_day_laws(level_cap=3) -> Verdict:
+def check_day_laws() -> Verdict:
+    level_cap = 3
     names = dict(corpus.presented_corpus())
     for name, p in names.items():
         v = day_unit_comparison(p, range(level_cap + 1))
@@ -104,7 +106,8 @@ def check_day_laws(level_cap=3) -> Verdict:
     return Verdict(HOLDS, f"corpus of {len(names)} spaces, levels<={level_cap}")
 
 
-def check_coend_oracle(level_cap=2) -> Verdict:
+def check_coend_oracle() -> Verdict:
+    level_cap = 2
     cases = [
         (gamma_rep(1), [1], gamma_rep(1), [1]),
         (gamma_rep(1), [1], gamma_rep(2), [2]),
@@ -124,7 +127,8 @@ def check_coend_oracle(level_cap=2) -> Verdict:
     return Verdict(HOLDS, f"3 convolutions, levels<={level_cap}")
 
 
-def check_yoneda(level_cap=3) -> Verdict:
+def check_yoneda() -> Verdict:
+    level_cap = 3
     for name, y in corpus.tabulated_corpus(level_cap):
         for n in range(level_cap + 1):
             _, v = yoneda_comparison(n, y, dim_cap=1)
@@ -149,7 +153,8 @@ def check_tensor_hom() -> Verdict:
     return Verdict(HOLDS, "corpus vs representables, cardinalities agree")
 
 
-def check_smash_precompose(level_cap=2) -> Verdict:
+def check_smash_precompose() -> Verdict:
+    level_cap = 2
     for name, x in corpus.tabulated_corpus(4):
         for n in range(level_cap + 1):
             v = smash_precompose_comparison(x, n, level_cap=min(2, 4 // max(n, 1)))
@@ -158,7 +163,8 @@ def check_smash_precompose(level_cap=2) -> Verdict:
     return Verdict(HOLDS, f"corpus, reps<={level_cap}")
 
 
-def check_segal(level_cap=4) -> Verdict:
+def check_segal() -> Verdict:
+    level_cap = 4
     m = corpus.z2_monoid_space(level_cap)
     for k in range(level_cap + 1):
         for l in range(level_cap + 1 - k):
@@ -172,7 +178,8 @@ def check_segal(level_cap=4) -> Verdict:
     return Verdict(HOLDS, f"monoid holds k+l<={level_cap}; rep1 fails 3-vs-4")
 
 
-def check_normalization(level_cap=3) -> Verdict:
+def check_normalization() -> Verdict:
+    level_cap = 3
     for name, x in corpus.tabulated_corpus(level_cap):
         x0, iota = unital_part(x)
         if not iota.is_levelwise_mono(level_cap=level_cap):
@@ -196,7 +203,8 @@ def check_normalization(level_cap=3) -> Verdict:
     return Verdict(HOLDS, "corpus: mono, counit iso, mapping spaces agree")
 
 
-def check_relative_nerve(dim_cap=2) -> Verdict:
+def check_relative_nerve() -> Verdict:
+    dim_cap = 2
     base = poset_category(1)
     pt = standard_point(bound=dim_cap)
     inp = RelativeNerveInput(
@@ -220,7 +228,8 @@ def check_relative_nerve(dim_cap=2) -> Verdict:
     return Verdict(HOLDS, "constant collapse and exact fibers")
 
 
-def check_cocartesian(dim_cap=2) -> Verdict:
+def check_cocartesian() -> Verdict:
+    dim_cap = 2
     base = poset_category(1)
     for name, cat in corpus.category_corpus()[:4]:
         nc = nerve(cat, bound=dim_cap)
@@ -236,7 +245,8 @@ def check_cocartesian(dim_cap=2) -> Verdict:
     return Verdict(HOLDS, "lifting search matches the explicit edge description")
 
 
-def check_sm_qcat(level_cap=2) -> Verdict:
+def check_sm_qcat() -> Verdict:
+    level_cap = 2
     m = corpus.z2_monoid_space(level_cap)
     ginp = gamma_diagram_input(level_cap, m.value, m.action)
     for k in range(1, level_cap):
@@ -253,24 +263,20 @@ def check_sm_qcat(level_cap=2) -> Verdict:
     return Verdict(HOLDS, f"monoid passes, rep1 fails, agrees with level check")
 
 
-def check_pushout_product_mono(cases=50, seed=7) -> Verdict:
-    rng = random.Random(seed)
+def check_pushout_product_mono() -> Verdict:
+    """f box g is mono for every ordered pair (f, g) of five monos."""
     pool = [
         inclusion_map(boundary(1), standard_simplex(1)),
         inclusion_map(boundary(2), standard_simplex(2)),
         simplex_inclusion(horn(2, 1), 2),
         simplex_inclusion(horn(2, 0), 2),
         identity_map(standard_simplex(1)),
-        inclusion_map(boundary(1), standard_simplex(1)),
     ]
-    for i in range(cases):
-        f = pool[rng.randrange(len(pool))]
-        g = pool[rng.randrange(len(pool))]
-        pp = pushout_product(f, g)
-        if not pp.is_mono():
+    for i, (f, g) in enumerate(itertools.product(pool, repeat=2)):
+        if not pushout_product(f, g).is_mono():
             return Verdict(FAILS, f"case {i}",
                            witness={"f": f.source.summary(), "g": g.source.summary()})
-    return Verdict(HOLDS, f"{cases} randomized mono pairs")
+    return Verdict(HOLDS, f"all {len(pool) ** 2} ordered mono pairs")
 
 
 def check_appendix_corpus() -> Verdict:
@@ -297,7 +303,8 @@ def check_appendix_corpus() -> Verdict:
     return Verdict(HOLDS, "sub-Kan, exponential, and smash-unit instances")
 
 
-def check_semiadditivity(level_cap=3) -> Verdict:
+def check_semiadditivity() -> Verdict:
+    level_cap = 3
     rep = semiadditivity_probe(gamma_rep(1), level_cap)
     if not rep["all_iso"] or not all(rep["coproduct_identification"]):
         return Verdict(FAILS, "rep1 probe", witness=rep)

@@ -61,7 +61,7 @@ from gammaspace.simplicial import (
     product,
     product_map,
 )
-from gammaspace.verdicts import Budget
+from gammaspace.verdicts import Budget, ResourceError
 
 
 def test_representable_evaluation():
@@ -368,6 +368,26 @@ def test_segal_cat_equiv_downgrades_on_non_nerve_level():
     # the discrete family is nerve-valued, so the category tier applies
     assert segal_check(m, 1, 1, tier="cat-equiv").holds
     assert segal_check(m, 1, 1, tier="ho-necessary").holds
+
+
+def test_segal_cat_equiv_propagates_an_error_inside_tau1(monkeypatch):
+    # an error inside the nerve test is not a verdict that the level is not
+    # a nerve: it reaches the caller instead of a downgraded `holds`
+    def broken(_s):
+        raise RuntimeError("tau1 broke")
+
+    monkeypatch.setattr(gspace, "tau1", broken)
+    with pytest.raises(RuntimeError, match="tau1 broke"):
+        segal_check(z2_monoid_space(2), 1, 1, tier="cat-equiv")
+
+
+def test_segal_cat_equiv_on_a_free_loop_level_raises_resource_error():
+    # one vertex with two loops: tau1 is the free monoid on two letters,
+    # whose representative words never compose within the word cap
+    loops = FinSimpSet(1, {0: {"v": ()}, 1: {"e0": (SimplexRef("v"), SimplexRef("v")),
+                                               "e1": (SimplexRef("v"), SimplexRef("v"))}})
+    with pytest.raises(ResourceError, match="do not compose"):
+        segal_check(constant_gamma_space(2, loops), 1, 1, tier="cat-equiv")
 
 
 def group_power_space(level_bound):

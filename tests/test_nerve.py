@@ -15,6 +15,7 @@ from gammaspace.catcore import (
 from gammaspace.corpus import category_corpus
 from gammaspace.nerve import (
     PATH_BUDGET,
+    chain_ref,
     edge_is_invertible,
     nerve,
     nerve_functor_map,
@@ -84,6 +85,38 @@ def test_nerve_functor_maps_are_simplicial_maps():
                     nerve_functor_map(fun, nerves[name_c][0], target).validate()
                     count += 1
     assert count == 2 * 186
+
+
+def _old_nerve_functor_map(fun, nc, nd):
+    """nerve_functor_map as the loop it was before it called `cellwise`."""
+    c, d = fun.source, fun.target
+    m = SimpMap(nc, nd, {})
+    for a in c.objects:
+        m.assignment[(0, f"o{a}")] = SimplexRef(f"o{fun.obj(a)}")
+    for n in range(1, m.cap + 1):
+        for name in nc.cell_ids(n):
+            chain = tuple(name.split("|"))
+            m.assignment[(n, name)] = chain_ref(d, tuple(fun.arr(f) for f in chain),
+                                                fun.obj(c.src(chain[0])))
+    return m
+
+
+def test_nerve_functor_map_matches_its_old_loop():
+    # into nerves of equal, lower and the lowest bound (the bound-1 nerve of
+    # the walking isomorphism is a truncation), out of bounds 3 and 1
+    corpus = category_corpus()
+    count = 0
+    for name_c, c in corpus:
+        for name_d, d in corpus:
+            for fun in all_functors(c, d):
+                for nc in (nerve(c, bound=3), nerve(c, bound=1)):
+                    for bound in (3, 2, 1):
+                        nd = nerve(d, bound=bound)
+                        assert (nerve_functor_map(fun, nc, nd).key()
+                                == _old_nerve_functor_map(fun, nc, nd).key())
+                        count += 1
+    assert count == 6 * 186
+    assert not nerve(walking_iso_category(), bound=1).complete
 
 
 def test_tau1_spine_is_free():

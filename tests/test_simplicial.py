@@ -22,6 +22,7 @@ from gammaspace.simplicial import (
     SimplexRef,
     SimpMap,
     apply_word,
+    cellwise,
     constant_map,
     delta_tuple,
     discrete_set,
@@ -394,6 +395,17 @@ def test_every_set_built_in_tier_one_is_validated():
         FinSimpSet(1, {0: {"a": ()}, 1: {"e": (SimplexRef("a"), SimplexRef("b"))}})
 
 
+def test_every_cocone_in_tier_one_is_checked():
+    # tests/conftest.py checks that the legs given to Colimit.mediating
+    # commute with the arrows; here the third leg does not
+    d1, pt = standard_simplex(1), standard_point()
+    at_zero = SimpMap(pt, d1, {(0, "0"): SimplexRef("0")})
+    col = pushout(at_zero, SimpMap(pt, d1, {(0, "0"): SimplexRef("0")}))
+    legs = [constant_map(pt, d1, "0"), identity_map(d1), constant_map(d1, d1, "1")]
+    with pytest.raises(AssertionError, match="cocone does not commute with arrow 0 -> 2"):
+        col.mediating(lambda k, ref, n: legs[k](ref, n), d1)
+
+
 # -- products and colimits built from nondegenerate simplices, against the ---
 # -- builders that enumerate every simplex -----------------------------------
 
@@ -506,7 +518,33 @@ def test_product_does_not_call_from_elements(monkeypatch):
 
 class _AllRefsColimit(Colimit):
     """`Colimit` with the quotient taken over every ref of every object,
-    degenerate ones included."""
+    degenerate ones included, and the checking walk for maps out of it."""
+
+    def mediating(self, leg, target):
+        """Checks that the legs commute with every arrow, then assigns each
+        cell the image of every one of its representatives, refusing two
+        that differ."""
+        cap = simplicial.map_cap(self.space, target)
+        for (si, di, m) in self.arrows:
+            for n in range(cap + 1):
+                for name in self.objects[si].cell_ids(n):
+                    if leg(di, m(SimplexRef(name), n), n) != leg(si, SimplexRef(name), n):
+                        raise ValueError("cocone does not commute with diagram arrow")
+        assignment = {(n, name): None for n in range(cap + 1) for name in self.space.cell_ids(n)}
+        for n in range(cap + 1):
+            for i, obj in enumerate(self.objects):
+                for cname in obj.cell_ids(n):
+                    img = self.ref_in(i, SimplexRef(cname), n)
+                    if img.degs:
+                        continue
+                    val = leg(i, SimplexRef(cname), n)
+                    prev = assignment.get((n, img.base))
+                    if prev is not None and prev != val:
+                        raise ValueError("cocone is not constant on a glued class")
+                    assignment[(n, img.base)] = val
+        if any(v is None for v in assignment.values()):
+            raise AssertionError("colimit cell not covered by any coprojection")
+        return SimpMap(self.space, target, assignment)
 
     def _compute(self, pointed_at):
         b = self.bound
@@ -597,11 +635,14 @@ def _assert_same_colimit(objects, arrows, **kwargs):
                 assert got.ref_in(i, ref, n) == want.ref_in(i, ref, n)
         assert got.coprojection(i).key() == want.coprojection(i).key()
     point = standard_point()
-    for cocone, target in [
+    for legs, target in [
         ([want.coprojection(i) for i in range(len(objects))], want.space),
         ([constant_map(obj, point, "0") for obj in objects], point),
     ]:
-        assert got.mediating(cocone, target).key() == want.mediating(cocone, target).key()
+        def leg(k, ref, n):
+            return legs[k](ref, n)
+
+        assert got.mediating(leg, target).key() == want.mediating(leg, target).key()
 
 
 def _simplex_maps(a, b):
@@ -687,3 +728,109 @@ def test_colimit_evaluates_arrows_on_nondegenerate_cells(builder, degenerate):
     assert len(seen) == sum(
         len(objects[si].refs(n) if degenerate else objects[si].cell_ids(n))
         for si, _, _ in arrows for n in range(col.bound + 1))
+
+
+# -- maps given cell by cell, against the loop each site had before it ------
+# -- called `cellwise` ---------------------------------------------------------
+
+
+def _old_identity_map(x):
+    return SimpMap(x, x, {(n, name): SimplexRef(name)
+                          for n in range(x.dim_bound + 1) for name in x.cell_ids(n)})
+
+
+def _old_constant_map(x, y, vertex):
+    assignment = {}
+    cap = x.dim_bound if y.complete else min(x.dim_bound, y.dim_bound)
+    for n in range(cap + 1):
+        word = tuple(range(n - 1, -1, -1))
+        for name in x.cell_ids(n):
+            assignment[(n, name)] = SimplexRef(vertex, word)
+    return SimpMap(x, y, assignment)
+
+
+def _old_inclusion_map(sub, whole):
+    return SimpMap(sub, whole, {(n, name): SimplexRef(name)
+                                for n in range(min(sub.dim_bound, whole.dim_bound) + 1)
+                                for name in sub.cell_ids(n)})
+
+
+def _old_pairing(f, g, prod_data):
+    prod, _, _, pair_ref = prod_data
+    z = f.source
+    cap = z.dim_bound if prod.complete else min(z.dim_bound, prod.dim_bound)
+    return SimpMap(z, prod, {
+        (n, name): pair_ref(f(SimplexRef(name), n), g(SimplexRef(name), n), n)
+        for n in range(cap + 1) for name in z.cell_ids(n)})
+
+
+def _old_product_map(f, g, src_data, dst_data):
+    src, sp1, sp2, _ = src_data
+    dst, _, _, pair_ref = dst_data
+    cap = src.dim_bound if dst.complete else min(src.dim_bound, dst.dim_bound)
+    return SimpMap(src, dst, {
+        (n, name): pair_ref(f(sp1.assignment[(n, name)], n), g(sp2.assignment[(n, name)], n), n)
+        for n in range(cap + 1) for name in src.cell_ids(n)})
+
+
+def _old_coprojection(col, k):
+    obj = col.objects[k]
+    return SimpMap(obj, col.space, {(n, name): col.ref_in(k, SimplexRef(name), n)
+                                    for n in range(min(obj.dim_bound, col.bound) + 1)
+                                    for name in obj.cell_ids(n)})
+
+
+def _degenerate_vertex(vertex):
+    return lambda n, _name: SimplexRef(vertex, tuple(range(n - 1, -1, -1)))
+
+
+def test_cellwise_assigns_the_dimensions_its_target_admits():
+    d3 = standard_simplex(3)
+    # into a complete target, every source dimension
+    m = cellwise(d3, standard_point(), _degenerate_vertex("0"))
+    assert sorted({n for n, _ in m.assignment}) == [0, 1, 2, 3]
+    # into a truncated target of lower bound, up to that bound
+    m = cellwise(d3, interval_groupoid_nerve(bound=1), _degenerate_vertex("1"))
+    assert sorted({n for n, _ in m.assignment}) == [0, 1]
+    # into a truncated target of higher bound, every source dimension
+    m = cellwise(standard_simplex(1), interval_groupoid_nerve(bound=3), _degenerate_vertex("1"))
+    assert sorted({n for n, _ in m.assignment}) == [0, 1]
+
+
+def _assert_sites_match_old_loops(x):
+    """identity_map, constant_map, inclusion_map, pairing and product_map
+    out of x give the maps of the loops they replaced, into a complete and
+    into a truncated target."""
+    assert identity_map(x).key() == _old_identity_map(x).key()
+    targets = [(standard_point(), "0"), (interval_groupoid_nerve(bound=1), "1"),
+               (x, x.cell_ids(0)[0])]
+    for y, vertex in targets:
+        assert constant_map(x, y, vertex).key() == _old_constant_map(x, y, vertex).key()
+    first = x.cell_ids(0)[0]
+    for sub, whole in [(x.rebound(0), x), (x, x.rebound(0)),
+                       (simplicial.full_sub_on_vertices(x, lambda v: v != first), x)]:
+        assert inclusion_map(sub, whole).key() == _old_inclusion_map(sub, whole).key()
+    square = product(x, x)
+    for y, vertex in targets[:2]:
+        f, g = identity_map(x), constant_map(x, y, vertex)
+        into = product(x, y)
+        assert pairing(f, g, into).key() == _old_pairing(f, g, into).key()
+        assert (product_map(f, g, square, into).key()
+                == _old_product_map(f, g, square, into).key())
+
+
+@given(st.integers(0, 2), st.sets(st.integers(0, 5), max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_cellwise_sites_match_old_loops_on_quotients(n, collapse):
+    col = glued_simplices(n, collapse)
+    _assert_sites_match_old_loops(col.space)
+    for k in range(len(col.objects)):
+        assert col.coprojection(k).key() == _old_coprojection(col, k).key()
+
+
+def test_cellwise_sites_match_old_loops_on_the_truncated_interval_nerve():
+    j = interval_groupoid_nerve(bound=1)
+    _assert_sites_match_old_loops(j)
+    col = Colimit([j, standard_simplex(2)], [])
+    for k in range(2):
+        assert col.coprojection(k).key() == _old_coprojection(col, k).key()
