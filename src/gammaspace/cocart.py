@@ -360,15 +360,10 @@ def cocartesian_cross_check(rn: RelativeNerve, dim_cap, budget=None) -> Verdict:
     The equivalence is tested, not assumed."""
     budget = budget or Budget()
     detected, verdict, _ = cocartesian_edges(rn.total, rn.proj, dim_cap, budget=budget)
-    taus = {}
     mismatches = []
     for e in rn.total.cell_ids(1):
         arrow, h = edge_components(rn, e)
-        target_obj = rn.input.base.dst(arrow)
-        space = rn.input.values[target_obj]
-        if target_obj not in taus:
-            taus[target_obj] = tau1(space)
-        cat, edge_to_arrow = taus[target_obj]
+        cat, edge_to_arrow = tau1(rn.input.values[rn.input.base.dst(arrow)])
         invertible = edge_is_invertible(h, cat, edge_to_arrow)
         if invertible != (e in detected):
             mismatches.append({"edge": e, "invertible": invertible,

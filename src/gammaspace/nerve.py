@@ -1,16 +1,15 @@
 """Nerves of finite categories and the fundamental category of a finite
-simplicial set, with the unit isomorphism between them."""
+simplicial set, with the unit isomorphism between them.  The fundamental
+category is computed by coset enumeration and certified by the category
+axioms."""
 
 from __future__ import annotations
 
-import itertools
+import collections
 
 from .catcore import CatFunctor, FinCat
 from .simplicial import FinSimpSet, SimplexRef, SimpMap, cellwise
-from .verdicts import DEFAULT_WORD_CAP, ResourceError
-
-# the most edge paths tau1 enumerates at one word-length cap
-PATH_BUDGET = 200000
+from .verdicts import ResourceError
 
 
 def chain_ref(c: FinCat, chain, start) -> SimplexRef:
@@ -83,181 +82,135 @@ def nerve_functor_map(fun: CatFunctor, nc: FinSimpSet, nd: FinSimpSet) -> SimpMa
 # ---------------------------------------------------------------------------
 # fundamental category
 
-
-class _Paths:
-    """Composable-edge paths of bounded length, with congruence closure.
-    Raises ResourceError as soon as there are more than PATH_BUDGET paths."""
-
-    def __init__(self, x: FinSimpSet, cap):
-        self.x = x
-        self.cap = cap
-        self.src = {}
-        self.dst = {}
-        for e in x.cell_ids(1):
-            faces = x.faces_of(1, e)
-            self.dst[e] = faces[0].base
-            self.src[e] = faces[1].base
-        self.paths = set()
-        frontier = [(v, ()) for v in x.cell_ids(0)]
-        self.paths.update(frontier)
-        for _ in range(cap):
-            nxt = []
-            for (v, word) in frontier:
-                tail = word[-1] if word else None
-                at = self.dst[tail] if tail else v
-                for e in x.cell_ids(1):
-                    if self.src[e] == at:
-                        p = (v, word + (e,))
-                        if p not in self.paths:
-                            self.paths.add(p)
-                            nxt.append(p)
-                            if len(self.paths) > PATH_BUDGET:
-                                raise ResourceError(
-                                    f"path enumeration exceeded {PATH_BUDGET} at cap {cap}")
-            frontier = nxt
-        self.parent = {p: p for p in self.paths}
-
-    def path_of(self, v, edges):
-        """Drop degenerate edges from a ref word; edges given as refs."""
-        word = tuple(e.base for e in edges if not e.degs)
-        return (v, word)
-
-    def find(self, p):
-        while self.parent[p] != p:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        return p
-
-    def union(self, p, q):
-        rp, rq = self.find(p), self.find(q)
-        if rp == rq:
-            return False
-        if rq < rp:
-            rp, rq = rq, rp
-        self.parent[rq] = rp
-        return True
-
-    def endpoint(self, p):
-        v, word = p
-        return self.dst[word[-1]] if word else v
-
-    def close(self, relations):
-        """Congruence closure within the cap: seed the relations, then sweep
-        to a fixpoint where equal classes have equal one-edge extensions on
-        either side (whenever both extensions are enumerated).
-
-        Extensions leaving the cap are ignored: the caller certifies the
-        result independently (representatives compose within the cap, the
-        dense table satisfies the category axioms, and the seeded relations
-        hold), which pins the quotient exactly.
-        """
-        for p, q in relations:
-            self.union(p, q)
-        edges = self.x.cell_ids(1)
-        right_ext = {}
-        left_ext = {}
-        for p in self.paths:
-            v, word = p
-            for e in edges:
-                if self.src[e] == self.endpoint(p) and len(word) < self.cap:
-                    right_ext.setdefault(e, []).append((p, (v, word + (e,))))
-                if self.dst[e] == v and len(word) < self.cap:
-                    left_ext.setdefault(e, []).append((p, (self.src[e], (e,) + word)))
-        changed = True
-        while changed:
-            changed = False
-            for table in (right_ext, left_ext):
-                for e, pairs in table.items():
-                    buckets = {}
-                    for p, pe in pairs:
-                        buckets.setdefault(self.find(p), []).append(pe)
-                    for exts in buckets.values():
-                        first = exts[0]
-                        for other in exts[1:]:
-                            if self.union(first, other):
-                                changed = True
-
-
-def _tau1_at_cap(x: FinSimpSet, cap):
-    paths = _Paths(x, cap)
-    relations = []
-    for t in x.cell_ids(2):
-        faces = x.faces_of(2, t)
-        long_edge, right, left = faces[1], faces[0], faces[2]
-        start = _edge_src(x, left)
-        lhs = paths.path_of(start, (left, right))
-        rhs = paths.path_of(start, (long_edge,))
-        relations.append((lhs, rhs))
-    paths.close(relations)
-
-    classes = {}
-    for p in paths.paths:
-        classes.setdefault(paths.find(p), []).append(p)
-    reps = {root: min(ps, key=lambda p: (len(p[1]), p)) for root, ps in classes.items()}
-    too_long = list(itertools.islice((
-        (reps[r1], reps[r2])
-        for r1 in reps
-        for r2 in reps
-        if paths.endpoint(reps[r1]) == reps[r2][0]
-        and len(reps[r1][1]) + len(reps[r2][1]) > cap
-    ), 5))
-    if too_long:
-        raise ResourceError(
-            f"representative words do not compose within cap {cap}",
-            offenders=too_long,
-        )
-
-    ordered = sorted(reps.values())
-    arrow_name = {rep: f"a{i}" for i, rep in enumerate(ordered)}
-    arrows = {}
-    identities = {}
-    for rep in ordered:
-        v, word = rep
-        arrows[arrow_name[rep]] = (v, paths.endpoint(rep))
-        if not word:
-            identities[v] = arrow_name[rep]
-
-    def class_arrow(p):
-        return arrow_name[reps[paths.find(p)]]
-
-    compose = {}
-    for rep_g in ordered:
-        for rep_f in ordered:
-            if paths.endpoint(rep_f) != rep_g[0]:
-                continue
-            comp = (rep_f[0], rep_f[1] + rep_g[1])
-            compose[(arrow_name[rep_g], arrow_name[rep_f])] = class_arrow(comp)
-    cat = FinCat(x.cell_ids(0), arrows, identities, compose).validate()
-    edge_to_arrow = {e: class_arrow((paths.src[e], (e,))) for e in x.cell_ids(1)}
-    rep_words = {f"a{i}": rep for i, rep in enumerate(ordered)}
-    return cat, edge_to_arrow, rep_words
+# the most arrows the coset enumeration of tau1 defines before it gives up
+ARROW_BUDGET = 200000
 
 
 def tau1(x: FinSimpSet):
     """Fundamental category: objects are vertices, arrows are edge paths
     modulo the two-simplex relations.
 
-    Computed by congruence closure at increasing word-length caps.  A run
-    at any cap is certified exact when its representatives compose within
-    the cap and the resulting dense table satisfies the category axioms;
-    if no cap up to DEFAULT_WORD_CAP certifies, the failure is explicit.
+    Computed once per set by coset enumeration, certified by the category
+    axioms; raises ResourceError when the enumeration defines more than
+    ARROW_BUDGET arrows.
 
     Returns (category, edge_to_arrow).
     """
-    cat, edge_to_arrow, _ = _tau1_full(x)
+    cat, edge_to_arrow, _ = _tau1_kept(x)
     return cat, edge_to_arrow
 
 
+def _tau1_kept(x: FinSimpSet):
+    """_tau1_full(x), kept on x; a ResourceError is raised again each time."""
+    if x._tau1 is None:
+        x._tau1 = _tau1_full(x)
+    return x._tau1
+
+
 def _tau1_full(x: FinSimpSet):
-    cap = 4
-    while True:
-        cap = min(cap, DEFAULT_WORD_CAP)
-        try:
-            return _tau1_at_cap(x, cap)
-        except ResourceError:
-            if cap >= DEFAULT_WORD_CAP:
-                raise
-            cap += 4
+    """Todd-Coxeter coset enumeration on the right Cayley graph of tau1.
+
+    One node per arrow, a root per vertex for its identity; `table` takes
+    (node, outgoing edge) to a node, `parent` merges coincident nodes.  One
+    pass visits the nodes in creation order: at each live node it traces
+    both sides of d1 = d0 . d2 for every 2-simplex starting at the node's
+    end vertex (degenerate faces are empty words), merges the two ends, and
+    then defines the node's missing outgoing edges.
+
+    Each class is named by its shortlex-least word, found breadth first
+    with the edges in sorted order, and `a{i}` follows the sorted
+    (vertex, word) pairs.  Returns (category, edge_to_arrow, rep_words).
+    """
+    edges = x.cell_ids(1)
+    dst = {e: x.faces_of(1, e)[0].base for e in edges}
+    src = {e: x.faces_of(1, e)[1].base for e in edges}
+    leaving = {}
+    for e in sorted(edges):
+        leaving.setdefault(src[e], []).append(e)
+    relations = {}
+    for t in x.cell_ids(2):
+        right, long_edge, left = x.faces_of(2, t)
+        relations.setdefault(_edge_src(x, left), []).append(
+            (_word(left, right), _word(long_edge)))
+
+    end, table, parent = [], [], []
+
+    def define(at):
+        if len(end) >= ARROW_BUDGET:
+            raise ResourceError(
+                f"coset enumeration of tau1 exceeded {ARROW_BUDGET} arrows")
+        end.append(at)
+        table.append({})
+        parent.append(len(parent))
+        return len(end) - 1
+
+    def find(n):
+        while parent[n] != n:
+            parent[n] = parent[parent[n]]
+            n = parent[n]
+        return n
+
+    def follow(n, word):
+        for e in word:
+            n = find(n)
+            if e not in table[n]:
+                table[n][e] = define(dst[e])
+            n = table[n][e]
+        return find(n)
+
+    def merge(a, b):
+        pending = [(a, b)]
+        while pending:
+            a, b = sorted(map(find, pending.pop()))
+            if a != b:
+                parent[b] = a
+                for e, t in table[b].items():
+                    if e in table[a]:
+                        pending.append((table[a][e], t))
+                    else:
+                        table[a][e] = t
+
+    roots = {v: define(v) for v in x.cell_ids(0)}
+    n = 0
+    while n < len(end):
+        for lhs, rhs in relations.get(end[n], ()):
+            if find(n) != n:
+                break
+            merge(follow(n, lhs), follow(n, rhs))
+        if find(n) == n:
+            for e in leaving.get(end[n], ()):
+                follow(n, (e,))
+        n += 1
+
+    rep = {}
+    for v, root in roots.items():
+        rep[root] = (v, ())
+        queue = collections.deque([root])
+        while queue:
+            n = queue.popleft()
+            for e in leaving.get(end[n], ()):
+                m = find(table[n][e])
+                if m not in rep:
+                    rep[m] = (v, rep[n][1] + (e,))
+                    queue.append(m)
+    ordered = sorted(rep, key=rep.get)
+    name = {n: f"a{i}" for i, n in enumerate(ordered)}
+    arrows = {name[n]: (rep[n][0], end[n]) for n in ordered}
+    identities = {v: name[root] for v, root in roots.items()}
+    compose = {
+        (name[g], name[f]): name[follow(f, rep[g][1])]
+        for g in ordered
+        for f in ordered
+        if end[f] == rep[g][0]
+    }
+    cat = FinCat(x.cell_ids(0), arrows, identities, compose).validate()
+    edge_to_arrow = {e: name[find(table[roots[src[e]]][e])] for e in edges}
+    return cat, edge_to_arrow, {name[n]: rep[n] for n in ordered}
+
+
+def _word(*edge_refs):
+    """The edge word of a chain of edge refs; degenerate edges are empty."""
+    return tuple(e.base for e in edge_refs if not e.degs)
 
 
 def _edge_src(x, edge_ref):
@@ -280,7 +233,7 @@ def tau1_functor(f: SimpMap) -> CatFunctor:
     Arrows of the source category are composites of edge classes; each maps
     to the composite of the image edge classes.
     """
-    cx, _, rep_words = _tau1_full(f.source)
+    cx, _, rep_words = _tau1_kept(f.source)
     cy, ey = tau1(f.target)
     on_objects = {v: f(SimplexRef(v), 0).base for v in f.source.cell_ids(0)}
     gen_image = {}

@@ -161,6 +161,7 @@ class FinSimpSet:
         self._face_index = {}
         self._act_memo = {}
         self._order_memo = {}
+        self._tau1 = None  # kept by nerve.tau1
         if pointed is not None and pointed not in self._cells[0]:
             raise ValueError(f"basepoint {pointed!r} is not a vertex")
 

@@ -11,7 +11,6 @@ INCONCLUSIVE = "inconclusive"
 DEFAULT_SEARCH_BUDGET = 10 ** 6
 DEFAULT_DIM_BOUND = 4
 DEFAULT_LEVEL_BOUND = 6
-DEFAULT_WORD_CAP = 16
 
 
 class BudgetExceededError(Exception):
@@ -29,12 +28,8 @@ class BudgetExceededError(Exception):
 
 
 class ResourceError(Exception):
-    """A computation hit a structural cap (e.g. word length) and cannot
-    certify its answer; carries the offending data."""
-
-    def __init__(self, message: str, offenders=None):
-        self.offenders = offenders or []
-        super().__init__(message)
+    """A computation hit a structural cap (e.g. the arrows tau1 may define)
+    and cannot certify its answer."""
 
 
 class Budget:

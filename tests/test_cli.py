@@ -354,8 +354,8 @@ def test_tau1_refuses_out_of_range_simplicial_set(tmp_path, capsys, blob):
 
 
 def test_tau1_past_its_path_bound_exits_two(tmp_path, capsys):
-    # one vertex with three loops: tau1 is free, so no word cap certifies
-    # it, and the path bound must stop the enumeration
+    # one vertex with three loops: tau1 is free, so it has no end, and the
+    # arrow budget must stop the enumeration
     p = tmp_path / "loops.json"
     p.write_text(json.dumps({"dim_bound": 1, "cells": {
         "0": [{"id": "v"}],
@@ -363,6 +363,20 @@ def test_tau1_past_its_path_bound_exits_two(tmp_path, capsys):
     code, report = run_cli(capsys, "tau1", str(p))
     assert code == 2
     assert report["verdicts"][0]["tag"] == "resource"
+
+
+def test_tau1_of_a_long_spine_exits_zero(tmp_path, capsys):
+    # 17 edges end to end: tau1 is the poset [17], whose longest arrow is a
+    # word of 17 edges
+    p = tmp_path / "spine.json"
+    p.write_text(json.dumps({"dim_bound": 1, "cells": {
+        "0": [{"id": f"v{i:02d}"} for i in range(18)],
+        "1": [{"id": f"e{i:02d}", "faces": [f"v{i + 1:02d}", f"v{i:02d}"]}
+              for i in range(17)]}}))
+    code, report = run_cli(capsys, "tau1", str(p))
+    assert code == 0
+    assert report["verdicts"][0]["status"] == "holds"
+    assert len(report["outputs"]["category"]["arrows"]) == 171
 
 
 def _blob_file(tmp_path, name, blob):

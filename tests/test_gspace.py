@@ -4,7 +4,7 @@ Segal checks, normalization, the two-route fibration check, semi-additivity."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gammaspace import gspace, jsonio
+from gammaspace import gspace, jsonio, nerve
 from gammaspace.corpus import (
     glued_presentation,
     presented_corpus,
@@ -383,11 +383,28 @@ def test_segal_cat_equiv_propagates_an_error_inside_tau1(monkeypatch):
 
 def test_segal_cat_equiv_on_a_free_loop_level_raises_resource_error():
     # one vertex with two loops: tau1 is the free monoid on two letters,
-    # whose representative words never compose within the word cap
+    # which has no end, so the coset enumeration runs out of arrows
     loops = FinSimpSet(1, {0: {"v": ()}, 1: {"e0": (SimplexRef("v"), SimplexRef("v")),
                                                "e1": (SimplexRef("v"), SimplexRef("v"))}})
-    with pytest.raises(ResourceError, match="do not compose"):
+    with pytest.raises(ResourceError,
+                       match=f"coset enumeration of tau1 exceeded {nerve.ARROW_BUDGET} arrows"):
         segal_check(constant_gamma_space(2, loops), 1, 1, tier="cat-equiv")
+
+
+def test_segal_cat_equiv_computes_tau1_once_per_set(monkeypatch):
+    # the nerve test and the induced functor share one enumeration of each
+    # side: the level and the product of levels
+    calls = []
+    enumerate_tau1 = nerve._tau1_full
+
+    def counted(x):
+        calls.append(x)
+        return enumerate_tau1(x)
+
+    monkeypatch.setattr(nerve, "_tau1_full", counted)
+    assert segal_check(z2_monoid_space(2), 1, 1, tier="cat-equiv").holds
+    assert len(calls) == 2
+    assert len({id(x) for x in calls}) == 2
 
 
 def group_power_space(level_bound):

@@ -2,10 +2,10 @@
 each module: every name a module imports is used in it (or exported through
 `__all__`), no function imports again from a module the file already
 imports at its top level (such an import breaks no cycle, it only hides a
-dependency), every parameter of a `def` is read in its body, and every
-top-level `def` and `class` of the library is read somewhere in `src/`,
-`tests/` or `bench/`, and `.validate(...)` is called only where data
-enters or where a verdict rests on the check.
+dependency), every parameter of a `def` is read in its body, every
+top-level `def`, `class` and assigned name of the library is read
+somewhere in `src/`, `tests/` or `bench/`, and `.validate(...)` is called
+only where data enters or where a verdict rests on the check.
 """
 
 import ast
@@ -115,19 +115,31 @@ def _reads(node):
     return out
 
 
+def _defined(node):
+    """The names a top-level statement defines: a `def` or `class`, or the
+    plain names an assignment binds, dunder names left out."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets
+            if isinstance(t, ast.Name) and not (t.id.startswith("__") and t.id.endswith("__"))]
+
+
 def dead_definitions(modules, readers):
-    """(module, name) for each top-level `def` or `class` of the sources in
-    `modules` whose name no source in `readers` reads.  Both map a module
-    name to its source; a definition's reads of its own name do not count."""
+    """(module, name) for each top-level `def`, `class` or assigned name of
+    the sources in `modules` that no source in `readers` reads.  Both map a
+    module name to its source; a definition's reads of its own name do not
+    count."""
     reads = {name: [_reads(stmt) for stmt in ast.parse(src).body]
              for name, src in readers.items()}
     return sorted(
-        (module, node.name)
+        (module, name)
         for module, src in modules.items()
         for i, node in enumerate(ast.parse(src).body)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not any(node.name in r for reader, stmts in reads.items()
-                    for k, r in enumerate(stmts) if (reader, k) != (module, i))
+        for name in _defined(node)
+        if not any(name in r for reader, stmts in reads.items()
+                   for k, r in enumerate(stmts) if (reader, k) != (module, i))
     )
 
 
@@ -166,7 +178,7 @@ KEPT_VALIDATE_CALLS = {
     ("jsonio", "relative_input_from_json"): 1,
     ("jsonio", "over_object_from_json"): 1,
     ("simplicial", "from_elements"): 1,
-    ("nerve", "_tau1_at_cap"): 1,
+    ("nerve", "_tau1_full"): 1,
     ("nerve", "tau1_functor"): 1,
     ("catcore", "_functor"): 1,
     ("catcore", "functor_category"): 1,
@@ -212,8 +224,12 @@ def test_parameter_check_catches_what_it_names():
 
 def test_dead_definition_check_catches_what_it_names():
     lib = (
+        "__version__ = '1'\n"
+        "CAP = 4\n"
+        "LIMIT: int = 8\n"
+        "UNREAD = CAP\n"
         "def used():\n"
-        "    return 1\n"
+        "    return LIMIT\n"
         "def recursive():\n"
         "    return recursive()\n"
         "class Wrapped:\n"
@@ -228,7 +244,7 @@ def test_dead_definition_check_catches_what_it_names():
         "x = used\n"
     )
     assert dead_definitions({"lib": lib}, {"lib": lib, "reader": reader}) == [
-        ("lib", "_helper"), ("lib", "recursive")]
+        ("lib", "UNREAD"), ("lib", "_helper"), ("lib", "recursive")]
 
 
 def test_no_dead_definitions():

@@ -1,10 +1,15 @@
-"""Nerves and the fundamental category: the unit isomorphism and the
-rewriting certificate."""
+"""Nerves and the fundamental category: the unit isomorphism, and coset
+enumeration against the congruence closure it replaced."""
+
+import functools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gammaspace import nerve as nerve_module
 from gammaspace.catcore import (
     CatFunctor,
+    FinCat,
     all_functors,
     cat_iso_search,
     cyclic_group_category,
@@ -14,7 +19,8 @@ from gammaspace.catcore import (
 )
 from gammaspace.corpus import category_corpus
 from gammaspace.nerve import (
-    PATH_BUDGET,
+    ARROW_BUDGET,
+    _tau1_full,
     chain_ref,
     edge_is_invertible,
     nerve,
@@ -22,9 +28,10 @@ from gammaspace.nerve import (
     tau1,
     tau1_functor,
 )
-from gammaspace.shapes import standard_point, standard_simplex
-from gammaspace.simplicial import Colimit, FinSimpSet, SimplexRef, SimpMap, iso_check
-from gammaspace.verdicts import DEFAULT_WORD_CAP, ResourceError
+from gammaspace.shapes import Exponential, standard_point, standard_simplex
+from gammaspace.simplicial import Colimit, FinSimpSet, SimplexRef, SimpMap, iso_check, product
+from gammaspace.verdicts import ResourceError
+from test_simplicial import glued_simplices
 
 
 def test_nerve_basics():
@@ -53,23 +60,198 @@ def test_tau1_nerve_unit(name, cat):
 
 
 def _loops(k):
-    """One vertex with k loops: tau1 is the free monoid on k letters, whose
-    words never compose within a cap."""
+    """One vertex with k loops: tau1 is the free monoid on k letters, which
+    has no end."""
     return FinSimpSet(1, {0: {"v": ()},
                           1: {f"e{i}": (SimplexRef("v"), SimplexRef("v")) for i in range(k)}})
 
 
-@pytest.mark.parametrize("k,message", [
-    (2, f"representative words do not compose within cap {DEFAULT_WORD_CAP}"),
-    (3, f"path enumeration exceeded {PATH_BUDGET} at cap {DEFAULT_WORD_CAP}"),
-    (4, f"path enumeration exceeded {PATH_BUDGET} at cap {DEFAULT_WORD_CAP}"),
-], ids=["two", "three", "four"])
-def test_tau1_of_free_loops_stops_at_its_bounds(k, message):
-    # the path budget is read as the paths are enumerated, and only the
-    # five offenders reported are collected
-    with pytest.raises(ResourceError, match=message) as e:
+@pytest.mark.parametrize("k", [2, 3, 4], ids=["two", "three", "four"])
+def test_tau1_of_free_loops_stops_at_its_bounds(k):
+    # the arrow budget is read as the arrows are defined
+    with pytest.raises(ResourceError,
+                       match=f"coset enumeration of tau1 exceeded {ARROW_BUDGET} arrows"):
         tau1(_loops(k))
-    assert len(e.value.offenders) == (5 if k == 2 else 0)
+
+
+def _spine(n):
+    """n edges end to end, v00 -> v01 -> ... , and no 2-cells."""
+    v = [SimplexRef(f"v{i:02d}") for i in range(n + 1)]
+    return FinSimpSet(1, {0: {r.base: () for r in v},
+                          1: {f"e{i:02d}": (v[i + 1], v[i]) for i in range(n)}})
+
+
+def test_tau1_of_a_long_spine_is_its_poset():
+    # tau1 is the poset [17]: one arrow per pair i <= j, the longest a word
+    # of 17 edges
+    cat, table = tau1(_spine(17))
+    assert len(cat.arrows) == 171
+    assert all(len(cat.hom(a, b)) == (a <= b) for a in cat.objects for b in cat.objects)
+    assert all(cat.src(table[e]) < cat.dst(table[e]) for e in table)
+
+
+# ---------------------------------------------------------------------------
+# the congruence closure tau1 was computed by before coset enumeration, kept
+# as an oracle at one word cap
+
+ORACLE_CAP = 4
+ORACLE_PATHS = 20000
+
+
+def _tau1_by_closure(x):
+    """tau1 by congruence closure at the word cap ORACLE_CAP: every edge
+    path of at most that many edges, the 2-simplex relations closed under
+    one-edge extension on either side, each class named by its
+    shortlex-least path.  Raises ResourceError on more than ORACLE_PATHS
+    paths, or when the representatives do not compose within the cap;
+    otherwise the category axioms certify the result.
+
+    Returns (category, edge_to_arrow, rep_words) as `_tau1_full` does."""
+    cap = ORACLE_CAP
+    dst = {e: x.faces_of(1, e)[0].base for e in x.cell_ids(1)}
+    src = {e: x.faces_of(1, e)[1].base for e in x.cell_ids(1)}
+
+    def endpoint(p):
+        return dst[p[1][-1]] if p[1] else p[0]
+
+    paths = {(v, ()) for v in x.cell_ids(0)}
+    frontier = list(paths)
+    for _ in range(cap):
+        frontier = [(v, word + (e,)) for v, word in frontier
+                    for e in x.cell_ids(1) if src[e] == endpoint((v, word))]
+        paths.update(frontier)
+        if len(paths) > ORACLE_PATHS:
+            raise ResourceError(f"more than {ORACLE_PATHS} paths at cap {cap}")
+    parent = {p: p for p in paths}
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    def union(p, q):
+        rp, rq = sorted((find(p), find(q)))
+        parent[rq] = rp
+        return rp != rq
+
+    def word(*edges):
+        return tuple(e.base for e in edges if not e.degs)
+
+    for t in x.cell_ids(2):
+        right, long_edge, left = x.faces_of(2, t)
+        start = left.base if left.degs else src[left.base]
+        union((start, word(left, right)), (start, word(long_edge)))
+    extensions = [[(p, (v, w + (e,))) for p in paths for v, w in [p]
+                   if src[e] == endpoint(p) and len(w) < cap] for e in x.cell_ids(1)]
+    extensions += [[(p, (src[e], (e,) + w)) for p in paths for v, w in [p]
+                    if dst[e] == v and len(w) < cap] for e in x.cell_ids(1)]
+    changed = True
+    while changed:
+        changed = False
+        for pairs in extensions:
+            buckets = {}
+            for p, pe in pairs:
+                buckets.setdefault(find(p), []).append(pe)
+            for first, *others in buckets.values():
+                for other in others:
+                    changed |= union(first, other)
+
+    reps = {}
+    for p in sorted(paths, key=lambda p: (len(p[1]), p)):
+        reps.setdefault(find(p), p)
+    if any(endpoint(f) == g[0] and len(f[1]) + len(g[1]) > cap
+           for f in reps.values() for g in reps.values()):
+        raise ResourceError(f"representative words do not compose within cap {cap}")
+    ordered = sorted(reps.values())
+    name = {rep: f"a{i}" for i, rep in enumerate(ordered)}
+
+    def arrow(p):
+        return name[reps[find(p)]]
+
+    cat = FinCat(
+        x.cell_ids(0),
+        {name[p]: (p[0], endpoint(p)) for p in ordered},
+        {p[0]: name[p] for p in ordered if not p[1]},
+        {(name[g], name[f]): arrow((f[0], f[1] + g[1]))
+         for g in ordered for f in ordered if endpoint(f) == g[0]},
+    ).validate()
+    return cat, {e: arrow((src[e], (e,))) for e in x.cell_ids(1)}, {
+        name[p]: p for p in ordered}
+
+
+def _tables(result):
+    cat, edge_to_arrow, words = result
+    return (cat.objects, cat.arrows, cat.identities, cat.compose_table,
+            edge_to_arrow, words)
+
+
+def _satisfies_its_relations(x, result):
+    """Every edge maps to an arrow between its ends, and every 2-simplex
+    commutes: d1 = d0 . d2, a degenerate face read as an identity."""
+    cat, edge_to_arrow, _ = result
+
+    def arrow(ref):
+        return cat.identities[ref.base] if ref.degs else edge_to_arrow[ref.base]
+
+    return all(
+        cat.arrows[edge_to_arrow[e]] == (x.faces_of(1, e)[1].base, x.faces_of(1, e)[0].base)
+        for e in x.cell_ids(1)
+    ) and all(
+        cat.compose(arrow(right), arrow(left)) == arrow(long_edge)
+        for right, long_edge, left in (x.faces_of(2, t) for t in x.cell_ids(2))
+    )
+
+
+CORPUS = category_corpus()
+
+
+@functools.cache
+def _corpus_pair(kind, i, j):
+    c, d = nerve(CORPUS[i][1], bound=2), nerve(CORPUS[j][1], bound=2)
+    return product(c, d, bound=2)[0] if kind == "product" else Exponential(c, d).space
+
+
+@st.composite
+def tau1_inputs(draw):
+    """A glued quotient of two standard simplices, or a product or an
+    exponential of two corpus nerves."""
+    kind = draw(st.sampled_from(["quotient", "product", "exponential"]))
+    if kind == "quotient":
+        return glued_simplices(draw(st.integers(0, 2)),
+                               draw(st.sets(st.integers(0, 5), max_size=4))).space
+    pair = st.integers(0, len(CORPUS) - 1)
+    return _corpus_pair(kind, draw(pair), draw(pair))
+
+
+def test_closure_oracle_certifies_and_gives_up():
+    # both branches of the comparison below are reached: the walking
+    # isomorphism certifies, a loop that is a free monoid does not
+    walking_iso = nerve(walking_iso_category(), bound=2)
+    assert _tables(_tau1_by_closure(walking_iso)) == _tables(_tau1_full(walking_iso))
+    with pytest.raises(ResourceError):
+        _tau1_by_closure(_loops(1))
+
+
+@given(tau1_inputs())
+@settings(max_examples=60, deadline=None)
+def test_coset_enumeration_matches_the_closure_oracle(x):
+    try:
+        expected = _tables(_tau1_by_closure(x))
+    except ResourceError:
+        expected = None
+    if expected is not None:
+        assert _tables(_tau1_full(x)) == expected
+        return
+    # a smaller arrow budget only shortens the runs that give up
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nerve_module, "ARROW_BUDGET", 20000)
+        try:
+            result = _tau1_full(x)
+        except ResourceError:
+            return
+    result[0].validate()
+    assert _satisfies_its_relations(x, result)
 
 
 def test_nerve_functor_maps_are_simplicial_maps():
