@@ -24,7 +24,7 @@ from .cocart import (
     upsilon,
     hom_over_base,
 )
-from .gammaop import GammaMorphism, factor_inert_active
+from .gammaop import based_map, factor_inert_active
 from .gspace import (
     GammaMappingSpace,
     day_convolve,
@@ -122,7 +122,7 @@ class Report:
 
 
 def cmd_factorize(args, report):
-    f = GammaMorphism(args.src, args.dst, tuple(int(v) for v in args.map.split(",")) if args.map else ())
+    f = based_map(args.src, args.dst, tuple(int(v) for v in args.map.split(",")) if args.map else ())
     inert, active, support = factor_inert_active(f)
     report.output("support", list(support))
     report.output("inert", jsonio.gamma_morphism_to_json(inert))

@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass
 
 from .catcore import CatFunctor, FinCat, coslice_category
-from .gammaop import GammaMorphism, delta_projection, enumerate_homs, gamma_identity
+from .gammaop import GammaMorphism, based_map, delta_projection, enumerate_homs, gamma_identity
 from .gspace import TabulatedGammaSpace, segal_check
 from .marked import MarkedMappingObject, MarkedSimpSet, edge_sharpens, mark, preserves_marking
 from .nerve import chain_ref, edge_is_invertible, nerve, nerve_functor_map, tau1
@@ -93,7 +93,7 @@ def gamma_arrow_of_name(name) -> GammaMorphism:
     head, table = name[1:].split("x")
     src, dst = head.split("to")
     entries = tuple(int(v) for v in table.split("_")) if table else ()
-    return GammaMorphism(int(src), int(dst), entries)
+    return based_map(int(src), int(dst), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +357,12 @@ def cocartesian_cross_check(rn: RelativeNerve, dim_cap, budget=None) -> Verdict:
     of a relative nerve is coCartesian exactly when its fiber component is
     invertible in the fundamental category of its target value.
 
-    The equivalence is tested, not assumed."""
+    The equivalence is tested, not assumed.  An edge search that runs out
+    of budget detects nothing, so the cross-check is then inconclusive."""
     budget = budget or Budget()
     detected, verdict, _ = cocartesian_edges(rn.total, rn.proj, dim_cap, budget=budget)
+    if verdict.status == INCONCLUSIVE:
+        return Verdict(INCONCLUSIVE, f"dims<={dim_cap}", witness=verdict.witness)
     mismatches = []
     for e in rn.total.cell_ids(1):
         arrow, h = edge_components(rn, e)

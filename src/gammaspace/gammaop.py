@@ -1,26 +1,27 @@
 """The skeletal category of finite based sets n+ = {0,...,n} (basepoint 0):
-morphism calculus, the inert/active factorization, sums and smashes."""
+morphism calculus, the inert/active factorization, sums and smashes.
+
+A based map is a named tuple (src, dst, table), so it compares and hashes
+in C and equals the plain tuple of its fields.  Tables are checked where
+they enter, by `based_map`; the constructions here build well-formed
+tables from well-formed ones and trust them.  `enumerate_homs` returns a
+tuple kept in a bounded memo."""
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+
+# the bound of the `enumerate_homs` memo, as for the word memos
+HOMS_MEMO_SIZE = 1 << 10
 
 
-@dataclass(frozen=True)
-class GammaMorphism:
+class GammaMorphism(namedtuple("GammaMorphism", "src dst table")):
     """A based map src+ -> dst+; table[i-1] is the image of i (1-indexed
     elements, 0 always maps to 0)."""
 
-    src: int
-    dst: int
-    table: tuple
-
-    def __post_init__(self):
-        if len(self.table) != self.src or any(
-            not (0 <= v <= self.dst) for v in self.table
-        ):
-            raise ValueError(f"ill-formed based map {self.table} : {self.src}->{self.dst}")
+    __slots__ = ()
 
     def __call__(self, i):
         return 0 if i == 0 else self.table[i - 1]
@@ -57,6 +58,14 @@ class GammaMorphism:
         return f"({self.src}+->{self.dst}+:{list(self.table)})"
 
 
+def based_map(src, dst, table) -> GammaMorphism:
+    """The based map src+ -> dst+ with the given table, checked: the table
+    has one entry per nonzero source element, each in 0..dst."""
+    if len(table) != src or any(not (0 <= v <= dst) for v in table):
+        raise ValueError(f"ill-formed based map {table} : {src}->{dst}")
+    return GammaMorphism(src, dst, table)
+
+
 def gamma_identity(n) -> GammaMorphism:
     return GammaMorphism(n, n, tuple(range(1, n + 1)))
 
@@ -79,12 +88,13 @@ def sum_inclusion(k, l, which) -> GammaMorphism:
     return GammaMorphism(l, k + l, tuple(range(k + 1, k + l + 1)))
 
 
+@functools.lru_cache(maxsize=HOMS_MEMO_SIZE)
 def enumerate_homs(n, m):
     """All (m+1)^n based maps n+ -> m+, lexicographically ordered."""
-    return [
+    return tuple(
         GammaMorphism(n, m, t)
         for t in itertools.product(range(m + 1), repeat=n)
-    ]
+    )
 
 
 def factor_inert_active(f: GammaMorphism):

@@ -7,7 +7,7 @@ import json
 
 from .catcore import FinCat
 from .cocart import RelativeNerveInput, OverObject
-from .gammaop import GammaMorphism, gamma_identity
+from .gammaop import GammaMorphism, based_map, gamma_identity
 from .gspace import (
     CellArrow,
     GammaCell,
@@ -124,6 +124,9 @@ def category_from_json(data) -> FinCat:
     for a in _expect_list(data.get("arrows"), "the arrows of a category", dict):
         f, src, dst = (_expect(a.get(k), str, f"an arrow's {k}")
                        for k in ("id", "src", "dst"))
+        if "|" in f:
+            # the nerve names a chain of arrows by their ids joined with "|"
+            raise ValueError(f"arrow id {f!r} contains '|'")
         arrows[f] = (src, dst)
     identities = _expect(data.get("identities"), dict, "the identities of a category")
     _expect_list(list(identities.values()), "the identity arrows", str)
@@ -142,7 +145,7 @@ def gamma_morphism_to_json(f: GammaMorphism) -> dict:
 
 def gamma_morphism_from_json(data) -> GammaMorphism:
     _expect(data, dict, "a based map")
-    return GammaMorphism(
+    return based_map(
         _count(data.get("src"), "a based map's src"),
         _count(data.get("dst"), "a based map's dst"),
         tuple(_expect_list(data.get("map"), "a based map's table", int)),
@@ -186,33 +189,33 @@ def tabulated_from_json(data) -> TabulatedGammaSpace:
     for entry in _expect_list(data.get("action"), "the action of a family", dict):
         f = gamma_morphism_from_json(entry.get("map"))
         _level(max(f.src, f.dst), bound, "an action map")
-        action[f.key()] = simpmap_from_json(
+        action[f] = simpmap_from_json(
             entry.get("simp_map"), values[f.src], values[f.dst]
         )
     for n in range(bound + 1):
         ident = gamma_identity(n)
-        action.setdefault(ident.key(), identity_map(values[n]))
+        action.setdefault(ident, identity_map(values[n]))
     every = all_morphisms_upto(bound)
-    changed = any(f.key() not in action for f in every)
+    changed = any(f not in action for f in every)
     while changed:
         changed = False
         known = list(action.items())
-        for (k1, m1) in known:
-            for (k2, m2) in known:
-                if k1[1] != k2[0]:
+        for (f1, m1) in known:
+            for (f2, m2) in known:
+                if f1.dst != f2.src:
                     continue
-                f = GammaMorphism(*k1).then(GammaMorphism(*k2))
-                if f.key() not in action:
-                    action[f.key()] = m1.then(m2)
+                f = f1.then(f2)
+                if f not in action:
+                    action[f] = m1.then(m2)
                     changed = True
-    missing = [f for f in every if f.key() not in action]
+    missing = [f for f in every if f not in action]
     if missing:
         raise ValueError(
             f"action generators do not compose to cover {missing[:3]}..."
             f" ({len(missing)} maps missing); include folds and inclusions"
         )
     space = TabulatedGammaSpace(
-        bound, lambda n: values[n], lambda f: action[f.key()]
+        bound, lambda n: values[n], lambda f: action[f]
     )
     space.validate(level_cap=bound)
     return space

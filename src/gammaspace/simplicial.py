@@ -2,14 +2,18 @@
 
 Only nondegenerate simplices are stored; every simplex is addressed by a
 SimplexRef = (nondegenerate base, strictly decreasing degeneracy word) in
-Eilenberg-Zilber normal form.  A set carries a dimension bound and is read
-coskeletally above it: a map into it in higher dimension is determined by
-its truncation, so enumeration never needs cells beyond the bound.
+Eilenberg-Zilber normal form.  A ref is a named tuple: it compares, hashes
+and sorts in C, and it equals the plain tuple of its fields.  A set
+carries a dimension bound and is read coskeletally above it: a map into
+it in higher dimension is determined by its truncation, so enumeration
+never needs cells beyond the bound.
 
-All values are immutable after construction; operations are pure.  The
-caches below (the word-arithmetic memos, and each FinSimpSet's face index
-and `act` memo) only ever store what a pure function returns for its key,
-so a racing fill writes the same value twice.
+All values are immutable after construction; operations are pure.  Each
+FinSimpSet keeps its cell ids per dimension and its top dimension from
+construction.  The caches below (the word-arithmetic memos, and each
+FinSimpSet's face index and `act` memo) only ever store what a pure
+function returns for its key, so a racing fill writes the same value
+twice.
 
 Maps are built in two ways.  `cellwise` assigns a given image to every
 nondegenerate source cell, and every map given cell by cell (identities,
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .verdicts import (
     Budget,
@@ -110,13 +114,21 @@ def monotone_maps(m, n):
 # refs and cells
 
 
-@dataclass(frozen=True)
-class SimplexRef:
+class SimplexRef(namedtuple("SimplexRef", "base degs")):
     """Address of a possibly-degenerate simplex: nondegenerate base id plus
-    a strictly decreasing degeneracy word (empty = the base itself)."""
+    a strictly decreasing degeneracy word (empty = the base itself).
 
-    base: str
-    degs: tuple = ()
+    A named tuple, so it compares, hashes and sorts in C as the plain tuple
+    (base, degs).  The no-op `__init__` is the one hook a caller may wrap
+    to count creations; `object.__init__` would refuse the arguments."""
+
+    __slots__ = ()
+
+    def __new__(cls, base, degs=()):
+        return tuple.__new__(cls, (base, degs))
+
+    def __init__(self, _base, _degs=()):
+        pass
 
     def key(self):
         return (self.base, self.degs)
@@ -152,6 +164,8 @@ class FinSimpSet:
         self._cells = tuple(
             dict(sorted(cells.get(n, {}).items())) for n in range(dim_bound + 1)
         )
+        self._ids = tuple(tuple(c) for c in self._cells)
+        self._top_dim = max((n for n, ids in enumerate(self._ids) if ids), default=0)
         self.pointed = pointed
         # complete: no nondegenerate simplices exist above dim_bound, so the
         # stored complex is the whole object and bounds may be raised freely.
@@ -170,7 +184,7 @@ class FinSimpSet:
     def cell_ids(self, n):
         if n < 0 or n > self.dim_bound:
             return ()
-        return tuple(self._cells[n].keys())
+        return self._ids[n]
 
     def has_cell(self, n, name):
         return 0 <= n <= self.dim_bound and name in self._cells[n]
@@ -199,7 +213,7 @@ class FinSimpSet:
             for name in self.cell_ids(k):
                 for w in words:
                     out.append(SimplexRef(name, w))
-        out.sort(key=lambda r: r.key())
+        out.sort()
         out = tuple(out)
         self._ref_cache[n] = out
         return out
@@ -299,10 +313,7 @@ class FinSimpSet:
 
     def top_dim(self):
         """Largest dimension carrying a nondegenerate cell."""
-        for n in range(self.dim_bound, -1, -1):
-            if self.cell_count(n):
-                return n
-        return 0
+        return self._top_dim
 
     def rebound(self, dim_bound) -> "FinSimpSet":
         """Same cells under a new bound.  Raising the bound is exact only

@@ -314,6 +314,23 @@ def test_any_wrong_typed_field_exits_three(data):
     assert report["verdicts"][0]["tag"] == "input"
 
 
+# -- arrow ids the nerve cannot name -----------------------------------------
+
+
+@pytest.mark.parametrize("command", ["relative-nerve", "cocart-edges"])
+def test_bar_in_an_arrow_id_exits_three(tmp_path, command):
+    # the nerve joins arrow ids with "|", so a base arrow "u|v" named a
+    # chain of two arrows; both commands exited 0 with `holds`
+    blob = json.loads(json.dumps(_relative_blob()).replace('"le01"', '"u|v"'))
+    assert "u|v" in json.dumps(blob["base"]["arrows"])
+    path = tmp_path / "bar.json"
+    path.write_text(jsonio.canonical_dumps(blob))
+    code, report = _run_quiet([command, str(path)])
+    assert code == 3
+    assert report["verdicts"][0]["tag"] == "input"
+    assert "u|v" in report["verdicts"][0]["witness"]
+
+
 # -- out-of-range fields ------------------------------------------------------
 
 

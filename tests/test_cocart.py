@@ -40,6 +40,7 @@ from gammaspace.simplicial import (
     identity_map,
     iso_check,
 )
+from gammaspace.verdicts import INCONCLUSIVE, Budget
 
 
 def constant_input(base, value):
@@ -307,3 +308,22 @@ def test_r_plus_vertices_vs_fiber_at_ho_tier():
 
     cat, _ = tau1(level.underlying)
     assert len(cat.iso_classes()) == 1
+
+
+def test_cross_check_is_inconclusive_when_the_edge_search_runs_out():
+    # a spent edge search detects no edge; read as a refutation, every
+    # invertible edge would be a mismatch
+    base = poset_category(1)
+    nw = nerve(walking_iso_category(), bound=2)
+    inp = RelativeNerveInput(
+        base, {"0": nw, "1": nw},
+        {base.identities["0"]: identity_map(nw),
+         base.identities["1"]: identity_map(nw),
+         "le01": identity_map(nw)},
+    ).validate()
+    rn = relative_nerve(inp, 2)
+    v = cocartesian_cross_check(rn, 2, budget=Budget(10))
+    assert v.status == INCONCLUSIVE
+    assert "budget of 10 exceeded" in v.witness
+    full = cocartesian_cross_check(rn, 2)
+    assert full.holds and full.details["cocartesian"] == full.details["edges"] == 8

@@ -1,7 +1,14 @@
 """The based-set calculus: factorization uniqueness, closure, smash laws."""
 
+import itertools
+import json
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from gammaspace import jsonio
+from gammaspace.cli import main
+from gammaspace.cocart import gamma_arrow_of_name
 from gammaspace.gammaop import (
     GammaMorphism,
     delta_projection,
@@ -129,3 +136,45 @@ def test_projection_inclusion_identities():
                 delta_projection(k, l, "right")) == gamma_identity(l)
             assert sum_inclusion(k, l, "left").then(
                 delta_projection(k, l, "right")) == zero_map(k, l)
+
+
+# -- based maps as values -----------------------------------------------------
+
+
+@given(st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=30, deadline=None)
+def test_based_maps_compare_hash_sort_and_print_as_their_fields(n, m):
+    homs = enumerate_homs(n, m)
+    fields = [(f.src, f.dst, f.table) for f in homs]
+    for f, t in zip(homs, fields):
+        assert f == t and hash(f) == hash(t) and f.key() == t
+        assert GammaMorphism(*t) == f and type(GammaMorphism(*t)) is GammaMorphism
+        assert repr(f) == f"({t[0]}+->{t[1]}+:{list(t[2])})" and str(f) == repr(f)
+    assert sorted(homs) == list(homs) == [GammaMorphism(*t) for t in sorted(fields)]
+    for (f, s_), (g, t) in itertools.product(list(zip(homs, fields))[:30], repeat=2):
+        assert (f == g) == (s_ == t) and (f < g) == (s_ < t)
+
+
+def test_enumerate_homs_is_kept_and_matches_product():
+    for n in range(5):
+        for m in range(5):
+            homs = enumerate_homs(n, m)
+            assert enumerate_homs(n, m) is homs and isinstance(homs, tuple)
+            assert homs == tuple(GammaMorphism(n, m, t)
+                                 for t in itertools.product(range(m + 1), repeat=n))
+
+
+# a table of the wrong length, or with an entry above dst
+ILL_FORMED = [(2, 1, (1,)), (1, 2, (1, 1)), (1, 1, (2,)), (2, 2, (0, 3))]
+
+
+@pytest.mark.parametrize("src,dst,table", ILL_FORMED, ids=str)
+def test_ill_formed_tables_are_refused_where_they_enter(capsys, src, dst, table):
+    with pytest.raises(ValueError, match="ill-formed based map"):
+        jsonio.gamma_morphism_from_json({"src": src, "dst": dst, "map": list(table)})
+    with pytest.raises(ValueError, match="ill-formed based map"):
+        gamma_arrow_of_name(f"g{src}to{dst}x" + "_".join(map(str, table)))
+    code = main(["factorize", "--src", str(src), "--dst", str(dst),
+                 "--map", ",".join(map(str, table))])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 3 and report["verdicts"][0]["tag"] == "input"

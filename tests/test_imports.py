@@ -4,8 +4,9 @@ each module: every name a module imports is used in it (or exported through
 imports at its top level (such an import breaks no cycle, it only hides a
 dependency), every parameter of a `def` is read in its body, every
 top-level `def`, `class` and assigned name of the library is read
-somewhere in `src/`, `tests/` or `bench/`, and `.validate(...)` is called
-only where data enters or where a verdict rests on the check.
+somewhere in `src/`, `tests/` or `bench/`, `.validate(...)` is called
+only where data enters or where a verdict rests on the check, and a based
+map's table is checked by `gammaop.based_map` only where it enters.
 """
 
 import ast
@@ -143,10 +144,10 @@ def dead_definitions(modules, readers):
     )
 
 
-def validate_calls(source: str):
-    """The qualified name of the function or method around each
-    `.validate(...)` call, one entry per call, sorted; "<module>" for a call
-    outside any."""
+def call_sites(source: str, wanted):
+    """The qualified name of the function or method around each call whose
+    callee expression `wanted` accepts, one entry per call, sorted;
+    "<module>" for a call outside any."""
     out = []
 
     def visit(node, scope):
@@ -154,13 +155,23 @@ def validate_calls(source: str):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "validate"):
+            if isinstance(child, ast.Call) and wanted(child.func):
                 out.append(".".join(scope) or "<module>")
             visit(child, scope)
 
     visit(ast.parse(source), ())
     return sorted(out)
+
+
+def validate_calls(source: str):
+    """The sites of the `.validate(...)` calls (see `call_sites`)."""
+    return call_sites(source, lambda f: isinstance(f, ast.Attribute) and f.attr == "validate")
+
+
+def calls_naming(source: str, name: str):
+    """The sites of the calls whose callee reads `name`: `name(...)`,
+    `mod.name(...)` or `name.method(...)` (see `call_sites`)."""
+    return call_sites(source, lambda f: name in _reads(f))
 
 
 # The library's `.validate(...)` calls, by (module, function): the loaders
@@ -189,6 +200,17 @@ KEPT_VALIDATE_CALLS = {
     ("cocart", "OverObject.validate"): 1,
     ("gspace", "_levelwise_iso_verdict"): 1,
     ("gspace", "semiadditivity_probe"): 3,
+}
+
+
+# The `gammaop.based_map(...)` calls, by (module, function): a based map's
+# table is checked where it enters, from the command line, from JSON or
+# from an arrow name of the based-set category; every other construction
+# builds a `GammaMorphism` from valid parts and trusts it.
+KEPT_BASED_MAP_CALLS = {
+    ("cli", "cmd_factorize"): 1,
+    ("jsonio", "gamma_morphism_from_json"): 1,
+    ("cocart", "gamma_arrow_of_name"): 1,
 }
 
 
@@ -288,3 +310,28 @@ def test_validate_call_check_catches_what_it_names():
 def test_validate_runs_only_where_data_enters():
     found = Counter((p.stem, name) for p in MODULES for name in validate_calls(p.read_text()))
     assert found == Counter(KEPT_VALIDATE_CALLS)
+
+
+def test_call_site_check_catches_what_it_names():
+    source = (
+        "from .gammaop import GammaMorphism, based_map\n"
+        "f = GammaMorphism(1, 1, (1,))\n"
+        "def load(data):\n"
+        "    return based_map(data[0], data[1], tuple(data[2]))\n"
+        "class Reader:\n"
+        "    def read(self, key):\n"
+        "        return gammaop.GammaMorphism._make(key), self.based_map\n"
+    )
+    assert calls_naming(source, "GammaMorphism") == ["<module>", "Reader.read"]
+    assert calls_naming(source, "based_map") == ["load"]
+
+
+def test_based_maps_are_checked_only_where_tables_enter():
+    found = Counter((p.stem, name) for p in MODULES
+                    for name in calls_naming(p.read_text(), "based_map"))
+    assert found == Counter(KEPT_BASED_MAP_CALLS)
+
+
+@pytest.mark.parametrize("module", ["jsonio", "cli"])
+def test_loaders_build_based_maps_only_through_the_check(module):
+    assert calls_naming((SRC / f"{module}.py").read_text(), "GammaMorphism") == []

@@ -313,6 +313,60 @@ def test_memoized_act_matches_uncached(x):
 
 @given(quotients)
 @settings(max_examples=25, deadline=None)
+def test_kept_cell_ids_and_top_dim_match_scans(x):
+    for n in range(-1, x.dim_bound + 2):
+        scan = tuple(r.base for r in x.refs(n) if not r.degs)
+        assert x.cell_ids(n) == scan
+        assert x.cell_ids(n) is x.cell_ids(n)
+    assert x.top_dim() == max(
+        (n for n in range(x.dim_bound + 1) if any(not r.degs for r in x.refs(n))), default=0)
+    assert x.top_dim() == x.rebound(x.dim_bound + 1).top_dim()
+
+
+def _ref_repr(base, degs):
+    return f"~{base}" if not degs else f"~{base}s{list(degs)}"
+
+
+@given(quotients)
+@settings(max_examples=25, deadline=None)
+def test_refs_compare_hash_sort_and_print_as_their_fields(x):
+    refs = [r for m in range(x.dim_bound + 2) for r in x.refs(m)]
+    fields = [(r.base, r.degs) for r in refs]
+    for r, f in zip(refs, fields):
+        assert r == f and hash(r) == hash(f) and tuple(r) == f
+        assert SimplexRef(*f) == r and type(SimplexRef(*f)) is SimplexRef
+        assert repr(r) == _ref_repr(*f) and str(r) == repr(r)
+    assert sorted(refs) == [SimplexRef(*f) for f in sorted(fields)]
+    assert x.refs(2) == tuple(sorted(x.refs(2), key=SimplexRef.key))
+    for (a, fa), (b, fb) in itertools.product(list(zip(refs, fields))[:40], repeat=2):
+        assert (a == b) == (fa == fb) and (a < b) == (fa < fb)
+        assert (hash(a) == hash(b)) == (hash(fa) == hash(fb))
+
+
+def test_a_wrapped_init_counts_every_ref(monkeypatch):
+    # a profiler counts creations by wrapping SimplexRef.__init__ with a
+    # function that calls the original
+    count = []
+    init = SimplexRef.__init__
+
+    def counted(ref, *args, **kwargs):
+        count.append(ref)
+        init(ref, *args, **kwargs)
+
+    x = glued_simplices(2, {0, 1}).space
+    expected = [x.refs(n) for n in range(4)]
+    fresh = _fresh_copy(x)
+    monkeypatch.setattr(SimplexRef, "__init__", counted)
+    assert SimplexRef("a") == ("a", ()) and SimplexRef("a", (1, 0)) == ("a", (1, 0))
+    assert len(count) == 2
+    for n in range(4):
+        before = len(count)
+        assert fresh.refs(n) == expected[n]
+        assert sorted(count[before:]) == list(expected[n])
+
+
+@given(quotients)
+@settings(max_examples=25, deadline=None)
 def test_face_index_matches_linear_scan(x):
     for n in range(1, x.dim_bound + 2):
         index = x.face_index(n)
