@@ -49,6 +49,7 @@ from .verdicts import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
+    conjoin,
 )
 
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_INPUT = 0, 1, 2, 3
@@ -179,9 +180,8 @@ def cmd_semiadd_probe(args, report):
         "levels": {str(k): v for k, v in rep["levels"].items()},
         "coproduct_identification": rep["coproduct_identification"],
     })
-    report.add("semiadditivity-composite",
-               Verdict(HOLDS if rep["all_iso"] else FAILS,
-                       f"levels<={args.level_bound}"))
+    report.add("semiadditivity-composite", conjoin(f"levels<={args.level_bound}", (
+        (f"level {n}", Verdict(v["iso"], witness=v)) for n, v in rep["levels"].items())))
 
 
 def cmd_ho_cat(args, report):
@@ -213,9 +213,8 @@ def cmd_relative_nerve(args, report):
     rn = relative_nerve(inp, args.dim_bound)
     report.output("total", jsonio.simpset_to_json(rn.total))
     report.output("proj", jsonio.simpmap_to_json(rn.proj))
-    fibers_ok = all(rn.fiber_comparison(o).holds for o in inp.base.objects)
-    report.add("relative-nerve-fibers",
-               Verdict(HOLDS if fibers_ok else FAILS, f"dims<={args.dim_bound}"))
+    report.add("relative-nerve-fibers", conjoin(f"dims<={args.dim_bound}", (
+        (f"fiber over {o}", rn.fiber_comparison(o)) for o in inp.base.objects)))
 
 
 def cmd_cocart_edges(args, report):

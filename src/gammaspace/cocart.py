@@ -306,41 +306,43 @@ def cocartesian_edges(total: FinSimpSet, proj: SimpMap, dim_cap, budget=None):
     For each n in 2..dim_cap the squares of Lambda^0[n] in Delta[n] against
     proj are searched once; an edge is refuted by the first square on it
     (at u(01)) with no filler.  Returns (edges, fibration_verdict,
-    natural_marking)."""
-    budget = budget or Budget()
-    base_nerve = proj.target
+    natural_marking); a spent budget detects nothing and marks nothing."""
     try:
-        refuted = set()
-        for n in range(2, dim_cap + 1):
-            i = inclusion_map(horn(n, 0), standard_simplex(n))
-            for u, v in _commuting_squares(i, proj, budget):
-                e = u.assignment[(1, "01")]
-                if e.degs or e.base in refuted:
-                    continue
-                if _find_lift(i, proj, u, v, budget) is None:
-                    refuted.add(e.base)
-        detected = [e for e in total.cell_ids(1) if e not in refuted]
-        inner = unfillable_inner_horn(proj, dim_cap, budget)
-        lift_witness = next((
-            {"base_edge": be, "vertex": x}
-            for be in base_nerve.cell_ids(1)
-            for x in total.cell_ids(0)
-            if proj.assignment[(0, x)] == base_nerve.faces_of(1, be)[1]
-            and not any(total.faces_of(1, e)[1] == SimplexRef(x)
-                        and proj.assignment[(1, e)] == SimplexRef(be) for e in detected)
-        ), None)
+        detected, verdict = _edge_search(total, proj, dim_cap, budget or Budget())
     except BudgetExceededError as exc:
         return ([], Verdict(INCONCLUSIVE, "budget", witness=str(exc)), None)
+    return detected, verdict, OverObject(MarkedSimpSet(total, detected), proj)
 
+
+def _edge_search(total: FinSimpSet, proj: SimpMap, dim_cap, budget):
+    """(detected edges, fibration verdict) of `cocartesian_edges`; raises on a spent budget."""
+    base_nerve = proj.target
+    refuted = set()
+    for n in range(2, dim_cap + 1):
+        i = inclusion_map(horn(n, 0), standard_simplex(n))
+        for u, v in _commuting_squares(i, proj, budget):
+            e = u.assignment[(1, "01")]
+            if e.degs or e.base in refuted:
+                continue
+            if _find_lift(i, proj, u, v, budget) is None:
+                refuted.add(e.base)
+    detected = [e for e in total.cell_ids(1) if e not in refuted]
+    inner = unfillable_inner_horn(proj, dim_cap, budget)
+    lift_witness = next((
+        {"base_edge": be, "vertex": x}
+        for be in base_nerve.cell_ids(1)
+        for x in total.cell_ids(0)
+        if proj.assignment[(0, x)] == base_nerve.faces_of(1, be)[1]
+        and not any(total.faces_of(1, e)[1] == SimplexRef(x)
+                    and proj.assignment[(1, e)] == SimplexRef(be) for e in detected)
+    ), None)
     inner_witness = inner and {"horn": [inner[0], inner[1]], "u": inner[2].key()}
-    verdict = Verdict(
+    return detected, Verdict(
         HOLDS if inner is None and lift_witness is None else FAILS,
         f"inner horns and initial-vertex horns, dims<={dim_cap}",
         witness=inner_witness or lift_witness,
         details={"cocartesian_edges": len(detected)},
     )
-    marking = OverObject(MarkedSimpSet(total, detected), proj)
-    return detected, verdict, marking
 
 
 def edge_components(rn: RelativeNerve, edge_name):
@@ -358,11 +360,11 @@ def cocartesian_cross_check(rn: RelativeNerve, dim_cap, budget=None) -> Verdict:
     invertible in the fundamental category of its target value.
 
     The equivalence is tested, not assumed.  An edge search that runs out
-    of budget detects nothing, so the cross-check is then inconclusive."""
-    budget = budget or Budget()
-    detected, verdict, _ = cocartesian_edges(rn.total, rn.proj, dim_cap, budget=budget)
-    if verdict.status == INCONCLUSIVE:
-        return Verdict(INCONCLUSIVE, f"dims<={dim_cap}", witness=verdict.witness)
+    of budget decides no edge, so the cross-check is then inconclusive."""
+    try:
+        detected, verdict = _edge_search(rn.total, rn.proj, dim_cap, budget or Budget())
+    except BudgetExceededError as exc:
+        return Verdict(INCONCLUSIVE, f"dims<={dim_cap}", witness=str(exc))
     mismatches = []
     for e in rn.total.cell_ids(1):
         arrow, h = edge_components(rn, e)

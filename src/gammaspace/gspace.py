@@ -53,6 +53,7 @@ from .verdicts import (
     HOLDS,
     INCONCLUSIVE,
     backtrack,
+    conjoin,
 )
 
 
@@ -89,22 +90,23 @@ class TabulatedGammaSpace:
     def action(self, f: GammaMorphism) -> SimpMap:
         if f.src > self.level_bound or f.dst > self.level_bound:
             raise ValueError(f"morphism {f} beyond level bound {self.level_bound}")
-        if f.key() not in self._actions:
+        if f not in self._actions:
             m = self._action_fn(f)
             if m.source is not self.value(f.src) or m.target is not self.value(f.dst):
                 m = SimpMap(self.value(f.src), self.value(f.dst), m.assignment)
-            self._actions[f.key()] = m
-        return self._actions[f.key()]
+            self._actions[f] = m
+        return self._actions[f]
 
-    def validate(self, level_cap=2):
-        """Checks the action on levels 0..cap: each map is simplicial,
+    def validate(self, level_cap=None):
+        """Checks the action on levels 0..cap (by default the level bound;
+        associativity first shows at level 3): each map is simplicial,
         identities act as identities, and the action is functorial.
 
         Functoriality is checked as action(f.then(g)) == action(f) then
         action(g) for every based map f, but only for g among the elementary
         maps of `elementary_maps(cap)`, which is exact (see there).
         """
-        cap = min(level_cap, self.level_bound)
+        cap = self.level_bound if level_cap is None else min(level_cap, self.level_bound)
         every = all_morphisms_upto(cap)
         for f in every:
             self.action(f).validate(check_pointed=False)
@@ -226,14 +228,14 @@ class PresentedGammaSpace:
         The evaluation is the colimit of the shapes: object k of the
         Colimit is the shape of cell i at slots[k] = (i, h), one slot per
         based map h: level_i -> n, cell-major in `enumerate_homs` order;
-        index sends (i, h.key()) to k.  A gluing arrow a enters once per h,
+        index sends (i, h) to k.  A gluing arrow a enters once per h,
         from slot (a.src, h) to slot (a.dst, a.gamma.then(h)), along a.simp
         itself."""
         if n not in self._level_data:
             slots = [(i, h) for i, c in enumerate(self.cells)
                      for h in enumerate_homs(c.level, n)]
-            index = {(i, h.key()): k for k, (i, h) in enumerate(slots)}
-            arrows = [(index[(a.src, h.key())], index[(a.dst, a.gamma.then(h).key())], a.simp)
+            index = {slot: k for k, slot in enumerate(slots)}
+            arrows = [(index[(a.src, h)], index[(a.dst, a.gamma.then(h))], a.simp)
                       for a in self.arrows for h in enumerate_homs(self.cells[a.src].level, n)]
             col = Colimit([self.cells[i].shape for i, _ in slots], arrows)
             self._level_data[n] = (col, slots, index)
@@ -245,7 +247,7 @@ class PresentedGammaSpace:
     def component_ref(self, cell_index, h: GammaMorphism, ref, ref_dim, n):
         """Resolve (cell, hom element, shape ref) in the evaluation at n."""
         col, _, index = self.level_data(n)
-        return col.ref_in(index[(cell_index, h.key())], ref, ref_dim)
+        return col.ref_in(index[(cell_index, h)], ref, ref_dim)
 
     def action_map(self, g: GammaMorphism) -> SimpMap:
         """The induced map evaluate(g.src) -> evaluate(g.dst): the shape of
@@ -384,7 +386,7 @@ def day_coend_oracle(x: TabulatedGammaSpace, y: TabulatedGammaSpace,
         for l in y_levels:
             prods[(k, l)] = product(x.value(k), y.value(l), bound=dim_cap)
             for f in enumerate_homs(k * l, n):
-                slots[(k, l, f.key())] = len(objects)
+                slots[(k, l, f)] = len(objects)
                 objects.append(prods[(k, l)][0])
     arrows = []
 
@@ -392,7 +394,7 @@ def day_coend_oracle(x: TabulatedGammaSpace, y: TabulatedGammaSpace,
         uv = smash_gamma(u, v)
         act = product_map(x.action(u), y.action(v), prods[src], prods[dst])
         for f in enumerate_homs(u.dst * v.dst, n):
-            arrows.append((slots[(*src, uv.then(f).key())], slots[(*dst, f.key())], act))
+            arrows.append((slots[(*src, uv.then(f))], slots[(*dst, f)], act))
 
     for k in x_levels:
         for l in y_levels:
@@ -778,36 +780,30 @@ def trivial_fibration_check(p: GammaSpaceMap, level_cap, dim_cap,
                             budget=None) -> Verdict:
     """Right lifting against boundary inclusions, level-wise; the adjoint
     route recomputes the same liftings on the mapping space out of each
-    representable and both routes must agree."""
+    representable, and wherever both routes decide they must agree."""
     budget = budget or Budget()
-    results = {}
-    try:
+    checked = f"levels<={level_cap}, dims<={dim_cap}"
+
+    def routes():
         for n in range(level_cap + 1):
             adj_map = _mapping_space_induced(p, n, budget)
             for m in range(dim_cap + 1):
                 incl = inclusion_map(boundary(m), standard_simplex(m))
                 direct = has_rlp(p.levels[n], incl, budget=budget)
                 adjoint = has_rlp(adj_map, incl, budget=budget)
-                if direct.status != adjoint.status:
-                    raise AssertionError(
-                        f"adjunction routes disagree at level {n}, dim {m}"
-                    )
-                results[(n, m)] = direct
-                if direct.fails:
-                    return Verdict(
-                        FAILS,
-                        f"levels<={level_cap}, dims<={dim_cap}",
-                        witness={"level": n, "dim": m, "square": direct.witness},
-                        details={"routes": "direct and adjoint agree"},
-                    )
+                if direct.contradicts(adjoint):
+                    raise AssertionError(f"adjunction routes disagree at level {n}, dim {m}")
+                for route in (direct, adjoint):
+                    yield checked, Verdict(
+                        route.status, witness={"level": n, "dim": m, "square": route.witness})
+
+    try:
+        verdict = conjoin(checked, routes(),
+                          details={"squares": (level_cap + 1) * (dim_cap + 1)})
     except BudgetExceededError as e:
         return Verdict(INCONCLUSIVE, "budget", witness=str(e))
-    return Verdict(
-        HOLDS,
-        f"levels<={level_cap}, dims<={dim_cap}",
-        details={"routes": "direct and adjoint agree",
-                 "squares": len(results)},
-    )
+    verdict.details["routes"] = "direct and adjoint agree"
+    return verdict
 
 
 def _mapping_space_induced(p: GammaSpaceMap, n, budget) -> SimpMap:

@@ -164,12 +164,13 @@ class MarkedGammaSpace:
     def underlying(self) -> TabulatedGammaSpace:
         return self._underlying
 
-    def validate(self, level_cap=2):
+    def validate(self, level_cap=None):
         """The underlying family validates, and every based map between
-        levels <= cap preserves the markings, checked on the elementary
-        maps (exact for a functorial action; see `elementary_maps`)."""
-        self._underlying.validate(level_cap=level_cap)
-        for f in elementary_maps(min(level_cap, self.level_bound)):
+        levels <= cap (the level bound by default) preserves the markings,
+        checked on `elementary_maps` (exact for a functorial action)."""
+        cap = self.level_bound if level_cap is None else min(level_cap, self.level_bound)
+        self._underlying.validate(level_cap=cap)
+        for f in elementary_maps(cap):
             if not is_marked_map(self.action(f), self.value(f.src), self.value(f.dst)):
                 raise ValueError(f"action at {f} does not preserve markings")
         return self

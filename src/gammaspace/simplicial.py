@@ -130,9 +130,6 @@ class SimplexRef(namedtuple("SimplexRef", "base degs")):
     def __init__(self, _base, _degs=()):
         pass
 
-    def key(self):
-        return (self.base, self.degs)
-
     def __repr__(self):
         if not self.degs:
             return f"~{self.base}"
@@ -402,10 +399,7 @@ class SimpMap:
 
     def then(self, other: "SimpMap") -> "SimpMap":
         assert other.source is self.target
-        if other.target.complete:
-            cap = self.cap
-        else:
-            cap = min(self.cap, self.source.dim_bound, other.target.dim_bound)
+        cap = min(self.cap, map_cap(self.source, other.target))
         assignment = {
             (n, name): other(ref, n)
             for (n, name), ref in self.assignment.items()
@@ -571,8 +565,8 @@ def product(x: FinSimpSet, y: FinSimpSet, bound=None):
     for n in range(b + 1):
         ys = {}
         for ry in y.refs(n):
-            ys.setdefault(frozenset(ry.degs), []).append(ry.key())
-        keys = sorted((rx.key(), ky) for rx in x.refs(n) for w, kys in ys.items()
+            ys.setdefault(frozenset(ry.degs), []).append(ry)
+        keys = sorted((rx, ky) for rx in x.refs(n) for w, kys in ys.items()
                       if w.isdisjoint(rx.degs) for ky in kys)
         names.update(((n, key), f"c{n}_{idx}") for idx, key in enumerate(keys))
 
@@ -586,7 +580,7 @@ def product(x: FinSimpSet, y: FinSimpSet, bound=None):
                                                for j in r.degs if j not in common))
                       for r in (rx, ry))
         k = n - len(common)
-        name = names.get((k, (rx.key(), ry.key())))
+        name = names.get((k, (rx, ry)))
         if name is None:
             raise ValueError(f"pair of refs in dim {n} has no cell at bound {b}")
         return apply_word(SimplexRef(name), common, k)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -102,6 +102,11 @@ class Verdict:
     def fails(self) -> bool:
         return self.status == FAILS
 
+    def contradicts(self, other: "Verdict") -> bool:
+        """Both verdicts are decided and they differ: two routes to one fact
+        disagree.  An undecided verdict contradicts nothing."""
+        return INCONCLUSIVE not in (self.status, other.status) and self.status != other.status
+
     def as_json(self) -> dict:
         out = {"status": self.status, "checked": self.checked}
         if self.tier is not None:
@@ -111,6 +116,32 @@ class Verdict:
         if self.details:
             out["details"] = {k: _dump_witness(v) for k, v in sorted(self.details.items())}
         return out
+
+
+def conjoin(checked: str, parts, details=None) -> Verdict:
+    """Kleene's strong conjunction of `parts`, a lazy iterable of
+    (where, Verdict) pairs: the first `fails` wins, at its `where` and with
+    its witness, and no later part is drawn; else the first `inconclusive`
+    part, since a spent budget refutes nothing; else `holds` on `checked`,
+    with `details` (which a cut-short conjunction did not earn).  With no
+    part at all nothing was checked: `inconclusive`."""
+    undecided, drawn = None, False
+    for where, sub in parts:
+        drawn = True
+        if sub.status == FAILS:
+            return Verdict(FAILS, where, witness=sub.witness)
+        if sub.status == INCONCLUSIVE and undecided is None:
+            undecided = Verdict(INCONCLUSIVE, where, witness=sub.witness)
+    if not drawn:
+        return Verdict(INCONCLUSIVE, "nothing checked")
+    return undecided or Verdict(HOLDS, checked, details=dict(details or {}))
+
+
+def negate(v: Verdict) -> Verdict:
+    """Kleene negation, for negative controls: `holds` and `fails` swap,
+    `inconclusive` stays, and the checked range and witness are kept."""
+    status = {HOLDS: FAILS, FAILS: HOLDS}.get(v.status, INCONCLUSIVE)
+    return replace(v, status=status, details=dict(v.details))
 
 
 def _dump_witness(w):

@@ -2,16 +2,17 @@
 
 import json
 
-from gammaspace import jsonio
+from gammaspace import cli, jsonio
 from gammaspace.catcore import poset_category, walking_iso_category
 from gammaspace.cli import main
-from gammaspace.cocart import RelativeNerveInput, nelg
+from gammaspace.cocart import RelativeNerve, RelativeNerveInput, nelg
 from gammaspace.corpus import z2_monoid_space
-from gammaspace.gspace import gamma_rep
+from gammaspace.gspace import gamma_rep, semiadditivity_probe
 from gammaspace.marked import mark
 from gammaspace.nerve import nerve
 from gammaspace.shapes import boundary, standard_point, standard_simplex
 from gammaspace.simplicial import SimplexRef, SimpMap, identity_map, inclusion_map
+from gammaspace.verdicts import INCONCLUSIVE, Verdict
 
 
 def run_ok(capsys, *argv, expect=0):
@@ -143,3 +144,31 @@ def test_resource_guard_gives_inconclusive_exit(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 2
     assert out["verdicts"][0]["status"] == "inconclusive"
+
+
+def test_spent_comparisons_exit_inconclusive_not_failed(tmp_path, capsys, monkeypatch):
+    # a fiber comparison or a level iso that ran out of budget refutes nothing
+    base = poset_category(1)
+    pt = standard_point(bound=2)
+    blob = {
+        "base": jsonio.category_to_json(base),
+        "diagram": {
+            "values": {o: jsonio.simpset_to_json(pt) for o in base.objects},
+            "arrows": {f: jsonio.simpmap_to_json(identity_map(pt)) for f in base.arrow_ids()},
+        },
+    }
+    path = write(tmp_path, "rn.json", blob)
+    spent = Verdict(INCONCLUSIVE, "dims<=2", witness="budget exceeded")
+    monkeypatch.setattr(RelativeNerve, "fiber_comparison", lambda self, obj: spent)
+    report = run_ok(capsys, "relative-nerve", path, "--dim-bound", "2", expect=2)
+    assert report["verdicts"][0]["status"] == "inconclusive"
+
+    def spent_probe(p, level_cap):
+        rep = semiadditivity_probe(p, level_cap)
+        rep["levels"][1]["iso"] = INCONCLUSIVE
+        return rep
+
+    monkeypatch.setattr(cli, "semiadditivity_probe", spent_probe)
+    rep1 = write(tmp_path, "rep1.json", jsonio.presented_to_json(gamma_rep(1)))
+    report = run_ok(capsys, "semiadd-probe", rep1, "--level-bound", "2", expect=2)
+    assert report["verdicts"][0]["status"] == "inconclusive"

@@ -78,7 +78,7 @@ def test_spec_edge_inventory():
     assert rn.total.cell_count(1) == 3
     over = {}
     for e in rn.total.cell_ids(1):
-        over.setdefault(rn.proj.assignment[(1, e)].key(), []).append(e)
+        over.setdefault(rn.proj.assignment[(1, e)], []).append(e)
     assert len(over[("le01", ())]) == 2
 
 

@@ -1,6 +1,8 @@
 """Level families: evaluation, convolution with its oracle, mapping spaces,
 Segal checks, normalization, the two-route fibration check, semi-additivity."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +29,7 @@ from gammaspace.gspace import (
     TabulatedGammaSpace,
     constant_gamma_space,
     coproduct_presented,
+    discrete_monoid_space,
     day_assoc_comparison,
     day_coend_oracle,
     day_convolve,
@@ -61,7 +64,8 @@ from gammaspace.simplicial import (
     product,
     product_map,
 )
-from gammaspace.verdicts import Budget, ResourceError
+from gammaspace.marked import gamma_flat
+from gammaspace.verdicts import HOLDS, INCONCLUSIVE, Budget, ResourceError
 
 
 def test_representable_evaluation():
@@ -552,6 +556,22 @@ def test_trivial_fibration_two_routes():
     assert v2.fails and v2.witness["dim"] == 0
 
 
+def test_trivial_fibration_under_every_budget_is_never_a_false_verdict():
+    # a genuine `holds` on the identity tries 74 candidates; under a smaller
+    # budget the routes run out at different points, which is no refutation
+    # and no disagreement between them
+    m = z2_monoid_space(2)
+    ident = GammaSpaceMap(m, m, {n: identity_map(m.value(n)) for n in range(3)})
+    statuses = set()
+    for limit in range(1, 76):
+        budget = Budget(limit)
+        v = trivial_fibration_check(ident, level_cap=1, dim_cap=1, budget=budget)
+        assert v.status in (HOLDS, INCONCLUSIVE), limit
+        assert (v.status == HOLDS) == (budget.used <= limit), limit
+        statuses.add(v.status)
+    assert statuses == {HOLDS, INCONCLUSIVE}
+
+
 def test_h_map_counts():
     h = h_map(1, 1)
     m1 = h.evaluate(1)
@@ -652,6 +672,36 @@ def _validates(x, cap):
     except ValueError:
         return False
     return True
+
+
+def _times(table, a, b):
+    """a * b in a unital operation on {0, 1, 2}: 0 is the unit, and
+    `table` gives the products of nonzero elements."""
+    return table[(a, b)] if a and b else a + b
+
+
+def test_validate_reaches_the_level_bound_by_default():
+    # associativity first shows at level 3: checked to level 2, every
+    # commutative unital operation on {0, 1, 2} passes, associative or not
+    tables = []
+    for p11, p12, p22 in itertools.product(range(3), repeat=3):
+        tables.append({(1, 1): p11, (1, 2): p12, (2, 1): p12, (2, 2): p22})
+
+    def space(table):
+        return discrete_monoid_space(range(3), lambda a, b: _times(table, a, b), 0, 3)
+
+    def associative(table):
+        return all(_times(table, _times(table, a, b), c) == _times(table, a, _times(table, b, c))
+                   for a, b, c in itertools.product(range(3), repeat=3))
+
+    lopsided = space({(1, 1): 2, (1, 2): 2, (2, 1): 2, (2, 2): 1})
+    assert _validates(lopsided, 2) and not _validates(lopsided, None)
+    with pytest.raises(ValueError, match="not functorial"):
+        gamma_flat(lopsided).validate()
+    assert all(_validates(space(t), 2) for t in tables)
+    monoids = [t for t in tables if associative(t)]
+    assert len(tables) == 27 and len(monoids) == 9
+    assert [t for t in tables if _validates(space(t), None)] == monoids
 
 
 def _with_vertex_moved(x, f, vertex, image):

@@ -5,8 +5,9 @@ imports at its top level (such an import breaks no cycle, it only hides a
 dependency), every parameter of a `def` is read in its body, every
 top-level `def`, `class` and assigned name of the library is read
 somewhere in `src/`, `tests/` or `bench/`, `.validate(...)` is called
-only where data enters or where a verdict rests on the check, and a based
-map's table is checked by `gammaop.based_map` only where it enters.
+only where data enters or where a verdict rests on the check, a based
+map's table is checked by `gammaop.based_map` only where it enters, and
+verdicts are combined only by `verdicts.conjoin` and `verdicts.negate`.
 """
 
 import ast
@@ -144,10 +145,10 @@ def dead_definitions(modules, readers):
     )
 
 
-def call_sites(source: str, wanted):
-    """The qualified name of the function or method around each call whose
-    callee expression `wanted` accepts, one entry per call, sorted;
-    "<module>" for a call outside any."""
+def sites(source: str, hit):
+    """The qualified name of the function or method around each node that
+    `hit` accepts, one entry per node, sorted; "<module>" for a node outside
+    any."""
     out = []
 
     def visit(node, scope):
@@ -155,7 +156,7 @@ def call_sites(source: str, wanted):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call) and wanted(child.func):
+            if hit(child):
                 out.append(".".join(scope) or "<module>")
             visit(child, scope)
 
@@ -163,9 +164,29 @@ def call_sites(source: str, wanted):
     return sorted(out)
 
 
+def call_sites(source: str, wanted):
+    """The sites (see `sites`) of the calls whose callee expression `wanted`
+    accepts."""
+    return sites(source, lambda node: isinstance(node, ast.Call) and wanted(node.func))
+
+
 def validate_calls(source: str):
     """The sites of the `.validate(...)` calls (see `call_sites`)."""
     return call_sites(source, lambda f: isinstance(f, ast.Attribute) and f.attr == "validate")
+
+
+def _is_status_test(node):
+    """`.holds` or `.fails` read off a value, or `.status` compared."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("holds", "fails")
+    return isinstance(node, ast.Compare) and any(
+        isinstance(x, ast.Attribute) and x.attr == "status"
+        for x in [node.left, *node.comparators])
+
+
+def status_tests(source: str):
+    """The sites (see `sites`) where a verdict's status is tested."""
+    return sites(source, _is_status_test)
 
 
 def calls_naming(source: str, name: str):
@@ -200,6 +221,15 @@ KEPT_VALIDATE_CALLS = {
     ("cocart", "OverObject.validate"): 1,
     ("gspace", "_levelwise_iso_verdict"): 1,
     ("gspace", "semiadditivity_probe"): 3,
+}
+
+
+# The tests of a verdict's status outside `verdicts.py`, by (module,
+# function).  Verdicts are combined by `verdicts.conjoin` (Kleene's strong
+# conjunction) and `verdicts.negate`, so that a spent budget is never read as
+# a refutation; `_is_nerve_like` only picks the tier a Segal check reports.
+KEPT_STATUS_TESTS = {
+    ("gspace", "_is_nerve_like"): 1,
 }
 
 
@@ -310,6 +340,29 @@ def test_validate_call_check_catches_what_it_names():
 def test_validate_runs_only_where_data_enters():
     found = Counter((p.stem, name) for p in MODULES for name in validate_calls(p.read_text()))
     assert found == Counter(KEPT_VALIDATE_CALLS)
+
+
+def test_status_test_check_catches_what_it_names():
+    source = (
+        "ok = all(f(o).holds for o in objects)\n"
+        "def law():\n"
+        "    v = check()\n"
+        "    if not v.holds:\n"
+        "        return v\n"
+        "    return v.fails or w.status != HOLDS\n"
+        "class Routes:\n"
+        "    def agree(self, a, b):\n"
+        "        return a.status == b.status\n"
+        "    def report(self, v):\n"
+        "        return {'status': v.status, 'holds': HOLDS, 'all': e['status'] == HOLDS}\n"
+    )
+    assert status_tests(source) == ["<module>", "Routes.agree", "law", "law", "law"]
+
+
+def test_verdicts_are_combined_only_in_verdicts():
+    found = Counter((p.stem, name) for p in MODULES if p.stem != "verdicts"
+                    for name in status_tests(p.read_text()))
+    assert found == Counter(KEPT_STATUS_TESTS)
 
 
 def test_call_site_check_catches_what_it_names():

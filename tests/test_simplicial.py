@@ -337,7 +337,7 @@ def test_refs_compare_hash_sort_and_print_as_their_fields(x):
         assert SimplexRef(*f) == r and type(SimplexRef(*f)) is SimplexRef
         assert repr(r) == _ref_repr(*f) and str(r) == repr(r)
     assert sorted(refs) == [SimplexRef(*f) for f in sorted(fields)]
-    assert x.refs(2) == tuple(sorted(x.refs(2), key=SimplexRef.key))
+    assert x.refs(2) == tuple(sorted(x.refs(2)))
     for (a, fa), (b, fb) in itertools.product(list(zip(refs, fields))[:40], repeat=2):
         assert (a == b) == (fa == fb) and (a < b) == (fa < fb)
         assert (hash(a) == hash(b)) == (hash(fa) == hash(fb))
@@ -372,7 +372,7 @@ def test_face_index_matches_linear_scan(x):
         index = x.face_index(n)
         assert x.face_index(n) is index
         flat = [r for bucket in index.values() for r in bucket]
-        assert sorted(flat, key=SimplexRef.key) == sorted(x.refs(n), key=SimplexRef.key)
+        assert sorted(flat) == sorted(x.refs(n))
         for faces, bucket in index.items():
             scan = [r for r in x.refs(n)
                     if all(x.face(r, n, i) == faces[i] for i in range(n + 1))]
@@ -477,17 +477,17 @@ def _product_oracle(x, y, bound=None):
     else:
         b = bound
     levels = [
-        [(rx.key(), ry.key()) for rx in x.refs(n) for ry in y.refs(n)]
+        [(rx, ry) for rx in x.refs(n) for ry in y.refs(n)]
         for n in range(b + 1)
     ]
 
     def face(n, key, i):
-        rx, ry = SimplexRef(*key[0]), SimplexRef(*key[1])
-        return (x.face(rx, n, i).key(), y.face(ry, n, i).key())
+        rx, ry = key
+        return (x.face(rx, n, i), y.face(ry, n, i))
 
     def degen(n, key, i):
-        rx, ry = SimplexRef(*key[0]), SimplexRef(*key[1])
-        return (x.degen(rx, n, i).key(), y.degen(ry, n, i).key())
+        rx, ry = key
+        return (x.degen(rx, n, i), y.degen(ry, n, i))
 
     pointed_key = None
     if x.pointed is not None and y.pointed is not None:
@@ -499,7 +499,7 @@ def _product_oracle(x, y, bound=None):
 
     def pair_ref(rx, ry, n):
         if n <= b:
-            return ref_of(n, (rx.key(), ry.key()))
+            return ref_of(n, (rx, ry))
         # above the built bound every pair is degenerate: strip the common
         # degeneracy word, look up the base pair, and re-apply the word
         common = tuple(sorted(set(rx.degs) & set(ry.degs), reverse=True))
@@ -515,7 +515,7 @@ def _product_oracle(x, y, bound=None):
             reduced = tuple(fiber_values[t] for t in range(n - len(common) + 1))
             return SimplexRef(ref.base, surj_to_word(reduced))
 
-        base = ref_of(n - len(common), (strip(rx).key(), strip(ry).key()))
+        base = ref_of(n - len(common), (strip(rx), strip(ry)))
         return apply_word(base, common, n - len(common))
 
     assign1, assign2 = {}, {}
