@@ -223,7 +223,7 @@ def cmd_cocart_edges(args, report):
     edges, verdict, marking = cocartesian_edges(
         rn.total, rn.proj, args.dim_bound, budget=Budget(args.budget)
     )
-    report.output("cocartesian_edges", sorted(edges))
+    report.output("cocartesian_edges", None if edges is None else sorted(edges))
     report.output("marking", jsonio.over_object_to_json(marking) if marking else None)
     report.add("cocartesian-fibration", verdict)
 

@@ -306,11 +306,12 @@ def cocartesian_edges(total: FinSimpSet, proj: SimpMap, dim_cap, budget=None):
     For each n in 2..dim_cap the squares of Lambda^0[n] in Delta[n] against
     proj are searched once; an edge is refuted by the first square on it
     (at u(01)) with no filler.  Returns (edges, fibration_verdict,
-    natural_marking); a spent budget detects nothing and marks nothing."""
+    natural_marking); a spent budget decides no edges (None) and marks
+    nothing."""
     try:
         detected, verdict = _edge_search(total, proj, dim_cap, budget or Budget())
     except BudgetExceededError as exc:
-        return ([], Verdict(INCONCLUSIVE, "budget", witness=str(exc)), None)
+        return (None, Verdict(INCONCLUSIVE, "budget", witness=str(exc)), None)
     return detected, verdict, OverObject(MarkedSimpSet(total, detected), proj)
 
 

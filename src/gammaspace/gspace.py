@@ -474,16 +474,8 @@ def yoneda_comparison(n, y: TabulatedGammaSpace, dim_cap=None) -> tuple:
     """The canonical map Y(n) -> Map(rep_n, Y) and its iso verdict."""
     rep = gamma_rep(n)
     ms = GammaMappingSpace(rep, y, dim_cap=dim_cap)
-    yn = y.value(n)
-    if yn.dim_bound != ms.cap and (yn.complete or yn.dim_bound > ms.cap):
-        yn = yn.rebound(ms.cap)
-    cmp = _classifying(ms, yn, y.value(n))
-    ok = cmp.is_iso() or (
-        cmp.is_mono()
-        and all(yn.cell_count(d) == ms.space.cell_count(d)
-                for d in range(ms.cap + 1))
-    )
-    verdict = Verdict(HOLDS if ok else FAILS, f"dims<={ms.cap}", witness=cmp)
+    cmp = _classifying(ms, y.value(n), y.value(n))
+    verdict = Verdict(HOLDS if cmp.is_iso() else FAILS, f"dims<={ms.cap}", witness=cmp)
     return cmp, verdict
 
 
@@ -617,12 +609,10 @@ class GammaSpaceMap:
         return self
 
     def is_levelwise_iso(self, level_cap=None):
-        cap = len(self.levels) - 1 if level_cap is None else level_cap
-        return all(self.levels[n].is_iso() for n in range(cap + 1))
+        return all(self.levels[n].is_iso() for n in range(self._cap(level_cap) + 1))
 
     def is_levelwise_mono(self, level_cap=None):
-        cap = len(self.levels) - 1 if level_cap is None else level_cap
-        return all(self.levels[n].is_mono() for n in range(cap + 1))
+        return all(self.levels[n].is_mono() for n in range(self._cap(level_cap) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def nerve_functor_map(fun: CatFunctor, nc: FinSimpSet, nd: FinSimpSet) -> SimpMa
     def image(n, name):
         if n == 0:
             return SimplexRef(f"o{fun.obj(objects[name])}")
-        chain = tuple(name.split("|"))
+        chain = tuple(nc.act(SimplexRef(name), n, (i, i + 1)).base for i in range(n))
         return chain_ref(d, tuple(fun.arr(f) for f in chain), fun.obj(c.src(chain[0])))
 
     return cellwise(nc, nd, image)

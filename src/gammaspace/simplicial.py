@@ -435,13 +435,9 @@ class SimpMap:
         return self.collision(dim_cap) is None
 
     def is_iso(self):
-        if self.source.complete and self.target.complete:
-            cap = max(self.source.top_dim(), self.target.top_dim())
-        elif self.source.dim_bound == self.target.dim_bound:
-            cap = self.cap
-        else:
-            return False
-        for n in range(cap + 1):
+        """Bijective on the nondegenerate cells of every dimension up to
+        the joint bound of source and target."""
+        for n in range(joint_bound((self.source, self.target)) + 1):
             images = set()
             for name in self.source.cell_ids(n):
                 img = self.assignment[(n, name)]
@@ -454,6 +450,16 @@ class SimpMap:
 
     def __repr__(self):
         return f"SimpMap({self.source!r} -> {self.target!r})"
+
+
+def joint_bound(sets) -> int:
+    """The top dimension on which simplicial sets read together are
+    compared: the least bound of a truncated one (it is read coskeletally
+    above), or the largest top dimension when every one is complete."""
+    ceilings = [x.dim_bound for x in sets if not x.complete]
+    if ceilings:
+        return min(ceilings)
+    return max((x.top_dim() for x in sets), default=0)
 
 
 def map_cap(source: FinSimpSet, target: FinSimpSet) -> int:
@@ -636,19 +642,9 @@ class Colimit:
     def __init__(self, objects, arrows, bound=None, pointed_at=None):
         self.objects = list(objects)
         self.arrows = list(arrows)
-        if bound is not None:
-            b = bound
-        else:
-            # complete objects impose no ceiling; truncations do
-            ceilings = [o.dim_bound for o in objects if not o.complete]
-            if ceilings:
-                b = min(ceilings)
-            else:
-                b = max((o.top_dim() for o in objects), default=0)
-        self.bound = b
-        self.complete = all(o.complete for o in objects) and b >= max(
-            (o.top_dim() for o in objects), default=0
-        )
+        self.bound = joint_bound(self.objects) if bound is None else bound
+        self.complete = (all(o.complete for o in self.objects)
+                         and self.bound >= joint_bound(self.objects))
         self._compute(pointed_at)
 
     def _compute(self, pointed_at):
@@ -879,10 +875,7 @@ def iso_check(x: FinSimpSet, y: FinSimpSet, budget=None) -> Verdict:
     """Explicit isomorphism or exhaustive refusal, on dimensions up to the
     joint bound."""
     budget = budget or Budget()
-    if x.complete and y.complete:
-        cap = max(x.top_dim(), y.top_dim())
-    else:
-        cap = min(x.dim_bound, y.dim_bound)
+    cap = joint_bound((x, y))
     checked = f"dims<={cap}"
     for n in range(cap + 1):
         if x.cell_count(n) != y.cell_count(n):

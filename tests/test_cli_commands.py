@@ -61,7 +61,8 @@ def test_hom_marked_command(tmp_path, capsys):
     assert report["outputs"]["flat"]["cells"]["0"]
 
 
-def test_relative_nerve_and_cocart_and_sm(tmp_path, capsys):
+def _walking_iso_over_arrow(tmp_path):
+    """The identity diagram of the walking-iso nerve over [1], as a file."""
     base = poset_category(1)
     nw = nerve(walking_iso_category(), bound=2)
     inp = RelativeNerveInput(
@@ -77,7 +78,11 @@ def test_relative_nerve_and_cocart_and_sm(tmp_path, capsys):
             "arrows": {f: jsonio.simpmap_to_json(m) for f, m in inp.arrows.items()},
         },
     }
-    path = write(tmp_path, "rn.json", blob)
+    return write(tmp_path, "rn.json", blob)
+
+
+def test_relative_nerve_and_cocart_and_sm(tmp_path, capsys):
+    path = _walking_iso_over_arrow(tmp_path)
     report = run_ok(capsys, "relative-nerve", path, "--dim-bound", "2")
     assert report["verdicts"][0]["status"] == "holds"
     report = run_ok(capsys, "cocart-edges", path, "--dim-bound", "2")
@@ -98,6 +103,14 @@ def test_relative_nerve_and_cocart_and_sm(tmp_path, capsys):
     gpath = write(tmp_path, "g.json", gblob)
     report = run_ok(capsys, "sm-check", gpath, "--k", "1", "--l", "1")
     assert report["verdicts"][0]["status"] == "holds"
+
+
+def test_a_spent_edge_search_prints_no_edges(tmp_path, capsys):
+    # a spent search decides no edge, so it lists none, not an empty list
+    report = run_ok(capsys, "cocart-edges", _walking_iso_over_arrow(tmp_path),
+                    "--dim-bound", "2", "--budget", "5", expect=2)
+    assert report["outputs"]["cocartesian_edges"] is None
+    assert report["verdicts"][0]["status"] == "inconclusive"
 
 
 def test_nelg_upsilon_hom_over_base_r_plus(tmp_path, capsys):

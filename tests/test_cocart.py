@@ -310,6 +310,13 @@ def test_r_plus_vertices_vs_fiber_at_ho_tier():
     assert len(cat.iso_classes()) == 1
 
 
+def test_a_spent_edge_search_decides_no_edges():
+    # None, not [], so that no caller reads "no edge is coCartesian" off it
+    nb = nerve(poset_category(1), bound=2)
+    detected, verdict, marking = cocartesian_edges(nb, identity_map(nb), 2, budget=Budget(1))
+    assert (detected, verdict.status, marking) == (None, INCONCLUSIVE, None)
+
+
 def test_cross_check_is_inconclusive_when_the_edge_search_runs_out():
     # a spent edge search detects no edge; read as a refutation, every
     # invertible edge would be a mismatch

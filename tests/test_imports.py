@@ -6,8 +6,10 @@ dependency), every parameter of a `def` is read in its body, every
 top-level `def`, `class` and assigned name of the library is read
 somewhere in `src/`, `tests/` or `bench/`, `.validate(...)` is called
 only where data enters or where a verdict rests on the check, a based
-map's table is checked by `gammaop.based_map` only where it enters, and
-verdicts are combined only by `verdicts.conjoin` and `verdicts.negate`.
+map's table is checked by `gammaop.based_map` only where it enters,
+verdicts are combined only by `verdicts.conjoin` and `verdicts.negate`,
+and a set's truncation (`.complete`, `top_dim()`) is read only in
+`simplicial`, whose `joint_bound` and `map_cap` state the ranges.
 """
 
 import ast
@@ -189,6 +191,17 @@ def status_tests(source: str):
     return sites(source, _is_status_test)
 
 
+def _reads_truncation(node):
+    """`.complete` read off a value, or `.top_dim` named."""
+    return isinstance(node, ast.Attribute) and (
+        node.attr == "top_dim" or node.attr == "complete" and isinstance(node.ctx, ast.Load))
+
+
+def truncation_reads(source: str):
+    """The sites (see `sites`) where a set's truncation is read."""
+    return sites(source, _reads_truncation)
+
+
 def calls_naming(source: str, name: str):
     """The sites of the calls whose callee reads `name`: `name(...)`,
     `mod.name(...)` or `name.method(...)` (see `call_sites`)."""
@@ -230,6 +243,15 @@ KEPT_VALIDATE_CALLS = {
 # a refutation; `_is_nerve_like` only picks the tier a Segal check reports.
 KEPT_STATUS_TESTS = {
     ("gspace", "_is_nerve_like"): 1,
+}
+
+
+# The reads of a set's truncation outside `simplicial.py`, by (module,
+# function).  Sets read together are compared on `simplicial.joint_bound`
+# and maps are defined up to `simplicial.map_cap`; `simpset_to_json` writes
+# the flag out.
+KEPT_TRUNCATION_READS = {
+    ("jsonio", "simpset_to_json"): 1,
 }
 
 
@@ -363,6 +385,25 @@ def test_verdicts_are_combined_only_in_verdicts():
     found = Counter((p.stem, name) for p in MODULES if p.stem != "verdicts"
                     for name in status_tests(p.read_text()))
     assert found == Counter(KEPT_STATUS_TESTS)
+
+
+def test_truncation_read_check_catches_what_it_names():
+    source = (
+        "top = x.top_dim()\n"
+        "def bound(a, b, complete=True):\n"
+        "    a.complete = complete\n"
+        "    return max(a.top_dim(), key=b.top_dim), b.complete\n"
+        "class Writer:\n"
+        "    def write(self, x):\n"
+        "        return {'complete': x.complete, 'dim_bound': x.dim_bound}\n"
+    )
+    assert truncation_reads(source) == ["<module>", "Writer.write", "bound", "bound", "bound"]
+
+
+def test_truncation_is_read_only_in_simplicial():
+    found = Counter((p.stem, name) for p in MODULES if p.stem != "simplicial"
+                    for name in truncation_reads(p.read_text()))
+    assert found == Counter(KEPT_TRUNCATION_READS)
 
 
 def test_call_site_check_catches_what_it_names():

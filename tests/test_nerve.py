@@ -29,7 +29,15 @@ from gammaspace.nerve import (
     tau1_functor,
 )
 from gammaspace.shapes import Exponential, standard_point, standard_simplex
-from gammaspace.simplicial import Colimit, FinSimpSet, SimplexRef, SimpMap, iso_check, product
+from gammaspace.simplicial import (
+    Colimit,
+    FinSimpSet,
+    SimplexRef,
+    SimpMap,
+    identity_map,
+    iso_check,
+    product,
+)
 from gammaspace.verdicts import ResourceError
 from test_simplicial import glued_simplices
 
@@ -355,6 +363,50 @@ def test_nerve_preserves_products():
             lhs = product(nerve(c, bound=2), nerve(d, bound=2), bound=2)[0]
             rhs = nerve(product_category(c, d), bound=2)
             assert iso_check(lhs, rhs).holds
+
+
+def test_the_segal_comparison_of_a_truncated_nerve_is_an_iso():
+    # N([1]^3) -> N([1]) x N([1]^2) by the two projection functors: the
+    # source is truncated at 2, the product is complete of dimension 3, and
+    # the two are compared on the joint bound 2
+    from gammaspace.catcore import product_category
+    from gammaspace.simplicial import pairing
+
+    c = poset_category(1)
+    c2 = product_category(c, c)
+    c3 = product_category(c, c2)
+
+    def projection(side, target):
+        part = {x: x.split(",", 1)[side] for x in (*c3.objects, *c3.arrow_ids())}
+        return CatFunctor(c3, target, part, part).validate()
+
+    n3 = nerve(c3, bound=2)
+    prod_data = product(nerve(c, bound=2), nerve(c2, bound=2))
+    prod, p1, p2, _ = prod_data
+    assert (n3.summary(), n3.complete) == ([8, 19, 18], False)
+    assert (prod.summary(), prod.complete) == ([8, 19, 18, 6], True)
+    cmp = pairing(nerve_functor_map(projection(0, c), n3, p1.target),
+                  nerve_functor_map(projection(1, c2), n3, p2.target), prod_data).validate()
+    v = iso_check(n3, prod)
+    assert cmp.is_iso() and v.holds and v.checked == "dims<=2"
+    assert v.witness.is_iso()
+
+
+def test_nerve_functor_maps_read_chains_off_the_spine():
+    # an arrow id may contain the "|" that joins a chain into a cell name
+    c = FinCat(["0", "1", "2"],
+               {"id0": ("0", "0"), "id1": ("1", "1"), "id2": ("2", "2"),
+                "x|y": ("0", "1"), "g": ("1", "2"), "h": ("0", "2")},
+               {"0": "id0", "1": "id1", "2": "id2"},
+               {**{(i, i): i for i in ("id0", "id1", "id2")},
+                ("x|y", "id0"): "x|y", ("id1", "x|y"): "x|y",
+                ("g", "id1"): "g", ("id2", "g"): "g",
+                ("h", "id0"): "h", ("id2", "h"): "h", ("g", "x|y"): "h"})
+    identity = CatFunctor(c, c, {o: o for o in c.objects},
+                          {f: f for f in c.arrow_ids()}).validate()
+    nc = nerve(c, bound=2)
+    assert nc.cell_ids(2) == ("x|y|g",)
+    assert nerve_functor_map(identity, nc, nc).validate() == identity_map(nc)
 
 
 def test_hom_into_nerve_counts_chains():

@@ -200,7 +200,7 @@ DIGESTS = {
     "hom-set/simplex2-into-quotient": "bbee035522b61fdf0db7a7b6ce17c58cc9387d55945f4765703a511b743921b7",
     "hom-set/simplex2-into-tail-nerve": "05b09700c1b6503489ca0e100b35232017353e755c91950dc15c3c91b36598db",
     "hom-set/unpointed-s0-into-two-points": "b59effd2cc3bccf3c311518929aa0a340262a8e3fa9fcfaaca27b5d1bc77bb77",
-    "iso-check/all-pairs": "58d83f6b6693972e503d627339b66468c451232ec39db1fd88ab6ef82be9833a",
+    "iso-check/all-pairs": "a0882c7caa37d4963ebc0807800908ca198f333f9c3764003db47751bfa6e200",
     "iso-check/budget-cut": "a5de84926c57ad2245e256845b6f4219f6ac583a69bfc6039911b6ce7a9fb5bf",
 }
 

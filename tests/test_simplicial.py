@@ -5,10 +5,12 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gammaspace import simplicial
+from gammaspace.corpus import category_corpus
 from gammaspace.jsonio import canonical_dumps, simpset_to_json
+from gammaspace.nerve import nerve
 from gammaspace.shapes import (
     boundary,
     horn,
@@ -202,6 +204,47 @@ def test_iso_check_witnesses():
     spine = Colimit([pt, d1, d1], [(0, 1, a0), (0, 2, a1)]).space
     du = disjoint_union(d1, d1)[0]
     assert iso_check(spine, du).fails
+
+
+def test_iso_check_reads_a_truncated_side_up_to_its_bound():
+    # Delta[1] is complete, so it has no 2-cell; the other side has the
+    # same 1-skeleton and stores a 2-cell (0, 1, 1) under its bound 2
+    d1 = standard_simplex(1)
+    edge = SimplexRef("01")
+    x = FinSimpSet(2, {0: {"0": (), "1": ()},
+                       1: {"01": (SimplexRef("1"), SimplexRef("0"))},
+                       2: {"t": (SimplexRef("1", (0,)), edge, edge)}},
+                   complete=False).validate()
+    for v, counts in ((iso_check(d1, x), [0, 1]), (iso_check(x, d1), [1, 0])):
+        assert v.fails and v.checked == "dims<=2"
+        assert v.witness == {"dim": 2, "counts": counts}
+
+
+@st.composite
+def _read_together(draw):
+    """Two sets to compare: glued quotients or corpus nerves at bounds
+    1-3, either of them perhaps cut by `rebound`, often the same one."""
+
+    def base():
+        if draw(st.booleans()):
+            return glued_simplices(draw(st.integers(0, 2)),
+                                   draw(st.sets(st.integers(0, 5), max_size=4))).space
+        return nerve(draw(st.sampled_from(category_corpus()))[1], bound=draw(st.integers(1, 3)))
+
+    def cut(x):
+        return x.rebound(draw(st.integers(0, x.dim_bound))) if draw(st.booleans()) else x
+
+    x = base()
+    return cut(x), cut(x if draw(st.booleans()) else base())
+
+
+@given(_read_together())
+@example((standard_simplex(2), standard_simplex(2).rebound(1)))
+@settings(max_examples=60, deadline=None)
+def test_an_iso_check_witness_is_an_iso(pair):
+    # iso_check and SimpMap.is_iso compare on the same joint bound
+    v = iso_check(*pair)
+    assert not v.holds or v.witness.is_iso()
 
 
 def test_constant_map():
