@@ -32,7 +32,8 @@ def _tuple_name(t):
 
 
 def standard_simplex(n, bound=None) -> FinSimpSet:
-    """Delta[n]: nondegenerate m-cells are the (m+1)-subsets of 0..n."""
+    """Delta[n]: nondegenerate m-cells are the (m+1)-subsets of 0..n.  A
+    bound below n cuts cells off, so the set is then read truncated."""
     bound = n if bound is None else bound
     cells = {}
     for m in range(min(n, bound) + 1):
@@ -44,7 +45,7 @@ def standard_simplex(n, bound=None) -> FinSimpSet:
                 for i in range(m + 1)
             ) if m else ()
             cells[m][name] = faces
-    return FinSimpSet(bound, cells)
+    return FinSimpSet(bound, cells, complete=bound >= n)
 
 
 def standard_point(bound=0) -> FinSimpSet:
@@ -63,7 +64,7 @@ def boundary(n, bound=None) -> FinSimpSet:
     cells = {m: {c: full.faces_of(m, c) for c in full.cell_ids(m)} for m in range(bound + 1)}
     if n <= bound:
         del cells[n][_tuple_name(tuple(range(n + 1)))]
-    return FinSimpSet(bound, cells)
+    return FinSimpSet(bound, cells, complete=bound >= n - 1)
 
 
 def horn(n, k, bound=None) -> FinSimpSet:
@@ -76,7 +77,7 @@ def horn(n, k, bound=None) -> FinSimpSet:
     missing = _tuple_name(tuple(v for v in range(n + 1) if v != k))
     if n - 1 <= bound:
         del cells[n - 1][missing]
-    return FinSimpSet(bound, cells)
+    return FinSimpSet(bound, cells, complete=bound >= n - 1)
 
 
 def sphere_zero(bound=1) -> FinSimpSet:

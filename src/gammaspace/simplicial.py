@@ -11,9 +11,9 @@ never needs cells beyond the bound.
 All values are immutable after construction; operations are pure.  Each
 FinSimpSet keeps its cell ids per dimension and its top dimension from
 construction.  The caches below (the word-arithmetic memos, and each
-FinSimpSet's face index and `act` memo) only ever store what a pure
-function returns for its key, so a racing fill writes the same value
-twice.
+FinSimpSet's face index, neighbour table, search order and `act` memo)
+only ever store what a pure function returns for its key, so a racing
+fill writes the same value twice.
 
 Maps are built in two ways.  `cellwise` assigns a given image to every
 nondegenerate source cell, and every map given cell by cell (identities,
@@ -172,6 +172,7 @@ class FinSimpSet:
         self._face_index = {}
         self._act_memo = {}
         self._order_memo = {}
+        self._neighbours = None
         self._tau1 = None  # kept by nerve.tau1
         if pointed is not None and pointed not in self._cells[0]:
             raise ValueError(f"basepoint {pointed!r} is not a vertex")
@@ -218,9 +219,31 @@ class FinSimpSet:
     def constraint_order(self, cap):
         """The backtracking order of the cells of dimension <= cap when
         this set is a map's source (see `_constraint_order`), kept per cap."""
+        return self._search_plan(cap)[0]
+
+    def vertex_links(self, cap):
+        """For each vertex, the (side, neighbour) pairs of the edges in
+        `constraint_order(cap)` that join it to a vertex earlier in that
+        order, the neighbour being the edge's d_side face; kept per cap."""
+        return self._search_plan(cap)[1]
+
+    def _search_plan(self, cap):
         if cap not in self._order_memo:
-            self._order_memo[cap] = tuple(_constraint_order(self, cap))
+            order = tuple(_constraint_order(self, cap))
+            self._order_memo[cap] = (order, _vertex_links(self, order))
         return self._order_memo[cap]
+
+    def neighbours(self):
+        """(side, vertex ref) -> the sorted tuple of vertex refs at the
+        other end of the edges whose d_side face is that vertex: the images
+        a vertex may take when an edge joins it to one mapped there."""
+        if self._neighbours is None:
+            table = {}
+            for d0, d1 in self.face_index(1):
+                table.setdefault((0, d0), set()).add(d1)
+                table.setdefault((1, d1), set()).add(d0)
+            self._neighbours = {k: tuple(sorted(v)) for k, v in table.items()}
+        return self._neighbours
 
     def face_index(self, n):
         """Every n-ref (n >= 1) bucketed by its face tuple, in refs(n)
@@ -790,17 +813,25 @@ def maps(a: FinSimpSet, x: FinSimpSet, budget=None, fixed=None,
     found one at a time.
 
     fixed pre-assigns cells (dim, name) -> ref; constraint(n, name, ref)
-    may veto candidates.  Each candidate drawn costs one unit of budget;
-    raises BudgetExceededError rather than silently truncating.
+    may veto candidates.  A vertex joined by edges to vertices already
+    assigned draws only the vertices joined to all their images (forward
+    checking): any other could not extend to the edge, so the maps and
+    their order are those of drawing every vertex.  Each candidate drawn
+    costs one unit of budget; raises BudgetExceededError rather than
+    silently truncating.
     """
     budget = budget or Budget()
     fixed = fixed or {}
+    cap = map_cap(a, x)
+    links = a.vertex_links(cap)
 
     def candidates(cell, assignment):
         n, name = cell
         want = _face_images(assignment, a, n, name)
         if cell in fixed:
             cand = [fixed[cell]]
+        elif n == 0 and name in links:
+            cand = _joined(x.neighbours(), links[name], assignment)
         elif n == 0:
             cand = x.refs(0)
         else:
@@ -817,8 +848,18 @@ def maps(a: FinSimpSet, x: FinSimpSet, budget=None, fixed=None,
                 continue
             yield ref
 
-    for assignment in backtrack(a.constraint_order(map_cap(a, x)), candidates):
+    for assignment in backtrack(a.constraint_order(cap), candidates):
         yield SimpMap(a, x, assignment)
+
+
+def _joined(near, links, assignment):
+    """The vertices, in refs(0) order, joined as each link requires to the
+    image of its neighbour (see `FinSimpSet.vertex_links`)."""
+    pools = sorted((near[side, assignment[(0, u)]] for side, u in links), key=len)
+    if len(pools) == 1:
+        return pools[0]
+    rest = [set(p) for p in pools[1:]]
+    return [v for v in pools[0] if all(v in p for p in rest)]
 
 
 def hom_set(a: FinSimpSet, x: FinSimpSet, budget=None, fixed=None,
@@ -869,6 +910,22 @@ def _constraint_order(a: FinSimpSet, cap):
                 available.append(dep)
     assert len(order) == len(remaining)
     return order
+
+
+def _vertex_links(a: FinSimpSet, order):
+    """Vertex name -> its (side, neighbour) pairs, one for each edge of
+    `order` whose other end, its d_side face, `order` assigns first."""
+    rank = {cell: i for i, cell in enumerate(order)}
+    links = {}
+    for n, name in order:
+        if n != 1:
+            continue
+        ends = [f.base for f in a.faces_of(1, name)]
+        if ends[0] == ends[1]:
+            continue
+        side = 0 if rank[(0, ends[0])] < rank[(0, ends[1])] else 1
+        links.setdefault(ends[1 - side], {})[(side, ends[side])] = None
+    return {v: tuple(ls) for v, ls in links.items()}
 
 
 def iso_check(x: FinSimpSet, y: FinSimpSet, budget=None) -> Verdict:

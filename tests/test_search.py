@@ -22,16 +22,20 @@ from gammaspace.shapes import (
     standard_simplex,
     unliftable_square,
 )
+from gammaspace.corpus import z2_monoid_space
+from gammaspace.gspace import GammaMappingSpace, gamma_rep
 from gammaspace.simplicial import (
     FinSimpSet,
     SimplexRef,
     SimpMap,
+    _face_images,
     apply_word,
     constant_map,
     disjoint_union,
     hom_set,
     identity_map,
     inclusion_map,
+    map_cap,
     maps,
     product,
 )
@@ -98,6 +102,69 @@ def test_first_map_agrees_with_the_full_list(x, a, pick):
 def _first(found):
     m = next(iter(found), None)
     return None if m is None else m.key()
+
+
+# -- forward-checked vertices against drawing every vertex --------------------
+
+def _unpruned_maps(a, x, budget, fixed=None, constraint=None, require_pointed=False):
+    """The map search that draws every vertex of x for every vertex of a."""
+    fixed = fixed or {}
+
+    def candidates(cell, assignment):
+        n, name = cell
+        want = _face_images(assignment, a, n, name)
+        if cell in fixed:
+            cand = [fixed[cell]]
+        elif n == 0:
+            cand = x.refs(0)
+        else:
+            cand = x.face_index(n).get(want, ())
+        for ref in cand:
+            budget.spend()
+            if n > 0 and cell in fixed:
+                if any(x.face(ref, n, i) != want[i] for i in range(n + 1)):
+                    continue
+            if require_pointed and n == 0 and name == a.pointed:
+                if ref != SimplexRef(x.pointed):
+                    continue
+            if constraint is not None and not constraint(n, name, ref):
+                continue
+            yield ref
+
+    for assignment in backtrack(a.constraint_order(map_cap(a, x)), candidates):
+        yield SimpMap(a, x, assignment)
+
+
+def _pointed_at(x, pick):
+    cells = {n: {c: x.faces_of(n, c) for c in x.cell_ids(n)} for n in range(x.dim_bound + 1)}
+    return FinSimpSet(x.dim_bound, cells, pointed=x.cell_ids(0)[pick % x.cell_count(0)],
+                      complete=x.complete)
+
+
+@given(quotients, st.one_of(sources, quotients), st.integers(0, 11), st.booleans(),
+       st.sampled_from([None, 0, 1]), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_forward_checked_vertices_match_the_unpruned_search(x, a, pick, pointed, fix, veto):
+    if pointed:
+        a, x = _pointed_at(a, pick), _pointed_at(x, pick + 1)
+    kwargs = {"require_pointed": pointed}
+    if fix is not None and a.cell_count(fix):
+        targets = x.refs(fix)
+        kwargs["fixed"] = {(fix, a.cell_ids(fix)[-1]): targets[pick % len(targets)]}
+    if veto:
+        banned = x.cell_ids(0)[(pick + 2) % x.cell_count(0)]
+        kwargs["constraint"] = lambda n, name, ref: n > 0 or ref.base != banned
+    slow, fast = Budget(), Budget()
+    expected = [m.key() for m in _unpruned_maps(a, x, slow, **kwargs)]
+    assert [m.key() for m in maps(a, x, budget=fast, **kwargs)] == expected
+    assert fast.used <= slow.used
+
+
+def test_yoneda_mapping_space_draws_one_vertex_per_component():
+    budget = Budget()
+    ms = GammaMappingSpace(gamma_rep(6), z2_monoid_space(6), dim_cap=1, budget=budget)
+    assert ms.space.cell_count(0) == 64
+    assert budget.used == 256
 
 
 def _old_families(per_slot, links, commutes):

@@ -57,6 +57,17 @@ def test_build_standard_counts():
         build_standard("horn", 2, k=3)
 
 
+def test_a_shape_cut_by_its_bound_is_read_truncated():
+    cut = standard_simplex(2, bound=1)
+    assert cut.complete is False
+    # read coskeletally above dimension 1 it is Delta[2]
+    assert iso_check(cut, standard_simplex(2)).holds
+    assert standard_simplex(2, bound=2).complete and standard_simplex(2, bound=3).complete
+    # the boundary and the horns of Delta[3] have nothing above dimension 2
+    assert boundary(3, bound=1).complete is False and boundary(3, bound=2).complete
+    assert horn(3, 1, bound=1).complete is False and horn(3, 1, bound=2).complete
+
+
 def test_horn_is_simplex_minus_interior_and_face():
     h = horn(2, 1)
     d2 = standard_simplex(2)

@@ -427,8 +427,32 @@ def test_face_index_matches_linear_scan(x):
 def test_memoized_order_matches_its_function(x):
     for cap in range(x.dim_bound + 1):
         order = x.constraint_order(cap)
-        assert x.constraint_order(cap) is order
+        links = x.vertex_links(cap)
+        assert x.constraint_order(cap) is order and x.vertex_links(cap) is links
         assert order == tuple(_constraint_order(x, cap))
+        # a link per earlier end of each non-loop edge, none at cap 0
+        rank = {cell: i for i, cell in enumerate(order)}
+        expected = {}
+        for name in x.cell_ids(1) if cap else ():
+            ends = [f.base for f in x.faces_of(1, name)]
+            for side in (0, 1):
+                near, far = ends[side], ends[1 - side]
+                if rank[(0, near)] < rank[(0, far)]:
+                    expected.setdefault(far, set()).add((side, near))
+        assert {v: set(ls) for v, ls in links.items()} == expected
+        assert all(len(set(ls)) == len(ls) for ls in links.values())
+
+
+@given(quotients)
+@settings(max_examples=25, deadline=None)
+def test_neighbours_match_a_scan_of_the_edges(x):
+    table = x.neighbours()
+    assert x.neighbours() is table
+    for v in x.refs(0):
+        for side in (0, 1):
+            scan = sorted({x.face(e, 1, 1 - side) for e in x.refs(1)
+                           if x.face(e, 1, side) == v})
+            assert table[side, v] == tuple(scan)
 
 
 @given(quotients, st.sampled_from([standard_simplex(1), boundary(2), standard_simplex(2)]))

@@ -5,8 +5,9 @@ import inspect
 import pytest
 
 from gammaspace import suite
+from gammaspace.gammaop import GammaMorphism, gamma_identity
 from gammaspace.gspace import semiadditivity_probe
-from gammaspace.verdicts import INCONCLUSIVE, Verdict
+from gammaspace.verdicts import FAILS, INCONCLUSIVE, Verdict
 
 
 def test_suite_laws_take_no_parameters():
@@ -28,6 +29,20 @@ def test_pushout_product_mono_checks_each_ordered_pair_once(monkeypatch):
     assert v.holds and v.checked == "all 25 ordered mono pairs"
     assert len({f.key() for f, _ in seen}) == 5
     assert len({(f.key(), g.key()) for f, g in seen}) == len(seen) == 25
+
+
+def test_factorization_fails_on_a_planted_wrong_factorization(monkeypatch):
+    real = suite.factor_inert_active
+    planted = GammaMorphism(2, 1, (1, 0))
+
+    def wrong(f):
+        # identity then f: an inert and an active map only when f is active
+        return (gamma_identity(f.src), f) if f == planted else real(f)
+
+    monkeypatch.setattr(suite, "factor_inert_active", wrong)
+    v = suite.check_factorization()
+    assert v.status == FAILS
+    assert v.witness == {"map": repr(planted), "pairs": 1}
 
 
 def _spent(*_args, **_kwargs):
