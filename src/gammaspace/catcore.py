@@ -42,8 +42,13 @@ class FinCat:
         return self.identities.get(self.src(f)) == f
 
     def validate(self):
+        if set(self.identities) != set(self.objects):
+            raise ValueError("expected one identity for each object")
+        for f, ends in self.arrows.items():
+            if not set(ends) <= set(self.objects):
+                raise ValueError(f"arrow {f!r} meets a missing object")
         for obj, e in self.identities.items():
-            if self.arrows[e] != (obj, obj):
+            if self.arrows.get(e) != (obj, obj):
                 raise ValueError(f"identity of {obj!r} has wrong endpoints")
         for g, (gs, gd) in self.arrows.items():
             for f, (fs, fd) in self.arrows.items():

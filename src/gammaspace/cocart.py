@@ -27,6 +27,7 @@ from .simplicial import (
     _subset_of,
     apply_word,
     cellwise,
+    commutes,
     delta_tuple,
     from_elements,
     hom_set,
@@ -122,9 +123,8 @@ class RelativeNerveInput:
             for f in self.base.arrow_ids():
                 if self.base.dst(f) != self.base.src(g):
                     continue
-                lhs = self.arrows[self.base.compose(g, f)]
-                rhs = self.arrows[f].then(self.arrows[g])
-                if lhs != rhs:
+                if not commutes([self.arrows[self.base.compose(g, f)]],
+                                [self.arrows[f], self.arrows[g]]):
                     raise ValueError(f"diagram breaks composition at {g!r} o {f!r}")
         return self
 
@@ -496,9 +496,8 @@ def cotensor_over_base(x: OverObject, a: FinSimpSet, dim_cap=None, budget=None):
         ms = hom_set(prod, x.marked.underlying, budget=budget)
         betas = hom_set(simplex, base_nerve, budget=budget) if ms else []
         for m in ms:
-            shadow = m.then(x.proj)
             for beta in betas:
-                if p1.then(beta) == shadow:
+                if commutes([p1, beta], [m, x.proj]):
                     yield m, beta
 
     cap = x.marked.underlying.dim_bound if dim_cap is None else dim_cap

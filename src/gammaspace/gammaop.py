@@ -49,7 +49,8 @@ class GammaMorphism(namedtuple("GammaMorphism", "src dst table")):
 
     def then(self, other: "GammaMorphism") -> "GammaMorphism":
         assert self.dst == other.src
-        return GammaMorphism(self.src, other.dst, tuple(other(v) for v in self.table))
+        image = (0,) + other.table
+        return GammaMorphism(self.src, other.dst, tuple(map(image.__getitem__, self.table)))
 
     def key(self):
         return (self.src, self.dst, self.table)

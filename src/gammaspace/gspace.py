@@ -34,6 +34,7 @@ from .simplicial import (
     SimpMap,
     apply_word,
     cellwise,
+    commutes,
     constant_map,
     discrete_set,
     hom_set,
@@ -118,9 +119,7 @@ class TabulatedGammaSpace:
             for g in gens:
                 if g.src != f.dst:
                     continue
-                lhs = self.action(f.then(g))
-                rhs = self.action(f).then(self.action(g))
-                if lhs != rhs:
+                if not commutes([self.action(f.then(g))], [self.action(f), self.action(g)]):
                     raise ValueError(f"action not functorial on {f}, {g}")
         return self
 
@@ -432,7 +431,7 @@ class GammaMappingSpace(MapComplex):
             arrows = [(a.src, a.dst, y.action(a.gamma), mc.carry(a.simp, a.src, a.dst, d))
                       for a in p.arrows]
             return _families(per_cell, arrows, lambda ms, md, act, carry:
-                             ms == carry.then(md).then(act))
+                             commutes([ms], [carry, md, act]))
 
         super().__init__(dim_cap, [c.shape for c in p.cells], families, simplex_last=True)
 
@@ -450,9 +449,9 @@ def _postcompose(src: GammaMappingSpace, dst: GammaMappingSpace, posts) -> SimpM
         for c, m, post in zip(carries[d], src.element_of(name), posts)))
 
 
-def _families(per_slot, links, commutes):
+def _families(per_slot, links, agree):
     """The families, one map per slot drawn from per_slot, with
-    commutes(family[src], family[dst], act, carry) for each link (src, dst,
+    agree(family[src], family[dst], act, carry) for each link (src, dst,
     act, carry).  A link is checked as soon as both its slots are chosen;
     families come in lexicographic order of the slots."""
     due = [[] for _ in per_slot]
@@ -462,7 +461,7 @@ def _families(per_slot, links, commutes):
     def candidates(k, chosen):
         for m in per_slot[k]:
             pick = {**chosen, k: m}
-            if all(commutes(pick[src], pick[dst], act, carry)
+            if all(agree(pick[src], pick[dst], act, carry)
                    for src, dst, act, carry in due[k]):
                 yield m
 
@@ -595,8 +594,8 @@ class GammaSpaceMap:
         None; for functorial source and target, None means natural for
         every based map between levels <= cap (see `elementary_maps`)."""
         for f in elementary_maps(self._cap(level_cap)):
-            if (self.levels[f.src].then(self.target.action(f))
-                    != self.source.action(f).then(self.levels[f.dst])):
+            if not commutes([self.levels[f.src], self.target.action(f)],
+                            [self.source.action(f), self.levels[f.dst]]):
                 return f
         return None
 
@@ -953,7 +952,7 @@ def mapping_space_tabulated(x: TabulatedGammaSpace, y: TabulatedGammaSpace,
         squares = [(f.src, f.dst, y.action(f), mc.carry(x.action(f), f.src, f.dst, d))
                    for f in morphisms]
         return _families([maps_at(mc, n, d) for n in range(level_cap + 1)], squares,
-                         lambda ms, md, act, carry: carry.then(md) == ms.then(act))
+                         lambda ms, md, act, carry: commutes([carry, md], [ms, act]))
 
     mc = MapComplex(dim_cap, [x.value(n) for n in range(level_cap + 1)], families,
                     simplex_last=True)

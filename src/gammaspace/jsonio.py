@@ -91,9 +91,9 @@ def arrow_from_json(data) -> SimpMap:
     """A map together with its ends: {"source": set, "target": set,
     "map": assignment}."""
     _expect(data, dict, "a map with its source and target")
-    source = simpset_from_json(data["source"])
-    target = simpset_from_json(data["target"])
-    return simpmap_from_json(data["map"], source, target)
+    source = simpset_from_json(data.get("source"))
+    target = simpset_from_json(data.get("target"))
+    return simpmap_from_json(data.get("map"), source, target)
 
 
 def marked_to_json(x: MarkedSimpSet) -> dict:
@@ -263,11 +263,11 @@ def relative_input_from_json(data) -> RelativeNerveInput:
     diagram = _expect(data.get("diagram"), dict, "the diagram")
     values = {
         obj: simpset_from_json(v)
-        for obj, v in _expect(diagram.get("values"), dict, "the diagram's values").items()
+        for obj, v in _keyed(diagram.get("values"), base.objects, "the diagram's values").items()
     }
     arrows = {
         f: simpmap_from_json(m, values[base.src(f)], values[base.dst(f)])
-        for f, m in _expect(diagram.get("arrows"), dict, "the diagram's arrows").items()
+        for f, m in _keyed(diagram.get("arrows"), base.arrows, "the diagram's arrows").items()
     }
     levels = data.get("gamma_levels")
     if levels is not None:
@@ -284,8 +284,8 @@ def over_object_to_json(x: OverObject) -> dict:
 
 def over_object_from_json(data) -> OverObject:
     marked = marked_from_json(data)
-    base = simpset_from_json(data["base_nerve"])
-    proj = simpmap_from_json(data["proj"], marked.underlying, base)
+    base = simpset_from_json(data.get("base_nerve"))
+    proj = simpmap_from_json(data.get("proj"), marked.underlying, base)
     return OverObject(marked, proj).validate()
 
 
@@ -306,6 +306,14 @@ def _count(data, what):
     """data, unless it is not a non-negative integer."""
     if _expect(data, int, what) < 0:
         raise ValueError(f"expected {what} to be non-negative, got {data}")
+    return data
+
+
+def _keyed(data, keys, what):
+    """data, unless it is not a JSON object with exactly the given keys."""
+    if set(_expect(data, dict, what)) != set(keys):
+        raise ValueError(f"expected {what} to name each of {sorted(keys)} once,"
+                         f" got {sorted(data)}")
     return data
 
 

@@ -20,7 +20,8 @@ nondegenerate source cell, and every map given cell by cell (identities,
 constants, inclusions, pairings, products of maps, coprojections) goes
 through it.  `Colimit.mediating` builds the one map out of a colimit that a
 cocone of legs fixes.  Both assign the dimensions `map_cap` gives, the one
-statement of how far a map into a truncated target is defined.
+statement of how far a map into a truncated target is defined.  Two
+composites are compared by `commutes`, cell by cell, building neither.
 
 Checks run where data enters: `FinSimpSet.validate` is called by the
 loaders and by `from_elements`.  The constructions here (`product`,
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import namedtuple
 
 from .verdicts import (
@@ -437,7 +439,7 @@ class SimpMap:
         )
 
     def __eq__(self, other):
-        return isinstance(other, SimpMap) and self.key() == other.key()
+        return isinstance(other, SimpMap) and self.assignment == other.assignment
 
     def __hash__(self):
         return hash(self.key())
@@ -473,6 +475,32 @@ class SimpMap:
 
     def __repr__(self):
         return f"SimpMap({self.source!r} -> {self.target!r})"
+
+
+def commutes(left, right) -> bool:
+    """Whether two chains of composable maps out of one source compose, by
+    `then`, to equal maps, cell ranges included when their caps differ.
+    Decided cell by cell without building a composite, stopping at the
+    first cell whose images differ."""
+    caps = [math.inf if len(chain) == 1 else min(
+        map_cap(chain[0].source, m.target) for m in chain) for chain in (left, right)]
+    theirs = right[0].assignment
+    shared = 0
+    for cell, ref in left[0].assignment.items():
+        n = cell[0]
+        if n > caps[0]:
+            continue
+        other = theirs.get(cell)
+        if other is None or n > caps[1]:
+            return False
+        for m in left[1:]:
+            ref = m(ref, n)
+        for m in right[1:]:
+            other = m(other, n)
+        if ref != other:
+            return False
+        shared += 1
+    return shared == sum(n <= caps[1] for n, _ in theirs)
 
 
 def joint_bound(sets) -> int:
@@ -657,9 +685,10 @@ class Colimit:
     Computed dimension-wise by set-level quotient with Eilenberg-Zilber
     renormalization of the glued cells.  Only the nondegenerate cells and
     their images under the arrows are enumerated: a degenerate s_w(c) is
-    glued where c is and resolves through c's class.  The classes of cells
-    are those of the quotient of every ref, so the names q{n}_{idx}, in
-    order of least member, do not move.
+    glued where c is and resolves through c's class.  Only the cells an
+    arrow touches enter the union-find.  One walk over the object cells in
+    order meets each class at its least member, names it q{n}_{idx} there,
+    and stores every object cell's normal form in one table per dimension.
     """
 
     def __init__(self, objects, arrows, bound=None, pointed_at=None):
@@ -671,103 +700,64 @@ class Colimit:
         self._compute(pointed_at)
 
     def _compute(self, pointed_at):
-        b = self.bound
-        parent = {}
+        # self._nf[n][(i, name)]: the normal form of object i's n-cell name
+        self._nf = []
+        cells = {}
+        for n in range(self.bound + 1):
+            parent = {}
 
-        def find(k):
-            while parent[k] != k:
-                parent[k] = parent[parent[k]]
-                k = parent[k]
-            return k
+            def find(k):
+                while parent.setdefault(k, k) != k:
+                    parent[k] = parent[parent[k]]
+                    k = parent[k]
+                return k
 
-        def union(a, bb):
-            ra, rb = find(a), find(bb)
-            if ra != rb:
-                if rb < ra:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-
-        tagged = [[] for _ in range(b + 1)]
-        for n in range(b + 1):
-            for i, obj in enumerate(self.objects):
-                for name in obj.cell_ids(n):
-                    k = (i, name, ())
-                    parent[k] = k
-                    tagged[n].append(k)
             for (si, di, m) in self.arrows:
                 for name in self.objects[si].cell_ids(n):
                     img = m(SimplexRef(name), n)
-                    k = (di, img.base, img.degs)
-                    if k not in parent:
-                        parent[k] = k
-                        tagged[n].append(k)
-                    union((si, name, ()), k)
-
-        # classes per dimension, canonically ordered by minimal member
-        self._nf = {}
-        cells = {}
-        for n in range(b + 1):
-            classes = {}
-            for k in tagged[n]:
-                classes.setdefault(find(k), []).append(k)
-            ordered = sorted(classes.values(), key=min)
-            cells[n] = {}
-            fresh_idx = 0
-            for members in ordered:
-                members.sort()
-                root = find(members[0])
-                deg_members = [m for m in members if m[2]]
-                if deg_members:
-                    # class contains a degenerate simplex: its normal form is
-                    # a word over a lower-dimensional class
-                    nfs = set()
-                    for (i, base, word) in deg_members:
-                        below = self._resolve(n - len(word), (i, base, ()), find)
-                        nfs.add(apply_word(below, word, n - len(word)))
-                    if len(nfs) != 1:
+                    ra, rb = find((si, name, ())), find((di, img.base, img.degs))
+                    if ra != rb:
+                        parent[max(ra, rb)] = min(ra, rb)
+            # a class holding a degenerate simplex is a word over a class
+            # one dimension down or more
+            known = {}
+            for k in parent:
+                i, base, word = k
+                if word:
+                    ref = self.ref_in(i, SimplexRef(base, word), n)
+                    if known.setdefault(find(k), ref) != ref:
                         raise AssertionError("inconsistent quotient normal forms")
-                    self._nf[(n, root)] = nfs.pop()
-                else:
-                    name = f"q{n}_{fresh_idx}"
-                    fresh_idx += 1
-                    self._nf[(n, root)] = SimplexRef(name, ())
-                    i, base, _ = members[0]
-                    faces = ()
-                    if n > 0:
-                        faces = tuple(
-                            self._resolve(n - 1, (i, fr.base, fr.degs), find)
-                            for fr in self.objects[i].faces_of(n, base)
-                        )
-                        for (i2, base2, _w) in members[1:]:
-                            alt = tuple(
-                                self._resolve(n - 1, (i2, fr.base, fr.degs), find)
-                                for fr in self.objects[i2].faces_of(n, base2)
-                            )
-                            if alt != faces:
-                                raise AssertionError("quotient faces disagree")
-                    cells[n][name] = faces
-
-        self._find = find
+            table, cells[n] = {}, {}
+            for i, obj in enumerate(self.objects):
+                for name in obj.cell_ids(n):
+                    k = (i, name, ())
+                    root = find(k) if k in parent else None
+                    ref = known.get(root)
+                    if ref is None or not ref.degs:
+                        faces = tuple(self.ref_in(i, fr, n - 1)
+                                      for fr in obj.faces_of(n, name)) if n else ()
+                        if ref is None:
+                            ref = SimplexRef(f"q{n}_{len(cells[n])}")
+                            cells[n][ref.base] = faces
+                            if root is not None:
+                                known[root] = ref
+                        elif cells[n][ref.base] != faces:
+                            raise AssertionError("quotient faces disagree")
+                    table[(i, name)] = ref
+            self._nf.append(table)
         pointed = None
         if pointed_at is not None:
-            i, vertex = pointed_at
-            pointed = self._resolve(0, (i, vertex, ()), find).base
+            pointed = self._nf[0][pointed_at].base
         self.space = FinSimpSet(self.bound, cells, pointed=pointed,
                                 complete=self.complete)
 
-    def _resolve(self, n, key, find):
-        i, base, word = key
-        if word:
-            below = self._resolve(n - len(word), (i, base, ()), find)
-            return apply_word(below, word, n - len(word))
-        return self._nf[(n, find((i, base, ())))]
-
     def ref_in(self, obj_index, ref: SimplexRef, ref_dim: int) -> SimplexRef:
-        return self._resolve(ref_dim, (obj_index, ref.base, ref.degs), self._find)
+        base_dim = ref_dim - len(ref.degs)
+        return apply_word(self._nf[base_dim][(obj_index, ref.base)], ref.degs, base_dim)
 
     def coprojection(self, obj_index) -> SimpMap:
         return cellwise(self.objects[obj_index], self.space,
-                        lambda n, name: self.ref_in(obj_index, SimplexRef(name), n))
+                        lambda n, name: self._nf[n][(obj_index, name)])
 
     def mediating(self, leg, target: FinSimpSet) -> SimpMap:
         """The map out of the colimit whose composite with the coprojection
@@ -778,14 +768,11 @@ class Colimit:
         has the same image, and the cell takes that of the first one met,
         walking the objects in order.  The legs are not checked here; the
         tests check every cocone they build."""
-        cap = map_cap(self.space, target)
         assignment = {}
-        for k, obj in enumerate(self.objects):
-            for n in range(cap + 1):
-                for name in obj.cell_ids(n):
-                    ref = self.ref_in(k, SimplexRef(name), n)
-                    if not ref.degs and (n, ref.base) not in assignment:
-                        assignment[(n, ref.base)] = leg(k, SimplexRef(name), n)
+        for n in range(map_cap(self.space, target) + 1):
+            for (k, name), ref in self._nf[n].items():
+                if not ref.degs and (n, ref.base) not in assignment:
+                    assignment[(n, ref.base)] = leg(k, SimplexRef(name), n)
         return SimpMap(self.space, target, assignment)
 
 

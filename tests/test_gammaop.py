@@ -32,6 +32,16 @@ def morphisms(max_level=3):
     ).map(lambda t: GammaMorphism(t[0], t[1], tuple(t[2])))
 
 
+def test_then_indexes_like_the_per_entry_composite():
+    # every composable pair up to level 4, against the composite that
+    # calls the second map once per entry of the first
+    for n, m, k in itertools.product(range(5), repeat=3):
+        after = enumerate_homs(m, k)
+        for f in enumerate_homs(n, m):
+            assert ([f.then(g) for g in after]
+                    == [GammaMorphism(n, k, tuple(map(g, f.table))) for g in after])
+
+
 def test_spec_factorization_examples():
     f = GammaMorphism(3, 2, (0, 1, 2))
     inert, active, supp = factor_inert_active(f)

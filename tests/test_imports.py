@@ -8,6 +8,7 @@ somewhere in `src/`, `tests/` or `bench/`, `.validate(...)` is called
 only where data enters or where a verdict rests on the check, a based
 map's table is checked by `gammaop.based_map` only where it enters,
 verdicts are combined only by `verdicts.conjoin` and `verdicts.negate`,
+composites of maps are compared only by `simplicial.commutes`,
 and a set's truncation (`.complete`, `top_dim()`) is read only in
 `simplicial`, whose `joint_bound` and `map_cap` state the ranges.
 """
@@ -191,6 +192,24 @@ def status_tests(source: str):
     return sites(source, _is_status_test)
 
 
+def _is_composite_comparison(node):
+    """`==` or `!=` with a `.then(...)` call on either side."""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    return any(
+        isinstance(op, (ast.Eq, ast.NotEq)) and any(
+            isinstance(x, ast.Call) and isinstance(x.func, ast.Attribute)
+            and x.func.attr == "then" for x in pair)
+        for op, pair in zip(node.ops, zip(operands, operands[1:])))
+
+
+def composite_comparisons(source: str):
+    """The sites (see `sites`) where a composite built by `then` is
+    compared for equality."""
+    return sites(source, _is_composite_comparison)
+
+
 def _reads_truncation(node):
     """`.complete` read off a value, or `.top_dim` named."""
     return isinstance(node, ast.Attribute) and (
@@ -243,6 +262,15 @@ KEPT_VALIDATE_CALLS = {
 # a refutation; `_is_nerve_like` only picks the tier a Segal check reports.
 KEPT_STATUS_TESTS = {
     ("gspace", "_is_nerve_like"): 1,
+}
+
+
+# The equality tests of a composite built by `.then(...)`, by (module,
+# function).  Composites of simplicial maps are compared by
+# `simplicial.commutes`, cell by cell and with no composite built;
+# `cmd_factorize` compares based maps.
+KEPT_COMPOSITE_COMPARISONS = {
+    ("cli", "cmd_factorize"): 1,
 }
 
 
@@ -385,6 +413,27 @@ def test_verdicts_are_combined_only_in_verdicts():
     found = Counter((p.stem, name) for p in MODULES if p.stem != "verdicts"
                     for name in status_tests(p.read_text()))
     assert found == Counter(KEPT_STATUS_TESTS)
+
+
+def test_composite_comparison_check_catches_what_it_names():
+    source = (
+        "ok = f.then(g) == h\n"
+        "def law(a, b, c):\n"
+        "    same = a.then(b)\n"
+        "    return same == c, c != a.then(b), a.then(b) is c, a < b.then(c)\n"
+        "class Square:\n"
+        "    def agree(self, p, q):\n"
+        "        return p == q, then(p) == q, p.then == q, x == p.then(q).key()\n"
+        "    def chained(self, p, q):\n"
+        "        return p < q == q.then(p)\n"
+    )
+    assert composite_comparisons(source) == ["<module>", "Square.chained", "law"]
+
+
+def test_composites_are_compared_only_by_commutes():
+    found = Counter((p.stem, name) for p in MODULES
+                    for name in composite_comparisons(p.read_text()))
+    assert found == Counter(KEPT_COMPOSITE_COMPARISONS)
 
 
 def test_truncation_read_check_catches_what_it_names():

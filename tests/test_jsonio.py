@@ -1,18 +1,21 @@
 """Round-trip exactness of the wire formats and generator completion."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammaspace import jsonio
-from gammaspace.catcore import poset_category, walking_iso_category
-from gammaspace.corpus import presented_corpus, z2_monoid_space
+from gammaspace.catcore import poset_category, terminal_category, walking_iso_category
+from gammaspace.cocart import OverObject
+from gammaspace.corpus import glued_presentation, presented_corpus, z2_monoid_space
 from gammaspace.gammaop import GammaMorphism, enumerate_homs
 from gammaspace.marked import mark
 from gammaspace.nerve import nerve
 from gammaspace.shapes import boundary, sphere_zero, standard_simplex
 from gammaspace.gspace import all_morphisms_upto, gamma_rep
-from gammaspace.simplicial import identity_map, iso_check
+from gammaspace.simplicial import constant_map, identity_map, iso_check
 
 
 def test_simpset_round_trip_bit_exact():
@@ -219,3 +222,124 @@ def test_tabulated_loader_refuses_action_outside_the_levels():
     del blob["values"]["1"]
     with pytest.raises(ValueError, match="level 1 of an action map lies outside 0..0"):
         jsonio.tabulated_from_json(blob)
+
+
+# -- malformed documents, by mutation of valid ones ---------------------------
+
+
+def _valid_documents():
+    """(loader name, loader, a valid document it reads) for every
+    `*_from_json` loader."""
+    d1, pt = standard_simplex(1), standard_simplex(0)
+    collapse = constant_map(d1, pt, "0")
+    npt = nerve(terminal_category(), bound=1)
+    d1_cut = d1.rebound(1)
+    over = OverObject(mark(d1_cut, "flat"), constant_map(d1_cut, npt, "o*"))
+    base = poset_category(1)
+    relative = {
+        "base": jsonio.category_to_json(base),
+        "diagram": {
+            "values": {o: jsonio.simpset_to_json(d1) for o in base.objects},
+            "arrows": {f: jsonio.simpmap_to_json(identity_map(d1)) for f in base.arrows},
+        },
+        "gamma_levels": 1,
+    }
+    return [
+        ("ref", jsonio.ref_from_json, {"base": "a", "deg": [1, 0]}),
+        ("simpset", jsonio.simpset_from_json, jsonio.simpset_to_json(sphere_zero())),
+        ("simpset-truncated", jsonio.simpset_from_json,
+         jsonio.simpset_to_json(nerve(walking_iso_category(), bound=2))),
+        ("simpmap", lambda data: jsonio.simpmap_from_json(data, d1, pt),
+         jsonio.simpmap_to_json(collapse)),
+        ("arrow", jsonio.arrow_from_json, {
+            "source": jsonio.simpset_to_json(d1), "target": jsonio.simpset_to_json(pt),
+            "map": jsonio.simpmap_to_json(collapse)}),
+        ("marked", jsonio.marked_from_json, jsonio.marked_to_json(mark(d1, "sharp"))),
+        ("category", jsonio.category_from_json,
+         jsonio.category_to_json(walking_iso_category())),
+        ("gamma-morphism", jsonio.gamma_morphism_from_json,
+         jsonio.gamma_morphism_to_json(GammaMorphism(2, 1, (1, 0)))),
+        ("tabulated", jsonio.tabulated_from_json, jsonio.tabulated_to_json(z2_monoid_space(1))),
+        ("presented", jsonio.presented_from_json, jsonio.presented_to_json(glued_presentation())),
+        ("relative-input", jsonio.relative_input_from_json, relative),
+        ("over-object", jsonio.over_object_from_json, jsonio.over_object_to_json(over)),
+    ]
+
+
+VALID_DOCUMENTS = _valid_documents()
+
+
+def _positions(doc, path=()):
+    """Every nested position of a JSON value, as a key path, the root first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _positions(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+_DROP = object()
+
+
+def _replacements(doc, path):
+    """What may take the place of the value at path: nothing (the key is
+    dropped) where it sits in an object, a value of each other JSON type,
+    the value nested one level too deep, and a negative number."""
+    old = _at(doc, path)
+    drop = [_DROP] if path and isinstance(_at(doc, path[:-1]), dict) else []
+    return drop + [v for v in (5, "x", [5], {"x": 5}, None, True) if type(v) is not type(old)] + [
+        [old], -1 - old if type(old) is int else -1]
+
+
+def _mutated(doc, path, new):
+    """doc with the value at path replaced by new, or dropped for _DROP."""
+    if not path:
+        return new
+    doc = copy.deepcopy(doc)
+    parent = _at(doc, path[:-1])
+    if new is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return doc
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_loaders_refuse_mutated_documents_with_value_error(data):
+    _, load, doc = data.draw(st.sampled_from(VALID_DOCUMENTS), label="loader")
+    path = data.draw(st.sampled_from(list(_positions(doc))), label="path")
+    new = data.draw(st.sampled_from(_replacements(doc, path)), label="new value")
+    # a refusal is a ValueError (exit 3 at the command line); a TypeError,
+    # KeyError or AttributeError from inside fails the test
+    try:
+        load(_mutated(doc, path, new))
+    except ValueError:
+        pass
+
+
+# mutations the test above found, each of which raised a KeyError
+MUTATED_MALFORMED = {
+    "arrow-without-source": ("arrow", ("source",)),
+    "arrow-without-target": ("arrow", ("target",)),
+    "arrow-without-map": ("arrow", ("map",)),
+    "category-object-without-identity": ("category", ("identities", "0")),
+    "relative-input-object-without-value": ("relative-input", ("diagram", "values", "0")),
+    "relative-input-arrow-without-map": ("relative-input", ("diagram", "arrows", "le01")),
+    "over-object-without-proj": ("over-object", ("proj",)),
+    "over-object-without-base-nerve": ("over-object", ("base_nerve",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MUTATED_MALFORMED))
+def test_loaders_refuse_a_dropped_key_with_value_error(case):
+    name, path = MUTATED_MALFORMED[case]
+    load, doc = next((load, doc) for n, load, doc in VALID_DOCUMENTS if n == name)
+    with pytest.raises(ValueError, match="expected"):
+        load(_mutated(doc, path, _DROP))

@@ -1,6 +1,7 @@
 """Core machinery: normal forms, the simplicial action, products, colimits,
 map enumeration.  Oracles: monotone-map models of the standard simplices."""
 
+import functools
 import itertools
 import re
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gammaspace import simplicial
-from gammaspace.corpus import category_corpus
+from gammaspace.corpus import category_corpus, presented_corpus
+from gammaspace.gammaop import GammaMorphism
 from gammaspace.jsonio import canonical_dumps, simpset_to_json
 from gammaspace.nerve import nerve
 from gammaspace.shapes import (
@@ -328,6 +330,57 @@ quotients = st.builds(lambda n, collapse: glued_simplices(n, collapse).space,
                       st.integers(0, 2), st.sets(st.integers(0, 5), max_size=4))
 
 
+# -- composites compared cell by cell, against the composite maps ----------
+
+
+def _composite(chain):
+    return functools.reduce(SimpMap.then, chain)
+
+
+def _chains(data):
+    """Chains of composable maps out of one small standard shape, through a
+    glued quotient or a corpus nerve x, or its cut x.rebound(1), into x or
+    its cut: so the `then` caps of two chains may differ.  A first map into
+    the cut keeps the cells above its cap, as an action map re-wrapped on
+    its ends does."""
+    a = data.draw(st.sampled_from([standard_simplex(1), standard_simplex(2),
+                                   horn(2, 1), boundary(2)]))
+    x = data.draw(st.one_of(quotients, st.sampled_from(
+        [nerve(c, bound=2) for _, c in category_corpus()])))
+    cut = x.rebound(1)
+    fs = [data.draw(st.sampled_from(hom_set(a, x))) for _ in range(2)]
+    chains = []
+    for f, mid in [(f, x) for f in fs] + [(SimpMap(a, cut, f.assignment), cut) for f in fs]:
+        chains.append([f])
+        for y in (x, cut):
+            g = data.draw(st.sampled_from(hom_set(mid, y)))
+            chains += [[f, g], [f, identity_map(mid), g], [f.then(g)]]
+    return chains
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_commutes_decides_composite_equality(data):
+    chains = _chains(data)
+    keys = [_composite(c).key() for c in chains]
+    for left, left_key in zip(chains, keys):
+        for right, right_key in zip(chains, keys):
+            assert simplicial.commutes(left, right) == (left_key == right_key)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_map_equality_is_key_equality(data):
+    maps = [_composite(c) for c in _chains(data)]
+    for m in maps:
+        assert m != m.key()
+        for other in maps:
+            assert (m == other) == (m.key() == other.key())
+
+
+# -- the kernel caches, continued ----------------------------------------------
+
+
 class _Forgetful(dict):
     """An act memo that stores nothing, so every call (and every recursive
     call it makes) is computed afresh."""
@@ -639,7 +692,9 @@ def test_product_does_not_call_from_elements(monkeypatch):
 
 class _AllRefsColimit(Colimit):
     """`Colimit` with the quotient taken over every ref of every object,
-    degenerate ones included, and the checking walk for maps out of it."""
+    degenerate ones included, and the checking walk for maps out of it.
+    It resolves refs through its own union-find and reads nothing that
+    `Colimit` computes."""
 
     def mediating(self, leg, target):
         """Checks that the legs commute with every arrow, then assigns each
@@ -745,8 +800,24 @@ class _AllRefsColimit(Colimit):
         self.space = FinSimpSet(self.bound, cells, pointed=pointed,
                                 complete=self.complete).validate()
 
+    def _resolve(self, n, key, find):
+        i, base, word = key
+        if word:
+            below = self._resolve(n - len(word), (i, base, ()), find)
+            return apply_word(below, word, n - len(word))
+        return self._nf[(n, find((i, base, ())))]
+
+    def ref_in(self, obj_index, ref, ref_dim):
+        return self._resolve(ref_dim, (obj_index, ref.base, ref.degs), self._find)
+
+    def coprojection(self, obj_index):
+        return simplicial.cellwise(self.objects[obj_index], self.space,
+                                   lambda n, name: self.ref_in(obj_index, SimplexRef(name), n))
+
 
 def _assert_same_colimit(objects, arrows, **kwargs):
+    """The colimit and its oracle agree on names, faces, every ref_in, the
+    coprojections and two maps out; returns both."""
     got = Colimit(objects, arrows, **kwargs)
     want = _AllRefsColimit(objects, arrows, **kwargs)
     assert _canonical(got.space) == _canonical(want.space)
@@ -764,6 +835,7 @@ def _assert_same_colimit(objects, arrows, **kwargs):
             return legs[k](ref, n)
 
         assert got.mediating(leg, target).key() == want.mediating(leg, target).key()
+    return got, want
 
 
 def _simplex_maps(a, b):
@@ -808,6 +880,23 @@ def test_bounded_pointed_colimit_matches_oracle(n, collapse, bound, data):
     i = data.draw(st.integers(0, len(col.objects) - 1))
     vertex = data.draw(st.sampled_from(col.objects[i].cell_ids(0)))
     _assert_same_colimit(col.objects, col.arrows, bound=bound, pointed_at=(i, vertex))
+
+
+@pytest.mark.parametrize("name, p", presented_corpus(), ids=[n for n, _ in presented_corpus()])
+def test_presented_levels_match_all_refs_oracle(name, p):
+    # each level of a presented space, up to 4, is a Colimit with one object
+    # per slot; the action map to the level below is one more map out of it
+    for n in range(5):
+        col, slots, _ = p.level_data(n)
+        got, want = _assert_same_colimit(col.objects, col.arrows)
+        if n:
+            g = GammaMorphism(n, n - 1, tuple(range(1, n)) + (0,))
+
+            def leg(k, ref, d):
+                return p.component_ref(slots[k][0], slots[k][1].then(g), ref, d, n - 1)
+
+            target = p.evaluate(n - 1)
+            assert got.mediating(leg, target).key() == want.mediating(leg, target).key()
 
 
 def _pushout_product_diagram():
