@@ -2,7 +2,7 @@
 suite, and print one machine-readable report.
 
 Exit codes: 0 all checks pass, 1 a check fails (witness included),
-2 a search ran out of budget, 3 malformed input.
+2 a search ran out of budget, 3 malformed input or command line.
 """
 
 from __future__ import annotations
@@ -88,11 +88,8 @@ class Report:
         self.started = time.time()
         self.entries = []
         self.outputs = {}
-        self.bounds = {
-            "dim_bound": args.dim_bound,
-            "level_bound": args.level_bound,
-            "budget": args.budget,
-        }
+        self.bounds = {name: getattr(args, name, None)
+                       for name in ("dim_bound", "level_bound", "budget")}
         self.inputs_digest = _digest(getattr(args, "inputs", []) or [],
                                      inline=[vars(args)])
 
@@ -345,11 +342,19 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line raises ValueError, so `main` reports malformed
+    input (exit 3), not argparse's 2, which means a spent search; --help exits 0."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser():
     """The command-line parser, built once per process.  parse_args reads
     it and never changes it, so every caller may share it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gammaspace",
         description="Finite checks for coherently commutative multiplicative"
                     " structure: based-set calculus, convolution, Segal"
@@ -388,15 +393,18 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    report = Report(args.command, args)
+    report = None
     try:
+        args = build_parser().parse_args(argv)
+        report = Report(args.command, args)
         for flag in ("dim_bound", "level_bound", "budget", "k", "l"):
             if getattr(args, flag, 0) < 0:
                 raise ValueError(f"--{flag.replace('_', '-')} must be >= 0,"
                                  f" got {getattr(args, flag)}")
         COMMANDS[args.command](args, report)
     except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as e:
+        if report is None:  # a malformed command line; the digest is the argv's
+            report = Report(None, argparse.Namespace(argv=sys.argv[1:] if argv is None else argv))
         report.add("input", Verdict(FAILS, "input validation", witness=str(e)))
         report.emit()
         return EXIT_INPUT

@@ -3,6 +3,7 @@ marked overcategory machinery above the nerve of the based-set category."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -11,14 +12,7 @@ from .gammaop import GammaMorphism, based_map, delta_projection, enumerate_homs,
 from .gspace import TabulatedGammaSpace, segal_check
 from .marked import MarkedMappingObject, MarkedSimpSet, edge_sharpens, mark, preserves_marking
 from .nerve import chain_ref, edge_is_invertible, nerve, nerve_functor_map, tau1
-from .shapes import (
-    MapComplex,
-    _commuting_squares,
-    _find_lift,
-    horn,
-    standard_simplex,
-    unfillable_inner_horn,
-)
+from .shapes import MapComplex, _commuting_squares, _horn_fills, unfillable_inner_horn
 from .simplicial import (
     FinSimpSet,
     SimplexRef,
@@ -32,7 +26,6 @@ from .simplicial import (
     from_elements,
     hom_set,
     identity_map,
-    inclusion_map,
     iso_check,
     sigma_tuple,
 )
@@ -66,24 +59,13 @@ def gamma_subcategory(level_cap) -> FinCat:
             f"dense based-set subcategory at levels <= {level_cap} is too"
             " large to materialize; use the functorial diagram interface"
         )
-    objects = [str(n) for n in range(level_cap + 1)]
-    arrows = {}
-    identities = {}
-    for n in range(level_cap + 1):
-        for m in range(level_cap + 1):
-            for f in enumerate_homs(n, m):
-                arrows[_gamma_arrow_name(f)] = (str(n), str(m))
-        identities[str(n)] = _gamma_arrow_name(gamma_identity(n))
-    compose = {}
-    for n in range(level_cap + 1):
-        for m in range(level_cap + 1):
-            for f in enumerate_homs(n, m):
-                for p in range(level_cap + 1):
-                    for g in enumerate_homs(m, p):
-                        compose[(_gamma_arrow_name(g), _gamma_arrow_name(f))] = (
-                            _gamma_arrow_name(f.then(g))
-                        )
-    return FinCat(objects, arrows, identities, compose)
+    levels = range(level_cap + 1)
+    out_of = {n: [f for m in levels for f in enumerate_homs(n, m)] for n in levels}
+    arrows = {_gamma_arrow_name(f): (str(n), str(f.dst)) for n in levels for f in out_of[n]}
+    identities = {str(n): _gamma_arrow_name(gamma_identity(n)) for n in levels}
+    compose = {(_gamma_arrow_name(g), _gamma_arrow_name(f)): _gamma_arrow_name(f.then(g))
+               for n in levels for f in out_of[n] for g in out_of[f.dst]}
+    return FinCat([str(n) for n in levels], arrows, identities, compose)
 
 
 def _gamma_arrow_name(f: GammaMorphism):
@@ -179,71 +161,51 @@ class RelativeNerve:
                 if base.src(g) == base.dst(ch[-1])
             ]
 
-        def chain_objects(chain, n):
-            if n == 0:
-                return (chain[0],)
-            objs = [base.src(chain[0])]
-            for f in chain:
-                objs.append(base.dst(f))
-            return tuple(objs)
-
-        def chain_arrow(chain, n, i, j):
-            """The composite arrow from position i to position j <= n."""
-            objs = chain_objects(chain, n)
-            acc = base.identities[objs[i]]
-            for t in range(i, j):
-                acc = base.compose(chain[t], acc)
-            return acc
-
-        self._chain_objects = chain_objects
-        self._chain_arrow = chain_arrow
+        # each chain's objects and comps[i][j], its composite from i to j
+        chain_data = {}
+        for n, level in chains.items():
+            for chain in level:
+                objs = chain if n == 0 else (base.src(chain[0]),) + tuple(map(base.dst, chain))
+                comps = [{i: base.identities[o]} for i, o in enumerate(objs)]
+                for i, row in enumerate(comps):
+                    for j in range(i, n):
+                        row[j + 1] = base.compose(chain[j], row[j])
+                chain_data[(n, chain)] = objs, comps
 
         levels = []
         for n in range(dim_cap + 1):
             elems = []
-            subsets = [tuple(s) for size in range(1, n + 2)
-                       for s in itertools.combinations(range(n + 1), size)]
+            subsets = _subsets(n)
             for chain in chains[n]:
-                objs = chain_objects(chain, n)
+                objs, comps = chain_data[(n, chain)]
 
-                def candidates(J, tau, chain=chain, objs=objs):
+                def candidates(J, tau, objs=objs, comps=comps):
                     space = input.values[objs[J[-1]]]
                     dim = len(J) - 1
                     if dim == 0:
                         return space.refs(0)
                     carried = tuple(
-                        input.arrows[chain_arrow(chain, n, I[-1], J[-1])](tau[I], dim - 1)
+                        input.arrows[comps[I[-1]][J[-1]]](tau[I], dim - 1)
                         for I in (J[:t] + J[t + 1:] for t in range(dim + 1)))
                     return space.face_index(dim).get(carried, ())
 
                 for tau in backtrack(subsets, candidates):
-                    elems.append((chain, tuple(sorted(
-                        (J, r.base, r.degs) for J, r in tau.items()
-                    ))))
+                    elems.append((chain, tuple(sorted((J, *r) for J, r in tau.items()))))
             levels.append(sorted(set(elems)))
 
         def transport(n, key, alpha, m):
-            """The element along a monotone operator [m] -> [n]."""
+            """The element along a monotone operator [m] -> [n], by its plan."""
             chain, tau_items = key
-            tau = {J: SimplexRef(b, w) for (J, b, w) in tau_items}
-            objs = chain_objects(chain, n)
+            objs, comps = chain_data[(n, chain)]
             if m == 0:
                 new_chain = (objs[alpha[0]],)
             else:
-                new_chain = tuple(
-                    chain_arrow(chain, n, alpha[t - 1], alpha[t])
-                    for t in range(1, m + 1)
-                )
-            new_tau = {}
-            for size in range(1, m + 2):
-                for J in itertools.combinations(range(m + 1), size):
-                    image = tuple(sorted(set(alpha[j] for j in J)))
-                    beta = tuple(image.index(alpha[j]) for j in J)
-                    top_space = input.values[objs[image[-1]]]
-                    new_tau[J] = top_space.act(tau[image], len(image) - 1, beta)
-            return (new_chain, tuple(sorted(
-                (J, r.base, r.degs) for J, r in new_tau.items()
-            )))
+                new_chain = tuple(comps[alpha[t - 1]][alpha[t]] for t in range(1, m + 1))
+            return new_chain, tuple(
+                (J, *input.values[objs[top]].act(SimplexRef(*tau_items[at][1:]), dim, beta))
+                for J, at, top, dim, beta in _transport_plan(alpha, n))
+
+        self._transport = transport
 
         def face(n, key, i):
             return transport(n, key, delta_tuple(i, n), n - 1)
@@ -257,7 +219,7 @@ class RelativeNerve:
 
         def over(n, name):
             chain = self._key_of[name][1][0]
-            return chain_ref(base, chain[:n], self._chain_objects(chain, n)[0])
+            return chain_ref(base, chain[:n], chain_data[(n, chain)][0][0])
 
         self.proj = cellwise(self.total, self.base_nerve, over)
 
@@ -276,6 +238,26 @@ class RelativeNerve:
     def fiber_comparison(self, obj) -> Verdict:
         """The fiber is the diagram value on the nose."""
         return iso_check(self.fiber(obj), self.input.values[obj])
+
+
+def _subsets(n):
+    """The nonempty subsets of [n], as sorted tuples, by size."""
+    return [s for size in range(1, n + 2) for s in itertools.combinations(range(n + 1), size)]
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _transport_plan(alpha, n):
+    """Transport of relative-nerve keys along a monotone alpha: [m] -> [n].
+    For each nonempty J of [m], sorted as in a key: J, the position in a
+    key of its image alpha(J), the image's last vertex and dimension, and
+    alpha on J as an operator beta onto the image."""
+    position = {image: at for at, image in enumerate(sorted(_subsets(n)))}
+    plan = []
+    for J in sorted(_subsets(len(alpha) - 1)):
+        image = tuple(sorted({alpha[j] for j in J}))
+        plan.append((J, position[image], image[-1], len(image) - 1,
+                     tuple(image.index(alpha[j]) for j in J)))
+    return tuple(plan)
 
 
 def relative_nerve(input: RelativeNerveInput, dim_cap) -> RelativeNerve:
@@ -316,16 +298,19 @@ def cocartesian_edges(total: FinSimpSet, proj: SimpMap, dim_cap, budget=None):
 
 
 def _edge_search(total: FinSimpSet, proj: SimpMap, dim_cap, budget):
-    """(detected edges, fibration verdict) of `cocartesian_edges`; raises on a spent budget."""
+    """(detected edges, fibration verdict) of `cocartesian_edges`; raises on a spent budget.
+    Each square on an edge not yet refuted, and each inner-horn square, is
+    decided by `_horn_fills`: a horn-index lookup, or where the total
+    space is truncated below n a `_find_lift` search."""
     base_nerve = proj.target
     refuted = set()
     for n in range(2, dim_cap + 1):
-        i = inclusion_map(horn(n, 0), standard_simplex(n))
+        i, fills = _horn_fills(n, 0, proj, budget)
         for u, v in _commuting_squares(i, proj, budget):
             e = u.assignment[(1, "01")]
             if e.degs or e.base in refuted:
                 continue
-            if _find_lift(i, proj, u, v, budget) is None:
+            if not fills(u, v):
                 refuted.add(e.base)
     detected = [e for e in total.cell_ids(1) if e not in refuted]
     inner = unfillable_inner_horn(proj, dim_cap, budget)
@@ -348,11 +333,9 @@ def _edge_search(total: FinSimpSet, proj: SimpMap, dim_cap, budget):
 
 def edge_components(rn: RelativeNerve, edge_name):
     """The (base arrow, fiber edge) pair behind an edge of a relative nerve."""
-    n, key = rn._key_of[edge_name]
-    assert n == 1
-    chain, tau_items = key
-    tau = {J: SimplexRef(b, w) for (J, b, w) in tau_items}
-    return chain[0], tau[(0, 1)]
+    n, (chain, tau_items) = rn._key_of[edge_name]
+    assert n == 1 and tau_items[1][0] == (0, 1)
+    return chain[0], SimplexRef(*tau_items[1][1:])
 
 
 def cocartesian_cross_check(rn: RelativeNerve, dim_cap, budget=None) -> Verdict:

@@ -82,13 +82,6 @@ def delta_projection(k, l, which) -> GammaMorphism:
     return GammaMorphism(k + l, l, (0,) * k + tuple(range(1, l + 1)))
 
 
-def sum_inclusion(k, l, which) -> GammaMorphism:
-    """The inclusions k+ -> (k+l)+ and l+ -> (k+l)+."""
-    if which == "left":
-        return GammaMorphism(k, k + l, tuple(range(1, k + 1)))
-    return GammaMorphism(l, k + l, tuple(range(k + 1, k + l + 1)))
-
-
 @functools.lru_cache(maxsize=HOMS_MEMO_SIZE)
 def enumerate_homs(n, m):
     """All (m+1)^n based maps n+ -> m+, lexicographically ordered."""

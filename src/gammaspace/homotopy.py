@@ -4,7 +4,7 @@ homotopy-mapping-space model J(X^A)."""
 from __future__ import annotations
 
 from .nerve import edge_is_invertible, tau1
-from .shapes import Exponential, standard_simplex
+from .shapes import Exponential
 from .simplicial import (
     FinSimpSet,
     SimplexRef,
@@ -26,8 +26,7 @@ def restricted_exp(x: FinSimpSet, a: FinSimpSet, dim_cap=None, budget=None):
     """The full sub-simplicial set of x^a on the vertices that factor
     through the inclusion of the largest sub Kan complex of x.
 
-    The tower of these over a = Delta[n] gives the path-space levels; the
-    level-0 object is x itself.  Returns (space, exponential)."""
+    Over a = Delta[0] it is x itself.  Returns (space, exponential)."""
     exp = Exponential(x, a, dim_cap=dim_cap, budget=budget)
     cat, edge_to_arrow = tau1(x)
 
@@ -47,13 +46,6 @@ def _edge_in_product(exp: Exponential, n, edge_name):
     pair_ref = exp.frame(0, n)[3]
     vertex_edge = SimplexRef("0", (0,))
     return pair_ref(vertex_edge, SimplexRef(edge_name), 1)
-
-
-def path_space_level(x: FinSimpSet, n, budget=None):
-    """Level n of the path-space tower: the restricted exponential over
-    Delta[n]."""
-    space, _ = restricted_exp(x, standard_simplex(n), budget=budget)
-    return space
 
 
 def h_map_space(a: FinSimpSet, x: FinSimpSet, dim_cap=None, budget=None) -> FinSimpSet:

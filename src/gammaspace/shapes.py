@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .simplicial import (
@@ -16,6 +17,7 @@ from .simplicial import (
     hom_set,
     identity_map,
     inclusion_map,
+    map_cap,
     maps,
     pairing,
     product,
@@ -27,10 +29,15 @@ from .simplicial import (
 from .verdicts import Budget, BudgetExceededError, Verdict, FAILS, HOLDS, INCONCLUSIVE
 
 
+# the standard shapes are built once and shared, with the caches each keeps
+SHAPE_MEMO_SIZE = 256
+
+
 def _tuple_name(t):
     return "".join(str(v) for v in t)
 
 
+@functools.lru_cache(maxsize=SHAPE_MEMO_SIZE)
 def standard_simplex(n, bound=None) -> FinSimpSet:
     """Delta[n]: nondegenerate m-cells are the (m+1)-subsets of 0..n.  A
     bound below n cuts cells off, so the set is then read truncated."""
@@ -56,28 +63,29 @@ def pointed_point(bound=0) -> FinSimpSet:
     return FinSimpSet(bound, {0: {"0": ()}}, pointed="0")
 
 
+@functools.lru_cache(maxsize=SHAPE_MEMO_SIZE)
 def boundary(n, bound=None) -> FinSimpSet:
     """The boundary of Delta[n]: drop the top cell.  Stored with bound n so
     the missing filler stays missing under the coskeletal reading."""
-    bound = n if bound is None else bound
-    full = standard_simplex(n, bound=bound)
-    cells = {m: {c: full.faces_of(m, c) for c in full.cell_ids(m)} for m in range(bound + 1)}
-    if n <= bound:
-        del cells[n][_tuple_name(tuple(range(n + 1)))]
-    return FinSimpSet(bound, cells, complete=bound >= n - 1)
+    return _simplex_without(n, bound, [tuple(range(n + 1))])
 
 
+@functools.lru_cache(maxsize=SHAPE_MEMO_SIZE)
 def horn(n, k, bound=None) -> FinSimpSet:
     """Lambda^k[n]: the boundary minus the k-th face."""
     if not (0 <= k <= n and n >= 1):
         raise ValueError(f"horn index k={k} out of range for n={n}")
+    return _simplex_without(n, bound, [tuple(range(n + 1)), delta_tuple(k, n)])
+
+
+def _simplex_without(n, bound, dropped):
+    """Delta[n] at the bound (n by default) without the cells on the vertex
+    tuples dropped, which leaves nothing above dimension n - 1."""
     bound = n if bound is None else bound
-    part = boundary(n, bound=bound)
-    cells = {m: {c: part.faces_of(m, c) for c in part.cell_ids(m)} for m in range(bound + 1)}
-    missing = _tuple_name(tuple(v for v in range(n + 1) if v != k))
-    if n - 1 <= bound:
-        del cells[n - 1][missing]
-    return FinSimpSet(bound, cells, complete=bound >= n - 1)
+    full, drop = standard_simplex(n, bound=bound), {(len(v) - 1, _tuple_name(v)) for v in dropped}
+    return FinSimpSet(bound, {m: {c: full.faces_of(m, c) for c in full.cell_ids(m)
+                                  if (m, c) not in drop} for m in range(bound + 1)},
+                      complete=bound >= n - 1)
 
 
 def sphere_zero(bound=1) -> FinSimpSet:
@@ -118,24 +126,6 @@ def interval_groupoid_nerve(bound=2) -> FinSimpSet:
             faces = tuple(ref_for(verts[:i] + verts[i + 1 :]) for i in range(m + 1))
             cells[m]["j" + _tuple_name(verts)] = faces
     return FinSimpSet(bound, cells, complete=False)
-
-
-def build_standard(kind, n=0, bound=None, k=None) -> FinSimpSet:
-    """Named complexes: simplex, boundary, horn(k), point, the nerve of the
-    free isomorphism, and S^0."""
-    if kind == "simplex":
-        return standard_simplex(n, bound=bound)
-    if kind == "boundary":
-        return boundary(n, bound=bound)
-    if kind == "horn":
-        return horn(n, k, bound=bound)
-    if kind == "point":
-        return standard_point(bound=bound or 0)
-    if kind == "interval_groupoid_nerve":
-        return interval_groupoid_nerve(bound=bound or 2)
-    if kind == "s0":
-        return sphere_zero(bound=bound or 1)
-    raise ValueError(f"unknown standard complex {kind!r}")
 
 
 def simplex_inclusion(sub: FinSimpSet, n, bound=None) -> SimpMap:
@@ -326,8 +316,10 @@ def _commuting_squares(i: SimpMap, p: SimpMap, budget):
 def _find_lift(i: SimpMap, p: SimpMap, u: SimpMap, v: SimpMap, budget):
     """A diagonal h: B -> X with h o i = u and p o h = v, or None.
 
-    Every cell of A that the search reaches through i is checked, also one
-    that i sends to a degenerate simplex.  X is read as `maps` reads it.
+    One `maps` backtrack per square, run by `has_rlp` for any i and by
+    `_horn_fills` where X is truncated below the horn.  Every cell of A
+    that the search reaches through i is checked, also one that i sends to
+    a degenerate simplex.  X is read as `maps` reads it.
     """
     fixed, through = {}, {}
     for (n, name), ref in i.assignment.items():
@@ -348,6 +340,33 @@ def _find_lift(i: SimpMap, p: SimpMap, u: SimpMap, v: SimpMap, budget):
                 None)
 
 
+def _horn_fills(n, k, p: SimpMap, budget):
+    """(i, fills): the inclusion i of Lambda^k[n] in Delta[n], and whether a
+    square (u, v) of i against p: X -> Y has a filler.  Where maps
+    Delta[n] -> X reach dimension n (`map_cap`), a map is its top simplex
+    sigma, whose faces fix every lower cell: a filler is a sigma in the
+    bucket of u's faces in X.horn_index(n, k) with p(sigma) = v(iota_n),
+    one unit of budget each.  X truncated below n is read coskeletally,
+    so there `_find_lift` searches."""
+    full = standard_simplex(n)
+    i = inclusion_map(horn(n, k), full)
+    if n > map_cap(full, p.source):
+        return i, lambda u, v: _find_lift(i, p, u, v, budget) is not None
+    top = SimplexRef(full.cell_ids(n)[0])
+    sides = [(n - 1, f.base) for j, f in enumerate(full.faces_of(n, top.base)) if j != k]
+    index = p.source.horn_index(n, k)
+
+    def fills(u, v):
+        want = v(top, n)
+        for sigma in index.get(tuple(u.assignment[c] for c in sides), ()):
+            budget.spend()
+            if p(sigma, n) == want:
+                return True
+        return False
+
+    return i, fills
+
+
 def unliftable_square(i: SimpMap, p: SimpMap, budget):
     """(squares, square): the commuting squares of i against p and the
     first of them with no diagonal filler, or None."""
@@ -358,13 +377,15 @@ def unliftable_square(i: SimpMap, p: SimpMap, budget):
 
 def unfillable_inner_horn(p: SimpMap, d, budget):
     """The first (n, k, u), 0 < k < n <= d, where the inner horn
-    u: Lambda^k[n] -> X has a square against p with no filler; or None."""
+    u: Lambda^k[n] -> X has a square against p with no filler; or None.
+    `_horn_fills` looks each square up, or searches it where X is
+    truncated below n and so read coskeletally."""
     for n in range(2, d + 1):
-        full = standard_simplex(n)
         for k in range(1, n):
-            _, square = unliftable_square(inclusion_map(horn(n, k), full), p, budget)
-            if square is not None:
-                return n, k, square[0]
+            i, fills = _horn_fills(n, k, p, budget)
+            u = next((u for u, v in _commuting_squares(i, p, budget) if not fills(u, v)), None)
+            if u is not None:
+                return n, k, u
     return None
 
 

@@ -11,7 +11,8 @@ never needs cells beyond the bound.
 All values are immutable after construction; operations are pure.  Each
 FinSimpSet keeps its cell ids per dimension and its top dimension from
 construction.  The caches below (the word-arithmetic memos, and each
-FinSimpSet's face index, neighbour table, search order and `act` memo)
+FinSimpSet's face and horn indexes, neighbour table, search order and
+`act` memo)
 only ever store what a pure function returns for its key, so a racing
 fill writes the same value twice.
 
@@ -106,12 +107,6 @@ def sigma_tuple(i, n):
     return tuple(t if t <= i else t - 1 for t in range(n + 2))
 
 
-def monotone_maps(m, n):
-    """All monotone maps [m] -> [n] (oracle-grade enumeration)."""
-    return [c for c in itertools.product(range(n + 1), repeat=m + 1)
-            if all(c[i] <= c[i + 1] for i in range(m))]
-
-
 # ---------------------------------------------------------------------------
 # refs and cells
 
@@ -172,6 +167,7 @@ class FinSimpSet:
         # caches of pure functions of the (never mutated) cells
         self._ref_cache = {}
         self._face_index = {}
+        self._horn_index = {}
         self._act_memo = {}
         self._order_memo = {}
         self._neighbours = None
@@ -258,6 +254,17 @@ class FinSimpSet:
                 table.setdefault(key, []).append(ref)
             self._face_index[n] = {k: tuple(v) for k, v in table.items()}
         return self._face_index[n]
+
+    def horn_index(self, n, k):
+        """Every n-ref (n >= 1) bucketed by its faces other than the k-th,
+        in refs(n) order: the `face_index(n)` buckets merged over d_k, so
+        the fillers of a horn Lambda^k[n] are one dictionary lookup."""
+        if (n, k) not in self._horn_index:
+            table = {}
+            for faces, refs in self.face_index(n).items():
+                table.setdefault(faces[:k] + faces[k + 1:], []).extend(refs)
+            self._horn_index[(n, k)] = {key: tuple(sorted(v)) for key, v in table.items()}
+        return self._horn_index[(n, k)]
 
     # -- the simplicial action ----------------------------------------------
 
@@ -359,10 +366,6 @@ class FinSimpSet:
     def __repr__(self):
         p = f", pointed={self.pointed!r}" if self.pointed is not None else ""
         return f"FinSimpSet(D={self.dim_bound}, cells={self.summary()}{p})"
-
-
-def empty_set(dim_bound=0) -> FinSimpSet:
-    return FinSimpSet(dim_bound, {})
 
 
 def discrete_set(labels, dim_bound=0, pointed=None) -> FinSimpSet:

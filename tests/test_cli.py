@@ -74,6 +74,33 @@ def test_input_error_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["segal-check", "in.json", "--l", "1"], "required: --k"),
+    (["segal-check", "in.json", "--k", "x", "--l", "1"], "invalid int value: 'x'"),
+    (["segal-check", "in.json", "--k", "1", "--l", "1", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["no-such"], "invalid choice: 'no-such'"),
+], ids=["missing-k", "non-integer-k", "unknown-flag", "unknown-command"])
+def test_a_malformed_command_line_exits_three_with_a_report(argv, message, capsys):
+    # argparse's own exit code, 2, is the code of a spent search
+    code, report = run_cli(capsys, *argv)
+    assert code == 3
+    assert report["command"] is None
+    [verdict] = report["verdicts"]
+    assert (verdict["tag"], verdict["status"]) == ("input", "fails")
+    assert message in verdict["witness"]
+    # the digest is the command line's, so two bad command lines differ
+    _, other = run_cli(capsys, "segal-check", "in.json", "--k", "y", "--l", "1")
+    assert report["inputs_digest"] != other["inputs_digest"]
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit:
+        main(["--help"])
+    assert exit.value.code == 0
+    assert "usage: gammaspace" in capsys.readouterr().out
+
+
 def test_determinism(tmp_path, capsys):
     x = z2_monoid_space(2)
     p = tmp_path / "m.json"
@@ -516,7 +543,7 @@ def test_cached_parser_parses_like_a_fresh_one(before, capsys):
     parser = build_parser()
     assert build_parser() is parser
     if before == ["factorize"]:
-        with pytest.raises(SystemExit):
+        with pytest.raises(ValueError, match="required: --src, --dst"):
             parser.parse_args(before)
     else:
         parser.parse_args(before)

@@ -1,8 +1,11 @@
 """Relative nerves, lifting detection, the fiber theorem, and the marked
 overcategory objects."""
 
+import itertools
+
 import pytest
 
+import test_cocart_golden
 from gammaspace import cocart
 from gammaspace.catcore import (
     CatFunctor,
@@ -37,8 +40,10 @@ from gammaspace.simplicial import (
     SimplexRef,
     SimpMap,
     constant_map,
+    delta_tuple,
     identity_map,
     iso_check,
+    sigma_tuple,
 )
 from gammaspace.verdicts import INCONCLUSIVE, Budget
 
@@ -334,3 +339,68 @@ def test_cross_check_is_inconclusive_when_the_edge_search_runs_out():
     assert "budget of 10 exceeded" in v.witness
     full = cocartesian_cross_check(rn, 2)
     assert full.holds and full.details["cocartesian"] == full.details["edges"] == 8
+
+
+# -- transport along an operator, planned once ---------------------------------
+
+def _transport_by_subsets(rn, n, key, alpha, m):
+    """The transport of a relative-nerve element, derived directly: the
+    chain's objects and composites from the chain, and for every J of [m]
+    its image, beta and simplex, with the new key sorted at the end."""
+    base, values = rn.input.base, rn.input.values
+    chain, tau_items = key
+    tau = {J: SimplexRef(b, w) for J, b, w in tau_items}
+    objs = (chain[0],) if n == 0 else (base.src(chain[0]),) + tuple(base.dst(f) for f in chain)
+
+    def arrow(i, j):
+        acc = base.identities[objs[i]]
+        for t in range(i, j):
+            acc = base.compose(chain[t], acc)
+        return acc
+
+    new_chain = ((objs[alpha[0]],) if m == 0
+                 else tuple(arrow(alpha[t - 1], alpha[t]) for t in range(1, m + 1)))
+    new_tau = {}
+    for size in range(1, m + 2):
+        for J in itertools.combinations(range(m + 1), size):
+            image = tuple(sorted({alpha[j] for j in J}))
+            beta = tuple(image.index(alpha[j]) for j in J)
+            new_tau[J] = values[objs[image[-1]]].act(tau[image], len(image) - 1, beta)
+    return new_chain, tuple(sorted((J, r.base, r.degs) for J, r in new_tau.items()))
+
+
+def _golden_relative_nerves(monkeypatch):
+    """Every relative nerve the cases of `test_cocart_golden.py` build."""
+    built = []
+
+    def recording(inp, dim_cap):
+        built.append(relative_nerve(inp, dim_cap))
+        return built[-1]
+
+    monkeypatch.setattr(test_cocart_golden, "relative_nerve", recording)
+    for case in test_cocart_golden._relative_nerve_cases().values():
+        case()
+    return built
+
+
+def test_planned_transport_gives_the_keys_of_the_direct_derivation(monkeypatch):
+    nerves = _golden_relative_nerves(monkeypatch)
+    assert len(nerves) == 33
+    for rn in nerves:
+        for n, key in rn._key_of.values():
+            ops = [(delta_tuple(i, n), n - 1) for i in range(n + 1) if n > 0]
+            ops += [(sigma_tuple(i, n), n + 1) for i in range(n + 1) if n < rn.cap]
+            for alpha, m in ops:
+                moved = rn._transport(n, key, alpha, m)
+                assert moved == _transport_by_subsets(rn, n, key, alpha, m)
+                # and on from there, through degenerate elements too
+                for i in range(m + 1 if m > 0 else 0):
+                    assert rn._transport(m, moved, delta_tuple(i, m), m - 1) == \
+                        _transport_by_subsets(rn, m, moved, delta_tuple(i, m), m - 1)
+
+
+def test_transport_plans_are_kept_in_a_bounded_memo():
+    assert cocart._transport_plan.cache_info().maxsize is not None
+    # J = (0, 1) of [1] under the face [1] -> [2] that skips 1: its image
+    # (0, 2) is the fourth of (0,), (0, 1), (0, 1, 2), (0, 2), ...
+    assert cocart._transport_plan((0, 2), 2)[1] == ((0, 1), 3, 2, 1, (0, 1))

@@ -18,7 +18,6 @@ from gammaspace.gammaop import (
     smash_element,
     smash_gamma,
     smash_twist,
-    sum_inclusion,
     zero_map,
 )
 
@@ -138,14 +137,14 @@ def test_twist_is_involutive_iso():
 
 
 def test_projection_inclusion_identities():
+    # the summand inclusions k+ -> (k+l)+ and l+ -> (k+l)+, written out
     for k in range(4):
         for l in range(4):
-            assert sum_inclusion(k, l, "left").then(
-                delta_projection(k, l, "left")) == gamma_identity(k)
-            assert sum_inclusion(k, l, "right").then(
-                delta_projection(k, l, "right")) == gamma_identity(l)
-            assert sum_inclusion(k, l, "left").then(
-                delta_projection(k, l, "right")) == zero_map(k, l)
+            left = GammaMorphism(k, k + l, tuple(range(1, k + 1)))
+            right = GammaMorphism(l, k + l, tuple(range(k + 1, k + l + 1)))
+            assert left.then(delta_projection(k, l, "left")) == gamma_identity(k)
+            assert right.then(delta_projection(k, l, "right")) == gamma_identity(l)
+            assert left.then(delta_projection(k, l, "right")) == zero_map(k, l)
 
 
 # -- based maps as values -----------------------------------------------------

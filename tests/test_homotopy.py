@@ -11,7 +11,7 @@ from gammaspace.catcore import (
     walking_iso_category,
 )
 from gammaspace.corpus import category_corpus, iso_with_tail_category
-from gammaspace.homotopy import h_map_space, j_qcat, path_space_level, restricted_exp
+from gammaspace.homotopy import h_map_space, j_qcat, restricted_exp
 from gammaspace.nerve import edge_is_invertible, nerve, nerve_functor_map, tau1, tau1_functor
 from gammaspace.shapes import Exponential, exponential_map, standard_point, standard_simplex
 from gammaspace.simplicial import SimplexRef, hom_set, iso_check
@@ -45,12 +45,12 @@ def test_restricted_exp_level_zero_is_whole():
     nc = nerve(poset_category(2), bound=2)
     space, _ = restricted_exp(nc, standard_point())
     assert iso_check(space, nc).holds
-    assert iso_check(path_space_level(nc, 0), nc).holds
 
 
 def test_path_space_vertices_are_invertible_edges():
+    # level 1 of the path-space tower is the restricted exponential over Delta[1]
     ncx = nerve(iso_with_tail_category(), bound=2)
-    level1 = path_space_level(ncx, 1)
+    level1, _ = restricted_exp(ncx, standard_simplex(1))
     cat, table = tau1(ncx)
     invertible_edges = [r for r in ncx.refs(1)
                         if edge_is_invertible(r, cat, table)]

@@ -1,17 +1,20 @@
 """The backtracking engine, and the fast paths built on it checked against
 the slow searches they replace."""
 
+import functools
 import itertools
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from test_lifting_golden import _cocart_cases, _diagram, _qcat_cases
+from test_shapes import spine_of_two_edges
 from test_simplicial import glued_simplices, quotients
 
 from gammaspace import cocart, shapes
-from gammaspace.catcore import poset_category
-from gammaspace.cocart import cocartesian_edges, cotensor_over_base, nelg
-from gammaspace.corpus import pointed_corpus
+from gammaspace.catcore import poset_category, walking_iso_category
+from gammaspace.cocart import cocartesian_edges, cotensor_over_base, nelg, relative_nerve
+from gammaspace.corpus import category_corpus, pointed_corpus
 from gammaspace.gspace import _basepoint_collapse, _families
 from gammaspace.marked import MarkedSimpSet, is_marked_map, marked_hom_set
 from gammaspace.nerve import nerve
@@ -24,6 +27,7 @@ from gammaspace.shapes import (
 )
 from gammaspace.corpus import z2_monoid_space
 from gammaspace.gspace import GammaMappingSpace, gamma_rep
+from gammaspace.jsonio import canonical_dumps
 from gammaspace.simplicial import (
     FinSimpSet,
     SimplexRef,
@@ -381,3 +385,77 @@ def test_cocartesian_edges_search_the_squares_once_per_horn(monkeypatch):
     # Lambda^0[2] and Lambda^0[3], then the inner horns Lambda^1[2],
     # Lambda^1[3] and Lambda^2[3], which all fill
     assert len(calls) == (3 - 1) + 3
+
+
+# -- horn fillers by lookup, against the filler search ------------------------
+
+@functools.cache
+def _relative_projections():
+    """Projections of small relative nerves over [1], built at dimension 2:
+    for Lambda^k[3] their totals are read coskeletally."""
+    base = poset_category(1)
+    nw, n1 = nerve(walking_iso_category(), bound=2), nerve(poset_category(1), bound=2)
+    pt = standard_point(bound=2)
+    diagrams = [
+        ({"0": nw, "1": nw}, {"le01": identity_map(nw)}),
+        ({"0": n1, "1": nw}, {"le01": constant_map(n1, nw, "o0")}),
+        ({"0": pt, "1": n1}, {"le01": SimpMap(pt, n1, {(0, "0"): SimplexRef("o1")})}),
+    ]
+    return [relative_nerve(_diagram(base, values, maps), 2).proj for values, maps in diagrams]
+
+
+@st.composite
+def horn_targets(draw):
+    """p: X -> Y: a glued quotient onto a point, a corpus nerve at bound 1-3
+    onto a point (below the horn's dimension the filler is searched), or
+    the projection of a relative nerve."""
+    kind = draw(st.sampled_from(["quotient", "nerve", "relative"]))
+    if kind == "quotient":
+        x = glued_simplices(draw(st.integers(0, 2)),
+                            draw(st.sets(st.integers(0, 5), max_size=4))).space
+    elif kind == "nerve":
+        _, c = draw(st.sampled_from(category_corpus()))
+        x = nerve(c, bound=draw(st.integers(1, 3)))
+    else:
+        return draw(st.sampled_from(_relative_projections()))
+    return constant_map(x, standard_point(), "0")
+
+
+horns = st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))
+
+
+@given(horn_targets(), horns)
+@example(constant_map(spine_of_two_edges(), standard_point(), "0"), (2, 1))
+@settings(max_examples=60, deadline=None)
+def test_horn_lookup_decides_every_square_as_the_filler_search(p, horn_at):
+    n, k = horn_at
+    i, fills = shapes._horn_fills(n, k, p, Budget())
+    for u, v in shapes._commuting_squares(i, p, Budget()):
+        assert fills(u, v) == (shapes._find_lift(i, p, u, v, Budget()) is not None)
+
+
+def test_horn_lookup_meets_squares_with_and_without_fillers():
+    # the spine onto a point: its inner 2-horn on the two edges has no
+    # filler, and its degenerate ones do
+    p = constant_map(spine_of_two_edges(), standard_point(), "0")
+    i, fills = shapes._horn_fills(2, 1, p, Budget())
+    decided = [fills(u, v) for u, v in shapes._commuting_squares(i, p, Budget())]
+    assert True in decided and False in decided
+
+
+def _searched_horn_fills(n, k, p, budget):
+    """The oracle of `_horn_fills`: every square searched by `_find_lift`."""
+    i = inclusion_map(horn(n, k), standard_simplex(n))
+    return i, lambda u, v: shapes._find_lift(i, p, u, v, budget) is not None
+
+
+LOOKUP_CASES = {**{f"quasicategory/{k}": v for k, v in _qcat_cases().items()},
+                **{f"cocartesian/{k}": v for k, v in _cocart_cases().items()}}
+
+
+@pytest.mark.parametrize("case", sorted(LOOKUP_CASES))
+def test_lookup_verdicts_match_a_search_of_every_square(case, monkeypatch):
+    found = LOOKUP_CASES[case]()
+    monkeypatch.setattr(shapes, "_horn_fills", _searched_horn_fills)
+    monkeypatch.setattr(cocart, "_horn_fills", _searched_horn_fills)
+    assert canonical_dumps(found) == canonical_dumps(LOOKUP_CASES[case]())

@@ -2,13 +2,13 @@
 
 import pytest
 
+from gammaspace import shapes
 from gammaspace.catcore import poset_category, walking_iso_category
 from gammaspace.nerve import nerve
 from gammaspace.shapes import (
     Exponential,
     MapComplex,
     boundary,
-    build_standard,
     exponential_map,
     has_rlp,
     horn,
@@ -30,7 +30,6 @@ from gammaspace.simplicial import (
     constant_map,
     discrete_set,
     disjoint_union,
-    empty_set,
     hom_set,
     identity_map,
     inclusion_map,
@@ -38,6 +37,7 @@ from gammaspace.simplicial import (
     product,
     product_map,
 )
+from gammaspace.verdicts import Budget
 
 
 def spine_of_two_edges():
@@ -48,13 +48,13 @@ def spine_of_two_edges():
     return Colimit([pt, d1, d1], [(0, 1, a0), (0, 2, a1)]).space
 
 
-def test_build_standard_counts():
-    assert build_standard("simplex", 2).summary() == [3, 3, 1]
-    assert build_standard("boundary", 1).summary() == [2, 0]
-    assert build_standard("horn", 2, k=1).summary() == [3, 2, 0]
-    assert build_standard("point").summary() == [1]
+def test_standard_shape_counts():
+    assert standard_simplex(2).summary() == [3, 3, 1]
+    assert boundary(1).summary() == [2, 0]
+    assert horn(2, 1).summary() == [3, 2, 0]
+    assert standard_point().summary() == [1]
     with pytest.raises(ValueError):
-        build_standard("horn", 2, k=3)
+        horn(2, 3)
 
 
 def test_a_shape_cut_by_its_bound_is_read_truncated():
@@ -184,7 +184,7 @@ def test_pushout_product_square():
     assert pp.target.summary() == [4, 5, 2]
     assert pp.source.summary() == [4, 4]
     # unit: (empty -> point) box g is g itself
-    e = SimpMap(empty_set(), standard_point(), {})
+    e = SimpMap(FinSimpSet(0, {}), standard_point(), {})
     unit = pushout_product(e, i1)
     assert unit.source.summary() == [2] and unit.target.summary() == [2, 1]
     # f box identity lands isomorphically onto its factor
@@ -241,3 +241,58 @@ def test_map_complex_carry_is_an_explicit_product_map(simplex_last):
         assert carry.source is mc.frame(0, 1)[0] and carry.target is mc.frame(0, e)[0]
         assert carry == explicit(identity_map(a), op)
         assert mc.carry(None, 2, 2, 1, op) is op
+
+
+# -- the standard shapes are built once ----------------------------------------
+
+SHAPE_ARGS = ([(standard_simplex, (n, b)) for n in range(4) for b in (None, 0, 1, 2, 3, 4)]
+              + [(boundary, (n, b)) for n in range(4) for b in (None, 0, 1, 2, 3, 4)]
+              + [(horn, (n, k, b)) for n in range(1, 4) for k in range(n + 1)
+                 for b in (None, 0, 1, 2, 3, 4)])
+
+
+def test_memoized_shapes_equal_fresh_builds():
+    for shape, args in SHAPE_ARGS:
+        memo, fresh = shape(*args), shape.__wrapped__(*args)
+        assert shape(*args) is memo
+        assert (memo.dim_bound, memo.complete) == (fresh.dim_bound, fresh.complete), args
+        for m in range(memo.dim_bound + 1):
+            assert memo.cell_ids(m) == fresh.cell_ids(m), args
+            assert [memo.faces_of(m, c) for c in memo.cell_ids(m)] == \
+                [fresh.faces_of(m, c) for c in fresh.cell_ids(m)], args
+    for shape in (standard_simplex, boundary, horn):
+        assert shape.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_boundary_and_horns_are_the_simplex_less_their_cells(n):
+    full = standard_simplex(n)
+    cells = {(m, c) for m in range(n + 1) for c in full.cell_ids(m)}
+    top = (n, full.cell_ids(n)[0])
+    assert {(m, c) for m in range(n + 1) for c in boundary(n).cell_ids(m)} == cells - {top}
+    for k in range(n + 1):
+        face = (n - 1, full.faces_of(n, top[1])[k].base)
+        assert {(m, c) for m in range(n + 1) for c in horn(n, k).cell_ids(m)} == \
+            cells - {top, face}
+        assert all(horn(n, k).faces_of(m, c) == full.faces_of(m, c)
+                   for m in range(n) for c in horn(n, k).cell_ids(m))
+
+
+def test_inner_horns_spend_less_than_a_search_per_square(monkeypatch):
+    # with every square searched by `_find_lift`, the quasi-category cases
+    # of the lifting goldens spend 11,558 units of budget in all; the horn
+    # lookup tries only the simplices over each square's faces
+    from test_lifting_golden import _qcat_cases
+
+    made = []
+
+    class Counting(Budget):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(shapes, "Budget", Counting)
+    for case in _qcat_cases().values():
+        case()
+    assert len(made) == 34
+    assert sum(b.used for b in made) < 11_558

@@ -38,7 +38,6 @@ from gammaspace.simplicial import (
     inclusion_map,
     iso_check,
     mcompose,
-    monotone_maps,
     pairing,
     product,
     product_map,
@@ -47,6 +46,12 @@ from gammaspace.simplicial import (
     word_to_surj,
     _constraint_order,
 )
+
+
+def monotone_maps(m, n):
+    """All monotone maps [m] -> [n], by filtering every map (the oracle)."""
+    return [c for c in itertools.product(range(n + 1), repeat=m + 1)
+            if all(c[i] <= c[i + 1] for i in range(m))]
 
 
 words = st.integers(0, 4).flatmap(
