@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import inspect
 import json
 import sys
 import time
@@ -73,15 +74,6 @@ def _load(path):
         return json.load(fh)
 
 
-def _inputs(args, *loaders):
-    """One input file per loader, each parsed and read by its loader; a
-    different number of files is malformed input (a ValueError)."""
-    if len(args.inputs) != len(loaders):
-        raise ValueError(f"{args.command} takes {len(loaders)} input file(s),"
-                         f" got {len(args.inputs)}")
-    return [load(_load(path)) for load, path in zip(loaders, args.inputs)]
-
-
 class Report:
     def __init__(self, command, args):
         self.command = command
@@ -119,8 +111,8 @@ class Report:
         sys.stdout.write(jsonio.canonical_dumps(body))
 
 
-def cmd_factorize(args, report):
-    f = based_map(args.src, args.dst, tuple(int(v) for v in args.map.split(",")) if args.map else ())
+def cmd_factorize(report, *, src, dst, map):
+    f = based_map(src, dst, tuple(int(v) for v in map.split(",")) if map else ())
     inert, active, support = factor_inert_active(f)
     report.output("support", list(support))
     report.output("inert", jsonio.gamma_morphism_to_json(inert))
@@ -130,169 +122,143 @@ def cmd_factorize(args, report):
                Verdict(HOLDS if ok else FAILS, f"map {f}"))
 
 
-def cmd_convolve(args, report):
-    p, q = _inputs(args, jsonio.presented_from_json, jsonio.presented_from_json)
+def cmd_convolve(report, p, q, *, level_bound):
     conv = day_convolve(p, q)
     levels = {}
-    for n in range(args.level_bound + 1):
+    for n in range(level_bound + 1):
         levels[str(n)] = jsonio.simpset_to_json(conv.evaluate(n))
     report.output("levels", levels)
-    report.add("day-convolution", Verdict(HOLDS, f"levels<={args.level_bound}"))
+    report.add("day-convolution", Verdict(HOLDS, f"levels<={level_bound}"))
 
 
-def cmd_map_space(args, report):
-    p, y = _inputs(args, jsonio.presented_from_json, jsonio.tabulated_from_json)
-    ms = GammaMappingSpace(p, y, dim_cap=args.dim_bound,
-                           budget=Budget(args.budget))
+def cmd_map_space(report, p, y, *, dim_bound, budget):
+    ms = GammaMappingSpace(p, y, dim_cap=dim_bound, budget=Budget(budget))
     report.output("space", jsonio.simpset_to_json(ms.space))
     report.add("mapping-space", Verdict(HOLDS, f"dims<={ms.cap}"))
 
 
-def cmd_internal_hom(args, report):
-    p, y = _inputs(args, jsonio.presented_from_json, jsonio.tabulated_from_json)
-    hom = internal_hom(p, y, level_bound=args.level_bound,
-                       dim_cap=args.dim_bound, budget=Budget(args.budget))
+def cmd_internal_hom(report, p, y, *, level_bound, dim_bound, budget):
+    hom = internal_hom(p, y, level_bound=level_bound,
+                       dim_cap=dim_bound, budget=Budget(budget))
     report.output("hom", jsonio.tabulated_to_json(hom))
-    report.add("internal-hom", Verdict(HOLDS, f"levels<={args.level_bound}"))
+    report.add("internal-hom", Verdict(HOLDS, f"levels<={level_bound}"))
 
 
-def cmd_segal_check(args, report):
-    x, = _inputs(args, jsonio.tabulated_from_json)
-    v = segal_check(x, args.k, args.l, tier=args.tier)
-    report.add("segal-condition", v)
+def cmd_segal_check(report, x, *, k, l, tier):
+    report.add("segal-condition", segal_check(x, k, l, tier=tier))
 
 
-def cmd_normalize(args, report):
-    x, = _inputs(args, jsonio.tabulated_from_json)
+def cmd_normalize(report, x):
     nor, _ = normalize(x)
     report.output("normalized", jsonio.tabulated_to_json(nor))
     report.add("normalization", Verdict(HOLDS if nor.is_normalized() else FAILS,
                                         f"levels<={x.level_bound}"))
 
 
-def cmd_semiadd_probe(args, report):
-    p, = _inputs(args, jsonio.presented_from_json)
-    rep = semiadditivity_probe(p, args.level_bound)
+def cmd_semiadd_probe(report, p, *, level_bound):
+    rep = semiadditivity_probe(p, level_bound)
     report.output("report", {
         "levels": {str(k): v for k, v in rep["levels"].items()},
         "coproduct_identification": rep["coproduct_identification"],
     })
-    report.add("semiadditivity-composite", conjoin(f"levels<={args.level_bound}", (
+    report.add("semiadditivity-composite", conjoin(f"levels<={level_bound}", (
         (f"level {n}", Verdict(v["iso"], witness=v)) for n, v in rep["levels"].items())))
 
 
-def cmd_ho_cat(args, report):
-    x, = _inputs(args, jsonio.tabulated_from_json)
+def cmd_ho_cat(report, x):
     cat = homotopy_category(x)
     report.output("category", jsonio.category_to_json(cat))
     report.add("homotopy-category", Verdict(HOLDS, "fundamental category built"))
 
 
-def cmd_mark(args, report):
-    x, = _inputs(args, jsonio.simpset_from_json)
-    m = mark(x, args.kind)
-    report.output("marked", jsonio.marked_to_json(m))
-    report.add("marking", Verdict(HOLDS, args.kind))
+def cmd_mark(report, x, *, kind):
+    report.output("marked", jsonio.marked_to_json(mark(x, kind)))
+    report.add("marking", Verdict(HOLDS, kind))
 
 
-def cmd_hom_marked(args, report):
-    x, y = _inputs(args, jsonio.marked_from_json, jsonio.marked_from_json)
-    plus, flat, sharp = hom_marked(x, y, dim_cap=args.dim_bound,
-                                   budget=Budget(args.budget))
+def cmd_hom_marked(report, x, y, *, dim_bound, budget):
+    plus, flat, sharp = hom_marked(x, y, dim_cap=dim_bound, budget=Budget(budget))
     report.output("plus", jsonio.marked_to_json(plus))
     report.output("flat", jsonio.simpset_to_json(flat))
     report.output("sharp", jsonio.simpset_to_json(sharp))
-    report.add("marked-mapping-object", Verdict(HOLDS, f"dims<={args.dim_bound}"))
+    report.add("marked-mapping-object", Verdict(HOLDS, f"dims<={dim_bound}"))
 
 
-def cmd_relative_nerve(args, report):
-    inp, = _inputs(args, jsonio.relative_input_from_json)
-    rn = relative_nerve(inp, args.dim_bound)
+def cmd_relative_nerve(report, inp, *, dim_bound):
+    rn = relative_nerve(inp, dim_bound)
     report.output("total", jsonio.simpset_to_json(rn.total))
     report.output("proj", jsonio.simpmap_to_json(rn.proj))
-    report.add("relative-nerve-fibers", conjoin(f"dims<={args.dim_bound}", (
+    report.add("relative-nerve-fibers", conjoin(f"dims<={dim_bound}", (
         (f"fiber over {o}", rn.fiber_comparison(o)) for o in inp.base.objects)))
 
 
-def cmd_cocart_edges(args, report):
-    inp, = _inputs(args, jsonio.relative_input_from_json)
-    rn = relative_nerve(inp, args.dim_bound)
+def cmd_cocart_edges(report, inp, *, dim_bound, budget):
+    rn = relative_nerve(inp, dim_bound)
     edges, verdict, marking = cocartesian_edges(
-        rn.total, rn.proj, args.dim_bound, budget=Budget(args.budget)
+        rn.total, rn.proj, dim_bound, budget=Budget(budget)
     )
     report.output("cocartesian_edges", None if edges is None else sorted(edges))
     report.output("marking", jsonio.over_object_to_json(marking) if marking else None)
     report.add("cocartesian-fibration", verdict)
 
 
-def cmd_sm_check(args, report):
-    inp, = _inputs(args, jsonio.relative_input_from_json)
-    v = sm_qcat_check(inp, args.k, args.l, tier=args.tier)
-    report.add("sm-qcat-verdict", v)
+def cmd_sm_check(report, inp, *, k, l, tier):
+    report.add("sm-qcat-verdict", sm_qcat_check(inp, k, l, tier=tier))
 
 
-def cmd_nelg(args, report):
-    over, cos, _ = nelg(args.k, args.level_bound, dim_cap=args.dim_bound)
+def cmd_nelg(report, *, k, level_bound, dim_bound):
+    over, _, _ = nelg(k, level_bound, dim_cap=dim_bound)
     report.output("over_object", jsonio.over_object_to_json(over))
     report.add("under-category-nerve",
-               Verdict(HOLDS, f"levels<={args.level_bound}, dims<={args.dim_bound}"))
+               Verdict(HOLDS, f"levels<={level_bound}, dims<={dim_bound}"))
 
 
-def cmd_upsilon(args, report):
-    cmp, src, tgt = upsilon(args.k, args.l, args.level_bound,
-                            dim_cap=args.dim_bound)
+def cmd_upsilon(report, *, k, l, level_bound, dim_bound):
+    cmp, src, tgt = upsilon(k, l, level_bound, dim_cap=dim_bound)
     report.output("map", jsonio.simpmap_to_json(cmp))
     report.output("source", jsonio.over_object_to_json(src))
     report.output("target", jsonio.over_object_to_json(tgt))
     report.add("under-category-comparison",
-               Verdict(HOLDS, f"({args.k},{args.l}), levels<={args.level_bound}"))
+               Verdict(HOLDS, f"({k},{l}), levels<={level_bound}"))
 
 
-def cmd_hom_over_base(args, report):
-    x, y = _inputs(args, jsonio.over_object_from_json, jsonio.over_object_from_json)
-    space, _ = hom_over_base(x, y, variant=args.variant,
-                             dim_cap=args.dim_bound, budget=Budget(args.budget))
+def cmd_hom_over_base(report, x, y, *, variant, dim_bound, budget):
+    space, _ = hom_over_base(x, y, variant=variant,
+                             dim_cap=dim_bound, budget=Budget(budget))
     report.output("space", jsonio.simpset_to_json(space))
-    report.add("over-base-mapping", Verdict(HOLDS, args.variant))
+    report.add("over-base-mapping", Verdict(HOLDS, variant))
 
 
-def cmd_r_plus(args, report):
-    x, = _inputs(args, jsonio.over_object_from_json)
-    r = r_plus_level(x, args.k, args.level_bound, dim_cap=args.dim_bound,
-                     budget=Budget(args.budget))
+def cmd_r_plus(report, x, *, k, level_bound, dim_bound, budget):
+    r = r_plus_level(x, k, level_bound, dim_cap=dim_bound, budget=Budget(budget))
     report.output("level", jsonio.marked_to_json(r))
-    report.add("right-comparison-level", Verdict(HOLDS, f"k={args.k}"))
+    report.add("right-comparison-level", Verdict(HOLDS, f"k={k}"))
 
 
-def cmd_tau1(args, report):
-    x, = _inputs(args, jsonio.simpset_from_json)
+def cmd_tau1(report, x):
     cat, _ = tau1(x)
     report.output("category", jsonio.category_to_json(cat))
     report.add("fundamental-category", Verdict(HOLDS, "congruence closure certified"))
 
 
-def cmd_j(args, report):
-    x, = _inputs(args, jsonio.simpset_from_json)
+def cmd_j(report, x):
     report.output("space", jsonio.simpset_to_json(j_qcat(x)))
     report.add("largest-sub-kan", Verdict(HOLDS, ""))
 
 
-def cmd_rexp(args, report):
-    x, a = _inputs(args, jsonio.simpset_from_json, jsonio.simpset_from_json)
-    space, _ = restricted_exp(x, a, dim_cap=args.dim_bound, budget=Budget(args.budget))
+def cmd_rexp(report, x, a, *, dim_bound, budget):
+    space, _ = restricted_exp(x, a, dim_cap=dim_bound, budget=Budget(budget))
     report.output("space", jsonio.simpset_to_json(space))
-    report.add("restricted-exponential", Verdict(HOLDS, f"dims<={args.dim_bound}"))
+    report.add("restricted-exponential", Verdict(HOLDS, f"dims<={dim_bound}"))
 
 
-def cmd_hmap(args, report):
-    a, x = _inputs(args, jsonio.simpset_from_json, jsonio.simpset_from_json)
-    space = h_map_space(a, x, dim_cap=args.dim_bound, budget=Budget(args.budget))
+def cmd_hmap(report, a, x, *, dim_bound, budget):
+    space = h_map_space(a, x, dim_cap=dim_bound, budget=Budget(budget))
     report.output("space", jsonio.simpset_to_json(space))
-    report.add("homotopy-mapping-space", Verdict(HOLDS, f"dims<={args.dim_bound}"))
+    report.add("homotopy-mapping-space", Verdict(HOLDS, f"dims<={dim_bound}"))
 
 
-def cmd_pushout_product(args, report):
-    f, g = _inputs(args, jsonio.arrow_from_json, jsonio.arrow_from_json)
+def cmd_pushout_product(report, f, g):
     pp = pushout_product(f, g)
     report.output("source", jsonio.simpset_to_json(pp.source))
     report.output("target", jsonio.simpset_to_json(pp.target))
@@ -309,36 +275,75 @@ def cmd_pushout_product(args, report):
     }))
 
 
-def cmd_check_suite(args, report):
-    only = set(args.only.split(",")) if args.only else None
-    for tag, verdict in suite.run_suite(only=only):
+def cmd_check_suite(report, *, only):
+    for tag, verdict in suite.run_suite(only=set(only.split(",")) if only else None):
         report.add(tag, verdict)
 
 
+# Every flag any command parses: dest -> argparse keywords, in the order
+# the parser adds them (the order of `vars(args)`, which the digest hashes).
+FLAGS = {
+    "dim_bound": dict(type=int, default=DEFAULT_DIM_BOUND),
+    "level_bound": dict(type=int, default=DEFAULT_LEVEL_BOUND),
+    "budget": dict(type=int, default=DEFAULT_SEARCH_BUDGET),
+    "tier": dict(default="iso", choices=["iso", "cat-equiv", "ho-necessary"]),
+    "format": dict(default="json", choices=["json"]),
+    "src": dict(type=int, required=True),
+    "dst": dict(type=int, required=True),
+    "map": dict(default=""),
+    "k": dict(type=int, required=True),
+    "l": dict(type=int, required=True),
+    "kind": dict(default="flat", choices=["flat", "sharp"]),
+    "variant": dict(default="flat", choices=["flat", "sharp"]),
+    "only": dict(default=""),
+    "corpus": dict(default="default"),
+}
+# parsed by every command, read or not, because every report echoes them
+COMMON = ("dim_bound", "level_bound", "budget", "tier", "format")
+
+
+class Command:
+    """A row of the command table: the run function, the `jsonio` kind of
+    each input file (`"tabulated"` is read by `jsonio.tabulated_from_json`,
+    looked up when called), flag defaults, and flags parsed but not read.
+    The flags the command reads are the run function's keyword-only
+    parameters."""
+
+    def __init__(self, run, *kinds, defaults=(), unread=()):
+        self.run, self.kinds, self.defaults = run, kinds, dict(defaults)
+        self.reads = [name for name, param in inspect.signature(run).parameters.items()
+                      if param.kind is param.KEYWORD_ONLY]
+        self.flags = [f for f in FLAGS if f in COMMON or f in self.reads or f in unread]
+
+
+# the dense based-set base is only materialized at small levels
+SMALL_LEVELS = {"level_bound": 2}
+
 COMMANDS = {
-    "factorize": cmd_factorize,
-    "convolve": cmd_convolve,
-    "map-space": cmd_map_space,
-    "internal-hom": cmd_internal_hom,
-    "segal-check": cmd_segal_check,
-    "normalize": cmd_normalize,
-    "semiadd-probe": cmd_semiadd_probe,
-    "ho-cat": cmd_ho_cat,
-    "mark": cmd_mark,
-    "hom-marked": cmd_hom_marked,
-    "relative-nerve": cmd_relative_nerve,
-    "cocart-edges": cmd_cocart_edges,
-    "sm-check": cmd_sm_check,
-    "nelg": cmd_nelg,
-    "upsilon": cmd_upsilon,
-    "hom-over-base": cmd_hom_over_base,
-    "r-plus": cmd_r_plus,
-    "tau1": cmd_tau1,
-    "j": cmd_j,
-    "rexp": cmd_rexp,
-    "hmap": cmd_hmap,
-    "pushout-product": cmd_pushout_product,
-    "check-suite": cmd_check_suite,
+    "factorize": Command(cmd_factorize),
+    "convolve": Command(cmd_convolve, "presented", "presented"),
+    "map-space": Command(cmd_map_space, "presented", "tabulated"),
+    "internal-hom": Command(cmd_internal_hom, "presented", "tabulated"),
+    "segal-check": Command(cmd_segal_check, "tabulated"),
+    "normalize": Command(cmd_normalize, "tabulated"),
+    "semiadd-probe": Command(cmd_semiadd_probe, "presented"),
+    "ho-cat": Command(cmd_ho_cat, "tabulated"),
+    "mark": Command(cmd_mark, "simpset"),
+    "hom-marked": Command(cmd_hom_marked, "marked", "marked"),
+    "relative-nerve": Command(cmd_relative_nerve, "relative_input"),
+    "cocart-edges": Command(cmd_cocart_edges, "relative_input"),
+    "sm-check": Command(cmd_sm_check, "relative_input"),
+    "nelg": Command(cmd_nelg, defaults=SMALL_LEVELS),
+    "upsilon": Command(cmd_upsilon, defaults=SMALL_LEVELS),
+    "hom-over-base": Command(cmd_hom_over_base, "over_object", "over_object",
+                             defaults=SMALL_LEVELS),
+    "r-plus": Command(cmd_r_plus, "over_object", defaults=SMALL_LEVELS),
+    "tau1": Command(cmd_tau1, "simpset"),
+    "j": Command(cmd_j, "simpset"),
+    "rexp": Command(cmd_rexp, "simpset", "simpset"),
+    "hmap": Command(cmd_hmap, "simpset", "simpset"),
+    "pushout-product": Command(cmd_pushout_product, "arrow", "arrow"),
+    "check-suite": Command(cmd_check_suite, unread=("corpus",)),
 }
 
 
@@ -361,34 +366,14 @@ def build_parser():
                     " conditions, markings, and relative nerves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in sorted(COMMANDS):
+    for name, command in sorted(COMMANDS.items()):
         p = sub.add_parser(name)
-        p.add_argument("inputs", nargs="*", help="input JSON files")
-        p.add_argument("--dim-bound", type=int, default=DEFAULT_DIM_BOUND)
-        p.add_argument("--level-bound", type=int, default=DEFAULT_LEVEL_BOUND)
-        p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
-        p.add_argument("--tier", default="iso",
-                       choices=["iso", "cat-equiv", "ho-necessary"])
-        p.add_argument("--format", default="json", choices=["json"])
-        if name == "factorize":
-            p.add_argument("--src", type=int, required=True)
-            p.add_argument("--dst", type=int, required=True)
-            p.add_argument("--map", default="")
-        if name in ("segal-check", "sm-check", "upsilon"):
-            p.add_argument("--k", type=int, required=True)
-            p.add_argument("--l", type=int, required=True)
-        if name in ("nelg", "r-plus"):
-            p.add_argument("--k", type=int, required=True)
-        if name == "mark":
-            p.add_argument("--kind", default="flat", choices=["flat", "sharp"])
-        if name == "hom-over-base":
-            p.add_argument("--variant", default="flat", choices=["flat", "sharp"])
-        if name == "check-suite":
-            p.add_argument("--only", default="")
-            p.add_argument("--corpus", default="default")
-        if name in ("nelg", "upsilon", "r-plus", "hom-over-base"):
-            # the dense based-set base is only materialized at small levels
-            p.set_defaults(level_bound=2)
+        p.add_argument("inputs", nargs="*",
+                       help=f"input JSON files: {', '.join(command.kinds) or 'none'}")
+        for dest in command.flags:
+            p.add_argument("--" + dest.replace("_", "-"), **FLAGS[dest],
+                           help=None if dest in command.reads else "parsed but not read")
+        p.set_defaults(**command.defaults)
     return parser
 
 
@@ -401,7 +386,13 @@ def main(argv=None):
             if getattr(args, flag, 0) < 0:
                 raise ValueError(f"--{flag.replace('_', '-')} must be >= 0,"
                                  f" got {getattr(args, flag)}")
-        COMMANDS[args.command](args, report)
+        command = COMMANDS[args.command]
+        if len(args.inputs) != len(command.kinds):
+            raise ValueError(f"{args.command} takes {len(command.kinds)} input file(s),"
+                             f" got {len(args.inputs)}")
+        inputs = [getattr(jsonio, f"{kind}_from_json")(_load(path))
+                  for kind, path in zip(command.kinds, args.inputs)]
+        command.run(report, *inputs, **{flag: getattr(args, flag) for flag in command.reads})
     except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as e:
         if report is None:  # a malformed command line; the digest is the argv's
             report = Report(None, argparse.Namespace(argv=sys.argv[1:] if argv is None else argv))

@@ -403,6 +403,8 @@ def nelg(k, level_cap, dim_cap=2):
     based-set subcategory on levels <= level_cap, over the base nerve.
 
     Returns (OverObject, coslice category, triangle legs)."""
+    if not 0 <= k <= level_cap:
+        raise ValueError(f"level {k} lies outside the level bound 0..{level_cap}")
     base = gamma_subcategory(level_cap)
     cos, projf, legs = coslice_category(base, str(k))
     total = nerve(cos, bound=dim_cap)

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gammaspace import jsonio
-from gammaspace.cli import COMMANDS, build_parser, main
+from gammaspace.cli import COMMANDS, COMMON, FLAGS, build_parser, main
+from gammaspace.cocart import nelg
 from gammaspace.corpus import glued_presentation, z2_monoid_space
 from gammaspace.gspace import gamma_rep
 from gammaspace.marked import mark
@@ -19,6 +20,7 @@ from gammaspace.nerve import nerve
 from gammaspace.catcore import poset_category, walking_iso_category
 from gammaspace.shapes import boundary, standard_point, standard_simplex
 from gammaspace.simplicial import constant_map, identity_map, inclusion_map
+from gammaspace.suite import SUITE
 
 
 def run_cli(capsys, *argv):
@@ -170,15 +172,20 @@ def test_pushout_product_of_non_mono_fails_with_witness(tmp_path, capsys):
     assert pp(a, n) == pp(b, n) == jsonio.ref_from_json(w["image"])
 
 
-# every command that reads JSON files, with the options it requires
-FILE_COMMANDS = [
-    ["convolve", "A", "A"], ["map-space", "A", "A"], ["internal-hom", "A", "A"],
-    ["segal-check", "A", "--k", "1", "--l", "1"], ["normalize", "A"],
-    ["semiadd-probe", "A"], ["ho-cat", "A"], ["mark", "A"], ["hom-marked", "A", "A"],
-    ["relative-nerve", "A"], ["cocart-edges", "A"], ["sm-check", "A", "--k", "1", "--l", "1"],
-    ["hom-over-base", "A", "A"], ["r-plus", "A", "--k", "0"], ["tau1", "A"], ["j", "A"],
-    ["rexp", "A", "A"], ["hmap", "A", "A"], ["pushout-product", "A", "A"],
-]
+def _option(dest):
+    return "--" + dest.replace("_", "-")
+
+
+def _required(command):
+    """The flags the command table makes required for a command, each
+    given the value 1."""
+    return [arg for dest in COMMANDS[command].flags if FLAGS[dest].get("required")
+            for arg in (_option(dest), "1")]
+
+
+# every command that reads JSON files, with the flags it requires; "A" is an input
+FILE_COMMANDS = [[name, *["A"] * len(row.kinds), *_required(name)]
+                 for name, row in sorted(COMMANDS.items()) if row.kinds]
 
 
 @pytest.mark.parametrize("argv", FILE_COMMANDS, ids=lambda argv: argv[0])
@@ -207,8 +214,8 @@ def test_absent_input_path_exits_three(tmp_path, capsys):
 
 
 # commands whose loaders read a simplicial set first
-SIMPSET_COMMANDS = [["tau1", "A"], ["j", "A"], ["mark", "A"], ["rexp", "A", "A"],
-                    ["hmap", "A", "A"], ["hom-marked", "A", "A"]]
+SIMPSET_COMMANDS = [argv for argv in FILE_COMMANDS
+                    if COMMANDS[argv[0]].kinds[0] in ("simpset", "marked")]
 
 
 @pytest.mark.parametrize("argv", SIMPSET_COMMANDS, ids=lambda argv: argv[0])
@@ -525,15 +532,6 @@ def test_convolve_refuses_a_gluing_arrow_between_wrong_levels(tmp_path, capsys):
 
 # -- the parser is built once and shared --------------------------------------
 
-def _minimal_argv(command):
-    required = {"factorize": ["--src", "2", "--dst", "1"],
-                "nelg": ["--k", "1"], "r-plus": ["--k", "1"],
-                "segal-check": ["--k", "1", "--l", "2"],
-                "sm-check": ["--k", "1", "--l", "2"],
-                "upsilon": ["--k", "1", "--l", "2"]}
-    return [command, "in.json", *required.get(command, [])]
-
-
 @pytest.mark.parametrize("before", [
     ["nelg", "--k", "1"],  # a command whose level_bound defaults to 2
     ["segal-check", "in.json", "--k", "1", "--l", "1"],  # the global default
@@ -548,6 +546,108 @@ def test_cached_parser_parses_like_a_fresh_one(before, capsys):
     else:
         parser.parse_args(before)
     for command in sorted(COMMANDS):
-        argv = _minimal_argv(command)
+        argv = [command, "in.json", *_required(command)]
         assert vars(parser.parse_args(argv)) == \
             vars(build_parser.__wrapped__().parse_args(argv)), command
+
+
+# -- the command table: unread flags and a command-line fuzz -------------------
+
+# the commands that read each common flag; every other command parses it
+# without reading it, and the report still echoes it (see README)
+COMMON_READERS = {
+    "dim_bound": {"map-space", "internal-hom", "hom-marked", "relative-nerve",
+                  "cocart-edges", "nelg", "upsilon", "hom-over-base", "r-plus",
+                  "rexp", "hmap"},
+    "level_bound": {"convolve", "internal-hom", "semiadd-probe", "nelg", "upsilon",
+                    "r-plus"},
+    "budget": {"map-space", "internal-hom", "hom-marked", "cocart-edges",
+               "hom-over-base", "r-plus", "rexp", "hmap"},
+    "tier": {"segal-check", "sm-check"},
+    "format": set(),
+}
+
+
+def test_flags_parsed_but_not_read_are_the_pinned_list():
+    unread = {(name, dest) for name, row in COMMANDS.items()
+              for dest in row.flags if dest not in row.reads}
+    expected = {(name, dest) for dest, readers in COMMON_READERS.items()
+                for name in COMMANDS if name not in readers}
+    assert set(COMMON_READERS) == set(COMMON)
+    assert len(expected) == 88
+    assert unread == expected | {("check-suite", "corpus")}
+
+
+# one small valid input per loader kind
+KIND_FIXTURES = {
+    "presented": lambda: jsonio.presented_to_json(gamma_rep(1)),
+    "tabulated": lambda: jsonio.tabulated_to_json(z2_monoid_space(2)),
+    "simpset": lambda: jsonio.simpset_to_json(standard_simplex(1)),
+    "marked": lambda: jsonio.marked_to_json(mark(standard_simplex(1), "sharp")),
+    "relative_input": _relative_blob,
+    "over_object": lambda: jsonio.over_object_to_json(nelg(1, 1, dim_cap=1)[0]),
+    "arrow": lambda: _arrow_blob(inclusion_map(boundary(1), standard_simplex(1))),
+}
+
+# small ranges, so that no draw runs for long; flags with choices draw from them
+FLAG_VALUES = {
+    "dim_bound": st.integers(0, 2), "level_bound": st.integers(0, 2),
+    "budget": st.integers(0, 100), "k": st.integers(0, 3), "l": st.integers(0, 3),
+    "src": st.integers(0, 3), "dst": st.integers(0, 3),
+    "map": st.lists(st.integers(0, 3), max_size=3).map(lambda t: ",".join(map(str, t))),
+    "only": st.lists(st.sampled_from([tag for tag, _ in SUITE] + ["yonda"]),
+                     max_size=2).map(",".join),
+}
+
+
+def test_every_loader_kind_has_a_fixture():
+    assert {kind for row in COMMANDS.values() for kind in row.kinds} == set(KIND_FIXTURES)
+
+
+@pytest.fixture(scope="module")
+def kind_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("kinds")
+    return {kind: _blob_file(root, f"{kind}.json", make())
+            for kind, make in KIND_FIXTURES.items()}
+
+
+def _flag_value(dest):
+    spec = FLAGS[dest]
+    if dest in FLAG_VALUES:
+        return FLAG_VALUES[dest]
+    return st.sampled_from(spec.get("choices") or [spec["default"]])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_any_command_line_exits_with_a_report(kind_files, data):
+    name = data.draw(st.sampled_from(sorted(COMMANDS)), "command")
+    row = COMMANDS[name]
+    paths = [kind_files[kind] for kind in row.kinds]
+    flags = {dest: data.draw(_flag_value(dest), dest) for dest in row.flags
+             if dest in ("dim_bound", "level_bound", "budget") or FLAGS[dest].get("required")
+             or data.draw(st.booleans())}
+    mutations = ["none", "unknown", "stray"]
+    mutations += ["drop"] if any(FLAGS[d].get("required") for d in flags) else []
+    mutations += ["swap"] if paths else []
+    mutation = data.draw(st.sampled_from(mutations), "mutation")
+    if mutation == "drop":
+        del flags[data.draw(st.sampled_from([d for d in flags if FLAGS[d].get("required")]))]
+    if mutation == "stray":
+        paths.append(data.draw(st.sampled_from(sorted(kind_files.values()))))
+    if mutation == "swap":
+        k = data.draw(st.integers(0, len(paths) - 1))
+        paths[k] = data.draw(st.sampled_from(
+            [path for kind, path in sorted(kind_files.items()) if kind != row.kinds[k]]))
+    argv = [name, *paths, *[a for d, v in flags.items() for a in (_option(d), str(v))]]
+    if mutation == "unknown":
+        argv.append("--bogus")
+    code, report = _run_quiet(argv)
+    verdicts = report["verdicts"]
+    assert code in (0, 1, 2, 3), argv
+    if code == 1:
+        assert any(v["status"] == "fails" and "witness" in v for v in verdicts), argv
+    if code == 3:
+        assert verdicts[-1]["tag"] == "input", argv
+    if mutation in ("drop", "unknown", "stray"):
+        assert code == 3 and [v["tag"] for v in verdicts] == ["input"], argv

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from gammaspace import cli, jsonio
 from gammaspace.catcore import poset_category, walking_iso_category
 from gammaspace.cli import main
@@ -127,6 +129,22 @@ def test_nelg_upsilon_hom_over_base_r_plus(tmp_path, capsys):
     report = run_ok(capsys, "upsilon", "--k", "1", "--l", "1",
                     "--level-bound", "2", "--dim-bound", "1")
     assert report["outputs"]["map"]["assignment"]
+
+
+# each exited 0 with `holds` on an empty or one-point level (nelg, r-plus),
+# or ran 24 s into a bare KeyError (upsilon, whose level is k + l = 4)
+@pytest.mark.parametrize("argv, level", [
+    (["nelg", "--k", "9"], 9),
+    (["r-plus", "OVER", "--k", "5"], 5),
+    (["upsilon", "--k", "2", "--l", "2"], 4),
+], ids=["nelg", "r-plus", "upsilon"])
+def test_a_level_beyond_the_level_bound_exits_three(tmp_path, capsys, argv, level):
+    over, _, _ = nelg(1, 1, dim_cap=1)
+    path = write(tmp_path, "over.json", jsonio.over_object_to_json(over))
+    report = run_ok(capsys, *[path if a == "OVER" else a for a in argv], expect=3)
+    [verdict] = report["verdicts"]
+    assert verdict["tag"] == "input"
+    assert f"level {level} lies outside the level bound 0..2" in verdict["witness"]
 
 
 def test_j_rexp_hmap_tau1_pushout_product(tmp_path, capsys):

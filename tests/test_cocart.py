@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 import test_cocart_golden
-from gammaspace import cocart
+from gammaspace import cocart, shapes
 from gammaspace.catcore import (
     CatFunctor,
     equivalence_check,
@@ -37,6 +37,7 @@ from gammaspace.marked import MarkedSimpSet, mark, marked_product, marked_hom_se
 from gammaspace.nerve import nerve
 from gammaspace.shapes import standard_point, standard_simplex
 from gammaspace.simplicial import (
+    FinSimpSet,
     SimplexRef,
     SimpMap,
     constant_map,
@@ -404,3 +405,31 @@ def test_transport_plans_are_kept_in_a_bounded_memo():
     # J = (0, 1) of [1] under the face [1] -> [2] that skips 1: its image
     # (0, 2) is the fourth of (0,), (0, 1), (0, 1, 2), (0, 2), ...
     assert cocart._transport_plan((0, 2), 2)[1] == ((0, 1), 3, 2, 1, (0, 1))
+
+
+def _triangle(*tops):
+    """Vertices a, b, c, edges f: a -> b, g: b -> c, h: a -> c, and one
+    2-cell with faces (g, h, f) per name in tops."""
+    return FinSimpSet(2, {
+        0: {"a": (), "b": (), "c": ()},
+        1: {"f": (SimplexRef("b"), SimplexRef("a")), "g": (SimplexRef("c"), SimplexRef("b")),
+            "h": (SimplexRef("c"), SimplexRef("a"))},
+        2: {t: (SimplexRef("g"), SimplexRef("h"), SimplexRef("f")) for t in tops},
+    }).validate()
+
+
+def test_a_horn_filler_must_lie_over_the_bottom_simplex():
+    # X has one triangle s over t1 of Y; the Lambda^0[2] square on (f, h)
+    # under t2 finds s in its horn-index bucket, but p(s) = t1, not t2
+    x, y = _triangle("s"), _triangle("t1", "t2")
+    p = SimpMap(x, y, {**{(n, c): SimplexRef(c) for n in (0, 1) for c in x.cell_ids(n)},
+                       (2, "s"): SimplexRef("t1")}).validate()
+    i, fills = shapes._horn_fills(2, 0, p, Budget())
+    [(u, v)] = [(u, v) for u, v in shapes._commuting_squares(i, p, Budget())
+                if u.assignment[(1, "01")] == SimplexRef("f")
+                and v.assignment[(2, "012")] == SimplexRef("t2")]
+    assert x.horn_index(2, 0)[(SimplexRef("h"), SimplexRef("f"))] == (SimplexRef("s"),)
+    assert not fills(u, v)
+    assert shapes._find_lift(i, p, u, v, Budget()) is None
+    edges, verdict, _ = cocartesian_edges(x, p, 2)
+    assert edges == ["g", "h"] and verdict.fails
