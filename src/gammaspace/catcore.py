@@ -112,6 +112,9 @@ class CatFunctor:
         self.on_objects = dict(on_objects)
         self.on_arrows = dict(on_arrows)
 
+    def __repr__(self):
+        return f"CatFunctor({self.source!r} -> {self.target!r})"
+
     def obj(self, a):
         return self.on_objects[a]
 

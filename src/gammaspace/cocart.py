@@ -12,7 +12,7 @@ from .gammaop import GammaMorphism, based_map, delta_projection, enumerate_homs,
 from .gspace import TabulatedGammaSpace, segal_check
 from .marked import MarkedMappingObject, MarkedSimpSet, edge_sharpens, mark, preserves_marking
 from .nerve import chain_ref, edge_is_invertible, nerve, nerve_functor_map, tau1
-from .shapes import MapComplex, _commuting_squares, _horn_fills, unfillable_inner_horn
+from .shapes import MapComplex, _horn_squares, unfillable_inner_horn
 from .simplicial import (
     FinSimpSet,
     SimplexRef,
@@ -27,6 +27,7 @@ from .simplicial import (
     hom_set,
     identity_map,
     iso_check,
+    map_cap,
     sigma_tuple,
 )
 from .verdicts import (
@@ -300,17 +301,18 @@ def cocartesian_edges(total: FinSimpSet, proj: SimpMap, dim_cap, budget=None):
 def _edge_search(total: FinSimpSet, proj: SimpMap, dim_cap, budget):
     """(detected edges, fibration verdict) of `cocartesian_edges`; raises on a spent budget.
     Each square on an edge not yet refuted, and each inner-horn square, is
-    decided by `_horn_fills`: a horn-index lookup, or where the total
-    space is truncated below n a `_find_lift` search."""
+    decided by `_horn_squares`: a horn-index lookup, or where the total
+    space or the base is truncated below n a `_find_lift` search.  A base
+    whose projection stops below the search raises ValueError."""
     base_nerve = proj.target
+    if map_cap(total, base_nerve) < min(dim_cap, total.dim_bound):
+        raise ValueError(f"base truncated at {base_nerve.dim_bound}, below the edge search to "
+                         f"{min(dim_cap, total.dim_bound)} (total space bound {total.dim_bound})")
     refuted = set()
     for n in range(2, dim_cap + 1):
-        i, fills = _horn_fills(n, 0, proj, budget)
-        for u, v in _commuting_squares(i, proj, budget):
+        for u, _, filled in _horn_squares(n, 0, proj, budget):
             e = u.assignment[(1, "01")]
-            if e.degs or e.base in refuted:
-                continue
-            if not fills(u, v):
+            if not (filled or e.degs):
                 refuted.add(e.base)
     detected = [e for e in total.cell_ids(1) if e not in refuted]
     inner = unfillable_inner_horn(proj, dim_cap, budget)

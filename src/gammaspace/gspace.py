@@ -152,7 +152,6 @@ def discrete_monoid_space(elements, op, unit, level_bound) -> TabulatedGammaSpac
         return discrete_set([name(t) for t in itertools.product(elements, repeat=n)])
 
     def action(f: GammaMorphism):
-        src, dst = value(f.src), value(f.dst)
         assignment = {}
         for tup in itertools.product(elements, repeat=f.src):
             out = []
@@ -163,9 +162,10 @@ def discrete_monoid_space(elements, op, unit, level_bound) -> TabulatedGammaSpac
                         acc = op(acc, tup[i - 1])
                 out.append(acc)
             assignment[(0, name(tup))] = SimplexRef(name(tuple(out)))
-        return SimpMap(src, dst, assignment)
+        return SimpMap(space.value(f.src), space.value(f.dst), assignment)
 
-    return TabulatedGammaSpace(level_bound, value, action)
+    space = TabulatedGammaSpace(level_bound, value, action)
+    return space
 
 
 def product_gamma_space(x: TabulatedGammaSpace, y: TabulatedGammaSpace) -> TabulatedGammaSpace:
@@ -439,14 +439,9 @@ class GammaMappingSpace(MapComplex):
 def _postcompose(src: GammaMappingSpace, dst: GammaMappingSpace, posts) -> SimpMap:
     """src -> dst sending a family (m_i) to (m_i then posts[i]).  The frames
     of src and dst are products of equal inputs, so a frame cell has one
-    name in both and the relabelling carries are inclusions, built once per
-    (cell, d)."""
-    carries = [[inclusion_map(dst.frame(i, d)[0], src.frame(i, d)[0])
-                for i in range(len(posts))]
-               for d in range(min(src.cap, dst.cap) + 1)]
+    name in both, and `dst.induced` reads m_i then posts[i] by its names."""
     return dst.induced(src.space, lambda d, name: tuple(
-        c.then(m).then(post)
-        for c, m, post in zip(carries[d], src.element_of(name), posts)))
+        m.then(post) for m, post in zip(src.element_of(name), posts)))
 
 
 def _families(per_slot, links, agree):

@@ -317,11 +317,12 @@ def _find_lift(i: SimpMap, p: SimpMap, u: SimpMap, v: SimpMap, budget):
     """A diagonal h: B -> X with h o i = u and p o h = v, or None.
 
     One `maps` backtrack per square, run by `has_rlp` for any i and by
-    `_horn_fills` where X is truncated below the horn.  Every cell of A
-    that the search reaches through i is checked, also one that i sends to
-    a degenerate simplex.  X is read as `maps` reads it.
+    `_horn_squares` where X or Y is truncated below the horn.  Every cell
+    of A that the search reaches through i is checked, also one that i
+    sends to a degenerate simplex.  X is read as `maps` reads it, and Y
+    coskeletally above v's cap, so p o h is compared with v up to it.
     """
-    fixed, through = {}, {}
+    fixed, through, cap = {}, {}, v.cap
     for (n, name), ref in i.assignment.items():
         want = u.assignment.get((n, name))
         if want is None:
@@ -333,38 +334,38 @@ def _find_lift(i: SimpMap, p: SimpMap, u: SimpMap, v: SimpMap, budget):
             return None
 
     def constraint(n, name, ref):
-        return p(ref, n) == v(SimplexRef(name), n) and all(
+        return (n > cap or p(ref, n) == v(SimplexRef(name), n)) and all(
             apply_word(ref, degs, n) == want for degs, want in through.get((n, name), ()))
 
     return next(maps(i.target, p.source, budget=budget, fixed=fixed, constraint=constraint),
                 None)
 
 
-def _horn_fills(n, k, p: SimpMap, budget):
-    """(i, fills): the inclusion i of Lambda^k[n] in Delta[n], and whether a
-    square (u, v) of i against p: X -> Y has a filler.  Where maps
-    Delta[n] -> X reach dimension n (`map_cap`), a map is its top simplex
-    sigma, whose faces fix every lower cell: a filler is a sigma in the
-    bucket of u's faces in X.horn_index(n, k) with p(sigma) = v(iota_n),
-    one unit of budget each.  X truncated below n is read coskeletally,
-    so there `_find_lift` searches."""
+def _horn_squares(n, k, p: SimpMap, budget):
+    """Each commuting square of Lambda^k[n] in Delta[n] against p: X -> Y
+    as (u, tau, filled): the horn map u in hom_set order, the bottom map's
+    top simplex tau, and whether a filler exists.  Where maps out of
+    Delta[n] into X and Y reach dimension n (`map_cap`), a map is its top
+    simplex and each horn cell lies in a face d_j, j != k: the tau's are
+    the bucket of p of u's faces in Y.horn_index(n, k), and tau is filled
+    by a sigma over it in the bucket of u's faces in X.horn_index(n, k),
+    one unit of budget per sigma.  Elsewhere `_find_lift` searches each
+    square; tau is None where Y stops below n."""
     full = standard_simplex(n)
-    i = inclusion_map(horn(n, k), full)
-    if n > map_cap(full, p.source):
-        return i, lambda u, v: _find_lift(i, p, u, v, budget) is not None
-    top = SimplexRef(full.cell_ids(n)[0])
-    sides = [(n - 1, f.base) for j, f in enumerate(full.faces_of(n, top.base)) if j != k]
-    index = p.source.horn_index(n, k)
-
-    def fills(u, v):
-        want = v(top, n)
-        for sigma in index.get(tuple(u.assignment[c] for c in sides), ()):
-            budget.spend()
-            if p(sigma, n) == want:
-                return True
-        return False
-
-    return i, fills
+    i, top = inclusion_map(horn(n, k), full), full.cell_ids(n)[0]
+    if n > min(map_cap(full, p.source), map_cap(full, p.target)):
+        for u, v in _commuting_squares(i, p, budget):
+            yield u, v.assignment.get((n, top)), _find_lift(i, p, u, v, budget) is not None
+        return
+    sides = [(n - 1, f.base) for j, f in enumerate(full.faces_of(n, top)) if j != k]
+    fillers, bottoms = p.source.horn_index(n, k), p.target.horn_index(n, k)
+    for u in hom_set(i.source, p.source, budget=budget):
+        faces = tuple(u.assignment[c] for c in sides)
+        taus = bottoms.get(tuple(p(f, n - 1) for f in faces), ())
+        over = fillers.get(faces, ()) if taus else ()
+        budget.spend(len(over))
+        images = {p(sigma, n) for sigma in over}
+        yield from ((u, tau, tau in images) for tau in taus)
 
 
 def unliftable_square(i: SimpMap, p: SimpMap, budget):
@@ -378,15 +379,10 @@ def unliftable_square(i: SimpMap, p: SimpMap, budget):
 def unfillable_inner_horn(p: SimpMap, d, budget):
     """The first (n, k, u), 0 < k < n <= d, where the inner horn
     u: Lambda^k[n] -> X has a square against p with no filler; or None.
-    `_horn_fills` looks each square up, or searches it where X is
-    truncated below n and so read coskeletally."""
-    for n in range(2, d + 1):
-        for k in range(1, n):
-            i, fills = _horn_fills(n, k, p, budget)
-            u = next((u for u, v in _commuting_squares(i, p, budget) if not fills(u, v)), None)
-            if u is not None:
-                return n, k, u
-    return None
+    `_horn_squares` looks each square up, or searches it where X or Y
+    is truncated below n and so read coskeletally."""
+    return next(((n, k, u) for n in range(2, d + 1) for k in range(1, n)
+                 for u, _, filled in _horn_squares(n, k, p, budget) if not filled), None)
 
 
 def has_rlp(p: SimpMap, i: SimpMap, budget=None) -> Verdict:

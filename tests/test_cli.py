@@ -5,11 +5,14 @@ import copy
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gammaspace
 from gammaspace import jsonio
 from gammaspace.cli import COMMANDS, COMMON, FLAGS, build_parser, main
 from gammaspace.cocart import nelg
@@ -116,6 +119,26 @@ def test_determinism(tmp_path, capsys):
     blob2 = json.loads(out2)
     blob1.pop("seconds"), blob2.pop("seconds")
     assert blob1 == blob2
+
+
+def test_a_cat_equiv_witness_reads_the_same_in_every_process(tmp_path):
+    # the witness names the functor by its categories, not by its address,
+    # so interpreters under two hash seeds print the same report
+    p = tmp_path / "m.json"
+    p.write_text(jsonio.canonical_dumps(jsonio.tabulated_to_json(z2_monoid_space(2))))
+    src = os.path.dirname(os.path.dirname(gammaspace.__file__))
+    reports = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-m", "gammaspace.cli", "segal-check", str(p),
+                              "--k", "1", "--l", "1", "--tier", "cat-equiv"],
+                             env=env, capture_output=True, text=True, check=True)
+        report = json.loads(run.stdout)
+        report.pop("seconds")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["verdicts"][0]["witness"].startswith("CatFunctor(FinCat(")
 
 
 def test_semiadd_probe_command(tmp_path, capsys):

@@ -2,6 +2,7 @@
 overcategory objects."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,7 +36,7 @@ from gammaspace.corpus import z2_monoid_space
 from gammaspace.gspace import gamma_rep, segal_check
 from gammaspace.marked import MarkedSimpSet, mark, marked_product, marked_hom_set, hom_marked
 from gammaspace.nerve import nerve
-from gammaspace.shapes import standard_point, standard_simplex
+from gammaspace.shapes import horn, standard_point, standard_simplex
 from gammaspace.simplicial import (
     FinSimpSet,
     SimplexRef,
@@ -43,6 +44,7 @@ from gammaspace.simplicial import (
     constant_map,
     delta_tuple,
     identity_map,
+    inclusion_map,
     iso_check,
     sigma_tuple,
 )
@@ -418,18 +420,35 @@ def _triangle(*tops):
     }).validate()
 
 
-def test_a_horn_filler_must_lie_over_the_bottom_simplex():
-    # X has one triangle s over t1 of Y; the Lambda^0[2] square on (f, h)
-    # under t2 finds s in its horn-index bucket, but p(s) = t1, not t2
+def filler_over_one_of_two_bottoms():
+    """X has one triangle s over t1 of Y; the Lambda^0[2] square on (f, h)
+    under t2 finds s in its horn-index bucket, but p(s) = t1, not t2."""
     x, y = _triangle("s"), _triangle("t1", "t2")
-    p = SimpMap(x, y, {**{(n, c): SimplexRef(c) for n in (0, 1) for c in x.cell_ids(n)},
-                       (2, "s"): SimplexRef("t1")}).validate()
-    i, fills = shapes._horn_fills(2, 0, p, Budget())
+    return SimpMap(x, y, {**{(n, c): SimplexRef(c) for n in (0, 1) for c in x.cell_ids(n)},
+                          (2, "s"): SimplexRef("t1")}).validate()
+
+
+def test_a_horn_filler_must_lie_over_the_bottom_simplex():
+    p = filler_over_one_of_two_bottoms()
+    x = p.source
+    i = inclusion_map(horn(2, 0), standard_simplex(2))
     [(u, v)] = [(u, v) for u, v in shapes._commuting_squares(i, p, Budget())
                 if u.assignment[(1, "01")] == SimplexRef("f")
                 and v.assignment[(2, "012")] == SimplexRef("t2")]
     assert x.horn_index(2, 0)[(SimplexRef("h"), SimplexRef("f"))] == (SimplexRef("s"),)
-    assert not fills(u, v)
+    assert [filled for w, tau, filled in shapes._horn_squares(2, 0, p, Budget())
+            if w.key() == u.key() and tau == SimplexRef("t2")] == [False]
     assert shapes._find_lift(i, p, u, v, Budget()) is None
     edges, verdict, _ = cocartesian_edges(x, p, 2)
     assert edges == ["g", "h"] and verdict.fails
+
+
+def test_a_base_truncated_below_the_edge_search_is_refused():
+    # p is stored only up to the base's bound 1, so p of the 2-simplex of
+    # Delta[2], which the Lambda^0[2] squares read, is not there
+    x, y = standard_simplex(2), standard_simplex(2, bound=1)
+    p = SimpMap(x, y, {(n, c): SimplexRef(c) for n in (0, 1) for c in x.cell_ids(n)}).validate()
+    with pytest.raises(ValueError, match="base truncated at 1"):
+        cocartesian_edges(x, p, 2)
+    with pytest.raises(ValueError, match="base truncated at 1"):
+        cocartesian_cross_check(SimpleNamespace(total=x, proj=p), 2)

@@ -7,6 +7,7 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from test_cocart import filler_over_one_of_two_bottoms
 from test_lifting_golden import _cocart_cases, _diagram, _qcat_cases
 from test_shapes import spine_of_two_edges
 from test_simplicial import glued_simplices, quotients
@@ -371,20 +372,18 @@ def test_cocartesian_edges_match_a_scan_of_all_fillers(p, d):
 
 
 def test_cocartesian_edges_search_the_squares_once_per_horn(monkeypatch):
-    calls = []
+    squares = []
     real = shapes._commuting_squares
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(shapes, "_commuting_squares", counting)
-    monkeypatch.setattr(cocart, "_commuting_squares", counting)
+    monkeypatch.setattr(shapes, "_commuting_squares",
+                        lambda *args: squares.append(args) or real(*args))
+    calls = _count_calls(monkeypatch, shapes)
     nb = nerve(poset_category(2), bound=3)
     cocartesian_edges(nb, identity_map(nb), 3)
-    # Lambda^0[2] and Lambda^0[3], then the inner horns Lambda^1[2],
-    # Lambda^1[3] and Lambda^2[3], which all fill
+    # one search of horn maps each for Lambda^0[2] and Lambda^0[3], then
+    # the inner horns Lambda^1[2], Lambda^1[3] and Lambda^2[3], which all
+    # fill; the bottoms are horn-index lookups, not searches
     assert len(calls) == (3 - 1) + 3
+    assert squares == []
 
 
 # -- horn fillers by lookup, against the filler search ------------------------
@@ -426,27 +425,43 @@ horns = st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.integers(0,
 
 @given(horn_targets(), horns)
 @example(constant_map(spine_of_two_edges(), standard_point(), "0"), (2, 1))
+@example(filler_over_one_of_two_bottoms(), (2, 0))
 @settings(max_examples=60, deadline=None)
 def test_horn_lookup_decides_every_square_as_the_filler_search(p, horn_at):
+    def triples(squares):
+        return sorted((u.key(), tau, filled) for u, tau, filled in squares)
+
     n, k = horn_at
-    i, fills = shapes._horn_fills(n, k, p, Budget())
-    for u, v in shapes._commuting_squares(i, p, Budget()):
-        assert fills(u, v) == (shapes._find_lift(i, p, u, v, Budget()) is not None)
+    assert triples(shapes._horn_squares(n, k, p, Budget())) == \
+        triples(_searched_horn_squares(n, k, p, Budget()))
 
 
 def test_horn_lookup_meets_squares_with_and_without_fillers():
     # the spine onto a point: its inner 2-horn on the two edges has no
     # filler, and its degenerate ones do
     p = constant_map(spine_of_two_edges(), standard_point(), "0")
-    i, fills = shapes._horn_fills(2, 1, p, Budget())
-    decided = [fills(u, v) for u, v in shapes._commuting_squares(i, p, Budget())]
+    decided = [filled for _, _, filled in shapes._horn_squares(2, 1, p, Budget())]
     assert True in decided and False in decided
 
 
-def _searched_horn_fills(n, k, p, budget):
-    """The oracle of `_horn_fills`: every square searched by `_find_lift`."""
-    i = inclusion_map(horn(n, k), standard_simplex(n))
-    return i, lambda u, v: shapes._find_lift(i, p, u, v, budget) is not None
+def test_horn_squares_are_searched_where_the_bottom_stops_below_the_horn():
+    # the boundary of Delta[2] over the 1-skeleton of Delta[2], read
+    # coskeletally: the bottom of the inner horn (01, 12) is no stored
+    # 2-simplex of Y, so only the search meets its square, which nothing fills
+    x, y = boundary(2), standard_simplex(2, bound=1)
+    p = SimpMap(x, y, {(n, c): SimplexRef(c) for n in (0, 1) for c in x.cell_ids(n)}).validate()
+    n, k, u = shapes.unfillable_inner_horn(p, 2, Budget())
+    assert (n, k) == (2, 1)
+    assert [u.assignment[(1, c)] for c in ("01", "12")] == [SimplexRef("01"), SimplexRef("12")]
+
+
+def _searched_horn_squares(n, k, p, budget):
+    """The oracle of `_horn_squares`: every square listed by
+    `_commuting_squares` and decided by `_find_lift`."""
+    full = standard_simplex(n)
+    i, top = inclusion_map(horn(n, k), full), (n, full.cell_ids(n)[0])
+    return [(u, v.assignment.get(top), shapes._find_lift(i, p, u, v, budget) is not None)
+            for u, v in shapes._commuting_squares(i, p, budget)]
 
 
 LOOKUP_CASES = {**{f"quasicategory/{k}": v for k, v in _qcat_cases().items()},
@@ -456,6 +471,6 @@ LOOKUP_CASES = {**{f"quasicategory/{k}": v for k, v in _qcat_cases().items()},
 @pytest.mark.parametrize("case", sorted(LOOKUP_CASES))
 def test_lookup_verdicts_match_a_search_of_every_square(case, monkeypatch):
     found = LOOKUP_CASES[case]()
-    monkeypatch.setattr(shapes, "_horn_fills", _searched_horn_fills)
-    monkeypatch.setattr(cocart, "_horn_fills", _searched_horn_fills)
+    monkeypatch.setattr(shapes, "_horn_squares", _searched_horn_squares)
+    monkeypatch.setattr(cocart, "_horn_squares", _searched_horn_squares)
     assert canonical_dumps(found) == canonical_dumps(LOOKUP_CASES[case]())
