@@ -142,26 +142,43 @@ def terminal_gamma_space(level_bound) -> TabulatedGammaSpace:
 
 def discrete_monoid_space(elements, op, unit, level_bound) -> TabulatedGammaSpace:
     """The tabulation of a commutative monoid: level n is the discrete set
-    of n-tuples, a based map acts by multiplying fibers."""
+    of n-tuples, a based map acts by multiplying fibers.  Raises ValueError
+    when two tuples get one name (as `x_y`, `e` and `x`, `y_e` would)."""
     elements = list(elements)
+    names = {}
 
     def name(tup):
         return "t" + "_".join(str(v) for v in tup)
 
+    def named(n):
+        """Level n's tuples, each to its name, in `itertools.product` order."""
+        if n not in names:
+            table, owners = {}, {}
+            for tup in itertools.product(elements, repeat=n):
+                label = table[tup] = name(tup)
+                if owners.setdefault(label, tup) != tup:
+                    raise ValueError(f"the tuples {owners[label]} and {tup} of level {n}"
+                                     f" are both named {label!r}")
+            names[n] = table
+        return names[n]
+
     def value(n):
-        return discrete_set([name(t) for t in itertools.product(elements, repeat=n)])
+        return discrete_set(named(n).values())
 
     def action(f: GammaMorphism):
+        fibres = [[i for i in range(f.src) if f.table[i] == j] for j in range(1, f.dst + 1)]
+        target = named(f.dst)
         assignment = {}
-        for tup in itertools.product(elements, repeat=f.src):
+        for tup, label in named(f.src).items():
             out = []
-            for j in range(1, f.dst + 1):
+            for fibre in fibres:
                 acc = unit
-                for i in range(1, f.src + 1):
-                    if f(i) == j:
-                        acc = op(acc, tup[i - 1])
+                for i in fibre:
+                    acc = op(acc, tup[i])
                 out.append(acc)
-            assignment[(0, name(tup))] = SimplexRef(name(tuple(out)))
+            out = tuple(out)
+            # an op that leaves the elements names no vertex; validate() refuses that
+            assignment[(0, label)] = SimplexRef(target.get(out) or name(out))
         return SimpMap(space.value(f.src), space.value(f.dst), assignment)
 
     space = TabulatedGammaSpace(level_bound, value, action)

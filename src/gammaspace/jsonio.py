@@ -3,7 +3,7 @@ emits; serialization sorts keys so round-trips are bit-exact."""
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .catcore import FinCat
 from .cocart import RelativeNerveInput, OverObject
@@ -332,4 +332,56 @@ def _expect_list(data, what, kind):
 
 
 def canonical_dumps(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(data, sort_keys=True, indent=2)` and a newline, byte for
+    byte, built bottom-up (each container joins its children's strings)
+    rather than by the stdlib's pure-Python indenting encoder."""
+    return _text(data, "\n") + "\n"
+
+
+def _float_text(x):
+    if x != x:
+        return "NaN"
+    if x == float("inf"):
+        return "Infinity"
+    if x == float("-inf"):
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+_SCALARS = {str: _quote, int: int.__repr__, float: _float_text,
+            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+
+
+def _key_text(key):
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, (int, float)) or key is None:
+        return '"' + _text(key, "") + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _text(value, margin):
+    """The text of value whose later lines start at margin (a newline and
+    the indent); tuples (so `SimplexRef`s) are written as lists, as the
+    stdlib writes them.  Strings, the most common value, skip the call."""
+    scalar = _SCALARS.get(value.__class__)
+    if scalar is not None:
+        return scalar(value)
+    inner = margin + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            (_quote(k) if k.__class__ is str else _key_text(k)) + ": "
+            + (_quote(v) if v.__class__ is str else _text(v, inner))
+            for k, v in sorted(value.items())]) + margin + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([
+            _quote(v) if v.__class__ is str else _text(v, inner)
+            for v in value]) + margin + "]"
+    for kind in (str, int, float):  # subclasses write as their base
+        if isinstance(value, kind):
+            return _SCALARS[kind](value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")

@@ -24,8 +24,9 @@ def chain_ref(c: FinCat, chain, start) -> SimplexRef:
 def nerve(c: FinCat, bound=4) -> FinSimpSet:
     """Nerve of a finite category, truncated.
 
-    Nondegenerate n-cells are chains of n composable non-identity arrows;
-    nerves are 2-coskeletal so any bound >= 2 reads back exactly.
+    Nondegenerate n-cells are chains of n composable non-identity arrows,
+    named by joining the arrow ids with "|" (ValueError when two chains get
+    one name); nerves are 2-coskeletal so any bound >= 2 reads back exactly.
     """
     non_id = [f for f in c.arrow_ids() if not c.is_identity(f)]
     cells = {0: {f"o{a}": () for a in c.objects}}
@@ -40,7 +41,11 @@ def nerve(c: FinCat, bound=4) -> FinSimpSet:
 
     for n in range(1, bound + 1):
         cells[n] = {}
+        owners = {}
         for ch in chains.get(n, []):
+            name = "|".join(ch)
+            if owners.setdefault(name, ch) != ch:
+                raise ValueError(f"the chains {owners[name]} and {ch} are both named {name!r}")
             faces = []
             for i in range(n + 1):
                 if i == 0:
@@ -54,7 +59,7 @@ def nerve(c: FinCat, bound=4) -> FinSimpSet:
                   # composite may be an identity; chain_ref renormalizes
                     start = c.src(ch[0])
                 faces.append(chain_ref(c, sub, start))
-            cells[n]["|".join(ch)] = tuple(faces)
+            cells[n][name] = tuple(faces)
 
     longer = any(
         c.src(g) == c.dst(ch[-1])

@@ -704,6 +704,69 @@ def test_validate_reaches_the_level_bound_by_default():
     assert [t for t in tables if _validates(space(t), None)] == monoids
 
 
+def _per_tuple_monoid_space(elements, op, unit, level_bound):
+    """discrete_monoid_space as it was first written: each action re-scans
+    every (i, j) for each tuple and names each tuple afresh."""
+    elements = list(elements)
+
+    def name(tup):
+        return "t" + "_".join(str(v) for v in tup)
+
+    def value(n):
+        return discrete_set([name(t) for t in itertools.product(elements, repeat=n)])
+
+    def action(f):
+        assignment = {}
+        for tup in itertools.product(elements, repeat=f.src):
+            out = []
+            for j in range(1, f.dst + 1):
+                acc = unit
+                for i in range(1, f.src + 1):
+                    if f(i) == j:
+                        acc = op(acc, tup[i - 1])
+                out.append(acc)
+            assignment[(0, name(tup))] = SimplexRef(name(tuple(out)))
+        return SimpMap(space.value(f.src), space.value(f.dst), assignment)
+
+    space = TabulatedGammaSpace(level_bound, value, action)
+    return space
+
+
+def _same_tabulation(elements, op, unit, level):
+    fast = discrete_monoid_space(elements, op, unit, level)
+    slow = _per_tuple_monoid_space(elements, op, unit, level)
+    for n in range(level + 1):
+        assert fast.value(n).cell_ids(0) == slow.value(n).cell_ids(0)
+    for f in all_morphisms_upto(level):
+        # equal assignments, inserted in the same order
+        assert list(fast.action(f).assignment.items()) == list(slow.action(f).assignment.items())
+
+
+@pytest.mark.parametrize("elements,op", [
+    ([0, 1], lambda a, b: (a + b) % 2),
+    ([0, 1], max),
+    ([1, 0], max),  # product order is not name order
+    ([0, 1], lambda a, b: a + b),  # not closed: 1 + 1 names no vertex, as before
+], ids=["z2", "max", "max-listed-backwards", "sum-not-closed"])
+def test_monoid_actions_match_the_per_tuple_oracle(elements, op):
+    _same_tabulation(elements, op, 0, 4)
+
+
+def test_monoid_actions_match_the_per_tuple_oracle_on_every_unital_table():
+    for p11, p12, p22 in itertools.product(range(3), repeat=3):
+        table = {(1, 1): p11, (1, 2): p12, (2, 1): p12, (2, 2): p22}
+        _same_tabulation(range(3), lambda a, b: _times(table, a, b), 0, 3)
+
+
+def test_monoid_space_refuses_two_tuples_with_one_name():
+    # ("x_y", "e") and ("x", "y_e") are both "tx_y_e": level 2 would have 15
+    # points, not 16
+    x = discrete_monoid_space(["e", "x_y", "x", "y_e"], lambda a, b: b if a == "e" else a, "e", 2)
+    assert len(x.value(1).cell_ids(0)) == 4
+    with pytest.raises(ValueError, match="both named 'tx_y_e'"):
+        x.value(2)
+
+
 def _with_vertex_moved(x, f, vertex, image):
     """x, except that f sends the vertex `vertex` to `image`."""
     m = x.action(f)

@@ -1,12 +1,13 @@
 """Round-trip exactness of the wire formats and generator completion."""
 
 import copy
+import enum
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gammaspace import jsonio
+from gammaspace import jsonio, suite
 from gammaspace.catcore import poset_category, terminal_category, walking_iso_category
 from gammaspace.cocart import OverObject
 from gammaspace.corpus import glued_presentation, presented_corpus, z2_monoid_space
@@ -15,7 +16,7 @@ from gammaspace.marked import mark
 from gammaspace.nerve import nerve
 from gammaspace.shapes import boundary, sphere_zero, standard_simplex
 from gammaspace.gspace import all_morphisms_upto, gamma_rep
-from gammaspace.simplicial import constant_map, identity_map, iso_check
+from gammaspace.simplicial import SimplexRef, constant_map, identity_map, iso_check
 
 
 def test_simpset_round_trip_bit_exact():
@@ -343,3 +344,110 @@ def test_loaders_refuse_a_dropped_key_with_value_error(case):
     load, doc = next((load, doc) for n, load, doc in VALID_DOCUMENTS if n == name)
     with pytest.raises(ValueError, match="expected"):
         load(_mutated(doc, path, _DROP))
+
+
+def _stdlib_dumps(value):
+    """The encoder `canonical_dumps` must match byte for byte."""
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def _both_dumps(value):
+    """(canonical_dumps, the stdlib): each the text, or the type it raised."""
+    out = []
+    for dumps in (jsonio.canonical_dumps, _stdlib_dumps):
+        try:
+            out.append(dumps(value))
+        except (TypeError, ValueError) as exc:
+            out.append(type(exc))
+    return out
+
+
+_AWKWARD_FLOATS = [-0.0, 0.1, 1e300, -1e-300, float("nan"), float("inf"), float("-inf")]
+_STRINGS = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé€ \ud800😀'),
+                             st.characters()), max_size=6)
+_SCALARS = st.one_of(
+    _STRINGS, st.none(), st.booleans(),
+    st.integers(), st.integers(min_value=-2 ** 200, max_value=2 ** 200),
+    st.floats(), st.sampled_from(_AWKWARD_FLOATS))
+# keys of one dict are of one sortable kind; mixing the kinds is pinned below
+_KEYS = [_STRINGS, st.one_of(st.integers(), st.booleans()),
+         st.one_of(st.floats(), st.sampled_from(_AWKWARD_FLOATS), st.integers()), st.none()]
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        *[st.dictionaries(keys, children, max_size=4) for keys in _KEYS])
+
+
+@given(st.recursive(_SCALARS, _containers, max_leaves=24))
+@settings(max_examples=300, deadline=None)
+def test_canonical_dumps_writes_the_stdlib_text(value):
+    ours, theirs = _both_dumps(value)
+    assert ours == theirs
+
+
+class _Level(enum.IntEnum):
+    TOP = 3
+
+
+class _Label(str):
+    pass
+
+
+class _Seconds(float):
+    pass
+
+
+PINNED_VALUES = {
+    "empty-dict": {},
+    "empty-list": [],
+    "empty-tuple": (),
+    "nested-empties": {"a": {}, "b": [], "c": [[], {}, ()]},
+    "simplex-ref": SimplexRef("x", (1, 0)),
+    "bare-simplex-ref": [SimplexRef("y"), {"ref": SimplexRef("z", (0,))}],
+    "gamma-morphism": GammaMorphism(3, 2, (0, 1, 2)),
+    "top-level-string": 'a "quoted" \\ line\n',
+    "top-level-none": None,
+    "scalar-keys": {1.5: "a", 2: "b", True: "c", -0.0: "d"},
+    "special-float-keys": {float("nan"): 0, float("inf"): 1, float("-inf"): 2},
+    "none-key": {None: [None, True, False]},
+    "big-int": [2 ** 100, -(2 ** 100)],
+    "scalar-subclasses": [_Level.TOP, _Label("x"), _Seconds(0.5),
+                          {_Level.TOP: 0, _Seconds(0.5): 1}, {_Label("k"): _Label("v")}],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_VALUES))
+def test_canonical_dumps_writes_pinned_values_as_the_stdlib(case):
+    ours, theirs = _both_dumps(PINNED_VALUES[case])
+    assert isinstance(ours, str) and ours == theirs
+
+
+@pytest.mark.parametrize("value", [{1, 2}, {"a": {1, 2}}, {"a": 1, 2: "b"}, [{None: 0, 1: 2}],
+                                   {("a",): 1}, object()],
+                         ids=["set", "nested-set", "str-and-int-keys", "none-and-int-keys",
+                              "tuple-key", "object"])
+def test_canonical_dumps_refuses_what_the_stdlib_refuses(value):
+    ours, theirs = _both_dumps(value)
+    assert ours is theirs is TypeError
+
+
+def test_canonical_dumps_writes_every_check_suite_report_as_the_stdlib(monkeypatch, capsys):
+    from gammaspace import cli
+
+    bodies = []
+    dumps = jsonio.canonical_dumps
+
+    def recorded(body):
+        bodies.append(body)
+        return dumps(body)
+
+    monkeypatch.setattr(jsonio, "canonical_dumps", recorded)
+    cli.main(["check-suite"])
+    (body,) = bodies
+    assert capsys.readouterr().out == _stdlib_dumps(body) == dumps(body)
+    assert len(body["verdicts"]) == len(suite.SUITE)
+    for verdict in body["verdicts"]:
+        assert dumps(verdict) == _stdlib_dumps(verdict)

@@ -409,6 +409,22 @@ def test_nerve_functor_maps_read_chains_off_the_spine():
     assert nerve_functor_map(identity, nc, nc).validate() == identity_map(nc)
 
 
+def test_nerve_refuses_two_chains_with_one_name():
+    # a | (b|c) and (a|b) | c would both be the 2-cell "a|b|c"
+    arrows = {"a": ("0", "1"), "b|c": ("1", "2"), "a|b": ("0", "p"), "c": ("p", "2"),
+              "h": ("0", "2")}
+    objects = ["0", "1", "2", "p"]
+    compose = {("b|c", "a"): "h", ("c", "a|b"): "h"}
+    for f, (s, t) in arrows.items():
+        compose[(f, f"id{s}")] = compose[(f"id{t}", f)] = f
+    c = FinCat(objects, {**{f"id{o}": (o, o) for o in objects}, **arrows},
+               {o: f"id{o}" for o in objects},
+               {**{(f"id{o}", f"id{o}"): f"id{o}" for o in objects}, **compose})
+    assert nerve(c, bound=1).cell_ids(1)
+    with pytest.raises(ValueError, match=r"\('a', 'b\|c'\) and \('a\|b', 'c'\)"):
+        nerve(c, bound=2)
+
+
 def test_hom_into_nerve_counts_chains():
     # maps from the standard n-simplex are the length-n composable chains
     # with identities allowed, i.e. functors from the linear order
