@@ -378,7 +378,9 @@ def coslice_category(c: FinCat, base_obj):
     commuting triangles.
 
     Returns (category, projection functor, triangle legs) where the legs
-    table sends each triangle arrow name to its underlying arrow of c.
+    table sends each triangle arrow name to its underlying arrow of c.  A
+    triangle f -> g over h is named t{f}_{g}_{h} (ValueError when two
+    triangles get one name).
     """
     objects = [f for f in c.arrow_ids() if c.src(f) == base_obj]
     arrows = {}
@@ -389,6 +391,9 @@ def coslice_category(c: FinCat, base_obj):
             for h in c.hom(c.dst(f), c.dst(g)):
                 if c.compose(h, f) == g:
                     name = f"t{f}_{g}_{h}"
+                    if name in arrows:
+                        raise ValueError(f"the triangles {arrows[name] + (legs[name],)}"
+                                         f" and {(f, g, h)} are both named {name!r}")
                     arrows[name] = (f, g)
                     legs[name] = h
     for f in objects:

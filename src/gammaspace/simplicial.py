@@ -10,11 +10,13 @@ never needs cells beyond the bound.
 
 All values are immutable after construction; operations are pure.  Each
 FinSimpSet keeps its cell ids per dimension and its top dimension from
-construction.  The caches below (the word-arithmetic memos, and each
-FinSimpSet's face and horn indexes, neighbour table, search order and
-`act` memo)
-only ever store what a pure function returns for its key, so a racing
-fill writes the same value twice.
+construction.  A face is read off the degeneracy word by the simplicial
+identities (`face_word`, word arithmetic with no set data), so `act`
+serves only general operators and its memo holds no faces.  The caches
+below (the word-arithmetic memos, each FinSimpSet's face and horn indexes,
+neighbour table, search order and `act` memo, and the face table and pair
+memo of one `product` call) only ever store what a pure function returns
+for its key, so a racing fill writes the same value twice.
 
 Maps are built in two ways.  `cellwise` assigns a given image to every
 nondegenerate source cell, and every map given cell by cell (identities,
@@ -24,8 +26,9 @@ cocone of legs fixes.  Both assign the dimensions `map_cap` gives, the one
 statement of how far a map into a truncated target is defined.  Two
 composites are compared by `commutes`, cell by cell, building neither.
 
-Checks run where data enters: `FinSimpSet.validate` is called by the
-loaders and by `from_elements`.  The constructions here (`product`,
+Checks run where data enters: `FinSimpSet.validate` and `SimpMap.validate`
+are called by the loaders, the first by `from_elements` too, and both
+refuse a word out of normal form.  The constructions here (`product`,
 `Colimit`, the subobjects, the maps) trust their valid inputs and do not
 re-check their output; the tests validate every set they construct and
 check every cocone given to `Colimit.mediating`.
@@ -105,6 +108,23 @@ def delta_tuple(i, n):
 def sigma_tuple(i, n):
     """The surjection [n+1] -> [n] repeating i."""
     return tuple(t if t <= i else t - 1 for t in range(n + 2))
+
+
+def is_normal_word(word, dim):
+    """Whether word is a degeneracy word in normal form on a dim-simplex:
+    strictly decreasing entries in 0..dim-1."""
+    return word == tuple(sorted(set(word) & set(range(dim)), reverse=True))
+
+
+@functools.lru_cache(maxsize=WORD_MEMO_SIZE)
+def face_word(word, n, i):
+    """d_i of an n-simplex s_word x, by the simplicial identities d_i s_j:
+    (None, w) when d_i s_word x = s_w x, (j, w) when it is s_w d_j x.  The
+    surjection of the word without position i still hits its value there
+    exactly in the first case; dropping a missed value moves no repeat."""
+    surj = word_to_surj(word, n)
+    rest = surj[:i] + surj[i + 1:]
+    return None if surj[i] in rest else surj[i], surj_to_word(rest)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +315,11 @@ class FinSimpSet:
         return self.act(face, dim - 1, rest)
 
     def face(self, ref: SimplexRef, ref_dim: int, i: int) -> SimplexRef:
-        return self.act(ref, ref_dim, delta_tuple(i, ref_dim))
+        j, word = face_word(ref.degs, ref_dim, i)
+        if j is None:
+            return SimplexRef(ref.base, word)
+        k = ref_dim - len(ref.degs)
+        return apply_word(self._cells[k][ref.base][j], word, k - 1)
 
     def degen(self, ref: SimplexRef, ref_dim: int, i: int) -> SimplexRef:
         return apply_word(ref, (i,), ref_dim)
@@ -319,7 +343,7 @@ class FinSimpSet:
                 if len(faces) != (n + 1 if n > 0 else 0):
                     raise ValueError(f"cell {name!r} in dim {n} has {len(faces)} faces")
                 for ref in faces:
-                    if ref.degs != tuple(sorted(set(ref.degs) & set(range(n - 1)), reverse=True)):
+                    if not is_normal_word(ref.degs, n - 1):
                         raise ValueError(
                             f"face {ref!r} of {name!r} has degeneracy word {list(ref.degs)};"
                             f" expected strictly decreasing entries in 0..{n - 2}")
@@ -405,9 +429,11 @@ class SimpMap:
                 if (n, name) not in self.assignment:
                     raise ValueError(f"no assignment for cell {name!r} in dim {n}")
                 img = self.assignment[(n, name)]
-                if self.target.base_dim(img, n) < 0 or not self.target.has_cell(
-                    self.target.base_dim(img, n), img.base
-                ):
+                if not is_normal_word(img.degs, n):
+                    raise ValueError(
+                        f"image {img!r} of {name!r} has degeneracy word {list(img.degs)};"
+                        f" expected strictly decreasing entries in 0..{n - 1}")
+                if not self.target.has_cell(self.target.base_dim(img, n), img.base):
                     raise ValueError(f"image {img!r} of {name!r} does not resolve")
                 for i in range(n + 1) if n > 0 else ():
                     want = self(self.source.faces_of(n, name)[i], n - 1)
@@ -616,7 +642,8 @@ def product(x: FinSimpSet, y: FinSimpSet, bound=None):
     Returns (product set, projection to x, projection to y, pair resolver)
     where the resolver sends a pair of same-dimension refs to the product
     ref in normal form (ValueError if its nondegenerate part is above the
-    bound).
+    bound).  It keeps every pair it resolves, for `pairing` and
+    `product_map` too; each factor ref's faces are taken once per product.
     """
     full = x.top_dim() + y.top_dim()
     b = bound if bound is not None else min(full if x.complete else x.dim_bound,
@@ -629,28 +656,41 @@ def product(x: FinSimpSet, y: FinSimpSet, bound=None):
         keys = sorted((rx, ky) for rx in x.refs(n) for w, kys in ys.items()
                       if w.isdisjoint(rx.degs) for ky in kys)
         names.update(((n, key), f"c{n}_{idx}") for idx, key in enumerate(keys))
+    resolved = {}
 
     def pair_ref(rx, ry, n):
         # strip the common degeneracy word (each index left drops by the
         # number of stripped ones below it), look the nondegenerate pair
         # up, and re-apply the word
-        common = tuple(j for j in rx.degs if j in ry.degs)
-        if common:
-            rx, ry = (SimplexRef(r.base, tuple(j - sum(c < j for c in common)
-                                               for j in r.degs if j not in common))
-                      for r in (rx, ry))
-        k = n - len(common)
-        name = names.get((k, (rx, ry)))
-        if name is None:
-            raise ValueError(f"pair of refs in dim {n} has no cell at bound {b}")
-        return apply_word(SimplexRef(name), common, k)
+        key = (rx, ry, n)
+        out = resolved.get(key)
+        if out is None:
+            common = tuple(j for j in rx.degs if j in ry.degs)
+            if common:
+                rx, ry = (SimplexRef(r.base, tuple(j - sum(c < j for c in common)
+                                                   for j in r.degs if j not in common))
+                          for r in (rx, ry))
+            k = n - len(common)
+            name = names.get((k, (rx, ry)))
+            if name is None:
+                raise ValueError(f"pair of refs in dim {n} has no cell at bound {b}")
+            out = resolved[key] = apply_word(SimplexRef(name), common, k)
+        return out
+
+    face_tables = {x: {}, y: {}}
+
+    def faces(z, r, n):
+        table = face_tables[z]
+        out = table.get((n, r))
+        if out is None:
+            out = table[(n, r)] = tuple(z.face(r, n, i) for i in range(n + 1))
+        return out
 
     cells = {n: {} for n in range(b + 1)}
     assign1, assign2 = {}, {}
-    for (n, (kx, ky)), name in names.items():
-        rx, ry = SimplexRef(*kx), SimplexRef(*ky)
+    for (n, (rx, ry)), name in names.items():
         cells[n][name] = tuple(
-            pair_ref(x.face(rx, n, i), y.face(ry, n, i), n - 1) for i in range(n + 1)
+            pair_ref(fx, fy, n - 1) for fx, fy in zip(faces(x, rx, n), faces(y, ry, n))
         ) if n else ()
         assign1[(n, name)] = rx
         assign2[(n, name)] = ry

@@ -117,6 +117,34 @@ def test_coslice():
         assert len(fiber) == len(p2.hom("0", x))
 
 
+def _two_triangles_one_name(a_b="a_b"):
+    """Objects x, y, z; arrows a, a_b: x -> y, b_c, c: x -> z, d: y -> z,
+    with d o a = b_c and d o a_b = c, so that the triangles (a, b_c, d)
+    and (a_b, c, d) of x/C are both named ta_b_c_d.  `a_b` renames the
+    second arrow out of x."""
+    arrows = {"ix": ("x", "x"), "iy": ("y", "y"), "iz": ("z", "z"), "a": ("x", "y"),
+              a_b: ("x", "y"), "b_c": ("x", "z"), "c": ("x", "z"), "d": ("y", "z")}
+    identities = {"x": "ix", "y": "iy", "z": "iz"}
+    compose = {("d", "a"): "b_c", ("d", a_b): "c"}
+    for f, (s, t) in arrows.items():
+        compose[(identities[t], f)] = compose[(f, identities[s])] = f
+    return FinCat(["x", "y", "z"], arrows, identities, compose)
+
+
+def test_coslice_refuses_two_triangles_with_one_name():
+    with pytest.raises(ValueError, match="both named 'ta_b_c_d'"):
+        coslice_category(_two_triangles_one_name(), "x")
+    # renamed apart, x/C has all 11 commuting triangles: 5 out of the
+    # identity of x, 2 out of each of a and e (over iy and d), 1 out of
+    # each of b_c and c
+    cos, proj, _ = coslice_category(_two_triangles_one_name(a_b="e"), "x")
+    c = _two_triangles_one_name(a_b="e")
+    want = sum(c.compose(h, f) == g for f in cos.objects for g in cos.objects
+               for h in c.hom(c.dst(f), c.dst(g)))
+    assert len(cos.arrows) == want == 11
+    proj.validate()
+
+
 def test_product_and_functor_categories():
     p1 = poset_category(1)
     pc = product_category(p1, p1)

@@ -195,6 +195,26 @@ def test_pushout_product_of_non_mono_fails_with_witness(tmp_path, capsys):
     assert pp(a, n) == pp(b, n) == jsonio.ref_from_json(w["image"])
 
 
+def test_pushout_product_refuses_an_image_word_out_of_normal_form(tmp_path, capsys):
+    # the edge of f goes to s_1 of a vertex, a word beyond the edge's
+    # dimension: the loader names the word rather than a later construction
+    # failing on it
+    d1 = standard_simplex(1)
+    path = _arrow_file(tmp_path, "f.json", constant_map(d1, standard_point(), "0"))
+    with open(path) as fh:
+        blob = json.load(fh)
+    blob["map"]["assignment"]["1"]["01"]["deg"] = [1]
+    with open(path, "w") as fh:
+        fh.write(jsonio.canonical_dumps(blob))
+    edge = _arrow_file(tmp_path, "g.json", inclusion_map(boundary(1), d1))
+    code, report = run_cli(capsys, "pushout-product", path, edge)
+    assert code == 3
+    verdict = report["verdicts"][0]
+    assert verdict["tag"] == "input"
+    assert "has degeneracy word [1]; expected strictly decreasing entries in 0..0" in \
+        verdict["witness"]
+
+
 def _option(dest):
     return "--" + dest.replace("_", "-")
 

@@ -3,6 +3,7 @@
 import copy
 import enum
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from gammaspace.corpus import glued_presentation, presented_corpus, z2_monoid_sp
 from gammaspace.gammaop import GammaMorphism, enumerate_homs
 from gammaspace.marked import mark
 from gammaspace.nerve import nerve
-from gammaspace.shapes import boundary, sphere_zero, standard_simplex
+from gammaspace.shapes import boundary, sphere_zero, standard_point, standard_simplex
 from gammaspace.gspace import all_morphisms_upto, gamma_rep
 from gammaspace.simplicial import SimplexRef, constant_map, identity_map, iso_check
 
@@ -344,6 +345,24 @@ def test_loaders_refuse_a_dropped_key_with_value_error(case):
     load, doc = next((load, doc) for n, load, doc in VALID_DOCUMENTS if n == name)
     with pytest.raises(ValueError, match="expected"):
         load(_mutated(doc, path, _DROP))
+
+
+# degeneracy words for the edge of Delta[1] that are not strictly decreasing
+# in 0..0; the face of an image is read off its word alone, so each must be
+# refused where it enters
+EDGE_WORDS_OUT_OF_NORMAL_FORM = {"negative": [-1], "equal-to-dim": [1], "beyond-dim": [3]}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_WORDS_OUT_OF_NORMAL_FORM))
+def test_map_images_out_of_normal_form_are_refused(case):
+    deg = EDGE_WORDS_OUT_OF_NORMAL_FORM[case]
+    d1, pt = standard_simplex(1), standard_point()
+    doc = jsonio.simpmap_to_json(constant_map(d1, pt, "0"))
+    assert doc["assignment"]["1"]["01"] == {"base": "0", "deg": [0]}
+    jsonio.simpmap_from_json(doc, d1, pt)
+    doc["assignment"]["1"]["01"]["deg"] = deg
+    with pytest.raises(ValueError, match=re.escape(f"has degeneracy word {deg};")):
+        jsonio.simpmap_from_json(doc, d1, pt)
 
 
 def _stdlib_dumps(value):

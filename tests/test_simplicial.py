@@ -25,12 +25,14 @@ from gammaspace.simplicial import (
     FinSimpSet,
     SimplexRef,
     SimpMap,
+    WORD_MEMO_SIZE,
     apply_word,
     cellwise,
     constant_map,
     delta_tuple,
     discrete_set,
     disjoint_union,
+    face_word,
     factor_monotone,
     from_elements,
     hom_set,
@@ -693,6 +695,135 @@ def test_product_does_not_call_from_elements(monkeypatch):
     monkeypatch.setattr(simplicial, "from_elements", refuse)
     prod = product(standard_simplex(2), horn(2, 1))[0]
     assert _canonical(prod) == _canonical(_product_oracle(standard_simplex(2), horn(2, 1))[0])
+
+
+# -- faces by the simplicial identities, against the operator action -------
+
+
+def _plain_product(x, y, bound=None):
+    """`product` without its face tables and pair memo, each face taken by
+    `act` rather than by `face`: the oracle for both."""
+    full = x.top_dim() + y.top_dim()
+    b = bound if bound is not None else min(full if x.complete else x.dim_bound,
+                                            full if y.complete else y.dim_bound)
+    names = {}
+    for n in range(b + 1):
+        ys = {}
+        for ry in y.refs(n):
+            ys.setdefault(frozenset(ry.degs), []).append(ry)
+        keys = sorted((rx, ky) for rx in x.refs(n) for w, kys in ys.items()
+                      if w.isdisjoint(rx.degs) for ky in kys)
+        names.update(((n, key), f"c{n}_{idx}") for idx, key in enumerate(keys))
+
+    def pair_ref(rx, ry, n):
+        common = tuple(j for j in rx.degs if j in ry.degs)
+        if common:
+            rx, ry = (SimplexRef(r.base, tuple(j - sum(c < j for c in common)
+                                               for j in r.degs if j not in common))
+                      for r in (rx, ry))
+        k = n - len(common)
+        name = names.get((k, (rx, ry)))
+        if name is None:
+            raise ValueError(f"pair of refs in dim {n} has no cell at bound {b}")
+        return apply_word(SimplexRef(name), common, k)
+
+    cells = {n: {} for n in range(b + 1)}
+    assign1, assign2 = {}, {}
+    for (n, (kx, ky)), name in names.items():
+        rx, ry = SimplexRef(*kx), SimplexRef(*ky)
+        cells[n][name] = tuple(
+            pair_ref(x.act(rx, n, delta_tuple(i, n)), y.act(ry, n, delta_tuple(i, n)), n - 1)
+            for i in range(n + 1)
+        ) if n else ()
+        assign1[(n, name)] = rx
+        assign2[(n, name)] = ry
+    pointed = None
+    if x.pointed is not None and y.pointed is not None:
+        pointed = names[(0, ((x.pointed, ()), (y.pointed, ())))]
+    prod = FinSimpSet(b, cells, pointed=pointed,
+                      complete=x.complete and y.complete and b >= full)
+    return prod, SimpMap(prod, x, assign1), SimpMap(prod, y, assign2), pair_ref
+
+
+def _pair_or_message(pair_ref, rx, ry, n):
+    """pair_ref's ref, or the message of the ValueError it raises."""
+    try:
+        return pair_ref(rx, ry, n)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _one_name_in_each_dim():
+    """A vertex, a loop and a 2-cell on it, all named a: the ref (a, (0,))
+    is s_0 of the vertex in dimension 1 and s_0 of the loop in dimension 2,
+    so a table of refs must be keyed by dimension too."""
+    a = SimplexRef("a")
+    return FinSimpSet(2, {0: {"a": ()}, 1: {"a": (a, a)}, 2: {"a": (a, a, a)}},
+                      complete=True)
+
+
+def _edge_from_1_to_0():
+    """An edge named 01 like Delta[1]'s, with its ends the other way round:
+    the two factors' refs share names, so each needs its own face table."""
+    return FinSimpSet(1, {0: {"0": (), "1": ()}, 1: {"01": (SimplexRef("0"), SimplexRef("1"))}},
+                      complete=True)
+
+
+@given(small_spaces, small_spaces, st.sampled_from([None, 0, 1, 2]))
+@example(standard_simplex(1), _edge_from_1_to_0(), None)
+@example(standard_simplex(1), _one_name_in_each_dim(), None)
+@example(_one_name_in_each_dim(), _one_name_in_each_dim(), 3)
+@settings(max_examples=40, deadline=None)
+def test_product_matches_the_plain_product(x, y, bound):
+    got, p1, p2, pair_ref = product(x, y, bound=bound)
+    want, q1, q2, want_pair_ref = _plain_product(x, y, bound=bound)
+    assert got._cells == want._cells
+    assert (got.dim_bound, got.complete, got.pointed) == (want.dim_bound, want.complete, want.pointed)
+    assert (p1.assignment, p2.assignment) == (q1.assignment, q2.assignment)
+    for rounds in range(2):  # the second round reads the pair memo
+        for n in range(got.dim_bound + 3):
+            for rx in x.refs(n):
+                for ry in y.refs(n):
+                    assert (_pair_or_message(pair_ref, rx, ry, n)
+                            == _pair_or_message(want_pair_ref, rx, ry, n))
+
+
+face_spaces = st.one_of(
+    small_spaces,
+    st.just(_one_name_in_each_dim()),
+    st.builds(nerve, st.sampled_from([c for _, c in category_corpus()]), st.integers(1, 3)),
+    st.builds(lambda x, b: x.rebound(min(b, x.dim_bound)), small_spaces, st.integers(0, 2)),
+    st.builds(lambda x, y, b: product(x, y, bound=b)[0],
+              st.integers(0, 2).map(standard_simplex) | quotients,
+              st.sampled_from([standard_simplex(1), boundary(2), horn(2, 1)]),
+              st.sampled_from([None, 1, 2])),
+)
+
+
+@given(face_spaces)
+@settings(max_examples=60, deadline=None)
+def test_faces_match_the_operator_action(x):
+    for n in range(1, x.dim_bound + 3):
+        for r in x.refs(n):
+            for i in range(n + 1):
+                assert x.face(r, n, i) == x.act(r, n, delta_tuple(i, n))
+                assert face_word(r.degs, n, i) == face_word.__wrapped__(r.degs, n, i)
+
+
+def test_faces_of_a_fresh_set_do_not_call_act():
+    x = _fresh_copy(product(standard_simplex(2), boundary(2))[0])
+    for n in range(1, x.dim_bound + 3):
+        x.face_index(n)
+    assert x._face_index and not x._act_memo
+
+
+def test_face_words_are_kept_in_a_bounded_memo():
+    assert face_word.cache_info().maxsize == WORD_MEMO_SIZE
+    # d_1 s_1 s_0 v = s_0 v, absorbed; d_2 s_0 x = s_0 d_1 x; d_1 of a
+    # nondegenerate simplex is its own d_1
+    assert face_word((1, 0), 2, 1) == (None, (0,))
+    assert face_word((0,), 2, 2) == (1, (0,))
+    assert face_word((), 2, 1) == (1, ())
 
 
 class _AllRefsColimit(Colimit):
