@@ -8,14 +8,21 @@ from .verdicts import Budget, BudgetExceededError, Verdict, FAILS, HOLDS, INCONC
 
 class FinCat:
     """A finite category: objects, arrows with src/dst, identities, and a
-    dense composition table (associativity and units checked exhaustively)."""
+    composition table with exactly one entry per composable pair (g, f),
+    f first; `validate` refuses a missing or a stray entry, and checks the
+    units and associativity over the composable triples."""
 
     def __init__(self, objects, arrows, identities, compose):
         self.objects = tuple(sorted(objects))
         self.arrows = dict(sorted(arrows.items()))  # id -> (src, dst)
         self.identities = dict(identities)          # obj -> arrow id
         self.compose_table = dict(compose)          # (g, f) -> g o f
-        self._homs = {}
+        homs, out = {}, {}                          # (src, dst) / src -> arrow ids
+        for f, (s, d) in self.arrows.items():
+            homs.setdefault((s, d), []).append(f)
+            out.setdefault(s, []).append(f)
+        self._homs = {ends: tuple(fs) for ends, fs in homs.items()}
+        self._out = {a: tuple(fs) for a, fs in out.items()}
 
     def src(self, f):
         return self.arrows[f][0]
@@ -28,12 +35,11 @@ class FinCat:
         return self.compose_table[(g, f)]
 
     def hom(self, a, b):
-        key = (a, b)
-        if key not in self._homs:
-            self._homs[key] = tuple(
-                f for f, (s, d) in self.arrows.items() if s == a and d == b
-            )
-        return self._homs[key]
+        return self._homs.get((a, b), ())
+
+    def out_of(self, a):
+        """The arrows with source a, in id order."""
+        return self._out.get(a, ())
 
     def arrow_ids(self):
         return tuple(self.arrows.keys())
@@ -50,30 +56,29 @@ class FinCat:
         for obj, e in self.identities.items():
             if self.arrows.get(e) != (obj, obj):
                 raise ValueError(f"identity of {obj!r} has wrong endpoints")
-        for g, (gs, gd) in self.arrows.items():
-            for f, (fs, fd) in self.arrows.items():
-                if fd == gs:
-                    if (g, f) not in self.compose_table:
-                        raise ValueError(f"composite {g!r} o {f!r} missing")
-                    h = self.compose_table[(g, f)]
-                    if self.arrows[h] != (fs, gd):
-                        raise ValueError(f"composite {g!r} o {f!r} has wrong endpoints")
+        pairs = 0
+        for f, (fs, fd) in self.arrows.items():
+            for g in self.out_of(fd):
+                pairs += 1
+                if (g, f) not in self.compose_table:
+                    raise ValueError(f"composite {g!r} o {f!r} missing")
+                h = self.compose_table[(g, f)]
+                if self.arrows.get(h) != (fs, self.dst(g)):
+                    raise ValueError(f"composite {g!r} o {f!r} is {h!r}, not an arrow"
+                                     f" {fs!r} -> {self.dst(g)!r}")
+        if len(self.compose_table) != pairs:
+            g, f = next((g, f) for g, f in self.compose_table
+                        if f not in self.arrows or g not in self.out_of(self.dst(f)))
+            raise ValueError(f"the table composes {g!r} o {f!r}, which is no composable pair")
         for f, (fs, fd) in self.arrows.items():
             if self.compose(f, self.identities[fs]) != f:
                 raise ValueError(f"right unit law fails at {f!r}")
             if self.compose(self.identities[fd], f) != f:
                 raise ValueError(f"left unit law fails at {f!r}")
-        for h in self.arrow_ids():
-            for g in self.arrow_ids():
-                if self.dst(g) != self.src(h):
-                    continue
-                for f in self.arrow_ids():
-                    if self.dst(f) != self.src(g):
-                        continue
-                    if self.compose(self.compose(h, g), f) != self.compose(
-                        h, self.compose(g, f)
-                    ):
-                        raise ValueError(f"associativity fails at {h!r},{g!r},{f!r}")
+        for (g, f), gf in self.compose_table.items():
+            for h in self.out_of(self.dst(g)):
+                if self.compose(self.compose(h, g), f) != self.compose(h, gf):
+                    raise ValueError(f"associativity fails at {h!r},{g!r},{f!r}")
         return self
 
     def is_iso_arrow(self, f):
@@ -129,14 +134,9 @@ class CatFunctor:
         for a in self.source.objects:
             if self.arr(self.source.identities[a]) != self.target.identities[self.obj(a)]:
                 raise ValueError(f"functor breaks identity at {a!r}")
-        for g in self.source.arrow_ids():
-            for f in self.source.arrow_ids():
-                if self.source.dst(f) != self.source.src(g):
-                    continue
-                if self.arr(self.source.compose(g, f)) != self.target.compose(
-                    self.arr(g), self.arr(f)
-                ):
-                    raise ValueError(f"functor breaks composition at {g!r} o {f!r}")
+        for (g, f), gf in self.source.compose_table.items():
+            if self.arr(gf) != self.target.compose(self.arr(g), self.arr(f)):
+                raise ValueError(f"functor breaks composition at {g!r} o {f!r}")
         return self
 
     def then(self, other: "CatFunctor") -> "CatFunctor":
@@ -231,53 +231,51 @@ def cyclic_group_category(n) -> FinCat:
 # constructions
 
 
+def _restrict(c: FinCat, objects, arrows) -> FinCat:
+    """The subcategory of c on these objects and arrows, which must hold
+    the identities of the objects and be closed under composition."""
+    compose = {(g, f): h for (g, f), h in c.compose_table.items() if g in arrows and f in arrows}
+    return FinCat(objects, arrows, {a: c.identities[a] for a in objects}, compose)
+
+
 def max_subgroupoid(c: FinCat):
     """Largest subgroupoid: same objects, only the isomorphisms."""
     arrows = {f: c.arrows[f] for f in c.arrow_ids() if c.is_iso_arrow(f)}
-    compose = {
-        (g, f): c.compose(g, f)
-        for g in arrows
-        for f in arrows
-        if c.dst(f) == c.src(g)
-    }
-    sub = FinCat(c.objects, arrows, dict(c.identities), compose)
+    sub = _restrict(c, c.objects, arrows)
     incl = CatFunctor(sub, c, {a: a for a in sub.objects}, {f: f for f in arrows})
     return sub, incl
 
 
+def _joined(pairs):
+    """Each pair's name, its two parts joined by ","; ValueError when two
+    pairs get one name."""
+    owners = {}
+    for pair in pairs:
+        name = ",".join(pair)
+        if owners.setdefault(name, pair) != pair:
+            raise ValueError(f"the pairs {owners[name]} and {pair} are both named {name!r}")
+    return {pair: name for name, pair in owners.items()}
+
+
 def product_category(c: FinCat, d: FinCat) -> FinCat:
-    objects = [f"{a},{b}" for a in c.objects for b in d.objects]
-    arrows = {}
-    identities = {}
-    for f, (fs, fd) in c.arrows.items():
-        for g, (gs, gd) in d.arrows.items():
-            name = f"{f},{g}"
-            arrows[name] = (f"{fs},{gs}", f"{fd},{gd}")
-    for a in c.objects:
-        for b in d.objects:
-            identities[f"{a},{b}"] = f"{c.identities[a]},{d.identities[b]}"
-    compose = {}
-    for (f2, g2) in [(f, g) for f in c.arrow_ids() for g in d.arrow_ids()]:
-        for (f1, g1) in [(f, g) for f in c.arrow_ids() for g in d.arrow_ids()]:
-            if c.dst(f1) == c.src(f2) and d.dst(g1) == d.src(g2):
-                compose[(f"{f2},{g2}", f"{f1},{g1}")] = (
-                    f"{c.compose(f2, f1)},{d.compose(g2, g1)}"
-                )
-    return FinCat(objects, arrows, identities, compose)
+    """c x d, each object and arrow named by joining its two parts with ","
+    (ValueError when two pairs get one name); its composable pairs are the
+    pairs of composable pairs."""
+    obj = _joined((a, b) for a in c.objects for b in d.objects)
+    arr = _joined((f, g) for f in c.arrows for g in d.arrows)
+    arrows = {name: (obj[c.src(f), d.src(g)], obj[c.dst(f), d.dst(g)])
+              for (f, g), name in arr.items()}
+    identities = {name: arr[c.identities[a], d.identities[b]] for (a, b), name in obj.items()}
+    compose = {(arr[g1, g2], arr[f1, f2]): arr[h1, h2]
+               for (g1, f1), h1 in c.compose_table.items()
+               for (g2, f2), h2 in d.compose_table.items()}
+    return FinCat(obj.values(), arrows, identities, compose)
 
 
 def full_subcategory(c: FinCat, keep_objects) -> FinCat:
     keep = set(keep_objects)
     arrows = {f: e for f, e in c.arrows.items() if e[0] in keep and e[1] in keep}
-    compose = {
-        (g, f): c.compose(g, f)
-        for g in arrows
-        for f in arrows
-        if c.dst(f) == c.src(g)
-    }
-    return FinCat(
-        sorted(keep), arrows, {a: c.identities[a] for a in keep}, compose
-    )
+    return _restrict(c, sorted(keep), arrows)
 
 
 def _functor_cells(c: FinCat):
@@ -369,8 +367,7 @@ def functor_category(d: FinCat, c: FinCat) -> tuple[FinCat, dict, dict]:
                 a: c.compose(arrow_data[g][a], arrow_data[f][a]) for a in d.objects
             }
             compose[(g, f)] = index[(fs, gd, tuple(sorted(comp.items())))]
-    cat = FinCat(obj_names.keys(), arrows, identities, compose).validate()
-    return cat, obj_names, arrow_data
+    return FinCat(obj_names.keys(), arrows, identities, compose), obj_names, arrow_data
 
 
 def coslice_category(c: FinCat, base_obj):

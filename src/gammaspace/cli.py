@@ -14,6 +14,7 @@ import inspect
 import json
 import sys
 import time
+import traceback
 
 from . import jsonio, suite
 from .cocart import (
@@ -53,7 +54,7 @@ from .verdicts import (
     conjoin,
 )
 
-EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_INPUT = 0, 1, 2, 3
+EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 def _digest(paths, inline=()):
@@ -393,23 +394,26 @@ def main(argv=None):
         inputs = [getattr(jsonio, f"{kind}_from_json")(_load(path))
                   for kind, path in zip(command.kinds, args.inputs)]
         command.run(report, *inputs, **{flag: getattr(args, flag) for flag in command.reads})
-    except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as e:
-        if report is None:  # a malformed command line; the digest is the argv's
-            report = Report(None, argparse.Namespace(argv=sys.argv[1:] if argv is None else argv))
-        report.add("input", Verdict(FAILS, "input validation", witness=str(e)))
-        report.emit()
-        return EXIT_INPUT
+    except (ValueError, FileNotFoundError, json.JSONDecodeError) as e:
+        tag, code, verdict = "input", EXIT_INPUT, Verdict(FAILS, "input validation", witness=str(e))
     except BudgetExceededError as e:
-        report.add("budget", Verdict(INCONCLUSIVE, "search budget", witness=str(e)))
-        report.emit()
-        return EXIT_INCONCLUSIVE
+        tag, code, verdict = "budget", EXIT_INCONCLUSIVE, Verdict(
+            INCONCLUSIVE, "search budget", witness=str(e))
     except ResourceError as e:
-        report.add("resource", Verdict(INCONCLUSIVE, "resource cap",
-                                       witness=str(e)))
+        tag, code, verdict = "resource", EXIT_INCONCLUSIVE, Verdict(
+            INCONCLUSIVE, "resource cap", witness=str(e))
+    except Exception as e:  # a fault in the program, not in its input
+        traceback.print_exc()
+        tag, code, verdict = "internal", EXIT_INTERNAL, Verdict(
+            INCONCLUSIVE, "internal fault", witness=f"{type(e).__name__}: {e}")
+    else:
         report.emit()
-        return EXIT_INCONCLUSIVE
+        return report.exit_code()
+    if report is None:  # a malformed command line; the digest is the argv's
+        report = Report(None, argparse.Namespace(argv=sys.argv[1:] if argv is None else argv))
+    report.add(tag, verdict)
     report.emit()
-    return report.exit_code()
+    return code
 
 
 if __name__ == "__main__":

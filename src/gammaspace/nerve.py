@@ -28,16 +28,14 @@ def nerve(c: FinCat, bound=4) -> FinSimpSet:
     named by joining the arrow ids with "|" (ValueError when two chains get
     one name); nerves are 2-coskeletal so any bound >= 2 reads back exactly.
     """
+    def extended(ch):
+        return [ch + (g,) for g in c.out_of(c.dst(ch[-1])) if not c.is_identity(g)]
+
     non_id = [f for f in c.arrow_ids() if not c.is_identity(f)]
     cells = {0: {f"o{a}": () for a in c.objects}}
     chains = {1: [(f,) for f in non_id]}
     for n in range(2, bound + 1):
-        chains[n] = [
-            ch + (g,)
-            for ch in chains[n - 1]
-            for g in non_id
-            if c.src(g) == c.dst(ch[-1])
-        ]
+        chains[n] = [chain for ch in chains[n - 1] for chain in extended(ch)]
 
     for n in range(1, bound + 1):
         cells[n] = {}
@@ -61,11 +59,7 @@ def nerve(c: FinCat, bound=4) -> FinSimpSet:
                 faces.append(chain_ref(c, sub, start))
             cells[n][name] = tuple(faces)
 
-    longer = any(
-        c.src(g) == c.dst(ch[-1])
-        for ch in chains.get(bound, [])
-        for g in non_id
-    ) if bound >= 1 else bool(non_id)
+    longer = any(map(extended, chains[bound])) if bound >= 1 else bool(non_id)
     return FinSimpSet(bound, cells, complete=not longer)
 
 

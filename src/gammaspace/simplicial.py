@@ -405,8 +405,8 @@ class SimpMap:
     """Map of truncated simplicial sets.
 
     assignment sends each nondegenerate source cell of dimension
-    <= `map_cap(source, target)` to a target ref of the same dimension;
-    degenerate simplices follow by word arithmetic.
+    <= `map_cap(source, target)`, and nothing else, to a target ref of the
+    same dimension; degenerate simplices follow by word arithmetic.
     """
 
     def __init__(self, source: FinSimpSet, target: FinSimpSet, assignment):
@@ -442,6 +442,11 @@ class SimpMap:
                         raise ValueError(
                             f"map does not commute with d{i} on {name!r}"
                         )
+        if len(self.assignment) != sum(map(self.source.cell_count, range(self.cap + 1))):
+            n, name = next((n, name) for n, name in self.assignment
+                           if n > self.cap or not self.source.has_cell(n, name))
+            raise ValueError(f"the assignment names {name!r} in dim {n}, which is no"
+                             f" source cell in dims 0..{self.cap}")
         if (
             check_pointed
             and self.source.pointed is not None

@@ -1,8 +1,11 @@
 """Finite categories: subgroupoids, equivalences, slices, functor categories."""
 
+import itertools
+
 import pytest
 
 from gammaspace.catcore import (
+    CatFunctor,
     FinCat,
     all_functors,
     coslice_category,
@@ -17,6 +20,7 @@ from gammaspace.catcore import (
     terminal_category,
     walking_iso_category,
 )
+from gammaspace.cocart import gamma_subcategory
 from gammaspace.corpus import category_corpus, iso_with_tail_category
 
 
@@ -27,6 +31,24 @@ def test_validation_catches_bad_tables():
                {"a": "ida"},
                {("ida", "ida"): "ida", ("f", "ida"): "ida", ("ida", "f"): "f",
                 ("f", "f"): "ida"}).validate()
+
+
+def test_validation_refuses_stray_entries():
+    # a table lists exactly the composable pairs; these two entries used to
+    # be accepted unchecked
+    c = poset_category(1)
+    for stray in [("le01", "le01"), ("zz", "qq")]:
+        with pytest.raises(ValueError, match=f"composes {stray[0]!r} o {stray[1]!r},"
+                                             " which is no composable pair"):
+            FinCat(c.objects, c.arrows, c.identities, {**c.compose_table, stray: "le00"})
+
+
+def test_validation_refuses_a_composite_that_names_no_arrow():
+    # used to raise a bare KeyError, which is no input error at the CLI
+    c = poset_category(1)
+    with pytest.raises(ValueError, match="'le11' o 'le01' is 'nope', not an arrow"):
+        FinCat(c.objects, c.arrows, c.identities,
+               {**c.compose_table, ("le11", "le01"): "nope"})
 
 
 def test_every_category_built_in_tier_one_is_validated():
@@ -157,9 +179,159 @@ def test_product_and_functor_categories():
     assert len(all_functors(p1, poset_category(2))) == 6
 
 
+def test_product_category_refuses_colliding_names():
+    # the pairs (a, b,c) and (a,b, c) used to be merged into the one object a,b,c
+    with pytest.raises(ValueError, match=r"the pairs \('a', 'b,c'\) and \('a,b', 'c'\)"
+                                         r" are both named 'a,b,c'"):
+        product_category(discrete_category(["a", "a,b"]), discrete_category(["b,c", "c"]))
+
+
 def test_natural_transformations_compose():
     p1 = poset_category(1)
     fc, objs, data = functor_category(p1, poset_category(1))
     fc.validate()
     ids = [f for f in fc.arrow_ids() if fc.is_identity(f)]
     assert len(ids) == len(fc.objects)
+
+
+# ---------------------------------------------------------------------------
+# the checks that read the composable pairs off the table, against the
+# all-pairs and all-triples scans they replace
+
+
+def all_triples_validate(objects, arrows, identities, compose):
+    """`FinCat.validate` as it was before tables had one entry per
+    composable pair: it scans every pair and triple of arrows and checks
+    the composable ones, so it never reads a stray entry.  Raises
+    ValueError, or KeyError on a composite that names no arrow."""
+    def src(f):
+        return arrows[f][0]
+
+    def dst(f):
+        return arrows[f][1]
+
+    if set(identities) != set(objects):
+        raise ValueError("expected one identity for each object")
+    for f, ends in arrows.items():
+        if not set(ends) <= set(objects):
+            raise ValueError(f"arrow {f!r} meets a missing object")
+    for obj, e in identities.items():
+        if arrows.get(e) != (obj, obj):
+            raise ValueError(f"identity of {obj!r} has wrong endpoints")
+    for g, (gs, gd) in arrows.items():
+        for f, (fs, fd) in arrows.items():
+            if fd == gs:
+                if (g, f) not in compose:
+                    raise ValueError(f"composite {g!r} o {f!r} missing")
+                h = compose[(g, f)]
+                if arrows[h] != (fs, gd):
+                    raise ValueError(f"composite {g!r} o {f!r} has wrong endpoints")
+    for f, (fs, fd) in arrows.items():
+        if compose[(f, identities[fs])] != f:
+            raise ValueError(f"right unit law fails at {f!r}")
+        if compose[(identities[fd], f)] != f:
+            raise ValueError(f"left unit law fails at {f!r}")
+    for h in arrows:
+        for g in arrows:
+            if dst(g) != src(h):
+                continue
+            for f in arrows:
+                if dst(f) != src(g):
+                    continue
+                if compose[(compose[(h, g)], f)] != compose[(h, compose[(g, f)])]:
+                    raise ValueError(f"associativity fails at {h!r},{g!r},{f!r}")
+
+
+def _oracle_refusal(parts):
+    """The check at which the oracle refuses, or None when it accepts."""
+    try:
+        all_triples_validate(*parts)
+    except KeyError:
+        return "names no arrow"
+    except ValueError as e:
+        return next(check for check in ("missing", "wrong endpoints", "unit law",
+                                        "associativity") if check in str(e))
+    return None
+
+
+def _accepted(parts):
+    """Does `FinCat.validate` accept a new category built of these parts?"""
+    try:
+        FinCat(*parts).validate()
+    except ValueError:
+        return False
+    return True
+
+
+def _corrupted_tables(c, entries):
+    """Each corruption of c's table at the given entries, as a new table:
+    the entry dropped, or retargeted to another arrow with the same ends
+    (on an entry with an identity this breaks a unit, on others it may
+    break associativity), to an arrow with other ends, or to a name that
+    is no arrow."""
+    table = c.compose_table
+    for (g, f), h in entries:
+        yield {k: v for k, v in table.items() if k != (g, f)}
+        ends = c.arrows[h]
+        targets = [x for x in c.hom(*ends) if x != h][:2]
+        targets += [x for x, e in c.arrows.items() if e != ends][:1] + ["nope"]
+        for x in targets:
+            yield {**table, (g, f): x}
+
+
+def test_validate_agrees_with_the_all_triples_scan():
+    p1, z2 = poset_category(1), cyclic_group_category(2)
+    corpus = [*category_corpus(), ("gamma-2", gamma_subcategory(2)),
+              ("functors-arrow-arrow", functor_category(p1, p1)[0]),
+              ("functors-z2-z2", functor_category(z2, z2)[0]),
+              ("functors-arrow-iso", functor_category(p1, walking_iso_category())[0])]
+    refusals = set()
+    for name, c in corpus:
+        parts = (c.objects, c.arrows, c.identities)
+        assert _oracle_refusal((*parts, c.compose_table)) is None
+        assert _accepted((*parts, c.compose_table))
+        # every entry of a small table, a spread of about 24 of a large one
+        entries = sorted(c.compose_table.items())
+        for table in _corrupted_tables(c, entries[::max(1, len(entries) // 24)]):
+            refusal = _oracle_refusal((*parts, table))
+            assert _accepted((*parts, table)) == (refusal is None), (name, table)
+            refusals.add(refusal)
+        # a stray entry, on arrows of the category or named nowhere: the
+        # scan never reads it, validate refuses it
+        for stray in [(c.arrow_ids()[-1], c.arrow_ids()[0]), ("zz", "qq")]:
+            table = {**c.compose_table, stray: c.arrow_ids()[0]}
+            if stray not in c.compose_table:
+                assert _oracle_refusal((*parts, table)) is None
+                assert not _accepted((*parts, table)), (name, stray)
+    assert refusals == {None, "missing", "wrong endpoints", "unit law", "associativity",
+                        "names no arrow"}
+
+
+def _all_pairs_functor_check(fun):
+    """`CatFunctor.validate` as it was before it read the source's table:
+    it scans every pair of source arrows and checks the composable ones."""
+    c, d = fun.source, fun.target
+    for f, (a, b) in c.arrows.items():
+        if d.arrows[fun.arr(f)] != (fun.obj(a), fun.obj(b)):
+            return False
+    if any(fun.arr(c.identities[a]) != d.identities[fun.obj(a)] for a in c.objects):
+        return False
+    return all(fun.arr(c.compose(g, f)) == d.compose(fun.arr(g), fun.arr(f))
+               for g in c.arrows for f in c.arrows if c.dst(f) == c.src(g))
+
+
+def test_all_functors_agrees_with_the_all_pairs_scan():
+    # every assignment of objects, and of arrows within the right hom-sets,
+    # is a functor by the scan iff all_functors finds it
+    corpus = category_corpus()
+    for (_, c), (_, d) in itertools.product(corpus, corpus):
+        moved = [f for f in c.arrow_ids() if not c.is_identity(f)]
+        scanned = set()
+        for images in itertools.product(d.objects, repeat=len(c.objects)):
+            obj = dict(zip(c.objects, images))
+            on_ids = {c.identities[a]: d.identities[obj[a]] for a in c.objects}
+            for arrs in itertools.product(*(d.hom(obj[c.src(f)], obj[c.dst(f)]) for f in moved)):
+                fun = CatFunctor(c, d, obj, {**on_ids, **dict(zip(moved, arrs))})
+                if _all_pairs_functor_check(fun):
+                    scanned.add(fun)
+        assert set(all_functors(c, d)) == scanned

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import gammaspace
 from gammaspace import jsonio
-from gammaspace.cli import COMMANDS, COMMON, FLAGS, build_parser, main
+from gammaspace.cli import COMMANDS, COMMON, FLAGS, Command, build_parser, main
 from gammaspace.cocart import nelg
 from gammaspace.corpus import glued_presentation, z2_monoid_space
 from gammaspace.gspace import gamma_rep
@@ -77,6 +77,19 @@ def test_input_error_exit_code(tmp_path, capsys):
     p.write_text("{\"nonsense\": true}")
     code, report = run_cli(capsys, "tau1", str(p))
     assert code == 3
+
+
+def test_a_fault_in_the_program_exits_four(monkeypatch, capsys):
+    # a KeyError raised inside a command is a bug, not malformed input
+    def run(report):
+        raise KeyError("stub")
+
+    monkeypatch.setitem(COMMANDS, "check-suite", Command(run))
+    code, report = run_cli(capsys, "check-suite")
+    assert code == 4
+    [verdict] = report["verdicts"]
+    assert (verdict["tag"], verdict["status"]) == ("internal", "inconclusive")
+    assert verdict["witness"] == "KeyError: 'stub'"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -9,11 +9,13 @@ only where data enters or where a verdict rests on the check, a based
 map's table is checked by `gammaop.based_map` only where it enters,
 verdicts are combined only by `verdicts.conjoin` and `verdicts.negate`,
 composites of maps are compared only by `simplicial.commutes`,
-and a set's truncation (`.complete`, `top_dim()`) is read only in
-`simplicial`, whose `joint_bound` and `map_cap` state the ranges.
+a set's truncation (`.complete`, `top_dim()`) is read only in
+`simplicial`, whose `joint_bound` and `map_cap` state the ranges, and a
+category's arrows are scanned pairwise only where its table is built.
 """
 
 import ast
+import itertools
 import pathlib
 import re
 from collections import Counter
@@ -221,6 +223,37 @@ def truncation_reads(source: str):
     return sites(source, _reads_truncation)
 
 
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _loop_iterables(node):
+    """The iterables of the loops a `for` statement or a comprehension opens."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        return [node.iter]
+    if isinstance(node, _COMPREHENSIONS):
+        return [g.iter for g in node.generators]
+    return []
+
+
+def _is_arrow_pair_scan(node):
+    """A loop over arrows (an iterable that reads `arrows` or `arrow_ids`)
+    with a loop over the same iterable nested in it: a `for` statement
+    with one in its body, or a comprehension with two such clauses."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        pairs = [(node.iter, it) for stmt in node.body for n in ast.walk(stmt)
+                 for it in _loop_iterables(n)]
+    else:
+        pairs = itertools.combinations(_loop_iterables(node), 2)
+    return any({"arrows", "arrow_ids"} & _reads(outer) and ast.dump(outer) == ast.dump(inner)
+               for outer, inner in pairs)
+
+
+def arrow_pair_scans(source: str):
+    """The sites (see `sites`) of the nested loops over one collection of
+    arrows."""
+    return sites(source, _is_arrow_pair_scan)
+
+
 def calls_naming(source: str, name: str):
     """The sites of the calls whose callee reads `name`: `name(...)`,
     `mod.name(...)` or `name.method(...)` (see `call_sites`)."""
@@ -229,8 +262,8 @@ def calls_naming(source: str, name: str):
 
 # The library's `.validate(...)` calls, by (module, function): the loaders
 # check what enters; `from_elements` checks the tables it is handed; the
-# tau1 certificate, the functor filter of `all_functors` and
-# `cat_iso_search`, and the `functor_category` oracle decide by validating;
+# tau1 certificate and the functor filter of `all_functors` and
+# `cat_iso_search` decide by validating;
 # the validators of the diagram types check their parts; and two verdicts
 # rest on a check.  Constructions trust their valid inputs, and
 # tests/conftest.py validates every set and category tier-1 builds.
@@ -245,7 +278,6 @@ KEPT_VALIDATE_CALLS = {
     ("nerve", "_tau1_full"): 1,
     ("nerve", "tau1_functor"): 1,
     ("catcore", "_functor"): 1,
-    ("catcore", "functor_category"): 1,
     ("gspace", "TabulatedGammaSpace.validate"): 1,
     ("gspace", "GammaSpaceMap.validate"): 1,
     ("marked", "MarkedGammaSpace.validate"): 1,
@@ -280,6 +312,17 @@ KEPT_COMPOSITE_COMPARISONS = {
 # the flag out.
 KEPT_TRUNCATION_READS = {
     ("jsonio", "simpset_to_json"): 1,
+}
+
+
+# The nested loops over one category's arrows, by (module, function).  A
+# `FinCat`'s table has one entry per composable pair, so its pairs are read
+# off `compose_table` and a pair is extended through `FinCat.out_of`; these
+# constructions build the table before the category exists.
+KEPT_ARROW_PAIR_SCANS = {
+    ("catcore", "poset_category"): 1,
+    ("catcore", "functor_category"): 1,
+    ("catcore", "coslice_category"): 1,
 }
 
 
@@ -453,6 +496,29 @@ def test_truncation_is_read_only_in_simplicial():
     found = Counter((p.stem, name) for p in MODULES if p.stem != "simplicial"
                     for name in truncation_reads(p.read_text()))
     assert found == Counter(KEPT_TRUNCATION_READS)
+
+
+def test_arrow_pair_scan_check_catches_what_it_names():
+    source = (
+        "pairs = [(g, f) for g in c.arrow_ids() for f in c.arrow_ids()]\n"
+        "def table(arrows, objects):\n"
+        "    for g in arrows:\n"
+        "        for f, ends in arrows.items():\n"
+        "            for h in arrows:\n"
+        "                pass\n"
+        "    return [(a, b) for a in objects for b in objects]\n"
+        "class Product:\n"
+        "    def pairs(self, c, d):\n"
+        "        return [(f, g) for f in c.arrows for g in d.arrows]\n"
+        "    def chains(self, c, chains):\n"
+        "        return [ch + (g,) for ch in chains for g in c.out_of(ch[-1])]\n"
+    )
+    assert arrow_pair_scans(source) == ["<module>", "table"]
+
+
+def test_arrow_pairs_are_read_off_the_table():
+    found = Counter((p.stem, name) for p in MODULES for name in arrow_pair_scans(p.read_text()))
+    assert found == Counter(KEPT_ARROW_PAIR_SCANS)
 
 
 def test_call_site_check_catches_what_it_names():

@@ -365,6 +365,18 @@ def test_map_images_out_of_normal_form_are_refused(case):
         jsonio.simpmap_from_json(doc, d1, pt)
 
 
+@pytest.mark.parametrize("dim, name", [("1", "zz"), ("7", "q")])
+def test_map_assignments_of_no_source_cell_are_refused(dim, name):
+    # such an entry used to be kept unchecked, and the loaded identity of
+    # Delta[1] then differed from identity_map
+    d1 = standard_simplex(1)
+    doc = jsonio.simpmap_to_json(identity_map(d1))
+    jsonio.simpmap_from_json(doc, d1, d1)
+    doc["assignment"].setdefault(dim, {})[name] = {"base": "01", "deg": []}
+    with pytest.raises(ValueError, match=f"names {name!r} in dim {dim}, which is no source cell"):
+        jsonio.simpmap_from_json(doc, d1, d1)
+
+
 def _stdlib_dumps(value):
     """The encoder `canonical_dumps` must match byte for byte."""
     return json.dumps(value, sort_keys=True, indent=2) + "\n"
