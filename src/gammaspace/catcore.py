@@ -81,15 +81,14 @@ class FinCat:
                     raise ValueError(f"associativity fails at {h!r},{g!r},{f!r}")
         return self
 
-    def is_iso_arrow(self, f):
+    def inverse(self, f):
+        """The inverse of f, or None when f is no isomorphism."""
         a, b = self.arrows[f]
-        for g in self.hom(b, a):
-            if (
-                self.compose(g, f) == self.identities[a]
-                and self.compose(f, g) == self.identities[b]
-            ):
-                return True
-        return False
+        return next((g for g in self.hom(b, a) if self.compose(g, f) == self.identities[a]
+                     and self.compose(f, g) == self.identities[b]), None)
+
+    def is_iso_arrow(self, f):
+        return self.inverse(f) is not None
 
     def iso_objects(self, a, b):
         return any(self.is_iso_arrow(f) for f in self.hom(a, b))
@@ -184,19 +183,10 @@ def terminal_category() -> FinCat:
 def poset_category(n) -> FinCat:
     """The poset 0 < 1 < ... < n as a category."""
     objects = [str(i) for i in range(n + 1)]
-    arrows = {}
-    identities = {}
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            name = f"le{i}{j}"
-            arrows[name] = (str(i), str(j))
-            if i == j:
-                identities[str(i)] = name
-    compose = {}
-    for (g, (gs, gd)) in arrows.items():
-        for (f, (fs, fd)) in arrows.items():
-            if fd == gs:
-                compose[(g, f)] = f"le{fs}{gd}"
+    arrows = {f"le{i}{j}": (str(i), str(j)) for i in range(n + 1) for j in range(i, n + 1)}
+    identities = {str(i): f"le{i}{i}" for i in range(n + 1)}
+    compose = {(f"le{j}{k}", f"le{i}{j}"): f"le{i}{k}"
+               for i in range(n + 1) for j in range(i, n + 1) for k in range(j, n + 1)}
     return FinCat(objects, arrows, identities, compose)
 
 
@@ -278,55 +268,82 @@ def full_subcategory(c: FinCat, keep_objects) -> FinCat:
     return _restrict(c, sorted(keep), arrows)
 
 
-def _functor_cells(c: FinCat):
-    """Search order for functors out of c: objects, then non-identity arrows."""
-    return ([("obj", a) for a in c.objects]
-            + [("arr", f) for f in c.arrow_ids() if not c.is_identity(f)])
-
-
-def _functor(c: FinCat, d: FinCat, chosen):
-    """The functor c -> d an assignment of `_functor_cells(c)` names, or
-    None when it is not one."""
-    on_objects = {a: chosen[("obj", a)] for a in c.objects}
-    on_arrows = {c.identities[a]: d.identities[on_objects[a]] for a in c.objects}
-    on_arrows.update((f, img) for (kind, f), img in chosen.items() if kind == "arr")
-    try:
-        return CatFunctor(c, d, on_objects, on_arrows).validate()
-    except ValueError:
-        return None
-
-
-def all_functors(c: FinCat, d: FinCat, budget=None):
-    """Every functor c -> d, by backtracking over object then arrow maps."""
+def functors(c: FinCat, d: FinCat, budget=None, iso=False):
+    """Each functor F: c -> d, lazily, by backtracking over the images of
+    the objects, then of the non-identity arrows, each in id order.  An
+    arrow's image is drawn from its hom and kept only if F h = F g o F f for
+    each table entry (g, f) -> h whose last-drawn arrow it is; entries with
+    an identity factor hold by construction.  With `iso`, objects and
+    non-identity arrows go injectively, onto objects with homs of the same
+    sizes and onto non-identity arrows: the isomorphisms, when c and d have
+    as many objects and as many arrows."""
     budget = budget or Budget()
+    arrows = [f for f in c.arrow_ids() if not c.is_identity(f)]
+    rank = {f: k for k, f in enumerate(arrows)}
+    due = {f: [] for f in arrows}
+    for (g, f), h in c.compose_table.items():
+        if g in rank and f in rank:
+            due[max((g, f, h), key=lambda x: rank.get(x, -1))].append((g, f, h))
+
+    def image(x, chosen):
+        if x in rank:
+            return chosen[("arr", x)]
+        return d.identities[chosen[("obj", c.src(x))]]
+
+    def keeps_homs(x, o, chosen):
+        pick = {a: img for (_, a), img in chosen.items()} | {x: o}
+        return all(len(c.hom(x, a)) == len(d.hom(o, pick[a]))
+                   and len(c.hom(a, x)) == len(d.hom(pick[a], o)) for a in pick)
 
     def candidates(cell, chosen):
         kind, x = cell
         if kind == "obj":
-            pool = d.objects
-        else:
-            a, b = c.arrows[x]
-            pool = d.hom(chosen[("obj", a)], chosen[("obj", b)])
-        for img in pool:
+            # objects are drawn first, so `chosen` holds only objects
+            for o in d.objects:
+                if iso and o in chosen.values():
+                    continue
+                budget.spend()
+                if not iso or keeps_homs(x, o, chosen):
+                    yield o
+            return
+        a, b = c.arrows[x]
+        drawn = {chosen[("arr", f)] for f in arrows[:rank[x]]} if iso else ()
+        for img in d.hom(chosen[("obj", a)], chosen[("obj", b)]):
+            if iso and (img in drawn or d.is_identity(img)):
+                continue
             budget.spend()
-            yield img
+            pick = {**chosen, cell: img}
+            if all(image(h, pick) == d.compose(image(g, pick), image(f, pick))
+                   for g, f, h in due[x]):
+                yield img
 
-    found = (_functor(c, d, chosen) for chosen in backtrack(_functor_cells(c), candidates))
-    return [fun for fun in found if fun is not None]
+    cells = [("obj", a) for a in c.objects] + [("arr", f) for f in arrows]
+    for chosen in backtrack(cells, candidates):
+        on_arrows = {c.identities[a]: d.identities[chosen[("obj", a)]] for a in c.objects}
+        on_arrows.update((f, chosen[("arr", f)]) for f in arrows)
+        yield CatFunctor(c, d, {a: chosen[("obj", a)] for a in c.objects}, on_arrows)
+
+
+def all_functors(c: FinCat, d: FinCat, budget=None):
+    """Every functor c -> d."""
+    return list(functors(c, d, budget))
 
 
 def natural_transformations(f: CatFunctor, g: CatFunctor):
-    """All natural transformations f => g between parallel functors."""
+    """All natural transformations f => g between parallel functors; the
+    square of an arrow is checked when the later of its ends is drawn."""
     c, d = f.source, f.target
+    rank = {a: k for k, a in enumerate(c.objects)}
+    due = {a: [] for a in c.objects}
+    for h, (a, b) in c.arrows.items():
+        if not c.is_identity(h):
+            due[max(a, b, key=rank.get)].append(h)
 
     def candidates(a, comp):
         for t in d.hom(f.obj(a), g.obj(a)):
             pick = {**comp, a: t}
-            if all(
-                d.compose(pick[c.dst(h)], f.arr(h)) == d.compose(g.arr(h), pick[c.src(h)])
-                for h in c.arrow_ids()
-                if c.src(h) in pick and c.dst(h) in pick
-            ):
+            if all(d.compose(pick[c.dst(h)], f.arr(h)) == d.compose(g.arr(h), pick[c.src(h)])
+                   for h in due[a]):
                 yield t
 
     return list(backtrack(c.objects, candidates))
@@ -337,9 +354,7 @@ def functor_category(d: FinCat, c: FinCat) -> tuple[FinCat, dict, dict]:
 
     Returns (category, object names -> functors, arrow names -> transforms).
     """
-    functors = all_functors(d, c)
-    functors.sort(key=lambda fn: fn.key())
-    obj_names = {f"F{i}": fn for i, fn in enumerate(functors)}
+    obj_names = {f"F{i}": fn for i, fn in enumerate(sorted(functors(d, c), key=CatFunctor.key))}
     arrows = {}
     arrow_data = {}
     identities = {}
@@ -422,26 +437,14 @@ def skeleton(c: FinCat):
         for a in cls:
             rep[a] = cls[0]
     reps = sorted({rep[a] for a in c.objects})
-    # chosen isomorphisms a -> rep(a)
-    to_rep = {}
-    from_rep = {}
+    # chosen isomorphisms a -> rep(a), the identity on a representative
+    to_rep, from_rep = {}, {}
     for a in c.objects:
-        r = rep[a]
-        if a == r:
-            to_rep[a] = c.identities[a]
-            from_rep[a] = c.identities[a]
-            continue
-        for f in c.hom(a, r):
-            if c.is_iso_arrow(f):
-                to_rep[a] = f
-                for g in c.hom(r, a):
-                    if (
-                        c.compose(g, f) == c.identities[a]
-                        and c.compose(f, g) == c.identities[r]
-                    ):
-                        from_rep[a] = g
-                        break
-                break
+        if a == rep[a]:
+            to_rep[a] = from_rep[a] = c.identities[a]
+        else:
+            to_rep[a], from_rep[a] = next((f, g) for f in c.hom(a, rep[a])
+                                          if (g := c.inverse(f)) is not None)
     skel = full_subcategory(c, reps)
     retraction = CatFunctor(
         c,
@@ -460,32 +463,9 @@ def skeleton(c: FinCat):
 
 def cat_iso_search(c: FinCat, d: FinCat, budget=None):
     """An isomorphism of categories c -> d, or None (exhaustive)."""
-    budget = budget or Budget()
     if len(c.objects) != len(d.objects) or len(c.arrows) != len(d.arrows):
         return None
-
-    def candidates(cell, chosen):
-        kind, x = cell
-        used = {img for (k, _), img in chosen.items() if k == kind}
-        if kind == "obj":
-            pick = {b: img for (k, b), img in chosen.items() if k == "obj"}
-            for o in d.objects:
-                if o in used:
-                    continue
-                budget.spend()
-                pick[x] = o
-                if all(len(c.hom(a, b)) == len(d.hom(pick[a], pick[b]))
-                       for a in pick for b in pick if x in (a, b)):
-                    yield o
-            return
-        a, b = c.arrows[x]
-        for img in d.hom(chosen[("obj", a)], chosen[("obj", b)]):
-            budget.spend()
-            if img not in used and not d.is_identity(img):
-                yield img
-
-    found = (_functor(c, d, chosen) for chosen in backtrack(_functor_cells(c), candidates))
-    return next((fun for fun in found if fun is not None), None)
+    return next(functors(c, d, budget, iso=True), None)
 
 
 def equivalence_check(c: FinCat, d: FinCat, budget=None) -> Verdict:

@@ -2,7 +2,9 @@
 suite, and print one machine-readable report.
 
 Exit codes: 0 all checks pass, 1 a check fails (witness included),
-2 a search ran out of budget, 3 malformed input or command line.
+2 a search ran out of budget, 3 malformed input or command line, 4 an
+internal fault (an exception in the program, named in an `internal`
+verdict).
 """
 
 from __future__ import annotations

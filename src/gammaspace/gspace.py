@@ -384,11 +384,10 @@ def h_map(k, l) -> PresentedMap:
 # the convolution coend oracle
 
 
-def day_coend_oracle(x: TabulatedGammaSpace, y: TabulatedGammaSpace,
-                     x_levels, y_levels, n, dim_cap=2):
-    """Direct colimit computation of the convolution at level n: glue
-    hom(k smash l, n) x X(k) x Y(l) over morphisms between the listed
-    generation levels (exact when X and Y are generated there).
+def day_coend_oracle(x: TabulatedGammaSpace, y: TabulatedGammaSpace, x_levels, y_levels, n):
+    """Direct colimit computation of the convolution at level n, up to
+    dimension 2: glue hom(k smash l, n) x X(k) x Y(l) over morphisms between
+    the listed generation levels (exact when X and Y are generated there).
 
     There is one slot per (k, l, f) with f: k smash l -> n, holding
     X(k) x Y(l).  Each identification (f o (u smash v), s, t) ~
@@ -400,7 +399,7 @@ def day_coend_oracle(x: TabulatedGammaSpace, y: TabulatedGammaSpace,
     prods, slots, objects = {}, {}, []
     for k in x_levels:
         for l in y_levels:
-            prods[(k, l)] = product(x.value(k), y.value(l), bound=dim_cap)
+            prods[(k, l)] = product(x.value(k), y.value(l), bound=2)
             for f in enumerate_homs(k * l, n):
                 slots[(k, l, f)] = len(objects)
                 objects.append(prods[(k, l)][0])
@@ -422,7 +421,7 @@ def day_coend_oracle(x: TabulatedGammaSpace, y: TabulatedGammaSpace,
                 for v in enumerate_homs(l, l2):
                     if v != gamma_identity(l):
                         identify((k, l), (k, l2), gamma_identity(k), v)
-    return Colimit(objects, arrows, bound=dim_cap).space
+    return Colimit(objects, arrows, bound=2).space
 
 
 # ---------------------------------------------------------------------------
@@ -545,15 +544,13 @@ def _internal_hom(p, y, level_bound, dim_cap=None, budget=None):
     return TabulatedGammaSpace(level_bound, value, action), ms
 
 
-def precompose_smash(x: TabulatedGammaSpace, n, level_bound=None) -> TabulatedGammaSpace:
+def precompose_smash(x: TabulatedGammaSpace, n) -> TabulatedGammaSpace:
     """The space k |-> X((n*k)+), acting through id smash f; the output
     bound shrinks to fit inside x's bound."""
     if n == 0:
         return constant_gamma_space(x.level_bound, x.value(0))
-    natural = x.level_bound // n
-    bound = natural if level_bound is None else min(level_bound, natural)
     return TabulatedGammaSpace(
-        bound,
+        x.level_bound // n,
         lambda k: x.value(n * k),
         lambda f: x.action(smash_gamma(gamma_identity(n), f)),
     )

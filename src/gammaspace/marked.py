@@ -60,11 +60,11 @@ def edge_sharpens(m: SimpMap, p2: SimpMap, x: MarkedSimpSet, y: MarkedSimpSet) -
                if x.is_marked(p2.assignment[(1, e)]))
 
 
-def marked_product(a: MarkedSimpSet, b: MarkedSimpSet, bound=None):
+def marked_product(a: MarkedSimpSet, b: MarkedSimpSet):
     """Product in marked sets: an edge is marked iff both coordinates are.
 
     Returns (MarkedSimpSet, proj1, proj2, pair_ref)."""
-    prod_data = product(a.underlying, b.underlying, bound=bound)
+    prod_data = product(a.underlying, b.underlying)
     prod, p1, p2, pair_ref = prod_data
     marked = [
         e for e in prod.cell_ids(1)

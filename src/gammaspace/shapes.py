@@ -128,9 +128,9 @@ def interval_groupoid_nerve(bound=2) -> FinSimpSet:
     return FinSimpSet(bound, cells, complete=False)
 
 
-def simplex_inclusion(sub: FinSimpSet, n, bound=None) -> SimpMap:
+def simplex_inclusion(sub: FinSimpSet, n) -> SimpMap:
     """Inclusion of a boundary or horn into Delta[n] (shared cell names)."""
-    return inclusion_map(sub, standard_simplex(n, bound=bound))
+    return inclusion_map(sub, standard_simplex(n))
 
 
 # ---------------------------------------------------------------------------

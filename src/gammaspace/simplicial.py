@@ -392,9 +392,9 @@ class FinSimpSet:
         return f"FinSimpSet(D={self.dim_bound}, cells={self.summary()}{p})"
 
 
-def discrete_set(labels, dim_bound=0, pointed=None) -> FinSimpSet:
+def discrete_set(labels, pointed=None) -> FinSimpSet:
     """The discrete simplicial set on the given vertex labels."""
-    return FinSimpSet(dim_bound, {0: {str(v): () for v in labels}}, pointed=pointed)
+    return FinSimpSet(0, {0: {str(v): () for v in labels}}, pointed=pointed)
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +478,10 @@ class SimpMap:
     def __hash__(self):
         return hash(self.key())
 
-    def collision(self, dim_cap=None):
+    def collision(self):
         """The first two source simplices of one dimension with the same
         image, as (dim, first, second); None when the map is mono."""
-        cap = self.cap if dim_cap is None else min(dim_cap, self.cap)
-        for n in range(cap + 1):
+        for n in range(self.cap + 1):
             seen = {}
             for ref in self.source.refs(n):
                 first = seen.setdefault(self(ref, n), ref)
@@ -490,8 +489,8 @@ class SimpMap:
                     return n, first, ref
         return None
 
-    def is_mono(self, dim_cap=None):
-        return self.collision(dim_cap) is None
+    def is_mono(self):
+        return self.collision() is None
 
     def is_iso(self):
         """Bijective on the nondegenerate cells of every dimension up to

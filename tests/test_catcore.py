@@ -1,6 +1,7 @@
 """Finite categories: subgroupoids, equivalences, slices, functor categories."""
 
 import itertools
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from gammaspace.catcore import (
     CatFunctor,
     FinCat,
     all_functors,
+    cat_iso_search,
     coslice_category,
     cyclic_group_category,
     discrete_category,
@@ -22,6 +24,7 @@ from gammaspace.catcore import (
 )
 from gammaspace.cocart import gamma_subcategory
 from gammaspace.corpus import category_corpus, iso_with_tail_category
+from gammaspace.verdicts import Budget, backtrack
 
 
 def test_validation_catches_bad_tables():
@@ -335,3 +338,166 @@ def test_all_functors_agrees_with_the_all_pairs_scan():
                 if _all_pairs_functor_check(fun):
                     scanned.add(fun)
         assert set(all_functors(c, d)) == scanned
+
+
+# ---------------------------------------------------------------------------
+# the functor search, against the whole-assignment filter it replaces
+
+
+def _oracle_functor_cells(c):
+    """Search order for functors out of c: objects, then non-identity arrows."""
+    return ([("obj", a) for a in c.objects]
+            + [("arr", f) for f in c.arrow_ids() if not c.is_identity(f)])
+
+
+def _oracle_functor(c, d, chosen):
+    """The functor c -> d an assignment of `_oracle_functor_cells(c)` names,
+    or None when it is not one."""
+    on_objects = {a: chosen[("obj", a)] for a in c.objects}
+    on_arrows = {c.identities[a]: d.identities[on_objects[a]] for a in c.objects}
+    on_arrows.update((f, img) for (kind, f), img in chosen.items() if kind == "arr")
+    try:
+        return CatFunctor(c, d, on_objects, on_arrows).validate()
+    except ValueError:
+        return None
+
+
+def oracle_all_functors(c, d, budget):
+    """`all_functors` as it was: every full assignment, kept if it validates."""
+    def candidates(cell, chosen):
+        kind, x = cell
+        if kind == "obj":
+            pool = d.objects
+        else:
+            a, b = c.arrows[x]
+            pool = d.hom(chosen[("obj", a)], chosen[("obj", b)])
+        for img in pool:
+            budget.spend()
+            yield img
+
+    found = (_oracle_functor(c, d, chosen)
+             for chosen in backtrack(_oracle_functor_cells(c), candidates))
+    return [fun for fun in found if fun is not None]
+
+
+def oracle_cat_iso_search(c, d, budget):
+    """`cat_iso_search` as it was: injective assignments that keep hom
+    sizes, each full one kept if it validates."""
+    if len(c.objects) != len(d.objects) or len(c.arrows) != len(d.arrows):
+        return None
+
+    def candidates(cell, chosen):
+        kind, x = cell
+        used = {img for (k, _), img in chosen.items() if k == kind}
+        if kind == "obj":
+            pick = {b: img for (k, b), img in chosen.items() if k == "obj"}
+            for o in d.objects:
+                if o in used:
+                    continue
+                budget.spend()
+                pick[x] = o
+                if all(len(c.hom(a, b)) == len(d.hom(pick[a], pick[b]))
+                       for a in pick for b in pick if x in (a, b)):
+                    yield o
+            return
+        a, b = c.arrows[x]
+        for img in d.hom(chosen[("obj", a)], chosen[("obj", b)]):
+            budget.spend()
+            if img not in used and not d.is_identity(img):
+                yield img
+
+    found = (_oracle_functor(c, d, chosen)
+             for chosen in backtrack(_oracle_functor_cells(c), candidates))
+    return next((fun for fun in found if fun is not None), None)
+
+
+def _shuffled(c, seed):
+    """c with its arrows renamed at random, so that their ids sort in
+    another order whenever there are two or more."""
+    rng = random.Random(seed)
+    order = list(c.arrows)
+    while len(order) > 1 and order == list(c.arrows):
+        rng.shuffle(order)
+    arr = {f: f"x{k:02d}" for k, f in enumerate(order)}
+    return FinCat(
+        c.objects,
+        {arr[f]: ends for f, ends in c.arrows.items()},
+        {a: arr[f] for a, f in c.identities.items()},
+        {(arr[g], arr[f]): arr[h] for (g, f), h in c.compose_table.items()},
+    )
+
+
+def _search_pairs():
+    corpus = category_corpus()
+    pairs = [(f"{a}->{b}", c, d) for a, c in corpus for b, d in corpus]
+    for seed, (name, c) in enumerate(corpus):
+        s = _shuffled(c, seed)
+        pairs += [(f"{name}->shuffled", c, s), (f"shuffled->{name}", s, c)]
+    return pairs
+
+
+SEARCH_PAIRS = _search_pairs()
+
+
+@pytest.mark.parametrize("c,d", [pytest.param(c, d, id=name) for name, c, d in SEARCH_PAIRS])
+def test_functor_search_agrees_with_the_whole_assignment_filter(c, d):
+    new, old = Budget(), Budget()
+    assert [f.key() for f in all_functors(c, d, new)] == \
+        [f.key() for f in oracle_all_functors(c, d, old)]
+    assert new.used <= old.used
+    new, old = Budget(), Budget()
+    iso, want = cat_iso_search(c, d, new), oracle_cat_iso_search(c, d, old)
+    assert (iso and iso.key()) == (want and want.key())
+    assert new.used <= old.used
+
+
+def test_functor_search_prunes():
+    # checking each composite when its last arrow is drawn cuts the
+    # subtrees that hold no functor
+    used = {}
+    for search in (all_functors, oracle_all_functors):
+        budgets = [Budget() for _ in SEARCH_PAIRS]
+        for (_, c, d), budget in zip(SEARCH_PAIRS, budgets):
+            search(c, d, budget)
+        used[search] = sum(b.used for b in budgets)
+    assert used[all_functors] < used[oracle_all_functors]
+
+
+def _scan_inverse(c, f):
+    """The inverse of f by the scan `is_iso_arrow` and `skeleton` ran."""
+    a, b = c.arrows[f]
+    for g in c.hom(b, a):
+        if c.compose(g, f) == c.identities[a] and c.compose(f, g) == c.identities[b]:
+            return g
+    return None
+
+
+def _scan_skeleton_arrows(c):
+    """The retraction's arrows as `skeleton` chose them by scanning: an
+    identity on a representative, else the first isomorphism to it."""
+    rep = {a: cls[0] for cls in c.iso_classes() for a in cls}
+    to_rep, from_rep = {}, {}
+    for a in c.objects:
+        r = rep[a]
+        if a == r:
+            to_rep[a] = from_rep[a] = c.identities[a]
+            continue
+        for f in c.hom(a, r):
+            if _scan_inverse(c, f) is not None:
+                to_rep[a], from_rep[a] = f, _scan_inverse(c, f)
+                break
+    return {f: c.compose(to_rep[c.dst(f)], c.compose(f, from_rep[c.src(f)]))
+            for f in c.arrow_ids()}
+
+
+def test_inverse_and_skeleton_agree_with_the_scans():
+    p1 = poset_category(1)
+    cats = [c for _, c in category_corpus()] + [
+        gamma_subcategory(2),
+        functor_category(p1, walking_iso_category())[0],
+        functor_category(walking_iso_category(), iso_with_tail_category())[0],
+        functor_category(cyclic_group_category(2), walking_iso_category())[0],
+    ]
+    for c in cats:
+        assert {f: c.inverse(f) for f in c.arrows} == {f: _scan_inverse(c, f) for f in c.arrows}
+        assert skeleton(c)[1].on_arrows == _scan_skeleton_arrows(c)

@@ -2,8 +2,10 @@
 
 import contextlib
 import copy
+import functools
 import io
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -674,6 +676,47 @@ def _flag_value(dest):
     return st.sampled_from(spec.get("choices") or [spec["default"]])
 
 
+def _nodes(doc, path=()):
+    """Each (path, node) of a JSON document, the document itself first."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, node in items:
+        yield from _nodes(node, path + (key,))
+
+
+# the four semantic rewrites: which nodes each applies to, and the new node
+# it makes of one, given the strings of the document and a draw
+SEMANTIC = {
+    "swap-string": (lambda node: isinstance(node, str),
+                    lambda node, strings, data: data.draw(
+                        st.sampled_from([t for t in strings if t != node]))),
+    "bump-int": (lambda node: isinstance(node, int) and not isinstance(node, bool),
+                 lambda node, strings, data: node + data.draw(st.sampled_from([-1, 1]))),
+    "unknown-key": (lambda node: isinstance(node, dict),
+                    lambda node, strings, data: {**node, "bogus": 0}),
+    "copy-item": (lambda node: isinstance(node, list) and node,
+                  lambda node, strings, data: node + [data.draw(st.sampled_from(node))]),
+}
+
+
+def _semantic_rewrite(doc, data):
+    """doc with one node rewritten in one of the four SEMANTIC ways."""
+    nodes = list(_nodes(doc))
+    strings = sorted({node for _, node in nodes if isinstance(node, str)})
+    sites = {way: [path for path, node in nodes if applies(node)
+                   and (way != "swap-string" or len(strings) > 1)]
+             for way, (applies, _) in SEMANTIC.items()}
+    way = data.draw(st.sampled_from(sorted(w for w, paths in sites.items() if paths)), "way")
+    path = data.draw(st.sampled_from(sites[way]), "at")
+    rewrite = SEMANTIC[way][1]
+    doc = copy.deepcopy(doc)
+    if not path:
+        return rewrite(doc, strings, data)
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    parent[path[-1]] = rewrite(parent[path[-1]], strings, data)
+    return doc
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_any_command_line_exits_with_a_report(kind_files, data):
@@ -685,7 +728,7 @@ def test_any_command_line_exits_with_a_report(kind_files, data):
              or data.draw(st.booleans())}
     mutations = ["none", "unknown", "stray"]
     mutations += ["drop"] if any(FLAGS[d].get("required") for d in flags) else []
-    mutations += ["swap"] if paths else []
+    mutations += ["swap", "semantic"] if paths else []
     mutation = data.draw(st.sampled_from(mutations), "mutation")
     if mutation == "drop":
         del flags[data.draw(st.sampled_from([d for d in flags if FLAGS[d].get("required")]))]
@@ -695,6 +738,13 @@ def test_any_command_line_exits_with_a_report(kind_files, data):
         k = data.draw(st.integers(0, len(paths) - 1))
         paths[k] = data.draw(st.sampled_from(
             [path for kind, path in sorted(kind_files.items()) if kind != row.kinds[k]]))
+    if mutation == "semantic":
+        k = data.draw(st.integers(0, len(paths) - 1))
+        with open(paths[k]) as fh:
+            doc = _semantic_rewrite(json.load(fh), data)
+        paths[k] = os.path.join(os.path.dirname(paths[k]), "semantic.json")
+        with open(paths[k], "w") as fh:
+            fh.write(jsonio.canonical_dumps(doc))
     argv = [name, *paths, *[a for d, v in flags.items() for a in (_option(d), str(v))]]
     if mutation == "unknown":
         argv.append("--bogus")

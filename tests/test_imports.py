@@ -262,8 +262,8 @@ def calls_naming(source: str, name: str):
 
 # The library's `.validate(...)` calls, by (module, function): the loaders
 # check what enters; `from_elements` checks the tables it is handed; the
-# tau1 certificate and the functor filter of `all_functors` and
-# `cat_iso_search` decide by validating;
+# tau1 certificate decides by validating (`catcore.functors` checks each
+# composite as its last arrow is drawn, and validates nothing);
 # the validators of the diagram types check their parts; and two verdicts
 # rest on a check.  Constructions trust their valid inputs, and
 # tests/conftest.py validates every set and category tier-1 builds.
@@ -277,7 +277,6 @@ KEPT_VALIDATE_CALLS = {
     ("simplicial", "from_elements"): 1,
     ("nerve", "_tau1_full"): 1,
     ("nerve", "tau1_functor"): 1,
-    ("catcore", "_functor"): 1,
     ("gspace", "TabulatedGammaSpace.validate"): 1,
     ("gspace", "GammaSpaceMap.validate"): 1,
     ("marked", "MarkedGammaSpace.validate"): 1,
@@ -320,7 +319,6 @@ KEPT_TRUNCATION_READS = {
 # off `compose_table` and a pair is extended through `FinCat.out_of`; these
 # constructions build the table before the category exists.
 KEPT_ARROW_PAIR_SCANS = {
-    ("catcore", "poset_category"): 1,
     ("catcore", "functor_category"): 1,
     ("catcore", "coslice_category"): 1,
 }
