@@ -354,7 +354,8 @@ def functor_category(d: FinCat, c: FinCat) -> tuple[FinCat, dict, dict]:
 
     Returns (category, object names -> functors, arrow names -> transforms).
     """
-    obj_names = {f"F{i}": fn for i, fn in enumerate(sorted(functors(d, c), key=CatFunctor.key))}
+    found = sorted(all_functors(d, c), key=CatFunctor.key)
+    obj_names = {f"F{i}": fn for i, fn in enumerate(found)}
     arrows = {}
     arrow_data = {}
     identities = {}

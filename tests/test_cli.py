@@ -679,9 +679,11 @@ def _flag_value(dest):
 def _nodes(doc, path=()):
     """Each (path, node) of a JSON document, the document itself first."""
     yield path, doc
-    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
-    for key, node in items:
-        yield from _nodes(node, path + (key,))
+    if isinstance(doc, list):
+        doc = dict(enumerate(doc))
+    if isinstance(doc, dict):
+        for key, node in doc.items():
+            yield from _nodes(node, path + (key,))
 
 
 # the four semantic rewrites: which nodes each applies to, and the new node
