@@ -19,7 +19,6 @@ from .simplicial import (
     SimpMap,
     Colimit,
     _subset_of,
-    apply_word,
     cellwise,
     commutes,
     delta_tuple,
@@ -224,8 +223,7 @@ class RelativeNerve:
         """The sub-simplicial set over the constant chain at an object."""
         def ok(n, name):
             ref = self.proj.assignment[(n, name)]
-            return ref == apply_word(SimplexRef(f"o{obj}"),
-                                     tuple(range(n - 1, -1, -1)), 0)
+            return ref == SimplexRef(f"o{obj}", tuple(range(n - 1, -1, -1)))
 
         return _subset_of(self.total, ok)
 
@@ -430,12 +428,11 @@ def upsilon(k, l, level_cap, dim_cap=2):
         pieces.append((over, fun))
     col = Colimit([over.marked.underlying for over, _ in pieces], [])
     du = col.space
-    proj_src = col.mediating(lambda k, ref, n: pieces[k][0].proj(ref, n),
-                             pieces[0][0].proj.target)
+    proj_src = col.mediating(lambda k: pieces[k][0].proj, pieces[0][0].proj.target)
     source = OverObject(MarkedSimpSet(du, du.cell_ids(1)), proj_src)
     legs = [nerve_functor_map(fun, over.marked.underlying, target.marked.underlying)
             for over, fun in pieces]
-    cmp = col.mediating(lambda k, ref, n: legs[k](ref, n), target.marked.underlying)
+    cmp = col.mediating(legs.__getitem__, target.marked.underlying)
     return cmp, source, target
 
 

@@ -4,6 +4,7 @@ and the homotopy-category probes built on top of them."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -32,7 +33,6 @@ from .simplicial import (
     FinSimpSet,
     SimplexRef,
     SimpMap,
-    apply_word,
     cellwise,
     commutes,
     constant_map,
@@ -100,17 +100,22 @@ class TabulatedGammaSpace:
 
     def validate(self, level_cap=None):
         """Checks the action on levels 0..cap (by default the level bound;
-        associativity first shows at level 3): each map is simplicial,
-        identities act as identities, and the action is functorial.
+        associativity first shows at level 3): each map is simplicial, and
+        the action passes `check_laws`."""
+        for f in all_morphisms_upto(self._cap(level_cap)):
+            self.action(f).validate(check_pointed=False)
+        return self.check_laws(level_cap)
+
+    def check_laws(self, level_cap=None):
+        """Checks, on levels 0..cap, that identities act as identities and
+        that the action is functorial, trusting each map to be simplicial.
 
         Functoriality is checked as action(f.then(g)) == action(f) then
         action(g) for every based map f, but only for g among the elementary
         maps of `elementary_maps(cap)`, which is exact (see there).
         """
-        cap = self.level_bound if level_cap is None else min(level_cap, self.level_bound)
+        cap = self._cap(level_cap)
         every = all_morphisms_upto(cap)
-        for f in every:
-            self.action(f).validate(check_pointed=False)
         for n in range(cap + 1):
             if self.action(gamma_identity(n)) != identity_map(self.value(n)):
                 raise ValueError(f"the identity of level {n} does not act as the identity")
@@ -122,6 +127,9 @@ class TabulatedGammaSpace:
                 if not commutes([self.action(f.then(g))], [self.action(f), self.action(g)]):
                     raise ValueError(f"action not functorial on {f}, {g}")
         return self
+
+    def _cap(self, level_cap):
+        return self.level_bound if level_cap is None else min(level_cap, self.level_bound)
 
     def is_normalized(self):
         v0 = self.value(0)
@@ -260,17 +268,17 @@ class PresentedGammaSpace:
     def evaluate(self, n) -> FinSimpSet:
         return self.level_data(n)[0].space
 
-    def component_ref(self, cell_index, h: GammaMorphism, ref, ref_dim, n):
-        """Resolve (cell, hom element, shape ref) in the evaluation at n."""
-        col, _, index = self.level_data(n)
-        return col.ref_in(index[(cell_index, h)], ref, ref_dim)
-
     def action_map(self, g: GammaMorphism) -> SimpMap:
         """The induced map evaluate(g.src) -> evaluate(g.dst): the shape of
         the slot (i, h) goes to the slot (i, h then g) identically."""
         col, slots, _ = self.level_data(g.src)
-        return col.mediating(lambda k, ref, d: self.component_ref(
-            slots[k][0], slots[k][1].then(g), ref, d, g.dst), self.evaluate(g.dst))
+        dst, _, index = self.level_data(g.dst)
+
+        def leg_of(k):
+            i, h = slots[k]
+            return functools.partial(dst.ref_in, index[(i, h.then(g))])
+
+        return col.mediating(leg_of, dst.space)
 
     def tabulate(self, level_bound) -> TabulatedGammaSpace:
         return TabulatedGammaSpace(level_bound, self.evaluate, self.action_map)
@@ -303,14 +311,18 @@ class PresentedMap:
     assignments: list  # of (target_cell_index, GammaMorphism, SimpMap)
 
     def evaluate(self, n) -> SimpMap:
+        """The map at level n: the slot (i, h) goes into the slot
+        (j, gamma then h) of the target through simp."""
         col, slots, _ = self.source.level_data(n)
+        dst, _, index = self.target.level_data(n)
 
-        def leg(k, ref, d):
+        def leg_of(k):
             i, h = slots[k]
             j, gamma, simp = self.assignments[i]
-            return self.target.component_ref(j, gamma.then(h), simp(ref, d), d, n)
+            into = index[(j, gamma.then(h))]
+            return lambda ref, d: dst.ref_in(into, simp(ref, d), d)
 
-        return col.mediating(leg, self.target.evaluate(n))
+        return col.mediating(leg_of, dst.space)
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +737,7 @@ class Normalization:
                 x.action(f).then(dst.coprojection(1)),
                 constant_map(src.objects[2], dst.space, dst.space.pointed),
             ]
-            return src.mediating(lambda k, ref, n: legs[k](ref, n), dst.space)
+            return src.mediating(legs.__getitem__, dst.space)
 
         self.space = TabulatedGammaSpace(bound, lambda n: self.col(n).space, action)
         self.eta = GammaSpaceMap(
@@ -766,7 +778,7 @@ def normalization_counit(y: TabulatedGammaSpace) -> GammaSpaceMap:
             identity_map(y.value(n)),
             constant_map(col.objects[2], y.value(n), target_vertex),
         ]
-        levels[n] = col.mediating(lambda k, ref, d: legs[k](ref, d), y.value(n))
+        levels[n] = col.mediating(legs.__getitem__, y.value(n))
     return GammaSpaceMap(nz.space, y, levels)
 
 
@@ -927,8 +939,9 @@ def semiadditivity_probe(p: PresentedGammaSpace, level_cap) -> dict:
 
 def _basepoint_collapse(frame, xb, yb):
     """The cells basepoint x c of the frame X x Delta[d], each pinned to Y's
-    basepoint yb degenerated to its dimension (xb is X's basepoint)."""
-    return {(m, name): apply_word(SimplexRef(yb), ref.degs, 0)
+    basepoint yb degenerated to its dimension (xb is X's basepoint): an
+    m-simplex on one vertex carries the word (m-1, ..., 0), yb's too."""
+    return {(m, name): SimplexRef(yb, ref.degs)
             for (m, name), ref in frame[1].assignment.items()
             if ref.base == xb and len(ref.degs) == m}
 

@@ -174,8 +174,9 @@ def tabulated_to_json(x: TabulatedGammaSpace, generators=None) -> dict:
 def tabulated_from_json(data) -> TabulatedGammaSpace:
     """Loads values and completes the action from the generators by
     composition closure; errors if some based map is not covered, and
-    checks functoriality on every level read.  A file that lists every
-    based map (as `tabulated_to_json` writes by default) needs no closure."""
+    checks identities and functoriality on every level read.  A file that
+    lists every based map (as `tabulated_to_json` writes by default) needs
+    no closure."""
     _expect(data, dict, "a tabulated level family")
     bound = _count(data.get("level_bound"), "level_bound")
     values = {
@@ -217,8 +218,9 @@ def tabulated_from_json(data) -> TabulatedGammaSpace:
     space = TabulatedGammaSpace(
         bound, lambda n: values[n], lambda f: action[f]
     )
-    space.validate(level_cap=bound)
-    return space
+    # each listed map was checked as it was read, and composites and
+    # identities of simplicial maps are simplicial
+    return space.check_laws(level_cap=bound)
 
 
 def presented_to_json(p: PresentedGammaSpace) -> dict:

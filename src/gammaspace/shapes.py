@@ -162,7 +162,7 @@ def smash(x: FinSimpSet, y: FinSimpSet):
         pairing(identity_map(x), constant_map(x, y, y.pointed), prod_data),
         pairing(constant_map(y, x, x.pointed), identity_map(y), prod_data),
     ]
-    into_prod = wcol.mediating(lambda k, ref, n: legs[k](ref, n), prod)
+    into_prod = wcol.mediating(legs.__getitem__, prod)
     b = min(w.dim_bound, prod.dim_bound)
     pt = standard_point(bound=b)
     collapse = constant_map(w, pt, "0")
@@ -438,4 +438,4 @@ def pushout_product(f: SimpMap, g: SimpMap) -> SimpMap:
         product_map(identity_map(v), g, vw, vx),
         product_map(f, identity_map(x), ux, vx),
     ]
-    return col.mediating(lambda k, ref, n: legs[k](ref, n), vx[0])
+    return col.mediating(legs.__getitem__, vx[0])

@@ -12,11 +12,16 @@ All values are immutable after construction; operations are pure.  Each
 FinSimpSet keeps its cell ids per dimension and its top dimension from
 construction.  A face is read off the degeneracy word by the simplicial
 identities (`face_word`, word arithmetic with no set data), so `act`
-serves only general operators and its memo holds no faces.  The caches
-below (the word-arithmetic memos, each FinSimpSet's face and horn indexes,
-neighbour table, search order and `act` memo, and the face table and pair
-memo of one `product` call) only ever store what a pure function returns
-for its key, so a racing fill writes the same value twice.
+serves only general operators and its memo holds no faces.  By
+Eilenberg-Zilber a nondegenerate ref is already in normal form, so an
+empty word is the identity: the maps, `Colimit.ref_in`, `FinSimpSet.face`
+and the map search read a nondegenerate ref straight off their tables, and
+the word memos of `apply_word` and `face_word` see only nonempty words.
+The caches below (the word-arithmetic memos, each FinSimpSet's face and
+horn indexes, neighbour table, search order and `act` memo, and the face
+table and pair memo of one `product` call) only ever store what a pure
+function returns for its key, so a racing fill writes the same value
+twice.
 
 Maps are built in two ways.  `cellwise` assigns a given image to every
 nondegenerate source cell, and every map given cell by cell (identities,
@@ -113,6 +118,8 @@ def sigma_tuple(i, n):
 def is_normal_word(word, dim):
     """Whether word is a degeneracy word in normal form on a dim-simplex:
     strictly decreasing entries in 0..dim-1."""
+    if not word:
+        return True
     return word == tuple(sorted(set(word) & set(range(dim)), reverse=True))
 
 
@@ -157,8 +164,6 @@ class SimplexRef(namedtuple("SimplexRef", "base degs")):
 def apply_word(ref: SimplexRef, word, ref_dim: int) -> SimplexRef:
     """Apply a degeneracy word (operator for dimension ref_dim upward) to a
     ref of dimension ref_dim; pure word arithmetic, no face data needed."""
-    if not word:
-        return ref
     m = ref_dim + len(word)
     outer = word_to_surj(word, m)
     inner = word_to_surj(ref.degs, ref_dim)
@@ -315,6 +320,8 @@ class FinSimpSet:
         return self.act(face, dim - 1, rest)
 
     def face(self, ref: SimplexRef, ref_dim: int, i: int) -> SimplexRef:
+        if not ref.degs:
+            return self._cells[ref_dim][ref.base][i]
         j, word = face_word(ref.degs, ref_dim, i)
         if j is None:
             return SimplexRef(ref.base, word)
@@ -419,6 +426,8 @@ class SimpMap:
         return map_cap(self.source, self.target)
 
     def __call__(self, ref: SimplexRef, ref_dim: int) -> SimplexRef:
+        if not ref.degs:
+            return self.assignment[(ref_dim, ref.base)]
         base_dim = ref_dim - len(ref.degs)
         image = self.assignment[(base_dim, ref.base)]
         return apply_word(image, ref.degs, base_dim)
@@ -678,7 +687,9 @@ def product(x: FinSimpSet, y: FinSimpSet, bound=None):
             name = names.get((k, (rx, ry)))
             if name is None:
                 raise ValueError(f"pair of refs in dim {n} has no cell at bound {b}")
-            out = resolved[key] = apply_word(SimplexRef(name), common, k)
+            # the common word is strictly decreasing, so it is the normal
+            # form of the cell's degeneracy
+            out = resolved[key] = SimplexRef(name, common)
         return out
 
     face_tables = {x: {}, y: {}}
@@ -775,13 +786,15 @@ class Colimit:
                     if known.setdefault(find(k), ref) != ref:
                         raise AssertionError("inconsistent quotient normal forms")
             table, cells[n] = {}, {}
+            below = self._nf[n - 1] if n else None
             for i, obj in enumerate(self.objects):
                 for name in obj.cell_ids(n):
                     k = (i, name, ())
                     root = find(k) if k in parent else None
                     ref = known.get(root)
                     if ref is None or not ref.degs:
-                        faces = tuple(self.ref_in(i, fr, n - 1)
+                        faces = tuple(self.ref_in(i, fr, n - 1) if fr.degs
+                                      else below[(i, fr.base)]
                                       for fr in obj.faces_of(n, name)) if n else ()
                         if ref is None:
                             ref = SimplexRef(f"q{n}_{len(cells[n])}")
@@ -799,6 +812,8 @@ class Colimit:
                                 complete=self.complete)
 
     def ref_in(self, obj_index, ref: SimplexRef, ref_dim: int) -> SimplexRef:
+        if not ref.degs:
+            return self._nf[ref_dim][(obj_index, ref.base)]
         base_dim = ref_dim - len(ref.degs)
         return apply_word(self._nf[base_dim][(obj_index, ref.base)], ref.degs, base_dim)
 
@@ -806,20 +821,27 @@ class Colimit:
         return cellwise(self.objects[obj_index], self.space,
                         lambda n, name: self._nf[n][(obj_index, name)])
 
-    def mediating(self, leg, target: FinSimpSet) -> SimpMap:
+    def mediating(self, leg_of, target: FinSimpSet) -> SimpMap:
         """The map out of the colimit whose composite with the coprojection
-        of object k is leg(k, ref, n) on the n-simplex ref of object k.
+        of object k is leg_of(k), a map called as leg(ref, n) on the
+        n-simplex ref of object k (a SimpMap is one).
 
-        The legs must form a cocone: leg(di, m(ref), n) == leg(si, ref, n)
-        for every arrow (si, di, m).  Then every representative of a cell
-        has the same image, and the cell takes that of the first one met,
-        walking the objects in order.  The legs are not checked here; the
-        tests check every cocone they build."""
+        The legs must form a cocone: leg_of(di)(m(ref), n) ==
+        leg_of(si)(ref, n) for every arrow (si, di, m).  Then every
+        representative of a cell has the same image, and the cell takes
+        that of the first one met, walking the objects in order.  The table
+        of each dimension holds the cells object by object, so each leg is
+        asked for once per run of its object's cells and none is kept.  The
+        legs are not checked here; the tests check every cocone they
+        build."""
         assignment = {}
         for n in range(map_cap(self.space, target) + 1):
-            for (k, name), ref in self._nf[n].items():
+            k = leg = None
+            for (i, name), ref in self._nf[n].items():
                 if not ref.degs and (n, ref.base) not in assignment:
-                    assignment[(n, ref.base)] = leg(k, SimplexRef(name), n)
+                    if i != k:
+                        k, leg = i, leg_of(i)
+                    assignment[(n, ref.base)] = leg(SimplexRef(name), n)
         return SimpMap(self.space, target, assignment)
 
 
@@ -909,6 +931,7 @@ def _face_images(assignment, s: FinSimpSet, n, name):
         return None
     return tuple(
         apply_word(assignment[(n - 1 - len(f.degs), f.base)], f.degs, n - 1 - len(f.degs))
+        if f.degs else assignment[(n - 1, f.base)]
         for f in s.faces_of(n, name)
     )
 

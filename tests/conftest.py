@@ -30,16 +30,17 @@ def _validating(init):
 
 def _checking_cocone(mediating):
     @functools.wraps(mediating)
-    def checked(self, leg, target):
+    def checked(self, leg_of, target):
         # every nondegenerate cell c of an arrow's source, in each
-        # dimension the map assigns: leg(di, m(c)) == leg(si, c)
+        # dimension the map assigns: leg_of(di)(m(c)) == leg_of(si)(c)
         for si, di, m in self.arrows:
+            src, dst = leg_of(si), leg_of(di)
             for n in range(map_cap(self.space, target) + 1):
                 for name in self.objects[si].cell_ids(n):
                     c = SimplexRef(name)
-                    assert leg(di, m(c, n), n) == leg(si, c, n), (
+                    assert dst(m(c, n), n) == src(c, n), (
                         f"cocone does not commute with arrow {si} -> {di} on {name!r}")
-        return mediating(self, leg, target)
+        return mediating(self, leg_of, target)
 
     return checked
 

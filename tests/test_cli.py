@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import gammaspace
 from gammaspace import jsonio
 from gammaspace.cli import COMMANDS, COMMON, FLAGS, Command, build_parser, main
-from gammaspace.cocart import nelg
+from gammaspace.cocart import gamma_diagram_input, nelg
 from gammaspace.corpus import glued_presentation, z2_monoid_space
 from gammaspace.gspace import gamma_rep
 from gammaspace.marked import mark
@@ -301,6 +301,22 @@ def _relative_blob():
         "diagram": {
             "values": {o: jsonio.simpset_to_json(d1) for o in base.objects},
             "arrows": {f: jsonio.simpmap_to_json(identity_map(d1)) for f in base.arrows},
+        },
+    }
+
+
+def _gamma_relative_blob():
+    """The level-2 Z/2 family as a diagram over the based-set base: an
+    input `sm-check` accepts (tests/test_cli_commands.py runs it with
+    --k 1 --l 1), so the fuzz's draws of that command start from one."""
+    m = z2_monoid_space(2)
+    inp = gamma_diagram_input(2, m.value, m.action)
+    return {
+        "base": jsonio.category_to_json(inp.base),
+        "gamma_levels": 2,
+        "diagram": {
+            "values": {o: jsonio.simpset_to_json(v) for o, v in inp.values.items()},
+            "arrows": {f: jsonio.simpmap_to_json(mm) for f, mm in inp.arrows.items()},
         },
     }
 
@@ -636,15 +652,16 @@ def test_flags_parsed_but_not_read_are_the_pinned_list():
     assert unread == expected | {("check-suite", "corpus")}
 
 
-# one small valid input per loader kind
+# small valid inputs of each loader kind; a diagram over the based-set
+# base, which `sm-check` accepts, besides one over [1], which it refuses
 KIND_FIXTURES = {
-    "presented": lambda: jsonio.presented_to_json(gamma_rep(1)),
-    "tabulated": lambda: jsonio.tabulated_to_json(z2_monoid_space(2)),
-    "simpset": lambda: jsonio.simpset_to_json(standard_simplex(1)),
-    "marked": lambda: jsonio.marked_to_json(mark(standard_simplex(1), "sharp")),
-    "relative_input": _relative_blob,
-    "over_object": lambda: jsonio.over_object_to_json(nelg(1, 1, dim_cap=1)[0]),
-    "arrow": lambda: _arrow_blob(inclusion_map(boundary(1), standard_simplex(1))),
+    "presented": [lambda: jsonio.presented_to_json(gamma_rep(1))],
+    "tabulated": [lambda: jsonio.tabulated_to_json(z2_monoid_space(2))],
+    "simpset": [lambda: jsonio.simpset_to_json(standard_simplex(1))],
+    "marked": [lambda: jsonio.marked_to_json(mark(standard_simplex(1), "sharp"))],
+    "relative_input": [_relative_blob, _gamma_relative_blob],
+    "over_object": [lambda: jsonio.over_object_to_json(nelg(1, 1, dim_cap=1)[0])],
+    "arrow": [lambda: _arrow_blob(inclusion_map(boundary(1), standard_simplex(1)))],
 }
 
 # small ranges, so that no draw runs for long; flags with choices draw from them
@@ -665,8 +682,8 @@ def test_every_loader_kind_has_a_fixture():
 @pytest.fixture(scope="module")
 def kind_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("kinds")
-    return {kind: _blob_file(root, f"{kind}.json", make())
-            for kind, make in KIND_FIXTURES.items()}
+    return {kind: [_blob_file(root, f"{kind}{k}.json", make()) for k, make in enumerate(makers)]
+            for kind, makers in KIND_FIXTURES.items()}
 
 
 def _flag_value(dest):
@@ -724,7 +741,7 @@ def _semantic_rewrite(doc, data):
 def test_any_command_line_exits_with_a_report(kind_files, data):
     name = data.draw(st.sampled_from(sorted(COMMANDS)), "command")
     row = COMMANDS[name]
-    paths = [kind_files[kind] for kind in row.kinds]
+    paths = [data.draw(st.sampled_from(kind_files[kind]), kind) for kind in row.kinds]
     flags = {dest: data.draw(_flag_value(dest), dest) for dest in row.flags
              if dest in ("dim_bound", "level_bound", "budget") or FLAGS[dest].get("required")
              or data.draw(st.booleans())}
@@ -735,11 +752,13 @@ def test_any_command_line_exits_with_a_report(kind_files, data):
     if mutation == "drop":
         del flags[data.draw(st.sampled_from([d for d in flags if FLAGS[d].get("required")]))]
     if mutation == "stray":
-        paths.append(data.draw(st.sampled_from(sorted(kind_files.values()))))
+        paths.append(data.draw(st.sampled_from(
+            sorted(path for files in kind_files.values() for path in files))))
     if mutation == "swap":
         k = data.draw(st.integers(0, len(paths) - 1))
         paths[k] = data.draw(st.sampled_from(
-            [path for kind, path in sorted(kind_files.items()) if kind != row.kinds[k]]))
+            [path for kind, files in sorted(kind_files.items()) if kind != row.kinds[k]
+             for path in files]))
     if mutation == "semantic":
         k = data.draw(st.integers(0, len(paths) - 1))
         with open(paths[k]) as fh:

@@ -15,6 +15,7 @@ from gammaspace.nerve import nerve
 from gammaspace.shapes import boundary, standard_point, standard_simplex
 from gammaspace.simplicial import SimplexRef, SimpMap, identity_map, inclusion_map
 from gammaspace.verdicts import INCONCLUSIVE, Verdict
+from test_cli import _gamma_relative_blob
 
 
 def run_ok(capsys, *argv, expect=0):
@@ -89,20 +90,9 @@ def test_relative_nerve_and_cocart_and_sm(tmp_path, capsys):
     assert report["verdicts"][0]["status"] == "holds"
     report = run_ok(capsys, "cocart-edges", path, "--dim-bound", "2")
     assert report["outputs"]["cocartesian_edges"]
-    # the monoid family as a diagram over the based-set base
-    m = z2_monoid_space(2)
-    from gammaspace.cocart import gamma_diagram_input
-
-    ginp = gamma_diagram_input(2, m.value, m.action)
-    gblob = {
-        "base": jsonio.category_to_json(ginp.base),
-        "gamma_levels": 2,
-        "diagram": {
-            "values": {o: jsonio.simpset_to_json(v) for o, v in ginp.values.items()},
-            "arrows": {f: jsonio.simpmap_to_json(mm) for f, mm in ginp.arrows.items()},
-        },
-    }
-    gpath = write(tmp_path, "g.json", gblob)
+    # the monoid family as a diagram over the based-set base, the fuzz's
+    # input of sm-check in tests/test_cli.py
+    gpath = write(tmp_path, "g.json", _gamma_relative_blob())
     report = run_ok(capsys, "sm-check", gpath, "--k", "1", "--l", "1")
     assert report["verdicts"][0]["status"] == "holds"
 

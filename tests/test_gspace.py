@@ -66,6 +66,7 @@ from gammaspace.simplicial import (
 )
 from gammaspace.marked import gamma_flat
 from gammaspace.verdicts import HOLDS, INCONCLUSIVE, Budget, ResourceError
+from test_simplicial import component_ref
 
 
 def test_representable_evaluation():
@@ -239,7 +240,7 @@ def _agrees_with_labelled(p, levels):
             for d in range(shape.dim_bound + 1):
                 for name in shape.cell_ids(d):
                     ref = SimplexRef(name)
-                    assert p.component_ref(i, h, ref, d, n) == old.ref(i, h, ref, d, n)
+                    assert component_ref(p, i, h, ref, d, n) == old.ref(i, h, ref, d, n)
     for g in elementary_maps(4):
         if g.src in levels and g.dst in levels:
             assert p.action_map(g) == old.action_map(g), g
@@ -267,7 +268,7 @@ def test_slots_follow_hom_order_at_level_ten():
     g1 = gamma_rep(1)
     homs = enumerate_homs(1, 10)
     for k, h in enumerate(homs):
-        assert g1.component_ref(0, h, SimplexRef("0"), 0, 10) == SimplexRef(f"q0_{k}")
+        assert component_ref(g1, 0, h, SimplexRef("0"), 0, 10) == SimplexRef(f"q0_{k}")
     assert _Labelled(g1).ref(0, homs[10], SimplexRef("0"), 0, 10) == SimplexRef("q0_2")
 
 
@@ -805,28 +806,28 @@ def test_elementary_check_matches_all_pairs_on_corruptions(name, f, data):
 
 def test_complete_level_three_load_composes_little(monkeypatch):
     blob = jsonio.tabulated_to_json(z2_monoid_space(3))
-    calls = {"validate": 0, "elsewhere": 0}
+    calls = {"laws": 0, "elsewhere": 0}
     phase = ["elsewhere"]
-    then, validate = GammaMorphism.then, TabulatedGammaSpace.validate
+    then, check_laws = GammaMorphism.then, TabulatedGammaSpace.check_laws
 
     def counted_then(self, other):
         calls[phase[0]] += 1
         return then(self, other)
 
-    def phased_validate(self, *args, **kwargs):
-        phase[0] = "validate"
+    def phased_check_laws(self, *args, **kwargs):
+        phase[0] = "laws"
         try:
-            return validate(self, *args, **kwargs)
+            return check_laws(self, *args, **kwargs)
         finally:
             phase[0] = "elsewhere"
 
     monkeypatch.setattr(GammaMorphism, "then", counted_then)
-    monkeypatch.setattr(TabulatedGammaSpace, "validate", phased_validate)
+    monkeypatch.setattr(TabulatedGammaSpace, "check_laws", phased_check_laws)
     jsonio.tabulated_from_json(blob)
     # the file lists every based map, so nothing is closed; 534 is the
     # number of pairs (f, elementary g) at level 3
     assert calls["elsewhere"] == 0
-    assert 0 < calls["validate"] <= 534
+    assert 0 < calls["laws"] <= 534
 
 
 # -- naturality against the elementary maps -----------------------------------

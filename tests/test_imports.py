@@ -261,9 +261,11 @@ def calls_naming(source: str, name: str):
 
 
 # The library's `.validate(...)` calls, by (module, function): the loaders
-# check what enters; `from_elements` checks the tables it is handed; the
-# tau1 certificate decides by validating (`catcore.functors` checks each
-# composite as its last arrow is drawn, and validates nothing);
+# check what enters (`tabulated_from_json` checks each listed map as it is
+# read, then only the laws of the action it completes, by
+# `TabulatedGammaSpace.check_laws`); `from_elements` checks the tables it
+# is handed; the tau1 certificate decides by validating (`catcore.functors`
+# checks each composite as its last arrow is drawn, and validates nothing);
 # the validators of the diagram types check their parts; and two verdicts
 # rest on a check.  Constructions trust their valid inputs, and
 # tests/conftest.py validates every set and category tier-1 builds.
@@ -271,7 +273,6 @@ KEPT_VALIDATE_CALLS = {
     ("jsonio", "simpset_from_json"): 1,
     ("jsonio", "simpmap_from_json"): 1,
     ("jsonio", "category_from_json"): 1,
-    ("jsonio", "tabulated_from_json"): 1,
     ("jsonio", "relative_input_from_json"): 1,
     ("jsonio", "over_object_from_json"): 1,
     ("simplicial", "from_elements"): 1,

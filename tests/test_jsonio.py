@@ -17,7 +17,7 @@ from gammaspace.marked import mark
 from gammaspace.nerve import nerve
 from gammaspace.shapes import boundary, sphere_zero, standard_point, standard_simplex
 from gammaspace.gspace import all_morphisms_upto, gamma_rep
-from gammaspace.simplicial import SimplexRef, constant_map, identity_map, iso_check
+from gammaspace.simplicial import SimplexRef, SimpMap, constant_map, identity_map, iso_check
 
 
 def test_simpset_round_trip_bit_exact():
@@ -108,14 +108,38 @@ def test_non_functorial_top_level_is_refused():
         jsonio.tabulated_from_json(_swap_acting_as_identity())
 
 
+def _level_three_generators():
+    """The automorphisms, the maps down one level and the inclusions up one
+    level, between levels 0..3: the closure composes every based map."""
+    return [f for f in all_morphisms_upto(3) if f.src == f.dst or f.dst == f.src - 1
+            or (f.dst == f.src + 1 and f.table == tuple(range(1, f.src + 1)))]
+
+
 def test_complete_and_generated_loads_agree():
     x = z2_monoid_space(3)
     complete = jsonio.tabulated_from_json(jsonio.tabulated_to_json(x))
-    gens = [f for f in all_morphisms_upto(3) if f.src == f.dst or f.dst == f.src - 1
-            or (f.dst == f.src + 1 and f.table == tuple(range(1, f.src + 1)))]
+    gens = _level_three_generators()
     closed = jsonio.tabulated_from_json(jsonio.tabulated_to_json(x, generators=gens))
     for f in all_morphisms_upto(3):
         assert complete.action(f) == closed.action(f) == x.action(f)
+
+
+@pytest.mark.parametrize("generated", [False, True])
+def test_a_load_validates_each_listed_map_once(monkeypatch, generated):
+    # the listed maps are validated as they are read; the maps the closure
+    # composes and the check of the laws validate none again
+    gens = _level_three_generators()
+    blob = jsonio.tabulated_to_json(z2_monoid_space(3), generators=gens if generated else None)
+    validated = []
+    validate = SimpMap.validate
+
+    def counted(self, *args, **kwargs):
+        validated.append(self)
+        return validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimpMap, "validate", counted)
+    jsonio.tabulated_from_json(blob)
+    assert len(validated) == len(blob["action"]) == (len(gens) if generated else 144)
 
 
 @pytest.mark.parametrize("load", [

@@ -38,6 +38,7 @@ from gammaspace.simplicial import (
     hom_set,
     identity_map,
     inclusion_map,
+    is_normal_word,
     iso_check,
     mcompose,
     pairing,
@@ -47,6 +48,7 @@ from gammaspace.simplicial import (
     surj_to_word,
     word_to_surj,
     _constraint_order,
+    _face_images,
 )
 
 
@@ -538,6 +540,72 @@ def test_word_memos_match_their_functions(word, extra):
         assert delta_tuple(i, m) == delta_tuple.__wrapped__(i, m)
 
 
+# -- nondegenerate refs read straight from the tables, against the word ------
+# -- arithmetic and the `act` route they skip ---------------------------------
+
+
+def _old_is_normal_word(word, dim):
+    return word == tuple(sorted(set(word) & set(range(dim)), reverse=True))
+
+
+@st.composite
+def _colimits_with_maps(draw):
+    """A glued-simplices quotient, or two copies of a corpus nerve glued at
+    a vertex, with maps whose images include degenerate refs: the
+    coprojections, the collapse to the point, and, out of the nerve, a map
+    from Delta[2]."""
+    if draw(st.booleans()):
+        col = glued_simplices(draw(st.integers(0, 2)), draw(st.sets(st.integers(0, 5),
+                                                                     max_size=4)))
+        maps_out = []
+    else:
+        x = nerve(draw(st.sampled_from(category_corpus()))[1], bound=draw(st.integers(1, 3)))
+        pt = standard_point()
+        at = SimpMap(pt, x, {(0, "0"): SimplexRef(draw(st.sampled_from(x.cell_ids(0))))})
+        col = Colimit([x, pt, x], [(1, 0, at), (1, 2, at)])
+        maps_out = [draw(st.sampled_from(hom_set(standard_simplex(2), x)))]
+    maps_out += [col.coprojection(i) for i in range(len(col.objects))]
+    maps_out.append(constant_map(col.space, standard_point(), "0"))
+    return col, maps_out
+
+
+def _by_words(table, ref, ref_dim):
+    """The image of ref under a table of its base's normal form, by
+    `apply_word` whether or not the word is empty."""
+    base_dim = ref_dim - len(ref.degs)
+    return apply_word(table[(base_dim, ref.base)], ref.degs, base_dim)
+
+
+@given(_colimits_with_maps())
+@settings(max_examples=40, deadline=None)
+def test_nondegenerate_reads_match_the_word_routes(drawn):
+    col, maps_out = drawn
+    for i, obj in enumerate(col.objects):
+        table = {(n, name): ref for n in range(col.bound + 1)
+                 for (k, name), ref in col._nf[n].items() if k == i}
+        for n in range(col.bound + 1):
+            for ref in obj.refs(n):
+                assert col.ref_in(i, ref, n) == _by_words(table, ref, n)
+    for x in [col.space, *col.objects]:
+        for n in range(1, x.dim_bound + 1):
+            for ref in x.refs(n):
+                assert is_normal_word(ref.degs, n) and _old_is_normal_word(ref.degs, n)
+                for i in range(n + 1):
+                    assert x.face(ref, n, i) == x.act(ref, n, delta_tuple(i, n))
+    for m in maps_out:
+        for n in range(m.cap + 1):
+            for ref in m.source.refs(n):
+                assert m(ref, n) == _by_words(m.assignment, ref, n)
+            for name in m.source.cell_ids(n) if n else ():
+                assert _face_images(m.assignment, m.source, n, name) == tuple(
+                    _by_words(m.assignment, f, n - 1) for f in m.source.faces_of(n, name))
+
+
+@given(st.lists(st.integers(-1, 5), max_size=4).map(tuple), st.integers(0, 5))
+def test_is_normal_word_matches_the_sorting_formula(word, dim):
+    assert is_normal_word(word, dim) == _old_is_normal_word(word, dim)
+
+
 def test_validate_catches_a_broken_simplicial_identity():
     # d2 of t is the edge a -> b, but d0 of t is the edge x -> c, so
     # d0 d2 t = b while d1 d0 t = x
@@ -584,7 +652,7 @@ def test_every_cocone_in_tier_one_is_checked():
     col = pushout(at_zero, SimpMap(pt, d1, {(0, "0"): SimplexRef("0")}))
     legs = [constant_map(pt, d1, "0"), identity_map(d1), constant_map(d1, d1, "1")]
     with pytest.raises(AssertionError, match="cocone does not commute with arrow 0 -> 2"):
-        col.mediating(lambda k, ref, n: legs[k](ref, n), d1)
+        col.mediating(legs.__getitem__, d1)
 
 
 # -- products and colimits built from nondegenerate simplices, against the ---
@@ -832,10 +900,14 @@ class _AllRefsColimit(Colimit):
     It resolves refs through its own union-find and reads nothing that
     `Colimit` computes."""
 
-    def mediating(self, leg, target):
+    def mediating(self, leg_of, target):
         """Checks that the legs commute with every arrow, then assigns each
         cell the image of every one of its representatives, refusing two
-        that differ."""
+        that differ.  It asks for a leg at every cell it reads."""
+
+        def leg(k, ref, n):
+            return leg_of(k)(ref, n)
+
         cap = simplicial.map_cap(self.space, target)
         for (si, di, m) in self.arrows:
             for n in range(cap + 1):
@@ -967,10 +1039,8 @@ def _assert_same_colimit(objects, arrows, **kwargs):
         ([want.coprojection(i) for i in range(len(objects))], want.space),
         ([constant_map(obj, point, "0") for obj in objects], point),
     ]:
-        def leg(k, ref, n):
-            return legs[k](ref, n)
-
-        assert got.mediating(leg, target).key() == want.mediating(leg, target).key()
+        leg_of = legs.__getitem__
+        assert got.mediating(leg_of, target).key() == want.mediating(leg_of, target).key()
     return got, want
 
 
@@ -1028,11 +1098,21 @@ def test_presented_levels_match_all_refs_oracle(name, p):
         if n:
             g = GammaMorphism(n, n - 1, tuple(range(1, n)) + (0,))
 
-            def leg(k, ref, d):
-                return p.component_ref(slots[k][0], slots[k][1].then(g), ref, d, n - 1)
+            def leg_of(k):
+                i, h = slots[k]
+                return lambda ref, d: component_ref(p, i, h.then(g), ref, d, n - 1)
 
             target = p.evaluate(n - 1)
-            assert got.mediating(leg, target).key() == want.mediating(leg, target).key()
+            built = got.mediating(leg_of, target).key()
+            assert built == want.mediating(leg_of, target).key()
+            assert p.action_map(g).key() == built
+
+
+def component_ref(p, cell_index, h, ref, ref_dim, n):
+    """The ref in the evaluation of the presented space p at n of the shape
+    ref of cell cell_index at the based map h, through the slot index."""
+    col, _, index = p.level_data(n)
+    return col.ref_in(index[(cell_index, h)], ref, ref_dim)
 
 
 def _pushout_product_diagram():
@@ -1074,6 +1154,23 @@ def test_colimit_evaluates_arrows_on_nondegenerate_cells(builder, degenerate):
     assert len(seen) == sum(
         len(objects[si].refs(n) if degenerate else objects[si].cell_ids(n))
         for si, _, _ in arrows for n in range(col.bound + 1))
+
+
+def test_mediating_asks_for_each_leg_once_per_dimension():
+    # the unchecked mediating (tests/conftest.py asks for the legs of each
+    # arrow before it): each dimension's table runs object by object
+    objects, arrows = _pushout_product_diagram()
+    col = Colimit(objects, arrows)
+    legs = [constant_map(obj, standard_point(), "0") for obj in objects]
+    asked = []
+
+    def leg_of(k):
+        asked.append(k)
+        return legs[k]
+
+    got = Colimit.mediating.__wrapped__(col, leg_of, standard_point())
+    assert got.key() == constant_map(col.space, standard_point(), "0").key()
+    assert len(asked) <= len(objects) * (col.bound + 1) < col.space.total_cells()
 
 
 # -- maps given cell by cell, against the loop each site had before it ------
