@@ -32,7 +32,6 @@ from .gammaop import based_map, factor_inert_active
 from .gspace import (
     GammaMappingSpace,
     day_convolve,
-    homotopy_category,
     internal_hom,
     normalize,
     segal_check,
@@ -169,7 +168,7 @@ def cmd_semiadd_probe(report, p, *, level_bound):
 
 
 def cmd_ho_cat(report, x):
-    cat = homotopy_category(x)
+    cat, _ = tau1(x.value(1))
     report.output("category", jsonio.category_to_json(cat))
     report.add("homotopy-category", Verdict(HOLDS, "fundamental category built"))
 

@@ -70,6 +70,15 @@ def gamma_subcategory(level_cap) -> FinCat:
     return FinCat([str(n) for n in levels], arrows, identities, compose)
 
 
+def _is_gamma_base(c: FinCat, level_cap) -> bool:
+    """Whether c is `gamma_subcategory(level_cap)`, whose tables are built
+    only once the objects agree."""
+    if c.objects != tuple(sorted(map(str, range(level_cap + 1)))):
+        return False
+    dense = gamma_subcategory(level_cap)
+    return (c.arrows, c.compose_table) == (dense.arrows, dense.compose_table)
+
+
 def _gamma_arrow_name(f: GammaMorphism):
     return f"g{f.src}to{f.dst}x" + "_".join(str(v) for v in f.table)
 
@@ -95,11 +104,14 @@ class RelativeNerveInput:
     gamma_levels: int | None = None  # set when base is a based-set subcategory
 
     def validate(self):
+        if self.gamma_levels is not None and not _is_gamma_base(self.base, self.gamma_levels):
+            raise ValueError(f"the base is not the based-set subcategory on levels"
+                             f" <= {self.gamma_levels}")
         for f, (a, b) in self.base.arrows.items():
             m = self.arrows[f]
             if m.source is not self.values[a] or m.target is not self.values[b]:
                 raise ValueError(f"diagram map at {f!r} has wrong endpoints")
-            m.validate(check_pointed=False)
+            m.validate()
         for a in self.base.objects:
             if self.arrows[self.base.identities[a]] != identity_map(self.values[a]):
                 raise ValueError(f"diagram breaks identity at {a!r}")
@@ -269,7 +281,7 @@ class OverObject:
     proj: SimpMap
 
     def validate(self):
-        self.proj.validate(check_pointed=False)
+        self.proj.validate()
         return self  # sharp base: marking preservation is automatic
 
 
@@ -367,20 +379,18 @@ def sm_qcat_check(input, k, l, tier="iso") -> Verdict:
     the diagram (fibers are the diagram values; transport over a base edge
     applies the diagram arrow), at the tier discipline of segal_check.
 
-    Accepts a relative nerve, its input (over a based-set base), or the
-    diagram presented functorially as a tabulated family; raw total spaces
-    carry no canonical transport and are rejected.
+    Accepts a relative nerve's input (over a based-set base) or the diagram
+    presented functorially as a tabulated family; a built relative nerve or
+    a raw total space carries no canonical transport and is rejected.
     """
-    if isinstance(input, RelativeNerve):
-        input = input.input
     if isinstance(input, RelativeNerveInput):
         x = input.as_tabulated()
     elif isinstance(input, TabulatedGammaSpace):
         x = input
     else:
         raise UnsupportedInputError(
-            "coCartesian transport is only implemented for relative-nerve"
-            " diagrams; raw total spaces carry no canonical transport"
+            "coCartesian transport is read only off a relative-nerve input or"
+            " a tabulated family; raw total spaces carry no canonical transport"
         )
     verdict = segal_check(x, k, l, tier=tier)
     verdict.details["transport"] = "diagram arrows over the projections"

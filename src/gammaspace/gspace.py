@@ -1,6 +1,7 @@
 """Functors from based finite sets to simplicial sets, in two presentations,
 with the convolution product, mapping spaces, Segal checks, normalization,
-and the homotopy-category probes built on top of them."""
+and the homotopy-category probes built on top of them (a family's homotopy
+category itself is `nerve.tau1` of its level 1)."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .catcore import FinCat
 from .gammaop import (
     GammaMorphism,
     delta_projection,
@@ -103,7 +103,7 @@ class TabulatedGammaSpace:
         associativity first shows at level 3): each map is simplicial, and
         the action passes `check_laws`."""
         for f in all_morphisms_upto(self._cap(level_cap)):
-            self.action(f).validate(check_pointed=False)
+            self.action(f).validate()
         return self.check_laws(level_cap)
 
     def check_laws(self, level_cap=None):
@@ -527,17 +527,16 @@ def _vertex_tuple(proj2, m, name):
 
 
 def internal_hom(p: PresentedGammaSpace, y: TabulatedGammaSpace,
-                 level_bound=None, dim_cap=None, budget=None) -> TabulatedGammaSpace:
-    """Level n is the mapping space out of p convolved with the
-    representable at n; the action transports along the representables."""
+                 level_bound, dim_cap=None, budget=None) -> TabulatedGammaSpace:
+    """Levels 0..level_bound: level n is the mapping space out of p
+    convolved with the representable at n; the action transports along the
+    representables."""
     return _internal_hom(p, y, level_bound, dim_cap, budget)[0]
 
 
 def _internal_hom(p, y, level_bound, dim_cap=None, budget=None):
     """internal_hom's family with ms(n), the GammaMappingSpace that level n
     is the space of."""
-    if level_bound is None:
-        level_bound = y.level_bound
     spaces = {}
 
     def ms(n) -> GammaMappingSpace:
@@ -622,7 +621,7 @@ class GammaSpaceMap:
 
     def validate(self, level_cap=None):
         for n in range(self._cap(level_cap) + 1):
-            self.levels[n].validate(check_pointed=False)
+            self.levels[n].validate()
         f = self.unnatural_at(level_cap)
         if f is not None:
             raise ValueError(f"naturality fails at {f}")
@@ -698,12 +697,6 @@ def _tau1_equivalence(cmp: SimpMap, checked, tier) -> Verdict:
     if ok and tier == "ho-necessary":
         checked += " (necessary conditions only)"
     return Verdict(HOLDS if ok else FAILS, checked, tier=tier, witness=fun if ok else why)
-
-
-def homotopy_category(x: TabulatedGammaSpace) -> FinCat:
-    """The fundamental category of the underlying multiplicative level."""
-    cat, _ = tau1(x.value(1))
-    return cat
 
 
 # ---------------------------------------------------------------------------
@@ -878,7 +871,7 @@ def day_assoc_comparison(p, q, r, levels) -> Verdict:
 def _levelwise_iso_verdict(m: PresentedMap, levels, law) -> Verdict:
     for n in levels:
         ev = m.evaluate(n)
-        ev.validate(check_pointed=False)
+        ev.validate()
         if not ev.is_iso():
             return Verdict(FAILS, f"levels {list(levels)}",
                            witness={"law": law, "level": n,
@@ -914,12 +907,12 @@ def semiadditivity_probe(p: PresentedGammaSpace, level_cap) -> dict:
               "law": "self-sum-to-self-product"}
     for n in range(level_cap + 1):
         ident_n = ident.evaluate(n)
-        ident_n.validate(check_pointed=False)
+        ident_n.validate()
         report["coproduct_identification"].append(ident_n.is_iso())
         probe_n = probe.evaluate(n)
-        probe_n.validate(check_pointed=False)
+        probe_n.validate()
         composite = ident_n.then(probe_n)
-        composite.validate(check_pointed=False)
+        composite.validate()
         target = conv_dst.evaluate(n)
         verdict = iso_check(target, prod_space.value(n))
         report["levels"][n] = {

@@ -84,7 +84,7 @@ def simpmap_from_json(data, source: FinSimpSet, target: FinSimpSet) -> SimpMap:
     for n_str, table in _expect(data.get("assignment"), dict, "a map's assignment").items():
         for name, ref in _expect(table, dict, f"the assignment in dim {n_str}").items():
             assignment[(int(n_str), name)] = ref_from_json(ref)
-    return SimpMap(source, target, assignment).validate(check_pointed=False)
+    return SimpMap(source, target, assignment).validate()
 
 
 def arrow_from_json(data) -> SimpMap:
@@ -152,10 +152,9 @@ def gamma_morphism_from_json(data) -> GammaMorphism:
     )
 
 
-def tabulated_to_json(x: TabulatedGammaSpace, generators=None) -> dict:
-    """Serializes values plus the action on a generating set (by default
-    every morphism between levels, which is always sufficient)."""
-    gens = generators or all_morphisms_upto(x.level_bound)
+def tabulated_to_json(x: TabulatedGammaSpace) -> dict:
+    """Serializes values plus the action on every morphism between levels.
+    The loader also accepts the action on any generating set."""
     return {
         "level_bound": x.level_bound,
         "values": {
@@ -166,7 +165,7 @@ def tabulated_to_json(x: TabulatedGammaSpace, generators=None) -> dict:
                 "map": gamma_morphism_to_json(f),
                 "simp_map": simpmap_to_json(x.action(f)),
             }
-            for f in gens
+            for f in all_morphisms_upto(x.level_bound)
         ],
     }
 
@@ -175,7 +174,7 @@ def tabulated_from_json(data) -> TabulatedGammaSpace:
     """Loads values and completes the action from the generators by
     composition closure; errors if some based map is not covered, and
     checks identities and functoriality on every level read.  A file that
-    lists every based map (as `tabulated_to_json` writes by default) needs
+    lists every based map (as `tabulated_to_json` writes) needs
     no closure."""
     _expect(data, dict, "a tabulated level family")
     bound = _count(data.get("level_bound"), "level_bound")

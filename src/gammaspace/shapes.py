@@ -71,11 +71,12 @@ def boundary(n, bound=None) -> FinSimpSet:
 
 
 @functools.lru_cache(maxsize=SHAPE_MEMO_SIZE)
-def horn(n, k, bound=None) -> FinSimpSet:
-    """Lambda^k[n]: the boundary minus the k-th face."""
+def horn(n, k) -> FinSimpSet:
+    """Lambda^k[n]: the boundary minus the k-th face, stored with bound n
+    (`rebound` reads it at another)."""
     if not (0 <= k <= n and n >= 1):
         raise ValueError(f"horn index k={k} out of range for n={n}")
-    return _simplex_without(n, bound, [tuple(range(n + 1)), delta_tuple(k, n)])
+    return _simplex_without(n, n, [tuple(range(n + 1)), delta_tuple(k, n)])
 
 
 def _simplex_without(n, bound, dropped):

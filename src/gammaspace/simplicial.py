@@ -33,10 +33,12 @@ composites are compared by `commutes`, cell by cell, building neither.
 
 Checks run where data enters: `FinSimpSet.validate` and `SimpMap.validate`
 are called by the loaders, the first by `from_elements` too, and both
-refuse a word out of normal form.  The constructions here (`product`,
-`Colimit`, the subobjects, the maps) trust their valid inputs and do not
-re-check their output; the tests validate every set they construct and
-check every cocone given to `Colimit.mediating`.
+refuse a word out of normal form.  Neither reads a basepoint: a pointed
+map is searched with its basepoint pinned (`maps(..., fixed=...)`).  The
+constructions here (`product`, `Colimit`, the subobjects, the maps) trust
+their valid inputs and do not re-check their output; the tests validate
+every set they construct and check every cocone given to
+`Colimit.mediating`.
 """
 
 from __future__ import annotations
@@ -432,7 +434,7 @@ class SimpMap:
         image = self.assignment[(base_dim, ref.base)]
         return apply_word(image, ref.degs, base_dim)
 
-    def validate(self, check_pointed=True):
+    def validate(self):
         for n in range(self.cap + 1):
             for name in self.source.cell_ids(n):
                 if (n, name) not in self.assignment:
@@ -456,13 +458,6 @@ class SimpMap:
                            if n > self.cap or not self.source.has_cell(n, name))
             raise ValueError(f"the assignment names {name!r} in dim {n}, which is no"
                              f" source cell in dims 0..{self.cap}")
-        if (
-            check_pointed
-            and self.source.pointed is not None
-            and self.target.pointed is not None
-        ):
-            if self(SimplexRef(self.source.pointed), 0) != SimplexRef(self.target.pointed):
-                raise ValueError("map does not preserve the basepoint")
         return self
 
     def then(self, other: "SimpMap") -> "SimpMap":
@@ -587,12 +582,13 @@ def constant_map(x: FinSimpSet, y: FinSimpSet, vertex: str) -> SimpMap:
 # building a set from an abstract dimension-wise presentation
 
 
-def from_elements(bound, levels, face, degen, pointed_key=None, complete=False):
+def from_elements(bound, levels, face, degen):
     """Build a FinSimpSet from per-dimension element tables.
 
     levels[n] lists hashable, sortable keys for ALL n-simplices (degenerate
     included); face(n, key, i) and degen(n, key, i) give the structure maps.
     The nondegenerate n-simplices are named c{n}_{idx} in sorted key order.
+    The set is unpointed and truncated at bound (not complete).
     Returns (set, ref_of, key_of): ref_of maps (n, key) to the normal-form
     ref, key_of maps each cell name back to its (n, key).
     """
@@ -631,8 +627,7 @@ def from_elements(bound, levels, face, degen, pointed_key=None, complete=False):
             if (n, key) in names:
                 faces = tuple(normal_form(n - 1, face(n, key, i)) for i in range(n + 1)) if n else ()
                 cells[n][names[(n, key)]] = faces
-    pointed = names[(0, pointed_key)] if pointed_key is not None else None
-    out = FinSimpSet(bound, cells, pointed=pointed, complete=complete).validate()
+    out = FinSimpSet(bound, cells, complete=False).validate()
     return out, normal_form, {name: nk for nk, name in names.items()}
 
 
@@ -863,13 +858,12 @@ def pushout(f: SimpMap, g: SimpMap, pointed_at=None):
 # exhaustive map enumeration
 
 
-def maps(a: FinSimpSet, x: FinSimpSet, budget=None, fixed=None,
-         constraint=None, require_pointed=False):
+def maps(a: FinSimpSet, x: FinSimpSet, budget=None, fixed=None, constraint=None):
     """The simplicial maps a -> x (x read coskeletally above its bound),
     found one at a time.
 
-    fixed pre-assigns cells (dim, name) -> ref; constraint(n, name, ref)
-    may veto candidates.  A vertex joined by edges to vertices already
+    fixed pre-assigns cells (dim, name) -> ref (a pointed search pins the
+    basepoint this way); constraint(n, name, ref) may veto candidates.  A vertex joined by edges to vertices already
     assigned draws only the vertices joined to all their images (forward
     checking): any other could not extend to the edge, so the maps and
     their order are those of drawing every vertex.  Each candidate drawn
@@ -897,9 +891,6 @@ def maps(a: FinSimpSet, x: FinSimpSet, budget=None, fixed=None,
             if n > 0 and cell in fixed:
                 if any(x.face(ref, n, i) != want[i] for i in range(n + 1)):
                     continue
-            if require_pointed and n == 0 and name == a.pointed:
-                if ref != SimplexRef(x.pointed):
-                    continue
             if constraint is not None and not constraint(n, name, ref):
                 continue
             yield ref
@@ -918,10 +909,9 @@ def _joined(near, links, assignment):
     return [v for v in pools[0] if all(v in p for p in rest)]
 
 
-def hom_set(a: FinSimpSet, x: FinSimpSet, budget=None, fixed=None,
-            constraint=None, require_pointed=False):
+def hom_set(a: FinSimpSet, x: FinSimpSet, budget=None, fixed=None, constraint=None):
     """All simplicial maps a -> x, as a list (see `maps`)."""
-    return list(maps(a, x, budget, fixed, constraint, require_pointed))
+    return list(maps(a, x, budget, fixed, constraint))
 
 
 def _face_images(assignment, s: FinSimpSet, n, name):

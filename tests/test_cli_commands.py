@@ -5,15 +5,17 @@ import json
 import pytest
 
 from gammaspace import cli, jsonio
-from gammaspace.catcore import poset_category, walking_iso_category
+from gammaspace.catcore import poset_category, terminal_category, walking_iso_category
 from gammaspace.cli import main
-from gammaspace.cocart import RelativeNerve, RelativeNerveInput, nelg
+from gammaspace.cocart import (
+    OverObject, RelativeNerve, RelativeNerveInput, hom_over_base, nelg)
 from gammaspace.corpus import z2_monoid_space
 from gammaspace.gspace import gamma_rep, semiadditivity_probe
 from gammaspace.marked import mark
 from gammaspace.nerve import nerve
 from gammaspace.shapes import boundary, standard_point, standard_simplex
-from gammaspace.simplicial import SimplexRef, SimpMap, identity_map, inclusion_map
+from gammaspace.simplicial import (
+    SimplexRef, SimpMap, constant_map, full_sub_on_edges, identity_map, inclusion_map)
 from gammaspace.verdicts import INCONCLUSIVE, Verdict
 from test_cli import _gamma_relative_blob
 
@@ -97,6 +99,20 @@ def test_relative_nerve_and_cocart_and_sm(tmp_path, capsys):
     assert report["verdicts"][0]["status"] == "holds"
 
 
+@pytest.mark.parametrize("levels", [1, 3])
+def test_a_based_set_base_of_other_levels_is_refused(tmp_path, capsys, levels):
+    # the family's levels are read off the base: with gamma_levels 3 over
+    # the level-2 base, sm-check --k 0 --l 3 read a level the file lacks
+    # and exited 4 on a KeyError
+    blob = _gamma_relative_blob()
+    blob["gamma_levels"] = levels
+    report = run_ok(capsys, "sm-check", write(tmp_path, "g.json", blob),
+                    "--k", "0", "--l", str(levels), expect=3)
+    [verdict] = report["verdicts"]
+    assert verdict["tag"] == "input"
+    assert "not the based-set subcategory on levels" in verdict["witness"]
+
+
 def test_a_spent_edge_search_prints_no_edges(tmp_path, capsys):
     # a spent search decides no edge, so it lists none, not an empty list
     report = run_ok(capsys, "cocart-edges", _walking_iso_over_arrow(tmp_path),
@@ -113,6 +129,20 @@ def test_nelg_upsilon_hom_over_base_r_plus(tmp_path, capsys):
     report = run_ok(capsys, "hom-over-base", path, path, "--dim-bound", "1",
                     "--level-bound", "1")
     assert report["outputs"]["space"]["cells"]["0"]
+    # the sharp variant is the flat space's sub-object on the marked edges:
+    # for flat Delta[1] over a point, three edges of which none is marked
+    d1 = standard_simplex(1).rebound(1)
+    over = OverObject(mark(d1, "flat"), constant_map(d1, nerve(terminal_category(), bound=1), "o*"))
+    d1_path = write(tmp_path, "d1.json", jsonio.over_object_to_json(over))
+    runs = {variant: run_ok(capsys, "hom-over-base", d1_path, d1_path, "--dim-bound", "1",
+                            "--variant", variant) for variant in ("flat", "sharp")}
+    flat = jsonio.simpset_from_json(runs["flat"]["outputs"]["space"])
+    _, mo = hom_over_base(over, over, dim_cap=1)
+    sharp = full_sub_on_edges(flat, mo.plus.is_marked)
+    assert (flat.cell_count(1), sharp.cell_count(1)) == (3, 0)
+    assert runs["sharp"]["outputs"]["space"] == json.loads(jsonio.canonical_dumps(
+        jsonio.simpset_to_json(sharp)))
+    assert runs["sharp"]["verdicts"][-1]["checked"] == "sharp"
     report = run_ok(capsys, "r-plus", path, "--k", "0", "--level-bound", "1",
                     "--dim-bound", "1")
     assert report["outputs"]["level"]["cells"]["0"]

@@ -167,6 +167,9 @@ def test_sm_qcat_check_and_agreement():
     assert segal_check(g1, 1, 1, "iso").status == v2.status
     with pytest.raises(UnsupportedInputError):
         sm_qcat_check(object(), 1, 1)
+    # a built relative nerve is refused: its input carries the transport
+    with pytest.raises(UnsupportedInputError):
+        sm_qcat_check(relative_nerve(ginp, 1), 1, 1)
     base = poset_category(1)
     with pytest.raises(UnsupportedInputError):
         sm_qcat_check(constant_input(base, standard_point(bound=2)), 1, 1)
@@ -232,7 +235,7 @@ def test_upsilon_is_a_map_over_the_base(monkeypatch, k, l):
     monkeypatch.setattr(cocart, "CatFunctor", validated)
     cmp, src, tgt = upsilon(k, l, 2)
     assert len(functors) == 2
-    cmp.validate(check_pointed=False)
+    cmp.validate()
     src.validate()
     tgt.validate()
     assert cmp.then(tgt.proj) == src.proj

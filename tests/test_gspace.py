@@ -37,7 +37,6 @@ from gammaspace.gspace import (
     day_unit_comparison,
     gamma_rep,
     h_map,
-    homotopy_category,
     internal_hom,
     mapping_space_tabulated,
     normalization_counit,
@@ -475,14 +474,16 @@ def test_segal_transport_to_smash_precomposition():
 
 
 def test_homotopy_category():
-    m = z2_monoid_space(2)
-    hc = homotopy_category(m)
-    assert len(hc.objects) == 2 and len(hc.arrows) == 2
+    # the homotopy category of a family is tau1 of its level 1 (`ho-cat`)
     from gammaspace.catcore import cat_iso_search, poset_category
-    from gammaspace.nerve import nerve
+    from gammaspace.nerve import nerve, tau1
+
+    m = z2_monoid_space(2)
+    hc, _ = tau1(m.value(1))
+    assert len(hc.objects) == 2 and len(hc.arrows) == 2
 
     x = constant_gamma_space(2, nerve(poset_category(2), bound=2))
-    assert cat_iso_search(homotopy_category(x), poset_category(2)) is not None
+    assert cat_iso_search(tau1(x.value(1))[0], poset_category(2)) is not None
 
 
 def test_unital_part_of_tensored_representable():
@@ -630,7 +631,7 @@ def test_postcomposition_with_normalization_unit_validates():
     _, eta = normalize(z2_monoid_space(2))
     for n in range(3):
         induced = _mapping_space_induced(eta, n, Budget())
-        induced.validate(check_pointed=False)
+        induced.validate()
         assert induced.source.summary() == induced.target.summary()
 
 
@@ -638,7 +639,7 @@ def test_yoneda_comparisons_validate():
     for _, y in tabulated_corpus(2):
         for n in range(3):
             cmp, _ = yoneda_comparison(n, y, dim_cap=1)
-            cmp.validate(check_pointed=False)
+            cmp.validate()
 
 
 # -- functoriality against the elementary maps --------------------------------

@@ -111,7 +111,7 @@ def _first(found):
 
 # -- forward-checked vertices against drawing every vertex --------------------
 
-def _unpruned_maps(a, x, budget, fixed=None, constraint=None, require_pointed=False):
+def _unpruned_maps(a, x, budget, fixed=None, constraint=None):
     """The map search that draws every vertex of x for every vertex of a."""
     fixed = fixed or {}
 
@@ -128,9 +128,6 @@ def _unpruned_maps(a, x, budget, fixed=None, constraint=None, require_pointed=Fa
             budget.spend()
             if n > 0 and cell in fixed:
                 if any(x.face(ref, n, i) != want[i] for i in range(n + 1)):
-                    continue
-            if require_pointed and n == 0 and name == a.pointed:
-                if ref != SimplexRef(x.pointed):
                     continue
             if constraint is not None and not constraint(n, name, ref):
                 continue
@@ -152,13 +149,19 @@ def _pointed_at(x, pick):
 def test_forward_checked_vertices_match_the_unpruned_search(x, a, pick, pointed, fix, veto):
     if pointed:
         a, x = _pointed_at(a, pick), _pointed_at(x, pick + 1)
-    kwargs = {"require_pointed": pointed}
+    kwargs = {}
     if fix is not None and a.cell_count(fix):
         targets = x.refs(fix)
         kwargs["fixed"] = {(fix, a.cell_ids(fix)[-1]): targets[pick % len(targets)]}
-    if veto:
-        banned = x.cell_ids(0)[(pick + 2) % x.cell_count(0)]
-        kwargs["constraint"] = lambda n, name, ref: n > 0 or ref.base != banned
+    banned = x.cell_ids(0)[(pick + 2) % x.cell_count(0)] if veto else None
+
+    def constraint(n, name, ref):
+        # a pointed search refuses every image of a's basepoint but x's
+        based = not pointed or name != a.pointed or ref == SimplexRef(x.pointed)
+        return n > 0 or based and ref.base != banned
+
+    if pointed or veto:
+        kwargs["constraint"] = constraint
     slow, fast = Budget(), Budget()
     expected = [m.key() for m in _unpruned_maps(a, x, slow, **kwargs)]
     assert [m.key() for m in maps(a, x, budget=fast, **kwargs)] == expected

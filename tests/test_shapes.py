@@ -65,7 +65,7 @@ def test_a_shape_cut_by_its_bound_is_read_truncated():
     assert standard_simplex(2, bound=2).complete and standard_simplex(2, bound=3).complete
     # the boundary and the horns of Delta[3] have nothing above dimension 2
     assert boundary(3, bound=1).complete is False and boundary(3, bound=2).complete
-    assert horn(3, 1, bound=1).complete is False and horn(3, 1, bound=2).complete
+    assert horn(3, 1).rebound(1).complete is False and horn(3, 1).rebound(2).complete
 
 
 def test_horn_is_simplex_minus_interior_and_face():
@@ -247,8 +247,7 @@ def test_map_complex_carry_is_an_explicit_product_map(simplex_last):
 
 SHAPE_ARGS = ([(standard_simplex, (n, b)) for n in range(4) for b in (None, 0, 1, 2, 3, 4)]
               + [(boundary, (n, b)) for n in range(4) for b in (None, 0, 1, 2, 3, 4)]
-              + [(horn, (n, k, b)) for n in range(1, 4) for k in range(n + 1)
-                 for b in (None, 0, 1, 2, 3, 4)])
+              + [(horn, (n, k)) for n in range(1, 4) for k in range(n + 1)])
 
 
 def test_memoized_shapes_equal_fresh_builds():

@@ -684,13 +684,15 @@ def _product_oracle(x, y, bound=None):
         rx, ry = key
         return (x.degen(rx, n, i), y.degen(ry, n, i))
 
-    pointed_key = None
+    built, ref_of, key_of = from_elements(b, levels, face, degen)
+    # from_elements builds an unpointed truncation: set the basepoint pair
+    # and the flag as `product` does
+    pointed = None
     if x.pointed is not None and y.pointed is not None:
-        pointed_key = ((x.pointed, ()), (y.pointed, ()))
-    prod, ref_of, key_of = from_elements(
-        b, levels, face, degen, pointed_key=pointed_key,
-        complete=x.complete and y.complete and b >= x.top_dim() + y.top_dim(),
-    )
+        pointed = ref_of(0, (SimplexRef(x.pointed), SimplexRef(y.pointed))).base
+    prod = FinSimpSet(b, {n: {c: built.faces_of(n, c) for c in built.cell_ids(n)}
+                          for n in range(b + 1)}, pointed=pointed,
+                      complete=x.complete and y.complete and b >= x.top_dim() + y.top_dim())
 
     def pair_ref(rx, ry, n):
         if n <= b:
