@@ -70,13 +70,14 @@ def gamma_subcategory(level_cap) -> FinCat:
     return FinCat([str(n) for n in levels], arrows, identities, compose)
 
 
-def _is_gamma_base(c: FinCat, level_cap) -> bool:
-    """Whether c is `gamma_subcategory(level_cap)`, whose tables are built
-    only once the objects agree."""
-    if c.objects != tuple(sorted(map(str, range(level_cap + 1)))):
-        return False
-    dense = gamma_subcategory(level_cap)
-    return (c.arrows, c.compose_table) == (dense.arrows, dense.compose_table)
+def _gamma_levels(c: FinCat):
+    """n when c is `gamma_subcategory(n)`, else None; the dense tables are
+    built only once the objects agree."""
+    n = len(c.objects) - 1
+    if n < 0 or c.objects != tuple(sorted(map(str, range(n + 1)))):
+        return None
+    dense = gamma_subcategory(n)
+    return n if (c.arrows, c.compose_table) == (dense.arrows, dense.compose_table) else None
 
 
 def _gamma_arrow_name(f: GammaMorphism):
@@ -101,12 +102,8 @@ class RelativeNerveInput:
     base: FinCat
     values: dict          # object -> FinSimpSet
     arrows: dict          # arrow id -> SimpMap
-    gamma_levels: int | None = None  # set when base is a based-set subcategory
 
     def validate(self):
-        if self.gamma_levels is not None and not _is_gamma_base(self.base, self.gamma_levels):
-            raise ValueError(f"the base is not the based-set subcategory on levels"
-                             f" <= {self.gamma_levels}")
         for f, (a, b) in self.base.arrows.items():
             m = self.arrows[f]
             if m.source is not self.values[a] or m.target is not self.values[b]:
@@ -121,13 +118,14 @@ class RelativeNerveInput:
         return self
 
     def as_tabulated(self) -> TabulatedGammaSpace:
-        if self.gamma_levels is None:
+        levels = _gamma_levels(self.base)
+        if levels is None:
             raise UnsupportedInputError(
                 "only diagrams over a based-set subcategory extract a"
                 " tabulated family"
             )
         return TabulatedGammaSpace(
-            self.gamma_levels,
+            levels,
             lambda n: self.values[str(n)],
             lambda f: self.arrows[_gamma_arrow_name(f)],
         )
@@ -145,7 +143,7 @@ def gamma_diagram_input(level_cap, value_fn, action_fn) -> RelativeNerveInput:
         if m.source is not values[str(f.src)] or m.target is not values[str(f.dst)]:
             m = SimpMap(values[str(f.src)], values[str(f.dst)], m.assignment)
         arrows[name] = m
-    return RelativeNerveInput(base, values, arrows, gamma_levels=level_cap)
+    return RelativeNerveInput(base, values, arrows)
 
 
 class RelativeNerve:

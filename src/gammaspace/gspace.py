@@ -492,7 +492,7 @@ def _families(per_slot, links, agree):
         yield tuple(chosen[k] for k in range(len(per_slot)))
 
 
-def yoneda_comparison(n, y: TabulatedGammaSpace, dim_cap=None) -> tuple:
+def yoneda_comparison(n, y: TabulatedGammaSpace, dim_cap) -> tuple:
     """The canonical map Y(n) -> Map(rep_n, Y) and its iso verdict."""
     rep = gamma_rep(n)
     ms = GammaMappingSpace(rep, y, dim_cap=dim_cap)
@@ -527,7 +527,7 @@ def _vertex_tuple(proj2, m, name):
 
 
 def internal_hom(p: PresentedGammaSpace, y: TabulatedGammaSpace,
-                 level_bound, dim_cap=None, budget=None) -> TabulatedGammaSpace:
+                 level_bound, dim_cap, budget=None) -> TabulatedGammaSpace:
     """Levels 0..level_bound: level n is the mapping space out of p
     convolved with the representable at n; the action transports along the
     representables."""

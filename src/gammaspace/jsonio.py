@@ -270,10 +270,7 @@ def relative_input_from_json(data) -> RelativeNerveInput:
         f: simpmap_from_json(m, values[base.src(f)], values[base.dst(f)])
         for f, m in _keyed(diagram.get("arrows"), base.arrows, "the diagram's arrows").items()
     }
-    levels = data.get("gamma_levels")
-    if levels is not None:
-        _count(levels, "gamma_levels")
-    return RelativeNerveInput(base, values, arrows, gamma_levels=levels).validate()
+    return RelativeNerveInput(base, values, arrows).validate()
 
 
 def over_object_to_json(x: OverObject) -> dict:

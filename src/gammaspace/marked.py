@@ -186,7 +186,7 @@ def gamma_flat(x: TabulatedGammaSpace) -> MarkedGammaSpace:
 
 
 def marked_mapping_space(x: MarkedGammaSpace, y: MarkedGammaSpace,
-                         p, dim_cap=None, budget=None):
+                         p, dim_cap, budget=None):
     """Mapping space of marked families out of a flat presentation.  For
     the flat sources it accepts, marking preservation is vacuous, so this
     is the unmarked mapping space.

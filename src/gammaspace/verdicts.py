@@ -21,10 +21,10 @@ class BudgetExceededError(Exception):
     what was left unsearched.
     """
 
-    def __init__(self, limit: int, context: str = ""):
+    def __init__(self, limit: int):
         self.limit = limit
-        self.context = context
-        super().__init__(f"search budget of {limit} exceeded ({context})")
+        # the "()" is part of the witnesses pinned by the golden tests
+        super().__init__(f"search budget of {limit} exceeded ()")
 
 
 class ResourceError(Exception):
@@ -35,15 +35,14 @@ class ResourceError(Exception):
 class Budget:
     """Mutable candidate counter threaded through backtracking searches."""
 
-    def __init__(self, limit: int = DEFAULT_SEARCH_BUDGET, context: str = ""):
+    def __init__(self, limit: int = DEFAULT_SEARCH_BUDGET):
         self.limit = limit
         self.used = 0
-        self.context = context
 
     def spend(self, amount: int = 1) -> None:
         self.used += amount
         if self.used > self.limit:
-            raise BudgetExceededError(self.limit, self.context)
+            raise BudgetExceededError(self.limit)
 
 
 _EXHAUSTED = object()

@@ -313,7 +313,6 @@ def _gamma_relative_blob():
     inp = gamma_diagram_input(2, m.value, m.action)
     return {
         "base": jsonio.category_to_json(inp.base),
-        "gamma_levels": 2,
         "diagram": {
             "values": {o: jsonio.simpset_to_json(v) for o, v in inp.values.items()},
             "arrows": {f: jsonio.simpmap_to_json(mm) for f, mm in inp.arrows.items()},
@@ -448,7 +447,6 @@ OUT_OF_RANGE = [
     ("tau1", ("cells", "3"), []),
     ("tau1", ("cells", "-1"), []),
     ("convolve", ("cells", 0, "level"), -2),
-    ("relative-nerve", ("gamma_levels",), -1),
 ]
 
 

@@ -99,18 +99,21 @@ def test_relative_nerve_and_cocart_and_sm(tmp_path, capsys):
     assert report["verdicts"][0]["status"] == "holds"
 
 
-@pytest.mark.parametrize("levels", [1, 3])
-def test_a_based_set_base_of_other_levels_is_refused(tmp_path, capsys, levels):
-    # the family's levels are read off the base: with gamma_levels 3 over
-    # the level-2 base, sm-check --k 0 --l 3 read a level the file lacks
-    # and exited 4 on a KeyError
-    blob = _gamma_relative_blob()
-    blob["gamma_levels"] = levels
+def test_sm_check_reads_the_levels_off_the_base(tmp_path, capsys):
+    # the family's levels are those of its based-set base: over the level-2
+    # base, --k 0 --l 3 asks for level 3 and is refused at input, whatever
+    # level count the file writes beside it (one that said 3 once read a
+    # level the file lacks and exited 4 on a KeyError)
+    blob = {**_gamma_relative_blob(), "gamma_levels": 3}
     report = run_ok(capsys, "sm-check", write(tmp_path, "g.json", blob),
-                    "--k", "0", "--l", str(levels), expect=3)
+                    "--k", "0", "--l", "3", expect=3)
     [verdict] = report["verdicts"]
-    assert verdict["tag"] == "input"
-    assert "not the based-set subcategory on levels" in verdict["witness"]
+    assert (verdict["tag"], verdict["witness"]) == ("input", "levels beyond bound")
+    # a base that is not a based-set subcategory has no levels
+    report = run_ok(capsys, "sm-check", _walking_iso_over_arrow(tmp_path),
+                    "--k", "0", "--l", "1", expect=3)
+    [verdict] = report["verdicts"]
+    assert "only diagrams over a based-set subcategory" in verdict["witness"]
 
 
 def test_a_spent_edge_search_prints_no_edges(tmp_path, capsys):

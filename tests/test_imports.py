@@ -280,42 +280,52 @@ def _defaulted(fn, offset):
 
 
 def defaulted_parameters(source: str):
-    """(qualified name, callee name, parameter, position) for each defaulted
-    parameter of a module-level function or of a method of a module-level
-    class (see `_defaulted`).  A call names a function or method by its own
-    name, and a constructor by its class's; nested functions are left out,
-    since their defaults bind loop variables."""
+    """(qualified name, callee name, parameter, position, offset) for each
+    defaulted parameter of a module-level function or of a method of a
+    module-level class (see `_defaulted`).  A call names a function or
+    method by its own name, and a constructor by its class's; a call
+    through the class writes the method's first `offset` parameters (the
+    instance) too.  Nested functions are left out, since their defaults
+    bind loop variables."""
     out = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            out += [(node.name, node.name, p, i) for p, i in _defaulted(node, 0)]
+            out += [(node.name, node.name, p, i, 0) for p, i in _defaulted(node, 0)]
         elif isinstance(node, ast.ClassDef):
             for fn in node.body:
                 if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
-                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
-                             for d in fn.decorator_list)
+                offset = 0 if any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                  for d in fn.decorator_list) else 1
                 callee = node.name if fn.name in ("__init__", "__new__") else fn.name
-                out += [(f"{node.name}.{fn.name}", callee, p, i)
-                        for p, i in _defaulted(fn, 0 if static else 1)]
+                out += [(f"{node.name}.{fn.name}", callee, p, i, offset)
+                        for p, i in _defaulted(fn, offset)]
     return out
 
 
 def unpassed_defaults(modules, callers):
     """(module, function, parameter) for each defaulted parameter (see
     `defaulted_parameters`) of the sources in `modules` that some call in
-    `callers` names but none passes.  Both map a module name to its source.
-    A call passes a parameter by keyword, by position or through `*` or
-    `**` unpacking, but not by forwarding a parameter of its own function
-    that no call passes."""
-    params = [(m, q, callee, p, i) for m, src in modules.items()
-              for q, callee, p, i in defaulted_parameters(src)]
+    `callers` may reach but none passes.  Both map a module name to its
+    source.  A call passes a parameter by keyword, by position or through
+    `*` or `**` unpacking, but not by forwarding a parameter of its own
+    function that no call passes.
+
+    A call through a class, `C.f(...)`, reaches only C's method f; any
+    other call is matched by name alone, so `obj.f(...)` counts for the
+    method f of every class, and a parameter that it passes is passed on
+    all of them."""
+    params = [(m, q, callee, p, i, offset) for m, src in modules.items()
+              for q, callee, p, i, offset in defaulted_parameters(src)]
+    classes = {q.split(".")[0] for _, q, *_ in params if "." in q}
     by_name = {}
     for m, src in callers.items():
         for scope, call in _scoped(src, lambda node: isinstance(node, ast.Call)):
             f = call.func
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            by_name.setdefault(name, []).append((m, scope, call))
+            through = f.value.id if isinstance(f, ast.Attribute) and isinstance(
+                f.value, ast.Name) and f.value.id in classes else None
+            by_name.setdefault(name, []).append((m, scope, call, through))
 
     def forwards(m, scope, value, found):
         return isinstance(value, ast.Name) and any(
@@ -330,11 +340,20 @@ def unpassed_defaults(modules, callers):
         return any(isinstance(x, ast.Starred) for x in call.args[:i + 1]) or (
             len(call.args) > i and not forwards(m, scope, call.args[i], found))
 
+    def reaching(q, callee, i, offset):
+        owner = q.split(".")[0] if "." in q else None
+        for m, scope, call, through in by_name.get(callee, ()):
+            if through is None:
+                yield m, scope, call, i
+            elif through == owner:
+                yield m, scope, call, None if i is None else i + offset
+
+    calls = {(m, q, p): list(reaching(q, callee, i, offset))
+             for m, q, callee, p, i, offset in params}
     found, grown = set(), True
     while grown:
-        now = {(m, q, p) for m, q, callee, p, i in params
-               if by_name.get(callee) and not any(
-                   passes(cm, scope, call, p, i, found) for cm, scope, call in by_name[callee])}
+        now = {key for key, reached in calls.items() if reached and not any(
+            passes(cm, scope, call, key[2], j, found) for cm, scope, call, j in reached)}
         grown, found = now != found, now
     return sorted(found)
 
@@ -415,15 +434,11 @@ KEPT_BASED_MAP_CALLS = {
 }
 
 
-# The defaulted parameters that some call in `src/` or `bench/` names but
+# The defaulted parameters that some call in `src/` or `bench/` reaches but
 # none passes, by (module, function, parameter).  Each settable value has a
-# caller that sets it; these wait on one:
-#  - the `budget` of the searches no command bounds yet, which ROADMAP item 1
-#    threads from the command line as one `Budget`;
-#  - `Budget`'s `context`, which no call sets, so every budget witness ends
-#    in "exceeded ()"; that message is part of the `has-rlp/budget-cut`
-#    golden witness of tests/test_lifting_golden.py, so the parameter stays
-#    until a caller names its search.
+# caller that sets it; these wait on one: the `budget` of the searches no
+# command bounds yet, which ROADMAP item 1 threads from the command line as
+# one `Budget`.
 KEPT_UNPASSED_DEFAULTS = {
     ("catcore", "all_functors", "budget"),
     ("simplicial", "iso_check", "budget"),
@@ -431,7 +446,6 @@ KEPT_UNPASSED_DEFAULTS = {
     ("marked", "marked_mapping_space", "budget"),
     ("gspace", "mapping_space_tabulated", "budget"),
     ("cocart", "cocartesian_cross_check", "budget"),
-    ("verdicts", "Budget.__init__", "context"),
 }
 
 
@@ -662,18 +676,30 @@ def test_unpassed_default_check_catches_what_it_names():
         "    @staticmethod\n"
         "    def make(size=0):\n"
         "        return size\n"
+        "    def reset(self, to=0):\n"
+        "        return to\n"
+        "class Meter:\n"
+        "    def spend(self, amount=1):\n"
+        "        return amount\n"
+        "    def reset(self, to=0):\n"
+        "        return to\n"
     )
+    # a call through a class reaches that class's method alone, and writes
+    # the instance first; `c.spend(...)` is matched by name, so it passes
+    # `amount` on both classes
     caller = (
-        "from lib import search, wrapper, Counter\n"
+        "from lib import search, wrapper, Counter, Meter\n"
         "search(1)\n"
         "wrapper(1, 2)\n"
         "c = Counter(5)\n"
         "c.spend(**{'amount': 2})\n"
         "Counter.make(1)\n"
+        "Counter.reset(c, 0)\n"
+        "Meter.reset(Meter())\n"
     )
     assert unpassed_defaults({"lib": lib}, {"lib": lib, "caller": caller}) == [
-        ("lib", "Counter.__init__", "context"), ("lib", "search", "strict"),
-        ("lib", "wrapper", "flag")]
+        ("lib", "Counter.__init__", "context"), ("lib", "Meter.reset", "to"),
+        ("lib", "search", "strict"), ("lib", "wrapper", "flag")]
 
 
 def test_every_reached_default_is_passed():

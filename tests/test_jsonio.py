@@ -188,18 +188,6 @@ def test_simpset_loader_refuses_nested_malformed(shape):
         jsonio.simpset_from_json(NESTED_MALFORMED[shape])
 
 
-def _relative_with_levels(levels):
-    base, d1 = poset_category(1), standard_simplex(1)
-    return {
-        "base": jsonio.category_to_json(base),
-        "diagram": {
-            "values": {o: jsonio.simpset_to_json(d1) for o in base.objects},
-            "arrows": {f: jsonio.simpmap_to_json(identity_map(d1)) for f in base.arrows},
-        },
-        "gamma_levels": levels,
-    }
-
-
 def _presented_at_level(level):
     blob = jsonio.presented_to_json(gamma_rep(1))
     blob["cells"][0]["level"] = level
@@ -220,7 +208,6 @@ OUT_OF_RANGE = {
                                {"src": -1, "dst": 0, "map": []}),
     "negative-based-map-dst": (jsonio.gamma_morphism_from_json,
                                {"src": 0, "dst": -1, "map": []}),
-    "negative-gamma-levels": (jsonio.relative_input_from_json, _relative_with_levels(-1)),
 }
 
 
@@ -278,7 +265,6 @@ def _valid_documents():
             "values": {o: jsonio.simpset_to_json(d1) for o in base.objects},
             "arrows": {f: jsonio.simpmap_to_json(identity_map(d1)) for f in base.arrows},
         },
-        "gamma_levels": 1,
     }
     return [
         ("ref", jsonio.ref_from_json, {"base": "a", "deg": [1, 0]}),

@@ -289,11 +289,12 @@ def _lines_run(fn_name, text, run):
             return local
         return local
 
+    old = sys.gettrace()
     sys.settrace(trace)
     try:
         result = run()
     finally:
-        sys.settrace(None)
+        sys.settrace(old)
     return result, len(hits)
 
 
