@@ -1,9 +1,9 @@
-"""Finite categories with total composition tables, functors, equivalence
-checking, subgroupoids, and (co)slices."""
+"""Finite categories with total composition tables, functors, natural
+transformations, subgroupoids, and (co)slices."""
 
 from __future__ import annotations
 
-from .verdicts import Budget, BudgetExceededError, Verdict, FAILS, HOLDS, INCONCLUSIVE, backtrack
+from .verdicts import Budget, backtrack
 
 
 class FinCat:
@@ -92,18 +92,6 @@ class FinCat:
 
     def iso_objects(self, a, b):
         return any(self.is_iso_arrow(f) for f in self.hom(a, b))
-
-    def iso_classes(self):
-        classes = []
-        placed = set()
-        for a in self.objects:
-            if a in placed:
-                continue
-            cls = [b for b in self.objects if self.iso_objects(a, b) and self.iso_objects(b, a)]
-            cls = sorted(set(cls) | {a})
-            placed.update(cls)
-            classes.append(tuple(cls))
-        return classes
 
     def __repr__(self):
         return f"FinCat({len(self.objects)} objects, {len(self.arrows)} arrows)"
@@ -236,47 +224,12 @@ def max_subgroupoid(c: FinCat):
     return sub, incl
 
 
-def _joined(pairs):
-    """Each pair's name, its two parts joined by ","; ValueError when two
-    pairs get one name."""
-    owners = {}
-    for pair in pairs:
-        name = ",".join(pair)
-        if owners.setdefault(name, pair) != pair:
-            raise ValueError(f"the pairs {owners[name]} and {pair} are both named {name!r}")
-    return {pair: name for name, pair in owners.items()}
-
-
-def product_category(c: FinCat, d: FinCat) -> FinCat:
-    """c x d, each object and arrow named by joining its two parts with ","
-    (ValueError when two pairs get one name); its composable pairs are the
-    pairs of composable pairs."""
-    obj = _joined((a, b) for a in c.objects for b in d.objects)
-    arr = _joined((f, g) for f in c.arrows for g in d.arrows)
-    arrows = {name: (obj[c.src(f), d.src(g)], obj[c.dst(f), d.dst(g)])
-              for (f, g), name in arr.items()}
-    identities = {name: arr[c.identities[a], d.identities[b]] for (a, b), name in obj.items()}
-    compose = {(arr[g1, g2], arr[f1, f2]): arr[h1, h2]
-               for (g1, f1), h1 in c.compose_table.items()
-               for (g2, f2), h2 in d.compose_table.items()}
-    return FinCat(obj.values(), arrows, identities, compose)
-
-
-def full_subcategory(c: FinCat, keep_objects) -> FinCat:
-    keep = set(keep_objects)
-    arrows = {f: e for f, e in c.arrows.items() if e[0] in keep and e[1] in keep}
-    return _restrict(c, sorted(keep), arrows)
-
-
-def functors(c: FinCat, d: FinCat, budget=None, iso=False):
-    """Each functor F: c -> d, lazily, by backtracking over the images of
-    the objects, then of the non-identity arrows, each in id order.  An
-    arrow's image is drawn from its hom and kept only if F h = F g o F f for
-    each table entry (g, f) -> h whose last-drawn arrow it is; entries with
-    an identity factor hold by construction.  With `iso`, objects and
-    non-identity arrows go injectively, onto objects with homs of the same
-    sizes and onto non-identity arrows: the isomorphisms, when c and d have
-    as many objects and as many arrows."""
+def all_functors(c: FinCat, d: FinCat, budget=None):
+    """Every functor c -> d, by backtracking over the images of the objects,
+    then of the non-identity arrows, each in id order.  An arrow's image is
+    drawn from its hom and kept only if F h = F g o F f for each table entry
+    (g, f) -> h whose last-drawn arrow it is; entries with an identity
+    factor hold by construction."""
     budget = budget or Budget()
     arrows = [f for f in c.arrow_ids() if not c.is_identity(f)]
     rank = {f: k for k, f in enumerate(arrows)}
@@ -290,27 +243,15 @@ def functors(c: FinCat, d: FinCat, budget=None, iso=False):
             return chosen[("arr", x)]
         return d.identities[chosen[("obj", c.src(x))]]
 
-    def keeps_homs(x, o, chosen):
-        pick = {a: img for (_, a), img in chosen.items()} | {x: o}
-        return all(len(c.hom(x, a)) == len(d.hom(o, pick[a]))
-                   and len(c.hom(a, x)) == len(d.hom(pick[a], o)) for a in pick)
-
     def candidates(cell, chosen):
         kind, x = cell
         if kind == "obj":
-            # objects are drawn first, so `chosen` holds only objects
             for o in d.objects:
-                if iso and o in chosen.values():
-                    continue
                 budget.spend()
-                if not iso or keeps_homs(x, o, chosen):
-                    yield o
+                yield o
             return
         a, b = c.arrows[x]
-        drawn = {chosen[("arr", f)] for f in arrows[:rank[x]]} if iso else ()
         for img in d.hom(chosen[("obj", a)], chosen[("obj", b)]):
-            if iso and (img in drawn or d.is_identity(img)):
-                continue
             budget.spend()
             pick = {**chosen, cell: img}
             if all(image(h, pick) == d.compose(image(g, pick), image(f, pick))
@@ -318,15 +259,12 @@ def functors(c: FinCat, d: FinCat, budget=None, iso=False):
                 yield img
 
     cells = [("obj", a) for a in c.objects] + [("arr", f) for f in arrows]
+    found = []
     for chosen in backtrack(cells, candidates):
         on_arrows = {c.identities[a]: d.identities[chosen[("obj", a)]] for a in c.objects}
         on_arrows.update((f, chosen[("arr", f)]) for f in arrows)
-        yield CatFunctor(c, d, {a: chosen[("obj", a)] for a in c.objects}, on_arrows)
-
-
-def all_functors(c: FinCat, d: FinCat, budget=None):
-    """Every functor c -> d."""
-    return list(functors(c, d, budget))
+        found.append(CatFunctor(c, d, {a: chosen[("obj", a)] for a in c.objects}, on_arrows))
+    return found
 
 
 def natural_transformations(f: CatFunctor, g: CatFunctor):
@@ -423,71 +361,3 @@ def coslice_category(c: FinCat, base_obj):
         cat, c, {f: c.dst(f) for f in objects}, dict(legs)
     )
     return cat, proj, legs
-
-
-# ---------------------------------------------------------------------------
-# equivalence checking
-
-
-def skeleton(c: FinCat):
-    """Collapse isomorphic objects: returns (skeletal category, retraction
-    functor, inclusion functor)."""
-    classes = c.iso_classes()
-    rep = {}
-    for cls in classes:
-        for a in cls:
-            rep[a] = cls[0]
-    reps = sorted({rep[a] for a in c.objects})
-    # chosen isomorphisms a -> rep(a), the identity on a representative
-    to_rep, from_rep = {}, {}
-    for a in c.objects:
-        if a == rep[a]:
-            to_rep[a] = from_rep[a] = c.identities[a]
-        else:
-            to_rep[a], from_rep[a] = next((f, g) for f in c.hom(a, rep[a])
-                                          if (g := c.inverse(f)) is not None)
-    skel = full_subcategory(c, reps)
-    retraction = CatFunctor(
-        c,
-        skel,
-        {a: rep[a] for a in c.objects},
-        {
-            f: c.compose(to_rep[c.dst(f)], c.compose(f, from_rep[c.src(f)]))
-            for f in c.arrow_ids()
-        },
-    )
-    inclusion = CatFunctor(
-        skel, c, {a: a for a in skel.objects}, {f: f for f in skel.arrow_ids()}
-    )
-    return skel, retraction, inclusion
-
-
-def cat_iso_search(c: FinCat, d: FinCat, budget=None):
-    """An isomorphism of categories c -> d, or None (exhaustive)."""
-    if len(c.objects) != len(d.objects) or len(c.arrows) != len(d.arrows):
-        return None
-    return next(functors(c, d, budget, iso=True), None)
-
-
-def equivalence_check(c: FinCat, d: FinCat, budget=None) -> Verdict:
-    """Equivalence of finite categories, via skeletal quotient followed by
-    isomorphism search; witness is a full, faithful, essentially surjective
-    functor c -> d."""
-    budget = budget or Budget()
-    checked = "skeletal quotient + exhaustive isomorphism search"
-    if len(c.iso_classes()) != len(d.iso_classes()):
-        return Verdict(FAILS, checked,
-                       witness={"iso_classes": [len(c.iso_classes()), len(d.iso_classes())]})
-    skel_c, retract_c, _ = skeleton(c)
-    skel_d, _, include_d = skeleton(d)
-    try:
-        iso = cat_iso_search(skel_c, skel_d, budget=budget)
-    except BudgetExceededError as e:
-        return Verdict(INCONCLUSIVE, checked, witness=str(e))
-    if iso is None:
-        return Verdict(FAILS, checked, witness="skeletons are not isomorphic")
-    witness = retract_c.then(iso).then(include_d)
-    ok, why = witness.is_full_faithful_ess_surjective()
-    if not ok:
-        raise AssertionError(f"equivalence witness failed check: {why}")
-    return Verdict(HOLDS, checked, witness=witness)

@@ -96,39 +96,6 @@ def sphere_zero(bound=1) -> FinSimpSet:
                               for m in range(bound + 1)}, pointed="0")
 
 
-def interval_groupoid_nerve(bound=2) -> FinSimpSet:
-    """Nerve of the free isomorphism 0 <-> 1, truncated.
-
-    Nondegenerate m-cells are the two alternating vertex chains; the nerve
-    of a groupoid is 2-coskeletal, so any bound >= 2 is an exact reading.
-    """
-    cells = {0: {"0": (), "1": ()}}
-
-    def chain(start, m):
-        return tuple((start + i) % 2 for i in range(m + 1))
-
-    def ref_for(verts):
-        # vertex chain with consecutive repeats removed = normal form
-        squeezed = [verts[0]]
-        word = []
-        for j in range(len(verts) - 1):
-            if verts[j] == verts[j + 1]:
-                word.append(j)
-            else:
-                squeezed.append(verts[j + 1])
-        name = "0" if len(squeezed) == 1 and squeezed[0] == 0 else (
-            "1" if len(squeezed) == 1 else "j" + _tuple_name(squeezed))
-        return SimplexRef(name, tuple(sorted(word, reverse=True)))
-
-    for m in range(1, bound + 1):
-        cells[m] = {}
-        for start in (0, 1):
-            verts = chain(start, m)
-            faces = tuple(ref_for(verts[:i] + verts[i + 1 :]) for i in range(m + 1))
-            cells[m]["j" + _tuple_name(verts)] = faces
-    return FinSimpSet(bound, cells, complete=False)
-
-
 def simplex_inclusion(sub: FinSimpSet, n) -> SimpMap:
     """Inclusion of a boundary or horn into Delta[n] (shared cell names)."""
     return inclusion_map(sub, standard_simplex(n))

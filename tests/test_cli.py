@@ -662,6 +662,11 @@ KIND_FIXTURES = {
     "arrow": [lambda: _arrow_blob(inclusion_map(boundary(1), standard_simplex(1)))],
 }
 
+# the fixtures of a kind that a command draws, where it refuses the others:
+# `sm-check` reads only a diagram over the based-set base, so that its draws
+# reach the check rather than the refusal
+COMMAND_FIXTURES = {("sm-check", "relative_input"): [_gamma_relative_blob]}
+
 # small ranges, so that no draw runs for long; flags with choices draw from them.
 # k and l mostly fit the fixtures' levels 0..2 (k + l <= 2), and sometimes
 # reach past them, which the input check refuses
@@ -685,6 +690,21 @@ def kind_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("kinds")
     return {kind: [_blob_file(root, f"{kind}{k}.json", make()) for k, make in enumerate(makers)]
             for kind, makers in KIND_FIXTURES.items()}
+
+
+def _drawn_files(kind_files, name, kind):
+    """The fixture files of a kind that the command `name` draws."""
+    keep = COMMAND_FIXTURES.get((name, kind), KIND_FIXTURES[kind])
+    return [path for make, path in zip(KIND_FIXTURES[kind], kind_files[kind]) if make in keep]
+
+
+def test_sm_check_draws_only_the_inputs_it_accepts(kind_files):
+    # the fuzz leaves out the diagram over [1], which sm-check refuses
+    drawn = _drawn_files(kind_files, "sm-check", "relative_input")
+    assert drawn
+    for path in kind_files["relative_input"]:
+        code, _ = _run_quiet(["sm-check", path, "--k", "1", "--l", "1"])
+        assert (code == 3) == (path not in drawn), path
 
 
 def _flag_value(dest):
@@ -742,7 +762,8 @@ def _semantic_rewrite(doc, data):
 def test_any_command_line_exits_with_a_report(kind_files, data):
     name = data.draw(st.sampled_from(sorted(COMMANDS)), "command")
     row = COMMANDS[name]
-    paths = [data.draw(st.sampled_from(kind_files[kind]), kind) for kind in row.kinds]
+    paths = [data.draw(st.sampled_from(_drawn_files(kind_files, name, kind)), kind)
+             for kind in row.kinds]
     flags = {dest: data.draw(_flag_value(dest), dest) for dest in row.flags
              if dest in ("dim_bound", "level_bound", "budget") or FLAGS[dest].get("required")
              or data.draw(st.booleans())}

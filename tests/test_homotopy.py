@@ -3,7 +3,6 @@ mapping-space model."""
 
 from gammaspace.catcore import (
     CatFunctor,
-    full_subcategory,
     functor_category,
     max_subgroupoid,
     poset_category,
@@ -14,7 +13,7 @@ from gammaspace.corpus import category_corpus, iso_with_tail_category
 from gammaspace.homotopy import h_map_space, j_qcat, restricted_exp
 from gammaspace.nerve import edge_is_invertible, nerve, nerve_functor_map, tau1, tau1_functor
 from gammaspace.shapes import Exponential, exponential_map, standard_point, standard_simplex
-from gammaspace.simplicial import SimplexRef, hom_set, iso_check
+from gammaspace.simplicial import SimplexRef, full_sub_on_vertices, hom_set, iso_check
 
 
 def test_j_basics():
@@ -62,8 +61,11 @@ def test_restricted_exp_matches_iso_arrow_category():
     ncx = nerve(cx, bound=2)
     space, _ = restricted_exp(ncx, standard_simplex(1))
     fc, objs, _ = functor_category(poset_category(1), cx)
-    iso_objs = [name for name, fn in objs.items() if cx.is_iso_arrow(fn.arr("le01"))]
-    assert iso_check(space, nerve(full_subcategory(fc, iso_objs), bound=2)).holds
+    # the full subnerve on some vertices is the nerve of the full
+    # subcategory on those objects
+    iso_objs = {f"o{name}" for name, fn in objs.items() if cx.is_iso_arrow(fn.arr("le01"))}
+    sub = full_sub_on_vertices(nerve(fc, bound=2), lambda v: v in iso_objs)
+    assert iso_check(space, sub).holds
 
 
 def test_h_map_space_vertices_and_point_case():

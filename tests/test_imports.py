@@ -12,8 +12,9 @@ composites of maps are compared only by `simplicial.commutes`,
 a set's truncation (`.complete`, `top_dim()`) is read only in
 `simplicial`, whose `joint_bound` and `map_cap` state the ranges, and a
 category's arrows are scanned pairwise only where its table is built,
-and a defaulted parameter that some call in `src/` or `bench/` reaches is
-passed by at least one such call.
+a defaulted parameter that some call in `src/` or `bench/` reaches is
+passed by at least one such call, and a definition that no file in `src/`
+or `bench/` names is kept for a stated reason.
 """
 
 import ast
@@ -358,11 +359,56 @@ def unpassed_defaults(modules, callers):
     return sorted(found)
 
 
+def _pieces(module, source):
+    """(path, names read) for each top-level statement of a source, a
+    top-level class split into its header and each statement of its body
+    (see `_reads`).  A path is (module, index) or (module, class index,
+    index), so the pieces inside a definition are those whose path starts
+    with its path."""
+    for i, node in enumerate(ast.parse(source).body):
+        if not isinstance(node, ast.ClassDef):
+            yield (module, i), _reads(node)
+            continue
+        header = [*node.decorator_list, *node.bases, *node.keywords]
+        yield (module, i), set().union(*map(_reads, header))
+        for j, stmt in enumerate(node.body):
+            yield (module, i, j), _reads(stmt)
+
+
+def _functions_and_classes(module, source):
+    """(path, qualified name, name) for each module-level `def` and `class`
+    of a source and each method of a module-level class (see `_pieces`);
+    dunder methods are left out, since the language calls them."""
+    for i, node in enumerate(ast.parse(source).body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield (module, i), node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (((module, i, j), f"{node.name}.{fn.name}", fn.name)
+                        for j, fn in enumerate(node.body)
+                        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (fn.name.startswith("__") and fn.name.endswith("__")))
+
+
+def only_tested_definitions(modules, callers):
+    """(module, qualified name) for each function, class and method (see
+    `_functions_and_classes`) of the sources in `modules` that no source in
+    `callers` reads outside its own definition.  Both map a module name to
+    its source.  A name is matched bare, as `unpassed_defaults` matches a
+    call: `obj.f` reads the method f of every class."""
+    reads = [piece for m, src in callers.items() for piece in _pieces(m, src)]
+    return sorted(
+        (module, qualified)
+        for module, src in modules.items()
+        for path, qualified, name in _functions_and_classes(module, src)
+        if not any(name in names for at, names in reads if at[:len(path)] != path)
+    )
+
+
 # The library's `.validate(...)` calls, by (module, function): the loaders
 # check what enters (`tabulated_from_json` checks each listed map as it is
 # read, then only the laws of the action it completes, by
 # `TabulatedGammaSpace.check_laws`); `from_elements` checks the tables it
-# is handed; the tau1 certificate decides by validating (`catcore.functors`
+# is handed; the tau1 certificate decides by validating (`catcore.all_functors`
 # checks each composite as its last arrow is drawn, and validates nothing);
 # the validators of the diagram types check their parts; and two verdicts
 # rest on a check.  Constructions trust their valid inputs, and
@@ -446,6 +492,36 @@ KEPT_UNPASSED_DEFAULTS = {
     ("marked", "marked_mapping_space", "budget"),
     ("gspace", "mapping_space_tabulated", "budget"),
     ("cocart", "cocartesian_cross_check", "budget"),
+}
+
+
+# The functions, classes and methods that no file in `src/` or `bench/`
+# names, by (module, qualified name).  Each stays for the reason above it;
+# anything else that only the tests reach goes.
+KEPT_TEST_ONLY_DEFINITIONS = {
+    # the second of the two trivial-fibration routes, an oracle of ROADMAP aim 2
+    ("gspace", "trivial_fibration_check"),
+    # the fibrant verdict of ROADMAP item 19
+    ("shapes", "is_quasicategory_up_to"),
+    # constructions pinned by test_induced_golden and test_cocart
+    ("shapes", "exponential_map"),
+    ("cocart", "cotensor_over_base"),
+    ("cocart", "over_base_maps"),
+    # the binary coproduct, which test_lifting_golden's cases build on
+    ("simplicial", "disjoint_union"),
+    # the loaders `cli.main` reaches as f"{kind}_from_json"
+    ("jsonio", "arrow_from_json"),
+    ("jsonio", "presented_from_json"),
+    ("jsonio", "relative_input_from_json"),
+    ("jsonio", "over_object_from_json"),
+    ("jsonio", "tabulated_from_json"),
+    # argparse calls it on a malformed command line
+    ("cli", "_Parser.error"),
+    # a set read at another bound, by which the tests build their inputs
+    ("simplicial", "FinSimpSet.rebound"),
+    # a refutation read off a verdict, beside `holds`; the library combines
+    # statuses only in `verdicts`
+    ("verdicts", "Verdict.fails"),
 }
 
 
@@ -709,3 +785,56 @@ def test_every_reached_default_is_passed():
     assert len(modules) == len(MODULES)
     found = {(pathlib.PurePath(m).stem, q, p) for m, q, p in unpassed_defaults(modules, callers)}
     assert found == KEPT_UNPASSED_DEFAULTS
+
+
+def test_only_tested_definition_check_catches_what_it_names():
+    lib = (
+        "def used():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1)\n"
+        "def tested():\n"
+        "    return 2\n"
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.n = self.size()\n"
+        "    def size(self):\n"
+        "        return 0\n"
+        "    def grow(self):\n"
+        "        return self.grow\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        return Box()\n"
+        "class Timed:\n"
+        "    def spend(self):\n"
+        "        return 0\n"
+    )
+    # a method named inside its own body or a class only in its own, a
+    # docstring and a test are no callers; a "module:qualname" string and a
+    # call of another class's method of the same name are
+    caller = (
+        '"""tested is named here, in a docstring only."""\n'
+        "from lib import used, Timed\n"
+        "TIMED = ['lib:Timed.__init__']\n"
+        "used()\n"
+        "def charge(meter):\n"
+        "    return meter.spend()\n"
+    )
+    test = "from lib import tested, recursive, Box\ntested(), recursive(1), Box.make()\n"
+    assert only_tested_definitions({"lib": lib}, {"lib": lib, "caller": caller}) == [
+        ("lib", "Box"), ("lib", "Box.grow"), ("lib", "Box.make"),
+        ("lib", "recursive"), ("lib", "tested")]
+    assert only_tested_definitions({"lib": lib}, {"lib": lib, "test": test}) == [
+        ("lib", "Box.grow"), ("lib", "Timed"), ("lib", "Timed.spend"),
+        ("lib", "used")]
+
+
+def test_the_definitions_only_the_tests_name_are_kept_on_purpose():
+    callers = {p.relative_to(ROOT).as_posix(): p.read_text() for p in READERS
+               if not p.is_relative_to(ROOT / "tests")}
+    modules = {name: src for name, src in callers.items() if name.startswith("src/gammaspace/")}
+    assert len(modules) == len(MODULES)
+    found = {(pathlib.PurePath(m).stem, q) for m, q in only_tested_definitions(modules, callers)}
+    assert found == KEPT_TEST_ONLY_DEFINITIONS

@@ -41,7 +41,6 @@ from gammaspace.shapes import (
     boundary,
     has_rlp,
     horn,
-    interval_groupoid_nerve,
     is_quasicategory_up_to,
     standard_point,
     standard_simplex,
@@ -94,7 +93,7 @@ def _rlp_cases():
         cases[name] = run
 
     def budget_cut():
-        j = interval_groupoid_nerve(bound=2)
+        j = nerve(walking_iso_category(), bound=2)
         p = constant_map(j, standard_point(), "0")
         i = inclusion_map(boundary(1), standard_simplex(1))
         return [_verdict(has_rlp(p, i, budget=Budget(limit))) for limit in (3, 12, 40)]

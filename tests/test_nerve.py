@@ -1,8 +1,11 @@
-"""Nerves and the fundamental category: the unit isomorphism, and coset
-enumeration against the congruence closure it replaced."""
+"""Nerves and the fundamental category: the unit isomorphism, coset
+enumeration against the congruence closure it replaced, and isomorphisms
+of categories decided on their nerves."""
 
 import functools
+import itertools
 import linecache
+import random
 import sys
 
 import pytest
@@ -13,7 +16,6 @@ from gammaspace.catcore import (
     CatFunctor,
     FinCat,
     all_functors,
-    cat_iso_search,
     cyclic_group_category,
     poset_category,
     terminal_category,
@@ -60,13 +62,13 @@ def test_nerve_completeness_flag():
 
 def test_tau1_standard():
     c, _ = tau1(standard_simplex(3))
-    assert cat_iso_search(c, poset_category(3)) is not None
+    assert iso_check(nerve(c, bound=2), nerve(poset_category(3), bound=2)).holds
 
 
 @pytest.mark.parametrize("name,cat", category_corpus())
 def test_tau1_nerve_unit(name, cat):
     t, _ = tau1(nerve(cat, bound=3))
-    assert cat_iso_search(t, cat) is not None
+    assert iso_check(nerve(t, bound=2), nerve(cat, bound=2)).holds
 
 
 def _loops(k):
@@ -400,10 +402,33 @@ def test_functor_map_into_a_complete_nerve_of_lower_bound():
     assert nm.assignment[(2, "le01|le12")] == SimplexRef("o*", (1, 0))
 
 
-def test_nerve_preserves_products():
-    from gammaspace.catcore import product_category
-    from gammaspace.simplicial import product
+def _joined(pairs):
+    """Each pair's name, its two parts joined by ","; ValueError when two
+    pairs get one name."""
+    owners = {}
+    for pair in pairs:
+        name = ",".join(pair)
+        if owners.setdefault(name, pair) != pair:
+            raise ValueError(f"the pairs {owners[name]} and {pair} are both named {name!r}")
+    return {pair: name for name, pair in owners.items()}
 
+
+def product_category(c: FinCat, d: FinCat) -> FinCat:
+    """c x d, each object and arrow named by joining its two parts with ","
+    (ValueError when two pairs get one name); its composable pairs are the
+    pairs of composable pairs."""
+    obj = _joined((a, b) for a in c.objects for b in d.objects)
+    arr = _joined((f, g) for f in c.arrows for g in d.arrows)
+    arrows = {name: (obj[c.src(f), d.src(g)], obj[c.dst(f), d.dst(g)])
+              for (f, g), name in arr.items()}
+    identities = {name: arr[c.identities[a], d.identities[b]] for (a, b), name in obj.items()}
+    compose = {(arr[g1, g2], arr[f1, f2]): arr[h1, h2]
+               for (g1, f1), h1 in c.compose_table.items()
+               for (g2, f2), h2 in d.compose_table.items()}
+    return FinCat(obj.values(), arrows, identities, compose)
+
+
+def test_nerve_preserves_products():
     for c in [poset_category(1), walking_iso_category()]:
         for d in [poset_category(1), terminal_category()]:
             lhs = product(nerve(c, bound=2), nerve(d, bound=2), bound=2)[0]
@@ -415,7 +440,6 @@ def test_the_segal_comparison_of_a_truncated_nerve_is_an_iso():
     # N([1]^3) -> N([1]) x N([1]^2) by the two projection functors: the
     # source is truncated at 2, the product is complete of dimension 3, and
     # the two are compared on the joint bound 2
-    from gammaspace.catcore import product_category
     from gammaspace.simplicial import pairing
 
     c = poset_category(1)
@@ -501,3 +525,45 @@ def test_nerve_subgroupoid_commutes_with_j():
     for name, cat in category_corpus():
         sub, _ = max_subgroupoid(cat)
         assert iso_check(nerve(sub, bound=2), j_qcat(nerve(cat, bound=2))).holds, name
+
+
+def renamed(c, seed):
+    """c with its objects and its arrows renamed at random, so that their
+    ids sort in another order whenever there are two or more."""
+    rng = random.Random(seed)
+
+    def names(ids, prefix):
+        order = list(ids)
+        while len(order) > 1 and order == list(ids):
+            rng.shuffle(order)
+        return {x: f"{prefix}{k:02d}" for k, x in enumerate(order)}
+
+    obj, arr = names(c.objects, "y"), names(c.arrows, "x")
+    return FinCat(
+        [obj[a] for a in c.objects],
+        {arr[f]: (obj[s], obj[d]) for f, (s, d) in c.arrows.items()},
+        {obj[a]: arr[f] for a, f in c.identities.items()},
+        {(arr[g], arr[f]): arr[h] for (g, f), h in c.compose_table.items()},
+    )
+
+
+def _is_bijective(fun):
+    """Does the functor go one to one onto the objects and the arrows?"""
+    c, d = fun.source, fun.target
+    return (len(set(fun.on_objects.values())) == len(c.objects) == len(d.objects)
+            and len(set(fun.on_arrows.values())) == len(c.arrows) == len(d.arrows))
+
+
+def test_nerves_are_isomorphic_exactly_when_their_categories_are():
+    # the nerve is fully faithful and 2-coskeletal, so iso_check on the
+    # nerves at bound 2 decides an isomorphism of categories: on every
+    # ordered pair of corpus categories and renamed copies of them
+    cats = [c for _, c in CORPUS]
+    cats += [renamed(c, seed) for seed, c in enumerate(cats)]
+    nerves = [nerve(c, bound=2) for c in cats]
+    isomorphic = 0
+    for (c, nc), (d, nd) in itertools.product(zip(cats, nerves), repeat=2):
+        bijective = any(map(_is_bijective, all_functors(c, d)))
+        assert iso_check(nc, nd).holds == bijective
+        isomorphic += bijective
+    assert isomorphic == 28

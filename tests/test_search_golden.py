@@ -8,7 +8,6 @@ what it returns, in the order it returns it:
   (among them a constraint that sends the basepoint to the basepoint);
 - `iso_check`: the status, the witness assignment and `Budget.used`;
 - `all_functors` and `natural_transformations`: the ordered results;
-- `cat_iso_search`: the isomorphism found, or none;
 - `functor_category`: the canonical JSON of the category and the functor
   behind each object name.
 
@@ -28,9 +27,7 @@ import pytest
 from test_simplicial import glued_simplices
 
 from gammaspace.catcore import (
-    FinCat,
     all_functors,
-    cat_iso_search,
     functor_category,
     natural_transformations,
 )
@@ -121,19 +118,6 @@ def _iso_cases():
     return cases
 
 
-def _relabel(c):
-    """c with its objects named in reverse order and its arrows renamed, so
-    an isomorphism onto it must permute objects."""
-    obj = dict(zip(c.objects, reversed([f"r{i}" for i in range(len(c.objects))])))
-    arr = {f: f"r{f}" for f in c.arrows}
-    return FinCat(
-        [obj[a] for a in c.objects],
-        {arr[f]: (obj[s], obj[d]) for f, (s, d) in c.arrows.items()},
-        {obj[a]: arr[f] for a, f in c.identities.items()},
-        {(arr[g], arr[f]): arr[h] for (g, f), h in c.compose_table.items()},
-    ).validate()
-
-
 def _functor_cases():
     cats = category_corpus()
     small = [(n, c) for n, c in cats if len(c.arrows) <= 4]
@@ -153,16 +137,6 @@ def _functor_cases():
                 ]])
         return out
 
-    def isos():
-        out = []
-        for a, c in cats:
-            for b, d in cats:
-                iso = cat_iso_search(c, d)
-                out.append([a, b, None if iso is None else iso.key()])
-            iso = cat_iso_search(c, _relabel(c))
-            out.append([a, "relabelled", None if iso is None else iso.key()])
-        return out
-
     def functor_categories():
         by_name = dict(cats)
         out = []
@@ -177,7 +151,6 @@ def _functor_cases():
     return {
         "all-functors": functors,
         "natural-transformations": transformations,
-        "cat-iso-search": isos,
         "functor-category": functor_categories,
     }
 
@@ -194,7 +167,6 @@ CASES = {
 # digests (map keys only) before vertices were forward-checked
 DIGESTS = {
     "catcore/all-functors": "c36e4fb71a61906c30f5110df1767715bdfa7327d43fe1d0ce7eaa5e7d2cda57",
-    "catcore/cat-iso-search": "75997263afc9163f88183f0add03e19428f8bdaa2e2abb4d46b96036558024de",
     "catcore/functor-category": "970cebe62c7ffdd612e01ade300b220d8c2ad8c19bd97598cfbbb6f9b1ddec03",
     "catcore/natural-transformations": "cd15b2a6f41bab5bd3c65dfc6dfd0357c7fa09fb8c329ec6aeb20680a384204d",
     "hom-set/boundary2-into-quotient": "de3a67f774a54079a5bf828fc185c9da29bce26edddb74b03efc88d286742a64",

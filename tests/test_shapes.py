@@ -12,7 +12,6 @@ from gammaspace.shapes import (
     exponential_map,
     has_rlp,
     horn,
-    interval_groupoid_nerve,
     is_quasicategory_up_to,
     pointed_point,
     pushout_product,
@@ -76,12 +75,6 @@ def test_horn_is_simplex_minus_interior_and_face():
     simplex_inclusion(h, 2).validate()
 
 
-def test_interval_groupoid_nerve_matches_walking_iso():
-    j = interval_groupoid_nerve(bound=3)
-    assert j.summary() == [2, 2, 2, 2]
-    assert iso_check(j, nerve(walking_iso_category(), bound=3)).holds
-
-
 def test_smash_unit_and_collapse():
     d1p = FinSimpSet(
         1, {0: {"0": (), "1": ()}, 1: {"01": (SimplexRef("1"), SimplexRef("0"))}},
@@ -111,7 +104,7 @@ def test_rlp_verdicts():
     v = has_rlp(constant_map(d1, standard_point(), "0"), i1)
     assert v.fails
     # the nerve of the free isomorphism does lift
-    j = interval_groupoid_nerve(bound=2)
+    j = nerve(walking_iso_category(), bound=2)
     assert has_rlp(constant_map(j, standard_point(), "0"), i1).holds
     # spine onto the point: no composite edge, inner horn square fails
     spine = spine_of_two_edges()
@@ -130,7 +123,7 @@ def test_rlp_against_identity_always_holds():
 def test_rlp_budget_exhaustion_is_inconclusive():
     from gammaspace.verdicts import Budget
 
-    j = interval_groupoid_nerve(bound=2)
+    j = nerve(walking_iso_category(), bound=2)
     i1 = inclusion_map(boundary(1), standard_simplex(1))
     v = has_rlp(constant_map(j, standard_point(), "0"), i1, budget=Budget(3))
     assert v.status == "inconclusive"
@@ -174,7 +167,7 @@ def test_quasicategory_checks():
     assert is_quasicategory_up_to(nerve(poset_category(2), bound=3), 4).holds
     v = is_quasicategory_up_to(spine_of_two_edges(), 2)
     assert v.fails and v.witness["horn"] == [2, 1]
-    assert is_quasicategory_up_to(interval_groupoid_nerve(bound=3), 3).holds
+    assert is_quasicategory_up_to(nerve(walking_iso_category(), bound=3), 3).holds
 
 
 def test_pushout_product_square():

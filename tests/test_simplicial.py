@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gammaspace import simplicial
+from gammaspace.catcore import walking_iso_category
 from gammaspace.corpus import category_corpus, presented_corpus
 from gammaspace.gammaop import GammaMorphism
 from gammaspace.jsonio import canonical_dumps, simpset_to_json
@@ -16,7 +17,6 @@ from gammaspace.nerve import nerve
 from gammaspace.shapes import (
     boundary,
     horn,
-    interval_groupoid_nerve,
     standard_point,
     standard_simplex,
 )
@@ -269,9 +269,7 @@ def test_rebound_rules():
     d1 = standard_simplex(1)
     up = d1.rebound(3)
     assert up.dim_bound == 3 and up.complete
-    from gammaspace.shapes import interval_groupoid_nerve
-
-    j = interval_groupoid_nerve(bound=2)
+    j = nerve(walking_iso_category(), bound=2)
     with pytest.raises(ValueError):
         j.rebound(3)
     assert j.rebound(1).dim_bound == 1
@@ -732,7 +730,7 @@ small_spaces = st.one_of(
     st.integers(1, 3).map(boundary),
     st.sampled_from([(2, 0), (2, 1), (2, 2), (3, 1)]).map(lambda nk: horn(*nk)),
     st.just(discrete_set("abc", pointed="b")),
-    st.just(interval_groupoid_nerve(bound=1)),
+    st.just(nerve(walking_iso_category(), bound=1)),
 )
 
 
@@ -1235,10 +1233,11 @@ def test_cellwise_assigns_the_dimensions_its_target_admits():
     m = cellwise(d3, standard_point(), _degenerate_vertex("0"))
     assert sorted({n for n, _ in m.assignment}) == [0, 1, 2, 3]
     # into a truncated target of lower bound, up to that bound
-    m = cellwise(d3, interval_groupoid_nerve(bound=1), _degenerate_vertex("1"))
+    m = cellwise(d3, nerve(walking_iso_category(), bound=1), _degenerate_vertex("o1"))
     assert sorted({n for n, _ in m.assignment}) == [0, 1]
     # into a truncated target of higher bound, every source dimension
-    m = cellwise(standard_simplex(1), interval_groupoid_nerve(bound=3), _degenerate_vertex("1"))
+    m = cellwise(standard_simplex(1), nerve(walking_iso_category(), bound=3),
+                 _degenerate_vertex("o1"))
     assert sorted({n for n, _ in m.assignment}) == [0, 1]
 
 
@@ -1247,7 +1246,7 @@ def _assert_sites_match_old_loops(x):
     out of x give the maps of the loops they replaced, into a complete and
     into a truncated target."""
     assert identity_map(x).key() == _old_identity_map(x).key()
-    targets = [(standard_point(), "0"), (interval_groupoid_nerve(bound=1), "1"),
+    targets = [(standard_point(), "0"), (nerve(walking_iso_category(), bound=1), "o1"),
                (x, x.cell_ids(0)[0])]
     for y, vertex in targets:
         assert constant_map(x, y, vertex).key() == _old_constant_map(x, y, vertex).key()
@@ -1274,7 +1273,7 @@ def test_cellwise_sites_match_old_loops_on_quotients(n, collapse):
 
 
 def test_cellwise_sites_match_old_loops_on_the_truncated_interval_nerve():
-    j = interval_groupoid_nerve(bound=1)
+    j = nerve(walking_iso_category(), bound=1)
     _assert_sites_match_old_loops(j)
     col = Colimit([j, standard_simplex(2)], [])
     for k in range(2):
