@@ -167,12 +167,6 @@ def cmd_semiadd_probe(report, p, *, level_bound):
         (f"level {n}", Verdict(v["iso"], witness=v)) for n, v in rep["levels"].items())))
 
 
-def cmd_ho_cat(report, x):
-    cat, _ = tau1(x.value(1))
-    report.output("category", jsonio.category_to_json(cat))
-    report.add("homotopy-category", Verdict(HOLDS, "fundamental category built"))
-
-
 def cmd_mark(report, x, *, kind):
     report.output("marked", jsonio.marked_to_json(mark(x, kind)))
     report.add("marking", Verdict(HOLDS, kind))
@@ -329,7 +323,6 @@ COMMANDS = {
     "segal-check": Command(cmd_segal_check, "tabulated"),
     "normalize": Command(cmd_normalize, "tabulated"),
     "semiadd-probe": Command(cmd_semiadd_probe, "presented"),
-    "ho-cat": Command(cmd_ho_cat, "tabulated"),
     "mark": Command(cmd_mark, "simpset"),
     "hom-marked": Command(cmd_hom_marked, "marked", "marked"),
     "relative-nerve": Command(cmd_relative_nerve, "relative_input"),

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .catcore import CatFunctor, FinCat, coslice_category
 from .gammaop import GammaMorphism, based_map, delta_projection, enumerate_homs, gamma_identity
 from .gspace import TabulatedGammaSpace, segal_check
-from .marked import MarkedMappingObject, MarkedSimpSet, edge_sharpens, mark, preserves_marking
+from .marked import MarkedMappingObject, MarkedSimpSet, edge_sharpens, mark
 from .nerve import chain_ref, edge_is_invertible, nerve, nerve_functor_map, tau1
 from .shapes import MapComplex, _horn_squares, unfillable_inner_horn
 from .simplicial import (
@@ -104,11 +104,19 @@ class RelativeNerveInput:
     arrows: dict          # arrow id -> SimpMap
 
     def validate(self):
+        """Each diagram map is simplicial, and the diagram passes `check_laws`."""
+        for m in self.arrows.values():
+            m.validate()
+        return self.check_laws()
+
+    def check_laws(self):
+        """Checks that each map has its arrow's ends, that identities act as
+        identities and that composites are respected, trusting each map to
+        be simplicial."""
         for f, (a, b) in self.base.arrows.items():
             m = self.arrows[f]
             if m.source is not self.values[a] or m.target is not self.values[b]:
                 raise ValueError(f"diagram map at {f!r} has wrong endpoints")
-            m.validate()
         for a in self.base.objects:
             if self.arrows[self.base.identities[a]] != identity_map(self.values[a]):
                 raise ValueError(f"diagram breaks identity at {a!r}")
@@ -131,18 +139,12 @@ class RelativeNerveInput:
         )
 
 
-def gamma_diagram_input(level_cap, value_fn, action_fn) -> RelativeNerveInput:
-    """Package a based-set-indexed diagram as a relative-nerve input over
-    the dense subcategory on levels <= level_cap."""
+def gamma_diagram_input(x: TabulatedGammaSpace, level_cap) -> RelativeNerveInput:
+    """Package a family's levels <= level_cap as a relative-nerve input
+    over the dense based-set subcategory on them."""
     base = gamma_subcategory(level_cap)
-    values = {str(n): value_fn(n) for n in range(level_cap + 1)}
-    arrows = {}
-    for name in base.arrow_ids():
-        f = gamma_arrow_of_name(name)
-        m = action_fn(f)
-        if m.source is not values[str(f.src)] or m.target is not values[str(f.dst)]:
-            m = SimpMap(values[str(f.src)], values[str(f.dst)], m.assignment)
-        arrows[name] = m
+    values = {str(n): x.value(n) for n in range(level_cap + 1)}
+    arrows = {name: x.action(gamma_arrow_of_name(name)) for name in base.arrow_ids()}
     return RelativeNerveInput(base, values, arrows)
 
 
@@ -231,11 +233,9 @@ class RelativeNerve:
 
     def fiber(self, obj) -> FinSimpSet:
         """The sub-simplicial set over the constant chain at an object."""
-        def ok(n, name):
-            ref = self.proj.assignment[(n, name)]
-            return ref == SimplexRef(f"o{obj}", tuple(range(n - 1, -1, -1)))
-
-        return _subset_of(self.total, ok)
+        base = self.input.base
+        over = [chain_ref(base, (base.identities[obj],) * n, obj) for n in range(self.cap + 1)]
+        return _subset_of(self.total, lambda n, name: self.proj.assignment[(n, name)] == over[n])
 
     def fiber_comparison(self, obj) -> Verdict:
         """The fiber is the diagram value on the nose."""
@@ -277,10 +277,6 @@ class OverObject:
 
     marked: MarkedSimpSet
     proj: SimpMap
-
-    def validate(self):
-        self.proj.validate()
-        return self  # sharp base: marking preservation is automatic
 
 
 def cocartesian_edges(total: FinSimpSet, proj: SimpMap, dim_cap, budget=None):
@@ -419,19 +415,16 @@ def upsilon(k, l, level_cap, dim_cap=2):
     under-category nerves into the level-(k+l) one, over the base.
 
     Returns (map, source OverObject, target OverObject)."""
-    target, cos_kl, _ = nelg(k + l, level_cap, dim_cap)
+    target, cos_kl, legs_kl = nelg(k + l, level_cap, dim_cap)
+    triangle = {(*cos_kl.arrows[t], h): t for t, h in legs_kl.items()}
     pieces = []
     for (level, which) in ((k, "left"), (l, "right")):
         over, cos, legs = nelg(level, level_cap, dim_cap)
         delta = delta_projection(k, l, which)
-        on_objects = {}
-        on_arrows = {}
-        for f_name in cos.objects:
-            f = gamma_arrow_of_name(f_name)
-            on_objects[f_name] = _gamma_arrow_name(delta.then(f))
-        for t_name, (fa, fb) in cos.arrows.items():
-            h = legs[t_name]
-            on_arrows[t_name] = f"t{on_objects[fa]}_{on_objects[fb]}_{h}"
+        on_objects = {f: _gamma_arrow_name(delta.then(gamma_arrow_of_name(f)))
+                      for f in cos.objects}
+        on_arrows = {t: triangle[(on_objects[fa], on_objects[fb], legs[t])]
+                     for t, (fa, fb) in cos.arrows.items()}
         fun = CatFunctor(cos, cos_kl, on_objects, on_arrows)
         pieces.append((over, fun))
     col = Colimit([over.marked.underlying for over, _ in pieces], [])
@@ -455,18 +448,6 @@ def hom_over_base(x: OverObject, y: OverObject, variant="flat",
     if variant == "sharp":
         return mo.sharp, mo
     raise ValueError(f"unknown variant {variant!r}")
-
-
-def over_base_maps(x: OverObject, y: OverObject, budget=None):
-    """The marked maps x -> y commuting with the projections; the fiber
-    constraint prunes the search cell by cell."""
-    marking = preserves_marking(x.marked, y.marked)
-
-    def constraint(n, name, ref):
-        return marking(n, name, ref) and y.proj(ref, n) == x.proj(SimplexRef(name), n)
-
-    return hom_set(x.marked.underlying, y.marked.underlying, budget=budget,
-                   constraint=constraint)
 
 
 def cotensor_over_base(x: OverObject, a: FinSimpSet, dim_cap=None, budget=None):

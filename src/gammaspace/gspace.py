@@ -19,7 +19,7 @@ from .gammaop import (
     smash_twist,
     zero_map,
 )
-from .nerve import nerve, tau1, tau1_functor
+from .nerve import chain_ref, nerve, tau1, tau1_functor
 from .shapes import (
     MapComplex,
     has_rlp,
@@ -573,7 +573,7 @@ def smash_precompose_comparison(x: TabulatedGammaSpace, n, level_cap=None) -> Ve
     checked level-wise, and natural for every based map between levels up
     to the cap (checked on the elementary maps)."""
     pre = precompose_smash(x, n)
-    cap = pre.level_bound if level_cap is None else min(level_cap, pre.level_bound)
+    cap = pre._cap(level_cap)
     hom, ms = _internal_hom(gamma_rep(n), x, cap)
     level_maps = {}
     for k in range(cap + 1):
@@ -685,8 +685,13 @@ def segal_check(x: TabulatedGammaSpace, k, l, tier="iso") -> Verdict:
 
 
 def _is_nerve_like(s: FinSimpSet) -> bool:
+    """Is s isomorphic to the nerve of its fundamental category, pointed at
+    s's basepoint when s has one?"""
     cat, _ = tau1(s)
-    return iso_check(s, nerve(cat, bound=s.dim_bound)).holds
+    n = nerve(cat, bound=s.dim_bound)
+    if s.pointed is not None:
+        n = Colimit([n], [], pointed_at=(0, chain_ref(cat, (), s.pointed).base)).space
+    return iso_check(s, n).holds
 
 
 def _tau1_equivalence(cmp: SimpMap, checked, tier) -> Verdict:

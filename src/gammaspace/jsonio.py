@@ -270,7 +270,7 @@ def relative_input_from_json(data) -> RelativeNerveInput:
         f: simpmap_from_json(m, values[base.src(f)], values[base.dst(f)])
         for f, m in _keyed(diagram.get("arrows"), base.arrows, "the diagram's arrows").items()
     }
-    return RelativeNerveInput(base, values, arrows).validate()
+    return RelativeNerveInput(base, values, arrows).check_laws()
 
 
 def over_object_to_json(x: OverObject) -> dict:
@@ -284,7 +284,7 @@ def over_object_from_json(data) -> OverObject:
     marked = marked_from_json(data)
     base = simpset_from_json(data.get("base_nerve"))
     proj = simpmap_from_json(data.get("proj"), marked.underlying, base)
-    return OverObject(marked, proj).validate()
+    return OverObject(marked, proj)
 
 
 _JSON_TYPES = {dict: "a JSON object", list: "a JSON array", str: "a string",

@@ -168,7 +168,7 @@ class MarkedGammaSpace:
         """The underlying family validates, and every based map between
         levels <= cap (the level bound by default) preserves the markings,
         checked on `elementary_maps` (exact for a functorial action)."""
-        cap = self.level_bound if level_cap is None else min(level_cap, self.level_bound)
+        cap = self._underlying._cap(level_cap)
         self._underlying.validate(level_cap=cap)
         for f in elementary_maps(cap):
             if not is_marked_map(self.action(f), self.value(f.src), self.value(f.dst)):

@@ -248,16 +248,6 @@ def _simplex_map_between(src: FinSimpSet, dst: FinSimpSet, alpha) -> SimpMap:
     return cellwise(src, dst, image)
 
 
-def exponential_map(u: SimpMap, exp_src: Exponential, exp_dst: Exponential) -> SimpMap:
-    """Precomposition x^B -> x^A along u: A -> B (exp_src = x^B over B =
-    u.target, exp_dst = x^A over A = u.source)."""
-    carries = [product_map(identity_map(exp_dst.simplices[n]), u,
-                           exp_dst.frame(0, n), exp_src.frame(0, n))
-               for n in range(min(exp_src.cap, exp_dst.cap) + 1)]
-    return exp_dst.induced(exp_src.space, lambda n, name: (
-        carries[n].then(exp_src.element_of(name)),))
-
-
 # ---------------------------------------------------------------------------
 # lifting properties
 

@@ -840,11 +840,6 @@ class Colimit:
         return SimpMap(self.space, target, assignment)
 
 
-def disjoint_union(x: FinSimpSet, y: FinSimpSet):
-    col = Colimit([x, y], [])
-    return col.space, col.coprojection(0), col.coprojection(1)
-
-
 def pushout(f: SimpMap, g: SimpMap, pointed_at=None):
     """Pushout of X <-f- A -g-> Y; returns the Colimit (space, coprojections
     via .coprojection(1) for X and .coprojection(2) for Y)."""

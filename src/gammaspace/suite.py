@@ -237,7 +237,7 @@ def check_cocartesian() -> Verdict:
 def check_sm_qcat() -> Verdict:
     level_cap = 2
     m = corpus.z2_monoid_space(level_cap)
-    ginp = gamma_diagram_input(level_cap, m.value, m.action)
+    ginp = gamma_diagram_input(m, level_cap)
 
     def parts():
         # the diagram verdict must hold, so agreeing with it means holding too
@@ -247,7 +247,7 @@ def check_sm_qcat() -> Verdict:
                 yield f"level check at ({k},{l})", segal_check(m, k, l, tier="iso")
         g1 = gamma_rep(1).tabulate(level_cap)
         yield "rep1 diagram should fail", negate(
-            sm_qcat_check(gamma_diagram_input(level_cap, g1.value, g1.action), 1, 1))
+            sm_qcat_check(gamma_diagram_input(g1, level_cap), 1, 1))
 
     return conjoin("monoid passes, rep1 fails, agrees with level check", parts())
 

@@ -97,10 +97,6 @@ class Verdict:
     def holds(self) -> bool:
         return self.status == HOLDS
 
-    @property
-    def fails(self) -> bool:
-        return self.status == FAILS
-
     def contradicts(self, other: "Verdict") -> bool:
         """Both verdicts are decided and they differ: two routes to one fact
         disagree.  An undecided verdict contradicts nothing."""

@@ -65,6 +65,7 @@ from gammaspace.simplicial import (
     identity_map,
     iso_check,
 )
+from gammaspace.verdicts import FAILS
 
 
 class ceiling:
@@ -177,7 +178,7 @@ def test_criterion_5_segal_characterization():
             for l in range(7 - k):
                 assert segal_check(m, k, l, tier="iso").holds, (k, l)
         v = segal_check(gamma_rep(1).tabulate(2), 1, 1, tier="iso")
-        assert v.fails
+        assert v.status == FAILS
         assert v.witness["source"] == [3] and v.witness["target"] == [4]
 
 
@@ -293,7 +294,7 @@ def test_criterion_9_sm_qcat_verdict():
                 assert v.holds, (k, l)
                 assert segal_check(m, k, l, tier="iso").status == v.status
         v = sm_qcat_check(g1, 1, 1, tier="iso")
-        assert v.fails
+        assert v.status == FAILS
         assert segal_check(g1, 1, 1, tier="iso").status == v.status
 
 

@@ -46,12 +46,10 @@ def test_convolve_and_map_space_and_internal_hom(tmp_path, capsys):
     assert report["outputs"]["hom"]["level_bound"] == 1
 
 
-def test_normalize_ho_cat_mark(tmp_path, capsys):
+def test_normalize_and_mark(tmp_path, capsys):
     fam = write(tmp_path, "fam.json", jsonio.tabulated_to_json(z2_monoid_space(1)))
     report = run_ok(capsys, "normalize", fam)
     assert report["outputs"]["normalized"]["values"]["0"]["cells"]["0"]
-    report = run_ok(capsys, "ho-cat", fam)
-    assert len(report["outputs"]["category"]["objects"]) == 2
     shape = write(tmp_path, "d1.json",
                   jsonio.simpset_to_json(standard_simplex(1)))
     report = run_ok(capsys, "mark", shape, "--kind", "sharp")

@@ -8,6 +8,7 @@ import pytest
 
 import test_cocart_golden
 from test_catcore import iso_class_count
+from test_simplicial import disjoint_union
 from gammaspace import cocart, shapes
 from gammaspace.catcore import (
     CatFunctor,
@@ -26,7 +27,6 @@ from gammaspace.cocart import (
     gamma_subcategory,
     hom_over_base,
     nelg,
-    over_base_maps,
     r_plus_level,
     relative_nerve,
     sm_qcat_check,
@@ -34,7 +34,8 @@ from gammaspace.cocart import (
 )
 from gammaspace.corpus import z2_monoid_space
 from gammaspace.gspace import gamma_rep, segal_check
-from gammaspace.marked import MarkedSimpSet, mark, marked_product, marked_hom_set, hom_marked
+from gammaspace.marked import (
+    MarkedSimpSet, mark, marked_product, marked_hom_set, hom_marked, preserves_marking)
 from gammaspace.nerve import nerve
 from gammaspace.shapes import horn, standard_point, standard_simplex
 from gammaspace.simplicial import (
@@ -43,12 +44,13 @@ from gammaspace.simplicial import (
     SimpMap,
     constant_map,
     delta_tuple,
+    hom_set,
     identity_map,
     inclusion_map,
     iso_check,
     sigma_tuple,
 )
-from gammaspace.verdicts import INCONCLUSIVE, Budget
+from gammaspace.verdicts import FAILS, INCONCLUSIVE, Budget
 
 
 def constant_input(base, value):
@@ -144,25 +146,23 @@ def test_missing_lift_detected():
     base = poset_category(1)
     nb = nerve(base, bound=2)
     pt = standard_point(bound=2)
-    two_fibers, c1, c2 = __import__(
-        "gammaspace.simplicial", fromlist=["disjoint_union"]
-    ).disjoint_union(pt, pt)
+    two_fibers, c1, c2 = disjoint_union(pt, pt)
     proj = SimpMap(two_fibers, nb, {
         (0, c1.assignment[(0, "0")].base): SimplexRef("o0"),
         (0, c2.assignment[(0, "0")].base): SimplexRef("o1"),
     })
     detected, verdict, _ = cocartesian_edges(two_fibers, proj, 2)
-    assert verdict.fails and verdict.witness["base_edge"] == "le01"
+    assert verdict.status == FAILS and verdict.witness["base_edge"] == "le01"
 
 
 def test_sm_qcat_check_and_agreement():
     m = z2_monoid_space(2)
-    ginp = gamma_diagram_input(2, m.value, m.action)
+    ginp = gamma_diagram_input(m, 2)
     v = sm_qcat_check(ginp, 1, 1, tier="iso")
     assert v.holds
     g1 = gamma_rep(1).tabulate(2)
-    v2 = sm_qcat_check(gamma_diagram_input(2, g1.value, g1.action), 1, 1)
-    assert v2.fails
+    v2 = sm_qcat_check(gamma_diagram_input(g1, 2), 1, 1)
+    assert v2.status == FAILS
     assert segal_check(m, 1, 1, "iso").status == v.status
     assert segal_check(g1, 1, 1, "iso").status == v2.status
     with pytest.raises(UnsupportedInputError):
@@ -180,7 +180,7 @@ def test_fibration_verdict_over_based_set_base():
     # base is a fibration in the verified range, and its verdict agrees
     # with the fiberwise comparison
     m = z2_monoid_space(1)
-    ginp = gamma_diagram_input(1, m.value, m.action)
+    ginp = gamma_diagram_input(m, 1)
     rn = relative_nerve(ginp, 2)
     for o in ginp.base.objects:
         assert rn.fiber_comparison(o).holds
@@ -195,7 +195,7 @@ def test_upsilon_locality_counts_on_monoid_marking():
     # out of the level-(k+l) nerve with pairs, here 4 = 2 x 2, with the
     # level-0 nerve seeing exactly one map
     m = z2_monoid_space(2)
-    ginp = gamma_diagram_input(2, m.value, m.action)
+    ginp = gamma_diagram_input(m, 2)
     rn = relative_nerve(ginp, 2)
     marking = OverObject(MarkedSimpSet(rn.total, rn.total.cell_ids(1)), rn.proj)
     counts = {}
@@ -238,16 +238,27 @@ def test_upsilon_is_a_map_over_the_base(monkeypatch, k, l):
     cmp, src, tgt = upsilon(k, l, 2)
     assert len(functors) == 2
     cmp.validate()
-    src.validate()
-    tgt.validate()
+    src.proj.validate()
+    tgt.proj.validate()
     assert cmp.then(tgt.proj) == src.proj
 
 
 def test_nelg_and_cotensor_build_over_objects():
     for k in (0, 1, 2):
-        nelg(k, 2)[0].validate()
+        nelg(k, 2)[0].proj.validate()
     over, _, _ = nelg(1, 1, dim_cap=1)
-    cotensor_over_base(over, standard_simplex(1), dim_cap=1)[0].validate()
+    cotensor_over_base(over, standard_simplex(1), dim_cap=1)[0].proj.validate()
+
+
+def over_base_maps(x: OverObject, y: OverObject):
+    """The marked maps x -> y commuting with the projections, by one
+    search; the fiber constraint prunes it cell by cell."""
+    marking = preserves_marking(x.marked, y.marked)
+
+    def constraint(n, name, ref):
+        return marking(n, name, ref) and y.proj(ref, n) == x.proj(SimplexRef(name), n)
+
+    return hom_set(x.marked.underlying, y.marked.underlying, constraint=constraint)
 
 
 def test_hom_over_base_identity_and_point_base():
@@ -297,7 +308,7 @@ def test_r_plus_of_naturally_marked_nerve_recovers_fibers():
     from gammaspace.nerve import tau1
 
     m = z2_monoid_space(1)
-    ginp = gamma_diagram_input(1, m.value, m.action)
+    ginp = gamma_diagram_input(m, 1)
     rn = relative_nerve(ginp, 2)
     detected, verdict, marking = cocartesian_edges(rn.total, rn.proj, 2)
     assert verdict.holds and len(detected) == 5
@@ -445,7 +456,7 @@ def test_a_horn_filler_must_lie_over_the_bottom_simplex():
             if w.key() == u.key() and tau == SimplexRef("t2")] == [False]
     assert shapes._find_lift(i, p, u, v, Budget()) is None
     edges, verdict, _ = cocartesian_edges(x, p, 2)
-    assert edges == ["g", "h"] and verdict.fails
+    assert edges == ["g", "h"] and verdict.status == FAILS
 
 
 def test_a_base_truncated_below_the_edge_search_is_refused():

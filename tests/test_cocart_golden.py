@@ -60,7 +60,7 @@ def _relative_nerve_cases():
 
     def monoid_level1():
         m = z2_monoid_space(1)
-        return _relative_nerve(gamma_diagram_input(1, m.value, m.action))
+        return _relative_nerve(gamma_diagram_input(m, 1))
 
     def point_into_interval():
         pt, d1 = standard_point(bound=2), standard_simplex(1).rebound(2)

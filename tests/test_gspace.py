@@ -64,7 +64,7 @@ from gammaspace.simplicial import (
     product_map,
 )
 from gammaspace.marked import gamma_flat
-from gammaspace.verdicts import HOLDS, INCONCLUSIVE, Budget, ResourceError
+from gammaspace.verdicts import FAILS, HOLDS, INCONCLUSIVE, Budget, ResourceError
 from test_simplicial import component_ref
 
 
@@ -367,7 +367,7 @@ def test_segal_cat_equiv_downgrades_on_non_nerve_level():
         for l in range(3 - k):
             assert segal_check(m, k, l, tier="iso").holds
     v = segal_check(gamma_rep(1).tabulate(3), 1, 1, tier="iso")
-    assert v.fails and v.witness["source"] == [3] and v.witness["target"] == [4]
+    assert v.status == FAILS and v.witness["source"] == [3] and v.witness["target"] == [4]
     assert segal_check(terminal_gamma_space(3), 1, 1, tier="iso").holds
     # the discrete family is nerve-valued, so the category tier applies
     assert segal_check(m, 1, 1, tier="cat-equiv").holds
@@ -464,6 +464,18 @@ def test_segal_cat_equiv_tier_on_nerve_valued_family():
                 assert segal_check(x, k, l, tier="ho-necessary").holds
 
 
+@pytest.mark.parametrize("name,x", tabulated_corpus(2),
+                         ids=[name for name, _ in tabulated_corpus(2)])
+def test_a_normalized_level_is_read_as_a_nerve(name, x):
+    # a normalized level is pointed, so it is compared with the nerve of its
+    # tau1 pointed at the basepoint's object: the category tier applies to
+    # the normalized family as to the family itself (normalizing collapses
+    # the constant interval to a point, so only rep1 fails)
+    v = segal_check(normalize(x)[0], 1, 1, tier="cat-equiv")
+    assert v.tier == "cat-equiv" and "downgraded" not in v.details
+    assert v.status == (FAILS if name == "rep1" else HOLDS)
+
+
 def test_segal_transport_to_smash_precomposition():
     m = z2_monoid_space(6)
     pre = precompose_smash(m, 2)
@@ -474,7 +486,7 @@ def test_segal_transport_to_smash_precomposition():
 
 
 def test_homotopy_category():
-    # the homotopy category of a family is tau1 of its level 1 (`ho-cat`)
+    # the homotopy category of a family is tau1 of its level 1
     from gammaspace.catcore import poset_category
     from gammaspace.nerve import nerve, tau1
 
@@ -556,7 +568,7 @@ def test_trivial_fibration_two_routes():
         {n: SimpMap(one, two, {(0, "a"): SimplexRef("a")}) for n in range(3)},
     )
     v2 = trivial_fibration_check(inc, level_cap=1, dim_cap=1)
-    assert v2.fails and v2.witness["dim"] == 0
+    assert v2.status == FAILS and v2.witness["dim"] == 0
 
 
 def test_trivial_fibration_under_every_budget_is_never_a_false_verdict():

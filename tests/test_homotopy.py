@@ -12,8 +12,9 @@ from gammaspace.catcore import (
 from gammaspace.corpus import category_corpus, iso_with_tail_category
 from gammaspace.homotopy import h_map_space, j_qcat, restricted_exp
 from gammaspace.nerve import edge_is_invertible, nerve, nerve_functor_map, tau1, tau1_functor
-from gammaspace.shapes import Exponential, exponential_map, standard_point, standard_simplex
+from gammaspace.shapes import Exponential, standard_point, standard_simplex
 from gammaspace.simplicial import SimplexRef, full_sub_on_vertices, hom_set, iso_check
+from test_shapes import exponential_map
 
 
 def test_j_basics():

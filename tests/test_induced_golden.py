@@ -13,7 +13,8 @@ built from them):
   verdicts;
 - `internal_hom(...).action(g).key()` for every based map g between levels
   <= 2;
-- `_mapping_space_induced` on a normalization unit, and `exponential_map`.
+- `_mapping_space_induced` on a normalization unit, and `exponential_map`
+  (the helper of tests/test_shapes.py).
 
 Any change to an assignment of one of these maps moves a digest.  To print
 the digests of the current code:
@@ -48,12 +49,12 @@ from gammaspace.gspace import (
 from gammaspace.jsonio import canonical_dumps
 from gammaspace.shapes import (
     Exponential,
-    exponential_map,
     standard_point,
     standard_simplex,
 )
 from gammaspace.simplicial import SimplexRef, SimpMap
 from gammaspace.verdicts import Budget
+from test_shapes import exponential_map
 
 LEVELS = range(3)
 

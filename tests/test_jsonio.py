@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gammaspace import jsonio, suite
 from gammaspace.catcore import poset_category, terminal_category, walking_iso_category
-from gammaspace.cocart import OverObject
+from gammaspace.cocart import OverObject, nelg
 from gammaspace.corpus import glued_presentation, presented_corpus, z2_monoid_space
 from gammaspace.gammaop import GammaMorphism, enumerate_homs
 from gammaspace.marked import mark
@@ -18,6 +18,7 @@ from gammaspace.nerve import nerve
 from gammaspace.shapes import boundary, sphere_zero, standard_point, standard_simplex
 from gammaspace.gspace import all_morphisms_upto, gamma_rep
 from gammaspace.simplicial import SimplexRef, SimpMap, constant_map, identity_map, iso_check
+from test_cli import _gamma_relative_blob
 
 
 def test_simpset_round_trip_bit_exact():
@@ -140,6 +141,25 @@ def test_a_load_validates_each_listed_map_once(monkeypatch, generated):
     gens = _level_three_generators()
     x = z2_monoid_space(3)
     blob = _listing(x, gens) if generated else jsonio.tabulated_to_json(x)
+    validated = _counted_validations(monkeypatch)
+    jsonio.tabulated_from_json(blob)
+    assert len(validated) == len(blob["action"]) == (len(gens) if generated else 144)
+
+
+@pytest.mark.parametrize("kind,count", [("relative_input", 23), ("over_object", 1)])
+def test_a_diagram_load_validates_each_map_once(monkeypatch, kind, count):
+    # each map is validated as it is read, and the diagram's laws validate
+    # none again: the 23 arrows of the level-2 Z/2 diagram over the based-set
+    # base, and the projection of an over-object
+    blob = (_gamma_relative_blob() if kind == "relative_input"
+            else jsonio.over_object_to_json(nelg(1, 1)[0]))
+    validated = _counted_validations(monkeypatch)
+    getattr(jsonio, f"{kind}_from_json")(blob)
+    assert len(validated) == count
+
+
+def _counted_validations(monkeypatch):
+    """The list of the maps that `SimpMap.validate` checks from now on."""
     validated = []
     validate = SimpMap.validate
 
@@ -148,8 +168,7 @@ def test_a_load_validates_each_listed_map_once(monkeypatch, generated):
         return validate(self, *args, **kwargs)
 
     monkeypatch.setattr(SimpMap, "validate", counted)
-    jsonio.tabulated_from_json(blob)
-    assert len(validated) == len(blob["action"]) == (len(gens) if generated else 144)
+    return validated
 
 
 @pytest.mark.parametrize("load", [

@@ -51,11 +51,11 @@ from gammaspace.simplicial import (
     SimpMap,
     constant_map,
     discrete_set,
-    disjoint_union,
     identity_map,
     inclusion_map,
 )
 from gammaspace.verdicts import Budget
+from test_simplicial import disjoint_union
 
 
 def _verdict(v):
@@ -171,7 +171,7 @@ def _cocart_cases():
 
     def monoid_level1():
         m = z2_monoid_space(1)
-        rn = relative_nerve(gamma_diagram_input(1, m.value, m.action), 2)
+        rn = relative_nerve(gamma_diagram_input(m, 1), 2)
         return _edges(rn.total, rn.proj, 2)
 
     def point_into_interval():

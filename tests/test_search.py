@@ -36,7 +36,6 @@ from gammaspace.simplicial import (
     _face_images,
     apply_word,
     constant_map,
-    disjoint_union,
     hom_set,
     identity_map,
     inclusion_map,
@@ -45,6 +44,7 @@ from gammaspace.simplicial import (
     product,
 )
 from gammaspace.verdicts import Budget, BudgetExceededError, backtrack
+from test_simplicial import disjoint_union
 
 sources = st.sampled_from(
     [standard_simplex(1), boundary(2), horn(2, 1), standard_simplex(2)])

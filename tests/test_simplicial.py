@@ -31,7 +31,6 @@ from gammaspace.simplicial import (
     constant_map,
     delta_tuple,
     discrete_set,
-    disjoint_union,
     face_word,
     factor_monotone,
     from_elements,
@@ -50,6 +49,7 @@ from gammaspace.simplicial import (
     _constraint_order,
     _face_images,
 )
+from gammaspace.verdicts import FAILS
 
 
 def monotone_maps(m, n):
@@ -207,14 +207,14 @@ def test_iso_check_witnesses():
     v = iso_check(d1, standard_simplex(1))
     assert v.holds and v.witness.is_iso()
     v2 = iso_check(d1, boundary(2))
-    assert v2.fails
+    assert v2.status == FAILS
     # same counts, different structure: two disjoint edges vs glued edges
     pt = standard_point()
     a0 = SimpMap(pt, d1, {(0, "0"): SimplexRef("1")})
     a1 = SimpMap(pt, d1, {(0, "0"): SimplexRef("0")})
     spine = Colimit([pt, d1, d1], [(0, 1, a0), (0, 2, a1)]).space
     du = disjoint_union(d1, d1)[0]
-    assert iso_check(spine, du).fails
+    assert iso_check(spine, du).status == FAILS
 
 
 def test_iso_check_reads_a_truncated_side_up_to_its_bound():
@@ -227,7 +227,7 @@ def test_iso_check_reads_a_truncated_side_up_to_its_bound():
                        2: {"t": (SimplexRef("1", (0,)), edge, edge)}},
                    complete=False).validate()
     for v, counts in ((iso_check(d1, x), [0, 1]), (iso_check(x, d1), [1, 0])):
-        assert v.fails and v.checked == "dims<=2"
+        assert v.status == FAILS and v.checked == "dims<=2"
         assert v.witness == {"dim": 2, "counts": counts}
 
 
@@ -1106,6 +1106,12 @@ def test_presented_levels_match_all_refs_oracle(name, p):
             built = got.mediating(leg_of, target).key()
             assert built == want.mediating(leg_of, target).key()
             assert p.action_map(g).key() == built
+
+
+def disjoint_union(x, y):
+    """The binary coproduct x + y with its two coprojections."""
+    col = Colimit([x, y], [])
+    return col.space, col.coprojection(0), col.coprojection(1)
 
 
 def component_ref(p, cell_index, h, ref, ref_dim, n):
