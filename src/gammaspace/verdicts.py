@@ -93,10 +93,6 @@ class Verdict:
     tier: str | None = None
     details: dict = field(default_factory=dict)
 
-    @property
-    def holds(self) -> bool:
-        return self.status == HOLDS
-
     def contradicts(self, other: "Verdict") -> bool:
         """Both verdicts are decided and they differ: two routes to one fact
         disagree.  An undecided verdict contradicts nothing."""

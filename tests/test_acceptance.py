@@ -65,7 +65,7 @@ from gammaspace.simplicial import (
     identity_map,
     iso_check,
 )
-from gammaspace.verdicts import FAILS
+from gammaspace.verdicts import FAILS, HOLDS
 
 
 class ceiling:
@@ -118,17 +118,17 @@ def test_criterion_2_day_convolution_monoid_laws():
         names = dict(presented_corpus())
         assert len(names) >= 10
         for name, p in names.items():
-            assert day_unit_comparison(p, range(7)).holds, name
+            assert day_unit_comparison(p, range(7)).status == HOLDS, name
         sym_pairs = [("rep1", "rep2"), ("rep2", "rep2"),
                      ("rep1-interval", "rep2"), ("rep1+rep1", "rep1"),
                      ("rep1-two-points", "rep1-interval")]
         for a, b in sym_pairs:
-            assert day_symmetry_comparison(names[a], names[b], range(7)).holds, (a, b)
+            assert day_symmetry_comparison(names[a], names[b], range(7)).status == HOLDS, (a, b)
         assoc_triples = [("rep1", "rep1", "rep2"), ("rep1", "rep2", "rep2"),
                          ("rep0", "rep2", "rep1"), ("rep1", "rep1-interval", "rep1"),
                          ("rep1+rep1", "rep1", "rep1")]
         for a, b, c in assoc_triples:
-            assert day_assoc_comparison(names[a], names[b], names[c], range(7)).holds
+            assert day_assoc_comparison(names[a], names[b], names[c], range(7)).status == HOLDS
         oracle_cases = [
             (names["rep1"], [1], names["rep1"], [1]),
             (names["rep1"], [1], names["rep2"], [2]),
@@ -139,7 +139,7 @@ def test_criterion_2_day_convolution_monoid_laws():
             tp, tq = p.tabulate(6), q.tabulate(6)
             for level in range(3):
                 oracle = day_coend_oracle(tp, tq, pl, ql, level)
-                assert iso_check(oracle, day_convolve(p, q).evaluate(level)).holds
+                assert iso_check(oracle, day_convolve(p, q).evaluate(level)).status == HOLDS
 
 
 def test_criterion_3_yoneda_and_tensor_hom():
@@ -147,7 +147,7 @@ def test_criterion_3_yoneda_and_tensor_hom():
         for name, y in tabulated_corpus(6):
             for n in range(7):
                 _, v = yoneda_comparison(n, y, dim_cap=1)
-                assert v.holds, (name, n)
+                assert v.status == HOLDS, (name, n)
         y = z2_monoid_space(6)
         for name, p in presented_corpus()[:4]:
             for n in (1, 2, 3):
@@ -168,7 +168,7 @@ def test_criterion_4_internal_hom_is_smash_precomposition():
             for n in range(4):
                 cap = 2 if n <= 1 else 6 // n
                 v = smash_precompose_comparison(x, n, level_cap=cap)
-                assert v.holds, (name, n, v.witness)
+                assert v.status == HOLDS, (name, n, v.witness)
 
 
 def test_criterion_5_segal_characterization():
@@ -176,7 +176,7 @@ def test_criterion_5_segal_characterization():
         m = z2_monoid_space(6)
         for k in range(7):
             for l in range(7 - k):
-                assert segal_check(m, k, l, tier="iso").holds, (k, l)
+                assert segal_check(m, k, l, tier="iso").status == HOLDS, (k, l)
         v = segal_check(gamma_rep(1).tabulate(2), 1, 1, tier="iso")
         assert v.status == FAILS
         assert v.witness["source"] == [3] and v.witness["target"] == [4]
@@ -198,7 +198,7 @@ def test_criterion_6_normalization_adjunction():
         nor_y, _ = normalize(max_monoid_space(2))
         pointed, _ = mapping_space_tabulated(nor_x, nor_y, 2, 1, pointed=True)
         plain, _ = mapping_space_tabulated(nor_x, nor_y, 2, 1, pointed=False)
-        assert iso_check(pointed, plain).holds
+        assert iso_check(pointed, plain).status == HOLDS
 
 
 def _def_data_edge_oracle(inp):
@@ -227,7 +227,7 @@ def test_criterion_7_relative_nerve():
             {f: identity_map(pt) for f in base.arrow_ids()},
         ).validate()
         rn0 = relative_nerve(constant, 2)
-        assert iso_check(rn0.total, rn0.base_nerve).holds
+        assert iso_check(rn0.total, rn0.base_nerve).status == HOLDS
 
         nw = nerve(walking_iso_category(), bound=2)
         n1 = nerve(poset_category(1), bound=2)
@@ -249,7 +249,7 @@ def test_criterion_7_relative_nerve():
         for inp in inputs:
             rn = relative_nerve(inp, 2)
             for o in inp.base.objects:
-                assert rn.fiber_comparison(o).holds, o
+                assert rn.fiber_comparison(o).status == HOLDS, o
             assert len(rn.total.refs(1)) == _def_data_edge_oracle(inp)
         # frozen inventory for the two-vertex example: 3 vertices, 3 edges
         rn1 = relative_nerve(inputs[0], 2)
@@ -268,7 +268,7 @@ def test_criterion_8_cocartesian_detection():
              "le01": identity_map(nw)},
         ).validate()
         v = cocartesian_cross_check(relative_nerve(small, 3), 3)
-        assert v.holds, v.witness
+        assert v.status == HOLDS, v.witness
 
         base3 = poset_category(2)
         mixed = RelativeNerveInput(
@@ -281,7 +281,7 @@ def test_criterion_8_cocartesian_detection():
              "le02": constant_map(nw, n1, "o0")},
         ).validate()
         v = cocartesian_cross_check(relative_nerve(mixed, 3), 3)
-        assert v.holds, v.witness
+        assert v.status == HOLDS, v.witness
 
 
 def test_criterion_9_sm_qcat_verdict():
@@ -291,7 +291,7 @@ def test_criterion_9_sm_qcat_verdict():
         for k in range(1, 4):
             for l in range(1, 5 - k):
                 v = sm_qcat_check(m, k, l, tier="iso")
-                assert v.holds, (k, l)
+                assert v.status == HOLDS, (k, l)
                 assert segal_check(m, k, l, tier="iso").status == v.status
         v = sm_qcat_check(g1, 1, 1, tier="iso")
         assert v.status == FAILS
@@ -315,17 +315,17 @@ def test_criterion_10_appendix_suite():
 
         for name, cat in category_corpus():
             sub, _ = max_subgroupoid(cat)
-            assert iso_check(j_qcat(nerve(cat, bound=2)), nerve(sub, bound=2)).holds
+            assert iso_check(j_qcat(nerve(cat, bound=2)), nerve(sub, bound=2)).status == HOLDS
 
         for cn, c in category_corpus():
             for dn, d in category_corpus():
                 expo = Exponential(nerve(c, bound=2), nerve(d, bound=2))
                 fc, _, _ = functor_category(d, c)
-                assert iso_check(expo.space, nerve(fc, bound=2)).holds, (cn, dn)
+                assert iso_check(expo.space, nerve(fc, bound=2)).status == HOLDS, (cn, dn)
 
         for name, x in pointed_corpus():
             sm, _ = smash(x, sphere_zero(bound=x.dim_bound))
-            assert iso_check(sm, x).holds, name
+            assert iso_check(sm, x).status == HOLDS, name
             smp, _ = smash(x, pointed_point(bound=x.dim_bound))
             assert smp.cell_count(0) == 1
             assert all(smp.cell_count(n) == 0 for n in range(1, smp.dim_bound + 1))

@@ -50,7 +50,7 @@ from gammaspace.simplicial import (
     iso_check,
     sigma_tuple,
 )
-from gammaspace.verdicts import FAILS, INCONCLUSIVE, Budget
+from gammaspace.verdicts import FAILS, HOLDS, INCONCLUSIVE, Budget
 
 
 def constant_input(base, value):
@@ -64,7 +64,7 @@ def constant_input(base, value):
 def test_constant_diagram_collapses():
     base = poset_category(1)
     rn = relative_nerve(constant_input(base, standard_point(bound=2)), 2)
-    assert iso_check(rn.total, rn.base_nerve).holds
+    assert iso_check(rn.total, rn.base_nerve).status == HOLDS
     rn.proj.validate()
 
 
@@ -104,13 +104,13 @@ def test_fiber_theorem():
     ).validate()
     rn = relative_nerve(inp, 2)
     for o in base.objects:
-        assert rn.fiber_comparison(o).holds
+        assert rn.fiber_comparison(o).status == HOLDS
 
 
 def test_cocartesian_identity_projection():
     nb = nerve(poset_category(1), bound=2)
     detected, verdict, marking = cocartesian_edges(nb, identity_map(nb), 2)
-    assert verdict.holds
+    assert verdict.status == HOLDS
     assert set(detected) == set(nb.cell_ids(1))
     assert marking.marked.marked == frozenset(detected)
 
@@ -126,9 +126,9 @@ def test_cocartesian_cross_check_and_composability():
     ).validate()
     rn = relative_nerve(inp, 2)
     v = cocartesian_cross_check(rn, 2)
-    assert v.holds
+    assert v.status == HOLDS
     detected, verdict, _ = cocartesian_edges(rn.total, rn.proj, 2)
-    assert verdict.holds
+    assert verdict.status == HOLDS
     # composability: any 2-simplex with two detected short edges has a
     # detected long edge
     for t in rn.total.cell_ids(2):
@@ -159,7 +159,7 @@ def test_sm_qcat_check_and_agreement():
     m = z2_monoid_space(2)
     ginp = gamma_diagram_input(m, 2)
     v = sm_qcat_check(ginp, 1, 1, tier="iso")
-    assert v.holds
+    assert v.status == HOLDS
     g1 = gamma_rep(1).tabulate(2)
     v2 = sm_qcat_check(gamma_diagram_input(g1, 2), 1, 1)
     assert v2.status == FAILS
@@ -183,9 +183,9 @@ def test_fibration_verdict_over_based_set_base():
     ginp = gamma_diagram_input(m, 1)
     rn = relative_nerve(ginp, 2)
     for o in ginp.base.objects:
-        assert rn.fiber_comparison(o).holds
+        assert rn.fiber_comparison(o).status == HOLDS
     detected, verdict, marking = cocartesian_edges(rn.total, rn.proj, 2)
-    assert verdict.holds
+    assert verdict.status == HOLDS
     assert marking.marked.marked == frozenset(detected)
 
 
@@ -273,7 +273,7 @@ def test_hom_over_base_identity_and_point_base():
     yo = OverObject(mark(d1, "sharp"), constant_map(d1, npt, "o*"))
     fp, _ = hom_over_base(xo, yo, "flat", dim_cap=1)
     _, fp2, _ = hom_marked(mark(d1, "flat"), mark(d1, "sharp"), dim_cap=1)
-    assert iso_check(fp, fp2).holds
+    assert iso_check(fp, fp2).status == HOLDS
 
 
 def test_cotensor_adjunction():
@@ -311,7 +311,7 @@ def test_r_plus_of_naturally_marked_nerve_recovers_fibers():
     ginp = gamma_diagram_input(m, 1)
     rn = relative_nerve(ginp, 2)
     detected, verdict, marking = cocartesian_edges(rn.total, rn.proj, 2)
-    assert verdict.holds and len(detected) == 5
+    assert verdict.status == HOLDS and len(detected) == 5
     for k, points in ((0, 1), (1, 2)):
         level = r_plus_level(marking, k, 1, dim_cap=2)
         fiber = rn.fiber(str(k))
@@ -357,7 +357,7 @@ def test_cross_check_is_inconclusive_when_the_edge_search_runs_out():
     assert v.status == INCONCLUSIVE
     assert "budget of 10 exceeded" in v.witness
     full = cocartesian_cross_check(rn, 2)
-    assert full.holds and full.details["cocartesian"] == full.details["edges"] == 8
+    assert full.status == HOLDS and full.details["cocartesian"] == full.details["edges"] == 8
 
 
 # -- transport along an operator, planned once ---------------------------------

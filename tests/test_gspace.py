@@ -6,7 +6,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gammaspace import gspace, jsonio, nerve
+from gammaspace import gspace, jsonio, nerve, shapes
+from gammaspace.catcore import FinCat, cyclic_group_category
 from gammaspace.corpus import (
     glued_presentation,
     presented_corpus,
@@ -22,6 +23,7 @@ from gammaspace.gammaop import (
     smash_gamma,
 )
 from gammaspace.gspace import (
+    _is_nerve_like,
     _mapping_space_induced,
     all_morphisms_upto,
     GammaMappingSpace,
@@ -64,7 +66,9 @@ from gammaspace.simplicial import (
     product_map,
 )
 from gammaspace.marked import gamma_flat
-from gammaspace.verdicts import FAILS, HOLDS, INCONCLUSIVE, Budget, ResourceError
+from gammaspace.verdicts import (
+    FAILS, HOLDS, INCONCLUSIVE, Budget, BudgetExceededError, ResourceError,
+)
 from test_simplicial import component_ref
 
 
@@ -88,17 +92,17 @@ def test_day_convolution_representables():
     for n in range(5):
         lhs = conv.evaluate(n)
         assert lhs.cell_count(0) == (n + 1) ** 6
-        assert iso_check(lhs, gamma_rep(6).evaluate(n)).holds
+        assert iso_check(lhs, gamma_rep(6).evaluate(n)).status == HOLDS
     assert day_convolve(gamma_rep(1), gamma_rep(1)).evaluate(2).cell_count(0) == 3
 
 
 def test_day_laws_on_corpus():
     names = dict(presented_corpus())
     for name, p in names.items():
-        assert day_unit_comparison(p, range(4)).holds, name
-    assert day_symmetry_comparison(names["rep1"], names["rep2"], range(4)).holds
+        assert day_unit_comparison(p, range(4)).status == HOLDS, name
+    assert day_symmetry_comparison(names["rep1"], names["rep2"], range(4)).status == HOLDS
     assert day_assoc_comparison(names["rep1"], names["rep1"],
-                                names["rep1-interval"], range(3)).holds
+                                names["rep1-interval"], range(3)).status == HOLDS
 
 
 def test_coend_oracle_matches_bilinear():
@@ -112,7 +116,7 @@ def test_coend_oracle_matches_bilinear():
         tp, tq = p.tabulate(6), q.tabulate(6)
         for n in range(3):
             oracle = day_coend_oracle(tp, tq, pl, ql, n)
-            assert iso_check(oracle, day_convolve(p, q).evaluate(n)).holds
+            assert iso_check(oracle, day_convolve(p, q).evaluate(n)).status == HOLDS
 
 
 # -- the evaluation as the colimit of its shapes -------------------------------
@@ -299,7 +303,7 @@ def test_coend_oracle_matches_span_form():
         for n in range(3):
             new = day_coend_oracle(tp, tq, pl, ql, n)
             old = _span_coend_oracle(tp, tq, pl, ql, n)
-            assert new.summary() == old.summary() and iso_check(new, old).holds
+            assert new.summary() == old.summary() and iso_check(new, old).status == HOLDS
             assert jsonio.simpset_to_json(new) == jsonio.simpset_to_json(old)
 
 
@@ -307,7 +311,7 @@ def test_yoneda():
     for name, y in tabulated_corpus(3):
         for n in range(4):
             _, v = yoneda_comparison(n, y, dim_cap=1)
-            assert v.holds, (name, n)
+            assert v.status == HOLDS, (name, n)
 
 
 def test_mapping_space_of_coproduct_is_product():
@@ -336,7 +340,7 @@ def test_smash_precompose_identities():
     for k in range(3):
         assert const.value(k) is m.value(0)
     for n in range(3):
-        assert smash_precompose_comparison(m, n, level_cap=2).holds
+        assert smash_precompose_comparison(m, n, level_cap=2).status == HOLDS
     # the rep-1 family: (rep1 smash-precomposed by 2)(k) has 2k+1 points
     g1 = gamma_rep(1).tabulate(6)
     pre = precompose_smash(g1, 2)
@@ -365,24 +369,31 @@ def test_segal_cat_equiv_downgrades_on_non_nerve_level():
     m = z2_monoid_space(4)
     for k in range(3):
         for l in range(3 - k):
-            assert segal_check(m, k, l, tier="iso").holds
+            assert segal_check(m, k, l, tier="iso").status == HOLDS
     v = segal_check(gamma_rep(1).tabulate(3), 1, 1, tier="iso")
     assert v.status == FAILS and v.witness["source"] == [3] and v.witness["target"] == [4]
-    assert segal_check(terminal_gamma_space(3), 1, 1, tier="iso").holds
+    assert segal_check(terminal_gamma_space(3), 1, 1, tier="iso").status == HOLDS
     # the discrete family is nerve-valued, so the category tier applies
-    assert segal_check(m, 1, 1, tier="cat-equiv").holds
-    assert segal_check(m, 1, 1, tier="ho-necessary").holds
+    assert segal_check(m, 1, 1, tier="cat-equiv").status == HOLDS
+    assert segal_check(m, 1, 1, tier="ho-necessary").status == HOLDS
 
 
-def test_segal_cat_equiv_propagates_an_error_inside_tau1(monkeypatch):
+def test_segal_cat_equiv_propagates_an_error_inside_the_horn_search(monkeypatch):
     # an error inside the nerve test is not a verdict that the level is not
     # a nerve: it reaches the caller instead of a downgraded `holds`
-    def broken(_s):
-        raise RuntimeError("tau1 broke")
+    def broken(*_args):
+        raise RuntimeError("horn search broke")
 
-    monkeypatch.setattr(gspace, "tau1", broken)
-    with pytest.raises(RuntimeError, match="tau1 broke"):
-        segal_check(z2_monoid_space(2), 1, 1, tier="cat-equiv")
+    monkeypatch.setattr(shapes, "_horn_squares", broken)
+    with pytest.raises(RuntimeError, match="horn search broke"):
+        segal_check(group_power_space(2), 1, 1, tier="cat-equiv")
+
+
+def test_segal_cat_equiv_propagates_a_spent_budget_of_the_nerve_test(monkeypatch):
+    # a spent budget is not a verdict that the level is not a nerve either
+    monkeypatch.setattr(gspace, "Budget", lambda: Budget(1))
+    with pytest.raises(BudgetExceededError):
+        segal_check(group_power_space(2), 1, 1, tier="cat-equiv")
 
 
 def test_segal_cat_equiv_on_a_free_loop_level_raises_resource_error():
@@ -396,7 +407,7 @@ def test_segal_cat_equiv_on_a_free_loop_level_raises_resource_error():
 
 
 def test_segal_cat_equiv_computes_tau1_once_per_set(monkeypatch):
-    # the nerve test and the induced functor share one enumeration of each
+    # tau1 comes only from the induced functor, one enumeration of each
     # side: the level and the product of levels
     calls = []
     enumerate_tau1 = nerve._tau1_full
@@ -406,7 +417,7 @@ def test_segal_cat_equiv_computes_tau1_once_per_set(monkeypatch):
         return enumerate_tau1(x)
 
     monkeypatch.setattr(nerve, "_tau1_full", counted)
-    assert segal_check(z2_monoid_space(2), 1, 1, tier="cat-equiv").holds
+    assert segal_check(z2_monoid_space(2), 1, 1, tier="cat-equiv").status == HOLDS
     assert len(calls) == 2
     assert len({id(x) for x in calls}) == 2
 
@@ -459,9 +470,89 @@ def test_segal_cat_equiv_tier_on_nerve_valued_family():
         for l in range(2):
             if k + l <= 2:
                 v = segal_check(x, k, l, tier="cat-equiv")
-                assert v.holds and "downgraded" not in v.details, (k, l)
-                assert segal_check(x, k, l, tier="iso").holds
-                assert segal_check(x, k, l, tier="ho-necessary").holds
+                assert v.status == HOLDS and "downgraded" not in v.details, (k, l)
+                assert segal_check(x, k, l, tier="iso").status == HOLDS
+                assert segal_check(x, k, l, tier="ho-necessary").status == HOLDS
+
+
+def four_component_groupoid():
+    """Four components of two objects, each hom-set a copy of (Z/2)^2: 64
+    arrows, 56 of them not identities."""
+    group = list(itertools.product(range(2), repeat=2))
+
+    def arrow(c, i, j, g):
+        return f"a{c}{i}{j}{g[0]}{g[1]}"
+
+    arrows, compose = {}, {}
+    for c, i, j, g in itertools.product(range(4), range(2), range(2), group):
+        arrows[arrow(c, i, j, g)] = (f"{c}{i}", f"{c}{j}")
+        for k, h in itertools.product(range(2), group):
+            total = tuple((x + y) % 2 for x, y in zip(g, h))
+            compose[(arrow(c, j, k, h), arrow(c, i, j, g))] = arrow(c, i, k, total)
+    identities = {f"{c}{i}": arrow(c, i, i, (0, 0)) for c in range(4) for i in range(2)}
+    return FinCat(list(identities), arrows, identities, compose)
+
+
+def test_a_64_arrow_groupoid_nerve_is_read_as_a_nerve():
+    n = nerve.nerve(four_component_groupoid(), bound=2)
+    assert n.summary() == [8, 56, 392]
+    assert _is_nerve_like(n)
+
+
+def test_an_idempotent_loop_with_no_3_simplex_is_not_read_as_a_nerve():
+    # tau1 is the monoid {1, e} with e o e = e, whose nerve has the
+    # nondegenerate 3-simplex (e, e, e); the complete set has none
+    v, e = SimplexRef("v"), SimplexRef("e")
+    assert not _is_nerve_like(FinSimpSet(2, {0: {"v": ()}, 1: {"e": (v, v)},
+                                             2: {"c": (e, e, e)}}))
+
+
+def test_a_set_truncated_below_dimension_2_is_refused_without_tau1(monkeypatch):
+    # the bound-1 nerve of Z/2 stores no 2-simplex, so its tau1 would be the
+    # free monoid on the loop: the nerve test refuses it without tau1
+    def broken(_x):
+        raise AssertionError("tau1 computed")
+
+    monkeypatch.setattr(nerve, "_tau1_full", broken)
+    assert not _is_nerve_like(nerve.nerve(cyclic_group_category(2), bound=1))
+
+
+def small_sets(vertices, edges, cells):
+    """Every complete 2-dimensional set with these numbers of vertices,
+    nondegenerate edges and nondegenerate 2-cells, the edges and the cells
+    taken as multisets of face tuples (faces degenerate or not)."""
+    names = [f"v{i}" for i in range(vertices)]
+    ends = list(itertools.product(map(SimplexRef, names), repeat=2))
+    for edge_faces in itertools.combinations_with_replacement(ends, edges):
+        cells1 = {f"e{i}": faces for i, faces in enumerate(edge_faces)}
+        sides = [SimplexRef(e) for e in cells1] + [SimplexRef(v, (0,)) for v in names]
+        triples = list(itertools.product(sides, repeat=3))
+        for cell_faces in itertools.combinations_with_replacement(triples, cells):
+            cells2 = {f"t{i}": faces for i, faces in enumerate(cell_faces)}
+            try:
+                yield FinSimpSet(2, {0: dict.fromkeys(names, ()), 1: cells1,
+                                     2: cells2}).validate()
+            except ValueError:  # the faces break a simplicial identity
+                pass
+
+
+def test_the_nerve_test_agrees_with_the_nerve_of_tau1_on_every_small_set(monkeypatch):
+    # a nerve here has at most four arrows, so a tau1 that defines more than
+    # 20 is infinite or not a nerve's
+    monkeypatch.setattr(nerve, "ARROW_BUDGET", 20)
+
+    def is_nerve(s):
+        try:
+            cat, _ = nerve.tau1(s)
+        except ResourceError:
+            return False
+        return iso_check(s.rebound(3), nerve.nerve(cat, bound=3)).status == HOLDS
+
+    scope = [s for v in (1, 2) for e in range(3) for t in range(2)
+             for s in small_sets(v, e, t)]
+    nerves = [is_nerve(s) for s in scope]
+    assert len(scope) == 230 and sum(nerves) == 6
+    assert [_is_nerve_like(s) for s in scope] == nerves
 
 
 @pytest.mark.parametrize("name,x", tabulated_corpus(2),
@@ -482,7 +573,7 @@ def test_segal_transport_to_smash_precomposition():
     for k in range(2):
         for l in range(2):
             if (k + l) <= pre.level_bound:
-                assert segal_check(pre, k, l, tier="iso").holds
+                assert segal_check(pre, k, l, tier="iso").status == HOLDS
 
 
 def test_homotopy_category():
@@ -496,7 +587,7 @@ def test_homotopy_category():
 
     x = constant_gamma_space(2, nerve(poset_category(2), bound=2))
     hx, _ = tau1(x.value(1))
-    assert iso_check(nerve(hx, bound=2), nerve(poset_category(2), bound=2)).holds
+    assert iso_check(nerve(hx, bound=2), nerve(poset_category(2), bound=2)).status == HOLDS
 
 
 def test_unital_part_of_tensored_representable():
@@ -535,7 +626,7 @@ def test_unital_part_and_normalize():
     # idempotent up to isomorphism
     again, _ = normalize(nor_m)
     for n in range(4):
-        assert iso_check(again.value(n), nor_m.value(n)).holds
+        assert iso_check(again.value(n), nor_m.value(n)).status == HOLDS
 
 
 def test_normalization_counit_iso():
@@ -553,14 +644,14 @@ def test_normalized_mapping_space_forgets():
     nor_y, _ = normalize(max_monoid_space(2))
     pointed, _ = mapping_space_tabulated(nor_x, nor_y, 2, 1, pointed=True)
     plain, _ = mapping_space_tabulated(nor_x, nor_y, 2, 1, pointed=False)
-    assert iso_check(pointed, plain).holds
+    assert iso_check(pointed, plain).status == HOLDS
 
 
 def test_trivial_fibration_two_routes():
     m = z2_monoid_space(2)
     ident = GammaSpaceMap(m, m, {n: identity_map(m.value(n)) for n in range(3)})
     v = trivial_fibration_check(ident, level_cap=1, dim_cap=1)
-    assert v.holds and v.details["routes"] == "direct and adjoint agree"
+    assert v.status == HOLDS and v.details["routes"] == "direct and adjoint agree"
     one = discrete_set(["a"])
     two = discrete_set(["a", "b"])
     inc = GammaSpaceMap(

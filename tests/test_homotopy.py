@@ -14,19 +14,20 @@ from gammaspace.homotopy import h_map_space, j_qcat, restricted_exp
 from gammaspace.nerve import edge_is_invertible, nerve, nerve_functor_map, tau1, tau1_functor
 from gammaspace.shapes import Exponential, standard_point, standard_simplex
 from gammaspace.simplicial import SimplexRef, full_sub_on_vertices, hom_set, iso_check
+from gammaspace.verdicts import HOLDS
 from test_shapes import exponential_map
 
 
 def test_j_basics():
     assert j_qcat(standard_simplex(1)).summary() == [2, 0]
     nw = nerve(walking_iso_category(), bound=2)
-    assert iso_check(j_qcat(nw), nw).holds
+    assert iso_check(j_qcat(nw), nw).status == HOLDS
 
 
 def test_j_idempotent_and_contained():
     ncx = nerve(iso_with_tail_category(), bound=2)
     j = j_qcat(ncx)
-    assert iso_check(j_qcat(j), j).holds
+    assert iso_check(j_qcat(j), j).status == HOLDS
     for n in range(3):
         assert set(j.cell_ids(n)) <= set(ncx.cell_ids(n))
     cat, table = tau1(j)
@@ -38,13 +39,13 @@ def test_j_of_nerve_is_nerve_of_subgroupoid():
     for name, cat in category_corpus():
         nc = nerve(cat, bound=2)
         sub, _ = max_subgroupoid(cat)
-        assert iso_check(j_qcat(nc), nerve(sub, bound=2)).holds, name
+        assert iso_check(j_qcat(nc), nerve(sub, bound=2)).status == HOLDS, name
 
 
 def test_restricted_exp_level_zero_is_whole():
     nc = nerve(poset_category(2), bound=2)
     space, _ = restricted_exp(nc, standard_point())
-    assert iso_check(space, nc).holds
+    assert iso_check(space, nc).status == HOLDS
 
 
 def test_path_space_vertices_are_invertible_edges():
@@ -66,7 +67,7 @@ def test_restricted_exp_matches_iso_arrow_category():
     # subcategory on those objects
     iso_objs = {f"o{name}" for name, fn in objs.items() if cx.is_iso_arrow(fn.arr("le01"))}
     sub = full_sub_on_vertices(nerve(fc, bound=2), lambda v: v in iso_objs)
-    assert iso_check(space, sub).holds
+    assert iso_check(space, sub).status == HOLDS
 
 
 def test_h_map_space_vertices_and_point_case():
@@ -74,7 +75,7 @@ def test_h_map_space_vertices_and_point_case():
     a = standard_simplex(1)
     hm = h_map_space(a, ncx)
     assert hm.cell_count(0) == len(hom_set(a, ncx))
-    assert iso_check(h_map_space(standard_point(), ncx), j_qcat(ncx)).holds
+    assert iso_check(h_map_space(standard_point(), ncx), j_qcat(ncx)).status == HOLDS
 
 
 def test_h_map_space_through_functor_category():
@@ -83,7 +84,7 @@ def test_h_map_space_through_functor_category():
     hm = h_map_space(standard_simplex(1), ncx)
     fc, _, _ = functor_category(poset_category(1), cx)
     sub, _ = max_subgroupoid(fc)
-    assert iso_check(hm, nerve(sub, bound=2)).holds
+    assert iso_check(hm, nerve(sub, bound=2)).status == HOLDS
 
 
 def test_restricted_exp_versus_h_map_space():
@@ -104,8 +105,8 @@ def test_restricted_exp_versus_h_map_space():
     nw = nerve(walking_iso_category(), bound=2)
     r2, e2 = restricted_exp(nw, a)
     h2 = h_map_space(a, nw)
-    assert iso_check(r2, h2).holds
-    assert iso_check(r2, e2.space).holds
+    assert iso_check(r2, h2).status == HOLDS
+    assert iso_check(r2, e2.space).status == HOLDS
 
 
 def test_equivalence_induces_ho_equivalence_on_mapping_spaces():

@@ -432,17 +432,15 @@ KEPT_VALIDATE_CALLS = {
     ("marked", "MarkedGammaSpace.validate"): 1,
     ("cocart", "RelativeNerveInput.validate"): 1,
     ("gspace", "_levelwise_iso_verdict"): 1,
-    ("gspace", "semiadditivity_probe"): 3,
+    ("gspace", "semiadditivity_probe"): 2,
 }
 
 
 # The tests of a verdict's status outside `verdicts.py`, by (module,
 # function).  Verdicts are combined by `verdicts.conjoin` (Kleene's strong
 # conjunction) and `verdicts.negate`, so that a spent budget is never read as
-# a refutation; `_is_nerve_like` only picks the tier a Segal check reports.
-KEPT_STATUS_TESTS = {
-    ("gspace", "_is_nerve_like"): 1,
-}
+# a refutation.
+KEPT_STATUS_TESTS = {}
 
 
 # The equality tests of a composite built by `.then(...)`, by (module,

@@ -18,6 +18,7 @@ from gammaspace.nerve import nerve
 from gammaspace.shapes import boundary, sphere_zero, standard_point, standard_simplex
 from gammaspace.gspace import all_morphisms_upto, gamma_rep
 from gammaspace.simplicial import SimplexRef, SimpMap, constant_map, identity_map, iso_check
+from gammaspace.verdicts import HOLDS
 from test_cli import _gamma_relative_blob
 
 
@@ -27,7 +28,7 @@ def test_simpset_round_trip_bit_exact():
         blob = jsonio.canonical_dumps(jsonio.simpset_to_json(x))
         back = jsonio.simpset_from_json(json.loads(blob))
         assert jsonio.canonical_dumps(jsonio.simpset_to_json(back)) == blob
-        assert iso_check(back, x).holds
+        assert iso_check(back, x).status == HOLDS
 
 
 def test_marked_round_trip():
@@ -57,7 +58,7 @@ def test_presented_round_trip():
         blob = jsonio.canonical_dumps(jsonio.presented_to_json(p))
         back = jsonio.presented_from_json(json.loads(blob))
         for n in range(3):
-            assert iso_check(back.evaluate(n), p.evaluate(n)).holds, name
+            assert iso_check(back.evaluate(n), p.evaluate(n)).status == HOLDS, name
 
 
 def test_tabulated_round_trip_and_completion():
@@ -65,7 +66,7 @@ def test_tabulated_round_trip_and_completion():
     blob = jsonio.tabulated_to_json(x)
     back = jsonio.tabulated_from_json(blob)
     for n in range(3):
-        assert iso_check(back.value(n), x.value(n)).holds
+        assert iso_check(back.value(n), x.value(n)).status == HOLDS
     for f in enumerate_homs(2, 1):
         assert back.action(f) == x.action(f)
 

@@ -27,6 +27,7 @@ from gammaspace.marked import (
 from gammaspace.nerve import nerve
 from gammaspace.shapes import boundary, standard_point, standard_simplex
 from gammaspace.simplicial import SimplexRef, hom_set, identity_map, iso_check
+from gammaspace.verdicts import HOLDS
 
 
 def test_mark_flat_sharp():
@@ -54,7 +55,7 @@ def test_flat_part_of_point_source():
     j = nerve(walking_iso_category(), bound=2)
     y = MarkedSimpSet(j, [j.cell_ids(1)[0]])
     plus, flat, sharp = hom_marked(mark(standard_point(), "flat"), y, dim_cap=2)
-    assert iso_check(flat, j).holds
+    assert iso_check(flat, j).status == HOLDS
     # the plus marking transports the target marking
     assert len(plus.marked) == 1
     # the sharp part keeps only simplices with marked edges
@@ -66,7 +67,7 @@ def test_sharp_target_makes_every_edge_marked():
     j = nerve(walking_iso_category(), bound=2)
     plus, flat, sharp = hom_marked(mark(d1, "flat"), mark(j, "sharp"), dim_cap=2)
     assert set(plus.marked) == set(flat.cell_ids(1))
-    assert iso_check(sharp, flat).holds
+    assert iso_check(sharp, flat).status == HOLDS
 
 
 def test_displayed_bijections():
@@ -104,7 +105,7 @@ def test_marked_mapping_space_forgets_on_flat():
     m = z2_monoid_space(2)
     msp, ms = marked_mapping_space(gamma_flat(m), gamma_flat(m), gamma_rep(1), dim_cap=1)
     plain = GammaMappingSpace(gamma_rep(1), m, dim_cap=1)
-    assert iso_check(msp, plain.space).holds
+    assert iso_check(msp, plain.space).status == HOLDS
     # the mapping space itself, truncated at its cap like the plain one
     assert msp is ms.space and not msp.complete
 

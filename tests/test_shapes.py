@@ -34,7 +34,7 @@ from gammaspace.simplicial import (
     product,
     product_map,
 )
-from gammaspace.verdicts import FAILS, Budget
+from gammaspace.verdicts import FAILS, HOLDS, Budget
 from test_simplicial import disjoint_union
 
 
@@ -59,7 +59,7 @@ def test_a_shape_cut_by_its_bound_is_read_truncated():
     cut = standard_simplex(2, bound=1)
     assert cut.complete is False
     # read coskeletally above dimension 1 it is Delta[2]
-    assert iso_check(cut, standard_simplex(2)).holds
+    assert iso_check(cut, standard_simplex(2)).status == HOLDS
     assert standard_simplex(2, bound=2).complete and standard_simplex(2, bound=3).complete
     # the boundary and the horns of Delta[3] have nothing above dimension 2
     assert boundary(3, bound=1).complete is False and boundary(3, bound=2).complete
@@ -80,7 +80,7 @@ def test_smash_unit_and_collapse():
         pointed="0",
     )
     sm, _ = smash(d1p, sphere_zero(bound=1))
-    assert iso_check(sm, d1p).holds
+    assert iso_check(sm, d1p).status == HOLDS
     smp, _ = smash(d1p, pointed_point(bound=1))
     assert smp.cell_count(0) == 1 and smp.cell_count(1) == 0
     # frozen by the explicit quotient computation: collapsing the wedge of
@@ -98,13 +98,13 @@ def test_rlp_verdicts():
     d1 = standard_simplex(1)
     i1 = inclusion_map(boundary(1), d1)
     # identity against anything lifts
-    assert has_rlp(identity_map(d1), i1).holds
+    assert has_rlp(identity_map(d1), i1).status == HOLDS
     # the interval onto the point is refuted by the reversed-boundary square
     v = has_rlp(constant_map(d1, standard_point(), "0"), i1)
     assert v.status == FAILS
     # the nerve of the free isomorphism does lift
     j = nerve(walking_iso_category(), bound=2)
-    assert has_rlp(constant_map(j, standard_point(), "0"), i1).holds
+    assert has_rlp(constant_map(j, standard_point(), "0"), i1).status == HOLDS
     # spine onto the point: no composite edge, inner horn square fails
     spine = spine_of_two_edges()
     v2 = has_rlp(constant_map(spine, standard_point(), "0"),
@@ -115,8 +115,8 @@ def test_rlp_verdicts():
 def test_rlp_against_identity_always_holds():
     spine = spine_of_two_edges()
     p = constant_map(spine, standard_point(), "0")
-    assert has_rlp(p, identity_map(standard_simplex(1))).holds
-    assert has_rlp(p, identity_map(boundary(2))).holds
+    assert has_rlp(p, identity_map(standard_simplex(1))).status == HOLDS
+    assert has_rlp(p, identity_map(boundary(2))).status == HOLDS
 
 
 def test_rlp_budget_exhaustion_is_inconclusive():
@@ -146,7 +146,8 @@ def test_rlp_reads_a_complete_target_above_its_bound():
     v = has_rlp(constant_map(two, standard_point(), "0"),
                 inclusion_map(boundary(1), standard_simplex(1)))
     assert v.status == FAILS
-    assert has_rlp(identity_map(two), inclusion_map(boundary(1), standard_simplex(1))).holds
+    v = has_rlp(identity_map(two), inclusion_map(boundary(1), standard_simplex(1)))
+    assert v.status == HOLDS
 
 
 def test_rlp_compares_squares_where_both_sides_are_defined():
@@ -162,11 +163,11 @@ def test_rlp_compares_squares_where_both_sides_are_defined():
 
 
 def test_quasicategory_checks():
-    assert is_quasicategory_up_to(standard_simplex(3), 3).holds
-    assert is_quasicategory_up_to(nerve(poset_category(2), bound=3), 4).holds
+    assert is_quasicategory_up_to(standard_simplex(3), 3).status == HOLDS
+    assert is_quasicategory_up_to(nerve(poset_category(2), bound=3), 4).status == HOLDS
     v = is_quasicategory_up_to(spine_of_two_edges(), 2)
     assert v.status == FAILS and v.witness["horn"] == [2, 1]
-    assert is_quasicategory_up_to(nerve(walking_iso_category(), bound=3), 3).holds
+    assert is_quasicategory_up_to(nerve(walking_iso_category(), bound=3), 3).status == HOLDS
 
 
 def test_pushout_product_square():
@@ -181,7 +182,7 @@ def test_pushout_product_square():
     assert unit.source.summary() == [2] and unit.target.summary() == [2, 1]
     # f box identity lands isomorphically onto its factor
     pid = pushout_product(i1, identity_map(standard_simplex(1)))
-    assert pid.is_iso() or iso_check(pid.source, pid.target).holds
+    assert pid.is_iso() or iso_check(pid.source, pid.target).status == HOLDS
 
 
 def exponential_map(u: SimpMap, exp_src: Exponential, exp_dst: Exponential) -> SimpMap:
@@ -197,7 +198,7 @@ def exponential_map(u: SimpMap, exp_src: Exponential, exp_dst: Exponential) -> S
 def test_exponential_laws():
     d2 = standard_simplex(2)
     e0 = Exponential(d2, standard_point())
-    assert iso_check(e0.space, d2).holds
+    assert iso_check(e0.space, d2).status == HOLDS
     e1 = Exponential(d2, standard_simplex(1))
     assert e1.space.cell_count(0) == len(d2.refs(1))
     for k in [standard_point(), standard_simplex(1)]:

@@ -49,7 +49,7 @@ from gammaspace.simplicial import (
     _constraint_order,
     _face_images,
 )
-from gammaspace.verdicts import FAILS
+from gammaspace.verdicts import FAILS, HOLDS
 
 
 def monotone_maps(m, n):
@@ -205,7 +205,7 @@ def test_hom_counts():
 def test_iso_check_witnesses():
     d1 = standard_simplex(1)
     v = iso_check(d1, standard_simplex(1))
-    assert v.holds and v.witness.is_iso()
+    assert v.status == HOLDS and v.witness.is_iso()
     v2 = iso_check(d1, boundary(2))
     assert v2.status == FAILS
     # same counts, different structure: two disjoint edges vs glued edges
@@ -255,7 +255,7 @@ def _read_together(draw):
 def test_an_iso_check_witness_is_an_iso(pair):
     # iso_check and SimpMap.is_iso compare on the same joint bound
     v = iso_check(*pair)
-    assert not v.holds or v.witness.is_iso()
+    assert v.status != HOLDS or v.witness.is_iso()
 
 
 def test_constant_map():
@@ -633,7 +633,7 @@ def test_validate_refuses_a_face_word_out_of_normal_form(word):
 
 def test_a_face_word_in_normal_form_validates():
     x = _point_tetrahedron((1, 0)).validate()
-    assert iso_check(x, x).holds
+    assert iso_check(x, x).status == HOLDS
 
 
 def test_every_set_built_in_tier_one_is_validated():

@@ -7,7 +7,7 @@ import pytest
 from gammaspace import suite
 from gammaspace.gammaop import GammaMorphism, gamma_identity
 from gammaspace.gspace import semiadditivity_probe
-from gammaspace.verdicts import FAILS, INCONCLUSIVE, Verdict
+from gammaspace.verdicts import FAILS, HOLDS, INCONCLUSIVE, Verdict
 
 
 def test_suite_laws_take_no_parameters():
@@ -26,7 +26,7 @@ def test_pushout_product_mono_checks_each_ordered_pair_once(monkeypatch):
 
     monkeypatch.setattr(suite, "pushout_product", recorded)
     v = suite.check_pushout_product_mono()
-    assert v.holds and v.checked == "all 25 ordered mono pairs"
+    assert v.status == HOLDS and v.checked == "all 25 ordered mono pairs"
     assert len({f.key() for f, _ in seen}) == 5
     assert len({(f.key(), g.key()) for f, g in seen}) == len(seen) == 25
 
