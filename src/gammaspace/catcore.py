@@ -126,15 +126,6 @@ class CatFunctor:
                 raise ValueError(f"functor breaks composition at {g!r} o {f!r}")
         return self
 
-    def then(self, other: "CatFunctor") -> "CatFunctor":
-        assert other.source is self.target
-        return CatFunctor(
-            self.source,
-            other.target,
-            {a: other.obj(v) for a, v in self.on_objects.items()},
-            {f: other.arr(v) for f, v in self.on_arrows.items()},
-        )
-
     def is_full_faithful_ess_surjective(self):
         c, d = self.source, self.target
         for a in c.objects:

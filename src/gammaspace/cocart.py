@@ -486,4 +486,4 @@ def r_plus_level(x: OverObject, k, level_cap, dim_cap=2, budget=None) -> MarkedS
     mapping object out of the level-k under-category nerve."""
     nk, _, _ = nelg(k, level_cap, dim_cap)
     _, mo = hom_over_base(nk, x, variant="flat", dim_cap=dim_cap, budget=budget)
-    return MarkedSimpSet(mo.flat, mo.plus.marked)
+    return mo.plus

@@ -19,7 +19,7 @@ from .gammaop import (
     smash_twist,
     zero_map,
 )
-from .nerve import tau1_functor
+from .nerve import joined_name, tau1_functor
 from .shapes import (
     MapComplex,
     has_rlp,
@@ -94,10 +94,7 @@ class TabulatedGammaSpace:
         if f.src > self.level_bound or f.dst > self.level_bound:
             raise ValueError(f"morphism {f} beyond level bound {self.level_bound}")
         if f not in self._actions:
-            m = self._action_fn(f)
-            if m.source is not self.value(f.src) or m.target is not self.value(f.dst):
-                m = SimpMap(self.value(f.src), self.value(f.dst), m.assignment)
-            self._actions[f] = m
+            self._actions[f] = self._action_fn(f)
         return self._actions[f]
 
     def validate(self, level_cap=None):
@@ -152,24 +149,18 @@ def terminal_gamma_space(level_bound) -> TabulatedGammaSpace:
 
 def discrete_monoid_space(elements, op, unit, level_bound) -> TabulatedGammaSpace:
     """The tabulation of a commutative monoid: level n is the discrete set
-    of n-tuples, a based map acts by multiplying fibers.  Raises ValueError
-    when two tuples get one name (as `x_y`, `e` and `x`, `y_e` would)."""
+    of n-tuples, each named "t" and its entries joined by "_" (see
+    `joined_name`), and a based map acts by multiplying fibers."""
     elements = list(elements)
     names = {}
 
     def name(tup):
-        return "t" + "_".join(str(v) for v in tup)
+        return "t" + joined_name(map(str, tup), "_")
 
     def named(n):
         """Level n's tuples, each to its name, in `itertools.product` order."""
         if n not in names:
-            table, owners = {}, {}
-            for tup in itertools.product(elements, repeat=n):
-                label = table[tup] = name(tup)
-                if owners.setdefault(label, tup) != tup:
-                    raise ValueError(f"the tuples {owners[label]} and {tup} of level {n}"
-                                     f" are both named {label!r}")
-            names[n] = table
+            names[n] = {tup: name(tup) for tup in itertools.product(elements, repeat=n)}
         return names[n]
 
     def value(n):

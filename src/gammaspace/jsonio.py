@@ -124,9 +124,6 @@ def category_from_json(data) -> FinCat:
     for a in _expect_list(data.get("arrows"), "the arrows of a category", dict):
         f, src, dst = (_expect(a.get(k), str, f"an arrow's {k}")
                        for k in ("id", "src", "dst"))
-        if "|" in f:
-            # the nerve names a chain of arrows by their ids joined with "|"
-            raise ValueError(f"arrow id {f!r} contains '|'")
         arrows[f] = (src, dst)
     identities = _expect(data.get("identities"), dict, "the identities of a category")
     _expect_list(list(identities.values()), "the identity arrows", str)

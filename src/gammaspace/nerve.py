@@ -12,38 +12,43 @@ from .simplicial import FinSimpSet, SimplexRef, SimpMap, cellwise
 from .verdicts import ResourceError
 
 
+def joined_name(parts, sep):
+    """The parts joined by sep, each with its backslashes and seps escaped
+    by a backslash: distinct nonempty tuples of parts get distinct names,
+    and a part that holds neither character is written as it is."""
+    return sep.join(p.replace("\\", "\\\\").replace(sep, "\\" + sep) for p in parts)
+
+
 def chain_ref(c: FinCat, chain, start) -> SimplexRef:
     """The simplex of N(c) of a chain of composable arrows out of the
     object start, identities allowed: its chain of non-identity arrows,
-    degenerated where the identities stood."""
+    degenerated where the identities stood.  The nondegenerate simplex of
+    a chain is named by joining its arrow ids with "|" (see `joined_name`),
+    and a vertex by "o" and its object."""
     word = tuple(i for i in reversed(range(len(chain))) if c.is_identity(chain[i]))
     squeezed = [f for f in chain if not c.is_identity(f)]
-    return SimplexRef("|".join(squeezed) if squeezed else f"o{start}", word)
+    return SimplexRef(joined_name(squeezed, "|") if squeezed else f"o{start}", word)
 
 
 def nerve(c: FinCat, bound=4) -> FinSimpSet:
     """Nerve of a finite category, truncated.
 
     Nondegenerate n-cells are chains of n composable non-identity arrows,
-    named by joining the arrow ids with "|" (ValueError when two chains get
-    one name); nerves are 2-coskeletal so any bound >= 2 reads back exactly.
+    named by `chain_ref`; nerves are 2-coskeletal so any bound >= 2 reads
+    back exactly.
     """
     def extended(ch):
         return [ch + (g,) for g in c.out_of(c.dst(ch[-1])) if not c.is_identity(g)]
 
     non_id = [f for f in c.arrow_ids() if not c.is_identity(f)]
-    cells = {0: {f"o{a}": () for a in c.objects}}
+    cells = {0: {chain_ref(c, (), a).base: () for a in c.objects}}
     chains = {1: [(f,) for f in non_id]}
     for n in range(2, bound + 1):
         chains[n] = [chain for ch in chains[n - 1] for chain in extended(ch)]
 
     for n in range(1, bound + 1):
         cells[n] = {}
-        owners = {}
         for ch in chains.get(n, []):
-            name = "|".join(ch)
-            if owners.setdefault(name, ch) != ch:
-                raise ValueError(f"the chains {owners[name]} and {ch} are both named {name!r}")
             faces = []
             for i in range(n + 1):
                 if i == 0:
@@ -57,7 +62,7 @@ def nerve(c: FinCat, bound=4) -> FinSimpSet:
                   # composite may be an identity; chain_ref renormalizes
                     start = c.src(ch[0])
                 faces.append(chain_ref(c, sub, start))
-            cells[n][name] = tuple(faces)
+            cells[n][chain_ref(c, ch, c.src(ch[0])).base] = tuple(faces)
 
     longer = any(map(extended, chains[bound])) if bound >= 1 else bool(non_id)
     return FinSimpSet(bound, cells, complete=not longer)
@@ -67,12 +72,14 @@ def nerve_functor_map(fun: CatFunctor, nc: FinSimpSet, nd: FinSimpSet) -> SimpMa
     """The simplicial map N(fun): N(C) -> N(D) on given nerve truncations,
     in every dimension its cap asks for."""
     c, d = fun.source, fun.target
-    objects = {f"o{a}": a for a in c.objects}
+    objects = {chain_ref(c, (), a).base: a for a in c.objects}
+    arrows = {chain_ref(c, (f,), c.src(f)).base: f
+              for f in c.arrow_ids() if not c.is_identity(f)}
 
     def image(n, name):
         if n == 0:
-            return SimplexRef(f"o{fun.obj(objects[name])}")
-        chain = tuple(nc.act(SimplexRef(name), n, (i, i + 1)).base for i in range(n))
+            return chain_ref(d, (), fun.obj(objects[name]))
+        chain = tuple(arrows[nc.act(SimplexRef(name), n, (i, i + 1)).base] for i in range(n))
         return chain_ref(d, tuple(fun.arr(f) for f in chain), fun.obj(c.src(chain[0])))
 
     return cellwise(nc, nd, image)

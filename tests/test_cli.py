@@ -294,8 +294,8 @@ def _arrow_blob(m):
             "map": jsonio.simpmap_to_json(m)}
 
 
-def _relative_blob():
-    base, d1 = poset_category(1), standard_simplex(1)
+def _relative_blob(base=None):
+    base, d1 = base or poset_category(1), standard_simplex(1)
     return {
         "base": jsonio.category_to_json(base),
         "diagram": {
@@ -421,21 +421,82 @@ def test_any_wrong_typed_field_exits_three(data):
     assert report["verdicts"][0]["tag"] == "input"
 
 
-# -- arrow ids the nerve cannot name -----------------------------------------
+# -- arrow ids that hold the nerve's separator ----------------------------------
 
 
 @pytest.mark.parametrize("command", ["relative-nerve", "cocart-edges"])
-def test_bar_in_an_arrow_id_exits_three(tmp_path, command):
-    # the nerve joins arrow ids with "|", so a base arrow "u|v" named a
-    # chain of two arrows; both commands exited 0 with `holds`
-    blob = json.loads(json.dumps(_relative_blob()).replace('"le01"', '"u|v"'))
-    assert "u|v" in json.dumps(blob["base"]["arrows"])
-    path = tmp_path / "bar.json"
-    path.write_text(jsonio.canonical_dumps(blob))
-    code, report = _run_quiet([command, str(path)])
+def test_bar_in_an_arrow_id_reads_as_the_original(tmp_path, command):
+    # the nerve escapes the "|" that joins a chain of arrow ids, so a base
+    # arrow "u|v" names one arrow, as "le01" does
+    def run(arrow):
+        blob = json.loads(json.dumps(_relative_blob()).replace('"le01"', json.dumps(arrow)))
+        assert any(a["id"] == arrow for a in blob["base"]["arrows"])
+        path = tmp_path / "in.json"
+        path.write_text(jsonio.canonical_dumps(blob))
+        code, report = _run_quiet([command, str(path)])
+        cells = report["outputs"].get("total") or report["outputs"]["marking"]
+        return code, report["verdicts"], {n: len(c) for n, c in cells["cells"].items()}
+
+    barred = run("u|v")
+    assert barred[0] == 0 and barred == run("le01")
+
+
+# -- the refusals of the checks each loader ends with --------------------------
+
+
+def _edited(blob, edit):
+    blob = copy.deepcopy(blob)
+    edit(blob)
+    return blob
+
+
+def _diagram_arrow(f, m):
+    """The edit that sets the diagram's map at the arrow f to m."""
+    def edit(blob):
+        blob["diagram"]["arrows"][f] = jsonio.simpmap_to_json(m)
+    return edit
+
+
+_D1 = standard_simplex(1)
+ENTRY_REFUSALS = {
+    "image-does-not-resolve": (
+        "pushout-product", _arrow_blob(inclusion_map(boundary(1), _D1)),
+        lambda b: b["map"]["assignment"]["0"].update({"0": "9"}), "does not resolve"),
+    "map-breaks-a-face": (
+        "pushout-product", _arrow_blob(identity_map(_D1)),
+        lambda b: b["map"]["assignment"]["0"].update({"0": "1"}),
+        "map does not commute with d1 on '01'"),
+    "arrow-meets-a-missing-object": (
+        "relative-nerve", _relative_blob(),
+        lambda b: b["base"]["arrows"][1].update({"dst": "9"}),
+        "arrow 'le01' meets a missing object"),
+    "identity-with-wrong-ends": (
+        "relative-nerve", _relative_blob(),
+        lambda b: b["base"]["identities"].update({"0": "le01"}),
+        "identity of '0' has wrong endpoints"),
+    "diagram-breaks-an-identity": (
+        "relative-nerve", _relative_blob(),
+        _diagram_arrow("le00", constant_map(_D1, _D1, "0")),
+        "diagram breaks identity at '0'"),
+    "diagram-breaks-a-composite": (
+        "relative-nerve", _relative_blob(poset_category(2)),
+        _diagram_arrow("le02", constant_map(_D1, _D1, "0")),
+        "diagram breaks composition at 'le12' o 'le01'"),
+    "compose-entry-not-a-triple": (
+        "relative-nerve", _relative_blob(),
+        lambda b: b["base"]["compose"][0].pop(),
+        "expected a composite [g, f, g o f]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENTRY_REFUSALS))
+def test_an_input_its_loader_refuses_exits_three(case):
+    command, blob, edit, message = ENTRY_REFUSALS[case]
+    blobs = [_edited(blob, edit)] + [blob] * (len(COMMANDS[command].kinds) - 1)
+    code, report = _run_with(command, blobs)
     assert code == 3
     assert report["verdicts"][0]["tag"] == "input"
-    assert "u|v" in report["verdicts"][0]["witness"]
+    assert message in report["verdicts"][0]["witness"]
 
 
 # -- out-of-range fields ------------------------------------------------------

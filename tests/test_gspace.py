@@ -864,13 +864,24 @@ def test_monoid_actions_match_the_per_tuple_oracle_on_every_unital_table():
         _same_tabulation(range(3), lambda a, b: _times(table, a, b), 0, 3)
 
 
-def test_monoid_space_refuses_two_tuples_with_one_name():
-    # ("x_y", "e") and ("x", "y_e") are both "tx_y_e": level 2 would have 15
-    # points, not 16
+def test_monoid_space_names_two_tuples_of_one_plain_join_apart():
+    # ("x_y", "e") and ("x", "y_e") are both "tx_y_e" under a plain join,
+    # which gave level 2 15 points, not 16
     x = discrete_monoid_space(["e", "x_y", "x", "y_e"], lambda a, b: b if a == "e" else a, "e", 2)
     assert len(x.value(1).cell_ids(0)) == 4
-    with pytest.raises(ValueError, match="both named 'tx_y_e'"):
-        x.value(2)
+    assert len(x.value(2).cell_ids(0)) == 16
+    assert {r"tx\_y_e", r"tx_y\_e"} <= set(x.value(2).cell_ids(0))
+
+
+def test_monoid_space_names_tuples_of_elements_that_hold_the_separator_apart():
+    # Z/6 on names that hold "_" and "\\", where a plain join merges
+    # ("x_", "y") with ("x", "_y")
+    labels = ["e", "x_", "y", "x", "_y", "x\\"]
+    assert len({"_".join(t) for t in itertools.product(labels, repeat=2)}) < 6 ** 2
+    x = discrete_monoid_space(
+        labels, lambda a, b: labels[(labels.index(a) + labels.index(b)) % 6], "e", 3)
+    x.validate(level_cap=3)
+    assert [x.value(n).cell_count(0) for n in range(4)] == [6 ** n for n in range(4)]
 
 
 def _with_vertex_moved(x, f, vertex, image):

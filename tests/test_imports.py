@@ -12,9 +12,10 @@ composites of maps are compared only by `simplicial.commutes`,
 a set's truncation (`.complete`, `top_dim()`) is read only in
 `simplicial`, whose `joint_bound` and `map_cap` state the ranges, and a
 category's arrows are scanned pairwise only where its table is built,
-a defaulted parameter that some call in `src/` or `bench/` reaches is
-passed by at least one such call, and a definition that no file in `src/`
-or `bench/` names is kept for a stated reason.
+a name made of parts is joined only by `nerve.joined_name`, a defaulted
+parameter that some call in `src/` or `bench/` reaches is passed by at
+least one such call, and a definition that no file in `src/` or `bench/`
+names is kept for a stated reason.
 """
 
 import ast
@@ -265,6 +266,13 @@ def arrow_pair_scans(source: str):
     return sites(source, _is_arrow_pair_scan)
 
 
+def literal_joins(source: str):
+    """The sites (see `call_sites`) of the `.join(...)` calls on a string
+    literal."""
+    return call_sites(source, lambda f: isinstance(f, ast.Attribute) and f.attr == "join"
+                      and isinstance(f.value, ast.Constant) and isinstance(f.value.value, str))
+
+
 def calls_naming(source: str, name: str):
     """The sites of the calls whose callee reads `name`: `name(...)`,
     `mod.name(...)` or `name.method(...)` (see `call_sites`)."""
@@ -468,6 +476,20 @@ KEPT_TRUNCATION_READS = {
 KEPT_ARROW_PAIR_SCANS = {
     ("catcore", "functor_category"): 1,
     ("catcore", "coslice_category"): 1,
+}
+
+
+# The `.join(...)` calls on a string literal, by (module, function).  A
+# name made of parts is built by `nerve.joined_name`, which escapes its
+# separator in each part, so that two tuples of parts never share a name;
+# these join the words of a message, or the digits of generated integers,
+# which hold no separator (ROADMAP item 17).
+KEPT_LITERAL_JOINS = {
+    ("cli", "build_parser"): 1,
+    ("suite", "run_suite"): 2,
+    ("cocart", "_gamma_arrow_name"): 1,
+    ("cocart", "cotensor_over_base"): 1,
+    ("shapes", "_tuple_name"): 1,
 }
 
 
@@ -714,6 +736,23 @@ def test_call_site_check_catches_what_it_names():
     )
     assert calls_naming(source, "GammaMorphism") == ["<module>", "Reader.read"]
     assert calls_naming(source, "based_map") == ["load"]
+
+
+def test_literal_join_check_catches_what_it_names():
+    source = (
+        "name = '|'.join(parts)\n"
+        "def label(tup, sep):\n"
+        "    return 't' + '_'.join(map(str, tup)) + sep.join(tup) + os.path.join(a, b)\n"
+        "class Report:\n"
+        "    def message(self, tags):\n"
+        "        return f\"unknown {', '.join(tags)}\", b','.join(tags)\n"
+    )
+    assert literal_joins(source) == ["<module>", "Report.message", "label"]
+
+
+def test_names_are_joined_only_by_joined_name():
+    found = Counter((p.stem, name) for p in MODULES for name in literal_joins(p.read_text()))
+    assert found == Counter(KEPT_LITERAL_JOINS)
 
 
 def test_based_maps_are_checked_only_where_tables_enter():
