@@ -10,31 +10,31 @@ from dataclasses import dataclass
 from .catcore import CatFunctor, FinCat, coslice_category
 from .gammaop import GammaMorphism, based_map, delta_projection, enumerate_homs, gamma_identity
 from .gspace import TabulatedGammaSpace, segal_check
-from .marked import MarkedMappingObject, MarkedSimpSet, edge_sharpens, mark
+from .marked import MarkedMappingObject, MarkedSimpSet, mark
 from .nerve import chain_ref, edge_is_invertible, nerve, nerve_functor_map, tau1
-from .shapes import MapComplex, _horn_squares, unfillable_inner_horn
+from .shapes import _horn_squares, unfillable_inner_horn
 from .simplicial import (
     FinSimpSet,
     SimplexRef,
     SimpMap,
     Colimit,
     _subset_of,
+    apply_word,
     cellwise,
     commutes,
     delta_tuple,
     from_elements,
-    hom_set,
     identity_map,
     iso_check,
     map_cap,
     sigma_tuple,
+    surj_to_word,
 )
 from .verdicts import (
     Budget,
     BudgetExceededError,
     ResourceError,
     Verdict,
-    backtrack,
     FAILS,
     HOLDS,
     INCONCLUSIVE,
@@ -149,12 +149,18 @@ def gamma_diagram_input(x: TabulatedGammaSpace, level_cap) -> RelativeNerveInput
 
 
 class RelativeNerve:
-    """The nerve of a category relative to a diagram: an n-simplex is a
-    chain in the base together with a compatible family of simplices of
-    the diagram values, one for each nonempty subset of [n].
+    """The nerve of a category relative to a diagram F (Lurie, *HTT*
+    3.2.5): an n-simplex is a chain in the base together with a compatible
+    family of simplices of the diagram values, one for each nonempty subset
+    of [n].  F must be a functor, as the loaders check.
 
     A chain of dimension 0 is (object,); of dimension n >= 1 a tuple of n
-    composable arrow ids (identities allowed).
+    composable arrow ids (identities allowed).  The simplices are built by
+    skeletal extension: over a chain (c, g) they are the pairs (y, z) of
+    an (n-1)-simplex y over c (over the 0-chain at g's source when n = 1)
+    and an n-simplex z of F(dst g) with d_n z = F(g) of y's component on
+    [n-1]; the components on the subsets J that hold n are the faces of z
+    that J spans.  Functoriality makes every other face condition hold.
     """
 
     def __init__(self, input: RelativeNerveInput, dim_cap):
@@ -177,26 +183,24 @@ class RelativeNerve:
                         row[j + 1] = base.compose(chain[j], row[j])
                 chain_data[(n, chain)] = objs, comps
 
-        levels = []
-        for n in range(dim_cap + 1):
-            elems = []
-            subsets = _subsets(n)
+        # the components of the simplices over each chain of the last dimension
+        on = {(o,): [(((0,), *r),) for r in input.values[o].refs(0)] for o in base.objects}
+        levels = [[(chain, tau) for chain, taus in on.items() for tau in taus]]
+        for n in range(1, dim_cap + 1):
+            spans, grown = {}, {}
             for chain in chains[n]:
-                objs, comps = chain_data[(n, chain)]
-
-                def candidates(J, tau, objs=objs, comps=comps):
-                    space = input.values[objs[J[-1]]]
-                    dim = len(J) - 1
-                    if dim == 0:
-                        return space.refs(0)
-                    carried = tuple(
-                        input.arrows[comps[I[-1]][J[-1]]](tau[I], dim - 1)
-                        for I in (J[:t] + J[t + 1:] for t in range(dim + 1)))
-                    return space.face_index(dim).get(carried, ())
-
-                for tau in backtrack(subsets, candidates):
-                    elems.append((chain, tuple(sorted((J, *r) for J, r in tau.items()))))
-            levels.append(sorted(set(elems)))
+                g = chain[-1]
+                value, carry = input.values[base.dst(g)], input.arrows[g]
+                if value not in spans:
+                    spans[value] = _spans_by_last_face(value, n)
+                by_last = spans[value]
+                # y[n - 1] is y's component on [n - 1]
+                grown[chain] = [
+                    tuple(sorted(y + z))
+                    for y in on[chain[:-1] if n > 1 else (base.src(g),)]
+                    for z in by_last.get(carry(SimplexRef(*y[n - 1][1:]), n - 1), ())]
+            on = grown
+            levels.append([(chain, tau) for chain, taus in on.items() for tau in taus])
 
         def transport(n, key, alpha, m):
             """The element along a monotone operator [m] -> [n], by its plan."""
@@ -207,8 +211,9 @@ class RelativeNerve:
             else:
                 new_chain = tuple(comps[alpha[t - 1]][alpha[t]] for t in range(1, m + 1))
             return new_chain, tuple(
-                (J, *input.values[objs[top]].act(SimplexRef(*tau_items[at][1:]), dim, beta))
-                for J, at, top, dim, beta in _transport_plan(alpha, n))
+                (J, *(apply_word(SimplexRef(*tau_items[at][1:]), word, dim) if word
+                      else tau_items[at][1:]))
+                for J, at, dim, word in _transport_plan(alpha, n))
 
         self._transport = transport
 
@@ -247,18 +252,39 @@ def _subsets(n):
     return [s for size in range(1, n + 2) for s in itertools.combinations(range(n + 1), size)]
 
 
+def _spans_by_last_face(value: FinSimpSet, n):
+    """The n-simplices z of value bucketed by d_n z, each as its components
+    on the J of [n] that hold n, in key order: the face of z that J spans,
+    read off the one J + {t} spans, for t the least vertex outside J."""
+    plan = []
+    for size in range(n - 1, -1, -1):
+        for low in itertools.combinations(range(n), size):
+            t = min(set(range(n)) - set(low))
+            up = tuple(sorted(low + (t,)))
+            plan.append((low + (n,), up + (n,), up.index(t)))
+    out = {}
+    for faces, refs in value.face_index(n).items():
+        bucket = out.setdefault(faces[-1], [])
+        for z in refs:
+            spanned = {tuple(range(n + 1)): z}
+            for J, up, i in plan:
+                spanned[J] = value.face(spanned[up], len(up) - 1, i)
+            bucket.append(tuple((J, *spanned[J]) for J in sorted(spanned)))
+    return out
+
+
 @functools.lru_cache(maxsize=1 << 10)
 def _transport_plan(alpha, n):
     """Transport of relative-nerve keys along a monotone alpha: [m] -> [n].
     For each nonempty J of [m], sorted as in a key: J, the position in a
-    key of its image alpha(J), the image's last vertex and dimension, and
-    alpha on J as an operator beta onto the image."""
+    key of its image alpha(J), the image's dimension, and the degeneracy
+    word of alpha on J, a monotone surjection onto the image."""
     position = {image: at for at, image in enumerate(sorted(_subsets(n)))}
     plan = []
     for J in sorted(_subsets(len(alpha) - 1)):
         image = tuple(sorted({alpha[j] for j in J}))
-        plan.append((J, position[image], image[-1], len(image) - 1,
-                     tuple(image.index(alpha[j]) for j in J)))
+        plan.append((J, position[image], len(image) - 1,
+                     surj_to_word(tuple(image.index(alpha[j]) for j in J))))
     return tuple(plan)
 
 
@@ -448,37 +474,6 @@ def hom_over_base(x: OverObject, y: OverObject, variant="flat",
     if variant == "sharp":
         return mo.sharp, mo
     raise ValueError(f"unknown variant {variant!r}")
-
-
-def cotensor_over_base(x: OverObject, a: FinSimpSet, dim_cap=None, budget=None):
-    """The over-base cotensor by a simplicial set, as the pullback of the
-    marked mapping object out of the flattened tensor against the base
-    diagonal; elements in dimension d are pairs (map, base simplex)."""
-    budget = budget or Budget()
-    base_nerve = x.proj.target
-
-    def families(mc, d):
-        (prod, p1, _, _), simplex = mc.frame(0, d), mc.frame(1, d)
-        ms = hom_set(prod, x.marked.underlying, budget=budget)
-        betas = hom_set(simplex, base_nerve, budget=budget) if ms else []
-        for m in ms:
-            for beta in betas:
-                if commutes([p1, beta], [m, x.proj]):
-                    yield m, beta
-
-    cap = x.marked.underlying.dim_bound if dim_cap is None else dim_cap
-    mc = MapComplex(cap, [a, None], families)
-    space = mc.space
-
-    proj = cellwise(space, base_nerve, lambda d, name: mc.element_of(name)[1](
-        SimplexRef("".join(str(t) for t in range(d + 1))), d))
-    flat_a = mark(a, "flat")
-    marked_edges = [
-        e for e in space.cell_ids(1)
-        if edge_sharpens(mc.element_of(e)[0], mc.frame(0, 1)[2], flat_a, x.marked)
-    ]
-    obj = OverObject(MarkedSimpSet(space, marked_edges), proj)
-    return obj, mc.element_of
 
 
 def r_plus_level(x: OverObject, k, level_cap, dim_cap=2, budget=None) -> MarkedSimpSet:

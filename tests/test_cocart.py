@@ -5,10 +5,11 @@ import itertools
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import test_cocart_golden
 from test_catcore import iso_class_count
-from test_simplicial import disjoint_union
+from test_simplicial import disjoint_union, quotients
 from gammaspace import cocart, shapes
 from gammaspace.catcore import (
     CatFunctor,
@@ -22,7 +23,6 @@ from gammaspace.cocart import (
     UnsupportedInputError,
     cocartesian_cross_check,
     cocartesian_edges,
-    cotensor_over_base,
     gamma_diagram_input,
     gamma_subcategory,
     hom_over_base,
@@ -32,25 +32,29 @@ from gammaspace.cocart import (
     sm_qcat_check,
     upsilon,
 )
-from gammaspace.corpus import z2_monoid_space
+from gammaspace.corpus import category_corpus, z2_monoid_space
 from gammaspace.gspace import gamma_rep, segal_check
 from gammaspace.marked import (
-    MarkedSimpSet, mark, marked_product, marked_hom_set, hom_marked, preserves_marking)
+    MarkedSimpSet, edge_sharpens, mark, marked_product, marked_hom_set, hom_marked,
+    preserves_marking)
 from gammaspace.nerve import nerve
-from gammaspace.shapes import horn, standard_point, standard_simplex
+from gammaspace.shapes import MapComplex, boundary, horn, standard_point, standard_simplex
 from gammaspace.simplicial import (
     FinSimpSet,
     SimplexRef,
     SimpMap,
+    cellwise,
+    commutes,
     constant_map,
     delta_tuple,
+    from_elements,
     hom_set,
     identity_map,
     inclusion_map,
     iso_check,
     sigma_tuple,
 )
-from gammaspace.verdicts import FAILS, HOLDS, INCONCLUSIVE, Budget
+from gammaspace.verdicts import FAILS, HOLDS, INCONCLUSIVE, Budget, backtrack
 
 
 def constant_input(base, value):
@@ -243,6 +247,37 @@ def test_upsilon_is_a_map_over_the_base(monkeypatch, k, l):
     assert cmp.then(tgt.proj) == src.proj
 
 
+def cotensor_over_base(x: OverObject, a: FinSimpSet, dim_cap=None, budget=None):
+    """The over-base cotensor by a simplicial set, as the pullback of the
+    marked mapping object out of the flattened tensor against the base
+    diagonal; elements in dimension d are pairs (map, base simplex)."""
+    budget = budget or Budget()
+    base_nerve = x.proj.target
+
+    def families(mc, d):
+        (prod, p1, _, _), simplex = mc.frame(0, d), mc.frame(1, d)
+        ms = hom_set(prod, x.marked.underlying, budget=budget)
+        betas = hom_set(simplex, base_nerve, budget=budget) if ms else []
+        for m in ms:
+            for beta in betas:
+                if commutes([p1, beta], [m, x.proj]):
+                    yield m, beta
+
+    cap = x.marked.underlying.dim_bound if dim_cap is None else dim_cap
+    mc = MapComplex(cap, [a, None], families)
+    space = mc.space
+
+    proj = cellwise(space, base_nerve, lambda d, name: mc.element_of(name)[1](
+        SimplexRef("".join(str(t) for t in range(d + 1))), d))
+    flat_a = mark(a, "flat")
+    marked_edges = [
+        e for e in space.cell_ids(1)
+        if edge_sharpens(mc.element_of(e)[0], mc.frame(0, 1)[2], flat_a, x.marked)
+    ]
+    obj = OverObject(MarkedSimpSet(space, marked_edges), proj)
+    return obj, mc.element_of
+
+
 def test_nelg_and_cotensor_build_over_objects():
     for k in (0, 1, 2):
         nelg(k, 2)[0].proj.validate()
@@ -362,13 +397,8 @@ def test_cross_check_is_inconclusive_when_the_edge_search_runs_out():
 
 # -- transport along an operator, planned once ---------------------------------
 
-def _transport_by_subsets(rn, n, key, alpha, m):
-    """The transport of a relative-nerve element, derived directly: the
-    chain's objects and composites from the chain, and for every J of [m]
-    its image, beta and simplex, with the new key sorted at the end."""
-    base, values = rn.input.base, rn.input.values
-    chain, tau_items = key
-    tau = {J: SimplexRef(b, w) for J, b, w in tau_items}
+def _chain_composites(base, n, chain):
+    """The objects of an n-chain, and arrow(i, j), its composite from i to j."""
     objs = (chain[0],) if n == 0 else (base.src(chain[0]),) + tuple(base.dst(f) for f in chain)
 
     def arrow(i, j):
@@ -377,6 +407,17 @@ def _transport_by_subsets(rn, n, key, alpha, m):
             acc = base.compose(chain[t], acc)
         return acc
 
+    return objs, arrow
+
+
+def _transport_by_subsets(rn, n, key, alpha, m):
+    """The transport of a relative-nerve element, derived directly: the
+    chain's objects and composites from the chain, and for every J of [m]
+    its image, beta and simplex, with the new key sorted at the end."""
+    base, values = rn.input.base, rn.input.values
+    chain, tau_items = key
+    tau = {J: SimplexRef(b, w) for J, b, w in tau_items}
+    objs, arrow = _chain_composites(base, n, chain)
     new_chain = ((objs[alpha[0]],) if m == 0
                  else tuple(arrow(alpha[t - 1], alpha[t]) for t in range(1, m + 1)))
     new_tau = {}
@@ -418,11 +459,123 @@ def test_planned_transport_gives_the_keys_of_the_direct_derivation(monkeypatch):
                         _transport_by_subsets(rn, m, moved, delta_tuple(i, m), m - 1)
 
 
+# -- the elements, by skeletal extension against a search over subsets ---------
+
+def _elements_by_subsets(input, dim_cap):
+    """The element levels of the relative nerve, found over each chain by a
+    backtracking search that draws one component per nonempty J of [n], by
+    size: a simplex of the value at J's last object whose faces are the
+    components of J's faces, carried along the chain."""
+    base = input.base
+    chains = {0: [(o,) for o in base.objects], 1: [(f,) for f in base.arrow_ids()]}
+    for n in range(2, dim_cap + 1):
+        chains[n] = [ch + (g,) for ch in chains[n - 1] for g in base.out_of(base.dst(ch[-1]))]
+    levels = []
+    for n in range(dim_cap + 1):
+        subsets = [J for size in range(1, n + 2) for J in itertools.combinations(range(n + 1), size)]
+        elems = set()
+        for chain in chains[n]:
+            objs, arrow = _chain_composites(base, n, chain)
+
+            def candidates(J, tau, objs=objs, arrow=arrow):
+                space, dim = input.values[objs[J[-1]]], len(J) - 1
+                if dim == 0:
+                    return space.refs(0)
+                carried = tuple(input.arrows[arrow(I[-1], J[-1])](tau[I], dim - 1)
+                                for I in (J[:t] + J[t + 1:] for t in range(dim + 1)))
+                return space.face_index(dim).get(carried, ())
+
+            for tau in backtrack(subsets, candidates):
+                elems.add((chain, tuple(sorted((J, *r) for J, r in tau.items()))))
+        levels.append(sorted(elems))
+    return levels
+
+
+def _cells(x):
+    return [{c: x.faces_of(n, c) for c in x.cell_ids(n)} for n in range(x.dim_bound + 1)]
+
+
+def _assert_built_as_by_subsets(inp, dim_cap):
+    """The build hands `from_elements` the levels the subset search finds,
+    and gives the cells, names and keys that those levels give under the
+    transport derived directly."""
+    handed = []
+
+    def recording(bound, levels, face, degen):
+        handed.append([sorted(level) for level in levels])
+        return from_elements(bound, levels, face, degen)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cocart, "from_elements", recording)
+        rn = relative_nerve(inp, dim_cap)
+    want = _elements_by_subsets(inp, dim_cap)
+    assert handed == [want]
+    total, _, key_of = from_elements(
+        dim_cap, want,
+        lambda n, key, i: _transport_by_subsets(rn, n, key, delta_tuple(i, n), n - 1),
+        lambda n, key, i: _transport_by_subsets(rn, n, key, sigma_tuple(i, n), n + 1))
+    assert _cells(rn.total) == _cells(total)
+    assert rn._key_of == key_of
+
+
+def test_golden_relative_nerves_are_built_as_by_subsets(monkeypatch):
+    nerves = _golden_relative_nerves(monkeypatch)
+    assert len(nerves) == 33
+    for rn in nerves:
+        _assert_built_as_by_subsets(rn.input, rn.cap)
+
+
+_CORPUS_NERVES = [nerve(c, bound=b) for _, c in category_corpus() for b in (2, 3)]
+diagram_values = st.one_of(st.sampled_from(_CORPUS_NERVES), quotients,
+                           st.sampled_from([boundary(2), horn(2, 1)]))
+
+
+@st.composite
+def functorial_diagrams(draw):
+    """A diagram on [1] or [2] whose values are drawn from a pool, so some
+    repeat, and whose steps are identities (between one value) or constant
+    maps; the long arrow of [2] is the composite."""
+    k = draw(st.integers(1, 2))
+    base = poset_category(k)
+    pool = draw(st.lists(diagram_values, min_size=1, max_size=k + 1))
+    values = {str(i): draw(st.sampled_from(pool)) for i in range(k + 1)}
+    arrows = {base.identities[o]: identity_map(v) for o, v in values.items()}
+    for i in range(k):
+        src, dst = values[str(i)], values[str(i + 1)]
+        if src is dst and draw(st.booleans()):
+            arrows[f"le{i}{i + 1}"] = identity_map(src)
+        else:
+            arrows[f"le{i}{i + 1}"] = constant_map(src, dst, draw(st.sampled_from(dst.cell_ids(0))))
+    if k == 2:
+        arrows["le02"] = arrows["le01"].then(arrows["le12"])
+    return RelativeNerveInput(base, values, arrows).validate()
+
+
+@given(functorial_diagrams(), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_relative_nerves_are_built_as_by_subsets(inp, dim_cap):
+    _assert_built_as_by_subsets(inp, dim_cap)
+
+
+def test_relative_nerve_leaves_its_values_act_memos_alone():
+    # the mixed diagram of criterion 8: N(walking iso) twice, then N([1])
+    base = poset_category(2)
+    nw, n1 = nerve(walking_iso_category(), bound=2), nerve(poset_category(1), bound=2)
+    inp = RelativeNerveInput(base, {"0": nw, "1": nw, "2": n1}, {
+        "le00": identity_map(nw), "le11": identity_map(nw), "le22": identity_map(n1),
+        "le01": identity_map(nw), "le12": constant_map(nw, n1, "o0"),
+        "le02": constant_map(nw, n1, "o0")}).validate()
+    memos = [dict(v._act_memo) for v in (nw, n1)]
+    relative_nerve(inp, 2)
+    assert [v._act_memo for v in (nw, n1)] == memos
+
+
 def test_transport_plans_are_kept_in_a_bounded_memo():
     assert cocart._transport_plan.cache_info().maxsize is not None
     # J = (0, 1) of [1] under the face [1] -> [2] that skips 1: its image
-    # (0, 2) is the fourth of (0,), (0, 1), (0, 1, 2), (0, 2), ...
-    assert cocart._transport_plan((0, 2), 2)[1] == ((0, 1), 3, 2, 1, (0, 1))
+    # (0, 2) is the fourth of (0,), (0, 1), (0, 1, 2), (0, 2), ..., an
+    # edge, onto which J maps with no degeneracy
+    assert cocart._transport_plan((0, 2), 2)[1] == ((0, 1), 3, 1, ())
 
 
 def _triangle(*tops):

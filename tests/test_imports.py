@@ -488,7 +488,6 @@ KEPT_LITERAL_JOINS = {
     ("cli", "build_parser"): 1,
     ("suite", "run_suite"): 2,
     ("cocart", "_gamma_arrow_name"): 1,
-    ("cocart", "cotensor_over_base"): 1,
     ("shapes", "_tuple_name"): 1,
 }
 
@@ -530,8 +529,6 @@ KEPT_TEST_ONLY_DEFINITIONS = {
     ("gspace", "trivial_fibration_check"),
     # the fibrant verdict of ROADMAP item 19
     ("shapes", "is_quasicategory_up_to"),
-    # the over-base cotensor, for ROADMAP item 27's enrichment law
-    ("cocart", "cotensor_over_base"),
     # argparse calls it on a malformed command line
     ("cli", "_Parser.error"),
     # a set read at another bound, by which ROADMAP item 14's truncation

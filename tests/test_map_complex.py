@@ -14,7 +14,9 @@ import hashlib
 
 import pytest
 
-from gammaspace.cocart import cotensor_over_base, nelg
+from test_cocart import cotensor_over_base
+
+from gammaspace.cocart import nelg
 from gammaspace.corpus import (
     constant_gamma_space,
     glued_presentation,

@@ -7,6 +7,7 @@ import itertools
 import linecache
 import random
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -277,22 +278,34 @@ def _s3_presentation():
                               "t3": (a, e, b), "t4": (e, s0v, e)}})
 
 
-def _lines_run(fn_name, text, run):
-    """How often the lines of `fn_name` that read `text` run inside run()."""
+def _lines_run(outer, fn_name, text, run):
+    """How often the lines reading `text` of the function `fn_name` nested
+    in `outer` run inside run().  The lines are looked up before run()
+    starts, so an edit of the source meanwhile changes nothing, and every
+    event is passed on to the tracer installed before, so a line trace of
+    the whole suite still sees the lines run here."""
+    code = next(c for c in outer.__code__.co_consts
+                if isinstance(c, types.CodeType) and c.co_name == fn_name)
+    lines = {n for _, _, n in code.co_lines()
+             if n is not None and linecache.getline(code.co_filename, n).strip() == text}
+    assert lines, f"no line of {fn_name} reads {text!r}"
     hits = []
+    old = sys.gettrace()
 
     def trace(frame, event, arg):
-        if frame.f_code.co_name != fn_name:
-            return None
+        passed = old(frame, event, arg) if old is not None else None
+        if frame.f_code is not code:
+            return passed
 
         def local(frame, event, arg):
-            if event == "line" and linecache.getline(
-                    frame.f_code.co_filename, frame.f_lineno).strip() == text:
+            nonlocal passed
+            if passed is not None:
+                passed = passed(frame, event, arg)
+            if event == "line" and frame.f_lineno in lines:
                 hits.append(frame.f_lineno)
             return local
         return local
 
-    old = sys.gettrace()
     sys.settrace(trace)
     try:
         result = run()
@@ -305,7 +318,7 @@ def test_coset_enumeration_merges_coincident_nodes():
     # merging two nodes moves the outgoing edges of the one merged away:
     # a coincidence the hypothesis draws above do not reach
     x = _s3_presentation()
-    result, moved = _lines_run("merge", "if e in table[a]:", lambda: _tau1_full(x))
+    result, moved = _lines_run(_tau1_full, "merge", "if e in table[a]:", lambda: _tau1_full(x))
     assert moved > 0
     assert len(result[0].arrows) == 6
     assert _tables(result) == _tables(_tau1_by_closure(x))
@@ -317,7 +330,8 @@ def test_coset_enumeration_merges_a_loop_into_its_root():
     v, s0v, e = SimplexRef("v"), SimplexRef("v", (0,)), SimplexRef("e")
     x = FinSimpSet(2, {0: {"v": ()}, 1: {"e": (v, v)},
                        2: {"t0": (e, e, e), "t1": (e, s0v, e)}})
-    result, met = _lines_run("merge", "pending.append((table[a][e], t))", lambda: _tau1_full(x))
+    result, met = _lines_run(_tau1_full, "merge", "pending.append((table[a][e], t))",
+                             lambda: _tau1_full(x))
     assert met > 0
     cat, edge_to_arrow = tau1(x)
     assert list(cat.arrows) == ["a0"] and edge_to_arrow == {"e": "a0"}

@@ -7,14 +7,15 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from test_cocart import filler_over_one_of_two_bottoms
+import test_cocart
+from test_cocart import cotensor_over_base, filler_over_one_of_two_bottoms
 from test_lifting_golden import _cocart_cases, _diagram, _qcat_cases
 from test_shapes import spine_of_two_edges
 from test_simplicial import glued_simplices, quotients
 
 from gammaspace import cocart, shapes
 from gammaspace.catcore import poset_category, walking_iso_category
-from gammaspace.cocart import cocartesian_edges, cotensor_over_base, nelg, relative_nerve
+from gammaspace.cocart import cocartesian_edges, nelg, relative_nerve
 from gammaspace.corpus import category_corpus, pointed_corpus
 from gammaspace.gspace import _basepoint_collapse, _families
 from gammaspace.marked import MarkedSimpSet, is_marked_map, marked_hom_set
@@ -268,7 +269,7 @@ def _count_calls(monkeypatch, module):
 
 def test_cotensor_searches_base_simplices_once_per_dimension(monkeypatch):
     over, _, _ = nelg(1, 1, dim_cap=1)
-    calls = _count_calls(monkeypatch, cocart)
+    calls = _count_calls(monkeypatch, test_cocart)
     cotensor_over_base(over, standard_simplex(1), dim_cap=1)
     # per dimension: the maps into the total space, then the base simplices
     assert len(calls) == 4
