@@ -3,7 +3,6 @@ marked overcategory machinery above the nerve of the based-set category."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -11,7 +10,7 @@ from .catcore import CatFunctor, FinCat, coslice_category
 from .gammaop import GammaMorphism, based_map, delta_projection, enumerate_homs, gamma_identity
 from .gspace import TabulatedGammaSpace, segal_check
 from .marked import MarkedMappingObject, MarkedSimpSet, mark
-from .nerve import chain_ref, edge_is_invertible, nerve, nerve_functor_map, tau1
+from .nerve import chain_face, chain_ref, edge_is_invertible, nerve, nerve_functor_map, tau1
 from .shapes import _horn_squares, unfillable_inner_horn
 from .simplicial import (
     FinSimpSet,
@@ -19,16 +18,12 @@ from .simplicial import (
     SimpMap,
     Colimit,
     _subset_of,
-    apply_word,
     cellwise,
     commutes,
-    delta_tuple,
     from_elements,
     identity_map,
     iso_check,
     map_cap,
-    sigma_tuple,
-    surj_to_word,
 )
 from .verdicts import (
     Budget,
@@ -155,86 +150,79 @@ class RelativeNerve:
     of [n].  F must be a functor, as the loaders check.
 
     A chain of dimension 0 is (object,); of dimension n >= 1 a tuple of n
-    composable arrow ids (identities allowed).  The simplices are built by
-    skeletal extension: over a chain (c, g) they are the pairs (y, z) of
-    an (n-1)-simplex y over c (over the 0-chain at g's source when n = 1)
-    and an n-simplex z of F(dst g) with d_n z = F(g) of y's component on
-    [n-1]; the components on the subsets J that hold n are the faces of z
-    that J spans.  Functoriality makes every other face condition hold.
+    composable arrow ids (identities allowed).  The component on J is the
+    face that J spans of the one on the initial segment [0..max J], so a
+    simplex is keyed by (chain, (tau_0, tau_01, ..., tau_0..n)), its
+    components on the initial segments.  The simplices are built by
+    skeletal extension: over a chain (c, g) they are the y + (z,) for y an
+    (n-1)-simplex over c (over the 0-chain at g's source when n = 1) and z
+    an n-simplex of F(dst g) with d_n z = F(g)(tau_0..n-1 of y).
+    Functoriality makes every other face condition hold.
     """
 
     def __init__(self, input: RelativeNerveInput, dim_cap):
         self.input = input
         self.cap = dim_cap
-        base = input.base
+        base, values = input.base, input.values
         chains = {0: [(o,) for o in base.objects],
                   1: [(f,) for f in base.arrow_ids()]}
         for n in range(2, dim_cap + 1):
             chains[n] = [ch + (g,) for ch in chains[n - 1] for g in base.out_of(base.dst(ch[-1]))]
 
-        # each chain's objects and comps[i][j], its composite from i to j
-        chain_data = {}
-        for n, level in chains.items():
-            for chain in level:
-                objs = chain if n == 0 else (base.src(chain[0]),) + tuple(map(base.dst, chain))
-                comps = [{i: base.identities[o]} for i, o in enumerate(objs)]
-                for i, row in enumerate(comps):
-                    for j in range(i, n):
-                        row[j + 1] = base.compose(chain[j], row[j])
-                chain_data[(n, chain)] = objs, comps
-
-        # the components of the simplices over each chain of the last dimension
-        on = {(o,): [(((0,), *r),) for r in input.values[o].refs(0)] for o in base.objects}
-        levels = [[(chain, tau) for chain, taus in on.items() for tau in taus]]
+        # the segment components of the simplices over each chain of the last dimension
+        on = {(o,): [(r,) for r in values[o].refs(0)] for o in base.objects}
+        levels = [[(chain, taus) for chain, found in on.items() for taus in found]]
         for n in range(1, dim_cap + 1):
-            spans, grown = {}, {}
+            by_last, grown = {}, {}
             for chain in chains[n]:
                 g = chain[-1]
-                value, carry = input.values[base.dst(g)], input.arrows[g]
-                if value not in spans:
-                    spans[value] = _spans_by_last_face(value, n)
-                by_last = spans[value]
-                # y[n - 1] is y's component on [n - 1]
-                grown[chain] = [
-                    tuple(sorted(y + z))
-                    for y in on[chain[:-1] if n > 1 else (base.src(g),)]
-                    for z in by_last.get(carry(SimplexRef(*y[n - 1][1:]), n - 1), ())]
+                value, carry = values[base.dst(g)], input.arrows[g]
+                if value not in by_last:
+                    by_last[value] = bucket = {}
+                    for faces, refs in value.face_index(n).items():
+                        bucket.setdefault(faces[-1], []).extend(refs)
+                grown[chain] = [y + (z,) for y in on[chain[:-1] if n > 1 else (base.src(g),)]
+                                for z in by_last[value].get(carry(y[-1], n - 1), ())]
             on = grown
-            levels.append([(chain, tau) for chain, taus in on.items() for tau in taus])
-
-        def transport(n, key, alpha, m):
-            """The element along a monotone operator [m] -> [n], by its plan."""
-            chain, tau_items = key
-            objs, comps = chain_data[(n, chain)]
-            if m == 0:
-                new_chain = (objs[alpha[0]],)
-            else:
-                new_chain = tuple(comps[alpha[t - 1]][alpha[t]] for t in range(1, m + 1))
-            return new_chain, tuple(
-                (J, *(apply_word(SimplexRef(*tau_items[at][1:]), word, dim) if word
-                      else tau_items[at][1:]))
-                for J, at, dim, word in _transport_plan(alpha, n))
-
-        self._transport = transport
+            levels.append([(chain, taus) for chain, found in on.items() for taus in found])
 
         def face(n, key, i):
-            return transport(n, key, delta_tuple(i, n), n - 1)
+            chain, taus = key
+            objs = _chain_objects(base, n, chain)
+            sub, start = chain_face(base, chain, i)
+            return sub if n > 1 else (start,), taus[:i] + tuple(
+                values[objs[k]].face(taus[k], k, i) for k in range(i + 1, n + 1))
 
         def degen(n, key, i):
-            return transport(n, key, sigma_tuple(i, n), n + 1)
+            chain, taus = key
+            objs = _chain_objects(base, n, chain)
+            ident = (base.identities[objs[i]],)
+            return ident if n == 0 else chain[:i] + ident + chain[i:], taus[:i + 1] + tuple(
+                values[objs[k]].degen(taus[k], k, i) for k in range(i, n + 1))
 
         self.total, _, self._key_of = from_elements(dim_cap, levels, face, degen)
 
         self.base_nerve = nerve(base, bound=dim_cap)
 
+        chain_refs = {}
+
         def over(n, name):
             chain = self._key_of[name][1][0]
-            return chain_ref(base, chain[:n], chain_data[(n, chain)][0][0])
+            if (n, chain) not in chain_refs:
+                chain_refs[n, chain] = chain_ref(base, chain[:n], _chain_objects(base, n, chain)[0])
+            return chain_refs[n, chain]
 
         self.proj = cellwise(self.total, self.base_nerve, over)
 
     def element_of(self, name):
-        return self._key_of[name][1]
+        """(chain, its components (J, base, degs) on every nonempty J of
+        [n], sorted): on J the face of the component on [0..max J] that J
+        spans."""
+        n, (chain, taus) = self._key_of[name]
+        objs = _chain_objects(self.input.base, n, chain)
+        return chain, tuple(sorted(
+            (J, *self.input.values[objs[J[-1]]].act(taus[J[-1]], J[-1], J))
+            for size in range(1, n + 2) for J in itertools.combinations(range(n + 1), size)))
 
     def fiber(self, obj) -> FinSimpSet:
         """The sub-simplicial set over the constant chain at an object."""
@@ -247,45 +235,9 @@ class RelativeNerve:
         return iso_check(self.fiber(obj), self.input.values[obj])
 
 
-def _subsets(n):
-    """The nonempty subsets of [n], as sorted tuples, by size."""
-    return [s for size in range(1, n + 2) for s in itertools.combinations(range(n + 1), size)]
-
-
-def _spans_by_last_face(value: FinSimpSet, n):
-    """The n-simplices z of value bucketed by d_n z, each as its components
-    on the J of [n] that hold n, in key order: the face of z that J spans,
-    read off the one J + {t} spans, for t the least vertex outside J."""
-    plan = []
-    for size in range(n - 1, -1, -1):
-        for low in itertools.combinations(range(n), size):
-            t = min(set(range(n)) - set(low))
-            up = tuple(sorted(low + (t,)))
-            plan.append((low + (n,), up + (n,), up.index(t)))
-    out = {}
-    for faces, refs in value.face_index(n).items():
-        bucket = out.setdefault(faces[-1], [])
-        for z in refs:
-            spanned = {tuple(range(n + 1)): z}
-            for J, up, i in plan:
-                spanned[J] = value.face(spanned[up], len(up) - 1, i)
-            bucket.append(tuple((J, *spanned[J]) for J in sorted(spanned)))
-    return out
-
-
-@functools.lru_cache(maxsize=1 << 10)
-def _transport_plan(alpha, n):
-    """Transport of relative-nerve keys along a monotone alpha: [m] -> [n].
-    For each nonempty J of [m], sorted as in a key: J, the position in a
-    key of its image alpha(J), the image's dimension, and the degeneracy
-    word of alpha on J, a monotone surjection onto the image."""
-    position = {image: at for at, image in enumerate(sorted(_subsets(n)))}
-    plan = []
-    for J in sorted(_subsets(len(alpha) - 1)):
-        image = tuple(sorted({alpha[j] for j in J}))
-        plan.append((J, position[image], len(image) - 1,
-                     surj_to_word(tuple(image.index(alpha[j]) for j in J))))
-    return tuple(plan)
+def _chain_objects(base: FinCat, n, chain):
+    """The n + 1 objects of an n-chain."""
+    return chain if n == 0 else (base.src(chain[0]),) + tuple(map(base.dst, chain))
 
 
 def relative_nerve(input: RelativeNerveInput, dim_cap) -> RelativeNerve:
@@ -358,9 +310,9 @@ def _edge_search(total: FinSimpSet, proj: SimpMap, dim_cap, budget):
 
 def edge_components(rn: RelativeNerve, edge_name):
     """The (base arrow, fiber edge) pair behind an edge of a relative nerve."""
-    n, (chain, tau_items) = rn._key_of[edge_name]
-    assert n == 1 and tau_items[1][0] == (0, 1)
-    return chain[0], SimplexRef(*tau_items[1][1:])
+    n, (chain, taus) = rn._key_of[edge_name]
+    assert n == 1
+    return chain[0], taus[1]
 
 
 def cocartesian_cross_check(rn: RelativeNerve, dim_cap, budget=None) -> Verdict:

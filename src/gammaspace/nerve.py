@@ -30,6 +30,17 @@ def chain_ref(c: FinCat, chain, start) -> SimplexRef:
     return SimplexRef(joined_name(squeezed, "|") if squeezed else f"o{start}", word)
 
 
+def chain_face(c: FinCat, chain, i):
+    """The i-th face of a chain of n >= 1 composable arrows, as (the chain
+    of n - 1 arrows, its first object): d_0 drops the first arrow, d_n the
+    last, and 0 < i < n composes the two arrows at object i."""
+    if i == 0:
+        return chain[1:], c.dst(chain[0])
+    if i == len(chain):
+        return chain[:-1], c.src(chain[0])
+    return chain[:i - 1] + (c.compose(chain[i], chain[i - 1]),) + chain[i + 1:], c.src(chain[0])
+
+
 def nerve(c: FinCat, bound=4) -> FinSimpSet:
     """Nerve of a finite category, truncated.
 
@@ -49,20 +60,9 @@ def nerve(c: FinCat, bound=4) -> FinSimpSet:
     for n in range(1, bound + 1):
         cells[n] = {}
         for ch in chains.get(n, []):
-            faces = []
-            for i in range(n + 1):
-                if i == 0:
-                    sub = ch[1:]
-                    start = c.dst(ch[0])
-                elif i == n:
-                    sub = ch[:-1]
-                    start = c.src(ch[0])
-                else:
-                    sub = ch[: i - 1] + (c.compose(ch[i], ch[i - 1]),) + ch[i + 1 :]
-                  # composite may be an identity; chain_ref renormalizes
-                    start = c.src(ch[0])
-                faces.append(chain_ref(c, sub, start))
-            cells[n][chain_ref(c, ch, c.src(ch[0])).base] = tuple(faces)
+            # a composite may be an identity; chain_ref renormalizes
+            faces = tuple(chain_ref(c, *chain_face(c, ch, i)) for i in range(n + 1))
+            cells[n][chain_ref(c, ch, c.src(ch[0])).base] = faces
 
     longer = any(map(extended, chains[bound])) if bound >= 1 else bool(non_id)
     return FinSimpSet(bound, cells, complete=not longer)

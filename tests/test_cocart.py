@@ -395,7 +395,7 @@ def test_cross_check_is_inconclusive_when_the_edge_search_runs_out():
     assert full.status == HOLDS and full.details["cocartesian"] == full.details["edges"] == 8
 
 
-# -- transport along an operator, planned once ---------------------------------
+# -- transport along an operator, derived over the subsets of [n] -------------
 
 def _chain_composites(base, n, chain):
     """The objects of an n-chain, and arrow(i, j), its composite from i to j."""
@@ -443,22 +443,6 @@ def _golden_relative_nerves(monkeypatch):
     return built
 
 
-def test_planned_transport_gives_the_keys_of_the_direct_derivation(monkeypatch):
-    nerves = _golden_relative_nerves(monkeypatch)
-    assert len(nerves) == 33
-    for rn in nerves:
-        for n, key in rn._key_of.values():
-            ops = [(delta_tuple(i, n), n - 1) for i in range(n + 1) if n > 0]
-            ops += [(sigma_tuple(i, n), n + 1) for i in range(n + 1) if n < rn.cap]
-            for alpha, m in ops:
-                moved = rn._transport(n, key, alpha, m)
-                assert moved == _transport_by_subsets(rn, n, key, alpha, m)
-                # and on from there, through degenerate elements too
-                for i in range(m + 1 if m > 0 else 0):
-                    assert rn._transport(m, moved, delta_tuple(i, m), m - 1) == \
-                        _transport_by_subsets(rn, m, moved, delta_tuple(i, m), m - 1)
-
-
 # -- the elements, by skeletal extension against a search over subsets ---------
 
 def _elements_by_subsets(input, dim_cap):
@@ -495,27 +479,48 @@ def _cells(x):
     return [{c: x.faces_of(n, c) for c in x.cell_ids(n)} for n in range(x.dim_bound + 1)]
 
 
+def _segments(key):
+    """A key of the subset search cut to its components on the initial
+    segments [0..k], as the build keys an element."""
+    chain, tau_items = key
+    return chain, tuple(SimplexRef(b, w) for J, b, w in tau_items if J == tuple(range(len(J))))
+
+
 def _assert_built_as_by_subsets(inp, dim_cap):
     """The build hands `from_elements` the levels the subset search finds,
-    and gives the cells, names and keys that those levels give under the
-    transport derived directly."""
+    cut to their initial segments, with the face and degeneracy maps of
+    the transport derived directly, and gives the cells, names and keys
+    that the uncut levels give under that transport; `element_of` gives
+    back each uncut key."""
     handed = []
 
     def recording(bound, levels, face, degen):
-        handed.append([sorted(level) for level in levels])
+        handed.append(([sorted(level) for level in levels], face, degen))
         return from_elements(bound, levels, face, degen)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cocart, "from_elements", recording)
         rn = relative_nerve(inp, dim_cap)
     want = _elements_by_subsets(inp, dim_cap)
-    assert handed == [want]
+    [(levels, face, degen)] = handed
+    assert levels == [sorted(map(_segments, level)) for level in want]
+    uncut = {(n, _segments(key)): key for n, level in enumerate(want) for key in level}
+    for (n, cut), key in uncut.items():
+        for i in range(n + 1):
+            if n > 0:
+                assert face(n, cut, i) == _segments(
+                    _transport_by_subsets(rn, n, key, delta_tuple(i, n), n - 1))
+            if n < dim_cap:
+                assert degen(n, cut, i) == _segments(
+                    _transport_by_subsets(rn, n, key, sigma_tuple(i, n), n + 1))
     total, _, key_of = from_elements(
         dim_cap, want,
         lambda n, key, i: _transport_by_subsets(rn, n, key, delta_tuple(i, n), n - 1),
         lambda n, key, i: _transport_by_subsets(rn, n, key, sigma_tuple(i, n), n + 1))
     assert _cells(rn.total) == _cells(total)
-    assert rn._key_of == key_of
+    assert rn._key_of == {name: (n, _segments(key)) for name, (n, key) in key_of.items()}
+    assert {name: rn.element_of(name) for name in key_of} == \
+        {name: key for name, (_, key) in key_of.items()}
 
 
 def test_golden_relative_nerves_are_built_as_by_subsets(monkeypatch):
@@ -568,14 +573,6 @@ def test_relative_nerve_leaves_its_values_act_memos_alone():
     memos = [dict(v._act_memo) for v in (nw, n1)]
     relative_nerve(inp, 2)
     assert [v._act_memo for v in (nw, n1)] == memos
-
-
-def test_transport_plans_are_kept_in_a_bounded_memo():
-    assert cocart._transport_plan.cache_info().maxsize is not None
-    # J = (0, 1) of [1] under the face [1] -> [2] that skips 1: its image
-    # (0, 2) is the fourth of (0,), (0, 1), (0, 1, 2), (0, 2), ..., an
-    # edge, onto which J maps with no degeneracy
-    assert cocart._transport_plan((0, 2), 2)[1] == ((0, 1), 3, 1, ())
 
 
 def _triangle(*tops):

@@ -12,10 +12,11 @@ composites of maps are compared only by `simplicial.commutes`,
 a set's truncation (`.complete`, `top_dim()`) is read only in
 `simplicial`, whose `joint_bound` and `map_cap` state the ranges, and a
 category's arrows are scanned pairwise only where its table is built,
-a name made of parts is joined only by `nerve.joined_name`, a defaulted
-parameter that some call in `src/` or `bench/` reaches is passed by at
-least one such call, and a definition that no file in `src/` or `bench/`
-names is kept for a stated reason.
+a name made of parts is joined only by `nerve.joined_name`, every memo
+of the library is bounded, a defaulted parameter that some call in
+`src/` or `bench/` reaches is passed by at least one such call, and a
+definition that no file in `src/` or `bench/` names is kept for a stated
+reason.
 """
 
 import ast
@@ -271,6 +272,33 @@ def literal_joins(source: str):
     literal."""
     return call_sites(source, lambda f: isinstance(f, ast.Attribute) and f.attr == "join"
                       and isinstance(f.value, ast.Constant) and isinstance(f.value.value, str))
+
+
+def unbounded_memos(source: str):
+    """The sites (see `sites`) of the memos that may grow without bound: an
+    `lru_cache` whose maxsize is None, and a `cache`, which keeps one entry
+    per argument tuple, anywhere but on a function of no arguments."""
+    def named(node, name):
+        f = node.func if isinstance(node, ast.Call) else node
+        return (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == name
+
+    def no_arguments(fn):
+        a = fn.args
+        return not (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg)
+
+    nullary = {(d.lineno, d.col_offset) for fn in ast.walk(ast.parse(source))
+               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and no_arguments(fn)
+               for d in fn.decorator_list}
+
+    def unbounded(node):
+        if named(node, "cache") and not isinstance(node, ast.Call):
+            return (node.lineno, node.col_offset) not in nullary
+        if isinstance(node, ast.Call) and named(node, "lru_cache"):
+            size = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+            return bool(size) and isinstance(size[0], ast.Constant) and size[0].value is None
+        return False
+
+    return sites(source, unbounded)
 
 
 def calls_naming(source: str, name: str):
@@ -750,6 +778,33 @@ def test_literal_join_check_catches_what_it_names():
 def test_names_are_joined_only_by_joined_name():
     found = Counter((p.stem, name) for p in MODULES for name in literal_joins(p.read_text()))
     assert found == Counter(KEPT_LITERAL_JOINS)
+
+
+def test_unbounded_memo_check_catches_what_it_names():
+    source = (
+        "@functools.lru_cache(maxsize=64)\n"
+        "def sized(n):\n"
+        "    return n\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def endless(n):\n"
+        "    return n\n"
+        "@lru_cache(None)\n"
+        "def endless_too(n):\n"
+        "    return n\n"
+        "@functools.cache\n"
+        "def parser():\n"
+        "    return 1\n"
+        "class Space:\n"
+        "    @cache\n"
+        "    def faces(self):\n"
+        "        return 2\n"
+        "wrapped = functools.cache(sized)\n"
+    )
+    assert unbounded_memos(source) == ["<module>", "Space.faces", "endless", "endless_too"]
+
+
+def test_every_memo_is_bounded():
+    assert [(p.stem, name) for p in MODULES for name in unbounded_memos(p.read_text())] == []
 
 
 def test_based_maps_are_checked_only_where_tables_enter():
