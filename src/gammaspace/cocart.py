@@ -275,9 +275,9 @@ def cocartesian_edges(total: FinSimpSet, proj: SimpMap, dim_cap, budget=None):
 
 def _edge_search(total: FinSimpSet, proj: SimpMap, dim_cap, budget):
     """(detected edges, fibration verdict) of `cocartesian_edges`; raises on a spent budget.
-    Each square on an edge not yet refuted, and each inner-horn square, is
-    decided by `_horn_squares`: a horn-index lookup, or where the total
-    space or the base is truncated below n a `_find_lift` search.  A base
+    Each Lambda^0[n] square, and each inner-horn square, is decided by
+    `_horn_squares`: a horn-index lookup on a face tuple, or where the
+    total space or the base is truncated below n a `_find_lift` search.  A base
     whose projection stops below the search raises ValueError."""
     base_nerve = proj.target
     if map_cap(total, base_nerve) < min(dim_cap, total.dim_bound):
@@ -285,9 +285,12 @@ def _edge_search(total: FinSimpSet, proj: SimpMap, dim_cap, budget):
                          f"{min(dim_cap, total.dim_bound)} (total space bound {total.dim_bound})")
     refuted = set()
     for n in range(2, dim_cap + 1):
-        for u, _, filled in _horn_squares(n, 0, proj, budget):
-            e = u.assignment[(1, "01")]
-            if not (filled or e.degs):
+        for faces, _, filled in _horn_squares(n, 0, proj, budget):
+            if filled:
+                continue
+            # the horn's edge 01 is the edge 01 of its face d_n
+            e = faces[-1] if n == 2 else total.act(faces[-1], n - 1, (0, 1))
+            if not e.degs:
                 refuted.add(e.base)
     detected = [e for e in total.cell_ids(1) if e not in refuted]
     inner = unfillable_inner_horn(proj, dim_cap, budget)

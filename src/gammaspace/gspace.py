@@ -87,14 +87,16 @@ class TabulatedGammaSpace:
         if n > self.level_bound:
             raise ValueError(f"level {n} beyond bound {self.level_bound}")
         if n not in self._values:
-            self._values[n] = self._value_fn(n)
+            # published once: threads racing on a first read all get the
+            # first object stored, which identity checks (`pairing`) rely on
+            return self._values.setdefault(n, self._value_fn(n))
         return self._values[n]
 
     def action(self, f: GammaMorphism) -> SimpMap:
         if f.src > self.level_bound or f.dst > self.level_bound:
             raise ValueError(f"morphism {f} beyond level bound {self.level_bound}")
         if f not in self._actions:
-            self._actions[f] = self._action_fn(f)
+            return self._actions.setdefault(f, self._action_fn(f))
         return self._actions[f]
 
     def validate(self, level_cap=None):

@@ -299,31 +299,62 @@ def _find_lift(i: SimpMap, p: SimpMap, u: SimpMap, v: SimpMap, budget):
                 None)
 
 
+def _horn_faces(u: SimpMap, n, k):
+    """The face tuple (u(d_j))_{j != k} of a horn map u: Lambda^k[n] -> X,
+    which determines u.  Where X stops below n - 1 it holds None: the
+    horn then holds every cell of Delta[n] up to X's bound, so each such
+    square fills and no caller reads the tuple."""
+    return tuple(u.assignment.get((n - 1, _tuple_name(delta_tuple(j, n))))
+                 for j in range(n + 1) if j != k)
+
+
+def _horn_tuples(n, k, x: FinSimpSet, budget):
+    """The maps Lambda^k[n] -> X, lazily, as their face tuples
+    (x_j)_{j != k}: the tuples with d_i x_j = d_{j-1} x_i for i < j.  Each
+    x_j is drawn, in order of j, from the bucket of X's (n-1)-refs whose
+    faces d_i, i < j, are the d_{j-1} x_i already drawn; one unit of
+    budget per candidate in each bucket drawn."""
+    sides = [j for j in range(n + 1) if j != k]
+    indexes = [x.face_index(n - 1, tuple(sides[:m])) for m in range(n)]
+
+    def extend(drawn):
+        if len(drawn) == n:
+            yield drawn
+            return
+        j = sides[len(drawn)]
+        bucket = indexes[len(drawn)].get(tuple(x.face(xi, n - 1, j - 1) for xi in drawn), ())
+        budget.spend(len(bucket))
+        for ref in bucket:
+            yield from extend(drawn + (ref,))
+
+    return extend(())
+
+
 def _horn_squares(n, k, p: SimpMap, budget):
     """Each commuting square of Lambda^k[n] in Delta[n] against p: X -> Y
-    as (u, tau, filled): the horn map u in hom_set order, the bottom map's
-    top simplex tau, and whether a filler exists.  Where maps out of
-    Delta[n] into X and Y reach dimension n (`map_cap`), a map is its top
-    simplex and each horn cell lies in a face d_j, j != k: the tau's are
-    the bucket of p of u's faces in Y.horn_index(n, k), and tau is filled
-    by a sigma over it in the bucket of u's faces in X.horn_index(n, k),
-    one unit of budget per sigma.  Elsewhere `_find_lift` searches each
-    square; tau is None where Y stops below n."""
+    as (faces, tau, filled): the face tuple of the horn map u (see
+    `_horn_faces`), the bottom map's top simplex tau, and whether a
+    filler exists.  Where maps out of Delta[n] into X and Y reach
+    dimension n (`map_cap`), a map is its top simplex: the u's are joined
+    by `_horn_tuples`, the tau's are the bucket of p of u's faces in
+    Y.horn_index(n, k), and tau is filled by a sigma over it in the
+    bucket of u's faces in X.horn_index(n, k), one unit of budget per
+    sigma.  Elsewhere `_find_lift` searches each square; tau is None
+    where Y stops below n."""
     full = standard_simplex(n)
-    i, top = inclusion_map(horn(n, k), full), full.cell_ids(n)[0]
     if n > min(map_cap(full, p.source), map_cap(full, p.target)):
+        i, top = inclusion_map(horn(n, k), full), (n, full.cell_ids(n)[0])
         for u, v in _commuting_squares(i, p, budget):
-            yield u, v.assignment.get((n, top)), _find_lift(i, p, u, v, budget) is not None
+            yield (_horn_faces(u, n, k), v.assignment.get(top),
+                   _find_lift(i, p, u, v, budget) is not None)
         return
-    sides = [(n - 1, f.base) for j, f in enumerate(full.faces_of(n, top)) if j != k]
     fillers, bottoms = p.source.horn_index(n, k), p.target.horn_index(n, k)
-    for u in hom_set(i.source, p.source, budget=budget):
-        faces = tuple(u.assignment[c] for c in sides)
+    for faces in _horn_tuples(n, k, p.source, budget):
         taus = bottoms.get(tuple(p(f, n - 1) for f in faces), ())
         over = fillers.get(faces, ()) if taus else ()
         budget.spend(len(over))
         images = {p(sigma, n) for sigma in over}
-        yield from ((u, tau, tau in images) for tau in taus)
+        yield from ((faces, tau, tau in images) for tau in taus)
 
 
 def unliftable_square(i: SimpMap, p: SimpMap, budget):
@@ -337,10 +368,16 @@ def unliftable_square(i: SimpMap, p: SimpMap, budget):
 def unfillable_inner_horn(p: SimpMap, d, budget):
     """The first (n, k, u), 0 < k < n <= d, where the inner horn
     u: Lambda^k[n] -> X has a square against p with no filler; or None.
-    `_horn_squares` looks each square up, or searches it where X or Y
-    is truncated below n and so read coskeletally."""
-    return next(((n, k, u) for n in range(2, d + 1) for k in range(1, n)
-                 for u, _, filled in _horn_squares(n, k, p, budget) if not filled), None)
+    `_horn_squares` decides the squares on face tuples; only a horn with
+    an unfilled square is named, by the first map in `maps` order whose
+    face tuple is unfilled."""
+    for n in range(2, d + 1):
+        for k in range(1, n):
+            unfilled = {faces for faces, _, filled in _horn_squares(n, k, p, budget) if not filled}
+            if unfilled:
+                return n, k, next(u for u in maps(horn(n, k), p.source, budget=budget)
+                                  if _horn_faces(u, n, k) in unfilled)
+    return None
 
 
 def has_rlp(p: SimpMap, i: SimpMap, budget=None) -> Verdict:

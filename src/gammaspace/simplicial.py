@@ -194,7 +194,6 @@ class FinSimpSet:
         # caches of pure functions of the (never mutated) cells
         self._ref_cache = {}
         self._face_index = {}
-        self._horn_index = {}
         self._act_memo = {}
         self._order_memo = {}
         self._neighbours = None
@@ -270,28 +269,24 @@ class FinSimpSet:
             self._neighbours = {k: tuple(sorted(v)) for k, v in table.items()}
         return self._neighbours
 
-    def face_index(self, n):
-        """Every n-ref (n >= 1) bucketed by its face tuple, in refs(n)
-        order, so the n-simplices with a prescribed boundary are one
-        dictionary lookup."""
-        if n not in self._face_index:
-            table = {}
+    def face_index(self, n, at=None):
+        """Every n-ref (n >= 1) bucketed by its faces at the positions `at`
+        (a tuple; all n + 1 by default), in refs(n) order, so the
+        n-simplices with a prescribed boundary, or part of one, are one
+        dictionary lookup.  Each table is published once (`setdefault`)."""
+        table = self._face_index.get((n, at))
+        if table is None:
+            built = {}
+            positions = range(n + 1) if at is None else at
             for ref in self.refs(n):
-                key = tuple(self.face(ref, n, i) for i in range(n + 1))
-                table.setdefault(key, []).append(ref)
-            self._face_index[n] = {k: tuple(v) for k, v in table.items()}
-        return self._face_index[n]
+                built.setdefault(tuple(self.face(ref, n, i) for i in positions), []).append(ref)
+            table = self._face_index.setdefault((n, at), {k: tuple(v) for k, v in built.items()})
+        return table
 
     def horn_index(self, n, k):
-        """Every n-ref (n >= 1) bucketed by its faces other than the k-th,
-        in refs(n) order: the `face_index(n)` buckets merged over d_k, so
-        the fillers of a horn Lambda^k[n] are one dictionary lookup."""
-        if (n, k) not in self._horn_index:
-            table = {}
-            for faces, refs in self.face_index(n).items():
-                table.setdefault(faces[:k] + faces[k + 1:], []).extend(refs)
-            self._horn_index[(n, k)] = {key: tuple(sorted(v)) for key, v in table.items()}
-        return self._horn_index[(n, k)]
+        """Every n-ref bucketed by its faces other than d_k (`face_index`),
+        so the fillers of a horn Lambda^k[n] are one dictionary lookup."""
+        return self.face_index(n, tuple(i for i in range(n + 1) if i != k))
 
     # -- the simplicial action ----------------------------------------------
 

@@ -395,6 +395,31 @@ def test_cross_check_is_inconclusive_when_the_edge_search_runs_out():
     assert full.status == HOLDS and full.details["cocartesian"] == full.details["edges"] == 8
 
 
+@pytest.mark.parametrize("called", [True, False])
+def test_cross_check_fails_with_edge_is_invertible_patched_to_a_constant(called, monkeypatch):
+    # the equivalence it checks is a theorem (HTT 3.2.5), so no valid
+    # relative nerve breaks it: the negative control patches the explicit
+    # side instead.  Over the arrow, with the arrow as both fibers, the
+    # edges whose fiber component is le01 are the ones that are not
+    # coCartesian; the others are invertible and detected
+    base = poset_category(1)
+    n1 = nerve(poset_category(1), bound=2)
+    inp = RelativeNerveInput(
+        base, {"0": n1, "1": n1},
+        {base.identities["0"]: identity_map(n1),
+         base.identities["1"]: identity_map(n1),
+         "le01": identity_map(n1)},
+    ).validate()
+    rn = relative_nerve(inp, 2)
+    assert cocartesian_cross_check(rn, 2).status == HOLDS
+    monkeypatch.setattr(cocart, "edge_is_invertible", lambda *_args: called)
+    v = cocartesian_cross_check(rn, 2)
+    assert v.status == FAILS
+    assert v.witness == [{"edge": e, "invertible": called, "detected": not called}
+                         for e in rn.total.cell_ids(1)
+                         if (cocart.edge_components(rn, e)[1] == SimplexRef("le01")) == called]
+
+
 # -- transport along an operator, derived over the subsets of [n] -------------
 
 def _chain_composites(base, n, chain):
@@ -602,8 +627,8 @@ def test_a_horn_filler_must_lie_over_the_bottom_simplex():
                 if u.assignment[(1, "01")] == SimplexRef("f")
                 and v.assignment[(2, "012")] == SimplexRef("t2")]
     assert x.horn_index(2, 0)[(SimplexRef("h"), SimplexRef("f"))] == (SimplexRef("s"),)
-    assert [filled for w, tau, filled in shapes._horn_squares(2, 0, p, Budget())
-            if w.key() == u.key() and tau == SimplexRef("t2")] == [False]
+    assert [filled for faces, tau, filled in shapes._horn_squares(2, 0, p, Budget())
+            if faces == shapes._horn_faces(u, 2, 0) and tau == SimplexRef("t2")] == [False]
     assert shapes._find_lift(i, p, u, v, Budget()) is None
     edges, verdict, _ = cocartesian_edges(x, p, 2)
     assert edges == ["g", "h"] and verdict.status == FAILS

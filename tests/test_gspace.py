@@ -2,6 +2,8 @@
 Segal checks, normalization, the two-route fibration check, semi-additivity."""
 
 import itertools
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,6 +87,33 @@ def test_representable_evaluation():
 def test_tabulation_validates():
     for name, p in presented_corpus():
         p.tabulate(3).validate(level_cap=2)
+
+
+def test_first_reads_from_threads_see_one_published_level_and_action():
+    # four threads race on the first reads of one space; each memo keeps
+    # the first object built, so every thread sees the same level 3 and
+    # an action whose source is that very object
+    fold = GammaMorphism(3, 1, (1, 1, 1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            x = z2_monoid_space(3)
+            barrier, seen = threading.Barrier(4), []
+
+            def read():
+                barrier.wait()
+                seen.append((x.value(3), x.action(fold)))
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert len(seen) == 4
+            assert all(level is x.value(3) and act.source is level for level, act in seen)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_day_convolution_representables():

@@ -3,9 +3,10 @@ the slow searches they replace."""
 
 import functools
 import itertools
+from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import test_cocart
 from test_cocart import cotensor_over_base, filler_over_one_of_two_bottoms
@@ -44,7 +45,7 @@ from gammaspace.simplicial import (
     maps,
     product,
 )
-from gammaspace.verdicts import Budget, BudgetExceededError, backtrack
+from gammaspace.verdicts import HOLDS, Budget, BudgetExceededError, backtrack
 from test_simplicial import disjoint_union
 
 sources = st.sampled_from(
@@ -375,19 +376,26 @@ def test_cocartesian_edges_match_a_scan_of_all_fillers(p, d):
     assert detected == [e for e in p.source.cell_ids(1) if SimplexRef(e) not in refuted]
 
 
-def test_cocartesian_edges_search_the_squares_once_per_horn(monkeypatch):
-    squares = []
-    real = shapes._commuting_squares
-    monkeypatch.setattr(shapes, "_commuting_squares",
-                        lambda *args: squares.append(args) or real(*args))
-    calls = _count_calls(monkeypatch, shapes)
+def test_cocartesian_edges_search_no_horn_map_on_the_lookup_path(monkeypatch):
+    # the horn maps Lambda^0[2], Lambda^0[3] and the inner horns are
+    # joined as face tuples and each square is two horn-index lookups: no
+    # map search runs and no SimpMap is built per square; the nerve is a
+    # quasi-category, so no witness is named either
+    searched, made = [], []
+    for name in ("_commuting_squares", "hom_set", "maps"):
+        real = getattr(shapes, name)
+        monkeypatch.setattr(shapes, name, lambda *args, real=real, name=name, **kwargs:
+                            searched.append(name) or real(*args, **kwargs))
     nb = nerve(poset_category(2), bound=3)
-    cocartesian_edges(nb, identity_map(nb), 3)
-    # one search of horn maps each for Lambda^0[2] and Lambda^0[3], then
-    # the inner horns Lambda^1[2], Lambda^1[3] and Lambda^2[3], which all
-    # fill; the bottoms are horn-index lookups, not searches
-    assert len(calls) == (3 - 1) + 3
-    assert squares == []
+    p = identity_map(nb)
+    real_init = SimpMap.__init__
+    monkeypatch.setattr(SimpMap, "__init__",
+                        lambda self, *args: made.append(args) or real_init(self, *args))
+    squares = [s for n in (2, 3) for k in range(n) for s in shapes._horn_squares(n, k, p, Budget())]
+    # one filled square per horn and per n-simplex of N[2], a monotone [n] -> [2]
+    assert made == [] and len(squares) == 2 * 10 + 3 * 15 and all(f for _, _, f in squares)
+    detected, verdict, _ = cocartesian_edges(nb, p, 3)
+    assert searched == [] and detected == list(nb.cell_ids(1)) and verdict.status == HOLDS
 
 
 # -- horn fillers by lookup, against the filler search ------------------------
@@ -432,12 +440,32 @@ horns = st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.integers(0,
 @example(filler_over_one_of_two_bottoms(), (2, 0))
 @settings(max_examples=60, deadline=None)
 def test_horn_lookup_decides_every_square_as_the_filler_search(p, horn_at):
-    def triples(squares):
-        return sorted((u.key(), tau, filled) for u, tau, filled in squares)
-
+    # the squares as a multiset of (face tuple, tau, filled); a face tuple
+    # determines its horn map, and where X stops below n - 1 both sides
+    # list the horn maps by the same `_commuting_squares`
     n, k = horn_at
-    assert triples(shapes._horn_squares(n, k, p, Budget())) == \
-        triples(_searched_horn_squares(n, k, p, Budget()))
+    assert Counter(shapes._horn_squares(n, k, p, Budget())) == \
+        Counter(_searched_horn_squares(n, k, p, Budget()))
+
+
+@given(horn_targets(), horns)
+@settings(max_examples=60, deadline=None)
+def test_horn_tuples_are_the_face_tuples_of_the_horn_maps(p, horn_at):
+    # the join against the search it replaces, wherever X reaches n - 1
+    n, k = horn_at
+    x = p.source
+    assume(map_cap(horn(n, k), x) >= n - 1)
+    assert Counter(shapes._horn_tuples(n, k, x, Budget())) == \
+        Counter(shapes._horn_faces(u, n, k) for u in hom_set(horn(n, k), x))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", [name for name, _ in category_corpus()])
+def test_horn_tuples_of_the_corpus_nerves(name, n):
+    x = nerve(dict(category_corpus())[name], bound=n)
+    for k in range(n + 1):
+        assert Counter(shapes._horn_tuples(n, k, x, Budget())) == \
+            Counter(shapes._horn_faces(u, n, k) for u in hom_set(horn(n, k), x))
 
 
 def test_horn_lookup_meets_squares_with_and_without_fillers():
@@ -461,10 +489,12 @@ def test_horn_squares_are_searched_where_the_bottom_stops_below_the_horn():
 
 def _searched_horn_squares(n, k, p, budget):
     """The oracle of `_horn_squares`: every square listed by
-    `_commuting_squares` and decided by `_find_lift`."""
+    `_commuting_squares` and decided by `_find_lift`, with its horn map
+    given by its face tuple."""
     full = standard_simplex(n)
     i, top = inclusion_map(horn(n, k), full), (n, full.cell_ids(n)[0])
-    return [(u, v.assignment.get(top), shapes._find_lift(i, p, u, v, budget) is not None)
+    return [(shapes._horn_faces(u, n, k), v.assignment.get(top),
+             shapes._find_lift(i, p, u, v, budget) is not None)
             for u, v in shapes._commuting_squares(i, p, budget)]
 
 

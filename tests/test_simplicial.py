@@ -217,6 +217,18 @@ def test_iso_check_witnesses():
     assert iso_check(spine, du).status == FAILS
 
 
+def test_iso_check_refuses_a_bijection_that_misses_the_basepoint():
+    # the one isomorphism of Delta[1] fixes both vertices, so Delta[1]
+    # pointed at 0 is not isomorphic to Delta[1] pointed at 1, though the
+    # unpointed sets are
+    d1 = {0: {"0": (), "1": ()}, 1: {"01": (SimplexRef("1"), SimplexRef("0"))}}
+    at0, at1 = (FinSimpSet(1, d1, pointed=v) for v in ("0", "1"))
+    assert iso_check(standard_simplex(1), standard_simplex(1)).status == HOLDS
+    assert iso_check(at0, at0).status == HOLDS
+    v = iso_check(at0, at1)
+    assert v.status == FAILS and v.witness == "exhausted all assignments"
+
+
 def test_iso_check_reads_a_truncated_side_up_to_its_bound():
     # Delta[1] is complete, so it has no 2-cell; the other side has the
     # same 1-skeleton and stores a 2-cell (0, 1, 1) under its bound 2
