@@ -276,9 +276,9 @@ def cocartesian_edges(total: FinSimpSet, proj: SimpMap, dim_cap, budget=None):
 def _edge_search(total: FinSimpSet, proj: SimpMap, dim_cap, budget):
     """(detected edges, fibration verdict) of `cocartesian_edges`; raises on a spent budget.
     Each Lambda^0[n] square, and each inner-horn square, is decided by
-    `_horn_squares`: a horn-index lookup on a face tuple, or where the
-    total space or the base is truncated below n a `_find_lift` search.  A base
-    whose projection stops below the search raises ValueError."""
+    `_horn_squares` by lookups on its face tuple, also where the total
+    space stops below n.  A base whose projection stops below the search
+    raises ValueError."""
     base_nerve = proj.target
     if map_cap(total, base_nerve) < min(dim_cap, total.dim_bound):
         raise ValueError(f"base truncated at {base_nerve.dim_bound}, below the edge search to "

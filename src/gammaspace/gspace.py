@@ -257,7 +257,7 @@ class PresentedGammaSpace:
             arrows = [(index[(a.src, h)], index[(a.dst, a.gamma.then(h))], a.simp)
                       for a in self.arrows for h in enumerate_homs(self.cells[a.src].level, n)]
             col = Colimit([self.cells[i].shape for i, _ in slots], arrows)
-            self._level_data[n] = (col, slots, index)
+            return self._level_data.setdefault(n, (col, slots, index))
         return self._level_data[n]
 
     def evaluate(self, n) -> FinSimpSet:
@@ -744,11 +744,11 @@ class Normalization:
         """Level n as the pushout of the point along X(0) -> X(n); its
         objects are [X(0), X(n), point]."""
         if n not in self._cols:
-            self._cols[n] = pushout(
+            return self._cols.setdefault(n, pushout(
                 self.iota.levels[n],
                 constant_map(self.x.value(0), standard_point(bound=0), "0"),
                 pointed_at=(2, "0"),
-            )
+            ))
         return self._cols[n]
 
 

@@ -155,7 +155,7 @@ class MarkedGammaSpace:
 
     def value(self, n) -> MarkedSimpSet:
         if n not in self._values:
-            self._values[n] = self._value_fn(n)
+            return self._values.setdefault(n, self._value_fn(n))
         return self._values[n]
 
     def action(self, f: GammaMorphism) -> SimpMap:

@@ -274,11 +274,11 @@ def _commuting_squares(i: SimpMap, p: SimpMap, budget):
 def _find_lift(i: SimpMap, p: SimpMap, u: SimpMap, v: SimpMap, budget):
     """A diagonal h: B -> X with h o i = u and p o h = v, or None.
 
-    One `maps` backtrack per square, run by `has_rlp` for any i and by
-    `_horn_squares` where X or Y is truncated below the horn.  Every cell
-    of A that the search reaches through i is checked, also one that i
-    sends to a degenerate simplex.  X is read as `maps` reads it, and Y
-    coskeletally above v's cap, so p o h is compared with v up to it.
+    One `maps` backtrack per square, run by `has_rlp`; `_horn_squares`
+    decides a horn's squares by lookup instead.  Every cell of A that the
+    search reaches through i is checked, also one that i sends to a
+    degenerate simplex.  X is read as `maps` reads it, and Y coskeletally
+    above v's cap, so p o h is compared with v up to it.
     """
     fixed, through, cap = {}, {}, v.cap
     for (n, name), ref in i.assignment.items():
@@ -301,9 +301,8 @@ def _find_lift(i: SimpMap, p: SimpMap, u: SimpMap, v: SimpMap, budget):
 
 def _horn_faces(u: SimpMap, n, k):
     """The face tuple (u(d_j))_{j != k} of a horn map u: Lambda^k[n] -> X,
-    which determines u.  Where X stops below n - 1 it holds None: the
-    horn then holds every cell of Delta[n] up to X's bound, so each such
-    square fills and no caller reads the tuple."""
+    which determines u.  Where X stops below n - 1 it holds None; every
+    such square fills, and `_horn_squares` lists none."""
     return tuple(u.assignment.get((n - 1, _tuple_name(delta_tuple(j, n))))
                  for j in range(n + 1) if j != k)
 
@@ -330,31 +329,53 @@ def _horn_tuples(n, k, x: FinSimpSet, budget):
     return extend(())
 
 
+def _horn_tops(n, k, s: FinSimpSet, d):
+    """The lookup of what a horn map, given by its face tuple (x_j)_{j != k},
+    extends to in maps Delta[n] -> s read at d = `map_cap`(Delta[n], s), n
+    or n - 1: the n-refs over the tuple, or the candidates for its missing
+    face x_k, whose boundary the tuple forces (d_i x_k = d_{k-1} x_i for
+    i < k and d_k x_{i+1} for i >= k: the tuple's i-th entry either way)."""
+    if d == n:
+        index = s.horn_index(n, k)
+        return lambda faces: index.get(faces, ())
+    if n == 1:
+        return lambda faces: s.refs(0)
+    index = s.face_index(n - 1)
+    return lambda faces: index.get(
+        tuple(s.face(f, n - 1, k - (i < k)) for i, f in enumerate(faces)), ())
+
+
 def _horn_squares(n, k, p: SimpMap, budget):
     """Each commuting square of Lambda^k[n] in Delta[n] against p: X -> Y
     as (faces, tau, filled): the face tuple of the horn map u (see
-    `_horn_faces`), the bottom map's top simplex tau, and whether a
-    filler exists.  Where maps out of Delta[n] into X and Y reach
-    dimension n (`map_cap`), a map is its top simplex: the u's are joined
-    by `_horn_tuples`, the tau's are the bucket of p of u's faces in
-    Y.horn_index(n, k), and tau is filled by a sigma over it in the
-    bucket of u's faces in X.horn_index(n, k), one unit of budget per
-    sigma.  Elsewhere `_find_lift` searches each square; tau is None
-    where Y stops below n."""
-    full = standard_simplex(n)
-    if n > min(map_cap(full, p.source), map_cap(full, p.target)):
-        i, top = inclusion_map(horn(n, k), full), (n, full.cell_ids(n)[0])
-        for u, v in _commuting_squares(i, p, budget):
-            yield (_horn_faces(u, n, k), v.assignment.get(top),
-                   _find_lift(i, p, u, v, budget) is not None)
+    `_horn_faces`), the bottom's top simplex tau (None where Y stops below
+    n), and whether a filler exists.  The u's are joined by `_horn_tuples`;
+    the bottoms over p of u's faces and the fillers over u's faces are
+    looked up by `_horn_tops` (one unit of budget per filler) and meet at
+    the lower of their dimensions, an n-simplex by its d_k face, read in X
+    before p.  Where Y stops below n - 1 the one bottom is p o u, filled
+    iff X has a top; where X does, every square fills and none is listed."""
+    x, y, full = p.source, p.target, standard_simplex(n)
+    dx, dy = map_cap(full, x), map_cap(full, y)
+    if dx < n - 1:
         return
-    fillers, bottoms = p.source.horn_index(n, k), p.target.horn_index(n, k)
-    for faces in _horn_tuples(n, k, p.source, budget):
-        taus = bottoms.get(tuple(p(f, n - 1) for f in faces), ())
-        over = fillers.get(faces, ()) if taus else ()
+    fillers, low = _horn_tops(n, k, x, dx), min(dx, dy)
+    if dy < n - 1:
+        for faces in _horn_tuples(n, k, x, budget):
+            over = fillers(faces)
+            budget.spend(len(over))
+            yield faces, None, bool(over)
+        return
+    bottoms, lower_x, lower_y, top = _horn_tops(n, k, y, dy), dx > low, dy > low, dy == n
+    for faces in _horn_tuples(n, k, x, budget):
+        taus = bottoms(tuple([p(f, n - 1) for f in faces]))
+        if not taus:
+            continue
+        over = fillers(faces)
         budget.spend(len(over))
-        images = {p(sigma, n) for sigma in over}
-        yield from ((faces, tau, tau in images) for tau in taus)
+        images = {p(x.face(s, n, k) if lower_x else s, low) for s in over}
+        yield from ((faces, tau if top else None,
+                     (y.face(tau, n, k) if lower_y else tau) in images) for tau in taus)
 
 
 def unliftable_square(i: SimpMap, p: SimpMap, budget):

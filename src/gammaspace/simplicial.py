@@ -1042,22 +1042,11 @@ def full_sub_on_edges(x: FinSimpSet, edge_ok) -> FinSimpSet:
 
 
 def _subset_of(x: FinSimpSet, ok) -> FinSimpSet:
-    cells = {}
-    kept = set()
-    for n in range(x.dim_bound + 1):
-        cells[n] = {}
-        for name in x.cell_ids(n):
-            if not ok(n, name):
-                continue
-            faces = x.faces_of(n, name)
-            if n > 0 and not all(
-                (n - 1 - len(f.degs), f.base) in kept for f in faces
-            ):
-                continue
-            cells[n][name] = faces
-            kept.add((n, name))
-    pointed = x.pointed if x.pointed is not None and (0, x.pointed) in kept else None
-    return FinSimpSet(x.dim_bound, cells, pointed=pointed)
+    """The cells (n, name) of x with ok(n, name), which must be closed under
+    faces (every caller's is), so that the faces of each kept cell are kept."""
+    cells = {n: {name: x.faces_of(n, name) for name in x.cell_ids(n) if ok(n, name)}
+             for n in range(x.dim_bound + 1)}
+    return FinSimpSet(x.dim_bound, cells, pointed=x.pointed if x.pointed in cells[0] else None)
 
 
 def inclusion_map(sub: FinSimpSet, whole: FinSimpSet) -> SimpMap:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gammaspace import gspace, jsonio, nerve, shapes
 from gammaspace.catcore import FinCat, cyclic_group_category
+from gammaspace.cocart import gamma_diagram_input
 from gammaspace.corpus import (
     glued_presentation,
     presented_corpus,
@@ -61,6 +62,7 @@ from gammaspace.simplicial import (
     FinSimpSet,
     SimplexRef,
     SimpMap,
+    constant_map,
     discrete_set,
     identity_map,
     iso_check,
@@ -89,31 +91,62 @@ def test_tabulation_validates():
         p.tabulate(3).validate(level_cap=2)
 
 
+def _race(trials, fresh, read):
+    """For each of `trials` fresh objects x, read(x) on four threads that a
+    barrier releases together, with a switch interval of 1e-6 (restored
+    afterwards): the (x, results) pairs, an exception raised standing for
+    its result."""
+    interval, out = sys.getswitchinterval(), []
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(trials):
+            x, barrier, results = fresh(), threading.Barrier(4, timeout=30), [None] * 4
+
+            def run(i):
+                try:
+                    barrier.wait()
+                    results[i] = read(x)
+                except Exception as e:
+                    results[i] = e
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            out.append((x, results))
+    finally:
+        sys.setswitchinterval(interval)
+    return out
+
+
 def test_first_reads_from_threads_see_one_published_level_and_action():
     # four threads race on the first reads of one space; each memo keeps
     # the first object built, so every thread sees the same level 3 and
     # an action whose source is that very object
     fold = GammaMorphism(3, 1, (1, 1, 1))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(50):
-            x = z2_monoid_space(3)
-            barrier, seen = threading.Barrier(4), []
+    for x, seen in _race(50, lambda: z2_monoid_space(3),
+                         lambda x: (x.value(3), x.action(fold))):
+        assert all(level is x.value(3) and act.source is level for level, act in seen)
 
-            def read():
-                barrier.wait()
-                seen.append((x.value(3), x.action(fold)))
 
-            threads = [threading.Thread(target=read) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert len(seen) == 4
-            assert all(level is x.value(3) and act.source is level for level, act in seen)
-    finally:
-        sys.setswitchinterval(interval)
+def _verdict_json(v):
+    return jsonio.canonical_dumps(v.as_json())
+
+
+@pytest.mark.parametrize("trials, fresh, read", [
+    (60, lambda: z2_monoid_space(3), lambda x: gamma_diagram_input(x, 2).validate() and "valid"),
+    (200, lambda: z2_monoid_space(3), lambda x: _verdict_json(segal_check(x, 1, 1))),
+    (200, lambda: gamma_rep(1).tabulate(2), lambda x: _verdict_json(segal_check(x, 1, 1))),
+], ids=["diagram-validate", "segal-z2", "segal-rep1"])
+def test_checks_from_threads_agree_with_a_sequential_run(trials, fresh, read):
+    # the checks that compare levels and actions by identity, run by four
+    # threads on a fresh space's first reads, give the sequential answer;
+    # with the memos filled by check-then-set, each failed within its trials
+    expected = read(fresh())
+    for _, results in _race(trials, fresh, read):
+        assert results == [expected] * 4
 
 
 def test_day_convolution_representables():
@@ -375,6 +408,33 @@ def test_smash_precompose_identities():
     pre = precompose_smash(g1, 2)
     for k in range(1, 4):
         assert pre.value(k).cell_count(0) == 2 * k + 1
+
+
+def test_smash_precompose_comparison_fails_with_classifying_patched_to_a_constant(monkeypatch):
+    # the comparison is an isomorphism by theorem, so the level map is
+    # broken: each level goes to one vertex, which level 1's two points miss
+    monkeypatch.setattr(gspace, "_classifying", lambda ms, source, target: constant_map(
+        source, ms.space, ms.space.cell_ids(0)[0]))
+    v = smash_precompose_comparison(z2_monoid_space(4), 1, level_cap=2)
+    assert v.status == FAILS and v.witness == {"level": 1, "counts": [[2], [2]]}
+
+
+def test_smash_precompose_comparison_fails_with_unnatural_at_patched_to_name_a_merge(
+        monkeypatch):
+    merge = GammaMorphism(2, 1, (1, 1))
+    monkeypatch.setattr(GammaSpaceMap, "unnatural_at", lambda self, level_cap=None: merge)
+    v = smash_precompose_comparison(z2_monoid_space(4), 1, level_cap=2)
+    assert v.status == FAILS and v.witness == {"morphism": repr(merge)}
+
+
+def test_levelwise_iso_verdict_fails_on_the_fold_of_two_representables():
+    # rep1 u rep1 -> rep1, both summands onto the one cell: at level n it
+    # sends 2(n + 1) points onto n + 1
+    r = gamma_rep(1)
+    fold = gspace.PresentedMap(coproduct_presented(r, r), r,
+                               [(0, gamma_identity(1), identity_map(r.cells[0].shape))] * 2)
+    v = gspace._levelwise_iso_verdict(fold, range(1, 3), "fold")
+    assert v.status == FAILS and v.witness == {"law": "fold", "level": 1, "counts": [[4], [2]]}
 
 
 def test_internal_hom_into_terminal_is_terminal():

@@ -301,6 +301,33 @@ def unbounded_memos(source: str):
     return sites(source, unbounded)
 
 
+def _private(node):
+    return isinstance(node, ast.Attribute) and node.attr.startswith("_")
+
+
+def _memo_fill(node):
+    """(attribute, how) where node fills a memo kept on an object: a call
+    `obj._memo.setdefault(key, value)` ("setdefault"), or a store
+    `obj._memo[key] = value` or `obj._memo = value` ("store"); else None."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "setdefault" and _private(node.func.value)):
+        return node.func.value.attr, "setdefault"
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+            target = target.value if isinstance(target, ast.Subscript) else target
+            if _private(target):
+                return target.attr, "store"
+    return None
+
+
+def memo_fills(source: str):
+    """(qualified name, attribute, how) for each memo fill (see
+    `_memo_fill`) outside an `__init__`, which fills its own object
+    before anyone shares it; sorted."""
+    return sorted((".".join(scope), *_memo_fill(node))
+                  for scope, node in _scoped(source, _memo_fill) if scope[-1:] != ("__init__",))
+
+
 def calls_naming(source: str, name: str):
     """The sites of the calls whose callee reads `name`: `name(...)`,
     `mod.name(...)` or `name.method(...)` (see `call_sites`)."""
@@ -504,6 +531,25 @@ KEPT_TRUNCATION_READS = {
 KEPT_ARROW_PAIR_SCANS = {
     ("catcore", "functor_category"): 1,
     ("catcore", "coslice_category"): 1,
+}
+
+
+# The memo fills of the library that do not publish by `setdefault`, by
+# (module, function, attribute), with why a duplicate fill is harmless.
+# Threads racing on a first read may each build the value; `setdefault`
+# hands every one of them the first value stored, which checks by identity
+# (`is`) rely on.  These values are compared by equality only, or are
+# filled before the object is shared (ROADMAP item 29).
+KEPT_MEMO_STORES = {
+    ("simplicial", "FinSimpSet.refs", "_ref_cache"): "a tuple of refs, compared by value",
+    ("simplicial", "FinSimpSet._search_plan", "_order_memo"):
+        "a backtracking order and its vertex links, read and never compared",
+    ("simplicial", "FinSimpSet.neighbours", "_neighbours"): "tuples of vertex refs, values",
+    ("simplicial", "FinSimpSet.act", "_act_memo"): "one ref, a value",
+    ("simplicial", "Colimit._compute", "_nf"):
+        "filled while `__init__` builds the colimit, before anyone shares it",
+    ("nerve", "_tau1_kept", "_tau1"):
+        "a category and its tables; categories and functors compare by their tables",
 }
 
 
@@ -805,6 +851,38 @@ def test_unbounded_memo_check_catches_what_it_names():
 
 def test_every_memo_is_bounded():
     assert [(p.stem, name) for p in MODULES for name in unbounded_memos(p.read_text())] == []
+
+
+def test_memo_fill_census_catches_what_it_names():
+    source = (
+        "class Space:\n"
+        "    def __init__(self):\n"
+        "        self._memo = {}\n"
+        "    def value(self, n):\n"
+        "        if n not in self._memo:\n"
+        "            self._memo[n] = n\n"
+        "        return self._memo.setdefault(n, n)\n"
+        "    def lazy(self):\n"
+        "        self._lazy = 1\n"
+        "        self.public = 2\n"
+        "        local = {}\n"
+        "        local[1] = 2\n"
+        "def keep(x):\n"
+        "    x._kept = 3\n"
+    )
+    assert memo_fills(source) == [("Space.lazy", "_lazy", "store"),
+                                  ("Space.value", "_memo", "setdefault"),
+                                  ("Space.value", "_memo", "store"), ("keep", "_kept", "store")]
+
+
+def test_every_memo_fill_publishes_by_setdefault_or_is_kept_on_purpose():
+    found = [(p.stem, site, attr, how)
+             for p in MODULES for site, attr, how in memo_fills(p.read_text())]
+    assert {(m, site, attr) for m, site, attr, how in found if how == "store"} == \
+        set(KEPT_MEMO_STORES)
+    assert {("gspace", "PresentedGammaSpace.level_data", "_level_data", "setdefault"),
+            ("gspace", "Normalization.col", "_cols", "setdefault"),
+            ("marked", "MarkedGammaSpace.value", "_values", "setdefault")} <= set(found)
 
 
 def test_based_maps_are_checked_only_where_tables_enter():

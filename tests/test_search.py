@@ -15,15 +15,16 @@ from test_shapes import spine_of_two_edges
 from test_simplicial import glued_simplices, quotients
 
 from gammaspace import cocart, shapes
-from gammaspace.catcore import poset_category, walking_iso_category
+from gammaspace.catcore import cyclic_group_category, poset_category, walking_iso_category
 from gammaspace.cocart import cocartesian_edges, nelg, relative_nerve
 from gammaspace.corpus import category_corpus, pointed_corpus
-from gammaspace.gspace import _basepoint_collapse, _families
+from gammaspace.gspace import _basepoint_collapse, _families, _is_nerve_like
 from gammaspace.marked import MarkedSimpSet, is_marked_map, marked_hom_set
 from gammaspace.nerve import nerve
 from gammaspace.shapes import (
     boundary,
     horn,
+    is_quasicategory_up_to,
     standard_point,
     standard_simplex,
     unliftable_square,
@@ -37,6 +38,7 @@ from gammaspace.simplicial import (
     SimpMap,
     _face_images,
     apply_word,
+    cellwise,
     constant_map,
     hom_set,
     identity_map,
@@ -418,17 +420,21 @@ def _relative_projections():
 @st.composite
 def horn_targets(draw):
     """p: X -> Y: a glued quotient onto a point, a corpus nerve at bound 1-3
-    onto a point (below the horn's dimension the filler is searched), or
-    the projection of a relative nerve."""
-    kind = draw(st.sampled_from(["quotient", "nerve", "relative"]))
+    onto a point or onto its nerve at a bound no higher (X or Y then stops
+    below the horn, at n - 1 or lower), or the projection of a relative
+    nerve."""
+    kind = draw(st.sampled_from(["quotient", "nerve", "truncated", "relative"]))
     if kind == "quotient":
         x = glued_simplices(draw(st.integers(0, 2)),
                             draw(st.sets(st.integers(0, 5), max_size=4))).space
-    elif kind == "nerve":
+    elif kind == "relative":
+        return draw(st.sampled_from(_relative_projections()))
+    else:
         _, c = draw(st.sampled_from(category_corpus()))
         x = nerve(c, bound=draw(st.integers(1, 3)))
-    else:
-        return draw(st.sampled_from(_relative_projections()))
+        if kind == "truncated":
+            y = nerve(c, bound=draw(st.integers(0, x.dim_bound)))
+            return cellwise(x, y, lambda n, name: SimplexRef(name)).validate()
     return constant_map(x, standard_point(), "0")
 
 
@@ -441,11 +447,16 @@ horns = st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.integers(0,
 @settings(max_examples=60, deadline=None)
 def test_horn_lookup_decides_every_square_as_the_filler_search(p, horn_at):
     # the squares as a multiset of (face tuple, tau, filled); a face tuple
-    # determines its horn map, and where X stops below n - 1 both sides
-    # list the horn maps by the same `_commuting_squares`
+    # determines its horn map.  Where X stops below n - 1 the horn holds
+    # every cell of Delta[n] that a map into X assigns, so the search fills
+    # every square and the lookup lists none
     n, k = horn_at
-    assert Counter(shapes._horn_squares(n, k, p, Budget())) == \
-        Counter(_searched_horn_squares(n, k, p, Budget()))
+    searched = _searched_horn_squares(n, k, p, Budget())
+    if map_cap(standard_simplex(n), p.source) < n - 1:
+        assert all(filled for _, _, filled in searched)
+        assert list(shapes._horn_squares(n, k, p, Budget())) == []
+    else:
+        assert Counter(shapes._horn_squares(n, k, p, Budget())) == Counter(searched)
 
 
 @given(horn_targets(), horns)
@@ -476,15 +487,31 @@ def test_horn_lookup_meets_squares_with_and_without_fillers():
     assert True in decided and False in decided
 
 
-def test_horn_squares_are_searched_where_the_bottom_stops_below_the_horn():
+def test_an_inner_horn_is_unfilled_over_a_bottom_read_at_its_missing_face():
     # the boundary of Delta[2] over the 1-skeleton of Delta[2], read
     # coskeletally: the bottom of the inner horn (01, 12) is no stored
-    # 2-simplex of Y, so only the search meets its square, which nothing fills
+    # 2-simplex of Y but its missing face 02, and no 2-simplex of X fills it
     x, y = boundary(2), standard_simplex(2, bound=1)
     p = SimpMap(x, y, {(n, c): SimplexRef(c) for n in (0, 1) for c in x.cell_ids(n)}).validate()
     n, k, u = shapes.unfillable_inner_horn(p, 2, Budget())
     assert (n, k) == (2, 1)
     assert [u.assignment[(1, c)] for c in ("01", "12")] == [SimplexRef("01"), SimplexRef("12")]
+
+
+@pytest.mark.parametrize("check", [
+    lambda: _is_nerve_like(nerve(cyclic_group_category(8), bound=2)),
+    lambda: is_quasicategory_up_to(nerve(walking_iso_category(), bound=1), 3).status == HOLDS,
+], ids=["nerve-like-z8-at-2", "qcat-walking-iso-at-1"])
+def test_horn_squares_of_a_truncated_nerve_search_nothing(check, monkeypatch):
+    # X stops at n - 1 (n = 3, and n = 2 at bound 1) or below (n = 3 at
+    # bound 1): every square is still a lookup on its face tuple, and the
+    # level is a nerve, so `maps` names no unfilled horn either
+    searched = []
+    for name in ("_commuting_squares", "_find_lift", "hom_set", "maps"):
+        real = getattr(shapes, name)
+        monkeypatch.setattr(shapes, name, lambda *args, real=real, name=name, **kwargs:
+                            searched.append(name) or real(*args, **kwargs))
+    assert check() and searched == []
 
 
 def _searched_horn_squares(n, k, p, budget):

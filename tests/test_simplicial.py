@@ -4,12 +4,13 @@ map enumeration.  Oracles: monotone-map models of the standard simplices."""
 import functools
 import itertools
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gammaspace import simplicial
-from gammaspace.catcore import walking_iso_category
+from gammaspace import cocart, simplicial
+from gammaspace.catcore import poset_category, walking_iso_category
 from gammaspace.corpus import category_corpus, presented_corpus
 from gammaspace.gammaop import GammaMorphism
 from gammaspace.jsonio import canonical_dumps, simpset_to_json
@@ -347,6 +348,34 @@ def test_product_projections_jointly_mono(a, b):
 
 quotients = st.builds(lambda n, collapse: glued_simplices(n, collapse).space,
                       st.integers(0, 2), st.sets(st.integers(0, 5), max_size=4))
+
+
+def _closed_under_faces(x, ok):
+    """ok holds on the face bases of every cell of x that it holds on."""
+    return all(ok(n - 1 - len(f.degs), f.base) for n in range(1, x.dim_bound + 1)
+               for name in x.cell_ids(n) if ok(n, name) for f in x.faces_of(n, name))
+
+
+@given(quotients, st.sets(st.integers(0, 5)), st.integers(0, 63))
+@settings(max_examples=25, deadline=None)
+def test_the_predicates_of_sub_simplicial_sets_are_closed_under_faces(x, keep, marked):
+    # `_subset_of` keeps a cell without looking at its faces, so each
+    # caller's predicate keeps the faces of what it keeps: the full subsets
+    # on vertices and on edges, and the fibers of a relative nerve over [1]
+    # whose values are x
+    vertices, edges, base = x.cell_ids(0), x.cell_ids(1), poset_category(1)
+    rn = cocart.relative_nerve(cocart.RelativeNerveInput(
+        base, {"0": x, "1": x}, {a: identity_map(x) for a in base.arrow_ids()}).validate(), 2)
+    with mock.patch.object(simplicial, "_subset_of", wraps=simplicial._subset_of) as subsets, \
+            mock.patch.object(cocart, "_subset_of", wraps=cocart._subset_of) as fibers:
+        simplicial.full_sub_on_vertices(x, lambda v: vertices.index(v) in keep)
+        simplicial.full_sub_on_edges(x, lambda e: e.degs or marked >> edges.index(e.base) & 1)
+        for obj in base.objects:
+            rn.fiber(obj)
+    calls = subsets.call_args_list + fibers.call_args_list
+    assert len(calls) == 4 and all(_closed_under_faces(*call.args) for call in calls)
+    # the edges without their vertices are not
+    assert not _closed_under_faces(x, lambda n, _: n > 0)
 
 
 # -- composites compared cell by cell, against the composite maps ----------
