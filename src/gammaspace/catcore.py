@@ -1,8 +1,9 @@
 """Finite categories with total composition tables, functors, natural
-transformations, subgroupoids, and (co)slices."""
+transformations, subgroupoids, (co)slices, and diagrams over categories."""
 
 from __future__ import annotations
 
+from .simplicial import FinSimpSet, SimpMap, commutes, identity_map
 from .verdicts import Budget, backtrack
 
 
@@ -40,6 +41,9 @@ class FinCat:
     def out_of(self, a):
         """The arrows with source a, in id order."""
         return self._out.get(a, ())
+
+    # as a `Diagram` base: every arrow generates, and is named by its id
+    generators, arrow_name = out_of, staticmethod(str)
 
     def arrow_ids(self):
         return tuple(self.arrows.keys())
@@ -149,6 +153,67 @@ class CatFunctor:
 
     def __hash__(self):
         return hash(self.key())
+
+
+# ---------------------------------------------------------------------------
+# diagrams
+
+
+class Diagram:
+    """A functor from a base category to simplicial sets, computed once per
+    object by `value` and per arrow by `action`.  The base, a `FinCat` or a
+    `gammaop.GammaBase`, offers `objects`, `identities`, `src`, `dst`,
+    `compose`, `out_of`, `arrow_ids`, `is_identity`, `arrow_name` (the name
+    in the nerve) and `generators(a)`, the arrows out of a that the law
+    check composes with."""
+
+    def __init__(self, base, value, action):
+        self.base, self._value_fn, self._action_fn = base, value, action
+        self._values, self._actions = {}, {}
+
+    def value(self, o) -> FinSimpSet:
+        if o not in self._values:
+            if o not in self.base.objects:
+                raise ValueError(f"{o!r} is not an object of the base")
+            # published once: threads racing on a first read all get the
+            # first object stored, which identity checks (`pairing`) rely on
+            return self._values.setdefault(o, self._value_fn(o))
+        return self._values[o]
+
+    def action(self, f) -> SimpMap:
+        if f not in self._actions:
+            if self.base.src(f) not in self.base.objects or self.base.dst(f) not in self.base.objects:
+                raise ValueError(f"{f!r} is not an arrow of the base")
+            return self._actions.setdefault(f, self._action_fn(f))
+        return self._actions[f]
+
+    def validate(self, level_cap=None):
+        """Each map is simplicial, and `check_laws` passes."""
+        base = self.base if level_cap is None else self.base.upto(level_cap)
+        for f in base.arrow_ids():
+            self.action(f).validate()
+        return self.check_laws(level_cap)
+
+    def check_laws(self, level_cap=None):
+        """Checks each map's ends, that identities act as identities, and
+        action(compose(g, f)) == action(f) then action(g) for every arrow f
+        and generator g out of dst f, trusting each map to be simplicial:
+        every composable pair of a `FinCat`, and exactly functoriality over
+        a `GammaBase` (see `gammaop.elementary_maps`), up to `level_cap`."""
+        base = self.base if level_cap is None else self.base.upto(level_cap)
+        for f in base.arrow_ids():
+            m = self.action(f)
+            if m.source is not self.value(base.src(f)) or m.target is not self.value(base.dst(f)):
+                raise ValueError(f"diagram map at {f!r} has wrong endpoints")
+        for a in base.objects:
+            if self.action(base.identities[a]) != identity_map(self.value(a)):
+                raise ValueError(f"diagram breaks identity at {a!r}")
+        for f in base.arrow_ids():
+            for g in base.generators(base.dst(f)):
+                if not commutes([self.action(base.compose(g, f))], [self.action(f), self.action(g)]):
+                    raise ValueError(f"diagram breaks composition at {g!r} o {f!r}:"
+                                     " the action is not functorial")
+        return self
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
-"""Relative nerves, coCartesian edge detection, fibration verdicts, and the
-marked overcategory machinery above the nerve of the based-set category."""
+"""Relative nerves of diagrams (`catcore.Diagram`), coCartesian edge
+detection, fibration verdicts, and the marked overcategory machinery above
+the nerve of the based-set category."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .catcore import CatFunctor, FinCat, coslice_category
-from .gammaop import GammaMorphism, based_map, delta_projection, enumerate_homs, gamma_identity
+from .catcore import CatFunctor, Diagram, FinCat, coslice_category
+from .gammaop import GammaBase, _gamma_arrow_name, delta_projection
 from .gspace import TabulatedGammaSpace, segal_check
 from .marked import MarkedMappingObject, MarkedSimpSet, mark
 from .nerve import chain_face, chain_ref, edge_is_invertible, nerve, nerve_functor_map, tau1
@@ -19,9 +20,7 @@ from .simplicial import (
     Colimit,
     _subset_of,
     cellwise,
-    commutes,
     from_elements,
-    identity_map,
     iso_check,
     map_cap,
 )
@@ -42,105 +41,39 @@ class UnsupportedInputError(ValueError):
 
 def gamma_subcategory(level_cap) -> FinCat:
     """The full subcategory of based finite sets on levels 0..level_cap,
-    as a dense finite category.  Arrow names encode the map tables.
+    as a dense finite category, for the coslices of `nelg`.  Arrow names
+    are `_gamma_arrow_name`s.
 
     Only materialized for small caps: the table has one entry per
     composable pair, and validating it visits each composable triple
     (144 arrows, 9,866 pairs and 704,836 triples at cap 3 are fine; 1,279
     arrows, 848,469 pairs and 577 million triples at cap 4 are not);
-    diagram-level checks at higher levels go through the functorial
-    interface instead of this category.
+    diagrams over the based sets take the lazy `GammaBase` instead.
     """
     if level_cap > 3:
         raise ResourceError(
             f"dense based-set subcategory at levels <= {level_cap} is too"
             " large to materialize; use the functorial diagram interface"
         )
-    levels = range(level_cap + 1)
-    out_of = {n: [f for m in levels for f in enumerate_homs(n, m)] for n in levels}
-    arrows = {_gamma_arrow_name(f): (str(n), str(f.dst)) for n in levels for f in out_of[n]}
-    identities = {str(n): _gamma_arrow_name(gamma_identity(n)) for n in levels}
-    compose = {(_gamma_arrow_name(g), _gamma_arrow_name(f)): _gamma_arrow_name(f.then(g))
-               for n in levels for f in out_of[n] for g in out_of[f.dst]}
-    return FinCat([str(n) for n in levels], arrows, identities, compose)
-
-
-def _gamma_levels(c: FinCat):
-    """n when c is `gamma_subcategory(n)`, else None; the dense tables are
-    built only once the objects agree."""
-    n = len(c.objects) - 1
-    if n < 0 or c.objects != tuple(sorted(map(str, range(n + 1)))):
-        return None
-    dense = gamma_subcategory(n)
-    return n if (c.arrows, c.compose_table) == (dense.arrows, dense.compose_table) else None
-
-
-def _gamma_arrow_name(f: GammaMorphism):
-    return f"g{f.src}to{f.dst}x" + "_".join(str(v) for v in f.table)
-
-
-def gamma_arrow_of_name(name) -> GammaMorphism:
-    head, table = name[1:].split("x")
-    src, dst = head.split("to")
-    entries = tuple(int(v) for v in table.split("_")) if table else ()
-    return based_map(int(src), int(dst), entries)
+    gamma = GammaBase(level_cap)
+    name = {f: gamma.arrow_name(f) for f in gamma.arrow_ids()}
+    arrows = {name[f]: (str(f.src), str(f.dst)) for f in name}
+    identities = {str(n): name[f] for n, f in gamma.identities.items()}
+    compose = {(name[g], name[f]): name[f.then(g)] for f in name for g in gamma.out_of(f.dst)}
+    return FinCat(map(str, gamma.objects), arrows, identities, compose)
 
 
 # ---------------------------------------------------------------------------
 # relative nerves
 
 
-@dataclass
-class RelativeNerveInput:
-    """A finite category with a simplicial-set-valued diagram on it."""
+class RelativeNerveInput(Diagram):
+    """A diagram over a finite category given by tables: `values` sends each
+    object to a FinSimpSet, `arrows` each arrow id to a SimpMap."""
 
-    base: FinCat
-    values: dict          # object -> FinSimpSet
-    arrows: dict          # arrow id -> SimpMap
-
-    def validate(self):
-        """Each diagram map is simplicial, and the diagram passes `check_laws`."""
-        for m in self.arrows.values():
-            m.validate()
-        return self.check_laws()
-
-    def check_laws(self):
-        """Checks that each map has its arrow's ends, that identities act as
-        identities and that composites are respected, trusting each map to
-        be simplicial."""
-        for f, (a, b) in self.base.arrows.items():
-            m = self.arrows[f]
-            if m.source is not self.values[a] or m.target is not self.values[b]:
-                raise ValueError(f"diagram map at {f!r} has wrong endpoints")
-        for a in self.base.objects:
-            if self.arrows[self.base.identities[a]] != identity_map(self.values[a]):
-                raise ValueError(f"diagram breaks identity at {a!r}")
-        for (g, f), gf in self.base.compose_table.items():
-            if not commutes([self.arrows[gf]], [self.arrows[f], self.arrows[g]]):
-                raise ValueError(f"diagram breaks composition at {g!r} o {f!r}")
-        return self
-
-    def as_tabulated(self) -> TabulatedGammaSpace:
-        levels = _gamma_levels(self.base)
-        if levels is None:
-            raise UnsupportedInputError(
-                "only diagrams over a based-set subcategory extract a"
-                " tabulated family"
-            )
-        return TabulatedGammaSpace(
-            levels,
-            lambda n: self.values[str(n)],
-            lambda f: self.arrows[_gamma_arrow_name(f)],
-        )
-
-
-def gamma_diagram_input(x: TabulatedGammaSpace, level_cap) -> RelativeNerveInput:
-    """Package a family's levels <= level_cap as a relative-nerve input
-    over the dense based-set subcategory on them."""
-    base = gamma_subcategory(level_cap)
-    values = {str(n): x.value(n) for n in range(level_cap + 1)}
-    arrows = {name: x.action(gamma_arrow_of_name(name)) for name in base.arrow_ids()}
-    return RelativeNerveInput(base, values, arrows)
+    def __init__(self, base: FinCat, values, arrows):
+        super().__init__(base, values.__getitem__, arrows.__getitem__)
+        self.values, self.arrows = values, arrows
 
 
 class RelativeNerve:
@@ -150,7 +83,7 @@ class RelativeNerve:
     of [n].  F must be a functor, as the loaders check.
 
     A chain of dimension 0 is (object,); of dimension n >= 1 a tuple of n
-    composable arrow ids (identities allowed).  The component on J is the
+    composable arrows (identities allowed).  The component on J is the
     face that J spans of the one on the initial segment [0..max J], so a
     simplex is keyed by (chain, (tau_0, tau_01, ..., tau_0..n)), its
     components on the initial segments.  The simplices are built by
@@ -160,10 +93,11 @@ class RelativeNerve:
     Functoriality makes every other face condition hold.
     """
 
-    def __init__(self, input: RelativeNerveInput, dim_cap):
+    def __init__(self, input: Diagram, dim_cap):
         self.input = input
         self.cap = dim_cap
-        base, values = input.base, input.values
+        base = input.base
+        values = {o: input.value(o) for o in base.objects}
         chains = {0: [(o,) for o in base.objects],
                   1: [(f,) for f in base.arrow_ids()]}
         for n in range(2, dim_cap + 1):
@@ -176,7 +110,7 @@ class RelativeNerve:
             by_last, grown = {}, {}
             for chain in chains[n]:
                 g = chain[-1]
-                value, carry = values[base.dst(g)], input.arrows[g]
+                value, carry = values[base.dst(g)], input.action(g)
                 if value not in by_last:
                     by_last[value] = bucket = {}
                     for faces, refs in value.face_index(n).items():
@@ -217,11 +151,12 @@ class RelativeNerve:
     def element_of(self, name):
         """(chain, its components (J, base, degs) on every nonempty J of
         [n], sorted): on J the face of the component on [0..max J] that J
-        spans."""
+        spans; the chain named as in the nerve."""
         n, (chain, taus) = self._key_of[name]
-        objs = _chain_objects(self.input.base, n, chain)
-        return chain, tuple(sorted(
-            (J, *self.input.values[objs[J[-1]]].act(taus[J[-1]], J[-1], J))
+        base = self.input.base
+        objs = _chain_objects(base, n, chain)
+        return tuple(map(base.arrow_name, chain) if n else map(str, chain)), tuple(sorted(
+            (J, *self.input.value(objs[J[-1]]).act(taus[J[-1]], J[-1], J))
             for size in range(1, n + 2) for J in itertools.combinations(range(n + 1), size)))
 
     def fiber(self, obj) -> FinSimpSet:
@@ -232,15 +167,15 @@ class RelativeNerve:
 
     def fiber_comparison(self, obj) -> Verdict:
         """The fiber is the diagram value on the nose."""
-        return iso_check(self.fiber(obj), self.input.values[obj])
+        return iso_check(self.fiber(obj), self.input.value(obj))
 
 
-def _chain_objects(base: FinCat, n, chain):
+def _chain_objects(base, n, chain):
     """The n + 1 objects of an n-chain."""
     return chain if n == 0 else (base.src(chain[0]),) + tuple(map(base.dst, chain))
 
 
-def relative_nerve(input: RelativeNerveInput, dim_cap) -> RelativeNerve:
+def relative_nerve(input: Diagram, dim_cap) -> RelativeNerve:
     return RelativeNerve(input, dim_cap)
 
 
@@ -332,7 +267,7 @@ def cocartesian_cross_check(rn: RelativeNerve, dim_cap, budget=None) -> Verdict:
     mismatches = []
     for e in rn.total.cell_ids(1):
         arrow, h = edge_components(rn, e)
-        cat, edge_to_arrow = tau1(rn.input.values[rn.input.base.dst(arrow)])
+        cat, edge_to_arrow = tau1(rn.input.value(rn.input.base.dst(arrow)))
         invertible = edge_is_invertible(h, cat, edge_to_arrow)
         if invertible != (e in detected):
             mismatches.append({"edge": e, "invertible": invertible,
@@ -349,23 +284,19 @@ def cocartesian_cross_check(rn: RelativeNerve, dim_cap, budget=None) -> Verdict:
 # the Segal verdict for diagram-shaped families
 
 
-def sm_qcat_check(input, k, l, tier="iso") -> Verdict:
+def sm_qcat_check(x, k, l, tier="iso") -> Verdict:
     """The fiber-wise comparison over the two projections, computed from
     the diagram (fibers are the diagram values; transport over a base edge
     applies the diagram arrow), at the tier discipline of segal_check.
 
-    Accepts a relative nerve's input (over a based-set base) or the diagram
-    presented functorially as a tabulated family; a built relative nerve or
-    a raw total space carries no canonical transport and is rejected.
+    Accepts a Gamma-family, whose relative nerve is the fibration; other
+    diagrams, built relative nerves and raw total spaces are rejected.
     """
-    if isinstance(input, RelativeNerveInput):
-        x = input.as_tabulated()
-    elif isinstance(input, TabulatedGammaSpace):
-        x = input
-    else:
+    if not isinstance(x, TabulatedGammaSpace):
         raise UnsupportedInputError(
-            "coCartesian transport is read only off a relative-nerve input or"
-            " a tabulated family; raw total spaces carry no canonical transport"
+            "coCartesian transport is read only off a Gamma-family: only"
+            " diagrams over a based-set subcategory have levels, and raw"
+            " total spaces carry no canonical transport"
         )
     verdict = segal_check(x, k, l, tier=tier)
     verdict.details["transport"] = "diagram arrows over the projections"
@@ -402,8 +333,9 @@ def upsilon(k, l, level_cap, dim_cap=2):
     for (level, which) in ((k, "left"), (l, "right")):
         over, cos, legs = nelg(level, level_cap, dim_cap)
         delta = delta_projection(k, l, which)
-        on_objects = {f: _gamma_arrow_name(delta.then(gamma_arrow_of_name(f)))
-                      for f in cos.objects}
+        # the coslice's objects are the arrows out of the level, by name
+        on_objects = {_gamma_arrow_name(f): _gamma_arrow_name(delta.then(f))
+                      for f in GammaBase(level_cap).out_of(level)}
         on_arrows = {t: triangle[(on_objects[fa], on_objects[fb], legs[t])]
                      for t, (fa, fb) in cos.arrows.items()}
         fun = CatFunctor(cos, cos_kl, on_objects, on_arrows)

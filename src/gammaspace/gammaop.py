@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import namedtuple
+from operator import attrgetter
 
 # the bound of the `enumerate_homs` memo, as for the word memos
 HOMS_MEMO_SIZE = 1 << 10
@@ -160,3 +161,45 @@ def elementary_maps(cap):
         if n < cap:
             gens.append(GammaMorphism(n, n + 1, ident))
     return gens
+
+
+def _gamma_arrow_name(f: GammaMorphism):
+    return f"g{f.src}to{f.dst}x" + "_".join(str(v) for v in f.table)
+
+
+class GammaBase:
+    """The based sets 0+..level_cap+ as a lazy `catcore.Diagram` base: based
+    maps composed by `then`, generated by the elementary maps, and named as
+    in `cocart.gamma_subcategory` (up to level 9 names sort as maps do)."""
+
+    src, dst = staticmethod(attrgetter("src")), staticmethod(attrgetter("dst"))
+    compose = staticmethod(lambda g, f: f.then(g))
+    arrow_name = staticmethod(_gamma_arrow_name)
+
+    def __init__(self, level_cap):
+        self.level_cap = level_cap
+        self.objects = tuple(range(level_cap + 1))
+        self.identities = {n: gamma_identity(n) for n in self.objects}
+
+    def out_of(self, a):
+        return tuple(f for m in self.objects for f in enumerate_homs(a, m))
+
+    def arrow_ids(self):
+        """Every based map between the levels, sorted."""
+        return [f for n in self.objects for f in self.out_of(n)]
+
+    def is_identity(self, f):
+        return self.identities.get(f.src) == f
+
+    def generators(self, a):
+        return self._generators[a]
+
+    @functools.cached_property
+    def _generators(self):
+        by_src = {n: [] for n in self.objects}
+        for g in elementary_maps(self.level_cap):
+            by_src[g.src].append(g)
+        return by_src
+
+    def upto(self, level_cap):
+        return self if level_cap >= self.level_cap else GammaBase(level_cap)

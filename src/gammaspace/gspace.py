@@ -1,6 +1,7 @@
-"""Functors from based finite sets to simplicial sets, in two presentations,
-with the convolution product, mapping spaces, Segal checks, normalization,
-and the homotopy-category probes built on top of them (a family's homotopy
+"""Functors from based finite sets to simplicial sets, tabulated (a
+`Diagram` over `GammaBase`) or presented by cells, with the convolution
+product, mapping spaces, Segal checks, normalization, and the
+homotopy-category probes built on top of them (a family's homotopy
 category itself is `nerve.tau1` of its level 1)."""
 
 from __future__ import annotations
@@ -9,7 +10,9 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+from .catcore import Diagram
 from .gammaop import (
+    GammaBase,
     GammaMorphism,
     delta_projection,
     elementary_maps,
@@ -60,74 +63,18 @@ from .verdicts import (
 )
 
 
-def all_morphisms_upto(level_cap):
-    out = []
-    for n in range(level_cap + 1):
-        for m in range(level_cap + 1):
-            out.extend(enumerate_homs(n, m))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # tabulated spaces
 
 
-class TabulatedGammaSpace:
+class TabulatedGammaSpace(Diagram):
     """Levels 0..N of simplicial sets with a functorial action of based
-    maps, given either by tables or by callables (cached)."""
+    maps: a `Diagram` over `GammaBase(N)`, given by callables (cached), its
+    laws checked up to N or a lower `level_cap`."""
 
     def __init__(self, level_bound, value_fn, action_fn):
+        super().__init__(GammaBase(level_bound), value_fn, action_fn)
         self.level_bound = level_bound
-        self._value_fn = value_fn
-        self._action_fn = action_fn
-        self._values = {}
-        self._actions = {}
-
-    def value(self, n) -> FinSimpSet:
-        if n > self.level_bound:
-            raise ValueError(f"level {n} beyond bound {self.level_bound}")
-        if n not in self._values:
-            # published once: threads racing on a first read all get the
-            # first object stored, which identity checks (`pairing`) rely on
-            return self._values.setdefault(n, self._value_fn(n))
-        return self._values[n]
-
-    def action(self, f: GammaMorphism) -> SimpMap:
-        if f.src > self.level_bound or f.dst > self.level_bound:
-            raise ValueError(f"morphism {f} beyond level bound {self.level_bound}")
-        if f not in self._actions:
-            return self._actions.setdefault(f, self._action_fn(f))
-        return self._actions[f]
-
-    def validate(self, level_cap=None):
-        """Checks the action on levels 0..cap (by default the level bound;
-        associativity first shows at level 3): each map is simplicial, and
-        the action passes `check_laws`."""
-        for f in all_morphisms_upto(self._cap(level_cap)):
-            self.action(f).validate()
-        return self.check_laws(level_cap)
-
-    def check_laws(self, level_cap=None):
-        """Checks, on levels 0..cap, that identities act as identities and
-        that the action is functorial, trusting each map to be simplicial.
-
-        Functoriality is checked as action(f.then(g)) == action(f) then
-        action(g) for every based map f, but only for g among the elementary
-        maps of `elementary_maps(cap)`, which is exact (see there).
-        """
-        cap = self._cap(level_cap)
-        every = all_morphisms_upto(cap)
-        for n in range(cap + 1):
-            if self.action(gamma_identity(n)) != identity_map(self.value(n)):
-                raise ValueError(f"the identity of level {n} does not act as the identity")
-        gens = elementary_maps(cap)
-        for f in every:
-            for g in gens:
-                if g.src != f.dst:
-                    continue
-                if not commutes([self.action(f.then(g))], [self.action(f), self.action(g)]):
-                    raise ValueError(f"action not functorial on {f}, {g}")
-        return self
 
     def _cap(self, level_cap):
         return self.level_bound if level_cap is None else min(level_cap, self.level_bound)

@@ -5,16 +5,10 @@ from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
 
-from .catcore import FinCat
+from .catcore import Diagram, FinCat
 from .cocart import RelativeNerveInput, OverObject
-from .gammaop import GammaMorphism, based_map, gamma_identity
-from .gspace import (
-    CellArrow,
-    GammaCell,
-    PresentedGammaSpace,
-    TabulatedGammaSpace,
-    all_morphisms_upto,
-)
+from .gammaop import GammaBase, GammaMorphism, _gamma_arrow_name, based_map
+from .gspace import CellArrow, GammaCell, PresentedGammaSpace, TabulatedGammaSpace
 from .marked import MarkedSimpSet
 from .simplicial import FinSimpSet, SimplexRef, SimpMap, identity_map
 
@@ -162,7 +156,7 @@ def tabulated_to_json(x: TabulatedGammaSpace) -> dict:
                 "map": gamma_morphism_to_json(f),
                 "simp_map": simpmap_to_json(x.action(f)),
             }
-            for f in all_morphisms_upto(x.level_bound)
+            for f in x.base.arrow_ids()
         ],
     }
 
@@ -189,10 +183,10 @@ def tabulated_from_json(data) -> TabulatedGammaSpace:
         action[f] = simpmap_from_json(
             entry.get("simp_map"), values[f.src], values[f.dst]
         )
-    for n in range(bound + 1):
-        ident = gamma_identity(n)
+    gamma = GammaBase(bound)
+    for n, ident in gamma.identities.items():
         action.setdefault(ident, identity_map(values[n]))
-    every = all_morphisms_upto(bound)
+    every = gamma.arrow_ids()
     changed = any(f not in action for f in every)
     while changed:
         changed = False
@@ -255,7 +249,10 @@ def presented_from_json(data) -> PresentedGammaSpace:
     return PresentedGammaSpace(cells, arrows)
 
 
-def relative_input_from_json(data) -> RelativeNerveInput:
+def relative_input_from_json(data) -> Diagram:
+    """A diagram over a finite category, its laws checked: over the based
+    sets on levels 0..n (see `_based_set_levels`), the Gamma-family over
+    `GammaBase(n)`."""
     _expect(data, dict, "a relative nerve input")
     base = category_from_json(data.get("base"))
     diagram = _expect(data.get("diagram"), dict, "the diagram")
@@ -267,7 +264,25 @@ def relative_input_from_json(data) -> RelativeNerveInput:
         f: simpmap_from_json(m, values[base.src(f)], values[base.dst(f)])
         for f, m in _keyed(diagram.get("arrows"), base.arrows, "the diagram's arrows").items()
     }
+    levels = _based_set_levels(base)
+    if levels is not None:
+        return TabulatedGammaSpace(levels, lambda n: values[str(n)],
+                                   lambda f: arrows[_gamma_arrow_name(f)]).check_laws()
     return RelativeNerveInput(base, values, arrows).check_laws()
+
+
+def _based_set_levels(c: FinCat):
+    """n when the valid category c is the based-set category on levels
+    0..n, its arrows named by `_gamma_arrow_name`, else None: the arrow
+    count first, then the arrows and the table pair by pair against `then`."""
+    n = len(c.objects) - 1
+    if n < 0 or c.objects != tuple(sorted(map(str, range(n + 1)))) or len(c.arrows) != sum(
+            (m + 1) ** k for k in range(n + 1) for m in range(n + 1)):
+        return None
+    maps = {_gamma_arrow_name(f): f for f in GammaBase(n).arrow_ids()}
+    same = c.arrows == {name: (str(f.src), str(f.dst)) for name, f in maps.items()}
+    return n if same and all(h == _gamma_arrow_name(maps[f].then(maps[g]))
+                             for (g, f), h in c.compose_table.items()) else None
 
 
 def over_object_to_json(x: OverObject) -> dict:

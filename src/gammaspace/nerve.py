@@ -19,18 +19,18 @@ def joined_name(parts, sep):
     return sep.join(p.replace("\\", "\\\\").replace(sep, "\\" + sep) for p in parts)
 
 
-def chain_ref(c: FinCat, chain, start) -> SimplexRef:
+def chain_ref(c, chain, start) -> SimplexRef:
     """The simplex of N(c) of a chain of composable arrows out of the
     object start, identities allowed: its chain of non-identity arrows,
     degenerated where the identities stood.  The nondegenerate simplex of
-    a chain is named by joining its arrow ids with "|" (see `joined_name`),
+    a chain is named by joining its arrow names with "|" (see `joined_name`),
     and a vertex by "o" and its object."""
     word = tuple(i for i in reversed(range(len(chain))) if c.is_identity(chain[i]))
-    squeezed = [f for f in chain if not c.is_identity(f)]
+    squeezed = [c.arrow_name(f) for f in chain if not c.is_identity(f)]
     return SimplexRef(joined_name(squeezed, "|") if squeezed else f"o{start}", word)
 
 
-def chain_face(c: FinCat, chain, i):
+def chain_face(c, chain, i):
     """The i-th face of a chain of n >= 1 composable arrows, as (the chain
     of n - 1 arrows, its first object): d_0 drops the first arrow, d_n the
     last, and 0 < i < n composes the two arrows at object i."""
@@ -41,8 +41,8 @@ def chain_face(c: FinCat, chain, i):
     return chain[:i - 1] + (c.compose(chain[i], chain[i - 1]),) + chain[i + 1:], c.src(chain[0])
 
 
-def nerve(c: FinCat, bound=4) -> FinSimpSet:
-    """Nerve of a finite category, truncated.
+def nerve(c, bound=4) -> FinSimpSet:
+    """Nerve of a finite category (any `catcore.Diagram` base), truncated.
 
     Nondegenerate n-cells are chains of n composable non-identity arrows,
     named by `chain_ref`; nerves are 2-coskeletal so any bound >= 2 reads

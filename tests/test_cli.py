@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import gammaspace
 from gammaspace import jsonio
 from gammaspace.cli import COMMANDS, COMMON, FLAGS, Command, build_parser, main
-from gammaspace.cocart import gamma_diagram_input, nelg
+from gammaspace.cocart import gamma_subcategory, nelg
 from gammaspace.corpus import glued_presentation, z2_monoid_space
 from gammaspace.gspace import gamma_rep
 from gammaspace.marked import mark
@@ -306,16 +306,16 @@ def _relative_blob(base=None):
 
 
 def _gamma_relative_blob():
-    """The level-2 Z/2 family as a diagram over the based-set base: an
-    input `sm-check` accepts (tests/test_cli_commands.py runs it with
+    """The level-2 Z/2 family as a diagram over the dense based-set base:
+    an input `sm-check` accepts (tests/test_cli_commands.py runs it with
     --k 1 --l 1), so the fuzz's draws of that command start from one."""
     m = z2_monoid_space(2)
-    inp = gamma_diagram_input(m, 2)
     return {
-        "base": jsonio.category_to_json(inp.base),
+        "base": jsonio.category_to_json(gamma_subcategory(2)),
         "diagram": {
-            "values": {o: jsonio.simpset_to_json(v) for o, v in inp.values.items()},
-            "arrows": {f: jsonio.simpmap_to_json(mm) for f, mm in inp.arrows.items()},
+            "values": {str(n): jsonio.simpset_to_json(m.value(n)) for n in m.base.objects},
+            "arrows": {m.base.arrow_name(f): jsonio.simpmap_to_json(m.action(f))
+                       for f in m.base.arrow_ids()},
         },
     }
 

@@ -114,6 +114,22 @@ def test_sm_check_reads_the_levels_off_the_base(tmp_path, capsys):
     assert "only diagrams over a based-set subcategory" in verdict["witness"]
 
 
+def test_sm_check_refuses_a_diagram_over_a_poset_with_levels_for_objects(tmp_path, capsys):
+    # the objects of [4] are "0".."4", as the levels 0..4 of a based-set
+    # base would be; telling the two apart by building the dense based-set
+    # category on five levels ran into its resource cap (exit 2), where the
+    # arrow count alone shows an input the check does not take (exit 3)
+    base, pt = poset_category(4), standard_point()
+    blob = {"base": jsonio.category_to_json(base), "diagram": {
+        "values": {o: jsonio.simpset_to_json(pt) for o in base.objects},
+        "arrows": {f: jsonio.simpmap_to_json(identity_map(pt)) for f in base.arrows}}}
+    report = run_ok(capsys, "sm-check", write(tmp_path, "p4.json", blob),
+                    "--k", "1", "--l", "1", expect=3)
+    [verdict] = report["verdicts"]
+    assert verdict["tag"] == "input"
+    assert "only diagrams over a based-set subcategory" in verdict["witness"]
+
+
 def test_a_spent_edge_search_prints_no_edges(tmp_path, capsys):
     # a spent search decides no edge, so it lists none, not an empty list
     report = run_ok(capsys, "cocart-edges", _walking_iso_over_arrow(tmp_path),

@@ -11,6 +11,7 @@ import test_cocart_golden
 from test_catcore import iso_class_count
 from test_simplicial import disjoint_union, quotients
 from gammaspace import cocart, shapes
+from gammaspace.jsonio import simpmap_to_json, simpset_to_json
 from gammaspace.catcore import (
     CatFunctor,
     poset_category,
@@ -23,7 +24,6 @@ from gammaspace.cocart import (
     UnsupportedInputError,
     cocartesian_cross_check,
     cocartesian_edges,
-    gamma_diagram_input,
     gamma_subcategory,
     hom_over_base,
     nelg,
@@ -54,7 +54,7 @@ from gammaspace.simplicial import (
     iso_check,
     sigma_tuple,
 )
-from gammaspace.verdicts import FAILS, HOLDS, INCONCLUSIVE, Budget, backtrack
+from gammaspace.verdicts import FAILS, HOLDS, INCONCLUSIVE, Budget, ResourceError, backtrack
 
 
 def constant_input(base, value):
@@ -161,11 +161,10 @@ def test_missing_lift_detected():
 
 def test_sm_qcat_check_and_agreement():
     m = z2_monoid_space(2)
-    ginp = gamma_diagram_input(m, 2)
-    v = sm_qcat_check(ginp, 1, 1, tier="iso")
+    v = sm_qcat_check(m, 1, 1, tier="iso")
     assert v.status == HOLDS
     g1 = gamma_rep(1).tabulate(2)
-    v2 = sm_qcat_check(gamma_diagram_input(g1, 2), 1, 1)
+    v2 = sm_qcat_check(g1, 1, 1)
     assert v2.status == FAILS
     assert segal_check(m, 1, 1, "iso").status == v.status
     assert segal_check(g1, 1, 1, "iso").status == v2.status
@@ -173,10 +172,37 @@ def test_sm_qcat_check_and_agreement():
         sm_qcat_check(object(), 1, 1)
     # a built relative nerve is refused: its input carries the transport
     with pytest.raises(UnsupportedInputError):
-        sm_qcat_check(relative_nerve(ginp, 1), 1, 1)
+        sm_qcat_check(relative_nerve(m, 1), 1, 1)
     base = poset_category(1)
     with pytest.raises(UnsupportedInputError):
         sm_qcat_check(constant_input(base, standard_point(bound=2)), 1, 1)
+
+
+@pytest.mark.parametrize("level_cap, dim_cap", [(1, 2), (2, 2), (3, 1)])
+def test_a_family_builds_the_relative_nerve_of_its_dense_diagram(level_cap, dim_cap):
+    # over `GammaBase` the arrows are based maps, named in the nerve as the
+    # dense based-set category names them; both sort alike, so cells,
+    # names, projections and elements agree
+    m = z2_monoid_space(level_cap)
+    base = gamma_subcategory(level_cap)
+    dense = RelativeNerveInput(base, {str(n): m.value(n) for n in m.base.objects},
+                               {m.base.arrow_name(f): m.action(f) for f in m.base.arrow_ids()})
+    lazy, built = relative_nerve(m, dim_cap), relative_nerve(dense.check_laws(), dim_cap)
+    assert simpset_to_json(lazy.total) == simpset_to_json(built.total)
+    assert simpmap_to_json(lazy.proj) == simpmap_to_json(built.proj)
+    assert all(lazy.element_of(c) == built.element_of(c)
+               for n in range(dim_cap + 1) for c in lazy.total.cell_ids(n))
+
+
+def test_a_relative_nerve_over_five_levels_needs_no_dense_base():
+    # the dense based-set category stops at four levels (1,279 arrows at
+    # five); the lazy base builds the Z/2 family's relative nerve at five
+    m = z2_monoid_space(4)
+    with pytest.raises(ResourceError):
+        gamma_subcategory(4)
+    rn = relative_nerve(m, 1)
+    assert rn.total.summary() == [31, 17688]
+    assert all(rn.fiber_comparison(n).status == HOLDS for n in m.base.objects)
 
 
 def test_fibration_verdict_over_based_set_base():
@@ -184,9 +210,8 @@ def test_fibration_verdict_over_based_set_base():
     # base is a fibration in the verified range, and its verdict agrees
     # with the fiberwise comparison
     m = z2_monoid_space(1)
-    ginp = gamma_diagram_input(m, 1)
-    rn = relative_nerve(ginp, 2)
-    for o in ginp.base.objects:
+    rn = relative_nerve(m, 2)
+    for o in m.base.objects:
         assert rn.fiber_comparison(o).status == HOLDS
     detected, verdict, marking = cocartesian_edges(rn.total, rn.proj, 2)
     assert verdict.status == HOLDS
@@ -199,8 +224,7 @@ def test_upsilon_locality_counts_on_monoid_marking():
     # out of the level-(k+l) nerve with pairs, here 4 = 2 x 2, with the
     # level-0 nerve seeing exactly one map
     m = z2_monoid_space(2)
-    ginp = gamma_diagram_input(m, 2)
-    rn = relative_nerve(ginp, 2)
+    rn = relative_nerve(m, 2)
     marking = OverObject(MarkedSimpSet(rn.total, rn.total.cell_ids(1)), rn.proj)
     counts = {}
     for k in (0, 1, 2):
@@ -343,13 +367,12 @@ def test_r_plus_of_naturally_marked_nerve_recovers_fibers():
     from gammaspace.nerve import tau1
 
     m = z2_monoid_space(1)
-    ginp = gamma_diagram_input(m, 1)
-    rn = relative_nerve(ginp, 2)
+    rn = relative_nerve(m, 2)
     detected, verdict, marking = cocartesian_edges(rn.total, rn.proj, 2)
     assert verdict.status == HOLDS and len(detected) == 5
     for k, points in ((0, 1), (1, 2)):
         level = r_plus_level(marking, k, 1, dim_cap=2)
-        fiber = rn.fiber(str(k))
+        fiber = rn.fiber(k)
         assert level.underlying.cell_count(0) == fiber.cell_count(0) == points
         cat_r, _ = tau1(level.underlying)
         cat_f, _ = tau1(fiber)
@@ -439,7 +462,7 @@ def _transport_by_subsets(rn, n, key, alpha, m):
     """The transport of a relative-nerve element, derived directly: the
     chain's objects and composites from the chain, and for every J of [m]
     its image, beta and simplex, with the new key sorted at the end."""
-    base, values = rn.input.base, rn.input.values
+    base, value = rn.input.base, rn.input.value
     chain, tau_items = key
     tau = {J: SimplexRef(b, w) for J, b, w in tau_items}
     objs, arrow = _chain_composites(base, n, chain)
@@ -450,7 +473,7 @@ def _transport_by_subsets(rn, n, key, alpha, m):
         for J in itertools.combinations(range(m + 1), size):
             image = tuple(sorted({alpha[j] for j in J}))
             beta = tuple(image.index(alpha[j]) for j in J)
-            new_tau[J] = values[objs[image[-1]]].act(tau[image], len(image) - 1, beta)
+            new_tau[J] = value(objs[image[-1]]).act(tau[image], len(image) - 1, beta)
     return new_chain, tuple(sorted((J, r.base, r.degs) for J, r in new_tau.items()))
 
 
@@ -487,10 +510,10 @@ def _elements_by_subsets(input, dim_cap):
             objs, arrow = _chain_composites(base, n, chain)
 
             def candidates(J, tau, objs=objs, arrow=arrow):
-                space, dim = input.values[objs[J[-1]]], len(J) - 1
+                space, dim = input.value(objs[J[-1]]), len(J) - 1
                 if dim == 0:
                     return space.refs(0)
-                carried = tuple(input.arrows[arrow(I[-1], J[-1])](tau[I], dim - 1)
+                carried = tuple(input.action(arrow(I[-1], J[-1]))(tau[I], dim - 1)
                                 for I in (J[:t] + J[t + 1:] for t in range(dim + 1)))
                 return space.face_index(dim).get(carried, ())
 
@@ -516,7 +539,7 @@ def _assert_built_as_by_subsets(inp, dim_cap):
     cut to their initial segments, with the face and degeneracy maps of
     the transport derived directly, and gives the cells, names and keys
     that the uncut levels give under that transport; `element_of` gives
-    back each uncut key."""
+    back each uncut key, its chain named as in the nerve."""
     handed = []
 
     def recording(bound, levels, face, degen):
@@ -544,8 +567,10 @@ def _assert_built_as_by_subsets(inp, dim_cap):
         lambda n, key, i: _transport_by_subsets(rn, n, key, sigma_tuple(i, n), n + 1))
     assert _cells(rn.total) == _cells(total)
     assert rn._key_of == {name: (n, _segments(key)) for name, (n, key) in key_of.items()}
+    named = inp.base.arrow_name
     assert {name: rn.element_of(name) for name in key_of} == \
-        {name: key for name, (_, key) in key_of.items()}
+        {name: (tuple(map(named, chain) if n else map(str, chain)), taus)
+         for name, (n, (chain, taus)) in key_of.items()}
 
 
 def test_golden_relative_nerves_are_built_as_by_subsets(monkeypatch):

@@ -24,7 +24,7 @@ import pytest
 from test_lifting_golden import _diagram
 
 from gammaspace.catcore import poset_category, walking_iso_category
-from gammaspace.cocart import gamma_diagram_input, relative_nerve, upsilon
+from gammaspace.cocart import relative_nerve, upsilon
 from gammaspace.corpus import category_corpus, z2_monoid_space
 from gammaspace.gspace import gamma_rep
 from gammaspace.jsonio import (
@@ -60,7 +60,7 @@ def _relative_nerve_cases():
 
     def monoid_level1():
         m = z2_monoid_space(1)
-        return _relative_nerve(gamma_diagram_input(m, 1))
+        return _relative_nerve(m)
 
     def point_into_interval():
         pt, d1 = standard_point(bound=2), standard_simplex(1).rebound(2)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from gammaspace import jsonio
 from gammaspace.cli import main
-from gammaspace.cocart import gamma_arrow_of_name
 from gammaspace.gammaop import (
     GammaMorphism,
     delta_projection,
@@ -181,8 +180,6 @@ ILL_FORMED = [(2, 1, (1,)), (1, 2, (1, 1)), (1, 1, (2,)), (2, 2, (0, 3))]
 def test_ill_formed_tables_are_refused_where_they_enter(capsys, src, dst, table):
     with pytest.raises(ValueError, match="ill-formed based map"):
         jsonio.gamma_morphism_from_json({"src": src, "dst": dst, "map": list(table)})
-    with pytest.raises(ValueError, match="ill-formed based map"):
-        gamma_arrow_of_name(f"g{src}to{dst}x" + "_".join(map(str, table)))
     code = main(["factorize", "--src", str(src), "--dst", str(dst),
                  "--map", ",".join(map(str, table))])
     report = json.loads(capsys.readouterr().out)

@@ -1,6 +1,7 @@
 """Level families: evaluation, convolution with its oracle, mapping spaces,
 Segal checks, normalization, the two-route fibration check, semi-additivity."""
 
+import contextlib
 import itertools
 import sys
 import threading
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from gammaspace import gspace, jsonio, nerve, shapes
 from gammaspace.catcore import FinCat, cyclic_group_category
-from gammaspace.cocart import gamma_diagram_input
+from gammaspace.cocart import gamma_subcategory
 from gammaspace.corpus import (
     glued_presentation,
     presented_corpus,
@@ -19,6 +20,7 @@ from gammaspace.corpus import (
     max_monoid_space,
 )
 from gammaspace.gammaop import (
+    GammaBase,
     GammaMorphism,
     elementary_maps,
     enumerate_homs,
@@ -28,7 +30,6 @@ from gammaspace.gammaop import (
 from gammaspace.gspace import (
     _is_nerve_like,
     _mapping_space_induced,
-    all_morphisms_upto,
     GammaMappingSpace,
     GammaSpaceMap,
     TabulatedGammaSpace,
@@ -56,7 +57,7 @@ from gammaspace.gspace import (
     unital_part,
     yoneda_comparison,
 )
-from gammaspace.shapes import standard_simplex
+from gammaspace.shapes import boundary, inclusion_map, standard_simplex
 from gammaspace.simplicial import (
     Colimit,
     FinSimpSet,
@@ -66,6 +67,7 @@ from gammaspace.simplicial import (
     discrete_set,
     identity_map,
     iso_check,
+    commutes,
     product,
     product_map,
 )
@@ -136,7 +138,7 @@ def _verdict_json(v):
 
 
 @pytest.mark.parametrize("trials, fresh, read", [
-    (60, lambda: z2_monoid_space(3), lambda x: gamma_diagram_input(x, 2).validate() and "valid"),
+    (60, lambda: z2_monoid_space(3), lambda x: x.validate(level_cap=2) and "valid"),
     (200, lambda: z2_monoid_space(3), lambda x: _verdict_json(segal_check(x, 1, 1))),
     (200, lambda: gamma_rep(1).tabulate(2), lambda x: _verdict_json(segal_check(x, 1, 1))),
 ], ids=["diagram-validate", "segal-z2", "segal-rep1"])
@@ -446,8 +448,6 @@ def test_internal_hom_into_terminal_is_terminal():
 
 
 def test_segal_cat_equiv_downgrades_on_non_nerve_level():
-    from gammaspace.shapes import boundary
-
     # the boundary of the triangle is not the nerve of its fundamental
     # category (the nerve acquires composite edges), so the category tier
     # must drop to necessary conditions and say so
@@ -751,6 +751,19 @@ def test_trivial_fibration_two_routes():
     assert v2.status == FAILS and v2.witness["dim"] == 0
 
 
+def test_route_check_raises_with_mapping_space_induced_patched_to_an_inclusion(monkeypatch):
+    # the routes agree by an adjunction, so no valid map splits them: the
+    # negative control patches the adjoint route's induced map to
+    # d[1] -> D[1], which fails lifting against d[1] -> D[1] while the
+    # identity's direct route has every lift
+    m = z2_monoid_space(2)
+    ident = GammaSpaceMap(m, m, {n: identity_map(m.value(n)) for n in range(3)})
+    monkeypatch.setattr(gspace, "_mapping_space_induced", lambda *_args: inclusion_map(
+        boundary(1), standard_simplex(1)))
+    with pytest.raises(AssertionError, match="routes disagree at level 0, dim 1$"):
+        trivial_fibration_check(ident, level_cap=1, dim_cap=1)
+
+
 def test_trivial_fibration_under_every_budget_is_never_a_false_verdict():
     # a genuine `holds` on the identity tries 74 candidates; under a smaller
     # budget the routes run out at different points, which is no refutation
@@ -847,13 +860,13 @@ def test_elementary_maps_generate_every_based_map(cap):
         frontier = [h.then(g) for h in frontier for g in gens if g.src == h.dst]
         frontier = [c for c in dict.fromkeys(frontier) if c not in seen]
         seen.update(frontier)
-    assert seen == set(all_morphisms_upto(cap))
+    assert seen == set(GammaBase(cap).arrow_ids())
 
 
 def _all_pairs_functorial(x, cap):
     """The all-pairs oracle: identities, then every composable pair of
     based maps between levels <= cap."""
-    every = all_morphisms_upto(cap)
+    every = GammaBase(cap).arrow_ids()
     if any(x.action(gamma_identity(n)) != identity_map(x.value(n))
            for n in range(cap + 1)):
         return False
@@ -932,7 +945,7 @@ def _same_tabulation(elements, op, unit, level):
     slow = _per_tuple_monoid_space(elements, op, unit, level)
     for n in range(level + 1):
         assert fast.value(n).cell_ids(0) == slow.value(n).cell_ids(0)
-    for f in all_morphisms_upto(level):
+    for f in GammaBase(level).arrow_ids():
         # equal assignments, inserted in the same order
         assert list(fast.action(f).assignment.items()) == list(slow.action(f).assignment.items())
 
@@ -996,10 +1009,63 @@ def test_elementary_check_refuses_a_swap_acting_as_identity():
     assert not _all_pairs_functorial(bad, 3)
 
 
+def _all_pairs_refusal(x):
+    """The all-composable-pairs law check, the oracle of the check on the
+    elementary maps: x's levels <= 3 as a diagram over the dense
+    `gamma_subcategory(3)`, checked for each map's ends, each identity and
+    then every composable pair of its table.  The first refusal, or None."""
+    base = _DENSE_3
+    values = {str(n): x.value(n) for n in range(4)}
+    arrows = {x.base.arrow_name(f): x.action(f) for f in GammaBase(3).arrow_ids()}
+    for f, (a, b) in base.arrows.items():
+        if arrows[f].source is not values[a] or arrows[f].target is not values[b]:
+            return f"the ends of {f}"
+    for a in base.objects:
+        if arrows[base.identities[a]] != identity_map(values[a]):
+            return f"the identity of {a}"
+    for (g, f), gf in base.compose_table.items():
+        if not commutes([arrows[gf]], [arrows[f], arrows[g]]):
+            return f"{g} o {f}"
+    return None
+
+
+def _same_ends_swaps(x, cap):
+    """(f, g, x with g's action at f) for the last based map f of each
+    hom-set between levels 1..cap and the first and the last g beside it
+    whose action differs from f's."""
+    for n in range(1, cap + 1):
+        for m in range(1, cap + 1):
+            homs = enumerate_homs(n, m)
+            f = homs[-1]
+            others = [g for g in homs if x.action(g) != x.action(f)]
+            for g in dict.fromkeys(others[:1] + others[-1:]):
+                yield f, g, TabulatedGammaSpace(
+                    cap, x.value, lambda h, f=f, g=g: x.action(g if h == f else h))
+
+
+_CORPUS_3 = dict(tabulated_corpus(3))
+_DENSE_3 = gamma_subcategory(3)
+
+
+@pytest.mark.parametrize("name", sorted(_CORPUS_3))
+def test_the_check_on_the_elementary_maps_refuses_what_the_all_pairs_check_refuses(name):
+    x = _CORPUS_3[name]
+    assert _all_pairs_refusal(x) is None and x.check_laws() is x
+    refused = 0
+    for f, g, bad in _same_ends_swaps(x, 3):
+        oracle = _all_pairs_refusal(bad)
+        with pytest.raises(ValueError) if oracle else contextlib.nullcontext():
+            bad.check_laws()
+        refused += oracle is not None
+    # the constant families act by identities only, so nothing swaps there;
+    # each swap elsewhere breaks a law
+    assert refused == (0 if name in ("terminal", "constant-interval") else 17)
+
+
 _MONOIDS = {"z2": z2_monoid_space(3), "max": max_monoid_space(3)}
 
 
-@given(st.sampled_from(sorted(_MONOIDS)), st.sampled_from(all_morphisms_upto(3)), st.data())
+@given(st.sampled_from(sorted(_MONOIDS)), st.sampled_from(GammaBase(3).arrow_ids()), st.data())
 @settings(max_examples=40, deadline=None)
 def test_elementary_check_matches_all_pairs_on_corruptions(name, f, data):
     x = _MONOIDS[name]
@@ -1043,7 +1109,7 @@ def _natural_on_all_maps(phi, cap):
     levels <= cap commutes."""
     return all(phi.level(f.src).then(phi.target.action(f))
                == phi.source.action(f).then(phi.level(f.dst))
-               for f in all_morphisms_upto(cap))
+               for f in GammaBase(cap).arrow_ids())
 
 
 def _structure_maps():
@@ -1118,6 +1184,6 @@ _TABULATED_PAIRS = {
 def test_mapping_space_tabulated_matches_all_maps_links(monkeypatch, key):
     x, y, pointed = _TABULATED_PAIRS[key]
     fast = _tabulated_complex(x, y, pointed)
-    monkeypatch.setattr(gspace, "elementary_maps", all_morphisms_upto)
+    monkeypatch.setattr(gspace, "elementary_maps", lambda cap: GammaBase(cap).arrow_ids())
     assert _tabulated_complex(x, y, pointed) == fast
     assert fast[1]

@@ -475,14 +475,14 @@ def only_tested_definitions(modules, callers, dispatched=frozenset()):
 # The library's `.validate(...)` calls, by (module, function): the loaders
 # check what enters, each listed map once, as `simpmap_from_json` reads it
 # (`tabulated_from_json` then checks only the laws of the action it
-# completes, by `TabulatedGammaSpace.check_laws`, and
-# `relative_input_from_json` those of its diagram, by
-# `RelativeNerveInput.check_laws`); `from_elements` checks the tables it
-# is handed; the tau1 certificate decides by validating (`catcore.all_functors`
+# completes, and `relative_input_from_json` those of its diagram, both by
+# `Diagram.check_laws`); `from_elements` checks the tables it is handed;
+# the tau1 certificate decides by validating (`catcore.all_functors`
 # checks each composite as its last arrow is drawn, and validates nothing);
-# the validators of the diagram types check their parts; and two verdicts
-# rest on a check.  Constructions trust their valid inputs, and
-# tests/conftest.py validates every set and category tier-1 builds.
+# the validators of diagrams (a family is one), of the maps of families and
+# of marked families check their parts; and two verdicts rest on a check.
+# Constructions trust their valid inputs, and tests/conftest.py validates
+# every set and category tier-1 builds.
 KEPT_VALIDATE_CALLS = {
     ("jsonio", "simpset_from_json"): 1,
     ("jsonio", "simpmap_from_json"): 1,
@@ -490,10 +490,9 @@ KEPT_VALIDATE_CALLS = {
     ("simplicial", "from_elements"): 1,
     ("nerve", "_tau1_full"): 1,
     ("nerve", "tau1_functor"): 1,
-    ("gspace", "TabulatedGammaSpace.validate"): 1,
+    ("catcore", "Diagram.validate"): 1,
     ("gspace", "GammaSpaceMap.validate"): 1,
     ("marked", "MarkedGammaSpace.validate"): 1,
-    ("cocart", "RelativeNerveInput.validate"): 1,
     ("gspace", "_levelwise_iso_verdict"): 1,
     ("gspace", "semiadditivity_probe"): 2,
 }
@@ -561,19 +560,19 @@ KEPT_MEMO_STORES = {
 KEPT_LITERAL_JOINS = {
     ("cli", "build_parser"): 1,
     ("suite", "run_suite"): 2,
-    ("cocart", "_gamma_arrow_name"): 1,
+    ("gammaop", "_gamma_arrow_name"): 1,
     ("shapes", "_tuple_name"): 1,
 }
 
 
 # The `gammaop.based_map(...)` calls, by (module, function): a based map's
-# table is checked where it enters, from the command line, from JSON or
-# from an arrow name of the based-set category; every other construction
-# builds a `GammaMorphism` from valid parts and trusts it.
+# table is checked where it enters, from the command line or from JSON;
+# every other construction builds a `GammaMorphism` from valid parts and
+# trusts it, and an arrow name of the based-set category is looked up
+# among the maps that `GammaBase` names, never parsed.
 KEPT_BASED_MAP_CALLS = {
     ("cli", "cmd_factorize"): 1,
     ("jsonio", "gamma_morphism_from_json"): 1,
-    ("cocart", "gamma_arrow_of_name"): 1,
 }
 
 
@@ -889,6 +888,15 @@ def test_based_maps_are_checked_only_where_tables_enter():
     found = Counter((p.stem, name) for p in MODULES
                     for name in calls_naming(p.read_text(), "based_map"))
     assert found == Counter(KEPT_BASED_MAP_CALLS)
+
+
+def test_only_nelg_builds_the_dense_based_set_category():
+    # a diagram over the based sets takes the lazy `GammaBase`; the dense
+    # `FinCat` is built only for the coslices of `nelg` (and `upsilon`
+    # through it)
+    found = Counter((p.stem, name) for p in MODULES
+                    for name in calls_naming(p.read_text(), "gamma_subcategory"))
+    assert found == Counter({("cocart", "nelg"): 1})
 
 
 @pytest.mark.parametrize("module", ["jsonio", "cli"])

@@ -32,9 +32,9 @@ from gammaspace.corpus import (
     tabulated_corpus,
     z2_monoid_space,
 )
+from gammaspace.gammaop import GammaBase
 from gammaspace.gspace import (
     _mapping_space_induced,
-    all_morphisms_upto,
     convolve_with_map,
     day_assoc_comparison,
     day_symmetry_comparison,
@@ -131,7 +131,7 @@ def _internal_hom():
     out = {}
     for name, p in presented_corpus()[:4]:
         hom = internal_hom(p, z2_monoid_space(4), level_bound=2, dim_cap=1)
-        out[name] = [[repr(g), hom.action(g).key()] for g in all_morphisms_upto(2)]
+        out[name] = [[repr(g), hom.action(g).key()] for g in GammaBase(2).arrow_ids()]
     return out
 
 

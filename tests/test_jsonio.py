@@ -12,11 +12,11 @@ from gammaspace import jsonio, suite
 from gammaspace.catcore import poset_category, terminal_category, walking_iso_category
 from gammaspace.cocart import OverObject, nelg
 from gammaspace.corpus import glued_presentation, presented_corpus, z2_monoid_space
-from gammaspace.gammaop import GammaMorphism, enumerate_homs
+from gammaspace.gammaop import GammaBase, GammaMorphism, enumerate_homs
 from gammaspace.marked import mark
 from gammaspace.nerve import nerve
 from gammaspace.shapes import boundary, sphere_zero, standard_point, standard_simplex
-from gammaspace.gspace import all_morphisms_upto, gamma_rep
+from gammaspace.gspace import gamma_rep
 from gammaspace.simplicial import SimplexRef, SimpMap, constant_map, identity_map, iso_check
 from gammaspace.verdicts import HOLDS
 from test_cli import _gamma_relative_blob
@@ -122,7 +122,7 @@ def test_non_functorial_top_level_is_refused():
 def _level_three_generators():
     """The automorphisms, the maps down one level and the inclusions up one
     level, between levels 0..3: the closure composes every based map."""
-    return [f for f in all_morphisms_upto(3) if f.src == f.dst or f.dst == f.src - 1
+    return [f for f in GammaBase(3).arrow_ids() if f.src == f.dst or f.dst == f.src - 1
             or (f.dst == f.src + 1 and f.table == tuple(range(1, f.src + 1)))]
 
 
@@ -131,7 +131,7 @@ def test_complete_and_generated_loads_agree():
     complete = jsonio.tabulated_from_json(jsonio.tabulated_to_json(x))
     gens = _level_three_generators()
     closed = jsonio.tabulated_from_json(_listing(x, gens))
-    for f in all_morphisms_upto(3):
+    for f in GammaBase(3).arrow_ids():
         assert complete.action(f) == closed.action(f) == x.action(f)
 
 

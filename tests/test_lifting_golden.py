@@ -30,7 +30,6 @@ from gammaspace.catcore import poset_category, terminal_category, walking_iso_ca
 from gammaspace.cocart import (
     RelativeNerveInput,
     cocartesian_edges,
-    gamma_diagram_input,
     relative_nerve,
 )
 from gammaspace.corpus import category_corpus, z2_monoid_space
@@ -171,7 +170,7 @@ def _cocart_cases():
 
     def monoid_level1():
         m = z2_monoid_space(1)
-        rn = relative_nerve(gamma_diagram_input(m, 1), 2)
+        rn = relative_nerve(m, 2)
         return _edges(rn.total, rn.proj, 2)
 
     def point_into_interval():
