@@ -8,7 +8,7 @@ import itertools
 from dataclasses import dataclass
 
 from .catcore import CatFunctor, Diagram, FinCat, coslice_category
-from .gammaop import GammaBase, _gamma_arrow_name, delta_projection
+from .gammaop import _gamma_arrow_name, delta_projection, gamma_base
 from .gspace import TabulatedGammaSpace, segal_check
 from .marked import MarkedMappingObject, MarkedSimpSet, mark
 from .nerve import chain_face, chain_ref, edge_is_invertible, nerve, nerve_functor_map, tau1
@@ -55,7 +55,7 @@ def gamma_subcategory(level_cap) -> FinCat:
             f"dense based-set subcategory at levels <= {level_cap} is too"
             " large to materialize; use the functorial diagram interface"
         )
-    gamma = GammaBase(level_cap)
+    gamma = gamma_base(level_cap)
     name = {f: gamma.arrow_name(f) for f in gamma.arrow_ids()}
     arrows = {name[f]: (str(f.src), str(f.dst)) for f in name}
     identities = {str(n): name[f] for n, f in gamma.identities.items()}
@@ -335,7 +335,7 @@ def upsilon(k, l, level_cap, dim_cap=2):
         delta = delta_projection(k, l, which)
         # the coslice's objects are the arrows out of the level, by name
         on_objects = {_gamma_arrow_name(f): _gamma_arrow_name(delta.then(f))
-                      for f in GammaBase(level_cap).out_of(level)}
+                      for f in gamma_base(level_cap).out_of(level)}
         on_arrows = {t: triangle[(on_objects[fa], on_objects[fb], legs[t])]
                      for t, (fa, fb) in cos.arrows.items()}
         fun = CatFunctor(cos, cos_kl, on_objects, on_arrows)

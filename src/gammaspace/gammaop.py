@@ -5,7 +5,7 @@ A based map is a named tuple (src, dst, table), so it compares and hashes
 in C and equals the plain tuple of its fields.  Tables are checked where
 they enter, by `based_map`; the constructions here build well-formed
 tables from well-formed ones and trust them.  `enumerate_homs` returns a
-tuple kept in a bounded memo."""
+tuple kept in a bounded memo, and `gamma_base` one base per level bound."""
 
 from __future__ import annotations
 
@@ -16,6 +16,8 @@ from operator import attrgetter
 
 # the bound of the `enumerate_homs` memo, as for the word memos
 HOMS_MEMO_SIZE = 1 << 10
+# the bound of the `gamma_base` memo: one base per level bound in use
+BASE_MEMO_SIZE = 64
 
 
 class GammaMorphism(namedtuple("GammaMorphism", "src dst table")):
@@ -202,4 +204,11 @@ class GammaBase:
         return by_src
 
     def upto(self, level_cap):
-        return self if level_cap >= self.level_cap else GammaBase(level_cap)
+        return self if level_cap >= self.level_cap else gamma_base(level_cap)
+
+
+@functools.lru_cache(maxsize=BASE_MEMO_SIZE)
+def gamma_base(level_cap) -> GammaBase:
+    """The `GammaBase` on levels 0..level_cap that every diagram over those
+    levels shares, with the generators it groups on first use."""
+    return GammaBase(level_cap)

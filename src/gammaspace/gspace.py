@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 from .catcore import Diagram
 from .gammaop import (
-    GammaBase,
     GammaMorphism,
     delta_projection,
     elementary_maps,
     enumerate_homs,
+    gamma_base,
     gamma_identity,
     smash_gamma,
     smash_twist,
@@ -45,6 +45,7 @@ from .simplicial import (
     identity_map,
     iso_check,
     map_cap,
+    maps,
     pairing,
     product,
     product_map,
@@ -73,7 +74,7 @@ class TabulatedGammaSpace(Diagram):
     laws checked up to N or a lower `level_cap`."""
 
     def __init__(self, level_bound, value_fn, action_fn):
-        super().__init__(GammaBase(level_bound), value_fn, action_fn)
+        super().__init__(gamma_base(level_bound), value_fn, action_fn)
         self.level_bound = level_bound
 
     def _cap(self, level_cap):
@@ -394,14 +395,13 @@ class GammaMappingSpace(MapComplex):
             dim_cap = min(y.value(c.level).dim_bound for c in p.cells) if p.cells else 0
 
         def families(mc, d):
-            per_cell = [hom_set(mc.frame(i, d)[0], y.value(c.level), budget=budget)
-                        for i, c in enumerate(p.cells)]
-            # each arrow's carry S_src x Delta[d] -> S_dst x Delta[d] and
-            # action, built once per dimension
-            arrows = [(a.src, a.dst, y.action(a.gamma), mc.carry(a.simp, a.src, a.dst, d))
-                      for a in p.arrows]
-            return _families(per_cell, arrows, lambda ms, md, act, carry:
-                             commutes([ms], [carry, md, act]))
+            # each arrow's link: m_src is carry then m_dst then Y(gamma),
+            # with carry = simp x Delta[d], built once per dimension
+            links = [((None, a.src, None),
+                      (mc.carry(a.simp, a.src, a.dst, d), a.dst, y.action(a.gamma)))
+                     for a in p.arrows]
+            return _families([(mc.frame(i, d)[0], y.value(c.level), {})
+                              for i, c in enumerate(p.cells)], links, budget)
 
         super().__init__(dim_cap, [c.shape for c in p.cells], families, simplex_last=True)
 
@@ -414,24 +414,68 @@ def _postcompose(src: GammaMappingSpace, dst: GammaMappingSpace, posts) -> SimpM
         m.then(post) for m, post in zip(src.element_of(name), posts)))
 
 
-def _families(per_slot, links, agree):
-    """The families, one map per slot drawn from per_slot, with
-    agree(family[src], family[dst], act, carry) for each link (src, dst,
-    act, carry).  A link is checked as soon as both its slots are chosen;
-    families come in lexicographic order of the slots."""
-    due = [[] for _ in per_slot]
+def _families(slots, links, budget):
+    """The families (m_0, m_1, ...) with m_k a map frame -> target out of
+    slots[k] = (frame, target, pins), `pins` fixing cells as in `maps`,
+    for which each link (left, right) commutes.  A side (pre, k, post) is
+    the chain pre, m_k, post, an identity pre or post given as None.
+
+    The slots are searched in order.  At slot k, a link whose other side
+    is chosen fixes post(m_k(pre(c))) on each cell c of its source up to
+    the link's cap: with no post it pins m_k at a nondegenerate pre(c),
+    else it vetoes, cell by cell, the images whose post is not that value.
+    Pins and vetoes only prune: `commutes` decides each link once its
+    later slot is chosen, a link with both sides at one slot included.  A
+    slot that no link ties to an earlier one is searched once.  Families
+    come in lexicographic order of the slots, as the product of the
+    slots' `hom_set` lists filtered by the links would give them."""
+    due = [[] for _ in slots]
     for link in links:
-        due[max(link[:2])].append(link)
+        due[max(link[0][1], link[1][1])].append(link)
+    ties = [[(ours, theirs) for link in due[k] for ours, theirs in (link, link[::-1])
+             if ours[1] == k != theirs[1]] for k in range(len(slots))]
+    searched = {}
+
+    def chain(side, chosen):
+        return [m for m in (side[0], chosen[side[1]], side[2]) if m is not None]
+
+    def found(k, chosen):
+        frame, target, pins = slots[k]
+        if not ties[k]:
+            if k not in searched:
+                searched[k] = hom_set(frame, target, budget, pins)
+            return searched[k]
+        fixed, vetoes = dict(pins), {}
+        for (pre, _, post), theirs in ties[k]:
+            known = chain(theirs, chosen)
+            source = known[0].source
+            targets = [target] + [m.target for m in [*known, pre, post] if m is not None]
+            for n in range(min(map_cap(source, t) for t in targets) + 1):
+                for name in source.cell_ids(n):
+                    cell = SimplexRef(name) if pre is None else pre(SimplexRef(name), n)
+                    if cell.degs:
+                        continue
+                    value = SimplexRef(name)
+                    for m in known:
+                        value = m(value, n)
+                    if post is not None:
+                        vetoes.setdefault((n, cell.base), []).append((post, value))
+                    elif fixed.setdefault((n, cell.base), value) != value:
+                        return ()
+
+        def allowed(n, name, ref):
+            return all(post(ref, n) == value for post, value in vetoes.get((n, name), ()))
+
+        return maps(frame, target, budget, fixed, allowed if vetoes else None)
 
     def candidates(k, chosen):
-        for m in per_slot[k]:
+        for m in found(k, chosen):
             pick = {**chosen, k: m}
-            if all(agree(pick[src], pick[dst], act, carry)
-                   for src, dst, act, carry in due[k]):
+            if all(commutes(chain(left, pick), chain(right, pick)) for left, right in due[k]):
                 yield m
 
-    for chosen in backtrack(range(len(per_slot)), candidates):
-        yield tuple(chosen[k] for k in range(len(per_slot)))
+    for chosen in backtrack(range(len(slots)), candidates):
+        yield tuple(chosen[k] for k in range(len(slots)))
 
 
 def yoneda_comparison(n, y: TabulatedGammaSpace, dim_cap) -> tuple:
@@ -900,22 +944,19 @@ def mapping_space_tabulated(x: TabulatedGammaSpace, y: TabulatedGammaSpace,
     # natural along the elementary maps is natural along every based map
     morphisms = elementary_maps(level_cap)
 
-    def maps_at(mc, n, d):
-        frame, xb, yb = mc.frame(n, d), x.value(n).pointed, y.value(n).pointed
-        if not pointed:
-            return hom_set(frame[0], y.value(n), budget=budget)
-        if xb is None or yb is None:
-            return []
-        return hom_set(frame[0], y.value(n), budget=budget,
-                       fixed=_basepoint_collapse(frame, xb, yb))
-
     def families(mc, d):
-        # each morphism's carry X(f) x Delta[d] and action Y(f), built once
-        # per dimension
-        squares = [(f.src, f.dst, y.action(f), mc.carry(x.action(f), f.src, f.dst, d))
-                   for f in morphisms]
-        return _families([maps_at(mc, n, d) for n in range(level_cap + 1)], squares,
-                         lambda ms, md, act, carry: commutes([carry, md], [ms, act]))
+        slots = []
+        for n in range(level_cap + 1):
+            frame, xb, yb = mc.frame(n, d), x.value(n).pointed, y.value(n).pointed
+            if pointed and (xb is None or yb is None):
+                return ()
+            pins = _basepoint_collapse(frame, xb, yb) if pointed else {}
+            slots.append((frame[0], y.value(n), pins))
+        # each morphism's link: carry then m_dst is m_src then Y(f), with
+        # carry = X(f) x Delta[d], built once per dimension
+        links = [((mc.carry(x.action(f), f.src, f.dst, d), f.dst, None), (None, f.src, y.action(f)))
+                 for f in morphisms]
+        return _families(slots, links, budget)
 
     mc = MapComplex(dim_cap, [x.value(n) for n in range(level_cap + 1)], families,
                     simplex_last=True)

@@ -7,7 +7,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .catcore import Diagram, FinCat
 from .cocart import RelativeNerveInput, OverObject
-from .gammaop import GammaBase, GammaMorphism, _gamma_arrow_name, based_map
+from .gammaop import GammaMorphism, _gamma_arrow_name, based_map, gamma_base
 from .gspace import CellArrow, GammaCell, PresentedGammaSpace, TabulatedGammaSpace
 from .marked import MarkedSimpSet
 from .simplicial import FinSimpSet, SimplexRef, SimpMap, identity_map
@@ -113,6 +113,8 @@ def category_to_json(c: FinCat) -> dict:
 
 
 def category_from_json(data) -> FinCat:
+    """The category a JSON object spells, not yet validated (see
+    `relative_input_from_json`)."""
     _expect(data, dict, "a finite category")
     arrows = {}
     for a in _expect_list(data.get("arrows"), "the arrows of a category", dict):
@@ -127,7 +129,7 @@ def category_from_json(data) -> FinCat:
             raise ValueError(f"expected a composite [g, f, g o f], got {entry!r}")
         compose[(entry[0], entry[1])] = entry[2]
     objects = _expect_list(data.get("objects"), "the objects of a category", str)
-    return FinCat(objects, arrows, identities, compose).validate()
+    return FinCat(objects, arrows, identities, compose)
 
 
 def gamma_morphism_to_json(f: GammaMorphism) -> dict:
@@ -183,7 +185,7 @@ def tabulated_from_json(data) -> TabulatedGammaSpace:
         action[f] = simpmap_from_json(
             entry.get("simp_map"), values[f.src], values[f.dst]
         )
-    gamma = GammaBase(bound)
+    gamma = gamma_base(bound)
     for n, ident in gamma.identities.items():
         action.setdefault(ident, identity_map(values[n]))
     every = gamma.arrow_ids()
@@ -252,9 +254,12 @@ def presented_from_json(data) -> PresentedGammaSpace:
 def relative_input_from_json(data) -> Diagram:
     """A diagram over a finite category, its laws checked: over the based
     sets on levels 0..n (see `_based_set_levels`), the Gamma-family over
-    `GammaBase(n)`."""
+    `GammaBase(n)`; over any other base, validated first, the diagram."""
     _expect(data, dict, "a relative nerve input")
     base = category_from_json(data.get("base"))
+    levels = _based_set_levels(base)
+    if levels is None:
+        base.validate()
     diagram = _expect(data.get("diagram"), dict, "the diagram")
     values = {
         obj: simpset_from_json(v)
@@ -264,7 +269,6 @@ def relative_input_from_json(data) -> Diagram:
         f: simpmap_from_json(m, values[base.src(f)], values[base.dst(f)])
         for f, m in _keyed(diagram.get("arrows"), base.arrows, "the diagram's arrows").items()
     }
-    levels = _based_set_levels(base)
     if levels is not None:
         return TabulatedGammaSpace(levels, lambda n: values[str(n)],
                                    lambda f: arrows[_gamma_arrow_name(f)]).check_laws()
@@ -272,17 +276,29 @@ def relative_input_from_json(data) -> Diagram:
 
 
 def _based_set_levels(c: FinCat):
-    """n when the valid category c is the based-set category on levels
-    0..n, its arrows named by `_gamma_arrow_name`, else None: the arrow
-    count first, then the arrows and the table pair by pair against `then`."""
+    """n when the category c, not yet validated, is the based-set category
+    on levels 0..n with its arrows named by `_gamma_arrow_name`, else None:
+    the arrow count first, then the arrows, the identities, and the table
+    pair by pair against `then`, one entry for each composable pair.  That
+    is all `FinCat.validate` would check: units and associativity are
+    those of `then`."""
     n = len(c.objects) - 1
     if n < 0 or c.objects != tuple(sorted(map(str, range(n + 1)))) or len(c.arrows) != sum(
             (m + 1) ** k for k in range(n + 1) for m in range(n + 1)):
         return None
-    maps = {_gamma_arrow_name(f): f for f in GammaBase(n).arrow_ids()}
-    same = c.arrows == {name: (str(f.src), str(f.dst)) for name, f in maps.items()}
-    return n if same and all(h == _gamma_arrow_name(maps[f].then(maps[g]))
-                             for (g, f), h in c.compose_table.items()) else None
+    gamma = gamma_base(n)
+    maps = {_gamma_arrow_name(f): f for f in gamma.arrow_ids()}
+    if c.arrows != {name: (str(f.src), str(f.dst)) for name, f in maps.items()} or \
+            c.identities != {str(k): _gamma_arrow_name(f) for k, f in gamma.identities.items()}:
+        return None
+    outs = {k: len(gamma.out_of(k)) for k in gamma.objects}
+    if len(c.compose_table) != sum(outs[f.dst] for f in maps.values()):
+        return None
+    for (g, f), h in c.compose_table.items():
+        if g not in maps or f not in maps or maps[f].dst != maps[g].src or \
+                h != _gamma_arrow_name(maps[f].then(maps[g])):
+            return None
+    return n
 
 
 def over_object_to_json(x: OverObject) -> dict:

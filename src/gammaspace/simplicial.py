@@ -852,11 +852,16 @@ def maps(a: FinSimpSet, x: FinSimpSet, budget=None, fixed=None, constraint=None)
     """The simplicial maps a -> x (x read coskeletally above its bound),
     found one at a time.
 
-    fixed pre-assigns cells (dim, name) -> ref (a pointed search pins the
-    basepoint this way); constraint(n, name, ref) may veto candidates.  A vertex joined by edges to vertices already
-    assigned draws only the vertices joined to all their images (forward
-    checking): any other could not extend to the edge, so the maps and
-    their order are those of drawing every vertex.  Each candidate drawn
+    fixed pre-assigns cells (dim, name) -> ref: a pointed search pins the
+    basepoint this way, and a natural-family search the cells that a
+    chosen map forces through a naturality square (see `gspace._families`);
+    a fixed cell of dimension n >= 1 is still checked against its faces.
+    constraint(n, name, ref) may veto candidates one cell at a time, as
+    that search does where the forced value is read through an action map.
+    A vertex joined by edges to vertices already assigned draws only the
+    vertices joined to all their images (forward checking): any other
+    could not extend to the edge, so the maps and their order are those of
+    drawing every vertex.  Each candidate drawn
     costs one unit of budget; raises BudgetExceededError rather than
     silently truncating.
     """

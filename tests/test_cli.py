@@ -305,13 +305,14 @@ def _relative_blob(base=None):
     }
 
 
-def _gamma_relative_blob():
-    """The level-2 Z/2 family as a diagram over the dense based-set base:
-    an input `sm-check` accepts (tests/test_cli_commands.py runs it with
-    --k 1 --l 1), so the fuzz's draws of that command start from one."""
-    m = z2_monoid_space(2)
+def _gamma_relative_blob(level=2):
+    """The Z/2 family on levels 0..level (2 by default) as a diagram over
+    the dense based-set base: an input `sm-check` accepts
+    (tests/test_cli_commands.py runs it with --k 1 --l 1), so the fuzz's
+    draws of that command start from one."""
+    m = z2_monoid_space(level)
     return {
-        "base": jsonio.category_to_json(gamma_subcategory(2)),
+        "base": jsonio.category_to_json(gamma_subcategory(level)),
         "diagram": {
             "values": {str(n): jsonio.simpset_to_json(m.value(n)) for n in m.base.objects},
             "arrows": {m.base.arrow_name(f): jsonio.simpmap_to_json(m.action(f))

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from gammaspace import cli, jsonio
-from gammaspace.catcore import poset_category, terminal_category, walking_iso_category
+from gammaspace.catcore import FinCat, poset_category, terminal_category, walking_iso_category
 from gammaspace.cli import main
 from gammaspace.cocart import (
     OverObject, RelativeNerve, RelativeNerveInput, hom_over_base, nelg)
@@ -128,6 +128,44 @@ def test_sm_check_refuses_a_diagram_over_a_poset_with_levels_for_objects(tmp_pat
     [verdict] = report["verdicts"]
     assert verdict["tag"] == "input"
     assert "only diagrams over a based-set subcategory" in verdict["witness"]
+
+
+def _break(base, how):
+    """The JSON base with one flaw: a composite changed to another arrow
+    with its ends, an entry dropped, an identity swapped for another
+    endomap, or an entry's first arrow swapped for one it does not compose
+    with."""
+    ends = {a["id"]: (a["src"], a["dst"]) for a in base["arrows"]}
+    entries = base["compose"]
+    if how == "composite-changed":
+        k, h2 = next((k, h2) for k, (_, _, h) in enumerate(entries)
+                     for h2 in ends if h2 != h and ends[h2] == ends[h])
+        entries[k] = entries[k][:2] + [h2]
+    elif how == "entry-dropped":
+        entries.pop()
+    elif how == "identity-wrong":
+        ident = base["identities"]["2"]
+        base["identities"]["2"] = next(f for f in ends if ends[f] == ("2", "2") and f != ident)
+    else:
+        _, f, h = entries[0]
+        entries[0] = [next(x for x in ends if ends[x][0] != ends[f][1]), f, h]
+
+
+@pytest.mark.parametrize("how,refusal", [
+    ("composite-changed", "associativity fails"), ("entry-dropped", "missing"),
+    ("identity-wrong", "unit law fails"), ("stray-pair", "missing")])
+def test_a_flawed_level_3_based_set_base_exits_3(tmp_path, capsys, monkeypatch, how, refusal):
+    # read without the validation every test category gets on
+    # construction, so that the loader alone must refuse the flaw: the
+    # base is not recognised as based sets and then fails `FinCat.validate`
+    monkeypatch.setattr(FinCat, "__init__", FinCat.__init__.__wrapped__)
+    blob = _gamma_relative_blob(3)
+    _break(blob["base"], how)
+    report = run_ok(capsys, "sm-check", write(tmp_path, "g3.json", blob),
+                    "--k", "1", "--l", "1", expect=3)
+    [verdict] = report["verdicts"]
+    assert verdict["tag"] == "input"
+    assert refusal in verdict["witness"]
 
 
 def test_a_spent_edge_search_prints_no_edges(tmp_path, capsys):

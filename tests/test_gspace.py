@@ -24,6 +24,7 @@ from gammaspace.gammaop import (
     GammaMorphism,
     elementary_maps,
     enumerate_homs,
+    gamma_base,
     gamma_identity,
     smash_gamma,
 )
@@ -1187,3 +1188,11 @@ def test_mapping_space_tabulated_matches_all_maps_links(monkeypatch, key):
     monkeypatch.setattr(gspace, "elementary_maps", lambda cap: GammaBase(cap).arrow_ids())
     assert _tabulated_complex(x, y, pointed) == fast
     assert fast[1]
+
+
+def test_families_over_one_level_bound_share_one_base():
+    base = gamma_base(3)
+    assert z2_monoid_space(3).base is base
+    assert gamma_rep(1).tabulate(3).base is base
+    assert z2_monoid_space(4).base.upto(3) is base
+    assert GammaBase(5).upto(3) is base

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gammaspace import jsonio, suite
-from gammaspace.catcore import poset_category, terminal_category, walking_iso_category
+from gammaspace.catcore import FinCat, poset_category, terminal_category, walking_iso_category
 from gammaspace.cocart import OverObject, nelg
 from gammaspace.corpus import glued_presentation, presented_corpus, z2_monoid_space
-from gammaspace.gammaop import GammaBase, GammaMorphism, enumerate_homs
+from gammaspace.gammaop import GammaBase, GammaMorphism, enumerate_homs, gamma_base
 from gammaspace.marked import mark
 from gammaspace.nerve import nerve
 from gammaspace.shapes import boundary, sphere_zero, standard_point, standard_simplex
@@ -522,3 +522,16 @@ def test_canonical_dumps_writes_every_check_suite_report_as_the_stdlib(monkeypat
     assert len(body["verdicts"]) == len(suite.SUITE)
     for verdict in body["verdicts"]:
         assert dumps(verdict) == _stdlib_dumps(verdict)
+
+
+def test_a_based_set_base_is_recognised_without_validating_the_category(monkeypatch):
+    # units and associativity of a recognised base are those of `then`, so
+    # the level-3 Z/2 input loads without `FinCat.validate` (704,836
+    # composable triples), the loader's check of every entry standing in
+    blob = _gamma_relative_blob(3)
+    monkeypatch.setattr(FinCat, "__init__", FinCat.__init__.__wrapped__)
+    monkeypatch.setattr(FinCat, "validate", lambda self: pytest.fail("validated the base"))
+    family = jsonio.relative_input_from_json(blob)
+    assert family.base is gamma_base(3)
+    m = z2_monoid_space(3)
+    assert all(family.action(f).key() == m.action(f).key() for f in m.base.arrow_ids())

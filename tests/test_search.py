@@ -4,6 +4,7 @@ the slow searches they replace."""
 import functools
 import itertools
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -14,11 +15,18 @@ from test_lifting_golden import _cocart_cases, _diagram, _qcat_cases
 from test_shapes import spine_of_two_edges
 from test_simplicial import glued_simplices, quotients
 
-from gammaspace import cocart, shapes
+from gammaspace import cocart, gspace, shapes
 from gammaspace.catcore import cyclic_group_category, poset_category, walking_iso_category
 from gammaspace.cocart import cocartesian_edges, nelg, relative_nerve
-from gammaspace.corpus import category_corpus, pointed_corpus
+from gammaspace.corpus import (
+    category_corpus,
+    glued_presentation,
+    max_monoid_space,
+    pointed_corpus,
+    tabulated_corpus,
+)
 from gammaspace.gspace import _basepoint_collapse, _families, _is_nerve_like
+from gammaspace.gammaop import GammaMorphism, elementary_maps
 from gammaspace.marked import MarkedSimpSet, is_marked_map, marked_hom_set
 from gammaspace.nerve import nerve
 from gammaspace.shapes import (
@@ -30,7 +38,19 @@ from gammaspace.shapes import (
     unliftable_square,
 )
 from gammaspace.corpus import z2_monoid_space
-from gammaspace.gspace import GammaMappingSpace, gamma_rep
+from gammaspace.gspace import (
+    CellArrow,
+    GammaMappingSpace,
+    PresentedGammaSpace,
+    TabulatedGammaSpace,
+    constant_gamma_space,
+    coproduct_presented,
+    day_convolve,
+    gamma_rep,
+    mapping_space_tabulated,
+    normalize,
+    terminal_gamma_space,
+)
 from gammaspace.jsonio import canonical_dumps
 from gammaspace.simplicial import (
     FinSimpSet,
@@ -39,7 +59,9 @@ from gammaspace.simplicial import (
     _face_images,
     apply_word,
     cellwise,
+    commutes,
     constant_map,
+    discrete_set,
     hom_set,
     identity_map,
     inclusion_map,
@@ -179,45 +201,171 @@ def test_yoneda_mapping_space_draws_one_vertex_per_component():
     assert budget.used == 256
 
 
-def _old_families(per_slot, links, commutes):
-    """The generate-and-test filter `_families` replaced."""
-    return [
-        combo for combo in itertools.product(*per_slot)
-        if all(commutes(combo[src], combo[dst], act, carry)
-               for src, dst, act, carry in links)
-    ]
+def test_normalization_mapping_spaces_spend_a_pinned_budget():
+    # the two mapping spaces of the normalization law (normalized Z/2 to
+    # normalized max, levels <= 2, dims <= 1) spent 1,388 + 612 = 2,000
+    # units when every level map was listed and the product filtered; 56 +
+    # 56 with each level searched under the pins and vetoes of the levels
+    # chosen before it
+    nor_x, nor_y = normalize(z2_monoid_space(2))[0], normalize(max_monoid_space(2))[0]
+    used = []
+    for pointed in (True, False):
+        budget = Budget()
+        mapping_space_tabulated(nor_x, nor_y, 2, 1, pointed=pointed, budget=budget)
+        used.append(budget.used)
+    assert sum(used) <= 112
+
+
+def _chain(side, family):
+    return [m for m in (side[0], family[side[1]], side[2]) if m is not None]
+
+
+def _joined_families(slots, links, budget=None):
+    """The enumerate-then-join search that `_families` replaced: every
+    slot's `hom_set`, and their product filtered by `commutes` on each
+    link."""
+    per_slot = [hom_set(frame, target, budget, pins) for frame, target, pins in slots]
+    return [family for family in itertools.product(*per_slot)
+            if all(commutes(_chain(left, family), _chain(right, family)) for left, right in links)]
 
 
 @given(quotients, st.lists(st.sampled_from([standard_simplex(0), standard_simplex(1)]),
                            min_size=1, max_size=3),
-       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.booleans()), max_size=3))
-@settings(max_examples=30, deadline=None)
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.booleans(),
+                          st.integers(0, 2), st.booleans()), max_size=3))
+@settings(max_examples=40, deadline=None)
 def test_pruned_families_match_the_product_filter(x, slot_shapes, raw_links):
-    per_slot = [hom_set(a, x) for a in slot_shapes]
-    top = len(per_slot) - 1
+    slots = [(a, x, {}) for a in slot_shapes]
+    top = len(slots) - 1
+    point = standard_simplex(0)
+    posts = [None, identity_map(x), constant_map(x, x, x.cell_ids(0)[0])]
+
+    def vertex(k, end):
+        shape = slot_shapes[k]
+        return cellwise(point, shape, lambda n, name: SimplexRef(shape.cell_ids(0)[end]))
+
     # a link ties the first vertex of one map to the first or last vertex
-    # of another
-    links = [(min(i, top), min(j, top), -1 if last else 0, None)
-             for i, j, last in raw_links]
-
-    def commutes(ms, md, end, _):
-        return ms(SimplexRef("0"), 0) == md(SimplexRef(md.source.cell_ids(0)[end]), 0)
-
-    new = list(_families(per_slot, links, commutes))
-    assert new == _old_families(per_slot, links, commutes)
+    # of another, read through a post map: pinned with none, vetoed with one
+    links = []
+    for i, j, last, post, swap in raw_links:
+        i, j = min(i, top), min(j, top)
+        sides = ((vertex(i, 0), i, None), (vertex(j, -1 if last else 0), j, posts[post]))
+        links.append(sides[::-1] if swap else sides)
+    assert list(_families(slots, links, Budget())) == _joined_families(slots, links)
 
 
 def test_families_prune_at_the_later_end_of_each_link():
-    calls = []
+    x = discrete_set(["a", "b"])
+    point = standard_simplex(0)
+    to_a, to_b = constant_map(x, x, "a"), constant_map(x, x, "b")
+    slots = [(point, x, {}), (point, x, {}), (standard_simplex(1), x, {})]
+    never = ((None, 0, to_a), (None, 1, to_b))
+    budget = Budget()
+    assert list(_families(slots, [never], budget)) == []
+    # slot 0 draws its two vertices, slot 1 draws two after each and vetoes
+    # both, and slot 2 is never searched; the product filter searched all
+    # three slots before its first check
+    assert budget.used == 2 + 2 * 2
+    # a pin draws only the pinned vertex
+    budget = Budget()
+    equal = ((None, 0, None), (None, 1, None))
+    assert len(list(_families(slots[:2], [equal], budget))) == 2
+    assert budget.used == 2 + 1 + 1
 
-    def never(ms, md, act, carry):
-        calls.append((ms, md))
-        return False
 
-    assert list(_families([[1, 2], [3, 4], [5, 6, 7]], [(0, 1, None, None)], never)) == []
-    # each pair of the first two slots once; the product filter asks 12 times
-    assert len(calls) == 4
+def _complex_view(mc):
+    """A map complex's families by key, in search order, and its cells'
+    names with the key each stands for."""
+    return [list(table) for table in mc.tables], \
+        [mc.space.cell_ids(n) for n in range(mc.space.dim_bound + 1)], dict(mc._key_of)
 
+
+def _pinned_and_joined(build):
+    """`_complex_view` of the complex `build()` makes, by the pinned search
+    and by the enumerate-then-join oracle."""
+    pinned = _complex_view(build())
+    with mock.patch.object(gspace, "_families", _joined_families):
+        return pinned, _complex_view(build())
+
+
+def _level_families(bound):
+    return [*tabulated_corpus(bound), ("normalized-z2", normalize(z2_monoid_space(bound))[0]),
+            ("normalized-max", normalize(max_monoid_space(bound))[0])]
+
+
+@given(st.sampled_from(_level_families(2)), st.sampled_from(_level_families(2)),
+       st.integers(1, 2), st.integers(0, 2), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_pinned_mapping_spaces_match_the_joined_search(x, y, level_cap, dim_cap, pointed):
+    # element_of is bound to the map complex it reads
+    pinned, joined = _pinned_and_joined(lambda: mapping_space_tabulated(
+        x[1], y[1], level_cap, dim_cap, pointed=pointed)[1].__self__)
+    assert pinned == joined
+
+
+def _glued_last():
+    """`glued_presentation` with its level-2 cell last, so that the search
+    meets each gluing arrow at its source and pins the whole map there."""
+    p = glued_presentation()
+    order = [1, 2, 0]
+    return PresentedGammaSpace([p.cells[i] for i in order], [
+        CellArrow(order.index(a.src), order.index(a.dst), a.gamma, a.simp) for a in p.arrows])
+
+
+@given(st.sampled_from([glued_presentation(), _glued_last(),
+                        day_convolve(glued_presentation(), gamma_rep(0)),
+                        coproduct_presented(_glued_last(), gamma_rep(1, standard_simplex(1)))]),
+       st.sampled_from(tabulated_corpus(2)), st.integers(0, 2))
+@settings(max_examples=25, deadline=None)
+def test_pinned_gluing_searches_match_the_joined_search(p, y, dim_cap):
+    assert p.arrows
+    pinned, joined = _pinned_and_joined(lambda: GammaMappingSpace(p, y[1], dim_cap=dim_cap))
+    assert pinned == joined
+
+
+def _terminal_cut_at_zero(bound):
+    """The terminal family with level 0 read truncated at 0: a link out of
+    level 0 compares its sides up to different caps."""
+    cut = FinSimpSet(0, {0: {"0": ()}}, complete=False)
+
+    def value(n):
+        return cut if n == 0 else standard_point()
+
+    return TabulatedGammaSpace(bound, value,
+                               lambda f: constant_map(value(f.src), value(f.dst), "0"))
+
+
+@pytest.mark.parametrize("dim_cap", [0, 1, 2])
+@pytest.mark.parametrize("x,y", [
+    (constant_gamma_space(2, standard_simplex(1)), _terminal_cut_at_zero(2)),
+    (terminal_gamma_space(2), constant_gamma_space(2, standard_simplex(2, bound=1))),
+], ids=["cut-at-level-0", "cut-below-the-frame"])
+def test_pinned_search_matches_the_joined_search_into_truncated_targets(x, y, dim_cap):
+    pinned, joined = _pinned_and_joined(
+        lambda: mapping_space_tabulated(x, y, 2, dim_cap)[1].__self__)
+    assert pinned == joined
+
+
+def test_a_family_broken_only_at_the_swap_is_excluded():
+    # on (max, max): the identity at levels 0 and 1, and at level 2 the map
+    # sending t1_1 to t1_0 and fixing the rest.  It is natural along every
+    # elementary map but the swap of 2+, whose two ends are one slot, so
+    # that neither a pin nor a veto sees it and `commutes` alone refuses it
+    x = max_monoid_space(2)
+    mc = mapping_space_tabulated(x, x, 2, 0)[1].__self__
+
+    def bent(n):
+        frame, proj = mc.frame(n, 0)[:2]
+        return cellwise(frame, x.value(n), lambda _, c: SimplexRef(
+            {"t1_1": "t1_0"}.get(proj(SimplexRef(c), 0).base, proj(SimplexRef(c), 0).base)))
+
+    family = [bent(n) for n in range(3)]
+    broken = [f for f in elementary_maps(2) if not commutes(
+        [mc.carry(x.action(f), f.src, f.dst, 0), family[f.dst]], [family[f.src], x.action(f)])]
+    assert broken == [GammaMorphism(2, 2, (2, 1))]
+    assert tuple(m.key() for m in family) not in mc.tables[0]
+    # the zero family and the identity
+    assert len(mc.tables[0]) == 2
 
 
 def _collapses(m, frame, simplex, xb, yb):

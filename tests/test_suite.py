@@ -4,7 +4,7 @@ import inspect
 
 import pytest
 
-from gammaspace import suite
+from gammaspace import gspace, suite
 from gammaspace.gammaop import GammaMorphism, gamma_identity
 from gammaspace.gspace import semiadditivity_probe
 from gammaspace.verdicts import FAILS, HOLDS, INCONCLUSIVE, Verdict
@@ -91,3 +91,17 @@ def test_every_law_that_combines_sub_checks_is_exercised_spent():
     # the laws built from decided facts alone
     facts_only = {"factorization-unique", "tensor-hom-adjunction", "pushout-product-mono"}
     assert {tag for tag, _, _ in SPENT_SUB_CHECKS} == {tag for tag, _ in suite.SUITE} - facts_only
+
+
+def test_normalization_fails_with_the_basepoint_pinned_off_the_basepoint(monkeypatch):
+    # the law's last part compares the pointed and the plain mapping space
+    # from normalized Z/2 to normalized max, whose levels name their
+    # vertices alike; pinning basepoint x Delta[d] to the last vertex of
+    # each level instead leaves no natural family on the pointed side,
+    # while the plain side keeps its one vertex
+    collapse = gspace._basepoint_collapse
+    monkeypatch.setattr(gspace, "_basepoint_collapse", lambda frame, xb, yb: collapse(
+        frame, xb, frame[1].target.cell_ids(0)[-1]))
+    v = suite.check_normalization()
+    assert (v.status, v.checked) == (FAILS, "pointed vs underlying mapping space")
+    assert v.witness == {"dim": 0, "counts": [0, 1]}
